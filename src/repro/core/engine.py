@@ -268,13 +268,17 @@ class KSpotEngine:
         (and locally buffers) the plan's attribute for the current
         epoch. Reads go through the node-level per-epoch cache, so on a
         shared deployment boards that already fired this epoch are not
-        re-sampled."""
-        nodes = self.network.nodes
-        attribute = self.plan.attribute
-        self.network.read_many(
-            [node_id for node_id in self.participants
-             if nodes[node_id].alive],
-            attribute)
+        re-sampled. When every alive sensor participates the network's
+        alive tuple itself is read, so the batch shares the sampling
+        plan and readings row of concurrent sessions."""
+        network = self.network
+        nodes = network.nodes
+        node_ids = [node_id for node_id in self.participants
+                    if nodes[node_id].alive]
+        alive = network.alive_sensor_ids()
+        if len(node_ids) == len(alive):
+            node_ids = alive
+        network.read_many(node_ids, self.plan.attribute)
 
     def fill_windows(self, epochs: int | None = None) -> None:
         """Acquisition stage: sample & buffer locally, radio silent."""

@@ -154,7 +154,10 @@ class Mint:
             # Keyed by identity of the (cached) alive tuple and the
             # membership dict: the network rebuilds the former only on
             # topology change, the engine rebinds the latter only on
-            # newborn adoption.
+            # newborn adoption. When every alive sensor participates the
+            # alive tuple itself is returned, so concurrent sessions
+            # share the network's identity-keyed sampling plan and
+            # readings row.
             alive = self.network.alive_sensor_ids()
             group_of = self.group_of
             cache = self._participants_cache
@@ -162,6 +165,8 @@ class Mint:
                     and cache[1] is group_of):
                 return cache[2]
             result = tuple(n for n in alive if n in group_of)
+            if len(result) == len(alive):
+                result = alive
             self._participants_cache = (alive, group_of, result)
             return result
         return tuple(

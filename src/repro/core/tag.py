@@ -70,13 +70,16 @@ class Tag:
         alive = self.network.alive_sensor_ids()
         if hotpath.enabled():
             # Keyed like Mint's: identity of the (cached) alive tuple
-            # and the membership dict the engine rebinds on adoption.
+            # and the membership dict the engine rebinds on adoption,
+            # returning the alive tuple itself when everyone participates.
             group_of = self.group_of
             cache = self._participants_cache
             if (cache is not None and cache[0] is alive
                     and cache[1] is group_of):
                 return cache[2]
             result = tuple(n for n in alive if n in group_of)
+            if len(result) == len(alive):
+                result = alive
             self._participants_cache = (alive, group_of, result)
             return result
         return tuple(n for n in alive if n in self.group_of)

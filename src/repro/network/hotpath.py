@@ -3,11 +3,12 @@
 The simulator's epoch loop carries several caches that exist purely for
 speed — the memoized :func:`~repro.network.packets.fragment` cost
 model, per-tree traversal-order caches, per-epoch traffic batching,
-and the engines' fused per-epoch passes (MINT's prune+update
-converge-cast, TAG's aggregation converge-cast, FILA's monitor+bounds
-pass and repartition-order memo) — all of which are *semantically
-invisible*: with the caches on or off, every message, byte, joule and
-per-phase snapshot is identical.
+the lossless path-relay kernel (one call per relayed tree path
+instead of one per hop), and the engines' fused per-epoch passes
+(MINT's prune+update converge-cast, TAG's aggregation converge-cast,
+FILA's monitor+bounds pass and repartition-order memo) — all of
+which are *semantically invisible*: with the caches on or off, every
+message, byte, joule and per-phase snapshot is identical.
 
 The switch also selects the sinks' certification strategy: on the hot
 path each session maintains an incremental

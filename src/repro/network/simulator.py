@@ -20,11 +20,13 @@ The per-message work runs on an allocation-free **hot path** (see
 :mod:`repro.network.hotpath`): packet costs come from the memoized
 fragment table, energy rates and ledger lookups are precomputed,
 traffic is batched per epoch into per-kind accumulators flushed at
-epoch/phase/tap boundaries, and tree traversal orders / live-children
-lookups are cached and invalidated on topology change. All of it is
-observationally identical to the reference path — same counters, same
-per-phase snapshots, same RNG draws — which stays available as the
-oracle via :func:`repro.network.hotpath.reference_path`;
+epoch/phase/tap boundaries, flat relays (:meth:`Network.unicast_to_sink`
+/ :meth:`Network.unicast_from_sink`) over a lossless radio ship their
+whole tree path in one kernel call, and tree traversal orders /
+live-children lookups are cached and invalidated on topology change.
+All of it is observationally identical to the reference path — same
+counters, same per-phase snapshots, same RNG draws — which stays
+available as the oracle via :func:`repro.network.hotpath.reference_path`;
 ``tests/test_hotpath_equivalence.py`` proves the equivalence
 byte-for-byte.
 
@@ -316,6 +318,7 @@ class Network:
                 retransmissions=attempts - cost.packets,
             )
 
+    # repro: hot
     def _ship_unicast(self, sender: int, receiver: int,
                       message: WireMessage) -> None:
         """Hot-path :meth:`_ship` specialised for one receiver.
@@ -379,6 +382,7 @@ class Network:
             tap._tx_joules += tx_joules
             tap._rx_joules += rx_joules
 
+    # repro: hot
     def _ship_broadcast(self, sender: int, receivers: tuple[int, ...],
                         message: WireMessage) -> None:
         """Hot-path :meth:`_ship` for one lossless multi-receiver send."""
@@ -395,6 +399,51 @@ class Network:
             ledgers[receiver].rx += rx_joules_each
         self._record_hot(message.kind, packets, payload_bytes, air_bytes,
                          0, tx_joules, rx_joules_each * len(receivers))
+
+    # repro: hot
+    def _relay_lossless(self, senders: tuple[int, ...],
+                        receivers: tuple[int, ...],
+                        message: WireMessage) -> int:
+        """Ship one message over every edge of a tree path in one call.
+
+        Hop ``i`` goes from ``senders[i]`` to ``receivers[i]``. Equal to
+        one lossless :meth:`_ship_unicast` per hop: the cost memo is read
+        once and the kind's integer batch grows by ``hops`` × the
+        per-hop counts (integers, so exact), while every float joule add
+        still happens once per hop — one ``tx`` per sender ledger, one
+        ``rx`` per receiver ledger, and ``hops`` in-order adds to each
+        stats sink — so every accumulator sees the per-hop sequence.
+        Returns the number of hops. Only for lossless radios with the
+        event core off; callers fall back to the per-hop loop otherwise.
+        """
+        hops = len(senders)
+        if not hops:
+            return 0
+        payload_bytes = message.payload_bytes
+        info = (self._cost_memo.get(payload_bytes)
+                or self._memo_cost(payload_bytes))
+        packets, air_bytes, tx_joules, rx_joules = info
+        ledgers = self._ledger_of
+        for node_id in senders:
+            ledgers[node_id].tx += tx_joules
+        for node_id in receivers:
+            ledgers[node_id].rx += rx_joules
+        batch = self._pending_traffic.get(message.kind)
+        if batch is None:
+            batch = self._pending_traffic[message.kind] = [0, 0, 0, 0, 0]
+        batch[0] += hops
+        batch[1] += hops * packets
+        batch[2] += hops * payload_bytes
+        batch[3] += hops * air_bytes
+        for stats in (self.stats, *self._stat_taps):
+            tx_total = stats._tx_joules
+            rx_total = stats._rx_joules
+            for _ in range(hops):
+                tx_total += tx_joules
+                rx_total += rx_joules
+            stats._tx_joules = tx_total
+            stats._rx_joules = rx_total
+        return hops
 
     def _memo_cost(self, payload_bytes: int) -> tuple:
         """Fill the lossless cost memo for one payload size: one memo
@@ -793,9 +842,12 @@ class Network:
         hops = 0
         if hotpath.enabled():
             path = self.tree.path_to_root(origin)
-            for node_id, parent in zip(path, path[1:]):
-                self._ship_unicast(node_id, parent, message)
-                hops += 1
+            if self.radio.loss_probability == 0.0 and not eventsim._enabled:
+                hops = self._relay_lossless(path[:-1], path[1:], message)
+            else:
+                for node_id, parent in zip(path, path[1:]):
+                    self._ship_unicast(node_id, parent, message)
+                    hops += 1
             if deliver is not None:
                 deliver()
             return hops
@@ -811,6 +863,8 @@ class Network:
         path = self.tree.path_to_root(target)
         hops = 0
         if hotpath.enabled():
+            if self.radio.loss_probability == 0.0 and not eventsim._enabled:
+                return self._relay_lossless(path[1:], path[:-1], message)
             for receiver, sender in zip(path[-2::-1], path[::-1]):
                 self._ship_unicast(sender, receiver, message)
                 hops += 1

@@ -9,6 +9,7 @@ paper's demo scenario.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -97,13 +98,29 @@ class Topology:
 
         A node id that already has a position is moved — how a killed
         mote re-enters the field at a fresh spot when it rejoins.
+
+        Only the placed node's radio edges are recomputed (O(N), not the
+        O(N²) full rebuild); every neighbour tuple stays in ascending-id
+        order, exactly as :meth:`_rebuild_adjacency` builds it.
         """
         if node_id == self.sink_id:
             raise TopologyError("the sink is already deployed")
         if node_id < 0:
             raise TopologyError("node ids must be non-negative")
+        if node_id in self.positions:
+            self._unlink(node_id)
         self.positions[node_id] = (float(position[0]), float(position[1]))
-        self._rebuild_adjacency()
+        adjacency = self._adjacency
+        linked = []
+        for other in sorted(self.positions):
+            if other == node_id:
+                continue
+            if self.distance(other, node_id) <= self.radio_range:
+                linked.append(other)
+                ns = adjacency[other]
+                at = bisect.bisect_left(ns, node_id)
+                adjacency[other] = ns[:at] + (node_id,) + ns[at:]
+        adjacency[node_id] = tuple(linked)
 
     def remove_node(self, node_id: int) -> None:
         """Delete a node (failure injection); the sink cannot be removed."""
@@ -112,7 +129,16 @@ class Topology:
         if node_id not in self.positions:
             raise TopologyError(f"unknown node {node_id}")
         del self.positions[node_id]
-        self._rebuild_adjacency()
+        self._unlink(node_id)
+
+    def _unlink(self, node_id: int) -> None:
+        """Drop ``node_id``'s radio edges: its neighbours forget it and
+        its own adjacency entry goes (incremental counterpart of
+        :meth:`_rebuild_adjacency`, O(degree) instead of O(N²))."""
+        adjacency = self._adjacency
+        for other in adjacency.pop(node_id, ()):
+            adjacency[other] = tuple(
+                n for n in adjacency[other] if n != node_id)
 
 
 def grid_topology(side: int, spacing: float = 10.0,

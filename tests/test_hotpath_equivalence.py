@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ChurnIntervention, Deployment, EpochDriver
+from repro.errors import RoutingError
 from repro.network import columnar, eventsim, hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
@@ -30,6 +31,7 @@ from repro.network.packets import (
     fragment_cached,
 )
 from repro.network.simulator import Network
+from repro.network.stats import NetworkStats
 from repro.network.topology import grid_topology
 from repro.query.plan import Algorithm
 from repro.scenarios import grid_rooms_scenario
@@ -505,3 +507,144 @@ class TestEventCoreToggle:
                 assert not eventsim.enabled()
             assert eventsim.enabled()
         assert not eventsim.enabled()
+
+
+class PerHopNetwork(Network):
+    """The relay loop the path kernel replaces: one
+    :meth:`Network._ship_unicast` per hop."""
+
+    def _relay_lossless(self, senders, receivers, message):
+        for sender, receiver in zip(senders, receivers):
+            self._ship_unicast(sender, receiver, message)
+        return len(senders)
+
+
+#: One relay: (upward?, index into sink + sensors, payload bytes).
+#: Index 0 is the sink itself, the zero-hop path.
+_RELAYS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 24), st.integers(0, 120)),
+    min_size=1, max_size=25)
+
+
+def relay_all(relays, *, network_class=Network, loss=0.0, seed=0):
+    """Relay every message to / from the sink on a 5×5 grid inside an
+    open session tap, alternating two stats phases; returns every
+    observable plus the hop counts, drops and event count."""
+    network = network_class(
+        grid_topology(5),
+        radio=RadioModel(range_m=15.0, loss_probability=loss), seed=seed)
+    targets = (network.sink_id, *network.tree.sensor_ids)
+    tap = NetworkStats()
+    hops, drops = [], 0
+    with network.tap_stats(tap):
+        for index, (upward, target, payload) in enumerate(relays):
+            node_id = targets[target % len(targets)]
+            message = ControlMessage(label="relay", size=payload)
+            with network.stats.phase("update" if index % 2 else "probe"):
+                try:
+                    if upward:
+                        hops.append(network.unicast_to_sink(node_id, message))
+                    else:
+                        hops.append(network.unicast_from_sink(node_id,
+                                                              message))
+                except RoutingError:
+                    drops += 1
+    network.advance_epoch()
+    return ((stats_signature(network.stats), stats_signature(tap),
+             ledger_signature(network), hops, drops, network._rng.random()),
+            network.events_processed)
+
+
+class TestPathRelayKernel:
+    """``unicast_to_sink`` / ``unicast_from_sink`` ship a lossless relay
+    over its whole tree path in one call. Per-node ledgers, by_kind,
+    by_phase, totals and an open tap must equal both the per-hop
+    ``_ship_unicast`` loop and the reference path's ``_ship`` per hop
+    (the latter catches a sender/receiver swap, which the per-hop
+    oracle would share with the kernel)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(relays=_RELAYS)
+    def test_kernel_equals_per_hop_and_reference(self, relays):
+        kernel, _ = relay_all(relays)
+        per_hop, _ = relay_all(relays, network_class=PerHopNetwork)
+        with hotpath.reference_path():
+            reference, _ = relay_all(relays)
+        assert kernel == per_hop == reference
+
+    def test_zero_hop_path_records_nothing(self):
+        network = Network(grid_topology(3))
+        message = ControlMessage(label="relay")
+        assert network.unicast_to_sink(network.sink_id, message) == 0
+        assert network.unicast_from_sink(network.sink_id, message) == 0
+        assert network._pending_traffic == {}
+        assert (stats_signature(network.stats)
+                == stats_signature(Network(grid_topology(3)).stats))
+
+    @settings(max_examples=20, deadline=None)
+    @given(relays=_RELAYS, seed=st.integers(0, 10_000),
+           loss=st.floats(0.05, 0.4))
+    def test_lossy_radio_falls_back_per_hop(self, relays, seed, loss):
+        """Lossy radios keep the per-hop loop: the same retransmission
+        draws from the same loss stream as the reference path."""
+        hot, _ = relay_all(relays, loss=loss, seed=seed)
+        with hotpath.reference_path():
+            reference, _ = relay_all(relays, loss=loss, seed=seed)
+        assert hot == reference
+
+    @settings(max_examples=15, deadline=None)
+    @given(relays=_RELAYS)
+    def test_event_core_falls_back_per_hop(self, relays):
+        """Under the event core every hop is still posted as its own
+        event (no kernel), with inline-identical observables."""
+        inline, inline_events = relay_all(relays)
+        with eventsim.event_core():
+            event, events = relay_all(relays)
+        assert event == inline
+        assert inline_events == 0
+        assert events == sum(event[3])
+
+
+class TestSamplingPlanSharing:
+    """Concurrent sessions over every alive sensor read the network's
+    alive tuple itself, so the columnar sampling plan is built once per
+    topology version, not once per session per epoch."""
+
+    MONITOR_QUERIES = (
+        "SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+        "SELECT TOP 1 roomid, MAX(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+        "SELECT TOP 3 roomid, SUM(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+        "SELECT TOP 1 roomid, MIN(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+    )
+    HISTORIC_QUERY = ("SELECT TOP 3 epoch, AVG(sound) FROM sensors "
+                      "GROUP BY epoch WITH HISTORY 5 s EPOCH DURATION 1 s")
+
+    def test_one_plan_per_topology_version(self, monkeypatch):
+        scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
+        deployment = Deployment.from_scenario(scenario)
+        driver = EpochDriver(deployment, stop_when_idle=False)
+        for query in self.MONITOR_QUERIES:
+            deployment.submit(query)
+        historic = deployment.submit(self.HISTORIC_QUERY)
+        built = []
+        original = Network._build_sampling_plan
+
+        def counting(network, node_ids, attribute):
+            built.append((network._topo_version, attribute))
+            return original(network, node_ids, attribute)
+
+        monkeypatch.setattr(Network, "_build_sampling_plan", counting)
+        driver.step()  # creation epoch: plans may be built here
+        built.clear()
+        executions = 0
+        for _ in range(20):
+            driver.step()
+            if historic.historic_result is not None:
+                executions += 1
+                historic = deployment.submit(self.HISTORIC_QUERY)
+        assert executions >= 2, "TJA must cycle through its window"
+        assert len(built) <= len(set(built))

@@ -1,6 +1,8 @@
 """Topology: placements, connectivity, room layouts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.network.topology import (
@@ -54,6 +56,41 @@ class TestTopologyBasics:
         topo = Topology(positions={0: (0, 0), 1: (1, 0)}, radio_range=10)
         with pytest.raises(TopologyError):
             topo.remove_node(0)
+
+    def test_move_relinks_edges(self):
+        topo = Topology(positions={0: (0, 0), 1: (5, 0), 2: (50, 0)},
+                        radio_range=10)
+        topo.add_node(1, (45, 0))
+        assert topo.neighbors(0) == ()
+        assert topo.neighbors(1) == (2,)
+        assert topo.neighbors(2) == (1,)
+
+
+#: One topology edit: ("add", id, x, y) places or moves a node,
+#: ("remove", id, 0, 0) deletes it when present. Integer coordinates
+#: on a small field put many pairs exactly at the radio range.
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["add", "remove"]), st.integers(1, 12),
+              st.integers(0, 30), st.integers(0, 30)),
+    max_size=40)
+
+
+class TestIncrementalAdjacency:
+    @settings(max_examples=100, deadline=None)
+    @given(edits=_EDITS, radio_range=st.sampled_from([5.0, 10.0, 12.5]))
+    def test_matches_full_rebuild(self, edits, radio_range):
+        """After any add/move/remove sequence the incrementally kept
+        adjacency equals a from-scratch rebuild, neighbour order
+        included."""
+        topo = Topology(positions={0: (15.0, 15.0)}, radio_range=radio_range)
+        for op, node_id, x, y in edits:
+            if op == "add":
+                topo.add_node(node_id, (x, y))
+            elif node_id in topo.positions:
+                topo.remove_node(node_id)
+            rebuilt = Topology(positions=dict(topo.positions),
+                               radio_range=radio_range)
+            assert topo._adjacency == rebuilt._adjacency
 
 
 class TestGrid:
