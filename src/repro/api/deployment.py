@@ -78,6 +78,9 @@ class Deployment:
         self.max_sessions = max_sessions
         self.scenario = scenario
         self._sessions: dict[int, QuerySession] = {}
+        #: Sessions not yet seen inactive, in submission order; walks
+        #: drop stopped ones (``active`` is terminal), so it stays small.
+        self._live: dict[int, QuerySession] = {}
         self._handles: dict[int, SessionHandle] = {}
         self._next_session_id = 1
         # Every node failure / join the network publishes is forwarded
@@ -104,7 +107,7 @@ class Deployment:
         raise ValidationError("no sensor board found to derive a schema from")
 
     def _on_topology_event(self, event) -> None:
-        for session in self._sessions.values():
+        for session in self.active_sessions():
             session.on_topology_event(event)
 
     def board_for(self, node_id: int) -> "SensorBoard | None":
@@ -149,6 +152,7 @@ class Deployment:
                                display=self.display)
         self._next_session_id += 1
         self._sessions[session.session_id] = session
+        self._live[session.session_id] = session
         self._handles[session.session_id] = SessionHandle(session)
         return session
 
@@ -163,7 +167,7 @@ class Deployment:
         ``max_sessions`` admission limit is reached.
         """
         if self.max_sessions is not None:
-            active = sum(1 for s in self._sessions.values() if s.active)
+            active = len(self.active_sessions())
             if active >= self.max_sessions:
                 raise SubmissionError(
                     f"deployment admission limit reached "
@@ -186,7 +190,7 @@ class Deployment:
     def sessions(self) -> tuple[SessionHandle, ...]:
         """Every registered session's handle, in submission order
         (cancelled and finished ones included)."""
-        return tuple(self._handles[sid] for sid in sorted(self._handles))
+        return tuple(self._handles.values())
 
     def cancel(self, session_id: int) -> None:
         """Stop stepping a session (its results remain readable)."""
@@ -200,11 +204,13 @@ class Deployment:
         """The engine-room sessions the shared clock still drives, in
         submission order (the driver's step source; most callers want
         :meth:`sessions`)."""
-        return tuple(self._sessions[sid] for sid in sorted(self._sessions)
-                     if self._sessions[sid].active)
+        active = tuple(s for s in self._live.values() if s.active)
+        if len(active) != len(self._live):
+            self._live = {s.session_id: s for s in active}
+        return active
 
     def __repr__(self) -> str:
-        active = sum(1 for s in self._sessions.values() if s.active)
         return (f"Deployment({len(self.network.nodes)} nodes, "
                 f"epoch {self.network.epoch}, "
-                f"{active}/{len(self._sessions)} sessions active)")
+                f"{len(self.active_sessions())}/{len(self._sessions)} "
+                f"sessions active)")

@@ -469,19 +469,17 @@ class Mint:
                             else merge(existing, partial))
                 if not payload:
                     continue
-                message = ProbeReplyMessage(
-                    epoch=epoch,
-                    entries=tuple(
-                        ViewEntry(group, partial.value, partial.count)
-                        for group, partial in sorted(payload.items(),
-                                                     key=lambda i: str(i[0]))
-                    ),
-                )
                 if hot:
                     parent = network.tree._parents[node_id]
-                    network._ship_unicast(node_id, parent, message)
+                    network._ship_unicast(
+                        node_id, parent, ProbeReplyMessage.kind,
+                        ProbeReplyMessage.wire_size(len(payload)))
                 else:
-                    parent = network.send_up(node_id, message)
+                    parent = network.send_up(node_id, ProbeReplyMessage(
+                        epoch=epoch, entries=tuple(
+                            ViewEntry(group, partial.value, partial.count)
+                            for group, partial in sorted(
+                                payload.items(), key=lambda i: str(i[0])))))
                 if parent == sink_id:
                     for group, partial in payload.items():
                         existing = collected.get(group)
@@ -617,9 +615,11 @@ class Mint:
         :meth:`_update_message` and :meth:`_apply_report` per node —
         the reference branch in :meth:`run_epoch` still does exactly
         that, and the equivalence property test holds the two paths to
-        identical messages, stats and answers. Fusing the pass removes
+        identical traffic, stats and answers. Fusing the pass removes
         five method calls and several intermediate containers per node
-        per epoch, which dominates the epoch loop at fleet scale.
+        per epoch, which dominates the epoch loop at fleet scale. No
+        message is built: each edge ships its kind and the
+        :meth:`ViewUpdateMessage.wire_size` of its delta counts.
 
         Under the event core the parent-side commit (cache updates,
         sink dirty-marking) becomes an explicit receive handler passed
@@ -631,7 +631,6 @@ class Mint:
         network = self.network
         states = self.states
         nodes = network.nodes
-        epoch = network.epoch
         aggregate = self.aggregate
         merge = aggregate.merge
         finalize = aggregate.finalize
@@ -644,6 +643,8 @@ class Mint:
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
         post_unicast = network.post_unicast if eventsim.enabled() else None
+        kind = ViewUpdateMessage.kind
+        wire_size = ViewUpdateMessage.wire_size
         sink_id = network.sink_id
         sink_dirty = self._sink_dirty
         sort_key = lambda item: (-finalize(item[1]), gstr[item[0]])  # noqa: E731
@@ -684,12 +685,7 @@ class Mint:
                             if g not in kept)
                     if not changed and not retractions:
                         continue
-                    message = ViewUpdateMessage(
-                        epoch=epoch,
-                        entries=tuple([ViewEntry(g, p[0], p[1])
-                                       for g, p in changed]),
-                        retractions=retractions,
-                    )
+                    size = wire_size(len(changed), len(retractions))
                     parent = parents[node_id]
                     if post_unicast is not None:
                         def commit(parent=parent, reported=reported,
@@ -703,9 +699,9 @@ class Mint:
                             for g, p in changed:
                                 reported[g] = p
 
-                        post_unicast(node_id, parent, message, commit)
+                        post_unicast(node_id, parent, kind, size, commit)
                         continue
-                    ship_unicast(node_id, parent, message)
+                    ship_unicast(node_id, parent, kind, size)
                     if parent == sink_id:
                         sink_dirty.update(retractions)
                         sink_dirty.update(g for g, _ in changed)
@@ -747,8 +743,8 @@ class Mint:
                             gamma is None or child_gamma > gamma):
                         gamma = child_gamma
                 # -- delta vs the parent's cache --------------------
-                # Only the delta is sorted (into the same wire order
-                # the reference path produces by sorting all of kept);
+                # Only the delta is sorted (into the order the reference
+                # path commits it to ``reported``, sorting all of kept);
                 # steady-state deltas are tiny next to the full view.
                 reported = state.reported
                 reported_get = reported.get
@@ -777,13 +773,7 @@ class Mint:
                     ship_gamma = reported_gamma - gamma > hysteresis
                 if not changed and not retractions and not ship_gamma:
                     continue
-                message = ViewUpdateMessage(
-                    epoch=epoch,
-                    entries=tuple([ViewEntry(group, partial[0], partial[1])
-                                   for group, partial in changed]),
-                    gamma=gamma if ship_gamma else None,
-                    retractions=retractions,
-                )
+                size = wire_size(len(changed), len(retractions), ship_gamma)
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
@@ -805,9 +795,9 @@ class Mint:
                         if ship_gamma:
                             state.gamma_reported = gamma
 
-                    post_unicast(node_id, parent, message, commit)
+                    post_unicast(node_id, parent, kind, size, commit)
                     continue
-                ship_unicast(node_id, parent, message)
+                ship_unicast(node_id, parent, kind, size)
                 if parent == sink_id:
                     sink_dirty.update(retractions)
                     sink_dirty.update(group for group, _ in changed)

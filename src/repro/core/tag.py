@@ -9,12 +9,12 @@ pruning is measured against.
 
 Like MINT, the per-epoch converge-cast runs on a fused hot path (see
 :mod:`repro.network.hotpath`): acquisition shares lifted partials via
-a memo, group sort keys are stringified once, leaves skip the merge
-machinery, and messages ship straight over the cached tree edge. The
+a memo, leaves skip the merge machinery, and each view ships as its
+wire size straight over the cached tree edge, no message built. The
 reference implementation remains in :meth:`Tag.run_epoch`'s reference
 branch — the oracle ``hotpath.reference_path()`` restores — and
 ``tests/test_hotpath_equivalence.py`` holds both paths to identical
-messages, stats and answers.
+traffic, stats and answers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..errors import ValidationError
 from ..network import eventsim, hotpath
 from ..network.messages import QueryMessage, ViewEntry, ViewUpdateMessage
 from ..network.simulator import Network
-from .aggregates import Aggregate, Partial, SortKeys
+from .aggregates import Aggregate, Partial
 from .delta import TopKView
 from .results import EpochResult, RankedItem, rank_key
 
@@ -54,8 +54,6 @@ class Tag:
         #: ``where_fn(node_id, group, value) -> bool``.
         self.where_fn = where_fn
         self._disseminated = False
-        #: Hot-path memo of per-group string sort keys.
-        self._gstr = SortKeys()
         #: Hot-path memo of lifted reading partials (see Mint._acquire).
         self._lift_memo: dict[float, Partial] = {}
         #: Hot-path memo of the participant tuple (see Mint._participants).
@@ -123,10 +121,12 @@ class Tag:
         """The converge-cast, fused into one hot-path pass.
 
         Semantically identical to the reference branch in
-        :meth:`run_epoch` — same views, same wire order, same messages
-        — with the per-node containers, sort-key stringification and
-        transport guards lifted out of the loop (the same fusion MINT's
-        update phase applies; the equivalence property test covers it).
+        :meth:`run_epoch` — same views, same traffic — with the
+        per-node containers and transport guards lifted out of the
+        loop (the same fusion MINT's update phase applies; the
+        equivalence property test covers it). A view ships as the kind
+        and :meth:`ViewUpdateMessage.wire_size` of its group count, so
+        no entries are built or ordered.
 
         Under the event core the parent-side deposit (merging into the
         sink view or parking the partial view for the parent's turn)
@@ -136,17 +136,16 @@ class Tag:
         site, byte-identical to the inline deposit below.
         """
         network = self.network
-        epoch = network.epoch
         merge = self.aggregate.merge
-        gstr = self._gstr
         group_of = self.group_of
         contributions_get = contributions.get
         children_of = network.tree.children
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
         post_unicast = network.post_unicast if eventsim.enabled() else None
+        kind = ViewUpdateMessage.kind
+        wire_size = ViewUpdateMessage.wire_size
         sink_id = network.sink_id
-        wire_key = lambda item: gstr[item[0]]  # noqa: E731  entry order
         partial_views: dict[int, dict[GroupKey, Partial]] = {}
         sink_view: dict[GroupKey, Partial] = {}
         with network.stats.phase("aggregation"):
@@ -155,13 +154,8 @@ class Tag:
                 children = children_of(node_id)
                 # -- leaf fast path: the view is the own contribution --
                 if not children:
-                    if own is None:
-                        view: dict[GroupKey, Partial] = {}
-                        entries: tuple = ()
-                    else:
-                        group = group_of[node_id]
-                        view = {group: own}
-                        entries = (ViewEntry(group, own[0], own[1]),)
+                    view: dict[GroupKey, Partial] = (
+                        {} if own is None else {group_of[node_id]: own})
                 else:
                     view = {}
                     if own is not None:
@@ -175,11 +169,7 @@ class Tag:
                             existing = view_get(group)
                             view[group] = (partial if existing is None
                                            else merge(existing, partial))
-                    items = sorted(view.items(), key=wire_key) \
-                        if len(view) > 1 else view.items()
-                    entries = tuple([ViewEntry(group, partial[0], partial[1])
-                                     for group, partial in items])
-                message = ViewUpdateMessage(epoch=epoch, entries=entries)
+                size = wire_size(len(view))
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
@@ -195,9 +185,9 @@ class Tag:
                         else:
                             partial_views[node_id] = view
 
-                    post_unicast(node_id, parent, message, deposit)
+                    post_unicast(node_id, parent, kind, size, deposit)
                     continue
-                ship_unicast(node_id, parent, message)
+                ship_unicast(node_id, parent, kind, size)
                 if parent == sink_id:
                     sink_get = sink_view.get
                     for group, partial in view.items():

@@ -14,7 +14,10 @@ Every message is immutable, so its wire size is fixed at construction:
 fixed-layout messages publish ``payload_bytes`` as a class constant,
 and the messages that relay hop-by-hop (one instance shipped many
 times) memoize it per instance (``functools.cached_property``) so no
-hop after the first re-walks the entry tuples.
+hop after the first re-walks the entry tuples. The converge-cast
+messages (view update, probe reply) state their size rule once, as a
+static ``wire_size`` over counts: the hot engine passes ship that size
+without building the message, and ``payload_bytes`` calls it too.
 """
 
 from __future__ import annotations
@@ -113,13 +116,16 @@ class ViewUpdateMessage(WireMessage):
     retractions: tuple[GroupKey, ...] = ()
     kind: str = field(default="view_update", init=False)
 
+    @staticmethod
+    def wire_size(entries: int, retractions: int = 0,
+                  gamma: bool = False) -> int:
+        return (SZ_EPOCH + entries * ViewEntry.WIRE_BYTES
+                + retractions * SZ_GROUP_ID + (SZ_VALUE if gamma else 0))
+
     @property
     def payload_bytes(self) -> int:
-        size = SZ_EPOCH + len(self.entries) * ViewEntry.WIRE_BYTES
-        size += len(self.retractions) * SZ_GROUP_ID
-        if self.gamma is not None:
-            size += SZ_VALUE
-        return size
+        return self.wire_size(len(self.entries), len(self.retractions),
+                              self.gamma is not None)
 
 
 @dataclass(frozen=True)
@@ -156,9 +162,13 @@ class ProbeReplyMessage(WireMessage):
     entries: tuple[ViewEntry, ...]
     kind: str = field(default="probe_reply", init=False)
 
+    @staticmethod
+    def wire_size(entries: int) -> int:
+        return SZ_EPOCH + entries * ViewEntry.WIRE_BYTES
+
     @property
     def payload_bytes(self) -> int:
-        return SZ_EPOCH + len(self.entries) * ViewEntry.WIRE_BYTES
+        return self.wire_size(len(self.entries))
 
 
 @dataclass(frozen=True)

@@ -319,23 +319,23 @@ class Network:
             )
 
     # repro: hot
-    def _ship_unicast(self, sender: int, receiver: int,
-                      message: WireMessage) -> None:
+    def _ship_unicast(self, sender: int, receiver: int, kind: str,
+                      payload_bytes: int) -> None:
         """Hot-path :meth:`_ship` specialised for one receiver.
 
         Tree traffic is overwhelmingly unicast (every converge-cast
         edge), so the single-receiver case skips the receiver tuple,
         the receiver loop and the generic branching. Costs, energy and
-        recorded counters are identical to :meth:`_ship`.
+        recorded counters are identical to :meth:`_ship` of a message
+        with this ``kind`` and ``payload_bytes``.
         """
         # Direct _enabled reads, like the hotpath._enabled reads at hot
         # call sites: this method is only reachable from hot-path
         # branches, so the stacked eventsim.enabled() conjunction is
         # already satisfied.
         if eventsim._enabled and not self._draining:
-            self.post_unicast(sender, receiver, message)
+            self.post_unicast(sender, receiver, kind, payload_bytes)
             return
-        payload_bytes = message.payload_bytes
         if self.radio.loss_probability == 0.0:
             info = (self._cost_memo.get(payload_bytes)
                     or self._memo_cost(payload_bytes))
@@ -367,9 +367,9 @@ class Network:
         # site — the hottest in the simulator — and the call frame
         # alone is measurable there. Keep in lock-step with
         # _record_hot (the canonical implementation).
-        batch = self._pending_traffic.get(message.kind)
+        batch = self._pending_traffic.get(kind)
         if batch is None:
-            batch = self._pending_traffic[message.kind] = [0, 0, 0, 0, 0]
+            batch = self._pending_traffic[kind] = [0, 0, 0, 0, 0]
         batch[0] += 1
         batch[1] += packets
         batch[2] += payload_bytes
@@ -515,8 +515,8 @@ class Network:
         return (self._partitions is not None
                 or self.radio.propagation_latency_s > 0.0)
 
-    def post_unicast(self, sender: int, receiver: int,
-                     message: WireMessage,
+    def post_unicast(self, sender: int, receiver: int, kind: str,
+                     payload_bytes: int,
                      deliver: Callable[[], None] | None = None) -> None:
         """Enqueue one unicast delivery on the event core.
 
@@ -530,7 +530,7 @@ class Network:
         """
         if not self._deferred_mode():
             def fire() -> None:
-                self._ship_unicast(sender, receiver, message)
+                self._ship_unicast(sender, receiver, kind, payload_bytes)
                 if deliver is not None:
                     deliver()
 
@@ -539,8 +539,8 @@ class Network:
             self._drain_inline(events)
             return
         self._post_deferred(
-            sender, receiver, (receiver,), message,
-            lambda: self._ship_unicast(sender, receiver, message))
+            sender, receiver, (receiver,), payload_bytes,
+            lambda: self._ship_unicast(sender, receiver, kind, payload_bytes))
         if deliver is not None:
             deliver()
 
@@ -560,7 +560,7 @@ class Network:
             self._drain_inline(events)
             return
         self._post_deferred(
-            sender, sender, receivers, message,
+            sender, sender, receivers, message.payload_bytes,
             lambda: self._ship_broadcast(sender, receivers, message))
         if deliver is not None:
             deliver()
@@ -575,11 +575,11 @@ class Network:
             self._drain_inline(events)
             return
         self._post_deferred(
-            sender, sender, receivers, message,
+            sender, sender, receivers, message.payload_bytes,
             lambda: self._ship(sender, receivers, message))
 
     def _post_deferred(self, sender: int, event_node: int,
-                       receivers: tuple[int, ...], message: WireMessage,
+                       receivers: tuple[int, ...], payload_bytes: int,
                        ship: Callable[[], None]) -> None:
         """Timestamp and enqueue one delivery for the barrier drain.
 
@@ -591,7 +591,6 @@ class Network:
         replayed around the deferred accounting, so by_phase
         attribution survives the deferral.
         """
-        payload_bytes = message.payload_bytes
         info = (self._cost_memo.get(payload_bytes)
                 or self._memo_cost(payload_bytes))
         air_seconds = self.radio.airtime_seconds(info[1])
@@ -759,7 +758,8 @@ class Network:
                 parent = self.tree.parent(child)  # error semantics
             if child != self._sink_id and not self.nodes[child].alive:
                 raise RoutingError(f"dead node {child} cannot transmit")
-            self._ship_unicast(child, parent, message)
+            self._ship_unicast(child, parent, message.kind,
+                               message.payload_bytes)
             return parent
         parent = self.tree.parent(child)
         if child != self.sink_id and not self.nodes[child].alive:
@@ -845,8 +845,9 @@ class Network:
             if self.radio.loss_probability == 0.0 and not eventsim._enabled:
                 hops = self._relay_lossless(path[:-1], path[1:], message)
             else:
+                kind, payload_bytes = message.kind, message.payload_bytes
                 for node_id, parent in zip(path, path[1:]):
-                    self._ship_unicast(node_id, parent, message)
+                    self._ship_unicast(node_id, parent, kind, payload_bytes)
                     hops += 1
             if deliver is not None:
                 deliver()
@@ -865,8 +866,9 @@ class Network:
         if hotpath.enabled():
             if self.radio.loss_probability == 0.0 and not eventsim._enabled:
                 return self._relay_lossless(path[1:], path[:-1], message)
+            kind, payload_bytes = message.kind, message.payload_bytes
             for receiver, sender in zip(path[-2::-1], path[::-1]):
-                self._ship_unicast(sender, receiver, message)
+                self._ship_unicast(sender, receiver, kind, payload_bytes)
                 hops += 1
             return hops
         for receiver, sender in zip(path[:-1][::-1] or (), path[1:][::-1] or ()):

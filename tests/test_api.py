@@ -109,6 +109,28 @@ class TestDeployment:
         c = deployment.submit(MONITOR)
         assert c.state is SessionState.PENDING
 
+    def test_live_registry_stays_bounded(self):
+        """Cancelled sessions leave the live map at the next walk, so
+        its size tracks the live set over any number of submissions;
+        the full registry and the handles keep every session."""
+        _, deployment, _ = fresh()
+        handles = []
+        for cycle in range(1000):
+            handle = deployment.submit(MONITOR)
+            handles.append(handle)
+            if cycle % 10:
+                deployment.cancel(handle.id)
+            if cycle % 7 == 0:
+                active = deployment.active_sessions()
+                assert len(deployment._live) == len(active)
+        registry = deployment._sessions
+        active = deployment.active_sessions()
+        assert active == tuple(s for s in registry.values() if s.active)
+        assert [s.session_id for s in active] == list(range(1, 1001, 10))
+        assert deployment.sessions() == tuple(handles)
+        assert list(deployment._live.values()) == list(active)
+        assert all(s.active for s in deployment._live.values())
+
 
 class TestSessionState:
     def test_monitoring_lifecycle(self):

@@ -13,6 +13,8 @@ engines and churn schedules through both paths and compare everything.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -515,7 +517,8 @@ class PerHopNetwork(Network):
 
     def _relay_lossless(self, senders, receivers, message):
         for sender, receiver in zip(senders, receivers):
-            self._ship_unicast(sender, receiver, message)
+            self._ship_unicast(sender, receiver, message.kind,
+                               message.payload_bytes)
         return len(senders)
 
 
@@ -648,3 +651,65 @@ class TestSamplingPlanSharing:
                 historic = deployment.submit(self.HISTORIC_QUERY)
         assert executions >= 2, "TJA must cycle through its window"
         assert len(built) <= len(set(built))
+
+
+class _Counting:
+    """Stands in for a wire class inside an engine module: counts
+    constructions and forwards attribute reads (``kind``,
+    ``wire_size``) to the real class."""
+
+    def __init__(self, cls, counts):
+        self._cls = cls
+        self._counts = counts
+
+    def __call__(self, *args, **kwargs):
+        self._counts[self._cls.__name__] += 1
+        return self._cls(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._cls, name)
+
+
+class TestNoWireObjectsOnHotPath:
+    """The fused MINT update and probe passes and TAG's aggregation
+    pass ship each edge's kind and wire size: after the creation epoch
+    no hot epoch builds a ViewUpdateMessage, ProbeReplyMessage or
+    ViewEntry. The reference path still builds every message."""
+
+    WIRE_NAMES = ("ViewUpdateMessage", "ProbeReplyMessage", "ViewEntry")
+    #: SUM with slack 0 leaves the top room ambiguous: MINT probes.
+    QUERY = ("SELECT TOP 1 roomid, SUM(sound) FROM sensors "
+             "GROUP BY roomid EPOCH DURATION 1 min")
+
+    def constructions(self, monkeypatch):
+        from repro.core import mint, tag
+        from repro.core.mint import MintConfig
+
+        scenario = grid_rooms_scenario(side=5, rooms_per_axis=2, seed=1)
+        deployment = Deployment.from_scenario(
+            scenario, mint_config=MintConfig(slack=0))
+        driver = EpochDriver(deployment)
+        handle = deployment.submit(self.QUERY)
+        deployment.submit(self.QUERY, algorithm=Algorithm.TAG)
+        driver.step()  # creation epoch: full views are built here
+        counts = Counter()
+        for module in (mint, tag):
+            for name in self.WIRE_NAMES:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _Counting(
+                        getattr(module, name), counts))
+        driver.run(10)
+        assert sum(r.probed for r in handle.results[1:]) == 10
+        return counts
+
+    @pytest.mark.parametrize("event_core", [False, True])
+    def test_hot_epochs_build_no_wire_objects(self, monkeypatch,
+                                              event_core):
+        with eventsim.event_core() if event_core else nullcontext():
+            counts = self.constructions(monkeypatch)
+        assert not counts
+
+    def test_reference_path_still_builds_them(self, monkeypatch):
+        with hotpath.reference_path():
+            counts = self.constructions(monkeypatch)
+        assert set(counts) == set(self.WIRE_NAMES)

@@ -1,6 +1,8 @@
 """Wire format: fragmentation and message sizes."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.network.messages import (
@@ -118,6 +120,34 @@ class TestMessageSizes:
         assert ControlMessage(label="x", size=12).payload_bytes == 12
 
 
+_ENTRIES = st.lists(st.builds(
+    ViewEntry, st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 1000)), max_size=40)
+
+
+class TestWireSize:
+    """The static size rule the hot passes ship without building a
+    message equals the size of the message they would have built."""
+
+    @given(entries=_ENTRIES,
+           retractions=st.lists(st.text(max_size=3), max_size=20),
+           gamma=st.none() | st.floats(allow_nan=False))
+    def test_view_update(self, entries, retractions, gamma):
+        message = ViewUpdateMessage(epoch=7, entries=tuple(entries),
+                                    gamma=gamma,
+                                    retractions=tuple(retractions))
+        assert ViewUpdateMessage.wire_size(
+            len(entries), len(retractions), gamma is not None
+        ) == message.payload_bytes
+
+    @given(entries=_ENTRIES)
+    def test_probe_reply(self, entries):
+        message = ProbeReplyMessage(epoch=7, entries=tuple(entries))
+        assert (ProbeReplyMessage.wire_size(len(entries))
+                == message.payload_bytes)
+
+
 class TestHelpers:
     def test_total_entries_counts_tuples(self):
         messages = [
@@ -130,5 +160,8 @@ class TestHelpers:
 
     def test_kind_labels(self):
         assert ViewUpdateMessage(epoch=0, entries=()).kind == "view_update"
+        # The hot passes ship the class-level kind without an instance.
+        assert ViewUpdateMessage.kind == "view_update"
+        assert ProbeReplyMessage.kind == "probe_reply"
         assert QueryMessage(query_id=1).kind == "query"
         assert LBReplyMessage(object_ids=()).kind == "lb_reply"

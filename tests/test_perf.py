@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -418,3 +420,24 @@ class TestRegressionGate:
         data = json.loads(trajectory.read_text())
         assert data["columnar"] == {"n_nodes": 400, "speedup": 2.19}
         assert data["eventsim"] == {"n_nodes": 400, "speedup": 1.0}
+
+
+class TestPerfDoc:
+    """docs/PERF.md names the artifact schemas the code writes: its
+    newest schema-history row, its shape example and its gate section
+    cannot drift from the live constants."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_schema_table_and_example_match(self):
+        text = (self.ROOT / "docs" / "PERF.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(kspot-perf/\d+)` \|", text, re.MULTILINE)
+        assert rows and rows[-1] == SCHEMA
+        examples = re.findall(r'"schema": "(kspot-perf/\d+)"', text)
+        assert examples == [SCHEMA]
+
+    def test_trajectory_schema_matches_gate(self):
+        text = (self.ROOT / "docs" / "PERF.md").read_text(encoding="utf-8")
+        gate = TestRegressionGate()._load_gate()
+        named = set(re.findall(r"kspot-perf-trajectory/\d+", text))
+        assert named == {gate.TRAJECTORY_SCHEMA}
