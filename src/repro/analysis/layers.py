@@ -3,19 +3,18 @@
 :data:`ALLOWED_IMPORTS` declares, for every top-level member of the
 ``repro`` package, the set of siblings it may import. The mapping is
 the machine-readable twin of the five-layer diagram: requests flow
-down (api → core → network → sensing), utilities (``errors``,
-``units``, ``storage``, ``query``) sit below everything that uses
-them, and the app tier (``cli``, ``perf``, ``parallel``, ``server``)
-sits on top of the facade. ``validate_dag`` proves the declaration is
-acyclic, so "the architecture is a DAG" is itself a tested claim, not
-prose (``tests/test_analysis.py``).
+down (api → server → core → network → sensing), utilities
+(``errors``, ``units``, ``storage``, ``query``) sit below everything
+that uses them, and the app tier (``cli``, ``perf``, ``parallel``)
+sits on top of the facade. ``server`` holds only the per-query
+:class:`~repro.server.session.QuerySession` the facade drives, so it
+sits between the view tier and ``api``. ``validate_dag`` proves the
+declaration is acyclic, so "the architecture is a DAG" is itself a
+tested claim, not prose (``tests/test_analysis.py``).
 
 Known deliberate exceptions in the tree — ``sensing`` reaching up to
-the columnar backend, ``api`` reaching into ``server.session`` for the
-legacy ``QuerySession``, the lazy ``parallel``/``perf`` and
-``scenarios``/``api`` back-edges, and ``network`` reaching up to
-``parallel.derive_seed`` for per-subtree event-stream seeding — are
-*not* declared here: they carry
+the columnar backend and the lazy ``parallel``/``perf`` and
+``scenarios``/``api`` back-edges — are *not* declared here: they carry
 ``# repro: allow[layer-dag]`` pragmas at the import site, so each one
 stays visible, justified and greppable instead of silently blessed.
 """
@@ -30,7 +29,7 @@ _DATA = _FOUNDATION | {"storage", "query", "sensing"}
 _SIM = _DATA | {"network"}
 _ENGINE = _SIM | {"core"}
 _VIEW = _ENGINE | {"gui", "scenarios"}
-_FACADE = _VIEW | {"api"}
+_FACADE = _VIEW | {"api", "server"}
 
 #: package → the packages it may import (its own package is implicit).
 ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
@@ -43,13 +42,13 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     "core": _SIM | {"query"},
     "gui": _ENGINE,
     "scenarios": _ENGINE,
-    "api": _VIEW,
+    "api": _VIEW | {"server"},
     "analysis": _FOUNDATION,
-    "server": _FACADE,
+    "server": _VIEW,
     "parallel": _FACADE,
     "perf": _FACADE | {"parallel"},
-    "cli": _FACADE | {"analysis", "parallel", "perf", "server"},
-    "__init__": _FACADE | {"server"},
+    "cli": _FACADE | {"analysis", "parallel", "perf"},
+    "__init__": _FACADE,
     "__main__": frozenset({"cli"}),
 }
 

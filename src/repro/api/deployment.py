@@ -24,7 +24,6 @@ from ..core.engine import KSpotEngine
 from ..errors import SubmissionError, UnknownSessionError, ValidationError
 from ..query.plan import Algorithm, QueryClass, compile_query
 from ..query.validator import Schema
-# repro: allow[layer-dag] -- QuerySession predates the facade and still lives in server/; this is the one runtime api -> server edge until it is hoisted (ROADMAP)
 from ..server.session import QuerySession
 from .handle import SessionHandle
 

@@ -12,10 +12,6 @@ Driving policy lives here, not on the deployment:
   objects (node churn, fault injection) hooked around every epoch;
 * **max_epochs** — a lifetime budget after which the driver refuses to
   step (a runaway-loop guard for service-style callers);
-* **max_events** — the event-core twin of ``max_epochs``: a budget on
-  the network's fired delivery events
-  (:attr:`~repro.network.simulator.Network.events_processed`), for
-  callers that meter simulated work rather than epochs;
 * **stop_when_idle** — :meth:`stream` / :meth:`run` end as soon as no
   session remains active (on by default);
 * **per-step hooks** — ``on_step(driver, outcomes)`` observers for
@@ -48,7 +44,6 @@ class EpochDriver:
     def __init__(self, deployment: "Deployment",
                  interventions: Iterable[Intervention] = (),
                  max_epochs: int | None = None,
-                 max_events: int | None = None,
                  stop_when_idle: bool = True,
                  on_step: "Callable[[EpochDriver, dict], None] | None" = None):
         """Args:
@@ -57,11 +52,6 @@ class EpochDriver:
             max_epochs: Lifetime step budget; :meth:`step` raises
                 :class:`~repro.errors.SessionError` once exhausted
                 (None: unlimited).
-            max_events: Budget on the network's fired event-core
-                deliveries; once ``events_processed`` reaches it,
-                :meth:`step` raises and :meth:`stream` ends. Only
-                meaningful with the event core enabled (the inline
-                ship path fires no events; None: unlimited).
             stop_when_idle: End :meth:`stream`/:meth:`run` once no
                 session remains active.
             on_step: Observer called as ``on_step(driver, outcomes)``
@@ -70,7 +60,6 @@ class EpochDriver:
         self.deployment = deployment
         self.interventions = list(interventions)
         self.max_epochs = max_epochs
-        self.max_events = max_events
         self.stop_when_idle = stop_when_idle
         self._hooks: "list[Callable[[EpochDriver, dict], None]]" = []
         if on_step is not None:
@@ -110,11 +99,6 @@ class EpochDriver:
         if self.max_epochs is not None and self.epochs_driven >= self.max_epochs:
             raise SessionError(
                 f"driver exhausted its max_epochs budget ({self.max_epochs})")
-        if (self.max_events is not None
-                and self.deployment.network.events_processed
-                >= self.max_events):
-            raise SessionError(
-                f"driver exhausted its max_events budget ({self.max_events})")
         deployment = self.deployment
         network = deployment.network
         # Validate before intervening: a refused step must not mutate
@@ -168,10 +152,6 @@ class EpochDriver:
             if self.max_epochs is not None \
                     and self.epochs_driven >= self.max_epochs:
                 return
-            if self.max_events is not None \
-                    and self.deployment.network.events_processed \
-                    >= self.max_events:
-                return
             if self.stop_when_idle \
                     and not self.deployment.active_sessions():
                 return
@@ -197,8 +177,7 @@ class EpochDriver:
                 for handle in self.deployment.sessions()}
 
     def _check_bounded(self, epochs: int | None) -> None:
-        if (epochs is not None or self.max_epochs is not None
-                or self.max_events is not None):
+        if epochs is not None or self.max_epochs is not None:
             return
         if not self.stop_when_idle:
             raise ConfigurationError(

@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the routed algorithm")
     _add_format_argument(run)
     _add_churn_arguments(run)
-    _add_event_core_arguments(run)
 
     workload = sub.add_parser(
         "workload",
@@ -99,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format_argument(workload)
     _add_churn_arguments(workload)
     _add_jobs_argument(workload)
-    _add_event_core_arguments(workload)
 
     sweep = sub.add_parser(
         "sweep",
@@ -155,7 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "interleaved)")
     perf.add_argument("--seed", type=int, default=11)
     perf.add_argument("--quick", action="store_true",
-                      help="CI smoke: N <= 100 only, fewer repeats")
+                      help="CI smoke: the default ladder trimmed to "
+                           "N = 25,100,400, at most 2 repeats")
     perf.add_argument("--compare-reference", action="store_true",
                       help="also time the unoptimized reference path "
                            "and report the machine-normalized speedup")
@@ -188,40 +187,6 @@ def _add_jobs_argument(parser) -> None:
                              "deployments across (default 1: in-"
                              "process; results are identical for any "
                              "value)")
-
-
-def _add_event_core_arguments(parser) -> None:
-    parser.add_argument("--event-core", action="store_true",
-                        help="ship messages through the discrete-event "
-                             "queue core (repro.network.eventsim) "
-                             "instead of inline handler calls; at zero "
-                             "latency this is proven byte-identical to "
-                             "the inline path")
-    parser.add_argument("--latency", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="per-link propagation latency in seconds; "
-                             "> 0 runs the event core in timestamped "
-                             "delay mode (implies --event-core)")
-
-
-def _event_core_context(event_core: bool, latency: float, *networks):
-    """The eventsim switch context for ``--event-core``/``--latency``
-    (a no-op context when neither is given). A positive latency also
-    swaps each network's radio for the delayed variant — validated by
-    :class:`~repro.network.link.RadioModel`, so a negative or
-    non-finite value surfaces as a configuration error."""
-    from contextlib import nullcontext
-    from dataclasses import replace
-
-    from .network import eventsim
-
-    if latency:
-        for network in networks:
-            network.radio = replace(network.radio,
-                                    propagation_latency_s=latency)
-    if event_core or latency > 0:
-        return eventsim.event_core()
-    return nullcontext()
 
 
 def _add_churn_arguments(parser) -> None:
@@ -422,12 +387,9 @@ def _cmd_run(args) -> int:
     if not as_json:
         print(f"scenario: {config.name} ({len(config.positions)} sensors)")
         print(f"routed:   {plan.algorithm.value} ({plan.query_class.value})")
-    event_core = _event_core_context(args.event_core, args.latency,
-                                     network)
     if historic:
         # Historic sessions finish by themselves; run() until idle.
-        with event_core:
-            driver.run()
+        driver.run()
         result = handle.historic_result
         if not as_json:
             rows = [[rank, item.key, item.score]
@@ -440,8 +402,7 @@ def _cmd_run(args) -> int:
                 line += f", clean-up rounds: {cleanup}"
             print(line)
     else:
-        with event_core:
-            driver.run(args.epochs)
+        driver.run(args.epochs)
         if not as_json:
             _print_results(handle.results, network.stats)
     churn_summary = (_churn_summary(network, deployment)
@@ -515,8 +476,6 @@ class _WorkloadSpec:
     baseline: bool
     churn: str | None
     churn_seed: int
-    event_core: bool = False
-    latency: float = 0.0
 
 
 def _workload_shard(spec: _WorkloadSpec) -> dict:
@@ -566,10 +525,7 @@ def _workload_shard(spec: _WorkloadSpec) -> dict:
                        field, group_of, spec.epochs)
     driver = EpochDriver(deployment,
                          interventions=[churn] if churn else ())
-    # Workers re-assert the eventsim switch from the spec: the shard
-    # pool only re-asserts the hot-path switch in spawned interpreters.
-    with _event_core_context(spec.event_core, spec.latency, network):
-        driver.run(spec.epochs)
+    driver.run(spec.epochs)
     panels = [handle.system_panel for handle in deployment.sessions()
               if handle.system_panel is not None
               and handle.system_panel.samples]
@@ -627,8 +583,7 @@ def _cmd_workload_sharded(args) -> int:
         _WorkloadSpec(file=path, scenario=args.scenario, side=args.side,
                       rooms=args.rooms, seed=args.seed,
                       epochs=args.epochs, baseline=args.baseline,
-                      churn=args.churn, churn_seed=args.churn_seed,
-                      event_core=args.event_core, latency=args.latency)
+                      churn=args.churn, churn_seed=args.churn_seed)
         for path in args.files
     ]
     results = run_sharded(_workload_shard, specs, jobs=args.jobs,
@@ -716,8 +671,7 @@ def _cmd_workload(args) -> int:
     churn = _make_churn(args, network, attribute, field, group_of)
     driver = EpochDriver(deployment,
                          interventions=[churn] if churn else ())
-    with _event_core_context(args.event_core, args.latency, network):
-        driver.run(args.epochs)
+    driver.run(args.epochs)
 
     churn_summary = (_churn_summary(network, deployment)
                      if churn is not None else None)

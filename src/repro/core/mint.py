@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from ..errors import ProtocolError, ValidationError
-from ..network import eventsim, hotpath
+from ..network import hotpath
 from ..network.messages import (
     ProbeReplyMessage,
     ProbeRequestMessage,
@@ -620,13 +620,6 @@ class Mint:
         per epoch, which dominates the epoch loop at fleet scale. No
         message is built: each edge ships its kind and the
         :meth:`ViewUpdateMessage.wire_size` of its delta counts.
-
-        Under the event core the parent-side commit (cache updates,
-        sink dirty-marking) becomes an explicit receive handler passed
-        to :meth:`~repro.network.simulator.Network.post_unicast`; in
-        zero-delay mode the handler fires synchronously at the post
-        site, so the commit order — and every byte — matches the
-        inline branch below.
         """
         network = self.network
         states = self.states
@@ -642,7 +635,6 @@ class Mint:
         children_of = network.tree.children
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
-        post_unicast = network.post_unicast if eventsim.enabled() else None
         kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
         sink_id = network.sink_id
@@ -687,20 +679,6 @@ class Mint:
                         continue
                     size = wire_size(len(changed), len(retractions))
                     parent = parents[node_id]
-                    if post_unicast is not None:
-                        def commit(parent=parent, reported=reported,
-                                   changed=changed,
-                                   retractions=retractions):
-                            if parent == sink_id:
-                                sink_dirty.update(retractions)
-                                sink_dirty.update(g for g, _ in changed)
-                            for g in retractions:
-                                reported.pop(g, None)
-                            for g, p in changed:
-                                reported[g] = p
-
-                        post_unicast(node_id, parent, kind, size, commit)
-                        continue
                     ship_unicast(node_id, parent, kind, size)
                     if parent == sink_id:
                         sink_dirty.update(retractions)
@@ -777,26 +755,6 @@ class Mint:
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
-                if post_unicast is not None:
-                    def commit(node_id=node_id, parent=parent, state=state,
-                               reported=reported, changed=changed,
-                               retractions=retractions, gamma=gamma,
-                               ship_gamma=ship_gamma):
-                        if parent == sink_id:
-                            sink_dirty.update(retractions)
-                            sink_dirty.update(g for g, _ in changed)
-                            if ship_gamma:
-                                sink_dirty.update(
-                                    self.child_group_totals.get(node_id, ()))
-                        for group in retractions:
-                            reported.pop(group, None)
-                        for group, partial in changed:
-                            reported[group] = partial
-                        if ship_gamma:
-                            state.gamma_reported = gamma
-
-                    post_unicast(node_id, parent, kind, size, commit)
-                    continue
                 ship_unicast(node_id, parent, kind, size)
                 if parent == sink_id:
                     sink_dirty.update(retractions)

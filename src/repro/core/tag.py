@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Hashable, Mapping
 
 from ..errors import ValidationError
-from ..network import eventsim, hotpath
+from ..network import hotpath
 from ..network.messages import QueryMessage, ViewEntry, ViewUpdateMessage
 from ..network.simulator import Network
 from .aggregates import Aggregate, Partial
@@ -127,13 +127,6 @@ class Tag:
         equivalence property test covers it). A view ships as the kind
         and :meth:`ViewUpdateMessage.wire_size` of its group count, so
         no entries are built or ordered.
-
-        Under the event core the parent-side deposit (merging into the
-        sink view or parking the partial view for the parent's turn)
-        becomes an explicit receive handler passed to
-        :meth:`~repro.network.simulator.Network.post_unicast`; in
-        zero-delay mode the handler fires synchronously at the post
-        site, byte-identical to the inline deposit below.
         """
         network = self.network
         merge = self.aggregate.merge
@@ -142,7 +135,6 @@ class Tag:
         children_of = network.tree.children
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
-        post_unicast = network.post_unicast if eventsim.enabled() else None
         kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
         sink_id = network.sink_id
@@ -173,20 +165,6 @@ class Tag:
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
-                if post_unicast is not None:
-                    def deposit(node_id=node_id, parent=parent, view=view):
-                        if parent == sink_id:
-                            sink_get = sink_view.get
-                            for group, partial in view.items():
-                                existing = sink_get(group)
-                                sink_view[group] = (
-                                    partial if existing is None
-                                    else merge(existing, partial))
-                        else:
-                            partial_views[node_id] = view
-
-                    post_unicast(node_id, parent, kind, size, deposit)
-                    continue
                 ship_unicast(node_id, parent, kind, size)
                 if parent == sink_id:
                     sink_get = sink_view.get

@@ -9,7 +9,6 @@ reproducible.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -28,20 +27,12 @@ class RadioModel:
         max_retries: ARQ retransmissions before a packet is declared
             lost. With the default loss of 0 every packet takes exactly
             one attempt.
-        propagation_latency_s: Fixed per-link propagation/processing
-            delay added to the airtime when the event core
-            (:mod:`repro.network.eventsim`) timestamps a delivery. The
-            default 0 keeps the event core in zero-delay mode, where it
-            is proven byte-identical to the inline ship path; any
-            positive value opens the asynchronous-radio (delay-mode)
-            scenario family.
     """
 
     bitrate_bps: float = 38_400.0
     range_m: float = 150.0
     loss_probability: float = 0.0
     max_retries: int = 5
-    propagation_latency_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bitrate_bps <= 0:
@@ -50,10 +41,6 @@ class RadioModel:
             raise ConfigurationError("loss probability must be in [0, 1)")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
-        if (not math.isfinite(self.propagation_latency_s)
-                or self.propagation_latency_s < 0.0):
-            raise ConfigurationError(
-                "propagation latency must be finite and non-negative")
 
     def airtime_seconds(self, air_bytes: int) -> float:
         """Time on the air for ``air_bytes`` (one attempt)."""

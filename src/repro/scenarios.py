@@ -175,8 +175,12 @@ def grid_rooms_scenario(side: int = 8, rooms_per_axis: int = 4,
     break from the default Mersenne cells — see
     :class:`~repro.sensing.generators.RoomField`).
     """
+    from .errors import ConfigurationError
     from .network.topology import grid_topology
 
+    if rooms_per_axis < 1:
+        raise ConfigurationError(
+            f"rooms_per_axis must be at least 1, got {rooms_per_axis}")
     spacing = 10.0
     topology = grid_topology(side, spacing=spacing,
                              radio_range=spacing * radio_factor)

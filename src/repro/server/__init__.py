@@ -7,12 +7,9 @@ Display and System panels as epoch results stream back.
 
 The public surface of this tier is :mod:`repro.api` (``Deployment`` /
 ``EpochDriver`` / ``SessionHandle``). :class:`QuerySession` is the
-internal per-query execution context those layers drive;
-:class:`KSpotServer` is the deprecated pre-facade god-object, kept as
-a warning compatibility shim.
+internal per-query execution context those layers drive.
 """
 
-from .server import KSpotServer
 from .session import QuerySession
 
-__all__ = ["KSpotServer", "QuerySession"]
+__all__ = ["QuerySession"]

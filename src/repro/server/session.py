@@ -2,8 +2,7 @@
 
 The paper's base station serves *many* users' top-k queries over one
 sensor deployment. A :class:`QuerySession` is the per-user execution
-context the :class:`~repro.server.server.KSpotServer` keeps in its
-registry: the compiled plan, the engine instance (with its own view /
+context a :class:`~repro.api.Deployment` keeps in its registry: the compiled plan, the engine instance (with its own view /
 filter state), the session's share of the network traffic, an optional
 shadow-baseline engine feeding a per-session System Panel, and the
 result stream.

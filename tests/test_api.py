@@ -3,8 +3,8 @@
 Covers the facade's contracts: declarative construction, session
 lifecycle states, push subscriptions (including callback ordering
 under churn), the watch iterator, intervention plumbing, driver
-policies (max_epochs, stop_when_idle, hooks), admission control, and
-the session error taxonomy.
+policies (max_epochs, stop_when_idle, hooks), admission control, the
+Display and System panels, and the session error taxonomy.
 """
 
 from __future__ import annotations
@@ -27,10 +27,15 @@ from repro.errors import (
     QueryError,
     SessionError,
 )
+from repro.gui import DisplayPanel
 from repro.gui.stats import RecoveryRecord
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.query.plan import Algorithm
-from repro.scenarios import grid_rooms_scenario
+from repro.scenarios import (
+    conference_scenario,
+    figure1_scenario,
+    grid_rooms_scenario,
+)
 
 MONITOR = ("SELECT TOP 2 roomid, AVG(sound) FROM sensors "
            "GROUP BY roomid EPOCH DURATION 1 min")
@@ -425,6 +430,41 @@ class TestDriverPolicies:
         assert set(streams) == {a.id, b.id}
         assert streams[a.id] == a.results
         assert len(streams[b.id]) == 3
+
+
+class TestPanels:
+    def test_display_panel_rerank(self):
+        scenario = figure1_scenario()
+        display = DisplayPanel(
+            width=50, height=30,
+            positions={n: (min(p[0], 50), min(max(p[1], 0), 30))
+                       for n, p in
+                       scenario.network.topology.positions.items()},
+            cluster_of=dict(scenario.group_of))
+        deployment = Deployment.from_scenario(scenario, display=display)
+        deployment.submit("SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+                          "GROUP BY roomid")
+        EpochDriver(deployment).run(1)
+        assert display.bullets[0].cluster == "C"
+        assert display.bullets[0].rank == 1
+
+    def test_shadow_baseline_feeds_system_panel(self):
+        scenario = conference_scenario(seed=7)
+        shadow = conference_scenario(seed=7)
+        deployment = Deployment.from_scenario(
+            scenario, baseline_network=shadow.network)
+        handle = deployment.submit(
+            "SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+            "GROUP BY roomid EPOCH DURATION 1 min")
+        EpochDriver(deployment).run(6)
+        panel = handle.system_panel
+        assert panel is not None
+        assert len(panel.samples) == 6
+        # MINT never costs more than TAG on the same readings.
+        assert panel.cumulative.payload_bytes <= \
+            panel.cumulative.baseline_payload_bytes
+        # The shadow ran the same number of epochs.
+        assert shadow.network.epoch == scenario.network.epoch
 
 
 class TestErrorTaxonomy:

@@ -154,6 +154,12 @@ class TestWorkload:
         assert main(["workload", empty]) == 2
         assert "contains no queries" in capsys.readouterr().err
 
+    def test_zero_rooms_is_a_clean_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.MIXED)
+        assert main(["workload", path, "--epochs", "2",
+                     "--side", "4", "--rooms", "0"]) == 2
+        assert "error: rooms_per_axis" in capsys.readouterr().err
+
 
 class TestJsonFormat:
     """--format json: machine-readable results that round-trip."""
@@ -282,6 +288,10 @@ class TestSavings:
         out = capsys.readouterr().out
         assert "mint" in out
         assert "MINT saves" in out
+
+    def test_zero_rooms_is_a_clean_error(self, capsys):
+        assert main(["savings", "--side", "4", "--rooms", "0"]) == 2
+        assert "error: rooms_per_axis" in capsys.readouterr().err
 
 
 class TestArgparse:

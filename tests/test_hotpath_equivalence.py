@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.errors import RoutingError
-from repro.network import columnar, eventsim, hotpath
+from repro.network import columnar, hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
 from repro.network.messages import ControlMessage
@@ -405,112 +404,6 @@ class TestScalarPathToggle:
         assert columnar.enabled()
 
 
-class TestEventsimEquivalence:
-    """The discrete-event shipping core (``repro.network.eventsim``) in
-    zero-delay mode is held to the same discipline as the other two
-    switches: posting deliveries onto the event queue and draining it
-    at the post site must be invisible — same answers, counters,
-    per-phase snapshots, ledgers and RNG draws as the inline ship
-    path, engine receive handlers included."""
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        engines=st.lists(st.sampled_from(sorted(QUERY_BY_ENGINE)),
-                         min_size=1, max_size=3, unique=True),
-        churn_seed=st.one_of(st.none(), st.integers(0, 7)),
-    )
-    def test_event_core_equals_inline_ship(self, seed, engines,
-                                           churn_seed):
-        kwargs = dict(seed=seed, k=2, agg="AVG", engines=engines,
-                      epochs=5, churn_seed=churn_seed)
-        inline = run_workload(**kwargs)
-        assert not eventsim.enabled(), "the event core defaults off"
-        with eventsim.event_core():
-            assert eventsim.enabled()
-            event = run_workload(**kwargs)
-        assert not eventsim.enabled(), "event_core() must restore the flag"
-        assert event == inline
-
-    def test_event_core_equals_reference_path(self):
-        """Four-way: the event core, the inline hot path, the columnar
-        scalar path and the unoptimized reference path all produce
-        identical observables on the full five-engine mix with churn
-        (the whole switch stack collapses to one behaviour)."""
-        kwargs = dict(seed=4321, k=2, agg="MAX",
-                      engines=sorted(QUERY_BY_ENGINE), epochs=5,
-                      churn_seed=2)
-        with hotpath.reference_path(), columnar.scalar_path():
-            reference = run_workload(**kwargs)
-        with eventsim.inline_ship():
-            inline = run_workload(**kwargs)
-        with eventsim.event_core():
-            event = run_workload(**kwargs)
-        assert event == inline == reference
-
-    def test_event_core_requires_hot_path(self):
-        """Stacking: ``reference_path()`` disables the event core too,
-        so the oracle at the bottom of the stack stays pristine."""
-        with eventsim.event_core():
-            assert eventsim.enabled()
-            with hotpath.reference_path():
-                assert not eventsim.enabled()
-            assert eventsim.enabled()
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        loss=st.floats(0.05, 0.4),
-        payloads=st.lists(st.integers(0, 120), min_size=1, max_size=30),
-    )
-    def test_lossy_zero_delay_equivalence(self, seed, loss, payloads):
-        """With a lossy radio the zero-delay event core consumes the
-        same RNG stream as the inline path: same retransmissions, same
-        drops surfaced to the sender, same counters."""
-
-        def ship_all():
-            network = Network(grid_topology(3),
-                              radio=RadioModel(range_m=20.0,
-                                               loss_probability=loss),
-                              seed=seed)
-            drops = 0
-            for index, payload in enumerate(payloads):
-                child = network.tree.sensor_ids[
-                    index % len(network.tree.sensor_ids)]
-                try:
-                    network.send_up(child, ControlMessage(label="x",
-                                                          size=payload))
-                except Exception:
-                    drops += 1
-            network.advance_epoch()
-            return (stats_signature(network.stats),
-                    ledger_signature(network),
-                    drops, network._rng.random())
-
-        inline = ship_all()
-        with eventsim.event_core():
-            assert ship_all() == inline
-
-
-class TestEventCoreToggle:
-    def test_toggle_restores_on_error(self):
-        assert not eventsim.enabled()
-        try:
-            with eventsim.event_core():
-                assert eventsim.enabled()
-                raise ValueError("boom")
-        except ValueError:
-            pass
-        assert not eventsim.enabled()
-
-    def test_nested_toggle(self):
-        with eventsim.event_core():
-            with eventsim.inline_ship():
-                assert not eventsim.enabled()
-            assert eventsim.enabled()
-        assert not eventsim.enabled()
-
-
 class PerHopNetwork(Network):
     """The relay loop the path kernel replaces: one
     :meth:`Network._ship_unicast` per hop."""
@@ -532,7 +425,7 @@ _RELAYS = st.lists(
 def relay_all(relays, *, network_class=Network, loss=0.0, seed=0):
     """Relay every message to / from the sink on a 5×5 grid inside an
     open session tap, alternating two stats phases; returns every
-    observable plus the hop counts, drops and event count."""
+    observable plus the hop counts and drops."""
     network = network_class(
         grid_topology(5),
         radio=RadioModel(range_m=15.0, loss_probability=loss), seed=seed)
@@ -553,9 +446,8 @@ def relay_all(relays, *, network_class=Network, loss=0.0, seed=0):
                 except RoutingError:
                     drops += 1
     network.advance_epoch()
-    return ((stats_signature(network.stats), stats_signature(tap),
-             ledger_signature(network), hops, drops, network._rng.random()),
-            network.events_processed)
+    return (stats_signature(network.stats), stats_signature(tap),
+            ledger_signature(network), hops, drops, network._rng.random())
 
 
 class TestPathRelayKernel:
@@ -569,10 +461,10 @@ class TestPathRelayKernel:
     @settings(max_examples=40, deadline=None)
     @given(relays=_RELAYS)
     def test_kernel_equals_per_hop_and_reference(self, relays):
-        kernel, _ = relay_all(relays)
-        per_hop, _ = relay_all(relays, network_class=PerHopNetwork)
+        kernel = relay_all(relays)
+        per_hop = relay_all(relays, network_class=PerHopNetwork)
         with hotpath.reference_path():
-            reference, _ = relay_all(relays)
+            reference = relay_all(relays)
         assert kernel == per_hop == reference
 
     def test_zero_hop_path_records_nothing(self):
@@ -590,22 +482,10 @@ class TestPathRelayKernel:
     def test_lossy_radio_falls_back_per_hop(self, relays, seed, loss):
         """Lossy radios keep the per-hop loop: the same retransmission
         draws from the same loss stream as the reference path."""
-        hot, _ = relay_all(relays, loss=loss, seed=seed)
+        hot = relay_all(relays, loss=loss, seed=seed)
         with hotpath.reference_path():
-            reference, _ = relay_all(relays, loss=loss, seed=seed)
+            reference = relay_all(relays, loss=loss, seed=seed)
         assert hot == reference
-
-    @settings(max_examples=15, deadline=None)
-    @given(relays=_RELAYS)
-    def test_event_core_falls_back_per_hop(self, relays):
-        """Under the event core every hop is still posted as its own
-        event (no kernel), with inline-identical observables."""
-        inline, inline_events = relay_all(relays)
-        with eventsim.event_core():
-            event, events = relay_all(relays)
-        assert event == inline
-        assert inline_events == 0
-        assert events == sum(event[3])
 
 
 class TestSamplingPlanSharing:
@@ -702,11 +582,8 @@ class TestNoWireObjectsOnHotPath:
         assert sum(r.probed for r in handle.results[1:]) == 10
         return counts
 
-    @pytest.mark.parametrize("event_core", [False, True])
-    def test_hot_epochs_build_no_wire_objects(self, monkeypatch,
-                                              event_core):
-        with eventsim.event_core() if event_core else nullcontext():
-            counts = self.constructions(monkeypatch)
+    def test_hot_epochs_build_no_wire_objects(self, monkeypatch):
+        counts = self.constructions(monkeypatch)
         assert not counts
 
     def test_reference_path_still_builds_them(self, monkeypatch):

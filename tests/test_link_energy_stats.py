@@ -81,14 +81,6 @@ class TestRadioModel:
         radio = RadioModel(loss_probability=0.5, max_retries=5)
         assert radio.attempts_needed(SucceedSecond()) == 2
 
-    def test_propagation_latency_default_and_validation(self):
-        assert RadioModel().propagation_latency_s == 0.0
-        assert RadioModel(
-            propagation_latency_s=0.25).propagation_latency_s == 0.25
-        for bad in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError):
-                RadioModel(propagation_latency_s=bad)
-
 
 class TestEnergyModel:
     def test_tx_costs_more_than_rx(self):
