@@ -466,6 +466,26 @@ class TestPanels:
         # The shadow ran the same number of epochs.
         assert shadow.network.epoch == scenario.network.epoch
 
+    def test_identical_answers_to_baseline(self):
+        query = ("SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+                 "GROUP BY roomid EPOCH DURATION 1 min")
+        scenario = conference_scenario(seed=7)
+        shadow = conference_scenario(seed=7)
+        deployment = Deployment.from_scenario(
+            scenario, baseline_network=shadow.network)
+        handle = deployment.submit(query)
+        tag = Deployment.from_scenario(conference_scenario(seed=7))
+        tag_handle = tag.submit(query, algorithm=Algorithm.TAG)
+        tag_driver = EpochDriver(tag)
+        for _outcomes in EpochDriver(deployment).stream(5):
+            tag_driver.step()
+            # The shadow baseline steps with every epoch of the session.
+            assert handle.system_panel is not None
+            assert shadow.network.epoch == scenario.network.epoch
+            assert handle.last_result.keys == tag_handle.last_result.keys
+        assert len(handle.results) == 5
+        assert shadow.network.epoch == scenario.network.epoch
+
 
 class TestErrorTaxonomy:
     def test_hierarchy(self):
