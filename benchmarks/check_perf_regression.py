@@ -36,7 +36,9 @@ DEFAULT_TRAJECTORY = Path(__file__).resolve().parent / "perf_trajectory.json"
 #: /4: the eventsim section (event-core throughput ratio over the
 #: inline ship path at the anchor size).
 #: /5: the eventsim section is gone with the event core it gated.
-TRAJECTORY_SCHEMA = "kspot-perf-trajectory/5"
+#: /6: the columnar section is gone with the hot scalar path it gated
+#: the kernel against.
+TRAJECTORY_SCHEMA = "kspot-perf-trajectory/6"
 
 
 def load(path: Path) -> dict:
@@ -75,12 +77,6 @@ def write_trajectory(report: dict, path: Path) -> None:
         trajectory["certifier"] = {
             "n_groups": certifier["n_groups"],
             "speedup": certifier["speedup"],
-        }
-    columnar = report.get("columnar")
-    if columnar is not None:
-        trajectory["columnar"] = {
-            "n_nodes": columnar["n_nodes"],
-            "speedup": columnar["speedup"],
         }
     path.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -165,42 +161,6 @@ def gate_certifier(report: dict, trajectory: dict,
     return True
 
 
-def gate_columnar(report: dict, trajectory: dict,
-                  tolerance: float) -> bool:
-    """Gate the columnar microbench's kernel-vs-scalar speedup.
-
-    Mirrors :func:`gate_certifier`: absent from the committed
-    trajectory → skipped with a note; present there but missing from
-    the fresh report → hard error. The speedup is machine-normalized
-    by construction (columnar and scalar chunks run interleaved on the
-    same host over the same deployment).
-    """
-    committed = trajectory.get("columnar")
-    if committed is None:
-        print("columnar: not in the committed trajectory — "
-              "skipped (refresh with --write to start gating it)")
-        return True
-    fresh = report.get("columnar")
-    if fresh is None:
-        sys.exit("error: report lacks the columnar section — run "
-                 "a kspot-perf/4 `repro perf`")
-    if fresh.get("n_nodes") != committed.get("n_nodes"):
-        print(f"columnar: fresh run measured N={fresh.get('n_nodes')} "
-              f"nodes, trajectory holds N={committed.get('n_nodes')} — "
-              f"skipped (size mismatch)")
-        return True
-
-    floor = (1.0 - tolerance) * committed["speedup"]
-    print(f"columnar: kernel speedup {fresh['speedup']:.2f}x over the "
-          f"scalar hot path at N={fresh['n_nodes']} "
-          f"(committed {committed['speedup']:.2f}x, floor {floor:.2f}x)")
-    if fresh["speedup"] < floor:
-        print(f"FAIL: columnar kernel regressed more than "
-              f"{tolerance:.0%} against the committed trajectory")
-        return False
-    return True
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", help="fresh BENCH_perf.json to check")
@@ -230,8 +190,7 @@ def main(argv=None) -> int:
 
     passed = all([gate_at(report, trajectory, n, args.tolerance)
                   for n in sizes]
-                 + [gate_certifier(report, trajectory, args.tolerance),
-                    gate_columnar(report, trajectory, args.tolerance)])
+                 + [gate_certifier(report, trajectory, args.tolerance)])
     if not passed:
         return 1
     print("OK: hot path within the committed trajectory")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, List, Set
+from typing import Iterable, List
 
 from . import layers
 from .registry import Finding, Rule, register, rule_ids
@@ -32,7 +32,7 @@ DEFAULT_ERROR_NAMES = frozenset({
 })
 
 _SUITE_PATTERN = re.compile(r"tests/test_\w+\.py")
-_ORACLE_WORDS = ("oracle", "reference_path", "scalar_path")
+_ORACLE_WORDS = ("oracle", "reference_path")
 
 
 def _is_name(node: ast.AST, *names: str) -> bool:
@@ -235,13 +235,13 @@ class SwitchAndProve(Rule):
         "Every optimization ships behind a switch with its unoptimized "
         "oracle in-tree and a byte-equivalence suite (ARCHITECTURE.md "
         "'Switch-and-prove discipline'). A module that branches on "
-        "hotpath/columnar switches must say, in its docstring, which "
+        "the hotpath switch — hotpath.enabled() or a bare "
+        "hotpath._enabled read — must say, in its docstring, which "
         "oracle and which tests/test_*.py suite hold it to that.")
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
-        switches = self._switches_used(node)
-        if not switches:
+        if not self._reads_switch(node):
             return
         has_suite = bool(_SUITE_PATTERN.search(ctx.docstring))
         has_oracle = any(word in ctx.docstring for word in _ORACLE_WORDS)
@@ -251,24 +251,24 @@ class SwitchAndProve(Rule):
         if not has_suite:
             missing.append("an equivalence suite (tests/test_*.py)")
         if not has_oracle:
-            missing.append("its oracle (reference_path/scalar_path)")
+            missing.append("its oracle (reference_path)")
         yield self.finding(
             ctx, node,
-            f"{node.name} branches on the {'/'.join(sorted(switches))} "
-            f"switch but the module docstring does not name "
+            f"{node.name} branches on the hotpath switch but the "
+            f"module docstring does not name "
             f"{' or '.join(missing)}; document the proof obligation "
             "(see docs/ARCHITECTURE.md, switch-and-prove)")
 
     @staticmethod
-    def _switches_used(func: ast.AST) -> Set[str]:
-        used: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "enabled" \
-                    and _is_name(node.func.value, "hotpath", "columnar"):
-                used.add(node.func.value.id)
-        return used
+    def _reads_switch(func: ast.AST) -> bool:
+        """True when ``func`` reads ``hotpath.enabled`` (the call) or
+        ``hotpath._enabled`` (the bare flag hot call sites read)."""
+        return any(
+            isinstance(node, ast.Attribute)
+            and node.attr in ("enabled", "_enabled")
+            and isinstance(node.ctx, ast.Load)
+            and _is_name(node.value, "hotpath")
+            for node in ast.walk(func))
 
 
 @register

@@ -14,13 +14,13 @@ This implementation monitors the top-k *nodes* by their current reading
 filter interval as bounds — sound, because silence proves the reading
 stayed inside. Answers are therefore exact every epoch, like MINT's.
 
-Switch-and-prove: the fused monitor+bounds pass, the persistent
-``TopKView`` and the columnar batch-sensing loop run only while
-``hotpath.enabled()`` (and ``columnar.enabled()`` for the batch path);
+Switch-and-prove: the column pass (mask-driven monitor, answer and
+filter-install loops over :mod:`repro.network.columnar` columns) and
+the persistent ``TopKView`` run only while ``hotpath.enabled()``;
 ``hotpath.reference_path()`` restores the first-principles branches
-and the cold ``certify_top_k`` oracle, ``columnar.scalar_path()``
-isolates the data-layout win. ``tests/test_hotpath_equivalence.py``
-and ``tests/test_delta_equivalence.py`` prove every path
+and the cold ``certify_top_k`` oracle.
+``tests/test_hotpath_equivalence.py`` and
+``tests/test_delta_equivalence.py`` prove the two paths
 byte-identical.
 """
 
@@ -106,10 +106,6 @@ class Fila:
         #: The global ranking boundary the filters partition at.
         self.boundary = aggregate.lo
         self._setup_done = False
-        #: Hot-path memo of the repartition's iteration order (the
-        #: sorted filter ids); valid only while ``filters`` keeps its
-        #: key set, which post-setup only churn can change.
-        self._install_order: tuple[int, ...] | None = None
         #: Hot path: the sink's maintained certification view. FILA is
         #: the certifier's heaviest client (monitor + probe rounds +
         #: the answer pass certify every epoch over all N nodes); the
@@ -117,8 +113,9 @@ class Fila:
         #: violations, probes and filter reinstalls, typically a
         #: handful per epoch.
         self._view = TopKView(k, require_exact_scores=False)
-        #: Columnar kernel state; None whenever the last epoch ran a
-        #: scalar pass (columns are rebuilt unsynced on reactivation).
+        #: Columnar kernel state; None whenever the last epoch ran
+        #: without columns (setup, a reference-path epoch, or churn);
+        #: columns are rebuilt unsynced on reactivation.
         self._cols: _FilaColumns | None = None
 
     # ------------------------------------------------------------------
@@ -153,16 +150,7 @@ class Fila:
         the boundary stays silent on whichever side it was assigned."""
         exact_values = exact_values or {}
         installed = 0
-        if hotpath.enabled() and self.filters:
-            # Post-setup the filter key set only shrinks (churn pops,
-            # which invalidates the memo); the per-epoch sort of every
-            # node id is paid once per topology change instead.
-            order = self._install_order
-            if order is None:
-                order = self._install_order = tuple(sorted(self.filters))
-        else:
-            order = sorted(self.filters or self.known)
-        for node_id in order:
+        for node_id in sorted(self.filters or self.known):
             node = self.network.nodes.get(node_id)
             if node is None or not node.alive:
                 continue
@@ -246,7 +234,7 @@ class Fila:
 
     def _columns(self, ids: tuple[int, ...]) -> _FilaColumns:
         """This session's columns, rebuilt when stale (id tuple or
-        backend changed, or a scalar pass ran in between)."""
+        backend changed, or a reference-path epoch ran in between)."""
         cols = self._cols
         if (cols is None or cols.ids is not ids
                 or cols.backend != columnar.backend()):
@@ -269,44 +257,6 @@ class Fila:
                                  + ranked[self.k][1]) / 2.0
             self._install_filters(chosen, self.boundary)
         self._setup_done = True
-        self._install_order = None
-
-    def _run_monitor_phase(self, readings: Mapping[int, float]
-                           ) -> Mapping[int, Bounds]:
-        """The monitoring + interval-derivation pass, fused (hot path).
-
-        Semantically identical to the reference branch in
-        :meth:`run_epoch` — same reports in the same order, same bound
-        per node — with the filter lookup shared between the violation
-        check and the bound, the transport and ledgers resolved once,
-        and the per-node bounds converged into the persistent
-        :class:`~repro.core.delta.TopKView` (an unchanged bound costs
-        two float compares, no allocation, no re-rank).
-        """
-        network = self.network
-        epoch = network.epoch
-        filters_get = self.filters.get
-        known = self.known
-        unicast_to_sink = network.unicast_to_sink
-        view = self._view
-        ensure = view.ensure
-        with network.stats.phase("monitor"):
-            for node_id, value in readings.items():
-                current = filters_get(node_id)
-                if (current is not None
-                        and current[0] <= value <= current[1]):
-                    ensure(node_id, current[0], current[1])
-                    continue
-                unicast_to_sink(
-                    node_id, FilterReportMessage(
-                        epoch=epoch,
-                        entries=(ViewEntry(node_id, value, 1),)))
-                known[node_id] = value
-                # The violating node's filter is void until reset;
-                # its value is exactly known this epoch.
-                ensure(node_id, value, value)
-        self._drop_stale_view_nodes(readings)
-        return view.bounds
 
     def _run_monitor_columnar(self, readings: Mapping[int, float],
                               values, cols: _FilaColumns
@@ -318,8 +268,8 @@ class Fila:
         would do real work — a violation report or a view bound that
         is not already the filter interval; every skipped row's visit
         is a proven no-op (see the helper's contract). Visited rows
-        run the scalar body verbatim, so reports ship in the same
-        ascending-id order with the same bytes.
+        report exactly as the reference monitor loop does, so reports
+        ship in the same ascending-id order with the same bytes.
         """
         network = self.network
         epoch = network.epoch
@@ -378,7 +328,7 @@ class Fila:
         probed = 0
         hot = hotpath.enabled()
         cols = values = None
-        if hot and columnar._enabled and self._setup_done:
+        if hot and self._setup_done:
             cols = self._columns(ids)
             values = network.reading_column(ids, self.attribute)
             if values is None:
@@ -391,8 +341,6 @@ class Fila:
         else:
             if cols is not None:
                 bounds = self._run_monitor_columnar(readings, values, cols)
-            elif hot:
-                bounds = self._run_monitor_phase(readings)
             else:
                 with self.network.stats.phase("monitor"):
                     for node_id, value in readings.items():
@@ -533,6 +481,8 @@ class Fila:
                             ensure(node_id, current[0], current[1])
                             synced[row] = True
             else:
+                # No columns this epoch: the setup epoch, or the
+                # emptied-filter fallback above.
                 for node_id, value in readings.items():
                     if known_get(node_id) == value:
                         ensure(node_id, value, value)
@@ -580,7 +530,6 @@ class Fila:
         if event.failed:
             if self.filters.pop(event.node_id, None) is not None:
                 invalidated += 1
-                self._install_order = None
             self.known.pop(event.node_id, None)
             self._view.delete(event.node_id)
             # Filter / known state changed out-of-band of the column

@@ -122,6 +122,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as error:
         raise ScenarioError(f"cannot load scenario: {error}") from error
+    if not isinstance(payload, dict):
+        raise ScenarioError(
+            "malformed scenario file: expected a JSON object, got "
+            f"{type(payload).__name__}")
     if payload.get("version") != FORMAT_VERSION:
         raise ScenarioError(
             f"unsupported scenario version {payload.get('version')!r}"

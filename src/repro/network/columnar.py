@@ -1,12 +1,10 @@
 """Columnar epoch kernel: structure-of-arrays batch sensing and masks.
 
-PRs 4–6 made the epoch loop allocation-free but left it object-at-a-
-time: every epoch still walks per-node Python objects. This module is
-the data-layout half of the hot path — readings, filter intervals and
-liveness live in parallel *columns* (one slot per node, aligned to the
-deployment's sorted alive-id tuple), so the per-epoch inner loops
-become a handful of whole-column operations plus sparse scalar work on
-the rows a mask singles out:
+This module is the data-layout half of the hot path — readings,
+filter intervals and liveness live in parallel *columns* (one slot per
+node, aligned to the deployment's sorted alive-id tuple), so the
+per-epoch inner loops become a handful of whole-column operations plus
+sparse scalar work on the rows a mask singles out:
 
 * **batch sensing** — :meth:`repro.network.simulator.Network.read_many`
   samples a whole id tuple through one
@@ -19,15 +17,14 @@ the rows a mask singles out:
   loops (:mod:`repro.core.fila`) ask the column helpers below which
   rows actually need Python-level work this epoch and skip the rest.
 
-**Switch-and-prove discipline** (same contract as
-:mod:`repro.network.hotpath`, whose switch this one sits beside): the
-kernel is *semantically invisible*. Every reading, message, byte,
-joule, counter and RNG draw is byte-identical with the kernel on or
-off; ``tests/test_hotpath_equivalence.py`` proves it by driving random
-workloads through reference / hotpath / columnar modes — under both
-backends — and comparing every observable. :func:`scalar_path` is the
-escape hatch the proofs (and ``repro perf``) use to time the
-object-at-a-time hot path without the kernel.
+**Switch-and-prove discipline.** The kernel has no switch of its own:
+it runs whenever :mod:`repro.network.hotpath` is on, and
+``hotpath.reference_path()`` is its oracle. It is *semantically
+invisible* — every reading, message, byte, joule, counter and RNG draw
+is byte-identical to the reference path;
+``tests/test_hotpath_equivalence.py`` proves it by driving random
+workloads through both paths, under both backends, and comparing
+every observable.
 
 **Backends.** Whole-column math runs on numpy when it is importable
 and on a pure-python ``array``-module backend when it is not (bare
@@ -66,8 +63,6 @@ import os
 from array import array
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
-
-from . import hotpath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..sensing.modalities import Modality
@@ -121,46 +116,6 @@ def force_python_backend() -> Iterator[None]:
         yield
     finally:
         _force_python = previous
-
-
-# --------------------------------------------------------------------
-# The switch (beside hotpath.reference_path)
-# --------------------------------------------------------------------
-
-#: The columnar switch. The kernel is only *active* when the hot path
-#: is also enabled: columnar state layers on top of the hot-path
-#: caches, and the reference path must stay the pristine
-#: first-principles oracle.
-_enabled = True
-
-
-def enabled() -> bool:
-    """True when the columnar kernel is active (columnar switch on AND
-    the hot path enabled — :func:`hotpath.reference_path` therefore
-    disables this kernel too)."""
-    return _enabled and hotpath._enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Globally select the columnar (True) or object-at-a-time (False)
-    epoch kernel. Takes effect on the next batch read / epoch pass."""
-    global _enabled
-    _enabled = bool(value)
-
-
-@contextmanager
-def scalar_path() -> Iterator[None]:
-    """Run the enclosed block on the object-at-a-time hot path (the
-    PR 6 kernel): hot-path caches stay on, columns are bypassed. The
-    equivalence suite and ``repro perf`` use this to hold the columnar
-    kernel to the scalar hot path, isolating the data-layout speedup
-    from the caching speedup."""
-    previous = _enabled
-    set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 # --------------------------------------------------------------------

@@ -4,11 +4,12 @@ The simulator's epoch loop carries several caches that exist purely for
 speed — the memoized :func:`~repro.network.packets.fragment` cost
 model, per-tree traversal-order caches, per-epoch traffic batching,
 the lossless path-relay kernel (one call per relayed tree path
-instead of one per hop), and the engines' fused per-epoch passes
-(MINT's prune+update converge-cast, TAG's aggregation converge-cast,
-FILA's monitor+bounds pass and repartition-order memo) — all of
-which are *semantically invisible*: with the caches on or off, every
-message, byte, joule and per-phase snapshot is identical.
+instead of one per hop), the engines' fused per-epoch passes
+(MINT's prune+update converge-cast, TAG's aggregation converge-cast)
+and the columnar kernel of :mod:`repro.network.columnar` (batched
+sensing, FILA's mask-driven passes) — all of which are *semantically
+invisible*: with the caches on or off, every message, byte, joule and
+per-phase snapshot is identical.
 
 The switch also selects the sinks' certification strategy: on the hot
 path each session maintains an incremental
@@ -31,15 +32,9 @@ scenarios through both modes and compares answers and
 :class:`~repro.network.stats.NetworkStats` byte-for-byte, and the
 ``repro perf --compare-reference`` harness prices the speedup.
 
-A second, finer switch sits beside this one:
-:mod:`repro.network.columnar` selects between the object-at-a-time hot
-path and the structure-of-arrays columnar kernel (batched sensing,
-mask-driven passes). It layers *on top of* this switch — the columnar
-kernel is only active when the hot path is, so
-:func:`reference_path` always yields the pristine first-principles
-oracle — and follows the same switch-and-prove contract
-(``columnar.scalar_path()``, proved by the same equivalence suite,
-priced by ``benchmarks/bench_e16_columnar.py``).
+There is no second switch: "hot path on" means the columnar kernel,
+so an epoch runs exactly one of two ways, and a ``repro.parallel``
+worker inherits its whole execution mode from this flag.
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ sensor board, its local history window, and its cluster (room)
 membership. Algorithm state (views, filters, candidate caches) lives in
 the algorithm objects in :mod:`repro.core`, mirroring how the real
 KSpot client keeps the top-k operator separate from the node firmware.
+
+Switch-and-prove: :meth:`SensorNode.read` serves a live node's
+same-epoch sample before the board checks only while the hot path is
+on; ``hotpath.reference_path()`` is the oracle that runs every check
+first, and ``tests/test_hotpath_equivalence.py`` proves the two
+byte-identical.
 """
 
 from __future__ import annotations
@@ -122,42 +128,27 @@ class SensorNode:
             self._charge_flash(before)
         return value
 
-    def store_sample(self, attribute: str, epoch: int, value: float) -> None:
-        """Book a physically-acquired sample exactly as :meth:`read` does.
-
-        The columnar kernel samples a whole id column in one batch
-        (:meth:`repro.network.simulator.Network.read_many`) and then
-        books each value here — counter increment, same-epoch cache,
-        history window, flash — so per-node state is byte-identical to
-        a scalar :meth:`read`. The caller has already charged sensing
-        energy and performed the liveness/board checks in scalar order.
-        """
-        self.samples_taken += 1
-        self._sample_cache[attribute] = (epoch, value)
-        self.window_for(attribute).append(epoch, value)
-        if self.flash_index is not None:
-            before = self.flash_index.flash.stats.joules
-            self.flash_index.insert(epoch, value)
-            self._charge_flash(before)
-
     # repro: hot
     def book_sample(self, attribute: str, epoch: int, value: float,
                     cost_joules: float) -> float:
-        """One fused booking call for the planned batch-sampling loop.
+        """Book one batch-acquired sample exactly as :meth:`read` does.
 
-        Equivalent to the same-epoch-cache check of :meth:`read`
-        followed by ``ledger.charge_sensing(cost)`` +
-        :meth:`store_sample` on a miss — collapsed into a single
-        method because :meth:`repro.network.simulator.Network.read_many`
-        calls it for every freshly-drawn row and the call overhead was
-        measurable. The caller's sampling plan guarantees this node is
-        alive with a board (plan validity is tied to the alive-tuple's
-        identity), so the liveness/board checks are hoisted; the
-        caller also pre-filters same-epoch-fresh rows, making the
-        cache check here a cheap second line of defence rather than
-        the primary one. Returns the value actually booked (the cached
-        one on a same-epoch hit — byte-identical, since field
-        generators are deterministic per cell)."""
+        The columnar kernel samples a whole id column in one batch
+        (:meth:`repro.network.simulator.Network.read_many`) and books
+        each value here: the same-epoch-cache check of :meth:`read`,
+        then on a miss the sensing charge, counter increment,
+        same-epoch cache, history window and flash — so per-node state
+        is byte-identical to a scalar :meth:`read`. One fused method
+        because ``read_many`` calls it for every freshly-drawn row and
+        the call overhead was measurable. The caller's sampling plan
+        guarantees this node is alive with a board (plan validity is
+        tied to the alive-tuple's identity), so the liveness/board
+        checks are hoisted; the caller also pre-filters
+        same-epoch-fresh rows, making the cache check here a cheap
+        second line of defence rather than the primary one. Returns
+        the value actually booked (the cached one on a same-epoch hit
+        — byte-identical, since field generators are deterministic per
+        cell)."""
         cached = self._sample_cache.get(attribute)
         if cached is not None and cached[0] == epoch:
             return cached[1]

@@ -44,7 +44,12 @@ import random
 from contextlib import contextmanager
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from ..errors import ConfigurationError, RoutingError, TopologyError
+from ..errors import (
+    ConfigurationError,
+    RoutingError,
+    TopologyError,
+    ValidationError,
+)
 from ..sensing.board import SensorBoard
 from . import columnar, hotpath
 from .energy import EnergyLedger, EnergyModel
@@ -601,13 +606,16 @@ class Network:
         """One epoch's readings for a whole id column, in id order.
 
         Byte-identical to ``{n: self.nodes[n].read(attribute, epoch)
-        for n in node_ids}`` — that *is* the code path with the
-        columnar kernel off. With it on, nodes still needing a physical
-        sample are grouped by board channel and acquired through one
+        for n in node_ids}`` — that *is* the code path on the reference
+        path, and for any tuple holding a dead or board-less node or
+        one whose board lacks ``attribute``, where it raises at that
+        node's position after sampling the nodes ahead of it. On the hot path, nodes still needing a
+        physical sample are grouped by board channel and acquired
+        through one
         :meth:`~repro.sensing.generators.FieldGenerator.batch_values`
         call plus a vectorized clamp/quantize per channel, then booked
         per node exactly as a scalar read
-        (:meth:`~repro.network.node.SensorNode.store_sample`). The row
+        (:meth:`~repro.network.node.SensorNode.book_sample`). The row
         is cached per (attribute, epoch, id-tuple identity), so N
         concurrent sessions over the same deployment pay for one batch.
 
@@ -616,21 +624,19 @@ class Network:
         :meth:`sample_all` does).
         """
         nodes, epoch = self.nodes, self.epoch
-        if not (columnar._enabled and hotpath._enabled):
+        plan = None
+        if hotpath._enabled:
+            row = self._columnar.cached(attribute, epoch, node_ids)
+            if row is not None:
+                return row
+            plan = self._columnar.plan(attribute, node_ids)
+            if plan is None:
+                plan = self._build_sampling_plan(node_ids, attribute)
+                if plan is not None:
+                    self._columnar.store_plan(attribute, node_ids, plan)
+        if plan is None:
             return {node_id: nodes[node_id].read(attribute, epoch)
                     for node_id in node_ids}
-        row = self._columnar.cached(attribute, epoch, node_ids)
-        if row is not None:
-            return row
-        plan = self._columnar.plan(attribute, node_ids)
-        if plan is None:
-            plan = self._build_sampling_plan(node_ids, attribute)
-            if plan is None:
-                # A dead or board-less node in the tuple: the generic
-                # walk raises exactly as a scalar read would, at that
-                # node's position in the loop.
-                return self._read_many_generic(node_ids, attribute)
-            self._columnar.store_plan(attribute, node_ids, plan)
         out = [0.0] * len(node_ids)
         # The epoch's first batch (no row stored yet for this
         # attribute+epoch, so no session warmed the per-node caches
@@ -688,15 +694,19 @@ class Network:
                              attribute: str):
         """Partition an id tuple by board channel (see
         :meth:`repro.network.columnar.ColumnarState.plan`). None when
-        any node is dead or board-less — those tuples take the generic
-        walk, which reproduces scalar error ordering."""
+        any node is dead, board-less or lacks the channel — those
+        tuples take the reference walk, which raises at that node's
+        position."""
         nodes = self.nodes
         groups: dict[tuple, tuple] = {}
         for row_index, node_id in enumerate(node_ids):
             node = nodes[node_id]
             if not node.alive or node.board is None:
                 return None
-            field, modality, quantize = node.board.channel(attribute)
+            try:
+                field, modality, quantize = node.board.channel(attribute)
+            except ValidationError:
+                return None
             key = (id(field), id(modality), quantize)
             group = groups.get(key)
             if group is None:
@@ -704,45 +714,6 @@ class Network:
             group[3].append(node_id)
             group[4].append((row_index, node))
         return tuple(groups.values())
-
-    def _read_many_generic(self, node_ids: Sequence[int],
-                           attribute: str) -> dict[int, float]:
-        """The unplanned batch walk: per-node freshness and liveness
-        checks inline, in id order (the pre-plan read_many body)."""
-        nodes, epoch = self.nodes, self.epoch
-        readings: dict[int, float] = {}
-        pending: dict[tuple, list[int]] = {}
-        channels: dict[tuple, tuple] = {}
-        for node_id in node_ids:
-            node = nodes[node_id]
-            cached = node._sample_cache.get(attribute)
-            if cached is not None and cached[0] == epoch and node.alive:
-                readings[node_id] = cached[1]
-                continue
-            if not node.alive or node.board is None:
-                readings[node_id] = node.read(attribute, epoch)
-                continue
-            field, modality, quantize = node.board.channel(attribute)
-            key = (id(field), id(modality), quantize)
-            group = pending.get(key)
-            if group is None:
-                group = pending[key] = []
-                channels[key] = (field, modality, quantize)
-            group.append(node_id)
-            readings[node_id] = 0.0  # placeholder keeps dict in id order
-        for key, ids in pending.items():
-            field, modality, quantize = channels[key]
-            values = field.batch_values(ids, epoch)
-            values = (columnar.quantize_column(values, modality) if quantize
-                      else columnar.clamp_column(values, modality))
-            cost = modality.sample_cost_joules
-            for node_id, value in zip(ids, values):
-                node = nodes[node_id]
-                node.ledger.charge_sensing(cost)
-                node.store_sample(attribute, epoch, value)
-                readings[node_id] = value
-        self._columnar.store(attribute, epoch, node_ids, readings)
-        return readings
 
     def reading_column(self, node_ids: Sequence[int], attribute: str):
         """This epoch's cached readings row as a backend float column

@@ -30,18 +30,15 @@ final aggregate-throughput section then drives ``jobs`` independent
 deployments simultaneously and prices the machine's horizontal
 capacity (total epochs/sec across all workers).
 
-Two microbench sections ride every ladder run: ``certifier``
+One microbench section rides every ladder run: ``certifier``
 (:func:`measure_certifier` — cold ``certify_top_k`` replay vs the
-incremental :class:`~repro.core.delta.TopKView`) and ``columnar``
-(:func:`measure_columnar` — the structure-of-arrays sensing kernel of
-:mod:`repro.network.columnar` vs the scalar hot path, equivalence
-asserted on the measured workload before timing). Both are gated by
+incremental :class:`~repro.core.delta.TopKView`), gated by
 ``benchmarks/check_perf_regression.py`` against the committed
-trajectory. The harness only *times* the switches it flips: the
+trajectory. The harness only *times* the switch it flips: the
 hot-vs-oracle equivalence itself is owned by
 ``tests/test_hotpath_equivalence.py`` and
-``tests/test_delta_equivalence.py``, with ``reference_path()`` /
-``scalar_path()`` restoring the unoptimized semantics.
+``tests/test_delta_equivalence.py``, with ``reference_path()``
+restoring the unoptimized semantics.
 """
 
 from __future__ import annotations
@@ -73,13 +70,14 @@ from .sensing.generators import RoomField
 #: /3: the certifier microbench section (cold certify_top_k replay vs
 #: incremental TopKView over the recorded FILA certification stream).
 #: /4: the columnar microbench section (structure-of-arrays sensing
-#: kernel vs the scalar hot path on a Zipf-field FILA workload; see
-#: :func:`measure_columnar`).
+#: kernel vs the scalar hot path on a Zipf-field FILA workload).
 #: /5: the eventsim microbench section (the event-queue shipping core
 #: vs the inline ship path, plus a partitioned per-subtree throughput
 #: section).
 #: /6: the eventsim section is gone with the event core it measured.
-SCHEMA = "kspot-perf/6"
+#: /7: the columnar section is gone with the hot scalar path it
+#: measured the kernel against.
+SCHEMA = "kspot-perf/7"
 
 #: The e11 workload: four concurrent monitoring queries ranking rooms
 #: by different aggregates plus one historic TJA pass.
@@ -251,8 +249,6 @@ class PerfReport:
     shard_errors: list = field(default_factory=list)
     #: The certifier microbench section (see :func:`measure_certifier`).
     certifier: dict | None = None
-    #: The columnar microbench section (see :func:`measure_columnar`).
-    columnar: dict | None = None
 
     def sample_for(self, n_nodes: int) -> PerfSample | None:
         for sample in self.samples:
@@ -285,7 +281,6 @@ class PerfReport:
             "aggregate": self.aggregate,
             "shard_errors": list(self.shard_errors),
             "certifier": self.certifier,
-            "columnar": self.columnar,
         }
 
     def write(self, path: str | Path) -> Path:
@@ -587,130 +582,6 @@ def measure_certifier(n: int = 400, epochs: int = 30, seed: int = 11,
     }
 
 
-def columnar_fleet(n: int, seed: int = 11):
-    """The columnar microbench deployment: a square grid of ``side²``
-    motes (``side = ⌊√n⌋``) split into 16 rooms over one shared
-    :class:`~repro.sensing.generators.ZipfEventField`, monitored by a
-    single FILA MAX top-25 session.
-
-    The Zipf field is the workload the columnar kernel was built for —
-    every room samples the same batch-capable field, so one
-    ``batch_values`` call covers the whole fleet. ``margin=8.0 ≥
-    jitter`` keeps the skewed room levels off the ``[lo, hi]`` rails:
-    with saturation, large node populations clamp to exactly ``lo`` or
-    ``hi``, flooding FILA with ``known == value`` coincidences that
-    dominate both paths with view churn and hide the sensing kernel
-    this microbench prices.
-
-    Returns ``(session, network)``.
-    """
-    from .core.aggregates import make_aggregate
-    from .core.fila import Fila
-    from .network.topology import grid_topology
-    from .sensing.generators import ZipfEventField
-
-    side = max(2, math.isqrt(n))
-    topology = grid_topology(side, spacing=10.0, radio_range=15.0)
-    block = max(1, side // 4)
-    room_of: dict[int, Hashable] = {}
-    for node_id in range(1, side * side + 1):
-        row, col = divmod(node_id - 1, side)
-        room_of[node_id] = (f"R{min(row // block, 3)}"
-                            f"{min(col // block, 3)}")
-    zipf = ZipfEventField(room_of, lo=0.0, hi=100.0, skew=2.0,
-                          jitter=6.0, seed=seed, margin=8.0)
-    boards = {i: SensorBoard({"sound": zipf}) for i in room_of}
-    network = Network(topology, boards=boards, group_of=room_of)
-    session = Fila(network, make_aggregate("MAX", 0.0, 100.0), 25,
-                   attribute="sound")
-    return session, network
-
-
-def measure_columnar(n: int = 400, chunks: int = 20,
-                     chunk_epochs: int = 10, seed: int = 11,
-                     check_epochs: int = 30) -> dict:
-    """Columnar epoch kernel vs the scalar hot path on the Zipf-FILA
-    workload of :func:`columnar_fleet`.
-
-    Equivalence first, timing second — the switch-and-prove
-    discipline: both modes drive ``check_epochs`` epochs on fresh
-    deployments and must produce byte-identical result streams
-    (epoch, items, exact flag, all bounds), total energy-ledger joules
-    and sample counts, or this raises instead of timing.
-
-    Timing uses **chunked-min**: each mode runs ``chunks`` chunks of
-    ``chunk_epochs`` epochs, modes interleaved chunk by chunk so load
-    waves land on both equally, and the per-chunk minimum is the
-    figure — a best-of estimator at chunk granularity, which on noisy
-    shared hosts converges far faster than best-of over whole runs.
-    ``bench_e16_columnar`` gates the resulting speedup absolutely and
-    ``check_perf_regression.py`` tracks it against the committed
-    trajectory.
-    """
-    from .network import columnar
-
-    def stream(scalar: bool):
-        session, network = columnar_fleet(n, seed=seed)
-        results = []
-
-        def drive():
-            for _ in range(check_epochs):
-                r = session.run_epoch()
-                results.append((r.epoch, tuple(r.items), r.exact,
-                                dict(r.all_bounds)))
-
-        if scalar:
-            with columnar.scalar_path():
-                drive()
-        else:
-            drive()
-        joules = sum(node.ledger.total
-                     for node in network.nodes.values())
-        samples = sum(node.samples_taken
-                      for node in network.nodes.values())
-        return results, joules, samples
-
-    if stream(scalar=False) != stream(scalar=True):
-        raise RuntimeError(
-            "columnar path diverged from the scalar hot path")
-
-    col_session, _ = columnar_fleet(n, seed=seed)
-    ref_session, _ = columnar_fleet(n, seed=seed)
-    col_session.run(WARMUP_EPOCHS)
-    with columnar.scalar_path():
-        ref_session.run(WARMUP_EPOCHS)
-    col_chunks: list[float] = []
-    ref_chunks: list[float] = []
-    for _ in range(chunks):
-        gc.collect()
-        started = time.perf_counter()
-        for _ in range(chunk_epochs):
-            col_session.run_epoch()
-        col_chunks.append(time.perf_counter() - started)
-        with columnar.scalar_path():
-            started = time.perf_counter()
-            for _ in range(chunk_epochs):
-                ref_session.run_epoch()
-            ref_chunks.append(time.perf_counter() - started)
-    col, ref = min(col_chunks), min(ref_chunks)
-    return {
-        "workload": "fila-zipf-columnar",
-        "n_nodes": max(2, math.isqrt(n)) ** 2,
-        "sessions": 1,
-        "seed": seed,
-        "chunks": chunks,
-        "chunk_epochs": chunk_epochs,
-        "check_epochs": check_epochs,
-        "backend": "numpy" if columnar.numpy_module() is not None
-                   else "python",
-        "columnar_chunk_seconds": col,
-        "scalar_chunk_seconds": ref,
-        "epochs_per_sec_columnar": (chunk_epochs / col if col else 0.0),
-        "epochs_per_sec_scalar": (chunk_epochs / ref if ref else 0.0),
-        "speedup": ref / col if col else 0.0,
-    }
-
-
 def run_perf(sizes: Sequence[int] = FLEET_SIZES,
              repeats: int = 3, seed: int = 11,
              churn: str | None = None, churn_seed: int = 0,
@@ -788,9 +659,4 @@ def run_perf(sizes: Sequence[int] = FLEET_SIZES,
     report.certifier = measure_certifier(
         n=certifier_n, epochs=12 if quick else 30, seed=seed,
         repeats=repeats)
-    # The columnar microbench rides alongside at the same anchor size:
-    # the vectorized sensing kernel vs the scalar hot path on the
-    # Zipf-field FILA workload (equivalence asserted before timing).
-    report.columnar = measure_columnar(
-        n=certifier_n, chunks=6 if quick else 20, seed=seed)
     return report

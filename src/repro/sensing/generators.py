@@ -307,7 +307,7 @@ class ZipfEventField(ClusterField):
         run as whole-column ops (byte-identical; see base class —
         elementwise ``*``/``-``/``+`` and ``minimum``/``maximum`` are
         IEEE-identical to the scalar expressions in :meth:`value`)."""
-        # repro: allow[layer-dag] -- the column backend (numpy/array pair) lives beside its switch in network/columnar; lazy import so sensing stays importable below network
+        # repro: allow[layer-dag] -- the column backend (numpy/array pair) lives in network/columnar; lazy import so sensing stays importable below network
         from ..network import columnar
 
         np_ = columnar.numpy_module()
@@ -434,7 +434,7 @@ class RoomField(ClusterField):
         the scalar hash by construction); the Box–Muller transform
         stays scalar because numpy's ``log``/``cos`` are not
         bit-identical to libm's."""
-        # repro: allow[layer-dag] -- column backend lives beside its switch in network/columnar, same contract as batch_values
+        # repro: allow[layer-dag] -- column backend lives in network/columnar, same contract as batch_values
         from ..network import columnar
 
         cluster_of = self._cluster_of
@@ -469,7 +469,7 @@ class RoomField(ClusterField):
         instead (see :meth:`_batch_hash_gauss`)."""
         if self._hash_gauss:
             return self._batch_hash_gauss(node_ids, epoch)
-        # repro: allow[layer-dag] -- column backend lives beside its switch in network/columnar, same contract as ZipfEventField.batch_values
+        # repro: allow[layer-dag] -- column backend lives in network/columnar, same contract as ZipfEventField.batch_values
         from ..network import columnar
 
         cluster_of = self._cluster_of

@@ -54,11 +54,12 @@ class TestFixtureSuite:
     @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
     def test_positive_fixture_fires(self, rule_id):
         bad, _ = fixture_sides(rule_id)
-        report = lint_paths(bad)
-        fired = {finding.rule for finding in report.findings}
-        assert rule_id in fired, (
-            f"{rule_id} did not fire on its bad fixture(s); "
-            f"got {sorted(fired)}")
+        for path in bad:
+            report = lint_paths([path])
+            fired = {finding.rule for finding in report.findings}
+            assert rule_id in fired, (
+                f"{rule_id} did not fire on its bad fixture {path.name}; "
+                f"got {sorted(fired)}")
 
     @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
     def test_negative_fixture_is_clean(self, rule_id):

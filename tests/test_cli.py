@@ -120,6 +120,19 @@ class TestWorkload:
                      "--epochs", "2"]) == 0
         assert "session 1: routed mint" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("payload", ["[]", '"x"', "3"],
+                             ids=["list", "string", "number"])
+    def test_non_object_scenario_is_a_clean_error(self, tmp_path, capsys,
+                                                  payload):
+        scenario = tmp_path / "deployment.json"
+        scenario.write_text(payload)
+        path = self._write(
+            tmp_path,
+            "SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid\n")
+        assert main(["workload", path, "--scenario", str(scenario),
+                     "--epochs", "1"]) == 2
+        assert "error: malformed scenario file" in capsys.readouterr().err
+
     def test_incompatible_query_rejected_not_fatal(self, tmp_path, capsys):
         """A bad routing (FILA over cluster ranking) skips that query;
         everyone else's sessions still run."""

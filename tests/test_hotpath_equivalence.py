@@ -20,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ChurnIntervention, Deployment, EpochDriver
-from repro.errors import RoutingError
+from repro.errors import (
+    ConfigurationError,
+    KSpotError,
+    RoutingError,
+    ValidationError,
+)
 from repro.network import columnar, hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
@@ -176,12 +181,13 @@ def test_each_engine_hot_equals_reference(engine, churn_seed):
 def test_all_engines_concurrently_hot_equals_reference():
     """The full five-engine mix sharing one deployment and one clock:
     cross-engine interleaving must not leak between the paths."""
-    kwargs = dict(seed=77, k=2, agg="MAX",
-                  engines=sorted(QUERY_BY_ENGINE), epochs=5,
-                  churn_seed=3)
-    with hotpath.reference_path():
-        reference = run_workload(**kwargs)
-    assert run_workload(**kwargs) == reference
+    for seed, churn_seed in ((77, 3), (4321, 2)):
+        kwargs = dict(seed=seed, k=2, agg="MAX",
+                      engines=sorted(QUERY_BY_ENGINE), epochs=5,
+                      churn_seed=churn_seed)
+        with hotpath.reference_path():
+            reference = run_workload(**kwargs)
+        assert run_workload(**kwargs) == reference, (seed, churn_seed)
 
 
 @settings(max_examples=20, deadline=None)
@@ -311,40 +317,11 @@ class TestPerPurposeRngStreams:
 
 
 class TestColumnarEquivalence:
-    """The columnar epoch kernel (``repro.network.columnar``) is held
-    to the same discipline as the hot path itself: batched sensing,
-    the identity-keyed sampling-plan cache and the vectorized Zipf
-    jitter must be invisible — same answers, counters, ledgers and RNG
-    draws as the scalar path, under either numeric backend."""
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        engines=st.lists(st.sampled_from(sorted(QUERY_BY_ENGINE)),
-                         min_size=1, max_size=3, unique=True),
-        churn_seed=st.one_of(st.none(), st.integers(0, 7)),
-    )
-    def test_columnar_equals_scalar_path(self, seed, engines,
-                                         churn_seed):
-        kwargs = dict(seed=seed, k=2, agg="AVG", engines=engines,
-                      epochs=5, churn_seed=churn_seed)
-        with columnar.scalar_path():
-            scalar = run_workload(**kwargs)
-        assert columnar.enabled(), "scalar_path() must restore the flag"
-        assert run_workload(**kwargs) == scalar
-
-    def test_columnar_equals_reference_path(self):
-        """Three-way: the columnar kernel, the scalar hot path and the
-        unoptimized reference path produce identical observables on
-        the full five-engine mix with churn."""
-        kwargs = dict(seed=4321, k=2, agg="MAX",
-                      engines=sorted(QUERY_BY_ENGINE), epochs=5,
-                      churn_seed=2)
-        with hotpath.reference_path(), columnar.scalar_path():
-            reference = run_workload(**kwargs)
-        with columnar.scalar_path():
-            scalar = run_workload(**kwargs)
-        assert run_workload(**kwargs) == scalar == reference
+    """The columnar epoch kernel (``repro.network.columnar``) runs
+    whenever the hot path does, so the reference-path proofs above
+    cover it; this class adds the backend split: the pure-python
+    fallback must give the numpy kernel's answers, counters, ledgers
+    and RNG draws."""
 
     def test_python_backend_matches_numpy(self):
         """The pure-python fallback draws the same values as the numpy
@@ -358,16 +335,46 @@ class TestColumnarEquivalence:
             assert run_workload(**kwargs) == default
 
 
+def zipf_fila_fleet(side=8, seed=5):
+    """A ``side``² grid in 16 block rooms over one shared
+    :class:`~repro.sensing.generators.ZipfEventField`, monitored by a
+    FILA MAX top-25 session; returns ``(session, network)``.
+
+    Every mote samples the same batch-capable field, so one
+    ``batch_values`` call (and one ``hash01_column`` jitter draw)
+    covers the fleet. ``margin=8.0 >= jitter`` keeps the room levels
+    off the ``[lo, hi]`` rails, so readings stay distinct and FILA's
+    filters go quiet.
+    """
+    from repro.core.aggregates import make_aggregate
+    from repro.core.fila import Fila
+    from repro.sensing.board import SensorBoard
+    from repro.sensing.generators import ZipfEventField
+
+    topology = grid_topology(side, spacing=10.0, radio_range=15.0)
+    block = max(1, side // 4)
+    room_of = {}
+    for node_id in range(1, side * side + 1):
+        row, col = divmod(node_id - 1, side)
+        room_of[node_id] = f"R{min(row // block, 3)}{min(col // block, 3)}"
+    zipf = ZipfEventField(room_of, lo=0.0, hi=100.0, skew=2.0,
+                          jitter=6.0, seed=seed, margin=8.0)
+    boards = {i: SensorBoard({"sound": zipf}) for i in room_of}
+    network = Network(topology, boards=boards, group_of=room_of)
+    session = Fila(network, make_aggregate("MAX", 0.0, 100.0), 25,
+                   attribute="sound")
+    return session, network
+
+
 class TestZipfColumnarKernel:
-    """The benchmark workload itself (shared ZipfEventField, hashed
-    jitter, FILA MAX) is equivalence-tested here at unit scale so the
-    proof doesn't live only inside ``measure_columnar``."""
+    """FILA over a shared Zipf field: the one workload that drives the
+    vectorized jitter (``hash01_column``) and FILA's column pass end
+    to end, held to the reference path and to the pure-python
+    backend."""
 
     @staticmethod
     def _stream():
-        from repro.perf import columnar_fleet
-
-        session, network = columnar_fleet(64, seed=5)
+        session, network = zipf_fila_fleet()
         results = [
             (r.epoch, tuple(r.items), r.exact, dict(r.all_bounds))
             for r in session.run(8)
@@ -378,30 +385,49 @@ class TestZipfColumnarKernel:
 
     def test_all_modes_identical(self):
         default = self._stream()
-        with columnar.scalar_path():
-            scalar = self._stream()
+        with hotpath.reference_path():
+            reference = self._stream()
         with columnar.force_python_backend():
             fallback = self._stream()
-        assert default == scalar
+        assert default == reference
         assert default == fallback
 
 
-class TestScalarPathToggle:
-    def test_toggle_restores_on_error(self):
-        try:
-            with columnar.scalar_path():
-                assert not columnar.enabled()
-                raise ValueError("boom")
-        except ValueError:
-            pass
-        assert columnar.enabled()
+class TestReadManyErrorPath:
+    """A tuple holding a node without a ``sound`` channel cannot be
+    planned, so the hot path takes the reference walk: it raises the
+    same error after sampling the same nodes ahead of the bad one."""
 
-    def test_nested_toggle(self):
-        with columnar.scalar_path():
-            with columnar.scalar_path():
-                assert not columnar.enabled()
-            assert not columnar.enabled()
-        assert columnar.enabled()
+    @staticmethod
+    def _read_bad_tuple(bad_channels):
+        from repro.sensing.board import SensorBoard
+        from repro.sensing.generators import UniformRandomField
+
+        field = UniformRandomField(0.0, 100.0, seed=3)
+        boards = {i: SensorBoard({"sound": field}) for i in range(1, 17)}
+        if bad_channels is None:
+            del boards[9]
+        else:
+            boards[9] = SensorBoard({name: field for name in bad_channels})
+        network = Network(grid_topology(4), boards=boards)
+        ids = tuple(range(1, 17))
+        with pytest.raises(KSpotError) as raised:
+            network.read_many(ids, "sound")
+        samples = {i: network.node(i).samples_taken for i in ids}
+        sensing = {i: network.ledger(i).sensing for i in ids}
+        return type(raised.value), str(raised.value), samples, sensing
+
+    @pytest.mark.parametrize("bad_channels, error", [
+        (None, ConfigurationError),
+        (("light",), ValidationError),
+    ], ids=["board-less", "channel-less"])
+    def test_hot_equals_reference(self, bad_channels, error):
+        hot = self._read_bad_tuple(bad_channels)
+        with hotpath.reference_path():
+            reference = self._read_bad_tuple(bad_channels)
+        assert hot == reference
+        assert hot[0] is error
+        assert sum(hot[2].values()) == 8
 
 
 class PerHopNetwork(Network):

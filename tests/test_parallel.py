@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gui.stats import RecordedPanel, SavingsSample, SystemPanel
+from repro.network import hotpath
 from repro.parallel import (
     NO_CHURN,
     QUERY_MIXES,
@@ -53,6 +54,10 @@ def _square(spec):
 
 def _boom(spec):
     raise RuntimeError(f"shard {spec} exploded")
+
+
+def _hot_flag(spec):
+    return {"hot": hotpath.enabled()}
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +141,21 @@ class TestShardPool:
         with ShardPool(jobs=1) as pool:
             with pytest.raises(ValueError):
                 pool.map_shards(_square, [1, 2], keys=["only-one"])
+
+    @pytest.mark.parametrize("jobs, start_method",
+                             [(1, None), (2, "spawn")])
+    def test_workers_inherit_the_hotpath_switch(self, jobs, start_method):
+        """The hotpath flag is a worker's whole execution mode: shards
+        submitted inside ``reference_path()`` run on it, inline or in
+        a fresh interpreter, and the parent's flag is restored."""
+        with ShardPool(jobs=jobs, start_method=start_method) as pool:
+            with hotpath.reference_path():
+                inside = pool.map_shards(_hot_flag, [0, 1])
+            assert hotpath.enabled()
+            outside = pool.map_shards(_hot_flag, [0, 1])
+        assert [r.payload for r in inside] == [{"hot": False}] * 2
+        assert [r.payload for r in outside] == [{"hot": True}] * 2
+        assert hotpath.enabled()
 
     def test_jobs_resolution(self):
         assert ShardPool(jobs=0).jobs == 1

@@ -62,7 +62,7 @@ class TestMeasurement:
         report = run_perf(sizes=(9,), repeats=1,
                           epochs_for={9: 3})
         data = report.as_dict()
-        assert data["schema"] == SCHEMA == "kspot-perf/6"
+        assert data["schema"] == SCHEMA == "kspot-perf/7"
         assert data["workload"] == "e11-multiquery"
         assert len(data["queries"]) == 5
         assert data["platform"]["cpu_count"] >= 1
@@ -76,13 +76,7 @@ class TestMeasurement:
         assert certifier["certifications"] > 0
         assert certifier["speedup"] > 0
         assert certifier["incremental_per_sec"] > 0
-        # So does the columnar microbench (kspot-perf/4), equivalence-
-        # checked before timing inside measure_columnar itself.
-        col = data["columnar"]
-        assert col["n_nodes"] == 9
-        assert col["backend"] in ("numpy", "python")
-        assert col["speedup"] > 0
-        assert col["epochs_per_sec_columnar"] > 0
+        assert "columnar" not in data  # dropped in kspot-perf/7
         (sample,) = data["results"]
         assert sample["n_nodes"] == 9
         assert sample["epochs"] == 3
@@ -325,60 +319,6 @@ class TestRegressionGate:
             self._run_certifier_gate(
                 tmp_path, gate, fresh=None,
                 committed={"n_groups": 400, "speedup": 2.8})
-
-    def _run_columnar_gate(self, tmp_path, gate, fresh, committed):
-        report = tmp_path / "BENCH_perf.json"
-        payload = self._report(2.0)
-        if fresh is not None:
-            payload["columnar"] = fresh
-        report.write_text(json.dumps(payload))
-        trajectory = tmp_path / "trajectory.json"
-        committed_payload = self._report(2.0)
-        if committed is not None:
-            committed_payload["columnar"] = committed
-        trajectory.write_text(json.dumps(committed_payload))
-        return gate.main([str(report), "--trajectory", str(trajectory)])
-
-    def test_columnar_within_tolerance_passes(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_columnar_gate(
-            tmp_path, gate,
-            fresh={"n_nodes": 400, "speedup": 2.0},
-            committed={"n_nodes": 400, "speedup": 2.2}) == 0
-
-    def test_columnar_regression_fails(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_columnar_gate(
-            tmp_path, gate,
-            fresh={"n_nodes": 400, "speedup": 1.0},
-            committed={"n_nodes": 400, "speedup": 2.2}) == 1
-
-    def test_columnar_absent_from_trajectory_skips(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_columnar_gate(
-            tmp_path, gate,
-            fresh={"n_nodes": 400, "speedup": 2.2},
-            committed=None) == 0
-
-    def test_columnar_missing_from_report_is_hard_error(self, tmp_path):
-        gate = self._load_gate()
-        with pytest.raises(SystemExit):
-            self._run_columnar_gate(
-                tmp_path, gate, fresh=None,
-                committed={"n_nodes": 400, "speedup": 2.2})
-
-    def test_write_records_columnar_section(self, tmp_path):
-        gate = self._load_gate()
-        report = tmp_path / "BENCH_perf.json"
-        payload = self._report(2.0)
-        payload["columnar"] = {"n_nodes": 400, "speedup": 2.19,
-                               "backend": "numpy"}
-        report.write_text(json.dumps(payload))
-        trajectory = tmp_path / "trajectory.json"
-        assert gate.main([str(report), "--trajectory", str(trajectory),
-                          "--write"]) == 0
-        data = json.loads(trajectory.read_text())
-        assert data["columnar"] == {"n_nodes": 400, "speedup": 2.19}
 
 
 class TestPerfDoc:
