@@ -91,7 +91,7 @@ def main():
     # ride in ScoreList-shaped frames, flooded down the tree).
     reference_message = ScoreListMessage(items=tuple(
         ObjectScore(t, x) for t, (x, _) in enumerate(reference)))
-    network.flood_down(lambda _: reference_message)
+    network.flood_down(reference_message)
     dissemination = network.stats.snapshot()
     print(f"reference trajectory dissemination: "
           f"{dissemination.messages} broadcasts, "

@@ -434,7 +434,7 @@ def _load_workload(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise KSpotError(f"cannot read workload file: {error}") from None
     for raw in lines:
         line = raw.strip()

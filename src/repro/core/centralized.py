@@ -46,7 +46,7 @@ class Centralized:
         """Collect every reading, evaluate at the sink."""
         if not self._disseminated:
             with self.network.stats.phase("dissemination"):
-                self.network.flood_down(lambda _: QueryMessage(query_id=1))
+                self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
         readings: dict[int, float] = {}
         for node_id in self.network.alive_sensor_ids():

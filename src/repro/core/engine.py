@@ -245,9 +245,6 @@ class KSpotEngine:
             raise PlanError(
                 "historic-vertical queries run via execute_historic()"
             )
-        if self.plan.k is None:
-            # Non-ranking queries run full TAG with no cut.
-            return self.algorithm.run_epoch()
         return self.algorithm.run_epoch()
 
     def run(self, epochs: int | None = None) -> list[EpochResult]:

@@ -243,7 +243,7 @@ class Fila:
 
     def _setup(self, readings: Mapping[int, float]) -> None:
         with self.network.stats.phase("setup"):
-            self.network.flood_down(lambda _: QueryMessage(query_id=4))
+            self.network.flood_down(QueryMessage(query_id=4))
             for node_id, value in readings.items():
                 self.network.unicast_to_sink(
                     node_id, FilterReportMessage(

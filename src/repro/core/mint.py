@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from ..errors import ProtocolError, ValidationError
+from ..errors import ConfigurationError, ProtocolError, ValidationError
 from ..network import hotpath
 from ..network.messages import (
     ProbeReplyMessage,
@@ -75,6 +75,11 @@ class MintConfig:
         quiet_epochs: Probe-free epochs before slack shrinks.
         gamma_hysteresis: Tightening margin below which a smaller γ is
             not worth a message.
+
+    Raises:
+        ConfigurationError: a negative ``slack`` (None means k),
+            ``max_slack`` or ``gamma_hysteresis``, or ``quiet_epochs``
+            below 1.
     """
 
     slack: int | None = None
@@ -82,6 +87,16 @@ class MintConfig:
     max_slack: int = 16
     quiet_epochs: int = 8
     gamma_hysteresis: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name, floor in (("slack", 0), ("max_slack", 0),
+                            ("quiet_epochs", 1), ("gamma_hysteresis", 0)):
+            value = getattr(self, name)
+            if value is None and name == "slack":
+                continue
+            if not value >= floor:
+                raise ConfigurationError(
+                    f"MintConfig.{name} must be >= {floor}, got {value!r}")
 
 
 class Mint:
@@ -311,23 +326,21 @@ class Mint:
         """First acquisition: full views up, cardinalities learned."""
         contributions = self._acquire()
         with self.network.stats.phase("creation"):
-            self.network.flood_down(
-                lambda node_id: QueryMessage(query_id=1))
+            self.network.flood_down(QueryMessage(query_id=1))
             for node_id in self.network.converge_cast_order():
                 state = self.states[node_id]
-                state.view = self._rebuild_view(
-                    node_id, contributions.get(node_id))
+                view = self._rebuild_view(node_id, contributions.get(node_id))
                 state.withheld = {}
                 message = ViewUpdateMessage(
                     epoch=self.network.epoch,
                     entries=tuple(
                         ViewEntry(group, partial.value, partial.count)
-                        for group, partial in sorted(state.view.items(),
+                        for group, partial in sorted(view.items(),
                                                      key=lambda i: str(i[0]))
                     ),
                 )
                 self.network.send_up(node_id, message)
-                state.reported = dict(state.view)
+                state.reported = dict(view)
                 state.gamma_reported = None
         self.group_totals = {}
         self.child_group_totals = {}
@@ -425,12 +438,16 @@ class Mint:
         dirty.clear()
         return cache
 
+    # repro: hot
     def _probe(self, groups: tuple[GroupKey, ...]) -> dict[GroupKey, Partial]:
         """Fetch the withheld partials of the ambiguous groups.
 
         The request floods down; replies converge-cast back up, merging
         withheld partials per group. Only nodes with content (their own
-        withheld tuples or a descendant's reply) transmit.
+        withheld tuples or a descendant's reply) transmit. The hot path
+        walks the network's converge-cast plan and ships each reply's
+        wire size; the reference path asks the tree for each node's
+        children and sends a built reply with :meth:`Network.send_up`.
         """
         probe_set = set(groups)
         network = self.network
@@ -438,27 +455,24 @@ class Mint:
         merge = self.aggregate.merge
         epoch = network.epoch
         sink_id = network.sink_id
-        children_of = network.tree.children
         hot = hotpath.enabled()
+        if hot:
+            rows = network.converge_cast_plan()
+        else:
+            children_of = network.tree.children
+            rows = ((node_id, None, children_of(node_id), None)
+                    for node_id in network.converge_cast_order())
         with network.stats.phase("probe"):
-            # The request is identical at every forwarding hop: build
-            # it once (its payload size memoizes on first ship).
-            request = ProbeRequestMessage(
-                epoch=epoch,
-                groups=tuple(sorted(probe_set, key=str)))
-            network.flood_down(lambda node_id: request)
+            network.flood_down(ProbeRequestMessage(
+                epoch=epoch, groups=tuple(sorted(probe_set, key=str))))
             replies: dict[int, dict[GroupKey, Partial]] = {}
             collected: dict[GroupKey, Partial] = {}
-            for node_id in network.converge_cast_order():
+            for node_id, parent, children, to_sink in rows:
                 payload: dict[GroupKey, Partial] = {}
-                state = states[node_id]
-                for group, partial in state.withheld.items():
+                for group, partial in states[node_id].withheld.items():
                     if group in probe_set:
-                        existing = payload.get(group)
-                        payload[group] = (
-                            partial if existing is None
-                            else merge(existing, partial))
-                for child in children_of(node_id):
+                        payload[group] = partial
+                for child in children:
                     reply = replies.get(child)
                     if not reply:
                         continue
@@ -470,17 +484,14 @@ class Mint:
                 if not payload:
                     continue
                 if hot:
-                    parent = network.tree._parents[node_id]
                     network._ship_unicast(
                         node_id, parent, ProbeReplyMessage.kind,
                         ProbeReplyMessage.wire_size(len(payload)))
                 else:
-                    parent = network.send_up(node_id, ProbeReplyMessage(
-                        epoch=epoch, entries=tuple(
-                            ViewEntry(group, partial.value, partial.count)
-                            for group, partial in sorted(
-                                payload.items(), key=lambda i: str(i[0])))))
-                if parent == sink_id:
+                    parent = network.send_up(
+                        node_id, _probe_reply(epoch, payload))
+                    to_sink = parent == sink_id
+                if to_sink:
                     for group, partial in payload.items():
                         existing = collected.get(group)
                         collected[group] = (
@@ -537,9 +548,9 @@ class Mint:
             with network.stats.phase("update"):
                 for node_id in network.converge_cast_order():
                     state = states[node_id]
-                    state.view = self._rebuild_view(
+                    view = self._rebuild_view(
                         node_id, contributions_get(node_id))
-                    kept, withheld = self._prune(state.view)
+                    kept, withheld = self._prune(view)
                     state.withheld = withheld
                     child_gammas = [
                         states[child].gamma_reported
@@ -606,141 +617,83 @@ class Mint:
         self.network.advance_epoch()
         return result
 
+    # repro: hot
     def _run_update_phase(self, contributions: dict[int, Partial]) -> None:
-        """The pruning + update phases, fused into one converge-cast
-        pass (hot path).
+        """The pruning + update phases, fused into one pass over the
+        network's converge-cast plan (hot path).
 
         Semantically identical to calling :meth:`_rebuild_view`,
         :meth:`_prune`, :func:`~repro.core.descriptors.subtree_gamma`,
         :meth:`_update_message` and :meth:`_apply_report` per node —
         the reference branch in :meth:`run_epoch` still does exactly
-        that, and the equivalence property test holds the two paths to
-        identical traffic, stats and answers. Fusing the pass removes
-        five method calls and several intermediate containers per node
-        per epoch, which dominates the epoch loop at fleet scale. No
-        message is built: each edge ships its kind and the
-        :meth:`ViewUpdateMessage.wire_size` of its delta counts.
+        that, and the equivalence tests hold the two paths to identical
+        node state, traffic, stats and answers. After either path a
+        node's ``reported`` equals its kept view V'_i: the delta is
+        exactly what turns one into the other. So this pass commits by
+        swapping the kept dict in, and only *counts* the delta (new or
+        changed entries, retractions) for the message's
+        :meth:`ViewUpdateMessage.wire_size`; the delta's groups are
+        collected only where the parent is the sink, whose dirty groups
+        they are.
         """
         network = self.network
         states = self.states
-        nodes = network.nodes
-        aggregate = self.aggregate
-        merge = aggregate.merge
-        finalize = aggregate.finalize
+        finalize = self.aggregate.finalize
+        merge = self.aggregate.merge
         gstr = self._gstr
         group_of = self.group_of
         keep_count = self.k + self.slack
         hysteresis = self.config.gamma_hysteresis
         contributions_get = contributions.get
-        children_of = network.tree.children
-        parents = network.tree._parents
         ship_unicast = network._ship_unicast
         kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
-        sink_id = network.sink_id
         sink_dirty = self._sink_dirty
         sort_key = lambda item: (-finalize(item[1]), gstr[item[0]])  # noqa: E731
-        wire_key = lambda item: gstr[item[0]]  # noqa: E731  entry order
         with network.stats.phase("update"):
-            for node_id in network.converge_cast_order():
+            for node_id, parent, children, to_sink in (
+                    network.converge_cast_plan()):
                 state = states[node_id]
-                contribution = contributions_get(node_id)
-                children = children_of(node_id)
-                # -- leaf fast path ---------------------------------
-                # A leaf's view is just its own contribution: no merge,
-                # no pruning, no γ, and the delta is one comparison.
-                if not children:
-                    reported = state.reported
-                    if contribution is None:
-                        state.view = {}
-                        state.withheld = {}
-                        if not reported:
-                            continue
-                        kept: dict[GroupKey, Partial] = {}
-                        changed = []
-                    else:
-                        group = group_of[node_id]
-                        state.view = kept = {group: contribution}
-                        state.withheld = {}
-                        if (len(reported) == 1
-                                and reported.get(group) == contribution):
-                            continue
-                        changed = ([(group, contribution)]
-                                   if reported.get(group) != contribution
-                                   else [])
-                    if reported.keys() <= kept.keys():
-                        retractions: tuple = ()
-                    else:
-                        retractions = tuple(
-                            g for g in sorted(reported,
-                                              key=gstr.__getitem__)
-                            if g not in kept)
-                    if not changed and not retractions:
-                        continue
-                    size = wire_size(len(changed), len(retractions))
-                    parent = parents[node_id]
-                    ship_unicast(node_id, parent, kind, size)
-                    if parent == sink_id:
-                        sink_dirty.update(retractions)
-                        sink_dirty.update(g for g, _ in changed)
-                    for g in retractions:
-                        reported.pop(g, None)
-                    for g, p in changed:
-                        reported[g] = p
-                    continue
                 # -- rebuild V_i ------------------------------------
                 view: dict[GroupKey, Partial] = {}
+                contribution = contributions_get(node_id)
                 if contribution is not None:
                     view[group_of[node_id]] = contribution
                 view_get = view.get
-                live_children = []
                 for child in children:
-                    if not nodes[child].alive:
-                        continue
-                    live_children.append(child)
                     for group, partial in states[child].reported.items():
                         existing = view_get(group)
                         view[group] = (partial if existing is None
                                        else merge(existing, partial))
-                state.view = view
-                # -- prune into V'_i + withheld ---------------------
+                # -- prune into V'_i + withheld; γ: local max first -
                 if len(view) <= keep_count:
                     kept = view
-                    withheld: dict[GroupKey, Partial] = {}
+                    gamma = None
+                    if state.withheld:
+                        state.withheld = {}
                 else:
                     ranked = sorted(view.items(), key=sort_key)
                     kept = dict(ranked[:keep_count])
-                    withheld = dict(ranked[keep_count:])
-                state.withheld = withheld
-                # -- γ descriptor -----------------------------------
-                gamma = (max(map(finalize, withheld.values()))
-                         if withheld else None)
-                for child in live_children:
+                    withheld = state.withheld = dict(ranked[keep_count:])
+                    gamma = max(map(finalize, withheld.values()))
+                for child in children:
                     child_gamma = states[child].gamma_reported
                     if child_gamma is not None and (
                             gamma is None or child_gamma > gamma):
                         gamma = child_gamma
-                # -- delta vs the parent's cache --------------------
-                # Only the delta is sorted (into the order the reference
-                # path commits it to ``reported``, sorting all of kept);
-                # steady-state deltas are tiny next to the full view.
+                # -- count the delta vs the parent's cache ----------
                 reported = state.reported
                 reported_get = reported.get
-                changed = [
-                    (group, partial)
-                    for group, partial in kept.items()
-                    if reported_get(group) != partial
-                ]
-                if len(changed) > 1:
-                    changed.sort(key=wire_key)
-                if reported.keys() <= kept.keys():
-                    retractions = ()
-                else:
-                    retractions = tuple(
-                        group
-                        for group in sorted(reported, key=gstr.__getitem__)
-                        if group not in kept
-                    )
+                kept_cached = changed = 0
+                for group, partial in kept.items():
+                    cached = reported_get(group)
+                    if cached is None:
+                        changed += 1
+                        continue
+                    kept_cached += 1
+                    if cached != partial:
+                        changed += 1
+                retracted = len(reported) - kept_cached
                 # Inlined should_reship_gamma (one call per node saved).
                 reported_gamma = state.gamma_reported
                 if gamma is None:
@@ -749,27 +702,27 @@ class Mint:
                     ship_gamma = True
                 else:
                     ship_gamma = reported_gamma - gamma > hysteresis
-                if not changed and not retractions and not ship_gamma:
-                    continue
-                size = wire_size(len(changed), len(retractions), ship_gamma)
-                # Every node in the converge-cast order is alive and
-                # non-root, so the send_up guards are vacuous here.
-                parent = parents[node_id]
-                ship_unicast(node_id, parent, kind, size)
-                if parent == sink_id:
-                    sink_dirty.update(retractions)
-                    sink_dirty.update(group for group, _ in changed)
+                if not changed and not retracted and not ship_gamma:
+                    continue  # reported already equals kept
+                # Every row is an alive non-root node, so the send_up
+                # guards are vacuous here.
+                ship_unicast(node_id, parent, kind,
+                             wire_size(changed, retracted, ship_gamma))
+                if to_sink:
+                    for group, partial in kept.items():
+                        if reported_get(group) != partial:
+                            sink_dirty.add(group)
+                    for group in reported:
+                        if group not in kept:
+                            sink_dirty.add(group)
                     if ship_gamma:
                         # A new γ can move the bound of every group with
                         # unseen mass under this child; the child's
                         # subtree census is the conservative superset.
                         sink_dirty.update(
                             self.child_group_totals.get(node_id, ()))
-                # -- commit the parent-side cache -------------------
-                for group in retractions:
-                    reported.pop(group, None)
-                for group, partial in changed:
-                    reported[group] = partial
+                # -- commit: the parent now caches exactly V'_i -----
+                state.reported = kept
                 if ship_gamma:
                     state.gamma_reported = gamma
 
@@ -870,3 +823,12 @@ class Mint:
     def run(self, epochs: int) -> list[EpochResult]:
         """Convenience driver: ``epochs`` consecutive rounds."""
         return [self.run_epoch() for _ in range(epochs)]
+
+
+def _probe_reply(epoch: int,
+                 payload: Mapping[GroupKey, Partial]) -> ProbeReplyMessage:
+    """The reference path's probe reply, entries in group-string order."""
+    return ProbeReplyMessage(epoch=epoch, entries=tuple(
+        ViewEntry(group, partial.value, partial.count)
+        for group, partial in sorted(payload.items(),
+                                     key=lambda i: str(i[0]))))

@@ -47,7 +47,7 @@ class NaiveTopK:
         """One round of greedy pruning; the answer may be wrong."""
         if not self._disseminated:
             with self.network.stats.phase("dissemination"):
-                self.network.flood_down(lambda _: QueryMessage(query_id=1))
+                self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
         partial_views: dict[int, dict[GroupKey, Partial]] = {}
         sink_view: dict[GroupKey, Partial] = {}

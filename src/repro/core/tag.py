@@ -9,10 +9,11 @@ pruning is measured against.
 
 Like MINT, the per-epoch converge-cast runs on a fused hot path (see
 :mod:`repro.network.hotpath`): acquisition shares lifted partials via
-a memo, leaves skip the merge machinery, and each view ships as its
-wire size straight over the cached tree edge, no message built. The
-reference implementation remains in :meth:`Tag.run_epoch`'s reference
-branch — the oracle ``hotpath.reference_path()`` restores — and
+a memo, the pass walks the network's cached converge-cast plan, and
+each view ships as its wire size straight over the tree edge, no
+message built. The reference implementation remains in
+:meth:`Tag.run_epoch`'s reference branch — the oracle
+``hotpath.reference_path()`` restores — and
 ``tests/test_hotpath_equivalence.py`` holds both paths to identical
 traffic, stats and answers.
 """
@@ -115,10 +116,12 @@ class Tag:
             contributions[node_id] = from_value(value)
         return contributions
 
+    # repro: hot
     def _run_aggregation_phase(
             self, contributions: dict[int, Partial]
     ) -> dict[GroupKey, Partial]:
-        """The converge-cast, fused into one hot-path pass.
+        """The converge-cast, fused into one hot-path pass over the
+        network's converge-cast plan.
 
         Semantically identical to the reference branch in
         :meth:`run_epoch` — same views, same traffic — with the
@@ -132,42 +135,31 @@ class Tag:
         merge = self.aggregate.merge
         group_of = self.group_of
         contributions_get = contributions.get
-        children_of = network.tree.children
-        parents = network.tree._parents
         ship_unicast = network._ship_unicast
         kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
-        sink_id = network.sink_id
         partial_views: dict[int, dict[GroupKey, Partial]] = {}
         sink_view: dict[GroupKey, Partial] = {}
+        sink_get = sink_view.get
         with network.stats.phase("aggregation"):
-            for node_id in network.converge_cast_order():
+            for node_id, parent, children, to_sink in (
+                    network.converge_cast_plan()):
+                view: dict[GroupKey, Partial] = {}
                 own = contributions_get(node_id)
-                children = children_of(node_id)
-                # -- leaf fast path: the view is the own contribution --
-                if not children:
-                    view: dict[GroupKey, Partial] = (
-                        {} if own is None else {group_of[node_id]: own})
-                else:
-                    view = {}
-                    if own is not None:
-                        view[group_of[node_id]] = own
-                    view_get = view.get
-                    for child in children:
-                        child_view = partial_views.get(child)
-                        if not child_view:
-                            continue
-                        for group, partial in child_view.items():
-                            existing = view_get(group)
-                            view[group] = (partial if existing is None
-                                           else merge(existing, partial))
-                size = wire_size(len(view))
-                # Every node in the converge-cast order is alive and
-                # non-root, so the send_up guards are vacuous here.
-                parent = parents[node_id]
-                ship_unicast(node_id, parent, kind, size)
-                if parent == sink_id:
-                    sink_get = sink_view.get
+                if own is not None:
+                    view[group_of[node_id]] = own
+                view_get = view.get
+                for child in children:
+                    # A live child precedes its (non-sink) parent in
+                    # the plan and always ships its view.
+                    for group, partial in partial_views[child].items():
+                        existing = view_get(group)
+                        view[group] = (partial if existing is None
+                                       else merge(existing, partial))
+                # Every row is an alive non-root node, so the send_up
+                # guards are vacuous here.
+                ship_unicast(node_id, parent, kind, wire_size(len(view)))
+                if to_sink:
                     for group, partial in view.items():
                         existing = sink_get(group)
                         sink_view[group] = (partial if existing is None
@@ -180,7 +172,7 @@ class Tag:
         """One full aggregation round; returns the exact top-k."""
         if not self._disseminated:
             with self.network.stats.phase("dissemination"):
-                self.network.flood_down(lambda _: QueryMessage(query_id=1))
+                self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
         contributions = self._acquire()
         hot = hotpath.enabled()

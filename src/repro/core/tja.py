@@ -120,7 +120,7 @@ class Tja:
         unions: dict[int, set[int]] = {}
         l_sink: set[int] = set()
         with self.network.stats.phase("LB"):
-            self.network.flood_down(lambda _: QueryMessage(query_id=2))
+            self.network.flood_down(QueryMessage(query_id=2))
             for node_id in self.network.converge_cast_order():
                 nominated = set(self._local_top_k(node_id))
                 for child in self.network.tree.children(node_id):
@@ -148,8 +148,7 @@ class Tja:
         partials: dict[int, dict[int, Partial]] = {}
         thresholds: dict[int, Partial] = {}
         with self.network.stats.phase(phase_name):
-            self.network.flood_down(
-                lambda _: CandidateSetMessage(object_ids=ordered))
+            self.network.flood_down(CandidateSetMessage(object_ids=ordered))
             for node_id in self.network.converge_cast_order():
                 local: dict[int, Partial] = {}
                 column = self.series.get(node_id, {})
@@ -223,7 +222,7 @@ class Tja:
         extra: set[int] = set()
         with self.network.stats.phase("CL"):
             self.network.flood_down(
-                lambda _: ControlMessage(label="cl_threshold", size=8))
+                ControlMessage(label="cl_threshold", size=8))
             for node_id in self.network.converge_cast_order():
                 nominated = {
                     object_id

@@ -99,7 +99,7 @@ class Tput:
         partial_sums: dict[int, float] = {}
         reported_by: dict[int, set[int]] = {}
         with self.network.stats.phase("R1"):
-            self.network.flood_down(lambda _: QueryMessage(query_id=3))
+            self.network.flood_down(QueryMessage(query_id=3))
             for node_id in self.participants:
                 column = self.series[node_id]
                 ranked = sorted(column.items(),
@@ -119,7 +119,7 @@ class Tput:
         threshold = tau_1 / n
         with self.network.stats.phase("R2"):
             self.network.flood_down(
-                lambda _: ControlMessage(label="tput_threshold", size=8))
+                ControlMessage(label="tput_threshold", size=8))
             for node_id in self.participants:
                 already = {
                     object_id for object_id, nodes in reported_by.items()

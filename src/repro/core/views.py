@@ -1,10 +1,10 @@
 """Materialized in-network view state (the V_i / V'_i of §III-A).
 
-Every node maintains:
+Each epoch a node rebuilds V_i, its full view: one partial per group,
+covering its own reading plus everything its children *reported*
+(children may themselves have withheld mass, which their γ bounds).
+V_i lives only for that pass; every node keeps:
 
-* ``view`` — V_i, its current full view: one partial per group,
-  covering its own reading plus everything its children *reported*
-  (children may themselves have withheld mass, which their γ bounds);
 * ``reported`` — V'_i, the subset its parent currently caches, i.e.
   exactly what the parent believes about this subtree; and
 * ``withheld`` — the tuples pruned at this node this epoch (the probe
@@ -38,8 +38,6 @@ GroupKey = Hashable
 class MintNodeState:
     """Per-node MINT state for one continuous query."""
 
-    #: V_i: full current view (own reading + children's reports).
-    view: dict[GroupKey, Partial] = field(default_factory=dict)
     #: V'_i as the parent knows it (the edge cache).
     reported: dict[GroupKey, Partial] = field(default_factory=dict)
     #: γ as last shipped to the parent (None until first report).
@@ -49,7 +47,6 @@ class MintNodeState:
 
     def reset(self) -> None:
         """Forget everything (topology changed; creation phase re-runs)."""
-        self.view.clear()
         self.reported.clear()
         self.withheld.clear()
         self.gamma_reported = None

@@ -119,8 +119,8 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read a scenario from a JSON configuration file."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ScenarioError(f"cannot load scenario: {error}") from error
     if not isinstance(payload, dict):
         raise ScenarioError(

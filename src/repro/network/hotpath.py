@@ -2,10 +2,11 @@
 
 The simulator's epoch loop carries several caches that exist purely for
 speed — the memoized :func:`~repro.network.packets.fragment` cost
-model, per-tree traversal-order caches, per-epoch traffic batching,
-the lossless path-relay kernel (one call per relayed tree path
-instead of one per hop), the engines' fused per-epoch passes
-(MINT's prune+update converge-cast, TAG's aggregation converge-cast)
+model, the per-topology converge-cast and flood plans, per-epoch
+traffic batching, the lossless path-relay and flood kernels (one call
+per relayed tree path or per flood instead of one per hop or
+forwarder), the engines' fused per-epoch passes over the plan
+(MINT's prune+update and probe converge-casts, TAG's aggregation)
 and the columnar kernel of :mod:`repro.network.columnar` (batched
 sensing, FILA's mask-driven passes) — all of which are *semantically
 invisible*: with the caches on or off, every message, byte, joule and

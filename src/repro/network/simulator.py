@@ -20,10 +20,11 @@ The per-message work runs on an allocation-free **hot path** (see
 :mod:`repro.network.hotpath`): packet costs come from the memoized
 fragment table, energy rates and ledger lookups are precomputed,
 traffic is batched per epoch into per-kind accumulators flushed at
-epoch/phase/tap boundaries, flat relays (:meth:`Network.unicast_to_sink`
-/ :meth:`Network.unicast_from_sink`) over a lossless radio ship their
-whole tree path in one kernel call, and tree traversal orders /
-live-children lookups are cached and invalidated on topology change.
+epoch/phase/tap boundaries, floods (:meth:`Network.flood_down`) and
+flat relays (:meth:`Network.unicast_to_sink` /
+:meth:`Network.unicast_from_sink`) over a lossless radio ship in one
+kernel call, and the traversal order and the converge-cast and flood
+plans are cached and invalidated on topology change.
 All of it is observationally identical to the reference path — same
 counters, same per-phase snapshots, same RNG draws — which stays
 available as the oracle via :func:`repro.network.hotpath.reference_path`;
@@ -143,9 +144,10 @@ class Network:
         #: deaths report in via the per-node kill hook).
         self._topo_version = 0
         self._order_cache: tuple[int, ...] | None = None
+        self._plan_cache: tuple[tuple[int, int, tuple[int, ...], bool],
+                                ...] | None = None
         self._alive_ids_cache: tuple[int, ...] | None = None
-        self._forwarders_cache: tuple[int, ...] | None = None
-        self._live_children_cache: dict[int, tuple[int, ...]] = {}
+        self._flood_cache: tuple[tuple[int, tuple[int, ...]], ...] | None = None
         self._cache_tree: RoutingTree | None = None
         self._cache_version = -1
         #: Structure-of-arrays caches (readings rows / columns) for the
@@ -190,9 +192,9 @@ class Network:
             self._cache_tree = self.tree
             self._cache_version = self._topo_version
             self._order_cache = None
+            self._plan_cache = None
             self._alive_ids_cache = None
-            self._forwarders_cache = None
-            self._live_children_cache.clear()
+            self._flood_cache = None
 
     def _on_node_killed(self, _node_id: int) -> None:
         """Per-node death hook: invalidate aliveness-derived caches.
@@ -339,21 +341,6 @@ class Network:
             tap._rx_joules += rx_joules
 
     # repro: hot
-    def _ship_broadcast(self, sender: int, receivers: tuple[int, ...],
-                        message: WireMessage) -> None:
-        """Hot-path :meth:`_ship` for one lossless multi-receiver send."""
-        payload_bytes = message.payload_bytes
-        info = (self._cost_memo.get(payload_bytes)
-                or self._memo_cost(payload_bytes))
-        packets, air_bytes, tx_joules, rx_joules_each = info
-        ledgers = self._ledger_of
-        ledgers[sender].tx += tx_joules
-        for receiver in receivers:
-            ledgers[receiver].rx += rx_joules_each
-        self._record_hot(message.kind, packets, payload_bytes, air_bytes,
-                         0, tx_joules, rx_joules_each * len(receivers))
-
-    # repro: hot
     def _relay_lossless(self, senders: tuple[int, ...],
                         receivers: tuple[int, ...],
                         message: WireMessage) -> int:
@@ -397,6 +384,51 @@ class Network:
             stats._tx_joules = tx_total
             stats._rx_joules = rx_total
         return hops
+
+    # repro: hot
+    def _flood_lossless(self, message: WireMessage) -> int:
+        """Ship one message from every forwarder of the flood plan to
+        its live children in one call.
+
+        The downward twin of :meth:`_relay_lossless`, equal to one
+        lossless :meth:`_ship` per forwarder in pre-order: the cost memo
+        is read once and the kind's integer batch grows by ``sends`` ×
+        the per-send counts, while every float joule add still happens
+        once per forwarder — one ``tx`` per forwarder ledger, one ``rx``
+        per child ledger, and ``sends`` adds of tx and of rx × children
+        to each stats sink, in pre-order. Returns the number of sends.
+        Only for lossless radios; :meth:`flood_down` ships per
+        forwarder otherwise.
+        """
+        plan = self._flood_plan()
+        sends = len(plan)
+        if not sends:
+            return 0
+        payload_bytes = message.payload_bytes
+        info = (self._cost_memo.get(payload_bytes)
+                or self._memo_cost(payload_bytes))
+        packets, air_bytes, tx_joules, rx_joules = info
+        ledgers = self._ledger_of
+        for sender, receivers in plan:
+            ledgers[sender].tx += tx_joules
+            for receiver in receivers:
+                ledgers[receiver].rx += rx_joules
+        batch = self._pending_traffic.get(message.kind)
+        if batch is None:
+            batch = self._pending_traffic[message.kind] = [0, 0, 0, 0, 0]
+        batch[0] += sends
+        batch[1] += sends * packets
+        batch[2] += sends * payload_bytes
+        batch[3] += sends * air_bytes
+        for stats in (self.stats, *self._stat_taps):
+            tx_total = stats._tx_joules
+            rx_total = stats._rx_joules
+            for _, receivers in plan:
+                tx_total += tx_joules
+                rx_total += rx_joules * len(receivers)
+            stats._tx_joules = tx_total
+            stats._rx_joules = rx_total
+        return sends
 
     def _memo_cost(self, payload_bytes: int) -> tuple:
         """Fill the lossless cost memo for one payload size: one memo
@@ -477,65 +509,57 @@ class Network:
 
     def broadcast_down(self, parent: int, message: WireMessage) -> tuple[int, ...]:
         """One transmission from ``parent`` heard by all its tree children."""
-        if hotpath.enabled():
-            self._validate_topo_caches()
-            live = self._live_children_cache.get(parent)
-            if live is None:
-                nodes = self.nodes
-                live = tuple(c for c in self.tree.children(parent)
-                             if nodes[c].alive)
-                self._live_children_cache[parent] = live
-        else:
-            children = self.tree.children(parent)
-            live = tuple(c for c in children if self.nodes[c].alive)
+        children = self.tree.children(parent)
+        live = tuple(c for c in children if self.nodes[c].alive)
         if not live:
             return ()
-        if hotpath.enabled() and self.radio.loss_probability == 0.0:
-            self._ship_broadcast(parent, live, message)
-        else:
-            self._ship(parent, live, message)
+        self._ship(parent, live, message)
         return live
 
-    def flood_down(self, make_message: Callable[[int], WireMessage | None]
-                   ) -> int:
+    def flood_down(self, message: WireMessage) -> int:
         """Disseminate sink→leaves: every non-leaf broadcasts once.
 
-        ``make_message(node_id)`` builds the (possibly node-specific)
-        message each forwarding parent sends; returning None suppresses
-        that hop (used by probe phases to prune the dissemination to
-        relevant subtrees). Returns the number of broadcasts sent.
+        Every forwarding parent sends the same ``message``; a parent
+        whose children are all dead sends nothing. Returns the number
+        of broadcasts sent.
         """
         sends = 0
         if hotpath.enabled():
-            self._validate_topo_caches()
-            forwarders = self._forwarders_cache
-            if forwarders is None:
-                sink = self._sink_id
-                nodes = self.nodes
-                tree = self.tree
-                forwarders = self._forwarders_cache = tuple(
-                    node_id for node_id in tree.pre_order()
-                    if (node_id == sink or nodes[node_id].alive)
-                    and tree.children(node_id)
-                )
-            for node_id in forwarders:
-                message = make_message(node_id)
-                if message is None:
-                    continue
-                if self.broadcast_down(node_id, message):
-                    sends += 1
+            if self.radio.loss_probability == 0.0:
+                return self._flood_lossless(message)
+            for node_id, live in self._flood_plan():
+                self._ship(node_id, live, message)
+                sends += 1
             return sends
         for node_id in self.tree.pre_order():
             if node_id != self.sink_id and not self.nodes[node_id].alive:
                 continue
             if not self.tree.children(node_id):
                 continue
-            message = make_message(node_id)
-            if message is None:
-                continue
             if self.broadcast_down(node_id, message):
                 sends += 1
         return sends
+
+    def _flood_plan(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(forwarder, live children)`` in pre-order: the sink and
+        every live sensor with at least one live child. Cached per
+        topology version."""
+        self._validate_topo_caches()
+        plan = self._flood_cache
+        if plan is None:
+            sink = self._sink_id
+            nodes = self.nodes
+            tree = self.tree
+            rows = []
+            for node_id in tree.pre_order():
+                if node_id != sink and not nodes[node_id].alive:
+                    continue
+                live = tuple(c for c in tree.children(node_id)
+                             if nodes[c].alive)
+                if live:
+                    rows.append((node_id, live))
+            plan = self._flood_cache = tuple(rows)
+        return plan
 
     def unicast_to_sink(self, origin: int, message: WireMessage) -> int:
         """Relay hop-by-hop from ``origin`` to the sink, no merging.
@@ -596,6 +620,33 @@ class Network:
             node_id for node_id in self.tree.post_order()
             if node_id != self.sink_id and self.nodes[node_id].alive
         )
+
+    def converge_cast_plan(
+            self) -> tuple[tuple[int, int, tuple[int, ...], bool], ...]:
+        """:meth:`converge_cast_order` as rows ``(node, parent, live
+        children, parent is sink)``.
+
+        Built once per topology version next to the order cache and
+        shared by every session, so the fused engine passes look up no
+        children, parents or liveness per node. A live child always
+        precedes its parent, and the parent of a row may be dead (a
+        tree left unrepaired): rows follow the tree's edges, as
+        :meth:`send_up` does.
+        """
+        self._validate_topo_caches()
+        plan = self._plan_cache
+        if plan is None:
+            nodes = self.nodes
+            tree = self.tree
+            sink = self._sink_id
+            rows = []
+            for node_id in self.converge_cast_order():
+                parent = tree.parent(node_id)
+                live = tuple(c for c in tree.children(node_id)
+                             if nodes[c].alive)
+                rows.append((node_id, parent, live, parent == sink))
+            plan = self._plan_cache = tuple(rows)
+        return plan
 
     def sample_all(self, attribute: str) -> dict[int, float]:
         """Every live sensor samples ``attribute`` for the current epoch."""

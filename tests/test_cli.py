@@ -167,6 +167,24 @@ class TestWorkload:
         assert main(["workload", empty]) == 2
         assert "contains no queries" in capsys.readouterr().err
 
+    def test_non_utf8_workload_file_is_a_clean_error(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "queries.txt"
+        path.write_bytes(b"SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+                         b"GROUP BY roomid -- caf\xe9\n")
+        assert main(["workload", str(path)]) == 2
+        assert "error: cannot read workload file" in capsys.readouterr().err
+
+    def test_non_utf8_scenario_is_a_clean_error(self, tmp_path, capsys):
+        scenario = tmp_path / "deployment.json"
+        scenario.write_bytes(b'{"version": 1, "name": "caf\xe9"}')
+        path = self._write(
+            tmp_path,
+            "SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid\n")
+        assert main(["workload", path, "--scenario", str(scenario),
+                     "--epochs", "1"]) == 2
+        assert "error: cannot load scenario" in capsys.readouterr().err
+
     def test_zero_rooms_is_a_clean_error(self, tmp_path, capsys):
         path = self._write(tmp_path, self.MIXED)
         assert main(["workload", path, "--epochs", "2",

@@ -55,12 +55,10 @@ class TestReshipPolicy:
 class TestMintNodeState:
     def test_reset_clears_everything(self):
         state = MintNodeState()
-        state.view["A"] = Partial(1.0, 1)
         state.reported["A"] = Partial(1.0, 1)
         state.withheld["B"] = Partial(2.0, 1)
         state.gamma_reported = 5.0
         state.reset()
-        assert not state.view
         assert not state.reported
         assert not state.withheld
         assert state.gamma_reported is None

@@ -12,6 +12,7 @@ engines and churn schedules through both paths and compare everything.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections import Counter
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ChurnIntervention, Deployment, EpochDriver
+from repro.core.mint import Mint, MintConfig
 from repro.errors import (
     ConfigurationError,
     KSpotError,
@@ -29,7 +31,7 @@ from repro.errors import (
 from repro.network import columnar, hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
-from repro.network.messages import ControlMessage
+from repro.network.messages import ControlMessage, QueryMessage
 from repro.network.packets import (
     HEADER_BYTES,
     PAYLOAD_MTU,
@@ -524,6 +526,162 @@ class TestPathRelayKernel:
         assert hot == reference
 
 
+class PerForwarderNetwork(Network):
+    """The flood loop the flood kernel replaces: one :meth:`Network._ship`
+    per forwarder of the flood plan."""
+
+    def _flood_lossless(self, message):
+        plan = self._flood_plan()
+        for sender, receivers in plan:
+            self._ship(sender, receivers, message)
+        return len(plan)
+
+
+class NoFloodKernelNetwork(Network):
+    """Fails if a flood reaches the lossless kernel."""
+
+    def _flood_lossless(self, message):
+        raise AssertionError("a lossy flood reached the lossless kernel")
+
+
+#: Payload bytes of each flood.
+_FLOODS = st.lists(st.integers(0, 120), min_size=1, max_size=12)
+#: Sensors of the 5×5 grid killed, tree left unrepaired, before the
+#: floods: some forwarders lose every child, some relays go dark.
+_DEAD = st.sets(st.integers(1, 25), max_size=12)
+
+
+def flood_all(floods, dead=(), *, network_class=Network, loss=0.0, seed=0):
+    """Flood every message down a 5×5 grid whose ``dead`` sensors were
+    killed without repair, inside an open session tap, alternating two
+    stats phases; returns every observable plus the send counts and
+    drops."""
+    network = network_class(
+        grid_topology(5),
+        radio=RadioModel(range_m=15.0, loss_probability=loss), seed=seed)
+    for node_id in sorted(dead):
+        network.kill_node(node_id, repair=False)
+    tap = NetworkStats()
+    sends, drops = [], 0
+    with network.tap_stats(tap):
+        for index, payload in enumerate(floods):
+            message = ControlMessage(label="flood", size=payload)
+            with network.stats.phase("probe" if index % 2 else "creation"):
+                try:
+                    sends.append(network.flood_down(message))
+                except RoutingError:
+                    drops += 1
+    network.advance_epoch()
+    return (stats_signature(network.stats), stats_signature(tap),
+            ledger_signature(network), sends, drops, network._rng.random())
+
+
+class TestFloodKernel:
+    """``flood_down`` over a lossless radio ships the whole flood in one
+    ``_flood_lossless`` call. Per-node ledgers, by_kind, by_phase,
+    totals and an open tap must equal both a per-forwarder ``_ship``
+    loop over the same plan and the reference path, which walks the
+    tree and calls ``broadcast_down`` per non-leaf."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(floods=_FLOODS, dead=_DEAD)
+    def test_kernel_equals_per_forwarder_and_reference(self, floods, dead):
+        kernel = flood_all(floods, dead)
+        per_forwarder = flood_all(floods, dead,
+                                  network_class=PerForwarderNetwork)
+        with hotpath.reference_path():
+            reference = flood_all(floods, dead)
+        assert kernel == per_forwarder == reference
+
+    @pytest.mark.parametrize("reference", [False, True],
+                             ids=["hot", "reference"])
+    def test_forwarder_with_dead_children_sends_nothing(self, reference):
+        network = Network(grid_topology(3))
+        tree = network.tree
+        forwarder = next(n for n in tree.sensor_ids if tree.children(n))
+        for child in tree.children(forwarder):
+            network.kill_node(child, repair=False)
+        senders = [n for n in tree.node_ids
+                   if (n == network.sink_id or network.nodes[n].alive)
+                   and any(network.nodes[c].alive for c in tree.children(n))]
+        with (hotpath.reference_path() if reference
+              else contextlib.nullcontext()):
+            sends = network.flood_down(QueryMessage(query_id=1))
+        assert forwarder not in senders
+        assert sends == len(senders) == network.stats.messages
+        assert network.ledger(forwarder).tx == 0
+        assert all(network.ledger(n).tx > 0 for n in senders)
+
+    @settings(max_examples=20, deadline=None)
+    @given(floods=_FLOODS, dead=_DEAD, seed=st.integers(0, 10_000),
+           loss=st.floats(0.05, 0.4))
+    def test_lossy_radio_falls_back_per_forwarder(self, floods, dead, seed,
+                                                  loss):
+        """Lossy radios keep one ``_ship`` per forwarder: the same
+        retransmission draws from the same loss stream as the reference
+        path, and the lossless kernel is never entered."""
+        hot = flood_all(floods, dead, network_class=NoFloodKernelNetwork,
+                        loss=loss, seed=seed)
+        with hotpath.reference_path():
+            reference = flood_all(floods, dead, loss=loss, seed=seed)
+        assert hot == reference
+
+
+def derived_plans(network):
+    """The converge-cast and flood plans derived afresh from the tree
+    and the nodes' liveness."""
+    tree, nodes, sink = network.tree, network.nodes, network.sink_id
+
+    def live_children(node_id):
+        return tuple(c for c in tree.children(node_id) if nodes[c].alive)
+
+    converge = tuple(
+        (n, tree.parent(n), live_children(n), tree.parent(n) == sink)
+        for n in tree.post_order() if n != sink and nodes[n].alive)
+    flood = tuple(
+        (n, live_children(n)) for n in tree.pre_order()
+        if (n == sink or nodes[n].alive) and live_children(n))
+    return converge, flood
+
+
+#: Topology changes: a repaired kill, an unrepaired kill, a direct
+#: ``SensorNode.kill`` (bypassing the network) or a join; the integer
+#: picks the victim or the join's anchor.
+_CHANGES = st.lists(
+    st.tuples(st.sampled_from(["kill", "kill-unrepaired", "node-kill",
+                               "join"]),
+              st.integers(0, 10_000)),
+    min_size=1, max_size=8)
+
+
+class TestTreePlans:
+    """The network caches one converge-cast plan and one flood plan per
+    topology version; every kill and join must invalidate them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(changes=_CHANGES)
+    def test_plans_equal_a_fresh_derivation_after_every_change(
+            self, changes):
+        network = Network(grid_topology(5))
+        next_id = 100
+        for kind, pick in [(None, 0), *changes]:
+            alive = network.alive_sensor_ids()
+            if kind == "join":
+                anchors = (network.sink_id, *alive)
+                x, y = network.topology.positions[anchors[pick % len(anchors)]]
+                network.join_node(next_id, (x + 3.0, y + 4.0))
+                next_id += 1
+            elif kind is not None and alive:
+                victim = alive[pick % len(alive)]
+                if kind == "node-kill":
+                    network.node(victim).kill()
+                else:
+                    network.kill_node(victim, repair=kind == "kill")
+            plans = (network.converge_cast_plan(), network._flood_plan())
+            assert plans == derived_plans(network)
+            assert network.converge_cast_plan() is plans[0]
+
+
 class TestSamplingPlanSharing:
     """Concurrent sessions over every alive sensor read the network's
     alive tuple itself, so the columnar sampling plan is built once per
@@ -626,3 +784,71 @@ class TestNoWireObjectsOnHotPath:
         with hotpath.reference_path():
             counts = self.constructions(monkeypatch)
         assert set(counts) == set(self.WIRE_NAMES)
+
+
+class TestMintStateAtFleetScale:
+    """The hot update pass commits by swapping the kept view V'_i in as
+    ``reported`` and only counts the delta. On the 400-mote monitor mix
+    (the four e11 room queries, k 1–3), through one relay's death and
+    one mote's birth, every MINT session's per-node ``(reported,
+    gamma_reported, withheld)`` must equal the reference path's after
+    every epoch. The adaptive case shrinks slack after quiet epochs, so
+    kept views shrink and nodes ship retractions with no new entry."""
+
+    EPOCHS = 10
+
+    @staticmethod
+    def node_states(handle):
+        mint = handle._session.engine.algorithm
+        assert isinstance(mint, Mint)
+        return {node_id: (dict(state.reported), state.gamma_reported,
+                          dict(state.withheld))
+                for node_id, state in mint.states.items()}
+
+    def run(self, mint_config):
+        scenario = grid_rooms_scenario(side=20, rooms_per_axis=4, seed=11)
+        network = scenario.network
+        tree = network.tree
+        # A relay whose subtree must re-home when it dies.
+        victim = next(n for n in tree.sensor_ids
+                      if tree.depth(n) == 3 and tree.subtree_size(n) > 10)
+        x, y = network.topology.positions[victim]
+        group = scenario.group_of[victim]
+        scenario.field.enroll(401, group)
+        schedule = ChurnSchedule([
+            ChurnEvent(3, ChurnKind.DEATH, victim),
+            ChurnEvent(6, ChurnKind.BIRTH, 401, position=(x + 2.0, y + 2.0),
+                       group=group),
+        ])
+        deployment = Deployment.from_scenario(scenario,
+                                              mint_config=mint_config)
+        driver = EpochDriver(deployment, interventions=[
+            ChurnIntervention(schedule, board_for=scenario.board_for)])
+        handles = [deployment.submit(query)
+                   for query in TestSamplingPlanSharing.MONITOR_QUERIES]
+        states = []
+        for _ in range(self.EPOCHS):
+            driver.step()
+            states.append([self.node_states(h) for h in handles])
+        return (states, [answers_of(h) for h in handles],
+                stats_signature(network.stats), ledger_signature(network),
+                [h.recovery for h in handles])
+
+    @pytest.mark.parametrize("mint_config", [
+        None, MintConfig(adaptive=True, quiet_epochs=2)],
+        ids=["default", "adaptive"])
+    def test_node_state_hot_equals_reference_every_epoch(self, mint_config):
+        with hotpath.reference_path():
+            reference = self.run(mint_config)
+        hot = self.run(mint_config)
+        for epoch, (hot_states, reference_states) in enumerate(
+                zip(hot[0], reference[0])):
+            for session, (h, r) in enumerate(zip(hot_states,
+                                                 reference_states)):
+                assert h == r, f"epoch {epoch}, session {session + 1}"
+        assert hot[1:] == reference[1:]
+        final = hot[0][-1]
+        assert 401 in final[0], "the newborn must join every session"
+        assert any(withheld for session in final
+                   for _, _, withheld in session.values()), \
+            "the mix must prune somewhere"

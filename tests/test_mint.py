@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Mint, MintConfig, Tag, is_valid_top_k, oracle_scores
 from repro.core.aggregates import make_aggregate
-from repro.errors import ValidationError
+from repro.errors import ConfigurationError, ValidationError
 from repro.scenarios import figure1_scenario, grid_rooms_scenario
 from repro.sensing.modalities import get_modality
 
@@ -206,3 +206,20 @@ class TestValidation:
                     scenario.group_of)
         results = mint.run(3)
         assert [r.epoch for r in results] == [0, 1, 2]
+
+    @pytest.mark.parametrize("field, value", [
+        ("slack", -3), ("max_slack", -1), ("gamma_hysteresis", -0.5),
+        ("gamma_hysteresis", float("nan")), ("quiet_epochs", 0),
+    ])
+    def test_config_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            MintConfig(**{field: value})
+
+    def test_config_edge_values_accepted(self):
+        config = MintConfig(slack=0, max_slack=0, quiet_epochs=1,
+                            gamma_hysteresis=0.0)
+        assert (config.slack, config.max_slack) == (0, 0)
+        scenario = figure1_scenario()
+        mint = Mint(scenario.network, make_aggregate("AVG", 0, 100), 2,
+                    scenario.group_of, config=MintConfig(slack=None))
+        assert mint.slack == 2

@@ -68,13 +68,8 @@ class TestFloodDown:
     def test_every_nonleaf_broadcasts_once(self, net):
         nonleaves = [n for n in net.tree.node_ids
                      if net.tree.children(n)]
-        sends = net.flood_down(lambda _: QueryMessage(query_id=1))
+        sends = net.flood_down(QueryMessage(query_id=1))
         assert sends == len(nonleaves)
-
-    def test_none_suppresses_subtree_hop(self, net):
-        sends = net.flood_down(
-            lambda n: QueryMessage(query_id=1) if n == net.sink_id else None)
-        assert sends == 1
 
 
 class TestUnicastPaths:
