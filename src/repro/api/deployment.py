@@ -18,10 +18,16 @@ layered over one deployment without touching it.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping
 
 from ..core.engine import KSpotEngine
-from ..errors import SubmissionError, UnknownSessionError, ValidationError
+from ..errors import (
+    ConfigurationError,
+    SubmissionError,
+    UnknownSessionError,
+    ValidationError,
+)
 from ..query.plan import Algorithm, QueryClass, compile_query
 from ..query.validator import Schema
 from ..server.session import QuerySession
@@ -60,13 +66,21 @@ class Deployment:
                 when a single session wants a baseline; prefer
                 ``baseline_factory``.
             mint_config: Tunables forwarded to MINT-routed sessions.
-            max_sessions: Admission limit — :meth:`submit` raises
+            max_sessions: Admission limit, an integer >= 1 —
+                :meth:`submit` raises
                 :class:`~repro.errors.SubmissionError` while this many
                 sessions are still active (None: unlimited).
             scenario: The :class:`~repro.scenarios.Scenario` this
                 deployment came from, when built from one; supplies
                 sensor boards for churn-born motes.
         """
+        if max_sessions is not None and (
+                isinstance(max_sessions, bool)
+                or not isinstance(max_sessions, Integral)
+                or max_sessions < 1):
+            raise ConfigurationError(
+                f"max_sessions must be an integer >= 1 (None: "
+                f"unlimited), got {max_sessions!r}")
         self.network = network
         self.schema = schema or self._derive_schema(network)
         self.group_of = group_of

@@ -21,6 +21,7 @@ Driving policy lives here, not on the deployment:
 from __future__ import annotations
 
 from contextlib import ExitStack
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..errors import ConfigurationError, SessionError
@@ -38,6 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     Outcome = EpochResult | TjaResult | TputResult | None
 
 
+def _check_count(name: str, value: object) -> None:
+    """Refuse an epoch count that is not a non-negative integer with
+    :class:`~repro.errors.ConfigurationError` (a float would drive a
+    rounded-up count, a negative one silently nothing)."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < 0):
+        raise ConfigurationError(
+            f"{name} must be a non-negative integer, got {value!r}")
+
+
 class EpochDriver:
     """Drives every active session of one deployment in lock-step."""
 
@@ -49,7 +60,8 @@ class EpochDriver:
         """Args:
             deployment: The deployment whose sessions to drive.
             interventions: Hooked around every epoch, in order.
-            max_epochs: Lifetime step budget; :meth:`step` raises
+            max_epochs: Lifetime step budget, a non-negative
+                integer; :meth:`step` raises
                 :class:`~repro.errors.SessionError` once exhausted
                 (None: unlimited).
             stop_when_idle: End :meth:`stream`/:meth:`run` once no
@@ -57,6 +69,8 @@ class EpochDriver:
             on_step: Observer called as ``on_step(driver, outcomes)``
                 after every epoch (more via :meth:`add_hook`).
         """
+        if max_epochs is not None:
+            _check_count("max_epochs", max_epochs)
         self.deployment = deployment
         self.interventions = list(interventions)
         self.max_epochs = max_epochs
@@ -139,8 +153,9 @@ class EpochDriver:
         is spent. ``epochs=None`` streams until one of those policies
         ends the loop — so it requires at least one bound, or an
         all-historic workload that *will* go idle; see :meth:`run`.
-        The bound check raises at the call site, not at the first
-        ``next()``.
+        A count that is not a non-negative integer raises
+        :class:`~repro.errors.ConfigurationError`. Both checks raise at
+        the call site, not at the first ``next()``.
         """
         self._check_bounded(epochs)
         return self._stream(epochs)
@@ -177,7 +192,10 @@ class EpochDriver:
                 for handle in self.deployment.sessions()}
 
     def _check_bounded(self, epochs: int | None) -> None:
-        if epochs is not None or self.max_epochs is not None:
+        if epochs is not None:
+            _check_count("epochs", epochs)
+            return
+        if self.max_epochs is not None:
             return
         if not self.stop_when_idle:
             raise ConfigurationError(

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from . import __version__
 from .api import ChurnIntervention, Deployment, EpochDriver, SessionHandle
-from .errors import KSpotError
+from .errors import ConfigurationError, KSpotError
 from .gui.render import render_table
 from .gui.scenario import ScenarioConfig, load_scenario, save_scenario
 from .query.plan import Algorithm, QueryClass
@@ -715,7 +715,6 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .errors import ConfigurationError
     from .parallel import run_sweep, sweep_grid
 
     try:
@@ -825,7 +824,6 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from .errors import ConfigurationError
     from .perf import FLEET_SIZES, run_perf
 
     if args.sizes:
@@ -890,6 +888,8 @@ def _cmd_savings(args) -> int:
     from .core.aggregates import make_aggregate
     from .scenarios import grid_rooms_scenario
 
+    if args.k < 1:
+        raise ConfigurationError(f"--k must be >= 1, got {args.k}")
     rows = []
     for name in ("mint", "tag"):
         scenario = grid_rooms_scenario(side=args.side,
@@ -933,6 +933,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "lint": _cmd_lint,
     }
     try:
+        epochs = getattr(args, "epochs", None)
+        if epochs is not None and epochs < 1:
+            raise ConfigurationError(f"--epochs must be >= 1, got {epochs}")
         return handlers[args.command](args)
     except KSpotError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Iterator, Mapping
 
 from ..errors import ValidationError
@@ -48,17 +49,15 @@ from .results import RankedItem
 GroupKey = Hashable
 
 
-def _order_key(entry: tuple) -> tuple:
-    """Sort key for rebuilding the maintained orders: (sort value,
-    stringified group). The raw group key is never compared — mixed
-    int/str key spaces must not raise where the oracle's ``rank_key``
-    does not. Bisect probes use the same discipline without a Python
-    callback: a 2-tuple ``(sort value, gstr)`` compares against the
-    stored 3-tuples entirely in C, and an equal prefix makes the longer
-    stored tuple sort *after* the probe — so ``bisect_left`` always
-    lands before every entry sharing the prefix, never touching the
-    group slot."""
-    return (entry[0], entry[1])
+#: Sort key for rebuilding the maintained orders: (sort value,
+#: stringified group), built in C. The raw group key is never compared
+#: — mixed int/str key spaces must not raise where the oracle's
+#: ``rank_key`` does not. Bisect probes use the same discipline: a
+#: 2-tuple ``(sort value, gstr)`` compares against the stored 3-tuples
+#: entirely in C, and an equal prefix makes the longer stored tuple
+#: sort *after* the probe — so ``bisect_left`` always lands before every
+#: entry sharing the prefix, never touching the group slot.
+_order_key = itemgetter(0, 1)
 
 
 def _insert(order: list, entry: tuple) -> None:
@@ -160,9 +159,11 @@ class TopKView:
     ranking): :meth:`ranking` works, :meth:`outcome` is refused.
 
     The mutation surface mirrors how the engines produce deltas:
-    :meth:`ensure` for per-node hot loops (no allocation when the bound
-    is unchanged), :meth:`set`/:meth:`delete` for probe collapses and
-    churn, :meth:`apply`/:meth:`reconcile` for whole-batch maintenance.
+    :meth:`ensure` for one group (no allocation when the bound is
+    unchanged) and :meth:`ensure_many` for a whole pass of them (FILA's
+    monitor, probe and answer passes), :meth:`set`/:meth:`delete` for
+    probe collapses and churn, :meth:`apply`/:meth:`reconcile` for
+    whole-batch maintenance.
     """
 
     def __init__(self, k: int | None, *, tolerance: float = 1e-9,
@@ -218,30 +219,66 @@ class TopKView:
     def set(self, group: GroupKey, new: Bounds) -> None:
         """Assert ``group``'s interval (group birth when absent)."""
         old = self._bounds.get(group)
-        gstr = self._gstr[group]
-        if old is not None:
-            if old.lb == new.lb and old.ub == new.ub:
-                return
-            self._pop(self._by_lb, (-old.lb, gstr), group)
-            self._pop(self._by_ub, (old.ub, gstr), group)
+        if old is not None and old.lb == new.lb and old.ub == new.ub:
+            return
         self._bounds[group] = new
-        _insert(self._by_lb, (-new.lb, gstr, group))
-        _insert(self._by_ub, (new.ub, gstr, group))
+        self._reorder(group, old, new)
         self._cached_outcome = None
         self._cached_snapshot = None
 
-    # repro: hot
     def ensure(self, group: GroupKey, lb: float, ub: float) -> bool:
         """Converge one group to ``[lb, ub]``; True when it changed.
 
-        The engines' per-node hot loops call this with raw floats so an
-        unchanged bound costs two comparisons and zero allocations.
+        Takes raw floats, so an unchanged bound costs two comparisons
+        and zero allocations.
         """
         old = self._bounds.get(group)
         if old is not None and old.lb == lb and old.ub == ub:
             return False
         self.set(group, Bounds(lb, ub))
         return True
+
+    # repro: hot
+    def ensure_many(self, changes: list[tuple[GroupKey, float, float]]
+                    ) -> int:
+        """:meth:`ensure` every ``(group, lb, ub)`` in order as one
+        batch; returns how many groups moved.
+
+        Unchanged bounds cost two comparisons each. The moved ones
+        follow the batch rule of :meth:`apply` (:meth:`_is_bulk`): a
+        batch moving a quarter of the view re-sorts both orders once,
+        a smaller one pays a bisected update per move. A group listed
+        twice ends at its last bound, as with per-group calls.
+        """
+        bounds = self._bounds
+        moved = []
+        for group, lb, ub in changes:
+            old = bounds.get(group)
+            if old is not None and old.lb == lb and old.ub == ub:
+                continue
+            new = bounds[group] = Bounds(lb, ub)
+            moved.append((group, old, new))
+        if not moved:
+            return 0
+        if self._is_bulk(len(moved)):
+            self._rebuild()
+            return len(moved)
+        for group, old, new in moved:
+            self._reorder(group, old, new)
+        self._cached_outcome = None
+        self._cached_snapshot = None
+        return len(moved)
+
+    def _reorder(self, group: GroupKey, old: Bounds | None,
+                 new: Bounds) -> None:
+        """Move ``group`` from ``old`` (None: a birth) to ``new`` in
+        both maintained orders by bisected pops and inserts."""
+        gstr = self._gstr[group]
+        if old is not None:
+            self._pop(self._by_lb, (-old.lb, gstr), group)
+            self._pop(self._by_ub, (old.ub, gstr), group)
+        _insert(self._by_lb, (-new.lb, gstr, group))
+        _insert(self._by_ub, (new.ub, gstr, group))
 
     def delete(self, group: GroupKey) -> bool:
         """Retract ``group`` entirely (group death); True if present."""
@@ -280,10 +317,7 @@ class TopKView:
         wrong answer.
         """
         bounds = self._bounds
-        # A delta touching a large fraction of the view re-sorts from
-        # scratch (one C sort per order) instead of paying O(d · log N)
-        # bisected inserts — the same trade a B-tree bulk load makes.
-        bulk = 4 * len(delta.entries) >= len(bounds)
+        bulk = self._is_bulk(len(delta.entries))
         for entry in delta.entries:
             current = bounds.get(entry.group)
             old = entry.old
@@ -315,7 +349,7 @@ class TopKView:
         order maintenance.
         """
         bounds = self._bounds
-        if 4 * len(delta.entries) >= len(bounds):
+        if self._is_bulk(len(delta.entries)):
             for entry in delta.entries:
                 if entry.new is None:
                     del bounds[entry.group]
@@ -329,16 +363,25 @@ class TopKView:
             else:
                 self.set(entry.group, entry.new)
 
+    def _is_bulk(self, changes: int) -> bool:
+        """True when a batch of ``changes`` should re-sort the view.
+
+        A batch touching a quarter of the view or more re-sorts from
+        scratch (one C sort per order, :meth:`_rebuild`) instead of
+        paying O(d · log N) bisected updates — the same trade a B-tree
+        bulk load makes. Every batch form shares this rule."""
+        return 4 * changes >= len(self._bounds)
+
     def _rebuild(self) -> None:
         """Re-derive both orders from the bounds mapping wholesale."""
         gstr = self._gstr
         items = self._bounds.items()
         self._by_lb = sorted(
-            ((-interval.lb, gstr[group], group)
-             for group, interval in items), key=_order_key)
+            [(-interval.lb, gstr[group], group)
+             for group, interval in items], key=_order_key)
         self._by_ub = sorted(
-            ((interval.ub, gstr[group], group)
-             for group, interval in items), key=_order_key)
+            [(interval.ub, gstr[group], group)
+             for group, interval in items], key=_order_key)
         self._cached_outcome = None
         self._cached_snapshot = None
 

@@ -15,10 +15,12 @@ filter interval as bounds — sound, because silence proves the reading
 stayed inside. Answers are therefore exact every epoch, like MINT's.
 
 Switch-and-prove: the column pass (mask-driven monitor, answer and
-filter-install loops over :mod:`repro.network.columnar` columns) and
-the persistent ``TopKView`` run only while ``hotpath.enabled()``;
-``hotpath.reference_path()`` restores the first-principles branches
-and the cold ``certify_top_k`` oracle.
+filter-install loops over :mod:`repro.network.columnar` columns, each
+shipping through one ``Network.relay_many`` call and feeding the
+persistent ``TopKView`` one ``ensure_many`` batch) runs only while
+``hotpath.enabled()``; ``hotpath.reference_path()`` restores the
+first-principles branches, which build and ship every message node by
+node, and the cold ``certify_top_k`` oracle.
 ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove the two paths
 byte-identical.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..errors import ValidationError
+from ..errors import RoutingError, ValidationError
 from ..network import columnar, hotpath
 from ..network.messages import (
     FilterReportMessage,
@@ -42,6 +44,13 @@ from .aggregates import Aggregate, Bounds
 from .certify import certify_top_k
 from .delta import TopKView
 from .results import EpochResult
+
+#: What the hot passes relay, as ``(kind, payload bytes)``: a one-entry
+#: violation or probe report up, a one-node probe or one-interval
+#: filter install down.
+_REPORT = (FilterReportMessage.kind, FilterReportMessage.wire_size(1))
+_PROBE = (ProbeRequestMessage.kind, ProbeRequestMessage.wire_size(1))
+_INSTALL = (FilterUpdateMessage.kind, FilterUpdateMessage.wire_size(1))
 
 
 class _FilaColumns:
@@ -179,6 +188,7 @@ class Fila:
             installed += 1
         return installed
 
+    # repro: hot
     def _install_filters_columnar(self, chosen: set[int], boundary: float,
                                   exact_values: Mapping[int, float],
                                   cols: _FilaColumns) -> int:
@@ -187,10 +197,11 @@ class Fila:
         Whole-column acceptability (:func:`columnar.acceptable_filters`)
         plus a sparse exact-value containment fix-up replace the
         all-node scalar scan; only the rows
-        :func:`columnar.pending_install_rows` singles out are visited,
+        :func:`columnar.pending_install_rows` singles out are installed,
         in ascending id order — the same nodes the scalar pass would
-        reinstall, shipping the same messages in the same order (only
-        alive nodes have rows, and the scalar pass skips dead ones).
+        reinstall (only alive nodes have rows, and the scalar pass skips
+        dead ones), shipped by one :meth:`Network.relay_many` call with
+        the same bytes in the same order.
         """
         ids = cols.ids
         index = cols.index
@@ -210,23 +221,25 @@ class Fila:
             lo, hi = filters[node_id]
             if not (lo <= value <= hi):
                 acceptable[row] = False
-        installed = 0
-        unicast_from_sink = self.network.unicast_from_sink
-        flt_lo, flt_hi, synced = cols.flt_lo, cols.flt_hi, cols.synced
-        for row in columnar.pending_install_rows(
-                flt_lo, flt_hi, chosen_mask, acceptable,
-                boundary, agg_lo, agg_hi):
-            node_id = ids[row]
-            new_filter = ((boundary, agg_hi) if chosen_mask[row]
-                          else (agg_lo, boundary))
-            unicast_from_sink(
-                node_id, FilterUpdateMessage(
-                    intervals=((node_id, *new_filter),)))
-            filters[node_id] = new_filter
-            flt_lo[row], flt_hi[row] = new_filter
-            synced[row] = False
-            installed += 1
-        return installed
+        rows = columnar.pending_install_rows(
+            cols.flt_lo, cols.flt_hi, chosen_mask, acceptable,
+            boundary, agg_lo, agg_hi)
+        try:
+            self.network.relay_many([ids[row] for row in rows],
+                                    down=_INSTALL)
+        except RoutingError as drop:
+            del rows[drop.relayed:]
+            raise
+        finally:
+            # The filters a drop cut short were never installed.
+            flt_lo, flt_hi, synced = cols.flt_lo, cols.flt_hi, cols.synced
+            for row in rows:
+                new_filter = ((boundary, agg_hi) if chosen_mask[row]
+                              else (agg_lo, boundary))
+                filters[ids[row]] = new_filter
+                flt_lo[row], flt_hi[row] = new_filter
+                synced[row] = False
+        return len(rows)
 
     # ------------------------------------------------------------------
     # Epoch driver
@@ -258,6 +271,7 @@ class Fila:
             self._install_filters(chosen, self.boundary)
         self._setup_done = True
 
+    # repro: hot
     def _run_monitor_columnar(self, readings: Mapping[int, float],
                               values, cols: _FilaColumns
                               ) -> Mapping[int, Bounds]:
@@ -267,21 +281,19 @@ class Fila:
         whole-column operation, exactly the rows whose scalar visit
         would do real work — a violation report or a view bound that
         is not already the filter interval; every skipped row's visit
-        is a proven no-op (see the helper's contract). Visited rows
-        report exactly as the reference monitor loop does, so reports
-        ship in the same ascending-id order with the same bytes.
+        is a proven no-op (see the helper's contract). The violations
+        ship in ascending id order with the reference loop's bytes, in
+        one :meth:`Network.relay_many` call, and the view takes the
+        whole pass as one :meth:`TopKView.ensure_many` batch.
         """
-        network = self.network
-        epoch = network.epoch
         ids = cols.ids
         filters_get = self.filters.get
-        known = self.known
-        known_col = cols.known
         synced = cols.synced
-        unicast_to_sink = network.unicast_to_sink
         view = self._view
-        ensure = view.ensure
-        with network.stats.phase("monitor"):
+        changes = []
+        reporters = []
+        rows = []
+        with self.network.stats.phase("monitor"):
             for row in columnar.pending_monitor_rows(
                     values, cols.flt_lo, cols.flt_hi, synced):
                 node_id = ids[row]
@@ -289,19 +301,109 @@ class Fila:
                 current = filters_get(node_id)
                 if (current is not None
                         and current[0] <= value <= current[1]):
-                    ensure(node_id, current[0], current[1])
+                    changes.append((node_id, current[0], current[1]))
                     synced[row] = True
                     continue
-                unicast_to_sink(
-                    node_id, FilterReportMessage(
-                        epoch=epoch,
-                        entries=(ViewEntry(node_id, value, 1),)))
-                known[node_id] = value
-                known_col[row] = value
-                ensure(node_id, value, value)
-                synced[row] = False
+                reporters.append(node_id)
+                rows.append(row)
+            try:
+                self.network.relay_many(reporters, up=_REPORT)
+            except RoutingError as drop:
+                del reporters[drop.relayed:]
+                raise
+            finally:
+                # Only the motes relayed before a drop reported.
+                known = self.known
+                known_col = cols.known
+                for node_id, row in zip(reporters, rows):
+                    value = readings[node_id]
+                    known[node_id] = value
+                    known_col[row] = value
+                    changes.append((node_id, value, value))
+                    synced[row] = False
+                view.ensure_many(changes)
         self._drop_stale_view_nodes(readings)
         return view.bounds
+
+    # repro: hot
+    def _probe_round(self, ambiguous, readings: Mapping[int, float],
+                     cols: _FilaColumns) -> None:
+        """One hot probe round: every ambiguous node whose bound is not
+        exact gets a probe down and reports its reading up, in the
+        reference loop's order and bytes, through one
+        :meth:`Network.relay_many` call; the view collapses the
+        delivered bounds as one :meth:`TopKView.ensure_many` batch."""
+        view = self._view
+        bounds = view.bounds
+        targets = []
+        for node_id in ambiguous:
+            if not bounds[node_id].exact:
+                targets.append(node_id)
+        with self.network.stats.phase("probe"):
+            try:
+                self.network.relay_many(targets, down=_PROBE, up=_REPORT)
+            except RoutingError as drop:
+                del targets[drop.relayed:]
+                raise
+            finally:
+                known = self.known
+                index = cols.index
+                changes = []
+                for node_id in targets:
+                    value = readings[node_id]
+                    known[node_id] = value
+                    row = index.get(node_id)
+                    if row is not None:
+                        cols.known[row] = value
+                        cols.synced[row] = False
+                    changes.append((node_id, value, value))
+                view.ensure_many(changes)
+
+    # repro: hot
+    def _converge_view(self, readings: Mapping[int, float], values,
+                       cols: _FilaColumns | None) -> None:
+        """Converge the persistent view to answer-time knowledge in one
+        :meth:`TopKView.ensure_many` batch: only nodes whose filter was
+        just reinstalled (or probed / violated) actually move."""
+        known_get = self.known.get
+        filters_get = self.filters.get
+        lo, hi = self.aggregate.lo, self.aggregate.hi
+        changes = []
+        if cols is not None:
+            # Whole-column skip of the rows whose scalar visit would
+            # re-ensure the filter interval the view already holds
+            # (non-exact, synced, filter installed).
+            ids = cols.ids
+            synced = cols.synced
+            for row in columnar.pending_answer_rows(
+                    values, cols.known, cols.flt_lo, synced):
+                node_id = ids[row]
+                value = readings[node_id]
+                if known_get(node_id) == value:
+                    changes.append((node_id, value, value))
+                    synced[row] = False
+                else:
+                    current = filters_get(node_id)
+                    if current is None:
+                        changes.append((node_id, lo, hi))
+                        synced[row] = False
+                    else:
+                        changes.append((node_id, current[0], current[1]))
+                        synced[row] = True
+        else:
+            # No columns this epoch: the setup epoch, or the
+            # emptied-filter fallback of the repartition.
+            for node_id, value in readings.items():
+                if known_get(node_id) == value:
+                    changes.append((node_id, value, value))
+                else:
+                    current = filters_get(node_id)
+                    if current is None:
+                        changes.append((node_id, lo, hi))
+                    else:
+                        changes.append((node_id, current[0], current[1]))
+        self._view.ensure_many(changes)
+        self._drop_stale_view_nodes(readings)
 
     def _drop_stale_view_nodes(self, readings: Mapping[int, float]) -> None:
         """Retract view entries for nodes no longer read (deaths the
@@ -373,31 +475,24 @@ class Fila:
             # filter interval as the score estimate.
             outcome = self._certify(bounds, hot)
             while outcome.needs_probe:
-                with self.network.stats.phase("probe"):
-                    for node_id in outcome.ambiguous:
-                        if bounds[node_id].exact:
-                            continue
-                        self.network.unicast_from_sink(
-                            node_id, ProbeRequestMessage(
-                                epoch=self.network.epoch, groups=(node_id,)))
-                        self.network.unicast_to_sink(
-                            node_id, FilterReportMessage(
-                                epoch=self.network.epoch,
-                                entries=(ViewEntry(
-                                    node_id, readings[node_id], 1),)))
-                        value = readings[node_id]
-                        self.known[node_id] = value
-                        if cols is not None:
-                            row = cols.index.get(node_id)
-                            if row is not None:
-                                cols.known[row] = value
-                                cols.synced[row] = False
-                        if hot:
-                            # Never item-assign into view.bounds — the
-                            # collapse must go through the delta surface
-                            # to keep the maintained orders in sync.
-                            self._view.ensure(node_id, value, value)
-                        else:
+                if cols is not None:
+                    self._probe_round(outcome.ambiguous, readings, cols)
+                else:
+                    with self.network.stats.phase("probe"):
+                        for node_id in outcome.ambiguous:
+                            if bounds[node_id].exact:
+                                continue
+                            self.network.unicast_from_sink(
+                                node_id, ProbeRequestMessage(
+                                    epoch=self.network.epoch,
+                                    groups=(node_id,)))
+                            self.network.unicast_to_sink(
+                                node_id, FilterReportMessage(
+                                    epoch=self.network.epoch,
+                                    entries=(ViewEntry(
+                                        node_id, readings[node_id], 1),)))
+                            value = readings[node_id]
+                            self.known[node_id] = value
                             bounds[node_id] = Bounds(value, value)
                 probed += 1
                 outcome = self._certify(bounds, hot)
@@ -450,52 +545,13 @@ class Fila:
                                           exact_values=fresh)
 
         # Build the answer from current knowledge.
-        known_get = self.known.get
-        filters_get = self.filters.get
         if hot:
-            # Converge the persistent view to answer-time knowledge:
-            # only nodes whose filter was just reinstalled (or probed /
-            # violated above) actually move.
-            view = self._view
-            ensure = view.ensure
-            lo, hi = self.aggregate.lo, self.aggregate.hi
-            if cols is not None:
-                # Whole-column skip of the rows whose scalar visit
-                # would re-ensure the filter interval the view already
-                # holds (non-exact, synced, filter installed).
-                ids_tuple = cols.ids
-                synced = cols.synced
-                for row in columnar.pending_answer_rows(
-                        values, cols.known, cols.flt_lo, synced):
-                    node_id = ids_tuple[row]
-                    value = readings[node_id]
-                    if known_get(node_id) == value:
-                        ensure(node_id, value, value)
-                        synced[row] = False
-                    else:
-                        current = filters_get(node_id)
-                        if current is None:
-                            ensure(node_id, lo, hi)
-                            synced[row] = False
-                        else:
-                            ensure(node_id, current[0], current[1])
-                            synced[row] = True
-            else:
-                # No columns this epoch: the setup epoch, or the
-                # emptied-filter fallback above.
-                for node_id, value in readings.items():
-                    if known_get(node_id) == value:
-                        ensure(node_id, value, value)
-                    else:
-                        current = filters_get(node_id)
-                        if current is None:
-                            ensure(node_id, lo, hi)
-                        else:
-                            ensure(node_id, current[0], current[1])
-            self._drop_stale_view_nodes(readings)
-            bounds = view.bounds
-            outcome = view.outcome()
+            self._converge_view(readings, values, cols)
+            bounds = self._view.bounds
+            outcome = self._view.outcome()
         else:
+            known_get = self.known.get
+            filters_get = self.filters.get
             unknown = Bounds(self.aggregate.lo, self.aggregate.hi)
             bounds = {}
             for node_id, value in readings.items():

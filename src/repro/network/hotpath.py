@@ -3,8 +3,8 @@
 The simulator's epoch loop carries several caches that exist purely for
 speed — the memoized :func:`~repro.network.packets.fragment` cost
 model, the per-topology converge-cast and flood plans, per-epoch
-traffic batching, the lossless path-relay and flood kernels (one call
-per relayed tree path or per flood instead of one per hop or
+traffic batching, the batch relay and flood kernels (one call per
+relayed list of motes or per flood instead of one per hop or
 forwarder), the engines' fused per-epoch passes over the plan
 (MINT's prune+update and probe converge-casts, TAG's aggregation)
 and the columnar kernel of :mod:`repro.network.columnar` (batched

@@ -14,9 +14,10 @@ Every message is immutable, so its wire size is fixed at construction:
 fixed-layout messages publish ``payload_bytes`` as a class constant,
 and the messages that relay hop-by-hop (one instance shipped many
 times) memoize it per instance (``functools.cached_property``) so no
-hop after the first re-walks the entry tuples. The converge-cast
-messages (view update, probe reply) state their size rule once, as a
-static ``wire_size`` over counts: the hot engine passes ship that size
+hop after the first re-walks the entry tuples. The messages the hot
+engine passes ship (MINT's view update and probe reply, FILA's filter
+report, filter update and probe request) state their size rule once,
+as a static ``wire_size`` over counts: those passes ship that size
 without building the message, and ``payload_bytes`` calls it too.
 """
 
@@ -149,9 +150,13 @@ class ProbeRequestMessage(WireMessage):
     groups: tuple[GroupKey, ...]
     kind: str = field(default="probe_request", init=False)
 
+    @staticmethod
+    def wire_size(groups: int) -> int:
+        return SZ_EPOCH + groups * SZ_GROUP_ID
+
     @cached_property
     def payload_bytes(self) -> int:
-        return SZ_EPOCH + len(self.groups) * SZ_GROUP_ID
+        return self.wire_size(len(self.groups))
 
 
 @dataclass(frozen=True)
@@ -237,9 +242,13 @@ class FilterUpdateMessage(WireMessage):
     intervals: tuple[tuple[GroupKey, float, float], ...]
     kind: str = field(default="filter_update", init=False)
 
+    @staticmethod
+    def wire_size(intervals: int) -> int:
+        return intervals * (SZ_GROUP_ID + 2 * SZ_VALUE)
+
     @property
     def payload_bytes(self) -> int:
-        return len(self.intervals) * (SZ_GROUP_ID + 2 * SZ_VALUE)
+        return self.wire_size(len(self.intervals))
 
 
 @dataclass(frozen=True)
@@ -250,9 +259,13 @@ class FilterReportMessage(WireMessage):
     entries: tuple[ViewEntry, ...]
     kind: str = field(default="filter_report", init=False)
 
+    @staticmethod
+    def wire_size(entries: int) -> int:
+        return SZ_EPOCH + entries * ViewEntry.WIRE_BYTES
+
     @cached_property
     def payload_bytes(self) -> int:
-        return SZ_EPOCH + len(self.entries) * ViewEntry.WIRE_BYTES
+        return self.wire_size(len(self.entries))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,13 @@ The per-message work runs on an allocation-free **hot path** (see
 :mod:`repro.network.hotpath`): packet costs come from the memoized
 fragment table, energy rates and ledger lookups are precomputed,
 traffic is batched per epoch into per-kind accumulators flushed at
-epoch/phase/tap boundaries, floods (:meth:`Network.flood_down`) and
-flat relays (:meth:`Network.unicast_to_sink` /
-:meth:`Network.unicast_from_sink`) over a lossless radio ship in one
-kernel call, and the traversal order and the converge-cast and flood
-plans are cached and invalidated on topology change.
+epoch/phase/tap boundaries, floods (:meth:`Network.flood_down`) over
+a lossless radio ship in one kernel call, flat relays
+(:meth:`Network.unicast_to_sink` / :meth:`Network.unicast_from_sink`,
+and FILA's whole report, probe and install passes) ship through one
+:meth:`Network.relay_many` call each, and the traversal order and the
+converge-cast and flood plans are cached and invalidated on topology
+change.
 All of it is observationally identical to the reference path — same
 counters, same per-phase snapshots, same RNG draws — which stays
 available as the oracle via :func:`repro.network.hotpath.reference_path`;
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import (
@@ -341,56 +344,112 @@ class Network:
             tap._rx_joules += rx_joules
 
     # repro: hot
-    def _relay_lossless(self, senders: tuple[int, ...],
-                        receivers: tuple[int, ...],
-                        message: WireMessage) -> int:
-        """Ship one message over every edge of a tree path in one call.
+    def relay_many(self, nodes: Iterable[int],
+                   down: tuple[str, int] | None = None,
+                   up: tuple[str, int] | None = None) -> int:
+        """Relay ``down`` from the sink to each node and then ``up`` from
+        it back, node by node, in one call; returns the hops charged.
 
-        Hop ``i`` goes from ``senders[i]`` to ``receivers[i]``. Equal to
-        one lossless :meth:`_ship_unicast` per hop: the cost memo is read
-        once and the kind's integer batch grows by ``hops`` × the
-        per-hop counts (integers, so exact), while every float joule add
-        still happens once per hop — one ``tx`` per sender ledger, one
-        ``rx`` per receiver ledger, and ``hops`` in-order adds to each
-        stats sink — so every accumulator sees the per-hop sequence.
-        Returns the number of hops. Only for lossless radios; callers
-        fall back to the per-hop loop otherwise.
+        ``down`` and ``up`` are ``(kind, payload bytes)`` pairs; None
+        skips that leg. Equal to :meth:`unicast_from_sink` followed by
+        :meth:`unicast_to_sink` per node in order: each hop of each
+        memoized :meth:`~repro.network.tree.RoutingTree.path_to_root`
+        adds its joules to the sender's and receiver's ledgers and to
+        every stats sink in the reference path's order, while each
+        kind's integer batch grows once per call (integers, so exact).
+
+        Over a lossy radio every hop ships through :meth:`_ship_unicast`
+        and draws the loss stream in the reference order. A drop raises
+        :class:`~repro.errors.RoutingError` with ``relayed`` set to the
+        number of nodes relayed in full before it, so a caller records
+        exactly the nodes a per-node loop would have.
         """
-        hops = len(senders)
-        if not hops:
-            return 0
-        payload_bytes = message.payload_bytes
-        info = (self._cost_memo.get(payload_bytes)
-                or self._memo_cost(payload_bytes))
-        packets, air_bytes, tx_joules, rx_joules = info
+        path_of = self.tree.path_to_root
+        if self.radio.loss_probability != 0.0:
+            ship = self._ship_unicast
+            relayed = hops = 0
+            try:
+                for node_id in nodes:
+                    path = path_of(node_id)
+                    if down is not None:
+                        for receiver, sender in zip(path[-2::-1],
+                                                    path[::-1]):
+                            ship(sender, receiver, *down)
+                            hops += 1
+                    if up is not None:
+                        for sender, receiver in zip(path, path[1:]):
+                            ship(sender, receiver, *up)
+                            hops += 1
+                    relayed += 1
+            except RoutingError as drop:
+                drop.relayed = relayed
+                raise
+            return hops
+        memo = self._cost_memo
+        if down is not None:
+            down_kind, down_bytes = down
+            down_cost = memo.get(down_bytes) or self._memo_cost(down_bytes)
+            down_tx, down_rx = down_joules = down_cost[2:]
+        if up is not None:
+            up_kind, up_bytes = up
+            up_cost = memo.get(up_bytes) or self._memo_cost(up_bytes)
+            up_tx, up_rx = up_joules = up_cost[2:]
         ledgers = self._ledger_of
-        for node_id in senders:
-            ledgers[node_id].tx += tx_joules
-        for node_id in receivers:
-            ledgers[node_id].rx += rx_joules
-        batch = self._pending_traffic.get(message.kind)
+        # Every hop's (tx, rx) joules in shipping order, for the sinks.
+        hop_joules: list[tuple[float, float]] = []
+        down_hops = up_hops = 0
+        try:
+            for node_id in nodes:
+                path = path_of(node_id)
+                hops = len(path) - 1
+                if not hops:
+                    continue
+                if down is not None:
+                    for sender in path[1:]:
+                        ledgers[sender].tx += down_tx
+                    for receiver in path[:-1]:
+                        ledgers[receiver].rx += down_rx
+                    hop_joules.extend(repeat(down_joules, hops))
+                    down_hops += hops
+                if up is not None:
+                    for sender in path[:-1]:
+                        ledgers[sender].tx += up_tx
+                    for receiver in path[1:]:
+                        ledgers[receiver].rx += up_rx
+                    hop_joules.extend(repeat(up_joules, hops))
+                    up_hops += hops
+        finally:
+            if down_hops:
+                self._grow_batch(down_kind, down_hops, down_bytes, down_cost)
+            if up_hops:
+                self._grow_batch(up_kind, up_hops, up_bytes, up_cost)
+            if hop_joules:
+                for stats in (self.stats, *self._stat_taps):
+                    tx, rx = stats._tx_joules, stats._rx_joules
+                    for hop_tx, hop_rx in hop_joules:
+                        tx += hop_tx
+                        rx += hop_rx
+                    stats._tx_joules, stats._rx_joules = tx, rx
+        return down_hops + up_hops
+
+    def _grow_batch(self, kind: str, sends: int, payload_bytes: int,
+                    cost: tuple) -> None:
+        """Add ``sends`` lossless sends of one memoized cost to the
+        kind's integer batch (the joules are the caller's)."""
+        batch = self._pending_traffic.get(kind)
         if batch is None:
-            batch = self._pending_traffic[message.kind] = [0, 0, 0, 0, 0]
-        batch[0] += hops
-        batch[1] += hops * packets
-        batch[2] += hops * payload_bytes
-        batch[3] += hops * air_bytes
-        for stats in (self.stats, *self._stat_taps):
-            tx_total = stats._tx_joules
-            rx_total = stats._rx_joules
-            for _ in range(hops):
-                tx_total += tx_joules
-                rx_total += rx_joules
-            stats._tx_joules = tx_total
-            stats._rx_joules = rx_total
-        return hops
+            batch = self._pending_traffic[kind] = [0, 0, 0, 0, 0]
+        batch[0] += sends
+        batch[1] += sends * cost[0]
+        batch[2] += sends * payload_bytes
+        batch[3] += sends * cost[1]
 
     # repro: hot
     def _flood_lossless(self, message: WireMessage) -> int:
         """Ship one message from every forwarder of the flood plan to
         its live children in one call.
 
-        The downward twin of :meth:`_relay_lossless`, equal to one
+        The flood twin of :meth:`relay_many`, equal to one
         lossless :meth:`_ship` per forwarder in pre-order: the cost memo
         is read once and the kind's integer batch grows by ``sends`` ×
         the per-send counts, while every float joule add still happens
@@ -407,19 +466,13 @@ class Network:
         payload_bytes = message.payload_bytes
         info = (self._cost_memo.get(payload_bytes)
                 or self._memo_cost(payload_bytes))
-        packets, air_bytes, tx_joules, rx_joules = info
+        tx_joules, rx_joules = info[2], info[3]
         ledgers = self._ledger_of
         for sender, receivers in plan:
             ledgers[sender].tx += tx_joules
             for receiver in receivers:
                 ledgers[receiver].rx += rx_joules
-        batch = self._pending_traffic.get(message.kind)
-        if batch is None:
-            batch = self._pending_traffic[message.kind] = [0, 0, 0, 0, 0]
-        batch[0] += sends
-        batch[1] += sends * packets
-        batch[2] += sends * payload_bytes
-        batch[3] += sends * air_bytes
+        self._grow_batch(message.kind, sends, payload_bytes, info)
         for stats in (self.stats, *self._stat_taps):
             tx_total = stats._tx_joules
             rx_total = stats._rx_joules
@@ -566,35 +619,27 @@ class Network:
 
         Flat protocols (TPUT, FILA reports) route through the tree but
         do not aggregate, so the same logical message pays transmit and
-        receive at every hop. Returns the number of hops charged.
+        receive at every hop. Returns the number of hops charged. The
+        hot path ships it as a one-node :meth:`relay_many`.
         """
+        if hotpath.enabled():
+            return self.relay_many(
+                (origin,), up=(message.kind, message.payload_bytes))
         path = self.tree.path_to_root(origin)
         hops = 0
-        if hotpath.enabled():
-            if self.radio.loss_probability == 0.0:
-                return self._relay_lossless(path[:-1], path[1:], message)
-            kind, payload_bytes = message.kind, message.payload_bytes
-            for node_id, parent in zip(path, path[1:]):
-                self._ship_unicast(node_id, parent, kind, payload_bytes)
-                hops += 1
-            return hops
         for node_id in path[:-1]:
             self._ship(node_id, (self.tree.parent(node_id),), message)
             hops += 1
         return hops
 
     def unicast_from_sink(self, target: int, message: WireMessage) -> int:
-        """Relay hop-by-hop from the sink to ``target``; returns hops."""
+        """Relay hop-by-hop from the sink to ``target``; returns hops.
+        The hot path ships it as a one-node :meth:`relay_many`."""
+        if hotpath.enabled():
+            return self.relay_many(
+                (target,), down=(message.kind, message.payload_bytes))
         path = self.tree.path_to_root(target)
         hops = 0
-        if hotpath.enabled():
-            if self.radio.loss_probability == 0.0:
-                return self._relay_lossless(path[1:], path[:-1], message)
-            kind, payload_bytes = message.kind, message.payload_bytes
-            for receiver, sender in zip(path[-2::-1], path[::-1]):
-                self._ship_unicast(sender, receiver, kind, payload_bytes)
-                hops += 1
-            return hops
         for receiver, sender in zip(path[:-1][::-1] or (), path[1:][::-1] or ()):
             self._ship(sender, (receiver,), message)
             hops += 1

@@ -103,6 +103,11 @@ class TestDeployment:
         with pytest.raises(KSpotError):
             deployment.session(7)
 
+    @pytest.mark.parametrize("limit", [0, -1, 2.5, True])
+    def test_bad_admission_limit_rejected(self, limit):
+        with pytest.raises(ConfigurationError, match="max_sessions"):
+            fresh(max_sessions=limit)
+
     def test_admission_limit(self):
         _, deployment, driver = fresh(max_sessions=2)
         deployment.submit(MONITOR)
@@ -374,6 +379,29 @@ class TestDriverPolicies:
         assert len(list(driver.stream(10))) == 3
         with pytest.raises(SessionError, match="max_epochs"):
             driver.step()
+
+    @pytest.mark.parametrize("epochs", [-3, 2.5, "3", True])
+    def test_malformed_epoch_count_rejected(self, epochs):
+        _, deployment, driver = fresh()
+        deployment.submit(MONITOR)
+        with pytest.raises(ConfigurationError, match="epochs"):
+            driver.run(epochs)
+        with pytest.raises(ConfigurationError, match="epochs"):
+            driver.stream(epochs)
+        assert driver.epochs_driven == 0
+
+    @pytest.mark.parametrize("budget", [-2, 1.5])
+    def test_malformed_max_epochs_rejected(self, budget):
+        _, deployment, _ = fresh()
+        with pytest.raises(ConfigurationError, match="max_epochs"):
+            EpochDriver(deployment, max_epochs=budget)
+
+    def test_zero_epochs_drive_nothing(self):
+        _, deployment, _ = fresh()
+        driver = EpochDriver(deployment, max_epochs=0)
+        handle = deployment.submit(MONITOR)
+        assert driver.run(0) == {handle.id: ()}
+        assert list(driver.stream(3)) == []
 
     def test_stop_when_idle_ends_stream(self):
         _, deployment, driver = fresh()

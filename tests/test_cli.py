@@ -324,11 +324,50 @@ class TestSavings:
         assert main(["savings", "--side", "4", "--rooms", "0"]) == 2
         assert "error: rooms_per_axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bad_k_is_named(self, capsys, k):
+        assert main(["savings", "--side", "4", "--rooms", "2",
+                     "--k", k]) == 2
+        assert f"error: --k must be >= 1, got {k}" in capsys.readouterr().err
+
 
 class TestArgparse:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestEpochCounts:
+    """Every subcommand with ``--epochs`` refuses a count below one:
+    exit 2 with ``error: ...``, before any deployment runs."""
+
+    @pytest.mark.parametrize("epochs", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["demo", "figure1"],
+        ["savings", "--side", "4", "--rooms", "2"],
+        ["sweep", "--sizes", "9", "--mixes", "mint"],
+    ], ids=["demo", "savings", "sweep"])
+    def test_rejected(self, capsys, argv, epochs):
+        assert main([*argv, "--epochs", epochs]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --epochs must be >= 1, got {epochs}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "workload"])
+    def test_rejected_with_files(self, tmp_path, capsys, command):
+        scenario = str(tmp_path / "deployment.json")
+        main(["scenario-init", scenario])
+        queries = tmp_path / "queries.txt"
+        queries.write_text("SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+                           "GROUP BY roomid\n")
+        capsys.readouterr()
+        argv = (["run", scenario, queries.read_text().strip()]
+                if command == "run"
+                else ["workload", str(queries), "--scenario", scenario])
+        assert main([*argv, "--epochs", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --epochs must be >= 1, got -5" in captured.err
+        assert captured.out == ""
 
 
 class TestShardedWorkload:

@@ -107,6 +107,33 @@ class TestViewMatchesOracle:
                 view.delete(group)
             oracle_equivalent(view)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        start=mappings(),
+        batches=st.lists(st.lists(st.tuples(groups, intervals()),
+                                  max_size=14), min_size=1, max_size=5),
+        k=st.integers(1, 5),
+    )
+    def test_ensure_many_equals_per_group_ensures(self, start, batches, k):
+        """One ``ensure_many`` batch — repeats, births, and batches
+        moving more or less than a quarter of the view — leaves the
+        bounds (insertion order included), both maintained orders and
+        the moved count exactly as per-group ``ensure`` calls do, and
+        the outcome equal to the cold oracle."""
+        batched, single = TopKView(k), TopKView(k)
+        batched.reconcile(start)
+        single.reconcile(start)
+        for batch in batches:
+            changes = [(group, b.lb, b.ub) for group, b in batch]
+            moved = batched.ensure_many(changes)
+            assert moved == sum(single.ensure(*change)
+                                for change in changes)
+            assert list(batched.bounds.items()) == list(
+                single.bounds.items())
+            assert batched._by_lb == single._by_lb
+            assert batched._by_ub == single._by_ub
+            oracle_equivalent(batched)
+
     @settings(max_examples=100, deadline=None)
     @given(
         snapshots=st.lists(mappings(), min_size=1, max_size=6),

@@ -31,7 +31,13 @@ from repro.errors import (
 from repro.network import columnar, hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
-from repro.network.messages import ControlMessage, QueryMessage
+from repro.network.messages import (
+    ControlMessage,
+    FilterReportMessage,
+    ProbeRequestMessage,
+    QueryMessage,
+    ViewEntry,
+)
 from repro.network.packets import (
     HEADER_BYTES,
     PAYLOAD_MTU,
@@ -347,7 +353,7 @@ class TestColumnarEquivalence:
             assert run_workload(**kwargs) == default
 
 
-def zipf_fila_fleet(side=8, seed=5):
+def zipf_fila_fleet(side=8, seed=5, radio=None, loss_seed=0):
     """A ``side``² grid in 16 block rooms over one shared
     :class:`~repro.sensing.generators.ZipfEventField`, monitored by a
     FILA MAX top-25 session; returns ``(session, network)``.
@@ -356,7 +362,8 @@ def zipf_fila_fleet(side=8, seed=5):
     ``batch_values`` call (and one ``hash01_column`` jitter draw)
     covers the fleet. ``margin=8.0 >= jitter`` keeps the room levels
     off the ``[lo, hi]`` rails, so readings stay distinct and FILA's
-    filters go quiet.
+    filters go quiet. ``radio`` and ``loss_seed`` set the network's
+    link model and loss stream.
     """
     from repro.core.aggregates import make_aggregate
     from repro.core.fila import Fila
@@ -372,7 +379,8 @@ def zipf_fila_fleet(side=8, seed=5):
     zipf = ZipfEventField(room_of, lo=0.0, hi=100.0, skew=2.0,
                           jitter=6.0, seed=seed, margin=8.0)
     boards = {i: SensorBoard({"sound": zipf}) for i in room_of}
-    network = Network(topology, boards=boards, group_of=room_of)
+    network = Network(topology, radio=radio, boards=boards,
+                      group_of=room_of, seed=loss_seed)
     session = Fila(network, make_aggregate("MAX", 0.0, 100.0), 25,
                    attribute="sound")
     return session, network
@@ -403,6 +411,139 @@ class TestZipfColumnarKernel:
             fallback = self._stream()
         assert default == reference
         assert default == fallback
+
+
+class TestLossyFilaStepsOnAfterADrop:
+    """A drop mid-pass aborts FILA's epoch; the session then steps on.
+    The hot passes ship a whole pass in one relay, so a drop must leave
+    exactly what the reference path's node-by-node loop leaves: the
+    motes ahead of the dropped one delivered and recorded, the dropped
+    one and every mote after it not. Answers, stats and per-node
+    ledgers must equal the reference path's after 25 steps with drops,
+    and FILA's ``known`` and ``filters`` after every step."""
+
+    STEPS = 25
+
+    def run(self, seed):
+        session, network = zipf_fila_fleet(
+            radio=RadioModel(range_m=15.0, loss_probability=0.06,
+                             max_retries=2),
+            loss_seed=seed)
+        results, states, drops = [], [], 0
+        for _ in range(self.STEPS):
+            try:
+                result = session.run_epoch()
+            except RoutingError:
+                drops += 1
+            else:
+                results.append((result.epoch, result.exact, result.probed,
+                                tuple(result.items),
+                                dict(result.all_bounds)))
+            states.append((dict(session.known), dict(session.filters)))
+        return (results, drops, stats_signature(network.stats),
+                ledger_signature(network), states)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hot_equals_reference(self, seed):
+        with hotpath.reference_path():
+            reference = self.run(seed)
+        hot = self.run(seed)
+        assert hot[1] >= 1, "the radio must drop somewhere"
+        for field, h, r in zip(("results", "drops", "stats", "ledgers"),
+                               hot, reference):
+            assert h == r, field
+        for step, (h, r) in enumerate(zip(hot[4], reference[4])):
+            assert h == r, f"known and filters after step {step}"
+
+
+def fila_workload_scenario(side=20, seed=11):
+    """The ``fila`` benchmark workload's deployment: ``side``² motes on
+    a grid, mote ``i`` in cluster ``i % 16`` (16 interleaved clusters),
+    over one Zipf event field (skew 2, jitter 6, margin 8)."""
+    from repro.scenarios import Scenario
+    from repro.sensing.board import SensorBoard
+    from repro.sensing.generators import ZipfEventField
+
+    topology = grid_topology(side, spacing=10.0, radio_range=15.0)
+    cluster_of = {node_id: f"C{node_id % 16:02d}"
+                  for node_id in range(1, side * side + 1)}
+    field = ZipfEventField(cluster_of, lo=0.0, hi=100.0, skew=2.0,
+                           jitter=6.0, seed=seed, margin=8.0)
+    boards = {node_id: SensorBoard({"sound": field})
+              for node_id in cluster_of}
+    network = Network(topology, boards=boards, group_of=cluster_of)
+    return Scenario(network=network, group_of=cluster_of,
+                    attribute="sound", field=field)
+
+
+class TestFilaAtFleetScale:
+    """FILA at the ``fila`` workload's shape: 400 motes in 16
+    interleaved Zipf clusters, ``TOP 200``, so every epoch reports,
+    probes and reinstalls filters by the hundred. Through one relay's
+    death and one mote's birth, after every epoch the answers (with
+    their certification and ``all_bounds``), stats by kind and phase,
+    the session tap, per-node ledgers and FILA's ``known`` and
+    ``filters`` must equal the reference path's, on either column
+    backend."""
+
+    EPOCHS = 10
+    QUERY = ("SELECT TOP 200 nodeid, MAX(sound) FROM sensors "
+             "GROUP BY nodeid EPOCH DURATION 1 min")
+    FIELDS = ("answer", "stats", "tap", "ledgers", "known", "filters")
+
+    def run(self):
+        scenario = fila_workload_scenario()
+        network = scenario.network
+        tree = network.tree
+        # A relay whose subtree must re-home when it dies.
+        victim = next(n for n in tree.sensor_ids
+                      if tree.depth(n) == 3 and tree.subtree_size(n) > 10)
+        x, y = network.topology.positions[victim]
+        group = scenario.group_of[victim]
+        scenario.field.enroll(401, group)
+        schedule = ChurnSchedule([
+            ChurnEvent(3, ChurnKind.DEATH, victim),
+            ChurnEvent(6, ChurnKind.BIRTH, 401, position=(x + 2.0, y + 2.0),
+                       group=group),
+        ])
+        deployment = Deployment.from_scenario(scenario)
+        driver = EpochDriver(deployment, interventions=[
+            ChurnIntervention(schedule, board_for=scenario.board_for)])
+        handle = deployment.submit(self.QUERY, algorithm=Algorithm.FILA)
+        fila = handle._session.engine.algorithm
+        epochs = []
+        for _ in range(self.EPOCHS):
+            driver.step()
+            result = handle.results[-1]
+            epochs.append((
+                (result.epoch, result.exact, result.probed,
+                 tuple((i.key, i.score, i.lb, i.ub) for i in result.items),
+                 certification_signature(result.certification),
+                 dict(result.all_bounds)),
+                stats_signature(network.stats),
+                stats_signature(handle.stats),
+                ledger_signature(network),
+                dict(fila.known),
+                dict(fila.filters),
+            ))
+        return epochs
+
+    @pytest.mark.parametrize("backend", ["default", "python"])
+    def test_hot_equals_reference_every_epoch(self, backend):
+        with (columnar.force_python_backend() if backend == "python"
+              else contextlib.nullcontext()):
+            with hotpath.reference_path():
+                reference = self.run()
+            hot = self.run()
+        for epoch, (h, r) in enumerate(zip(hot, reference)):
+            for field, hot_value, reference_value in zip(self.FIELDS, h, r):
+                assert hot_value == reference_value, \
+                    f"epoch {epoch}: {field}"
+        final_stats = hot[-1][2]
+        by_kind = final_stats[1]
+        assert min(by_kind["filter_report"], by_kind["filter_update"],
+                   by_kind["probe_request"]) > 1000, by_kind
+        assert 401 in hot[-1][4], "the newborn must report"
 
 
 class TestReadManyErrorPath:
@@ -443,14 +584,22 @@ class TestReadManyErrorPath:
 
 
 class PerHopNetwork(Network):
-    """The relay loop the path kernel replaces: one
-    :meth:`Network._ship_unicast` per hop."""
+    """The relay loop the batch relay kernel replaces: node by node,
+    one :meth:`Network._ship_unicast` per hop."""
 
-    def _relay_lossless(self, senders, receivers, message):
-        for sender, receiver in zip(senders, receivers):
-            self._ship_unicast(sender, receiver, message.kind,
-                               message.payload_bytes)
-        return len(senders)
+    def relay_many(self, nodes, down=None, up=None):
+        hops = 0
+        for node_id in nodes:
+            path = self.tree.path_to_root(node_id)
+            if down is not None:
+                for receiver, sender in zip(path[-2::-1], path[::-1]):
+                    self._ship_unicast(sender, receiver, *down)
+                    hops += 1
+            if up is not None:
+                for sender, receiver in zip(path, path[1:]):
+                    self._ship_unicast(sender, receiver, *up)
+                    hops += 1
+        return hops
 
 
 #: One relay: (upward?, index into sink + sensors, payload bytes).
@@ -490,7 +639,8 @@ def relay_all(relays, *, network_class=Network, loss=0.0, seed=0):
 
 class TestPathRelayKernel:
     """``unicast_to_sink`` / ``unicast_from_sink`` ship a lossless relay
-    over its whole tree path in one call. Per-node ledgers, by_kind,
+    over its whole tree path in one ``relay_many`` call. Per-node
+    ledgers, by_kind,
     by_phase, totals and an open tap must equal both the per-hop
     ``_ship_unicast`` loop and the reference path's ``_ship`` per hop
     (the latter catches a sender/receiver swap, which the per-hop
@@ -524,6 +674,115 @@ class TestPathRelayKernel:
         with hotpath.reference_path():
             reference = relay_all(relays, loss=loss, seed=seed)
         assert hot == reference
+
+
+#: One batch relay: (shape, picks into sink + sensors, probe request
+#: groups, report entries). Picks repeat, and pick 0 is the sink itself.
+_BATCHES = st.lists(
+    st.tuples(st.sampled_from(["up", "down", "down+up"]),
+              st.lists(st.integers(0, 24), max_size=10),
+              st.integers(0, 60), st.integers(0, 15)),
+    min_size=1, max_size=8)
+
+
+def batch_relay_all(batches, dead=(), *, per_node=False,
+                    network_class=Network, loss=0.0, seed=0):
+    """Relay every batch on a 5×5 grid whose ``dead`` sensors were
+    killed without repair, inside an open session tap, alternating two
+    stats phases: a probe request down and a filter report up per
+    node, as FILA's passes do. One ``relay_many`` call per batch, or
+    with ``per_node`` one ``unicast_*`` call per node and leg. Returns
+    every observable plus the hops of each batch and the nodes relayed
+    in full before each drop. One retry per packet makes drops
+    common on a lossy radio."""
+    network = network_class(
+        grid_topology(5),
+        radio=RadioModel(range_m=15.0, loss_probability=loss,
+                         max_retries=1), seed=seed)
+    for node_id in sorted(dead):
+        network.kill_node(node_id, repair=False)
+    targets = (network.sink_id, *network.tree.sensor_ids)
+    tap = NetworkStats()
+    hops, relayed = [], []
+    with network.tap_stats(tap):
+        for index, (shape, picks, groups, entries) in enumerate(batches):
+            nodes = [targets[pick] for pick in picks]
+            down = ProbeRequestMessage(epoch=1, groups=(0,) * groups)
+            up = FilterReportMessage(
+                epoch=1, entries=(ViewEntry(0, 1.0, 1),) * entries)
+            with network.stats.phase("probe" if index % 2 else "monitor"):
+                done = 0
+                try:
+                    if per_node:
+                        count = 0
+                        for node_id in nodes:
+                            if "down" in shape:
+                                count += network.unicast_from_sink(node_id,
+                                                                   down)
+                            if "up" in shape:
+                                count += network.unicast_to_sink(node_id, up)
+                            done += 1
+                    else:
+                        count = network.relay_many(
+                            nodes,
+                            down=(ProbeRequestMessage.kind,
+                                  ProbeRequestMessage.wire_size(groups))
+                            if "down" in shape else None,
+                            up=(FilterReportMessage.kind,
+                                FilterReportMessage.wire_size(entries))
+                            if "up" in shape else None)
+                except RoutingError as drop:
+                    hops.append(None)
+                    relayed.append(done if per_node else drop.relayed)
+                else:
+                    hops.append(count)
+                    relayed.append(None)
+    network.advance_epoch()
+    return (stats_signature(network.stats), stats_signature(tap),
+            ledger_signature(network), hops, relayed, network._rng.random())
+
+
+class TestBatchRelayKernel:
+    """``relay_many`` relays a whole list of motes — up only, down only,
+    or down then up per mote — in one call. Per-node ledgers, by_kind,
+    by_phase, totals and an open tap must equal the per-node
+    ``unicast_*`` loop (through the kernel one node at a time and
+    through the per-hop oracle) and the reference path's ``_ship`` per
+    hop, over lists with repeats, the sink itself and dead relays."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches=_BATCHES, dead=st.sets(st.integers(1, 25), max_size=8))
+    def test_kernel_equals_per_node_and_reference(self, batches, dead):
+        kernel = batch_relay_all(batches, dead)
+        per_node = batch_relay_all(batches, dead, per_node=True)
+        per_hop = batch_relay_all(batches, dead, per_node=True,
+                                  network_class=PerHopNetwork)
+        with hotpath.reference_path():
+            reference = batch_relay_all(batches, dead, per_node=True)
+        assert kernel == per_node == per_hop == reference
+
+    def test_empty_and_sink_only_batches_record_nothing(self):
+        network = Network(grid_topology(3))
+        down, up = ("probe_request", 6), ("filter_report", 12)
+        assert network.relay_many([], down=down, up=up) == 0
+        assert network.relay_many([network.sink_id] * 3, down, up) == 0
+        assert network._pending_traffic == {}
+        assert (stats_signature(network.stats)
+                == stats_signature(Network(grid_topology(3)).stats))
+
+    @settings(max_examples=20, deadline=None)
+    @given(batches=_BATCHES, dead=st.sets(st.integers(1, 25), max_size=8),
+           seed=st.integers(0, 10_000), loss=st.floats(0.05, 0.4))
+    def test_lossy_radio_draws_the_reference_sequence(self, batches, dead,
+                                                      seed, loss):
+        """Over a lossy radio each hop draws the loss stream in the
+        reference order, and a drop reports the motes relayed in full
+        before it — the ones a per-node loop got through."""
+        kernel = batch_relay_all(batches, dead, loss=loss, seed=seed)
+        with hotpath.reference_path():
+            reference = batch_relay_all(batches, dead, per_node=True,
+                                        loss=loss, seed=seed)
+        assert kernel == reference
 
 
 class PerForwarderNetwork(Network):
@@ -729,15 +988,16 @@ class TestSamplingPlanSharing:
 
 class _Counting:
     """Stands in for a wire class inside an engine module: counts
-    constructions and forwards attribute reads (``kind``,
-    ``wire_size``) to the real class."""
+    constructions under ``label`` and forwards attribute reads
+    (``kind``, ``wire_size``) to the real class."""
 
-    def __init__(self, cls, counts):
+    def __init__(self, cls, counts, label):
         self._cls = cls
         self._counts = counts
+        self._label = label
 
     def __call__(self, *args, **kwargs):
-        self._counts[self._cls.__name__] += 1
+        self._counts[self._label] += 1
         return self._cls(*args, **kwargs)
 
     def __getattr__(self, name):
@@ -745,18 +1005,28 @@ class _Counting:
 
 
 class TestNoWireObjectsOnHotPath:
-    """The fused MINT update and probe passes and TAG's aggregation
-    pass ship each edge's kind and wire size: after the creation epoch
-    no hot epoch builds a ViewUpdateMessage, ProbeReplyMessage or
-    ViewEntry. The reference path still builds every message."""
+    """The fused MINT update and probe passes, TAG's aggregation pass
+    and FILA's monitor, probe and install passes ship each edge's kind
+    and wire size: after the creation epoch no hot epoch builds one of
+    the wire objects below. The reference path still builds every one.
+    (MINT still builds the one probe-request message each probe flood
+    ships, so that class is watched in FILA only.)"""
 
-    WIRE_NAMES = ("ViewUpdateMessage", "ProbeReplyMessage", "ViewEntry")
+    WIRE_NAMES = {
+        "mint": ("ViewUpdateMessage", "ProbeReplyMessage", "ViewEntry"),
+        "tag": ("ViewUpdateMessage", "ViewEntry"),
+        "fila": ("FilterReportMessage", "FilterUpdateMessage",
+                 "ProbeRequestMessage", "ViewEntry"),
+    }
     #: SUM with slack 0 leaves the top room ambiguous: MINT probes.
     QUERY = ("SELECT TOP 1 roomid, SUM(sound) FROM sensors "
              "GROUP BY roomid EPOCH DURATION 1 min")
+    #: FILA reports, probes and reinstalls filters every epoch here.
+    FILA_QUERY = ("SELECT TOP 2 nodeid, MAX(sound) FROM sensors "
+                  "GROUP BY nodeid EPOCH DURATION 1 min")
 
     def constructions(self, monkeypatch):
-        from repro.core import mint, tag
+        from repro.core import fila, mint, tag
         from repro.core.mint import MintConfig
 
         scenario = grid_rooms_scenario(side=5, rooms_per_axis=2, seed=1)
@@ -765,15 +1035,22 @@ class TestNoWireObjectsOnHotPath:
         driver = EpochDriver(deployment)
         handle = deployment.submit(self.QUERY)
         deployment.submit(self.QUERY, algorithm=Algorithm.TAG)
-        driver.step()  # creation epoch: full views are built here
+        filter_handle = deployment.submit(self.FILA_QUERY,
+                                          algorithm=Algorithm.FILA)
+        driver.step()  # creation epoch: full views, FILA's filter setup
+        before = dict(filter_handle.stats.by_kind)
         counts = Counter()
-        for module in (mint, tag):
-            for name in self.WIRE_NAMES:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, _Counting(
-                        getattr(module, name), counts))
+        for module in (mint, tag, fila):
+            short = module.__name__.rsplit(".", 1)[-1]
+            for name in self.WIRE_NAMES[short]:
+                monkeypatch.setattr(module, name, _Counting(
+                    getattr(module, name), counts, f"{short}.{name}"))
         driver.run(10)
         assert sum(r.probed for r in handle.results[1:]) == 10
+        assert sum(r.probed for r in filter_handle.results[1:]) == 10
+        after = filter_handle.stats.by_kind
+        assert all(after[kind] > before.get(kind, 0) for kind in (
+            "filter_report", "filter_update", "probe_request"))
         return counts
 
     def test_hot_epochs_build_no_wire_objects(self, monkeypatch):
@@ -783,7 +1060,9 @@ class TestNoWireObjectsOnHotPath:
     def test_reference_path_still_builds_them(self, monkeypatch):
         with hotpath.reference_path():
             counts = self.constructions(monkeypatch)
-        assert set(counts) == set(self.WIRE_NAMES)
+        assert set(counts) == {f"{module}.{name}"
+                               for module, names in self.WIRE_NAMES.items()
+                               for name in names}
 
 
 class TestMintStateAtFleetScale:

@@ -147,6 +147,30 @@ class TestWireSize:
         assert (ProbeReplyMessage.wire_size(len(entries))
                 == message.payload_bytes)
 
+    @given(entries=_ENTRIES)
+    def test_filter_report(self, entries):
+        message = FilterReportMessage(epoch=7, entries=tuple(entries))
+        assert FilterReportMessage.kind == message.kind == "filter_report"
+        assert (FilterReportMessage.wire_size(len(entries))
+                == message.payload_bytes)
+
+    @given(intervals=st.lists(st.tuples(
+        st.integers(0, 1000), st.floats(allow_nan=False),
+        st.floats(allow_nan=False)), max_size=40))
+    def test_filter_update(self, intervals):
+        message = FilterUpdateMessage(intervals=tuple(intervals))
+        assert FilterUpdateMessage.kind == message.kind == "filter_update"
+        assert (FilterUpdateMessage.wire_size(len(intervals))
+                == message.payload_bytes)
+
+    @given(groups=st.lists(st.integers(0, 1000) | st.text(max_size=3),
+                           max_size=40))
+    def test_probe_request(self, groups):
+        message = ProbeRequestMessage(epoch=7, groups=tuple(groups))
+        assert ProbeRequestMessage.kind == message.kind == "probe_request"
+        assert (ProbeRequestMessage.wire_size(len(groups))
+                == message.payload_bytes)
+
 
 class TestHelpers:
     def test_total_entries_counts_tuples(self):
