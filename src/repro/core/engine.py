@@ -56,6 +56,7 @@ class KSpotEngine:
         self.aggregate = self._build_aggregate()
         self._check_where(plan.where)
         self.participants = self._static_filter(plan.where)
+        self._check_window()
         self._algorithm = None
 
     # ------------------------------------------------------------------
@@ -124,6 +125,32 @@ class KSpotEngine:
         if not participants:
             raise PlanError("the WHERE clause excludes every sensor")
         return participants
+
+    def _check_window(self) -> None:
+        """Reject a ``WITH HISTORY`` window a participant cannot buffer.
+
+        Windowed epoch-mode plans aggregate each mote's SRAM window; a
+        historic-vertical plan reads a mote's flash index when one is
+        attached (:meth:`~repro.network.node.SensorNode.history`) and
+        its SRAM window otherwise. A full window has evicted the
+        oldest readings, so a longer history would be answered from
+        what is left of it.
+        """
+        window = self.plan.window_epochs
+        if window is None:
+            return
+        vertical = self.plan.query_class is QueryClass.HISTORIC_VERTICAL
+        nodes = self.network.nodes
+        for node_id in self.participants:
+            node = nodes.get(node_id)
+            if node is None or (vertical and node.flash_index is not None):
+                continue
+            capacity = node.window.capacity
+            if window > capacity:
+                raise PlanError(
+                    f"the history window spans {window} epochs, but "
+                    f"sensor {node_id} buffers only {capacity} readings "
+                    f"in SRAM")
 
     # ------------------------------------------------------------------
     # Snapshot / horizontal execution

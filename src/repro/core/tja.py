@@ -21,14 +21,28 @@ phases, as the paper sketches them:
 
 Object scores combine across nodes with the same partial-aggregate
 algebra MINT uses, so TJA here supports AVG / SUM / MIN / MAX ranking.
+
+Switch-and-prove: while ``hotpath.enabled()`` each phase runs as one
+fused pass over ``Network.converge_cast_plan()`` rows that ships each
+reply's ``wire_size`` through ``Network._ship_unicast`` and builds no
+message. LB and the CL expansion share one union pass; the join pass
+holds one ``(values, count)`` row per subtree, because aligned
+windows give every partial of a subtree one count, and folds a
+child's row in with one ``map`` of ``Aggregate.combine``.
+``hotpath.reference_path()`` restores the first-principles phases,
+which build every message and ship it through ``Network.send_up``;
+``tests/test_hotpath_equivalence.py`` proves the two byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Mapping
 
 from ..errors import ProtocolError, ValidationError
+from ..network import hotpath
 from ..network.messages import (
     CandidateSetMessage,
     ControlMessage,
@@ -36,10 +50,26 @@ from ..network.messages import (
     LBReplyMessage,
     ObjectScore,
     QueryMessage,
+    WireMessage,
 )
 from ..network.simulator import Network
 from .aggregates import Aggregate, Partial
 from .results import RankedItem, rank_key
+
+
+class _Lifts(dict):
+    """reading → ``from_value(reading).value``, filled on first use.
+
+    Readings are ADC-quantized, so a join pass lifts the same few
+    hundred values over and over; a hit is one dict lookup in C."""
+
+    def __init__(self, from_value: Callable[[float], Partial]):
+        super().__init__()
+        self._from_value = from_value
+
+    def __missing__(self, reading: float) -> float:
+        value = self[reading] = self._from_value(reading).value
+        return value
 
 
 @dataclass(frozen=True)
@@ -86,7 +116,7 @@ class Tja:
             raise ValidationError("TJA needs at least one non-empty series")
         universe = set(self.series[participants[0]])
         for node in participants[1:]:
-            if set(self.series[node]) != universe:
+            if self.series[node].keys() != universe:
                 raise ValidationError(
                     "TJA requires aligned history windows "
                     "(same object ids on every node)"
@@ -240,17 +270,171 @@ class Tja:
         return extra
 
     # ------------------------------------------------------------------
+    # Hot path: one fused pass per phase over the converge-cast plan
+    # ------------------------------------------------------------------
+
+    # repro: hot
+    def _local_rankings(self) -> tuple[dict[int, set[int]],
+                                       dict[int, Partial]]:
+        """Each mote's local top-k ids and lifted k-th value, from one
+        sort of its window (:meth:`_local_top_k` and
+        :meth:`_local_threshold` sort it twice).
+
+        Every column covers the universe, so ordering the universe by
+        label once and then each column stably by value, descending,
+        gives :func:`rank_key` order without a Python key function."""
+        k = self.k
+        labelled = sorted(self.universe, key=str)
+        kth = min(k, len(labelled)) - 1
+        value_of = itemgetter(0)
+        object_of = itemgetter(1)
+        from_value = self.aggregate.from_value
+        tops: dict[int, set[int]] = {}
+        thresholds: dict[int, Partial] = {}
+        for node_id, column in self.series.items():
+            if not column:
+                continue
+            ranked = sorted(zip(map(column.__getitem__, labelled), labelled),
+                            key=value_of, reverse=True)
+            tops[node_id] = set(map(object_of, ranked[:k]))
+            thresholds[node_id] = from_value(ranked[kth][0])
+        return tops, thresholds
+
+    def _nominations_above(self, tau: float,
+                           known: set[int]) -> dict[int, set[int]]:
+        """Each mote's CL nominations: its values above the expansion
+        threshold, minus the ``known`` candidates."""
+        tau = self._expansion_tau(tau)
+        return {
+            node_id: {object_id for object_id, value in column.items()
+                      if value > tau and object_id not in known}
+            for node_id, column in self.series.items()
+        }
+
+    # repro: hot
+    def _union_pass(self, phase: str, flood: WireMessage,
+                    nominations: dict[int, set[int]]) -> set[int]:
+        """The LB phase or the CL expansion: flood, then converge-cast
+        the union of every mote's ``nominations`` (consumed) and return
+        the sink's union. Every mote ships its subtree's union size as
+        one ``lb_reply``, empty ones included."""
+        network = self.network
+        ship_unicast = network._ship_unicast
+        kind = LBReplyMessage.kind
+        wire_size = LBReplyMessage.wire_size
+        nominated_by = nominations.get
+        unions: dict[int, set[int]] = {}
+        l_sink: set[int] = set()
+        with network.stats.phase(phase):
+            network.flood_down(flood)
+            for node_id, parent, children, to_sink in (
+                    network.converge_cast_plan()):
+                nominated = nominated_by(node_id)
+                if nominated is None:
+                    nominated = set()
+                for child in children:
+                    # A live child precedes its (non-sink) parent in
+                    # the plan and always ships its union.
+                    nominated |= unions[child]
+                ship_unicast(node_id, parent, kind,
+                             wire_size(len(nominated)))
+                if to_sink:
+                    l_sink |= nominated
+                else:
+                    unions[node_id] = nominated
+        return l_sink
+
+    # repro: hot
+    def _join_pass(self, candidates: set[int], phase: str,
+                   thresholds: Mapping[int, Partial],
+                   ) -> tuple[dict[int, Partial], Partial | None]:
+        """The HJ phase or the CL join: flood the candidates, then
+        converge-cast one ``(values, count)`` row per subtree.
+
+        ``values`` lines up with the sorted candidates and is None for
+        a subtree without a participant. Aligned windows give all of a
+        subtree's partials one count, so a child's row folds in with
+        one ``map`` of ``Aggregate.combine``: own values first, then
+        the children in plan order, as :meth:`_join_phase` merges each
+        object. ``thresholds`` (each mote's lifted k-th value; empty
+        for the CL join, which drops the threshold) fold as scalar
+        partials. The sink rebuilds ``{object: Partial}`` once."""
+        network = self.network
+        aggregate = self.aggregate
+        combine = aggregate.combine
+        merge = aggregate.merge
+        ordered = tuple(sorted(candidates))
+        lift = _Lifts(aggregate.from_value).__getitem__
+        column_of = self.series.get
+        threshold_of = thresholds.get
+        ship_unicast = network._ship_unicast
+        kind = JoinReplyMessage.kind
+        full = JoinReplyMessage.wire_size(len(ordered))
+        empty = JoinReplyMessage.wire_size(0)
+        rows: dict[int, tuple[list[float] | None, int, Partial | None]] = {}
+        sink_values: list[float] | None = None
+        sink_count = 0
+        threshold: Partial | None = None
+        with network.stats.phase(phase):
+            network.flood_down(CandidateSetMessage(object_ids=ordered))
+            for node_id, parent, children, to_sink in (
+                    network.converge_cast_plan()):
+                column = column_of(node_id)
+                if column:
+                    values = list(map(lift, map(column.__getitem__,
+                                                ordered)))
+                    count = 1
+                else:
+                    values = None
+                    count = 0
+                bound = threshold_of(node_id)
+                for child in children:
+                    child_values, child_count, child_bound = rows[child]
+                    if child_count:
+                        values = (child_values if values is None
+                                  else list(map(combine, values,
+                                                child_values)))
+                        count += child_count
+                    if child_bound is not None:
+                        bound = (child_bound if bound is None
+                                 else merge(bound, child_bound))
+                ship_unicast(node_id, parent, kind, full if count else empty)
+                if not to_sink:
+                    rows[node_id] = (values, count, bound)
+                    continue
+                if count:
+                    sink_values = (values if sink_values is None
+                                   else list(map(combine, sink_values,
+                                                 values)))
+                    sink_count += count
+                if bound is not None:
+                    threshold = (bound if threshold is None
+                                 else merge(threshold, bound))
+        if sink_values is None:
+            return {}, threshold
+        return (dict(zip(ordered, map(Partial, sink_values,
+                                      repeat(sink_count)))),
+                threshold)
+
+    # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
 
     def execute(self) -> TjaResult:
         """Run LB → HJ → CL and return the certified exact top-k."""
         before = dict(self.network.stats.by_phase)
-        candidates = self._lower_bound_phase()
+        hot = hotpath.enabled()
+        if hot:
+            tops, thresholds = self._local_rankings()
+            candidates = self._union_pass("LB", QueryMessage(query_id=2),
+                                          tops)
+        else:
+            candidates = self._lower_bound_phase()
         if not candidates:
             raise ProtocolError("LB phase produced no candidates")
 
-        joined, threshold = self._join_phase(candidates)
+        joined, threshold = (self._join_pass(candidates, "HJ", thresholds)
+                             if hot else self._join_phase(candidates))
         exact = {
             object_id: self.aggregate.finalize(partial)
             for object_id, partial in joined.items()
@@ -265,10 +449,17 @@ class Tja:
         cleanup_rounds = 0
         if len(exact) < len(self.universe) and unseen_bound > tau:
             cleanup_rounds = 1
-            extra = self._expansion_phase(tau, set(exact))
+            if hot:
+                extra = self._union_pass(
+                    "CL", ControlMessage(label="cl_threshold", size=8),
+                    self._nominations_above(tau, set(exact)))
+            else:
+                extra = self._expansion_phase(tau, set(exact))
             if extra:
-                joined_extra, _ = self._join_phase(
-                    extra, phase_name="CL", include_threshold=False)
+                joined_extra, _ = (
+                    self._join_pass(extra, "CL", {}) if hot
+                    else self._join_phase(extra, phase_name="CL",
+                                          include_threshold=False))
                 for object_id, partial in joined_extra.items():
                     exact[object_id] = self.aggregate.finalize(partial)
                 ranked = sorted(exact.items(),

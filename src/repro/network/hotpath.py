@@ -5,12 +5,13 @@ speed — the memoized :func:`~repro.network.packets.fragment` cost
 model, the per-topology converge-cast and flood plans, per-epoch
 traffic batching, the batch relay and flood kernels (one call per
 relayed list of motes or per flood instead of one per hop or
-forwarder), the engines' fused per-epoch passes over the plan
-(MINT's prune+update and probe converge-casts, TAG's aggregation)
-and the columnar kernel of :mod:`repro.network.columnar` (batched
-sensing, FILA's mask-driven passes) — all of which are *semantically
-invisible*: with the caches on or off, every message, byte, joule and
-per-phase snapshot is identical.
+forwarder), the engines' fused passes over the plan (MINT's
+prune+update and probe converge-casts, TAG's aggregation, TJA's
+union and join passes) and the columnar kernel of
+:mod:`repro.network.columnar` (batched sensing, FILA's mask-driven
+passes) — all of which are *semantically invisible*: with the caches
+on or off, every message, byte, joule and per-phase snapshot is
+identical.
 
 The switch also selects the sinks' certification strategy: on the hot
 path each session maintains an incremental

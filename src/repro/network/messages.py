@@ -16,9 +16,10 @@ and the messages that relay hop-by-hop (one instance shipped many
 times) memoize it per instance (``functools.cached_property``) so no
 hop after the first re-walks the entry tuples. The messages the hot
 engine passes ship (MINT's view update and probe reply, FILA's filter
-report, filter update and probe request) state their size rule once,
-as a static ``wire_size`` over counts: those passes ship that size
-without building the message, and ``payload_bytes`` calls it too.
+report, filter update and probe request, TJA's lower-bound and join
+replies) state their size rule once, as a static ``wire_size`` over
+counts: those passes ship that size without building the message, and
+``payload_bytes`` calls it too.
 """
 
 from __future__ import annotations
@@ -187,9 +188,13 @@ class LBReplyMessage(WireMessage):
     object_ids: tuple[int, ...]
     kind: str = field(default="lb_reply", init=False)
 
+    @staticmethod
+    def wire_size(ids: int) -> int:
+        return ids * SZ_OBJECT_ID
+
     @property
     def payload_bytes(self) -> int:
-        return len(self.object_ids) * SZ_OBJECT_ID
+        return self.wire_size(len(self.object_ids))
 
 
 @dataclass(frozen=True)
@@ -217,9 +222,13 @@ class JoinReplyMessage(WireMessage):
     threshold_count: int
     kind: str = field(default="join_reply", init=False)
 
+    @staticmethod
+    def wire_size(items: int) -> int:
+        return items * ObjectScore.WIRE_BYTES + SZ_VALUE + SZ_COUNT
+
     @property
     def payload_bytes(self) -> int:
-        return len(self.items) * ObjectScore.WIRE_BYTES + SZ_VALUE + SZ_COUNT
+        return self.wire_size(len(self.items))
 
 
 @dataclass(frozen=True)

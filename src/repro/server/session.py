@@ -91,9 +91,12 @@ class QuerySession:
         self.session_id = session_id
         self.network = network
         self.plan = plan
-        self.engine = engine
+        #: The engines. Both are released (set to None) when the
+        #: session stops, so the registry, which keeps stopped
+        #: sessions for their handles, does not keep their state.
+        self.engine: "KSpotEngine | None" = engine
         self.query_text = query_text
-        self.baseline_engine = baseline_engine
+        self.baseline_engine: "KSpotEngine | None" = baseline_engine
         self.display = display
         #: This session's share of traffic on the shared deployment
         #: (mirrored via the network's stats tap while it executes).
@@ -138,7 +141,8 @@ class QuerySession:
 
     @property
     def baseline_network(self) -> "Network | None":
-        """The shadow deployment this session's baseline runs on."""
+        """The shadow deployment this session's baseline runs on
+        (None once the session stops)."""
         if self.baseline_engine is None:
             return None
         return self.baseline_engine.network
@@ -249,7 +253,7 @@ class QuerySession:
         """Run the one-shot distributed execution; finishes the session."""
         with self.network.tap_stats(self.stats):
             self.historic_result = self.engine.execute_historic()
-        self.active = False
+        self._stop()
         self._publish_result(self.historic_result)
         return self.historic_result
 
@@ -266,6 +270,9 @@ class QuerySession:
         if not self.is_historic:
             raise PlanError(
                 "run_historic() is for GROUP BY epoch sessions")
+        if not self.active and not self.finished:
+            raise SessionError(
+                f"session {self.session_id} is no longer active")
         if acquisition_epochs is not None:
             self._acquisition_target = acquisition_epochs
         if self._acquisition_target is None:
@@ -279,7 +286,14 @@ class QuerySession:
 
     def cancel(self) -> None:
         """Deactivate the session; the server stops stepping it."""
+        self._stop()
+
+    def _stop(self) -> None:
+        """Deactivate and release both engines. Results, stats, the
+        recovery log and the System Panel stay readable."""
         self.active = False
+        self.engine = None
+        self.baseline_engine = None
 
     def __repr__(self) -> str:
         state = ("finished" if self.finished

@@ -9,6 +9,7 @@ aggregates, local top-k, threshold scans).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from ..errors import ConfigurationError, StorageError
@@ -73,7 +74,10 @@ class SlidingWindow:
             raise StorageError("n must be non-negative")
         if n >= len(self._entries):
             return list(self._entries)
-        return list(self._entries)[len(self._entries) - n:]
+        # Walk n entries in from the newest end: O(n), not O(capacity).
+        newest_first = list(islice(reversed(self._entries), n))
+        newest_first.reverse()
+        return newest_first
 
     def since(self, epoch: int) -> list[WindowEntry]:
         """Readings with ``entry.epoch >= epoch``."""

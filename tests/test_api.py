@@ -9,6 +9,9 @@ Display and System panels, and the session error taxonomy.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api import (
@@ -103,6 +106,49 @@ class TestDeployment:
         with pytest.raises(KSpotError):
             deployment.session(7)
 
+    @pytest.mark.parametrize("query, algorithm", [
+        ("SELECT TOP 2 epoch, AVG(sound) FROM sensors "
+         "GROUP BY epoch WITH HISTORY 1500 s EPOCH DURATION 1 s", None),
+        ("SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+         "GROUP BY roomid WITH HISTORY 2000 s EPOCH DURATION 1 s", None),
+        ("SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+         "GROUP BY roomid WITH HISTORY 2000 s EPOCH DURATION 1 s",
+         Algorithm.TAG),
+    ], ids=["historic-vertical", "windowed-mint", "windowed-tag"])
+    def test_history_past_the_window_is_rejected(self, query, algorithm):
+        """Each mote's SRAM window holds 1,024 readings. A longer
+        history would be answered, and marked exact, from the readings
+        the window had not yet evicted."""
+        scenario = grid_rooms_scenario(side=3, rooms_per_axis=1, seed=2)
+        deployment = Deployment.from_scenario(scenario)
+        with pytest.raises(PlanError, match="1500|2000") as raised:
+            deployment.submit(query, algorithm=algorithm)
+        assert "1024 readings" in str(raised.value)
+        assert deployment.sessions() == ()
+
+    def test_history_within_the_window_or_on_flash_is_accepted(self):
+        from repro.storage.flash import FlashModel
+        from repro.storage.microhash import MicroHashIndex
+
+        vertical = ("SELECT TOP 2 epoch, AVG(sound) FROM sensors "
+                    "GROUP BY epoch WITH HISTORY {} s EPOCH DURATION 1 s")
+        windowed = ("SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+                    "GROUP BY roomid WITH HISTORY {} s EPOCH DURATION 1 s")
+        scenario = grid_rooms_scenario(side=3, rooms_per_axis=1, seed=2)
+        deployment = Deployment.from_scenario(scenario)
+        deployment.submit(vertical.format(1024))
+        deployment.submit(windowed.format(1024))
+        # A historic-vertical plan reads flash where a mote has an
+        # index; the windowed aggregates never do.
+        for node_id in scenario.group_of:
+            scenario.network.node(node_id).attach_flash(MicroHashIndex(
+                FlashModel(page_bytes=64, pages=512), 0.0, 100.0,
+                buckets=8))
+        deployment.submit(vertical.format(1500))
+        with pytest.raises(PlanError, match="1024 readings"):
+            deployment.submit(windowed.format(2000))
+        assert len(deployment.sessions()) == 3
+
     @pytest.mark.parametrize("limit", [0, -1, 2.5, True])
     def test_bad_admission_limit_rejected(self, limit):
         with pytest.raises(ConfigurationError, match="max_sessions"):
@@ -167,6 +213,49 @@ class TestSessionState:
         assert handle.state is SessionState.FINISHED
         assert handle.state.terminal
         assert len(handle.historic_result.items) == 3
+
+    def test_stopped_sessions_release_their_engines(self):
+        """A cancelled session and a finished historic one drop their
+        engine and their shadow-baseline engine: the registry keeps
+        every session for its handle, and must not keep their
+        algorithm state alive. What a handle reads stays readable."""
+        def shadow():
+            return grid_rooms_scenario(side=4, rooms_per_axis=2,
+                                       seed=5).network
+
+        _, deployment, driver = fresh(baseline_factory=shadow)
+        monitor = deployment.submit(MONITOR)
+        historic = deployment.submit(HISTORIC)
+        engines = [weakref.ref(engine)
+                   for session in deployment.active_sessions()
+                   for engine in (session.engine, session.baseline_engine)
+                   if engine is not None]
+        assert len(engines) == 3
+        driver.run(6)  # the historic session finishes at its fifth step
+        deployment.cancel(monitor.id)
+        gc.collect()
+        assert [ref() for ref in engines] == [None, None, None]
+        assert monitor.state is SessionState.CANCELLED
+        assert historic.state is SessionState.FINISHED
+        assert len(monitor.results) == 6
+        assert len(historic.historic_result.items) == 3
+        assert monitor.stats.messages > 0 and historic.stats.messages > 0
+        assert monitor.recovery.records == historic.recovery.records == []
+        assert len(monitor.system_panel.samples) == 6
+        assert historic.system_panel is None
+        assert (monitor.plan.k, historic.plan.k) == (2, 3)
+
+    def test_cancelled_historic_session_does_not_execute(self):
+        _, deployment, driver = fresh()
+        handle = deployment.submit(HISTORIC)
+        driver.step()
+        session = deployment.active_sessions()[0]
+        deployment.cancel(handle.id)
+        for epochs in (None, 0):
+            with pytest.raises(SessionError, match="no longer active"):
+                session.run_historic(acquisition_epochs=epochs)
+        assert handle.historic_result is None
+        assert handle.state is SessionState.CANCELLED
 
     def test_handle_accessors_are_typed_views(self):
         _, deployment, driver = fresh()

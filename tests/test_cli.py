@@ -74,6 +74,24 @@ class TestScenarioWorkflow:
         assert main(["run", path, "SELECT banana FROM fruit"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("query", [
+        "SELECT TOP 2 epoch, AVG(sound) FROM sensors "
+        "GROUP BY epoch WITH HISTORY 1500 s EPOCH DURATION 1 s",
+        "SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+        "GROUP BY roomid WITH HISTORY 2000 s EPOCH DURATION 1 s",
+    ], ids=["historic-vertical", "windowed-mint"])
+    def test_history_past_the_window_is_a_clean_error(self, tmp_path,
+                                                      capsys, query):
+        """The motes buffer 1,024 readings; a longer history exits 2
+        before any epoch runs instead of answering from what is left."""
+        path = str(tmp_path / "deployment.json")
+        main(["scenario-init", path])
+        capsys.readouterr()
+        assert main(["run", path, query]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "1024 readings" in captured.err
+        assert captured.out == ""
+
 
 class TestWorkload:
     MIXED = (

@@ -20,8 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_series
 from repro.api import ChurnIntervention, Deployment, EpochDriver
+from repro.core.aggregates import make_aggregate
 from repro.core.mint import Mint, MintConfig
+from repro.core.tja import Tja
 from repro.errors import (
     ConfigurationError,
     KSpotError,
@@ -1005,18 +1008,20 @@ class _Counting:
 
 
 class TestNoWireObjectsOnHotPath:
-    """The fused MINT update and probe passes, TAG's aggregation pass
-    and FILA's monitor, probe and install passes ship each edge's kind
-    and wire size: after the creation epoch no hot epoch builds one of
-    the wire objects below. The reference path still builds every one.
-    (MINT still builds the one probe-request message each probe flood
-    ships, so that class is watched in FILA only.)"""
+    """The fused MINT update and probe passes, TAG's aggregation pass,
+    FILA's monitor, probe and install passes and TJA's union and join
+    passes ship each edge's kind and wire size: after the creation
+    epoch no hot epoch builds one of the wire objects below. The
+    reference path still builds every one. (MINT still builds the one
+    probe-request message each probe flood ships, so that class is
+    watched in FILA only.)"""
 
     WIRE_NAMES = {
         "mint": ("ViewUpdateMessage", "ProbeReplyMessage", "ViewEntry"),
         "tag": ("ViewUpdateMessage", "ViewEntry"),
         "fila": ("FilterReportMessage", "FilterUpdateMessage",
                  "ProbeRequestMessage", "ViewEntry"),
+        "tja": ("LBReplyMessage", "JoinReplyMessage", "ObjectScore"),
     }
     #: SUM with slack 0 leaves the top room ambiguous: MINT probes.
     QUERY = ("SELECT TOP 1 roomid, SUM(sound) FROM sensors "
@@ -1026,7 +1031,7 @@ class TestNoWireObjectsOnHotPath:
                   "GROUP BY nodeid EPOCH DURATION 1 min")
 
     def constructions(self, monkeypatch):
-        from repro.core import fila, mint, tag
+        from repro.core import fila, mint, tag, tja
         from repro.core.mint import MintConfig
 
         scenario = grid_rooms_scenario(side=5, rooms_per_axis=2, seed=1)
@@ -1037,10 +1042,13 @@ class TestNoWireObjectsOnHotPath:
         deployment.submit(self.QUERY, algorithm=Algorithm.TAG)
         filter_handle = deployment.submit(self.FILA_QUERY,
                                           algorithm=Algorithm.FILA)
+        # Executes at its fifth acquisition epoch, inside the run below.
+        historic = deployment.submit(
+            TestSamplingPlanSharing.HISTORIC_QUERY)
         driver.step()  # creation epoch: full views, FILA's filter setup
         before = dict(filter_handle.stats.by_kind)
         counts = Counter()
-        for module in (mint, tag, fila):
+        for module in (mint, tag, fila, tja):
             short = module.__name__.rsplit(".", 1)[-1]
             for name in self.WIRE_NAMES[short]:
                 monkeypatch.setattr(module, name, _Counting(
@@ -1051,6 +1059,8 @@ class TestNoWireObjectsOnHotPath:
         after = filter_handle.stats.by_kind
         assert all(after[kind] > before.get(kind, 0) for kind in (
             "filter_report", "filter_update", "probe_request"))
+        assert historic.historic_result is not None
+        assert historic.stats.by_kind["join_reply"] == 25
         return counts
 
     def test_hot_epochs_build_no_wire_objects(self, monkeypatch):
@@ -1131,3 +1141,158 @@ class TestMintStateAtFleetScale:
         assert any(withheld for session in final
                    for _, _, withheld in session.values()), \
             "the mix must prune somewhere"
+
+
+def tja_signature(result):
+    """Every observable of a TjaResult, as comparable data."""
+    return (tuple((i.key, i.score, i.lb, i.ub) for i in result.items),
+            result.candidates, result.cleanup_rounds,
+            dict(result.per_phase_bytes))
+
+
+class TestTjaAtFleetScale:
+    """TJA at the ``monitor`` workload's shape: 400 motes in 16 block
+    rooms running its ``TOP 3`` query over a 10-epoch window, for each
+    aggregate, with one relay dying mid-window so the plan re-homes
+    its subtree. A mote born later joins the plan but not the query
+    (its window cannot cover the history), so it ships empty replies.
+    The result (items, candidates, clean-up rounds, bytes per phase),
+    stats by kind and phase, the session tap and per-node ledgers must
+    equal the reference path's, on either column backend."""
+
+    QUERY = ("SELECT TOP 3 epoch, {agg}(sound) FROM sensors "
+             "GROUP BY epoch WITH HISTORY 10 s EPOCH DURATION 1 s")
+    FIELDS = ("result", "stats", "tap", "ledgers")
+
+    def run(self, agg):
+        scenario = grid_rooms_scenario(side=20, rooms_per_axis=4, seed=11)
+        network = scenario.network
+        tree = network.tree
+        victim = next(n for n in tree.sensor_ids
+                      if tree.depth(n) == 3 and tree.subtree_size(n) > 10)
+        x, y = network.topology.positions[victim]
+        group = scenario.group_of[victim]
+        scenario.field.enroll(401, group)
+        schedule = ChurnSchedule([
+            ChurnEvent(4, ChurnKind.DEATH, victim),
+            ChurnEvent(6, ChurnKind.BIRTH, 401, position=(x + 2.0, y + 2.0),
+                       group=group),
+        ])
+        deployment = Deployment.from_scenario(scenario)
+        driver = EpochDriver(deployment, interventions=[
+            ChurnIntervention(schedule, board_for=scenario.board_for)])
+        handle = deployment.submit(self.QUERY.format(agg=agg))
+        driver.run()
+        assert not network.node(victim).alive
+        assert network.node(401).alive
+        return (tja_signature(handle.historic_result),
+                stats_signature(network.stats),
+                stats_signature(handle.stats), ledger_signature(network))
+
+    @pytest.mark.parametrize("backend", ["default", "python"])
+    @pytest.mark.parametrize("agg", ["AVG", "SUM", "MAX", "MIN"])
+    def test_hot_equals_reference(self, agg, backend):
+        with (columnar.force_python_backend() if backend == "python"
+              else contextlib.nullcontext()):
+            with hotpath.reference_path():
+                reference = self.run(agg)
+            hot = self.run(agg)
+        for field, hot_value, reference_value in zip(self.FIELDS, hot,
+                                                     reference):
+            assert hot_value == reference_value, field
+        by_kind = hot[1][1]
+        assert by_kind["lb_reply"] == by_kind["join_reply"] == 400
+        assert hot[0][1] >= 3
+
+
+class TestTjaTiedLocalValues:
+    """A mote's local top-k breaks a tie in value by label, as
+    :func:`~repro.core.results.rank_key` does, so epoch 10 outranks
+    epoch 9 (``"10" < "9"``). The hot path orders the labels once and
+    each window by value; both paths must nominate and answer
+    alike."""
+
+    def run(self):
+        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=1)
+        column = {8: 5.0, 9: 7.0, 10: 7.0, 11: 1.0}
+        series = {node_id: dict(column) for node_id in scenario.group_of}
+        result = Tja(scenario.network, make_aggregate("AVG", 0.0, 100.0),
+                     1, series).execute()
+        return tja_signature(result), stats_signature(scenario.network.stats)
+
+    def test_hot_equals_reference(self):
+        with hotpath.reference_path():
+            reference = self.run()
+        hot = self.run()
+        assert hot == reference
+        assert [item[0] for item in hot[0][0]] == [10]
+        assert hot[0][1] == 1
+
+
+class TestTjaCleanUp:
+    """Uncorrelated windows leave the LB candidates short of a
+    certified answer, so TJA runs the CL expansion and then the CL
+    join over what it nominated: every mote ships two ``lb_reply``
+    and two ``join_reply`` messages. Both paths must agree on the
+    result, stats by kind and phase, and ledgers. (MAX never expands:
+    the mote with the highest k-th value nominates k candidates that
+    score at least that value.)"""
+
+    MOTES = 16
+
+    def run(self, agg):
+        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=1)
+        network = scenario.network
+        series = make_series(list(scenario.group_of), epochs=40, seed=6)
+        result = Tja(network, make_aggregate(agg, 0.0, 100.0), 3,
+                     series).execute()
+        return (tja_signature(result), stats_signature(network.stats),
+                ledger_signature(network))
+
+    @pytest.mark.parametrize("agg", ["AVG", "SUM", "MIN"])
+    def test_hot_equals_reference(self, agg):
+        with hotpath.reference_path():
+            reference = self.run(agg)
+        hot = self.run(agg)
+        assert hot == reference
+        assert hot[0][2] == 1, "the data must need the clean-up round"
+        by_kind = hot[1][1]
+        assert by_kind["lb_reply"] == by_kind["join_reply"] == 2 * self.MOTES
+
+
+class TestLossyTja:
+    """TJA over a lossy radio (64 motes, 4% loss, one retry): the hot
+    passes ship through ``_ship_unicast``, which draws the loss stream
+    per packet as ``send_up`` does. A drop in any phase must raise the
+    same :class:`~repro.errors.RoutingError` on both paths and leave
+    equal stats, ledgers and loss-stream state; an execution that
+    completes must give the same result."""
+
+    SEEDS = range(12)
+
+    def run(self, seed, agg):
+        network = Network(
+            grid_topology(8, spacing=10.0, radio_range=15.0),
+            radio=RadioModel(range_m=15.0, loss_probability=0.04,
+                             max_retries=1),
+            seed=seed)
+        series = make_series(list(network.tree.sensor_ids), epochs=8,
+                             seed=seed)
+        tja = Tja(network, make_aggregate(agg, 0.0, 100.0), 3, series)
+        try:
+            outcome = tja_signature(tja.execute())
+        except RoutingError as drop:
+            outcome = ("dropped", str(drop))
+        return (outcome, stats_signature(network.stats),
+                ledger_signature(network), network._rng.getstate())
+
+    @pytest.mark.parametrize("agg", ["AVG", "SUM", "MAX", "MIN"])
+    def test_hot_equals_reference(self, agg):
+        drops = 0
+        for seed in self.SEEDS:
+            with hotpath.reference_path():
+                reference = self.run(seed, agg)
+            hot = self.run(seed, agg)
+            assert hot == reference, f"seed {seed}"
+            drops += hot[0][0] == "dropped"
+        assert 0 < drops < len(self.SEEDS), drops

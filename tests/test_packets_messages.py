@@ -163,6 +163,26 @@ class TestWireSize:
         assert (FilterUpdateMessage.wire_size(len(intervals))
                 == message.payload_bytes)
 
+    @given(object_ids=st.lists(st.integers(0, 2**31), max_size=60))
+    def test_lb_reply(self, object_ids):
+        message = LBReplyMessage(object_ids=tuple(object_ids))
+        assert LBReplyMessage.kind == message.kind == "lb_reply"
+        assert (LBReplyMessage.wire_size(len(object_ids))
+                == message.payload_bytes)
+
+    @given(items=st.lists(st.builds(
+        ObjectScore, st.integers(0, 2**31),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(0, 1000)), max_size=40),
+        threshold=st.floats(allow_nan=False), count=st.integers(0, 1000))
+    def test_join_reply(self, items, threshold, count):
+        message = JoinReplyMessage(items=tuple(items),
+                                   threshold_value=threshold,
+                                   threshold_count=count)
+        assert JoinReplyMessage.kind == message.kind == "join_reply"
+        assert (JoinReplyMessage.wire_size(len(items))
+                == message.payload_bytes)
+
     @given(groups=st.lists(st.integers(0, 1000) | st.text(max_size=3),
                            max_size=40))
     def test_probe_request(self, groups):

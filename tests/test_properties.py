@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregates import make_aggregate
 from repro.core.certify import certify_top_k
-from repro.core.aggregates import Bounds
+from repro.core.aggregates import Bounds, Partial
 from repro.core.results import is_valid_top_k, oracle_scores, rank_key
 from repro.query.parser import parse
 
@@ -25,6 +25,17 @@ funcs = st.sampled_from(["AVG", "SUM", "MIN", "MAX"])
 
 
 class TestAggregateAlgebra:
+    @given(st.sampled_from(["AVG", "SUM", "COUNT", "MIN", "MAX"]),
+           values, values, st.integers(0, 1000), st.integers(0, 1000))
+    def test_merge_is_combine_of_values(self, func, a, b, count_a,
+                                        count_b):
+        """``combine`` is the value half of ``merge``: TJA's join rows
+        fold a whole row of equal-count partials with it."""
+        agg = make_aggregate(func, 0, 100)
+        pa, pb = Partial(a, count_a), Partial(b, count_b)
+        assert agg.merge(pa, pb) == Partial(agg.combine(a, b),
+                                            count_a + count_b)
+
     @given(funcs, values, values, values)
     def test_merge_associative(self, func, a, b, c):
         agg = make_aggregate(func, 0, 100)

@@ -53,6 +53,19 @@ class TestAccess:
     def test_last_more_than_buffered(self, window):
         assert len(window.last(99)) == 5
 
+    @pytest.mark.parametrize("appended", [16, 16 * 3 + 5],
+                             ids=["full", "wrapped"])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17])
+    def test_last_at_and_past_capacity(self, appended, n):
+        """``last(n)`` reads from the newest end; on a full window and
+        on one whose deque has wrapped it equals the tail of
+        ``list(window)``."""
+        w = SlidingWindow(capacity=16)
+        for t in range(appended):
+            w.append(t, float(t % 7))
+        entries = list(w)
+        assert w.last(n) == (entries[-n:] if n else [])
+
     def test_since(self, window):
         assert [e.epoch for e in window.since(3)] == [3, 4]
 
