@@ -11,18 +11,19 @@ overhead per epoch**, so "use the clean API" never needs a performance
 caveat.
 
 Both sides run the same MINT plan over the same seeded grid, so the
-simulated work is identical; answers are checked bit-identical. Each
-side is timed best-of-``REPEATS`` on a fresh deployment to damp
-scheduler noise.
+simulated work is identical; answers are checked identical. The two
+sides are timed through :func:`repro.perf.measure_ratio`: fresh
+deployments each repeat, ``CHUNK_EPOCHS`` epochs per chunk run back to
+back with the side that goes first alternating, and the fastest run of
+each chunk kept, so a descheduling blip counts only if it hits the same
+chunk in every repeat.
 """
 
 import _bootstrap  # noqa: F401  src/ path wiring for script runs
 
-import gc
-import time
-
 from repro.api import Deployment, EpochDriver
 from repro.core.engine import KSpotEngine
+from repro.perf import measure_ratio
 from repro.query.plan import compile_query
 from repro.query.validator import Schema
 from repro.scenarios import grid_rooms_scenario
@@ -34,6 +35,7 @@ QUERY = ("SELECT TOP 3 roomid, AVG(sound) FROM sensors "
 SIDE = 8
 ROOMS = 4
 EPOCHS = 40
+CHUNK_EPOCHS = 4
 SEED = 13
 REPEATS = 5
 
@@ -48,7 +50,7 @@ def fresh_scenario():
     return grid_rooms_scenario(side=SIDE, rooms_per_axis=ROOMS, seed=SEED)
 
 
-def run_raw():
+def raw_side():
     """The floor: one engine stepped in a plain loop."""
     scenario = fresh_scenario()
     board = scenario.network.node(
@@ -58,50 +60,46 @@ def run_raw():
     _, plan = compile_query(QUERY, schema)
     engine = KSpotEngine(scenario.network, plan,
                          group_of=scenario.group_of)
-    started = time.perf_counter()
-    results = [engine.run_epoch() for _ in range(EPOCHS)]
-    elapsed = time.perf_counter() - started
-    return elapsed, results
+    results = []
+
+    def step():
+        for _ in range(CHUNK_EPOCHS):
+            results.append(engine.run_epoch())
+
+    return step, lambda: [result.items for result in results]
 
 
-def run_facade():
+def facade_side():
     """The full stack: Deployment → EpochDriver → SessionHandle."""
     scenario = fresh_scenario()
     deployment = Deployment.from_scenario(scenario)
     driver = EpochDriver(deployment)
     handle = deployment.submit(QUERY)
-    started = time.perf_counter()
-    driver.run(EPOCHS)
-    elapsed = time.perf_counter() - started
-    return elapsed, list(handle.results)
+
+    def step():
+        driver.run(CHUNK_EPOCHS)
+
+    return step, lambda: [result.items for result in handle.results]
 
 
 def run_experiment():
-    """Interleave the two driving styles (raw, facade, raw, facade, …)
-    so ambient drift — garbage-collection pressure from earlier
-    benchmarks in the same process, CPU frequency changes — lands on
-    both sides equally, and keep the best of each."""
-    raw_time = api_time = float("inf")
-    raw_results = api_results = None
-    for _ in range(REPEATS):
-        gc.collect()
-        elapsed, raw_results = run_raw()
-        raw_time = min(raw_time, elapsed)
-        gc.collect()
-        elapsed, api_results = run_facade()
-        api_time = min(api_time, elapsed)
-    overhead = api_time / raw_time - 1.0
-    return raw_time, api_time, overhead, raw_results, api_results
+    return measure_ratio(facade_side, raw_side,
+                         chunks=EPOCHS // CHUNK_EPOCHS, repeats=REPEATS,
+                         name="e13 facade overhead")
 
 
 def test_e13_facade_overhead(benchmark, table):
-    raw_time, api_time, overhead, raw_results, api_results = once(
-        benchmark, run_experiment)
+    # The facade is an organisational layer, not an execution one:
+    # measure_ratio raises unless the answers are the very same
+    # EpochResult items on both sides.
+    timing = once(benchmark, run_experiment)
+    raw_time, api_time = timing["off_s"], timing["on_s"]
+    overhead = api_time / raw_time - 1.0
 
     per_epoch_raw = raw_time / EPOCHS * 1e6
     per_epoch_api = api_time / EPOCHS * 1e6
     table(f"E13: facade overhead ({SIDE * SIDE} sensors, {EPOCHS} epochs, "
-          f"best of {REPEATS})",
+          f"chunks of {CHUNK_EPOCHS}, best of {REPEATS})",
           ["driving style", "total ms", "per-epoch µs"],
           [["raw engine loop", f"{raw_time * 1e3:.1f}",
             f"{per_epoch_raw:.0f}"],
@@ -110,10 +108,7 @@ def test_e13_facade_overhead(benchmark, table):
            ["overhead", f"{(api_time - raw_time) * 1e3:+.1f}",
             f"{overhead * 100:+.1f}%"]])
 
-    # The facade is an organisational layer, not an execution one: the
-    # answers are the very same EpochResults...
-    assert [r.items for r in api_results] == [r.items for r in raw_results]
-    # ...and the wrapper costs less than 5% wall-clock per epoch (a
+    # The wrapper costs less than 5% wall-clock per epoch (a
     # sub-noise-floor absolute delta passes too, so a descheduling
     # blip on a shared CI runner cannot flake the gate).
     per_epoch_delta = (api_time - raw_time) / EPOCHS

@@ -13,8 +13,8 @@ declaration is acyclic, so "the architecture is a DAG" is itself a
 tested claim, not prose (``tests/test_analysis.py``).
 
 Known deliberate exceptions in the tree — ``sensing`` reaching up to
-the columnar backend and the lazy ``parallel``/``perf`` and
-``scenarios``/``api`` back-edges — are *not* declared here: they carry
+the columnar backend and the lazy ``scenarios``/``api`` back-edges —
+are *not* declared here: they carry
 ``# repro: allow[layer-dag]`` pragmas at the import site, so each one
 stays visible, justified and greppable instead of silently blessed.
 """

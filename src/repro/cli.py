@@ -35,8 +35,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Iterator, Sequence
 
 from . import __version__
 from .api import ChurnIntervention, Deployment, EpochDriver, SessionHandle
@@ -143,25 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="measure epochs/sec, messages/sec and RSS across fleet "
-             "sizes; writes a schema-versioned BENCH_perf.json")
-    perf.add_argument("--sizes", default=None,
-                      help="comma-separated fleet sizes "
-                           "(default: 25,100,400,1000)")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="repetitions per configuration (best-of-R, "
-                           "interleaved)")
-    perf.add_argument("--seed", type=int, default=11)
-    perf.add_argument("--quick", action="store_true",
-                      help="CI smoke: the default ladder trimmed to "
-                           "N = 25,100,400, at most 2 repeats")
-    perf.add_argument("--compare-reference", action="store_true",
-                      help="also time the unoptimized reference path "
-                           "and report the machine-normalized speedup")
+        help="measure the three speed ratios CI gates; writes a "
+             "schema-versioned BENCH_perf.json")
     perf.add_argument("--output", default="BENCH_perf.json",
                       help="where to write the JSON report")
-    _add_churn_arguments(perf)
-    _add_jobs_argument(perf)
 
     savings = sub.add_parser("savings",
                              help="MINT vs TAG savings on a grid")
@@ -228,6 +215,17 @@ def _make_churn(args, network, attribute, field, group_of,
                       getattr(args, "churn_seed", 0),
                       network, attribute, field, group_of,
                       epochs if epochs is not None else args.epochs)
+
+
+@contextmanager
+def _writing(path) -> Iterator[None]:
+    """Turn a failed write to ``path`` into ``error: cannot write ...``
+    (exit 2) instead of a traceback."""
+    try:
+        yield
+    except OSError as error:
+        raise KSpotError(
+            f"cannot write {path}: {error.strerror or error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -734,11 +732,10 @@ def _cmd_sweep(args) -> int:
               f"jobs {args.jobs}")
     merged = run_sweep(cells, jobs=args.jobs)
     if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        with _writing(args.output):
+            Path(args.output).write_text(
+                json.dumps(merged, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
     if args.format == "json":
         print(json.dumps(merged, indent=2))
     else:
@@ -785,7 +782,8 @@ def _cmd_scenario_init(args) -> int:
         cluster_of={1: "RoomA", 2: "RoomA", 3: "RoomB", 4: "RoomB",
                     5: "Hallway", 6: "Hallway"},
     )
-    save_scenario(template, args.path)
+    with _writing(args.path):
+        save_scenario(template, args.path)
     print(f"wrote template scenario to {args.path}")
     print("edit positions/clusters, then:")
     print(f"  python -m repro run {args.path} \"SELECT TOP 1 roomid, "
@@ -811,8 +809,8 @@ def _cmd_lint(args) -> int:
     rendered = report.to_json() if args.format == "json" \
         else report.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        with _writing(args.output):
+            Path(args.output).write_text(rendered + "\n", encoding="utf-8")
         if args.format == "json":
             # Keep stdout human-scannable when the JSON went to a file.
             print(report.to_text())
@@ -824,63 +822,19 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from .perf import FLEET_SIZES, run_perf
+    from .perf import run_perf
 
-    if args.sizes:
-        try:
-            sizes = tuple(int(part) for part in args.sizes.split(","))
-        except ValueError:
-            raise ConfigurationError(
-                f"--sizes wants comma-separated integers, got "
-                f"{args.sizes!r}") from None
-        if any(n < 1 for n in sizes):
-            raise ConfigurationError("fleet sizes must be positive")
-    else:
-        sizes = FLEET_SIZES
-
-    def progress(sample):
-        line = (f"N={sample.n_nodes:>5}: "
-                f"{sample.hot.epochs_per_sec:8.2f} epochs/s, "
-                f"{sample.hot.messages_per_sec:10.0f} msgs/s, "
-                f"rss {sample.peak_rss_bytes / 1e6:6.1f} MB")
-        if sample.speedup is not None:
-            line += (f"  ({sample.reference.epochs_per_sec:.2f} eps "
-                     f"reference, {sample.speedup:.2f}x)")
-        print(line)
-
-    # Mirror run_perf's --quick adjustments so the banner states what
-    # will actually run (default ladder trimmed, repeats clamped).
-    from .perf import QUICK_SIZES
-
-    shown_sizes = list(sizes)
-    shown_repeats = args.repeats
-    if args.quick:
-        if tuple(sizes) == FLEET_SIZES:
-            shown_sizes = list(QUICK_SIZES)
-        shown_repeats = min(shown_repeats, 2)
-    print(f"perf: e11 workload, sizes {shown_sizes}, "
-          f"best of {shown_repeats}"
-          + (f", churn={args.churn}" if args.churn else "")
-          + (", vs reference path" if args.compare_reference else "")
-          + (f", {args.jobs} workers" if args.jobs > 1 else ""))
-    report = run_perf(
-        sizes=sizes, repeats=args.repeats, seed=args.seed,
-        churn=args.churn, churn_seed=args.churn_seed,
-        compare_reference=args.compare_reference, quick=args.quick,
-        progress=progress, jobs=args.jobs)
-    if report.aggregate is not None:
-        aggregate = report.aggregate
-        line = (f"aggregate: {aggregate['workers']} workers x "
-                f"N={aggregate['n_nodes']}: "
-                f"{aggregate['epochs_per_sec']:8.2f} epochs/s "
-                f"({aggregate['scaleout']:.2f}x scale-out)")
-        print(line)
-    path = report.write(args.output)
-    print(f"wrote {path}")
-    for entry in report.shard_errors:
-        print(f"shard failed: {entry['key']}\n{entry['error']}",
-              file=sys.stderr)
-    return 2 if report.shard_errors else 0
+    report = run_perf()
+    for name, gate in report["gates"].items():
+        print(f"{name}: {gate['ratio']:.2f}x "
+              f"(on {gate['on_s'] * 1e3:.1f} ms, "
+              f"off {gate['off_s'] * 1e3:.1f} ms)")
+    with _writing(args.output):
+        Path(args.output).write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+    print(f"wrote {args.output}")
+    return 0
 
 
 def _cmd_savings(args) -> int:

@@ -131,22 +131,38 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             f"unsupported scenario version {payload.get('version')!r}"
         )
     try:
-        positions = {
-            int(sensor["id"]): (float(sensor["x"]), float(sensor["y"]))
-            for sensor in payload["sensors"]
-        }
-        cluster_of = {
-            int(sensor["id"]): sensor["cluster"]
-            for sensor in payload["sensors"]
-            if sensor.get("cluster") is not None
-        }
+        positions: dict[int, tuple[float, float]] = {}
+        cluster_of: dict[int, str] = {}
+        for sensor in payload["sensors"]:
+            node_id, cluster = sensor["id"], sensor.get("cluster")
+            if type(node_id) is not int:
+                raise ScenarioError(
+                    f"malformed scenario file: sensor id {node_id!r} is "
+                    f"not an integer")
+            if node_id in positions:
+                raise ScenarioError(
+                    f"malformed scenario file: sensor id {node_id} is "
+                    f"listed twice")
+            if isinstance(cluster, (list, dict)):
+                raise ScenarioError(
+                    f"malformed scenario file: sensor {node_id} has "
+                    f"cluster {cluster!r}, not a label")
+            positions[node_id] = (float(sensor["x"]), float(sensor["y"]))
+            if cluster is not None:
+                cluster_of[node_id] = cluster
+        sink = payload.get("sink", [0.0, 0.0])
+        if not (isinstance(sink, list) and len(sink) == 2
+                and all(type(value) in (int, float) for value in sink)):
+            raise ScenarioError(
+                f"malformed scenario file: sink {sink!r} is not a pair "
+                f"of numbers")
         config = ScenarioConfig(
             name=payload["name"],
             map_width=float(payload["map"]["width"]),
             map_height=float(payload["map"]["height"]),
             radio_range=float(payload["radio_range"]),
             attribute=payload.get("attribute", "sound"),
-            sink_position=tuple(payload.get("sink", (0.0, 0.0))),
+            sink_position=(float(sink[0]), float(sink[1])),
             positions=positions,
             cluster_of=cluster_of,
             floor_plan_caption=payload.get("floor_plan_caption",

@@ -32,7 +32,7 @@ The reference path exists so the equivalence can be *proved* rather
 than asserted: ``tests/test_hotpath_equivalence.py`` drives random
 scenarios through both modes and compares answers and
 :class:`~repro.network.stats.NetworkStats` byte-for-byte, and the
-``repro perf --compare-reference`` harness prices the speedup.
+hot-versus-reference gates of ``repro perf`` price the speedup.
 
 There is no second switch: "hot path on" means the columnar kernel,
 so an epoch runs exactly one of two ways, and a ``repro.parallel``

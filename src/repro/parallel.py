@@ -2,8 +2,8 @@
 
 The simulator is single-threaded by design (epoch-synchronous, one
 shared clock per deployment), so the way to saturate a machine is
-*horizontal*: many independent deployments — workload files, perf
-repeats, parameter-sweep cells — sharded across worker processes. This
+*horizontal*: many independent deployments — workload files and
+parameter-sweep cells — sharded across worker processes. This
 module owns that scale-out layer:
 
 * **Deterministic seed derivation** — :func:`derive_seed` splits a
@@ -18,8 +18,7 @@ module owns that scale-out layer:
   plain-data payload *or* its captured traceback across the process
   boundary (both picklable), plus timing and worker identity. Workers
   never crash the merge: a raising shard becomes a non-empty ``error``
-  field, which callers (and the CI tripwire) must check via
-  :func:`shard_errors`.
+  field, which callers must check via :func:`shard_errors`.
 
 * **The executor** — :class:`ShardPool` wraps
   :class:`concurrent.futures.ProcessPoolExecutor` with order-preserving
@@ -122,8 +121,8 @@ class ShardResult:
 
 
 def shard_errors(results: Iterable[ShardResult]) -> list[dict]:
-    """The non-empty shard-error envelope: one ``{key, error}`` entry
-    per failed shard (the CI tripwire fails when this is non-empty)."""
+    """The shard-error envelope: one ``{key, error}`` entry per failed
+    shard (e14 fails when this is non-empty)."""
     return [{"key": result.key, "error": result.error}
             for result in results if not result.ok]
 
@@ -370,10 +369,8 @@ def run_sweep_cell(cell: SweepCell) -> dict:
     savings series (when shadowed), and the cell's throughput.
     """
     from .api import ChurnIntervention, Deployment, EpochDriver
-    # repro: allow[layer-dag] -- lazy back-edge: sweep cells reuse perf's fleet_scenario layouts; worker-local import keeps the executor below the harness at module-import time
-    from .perf import fleet_scenario
     from .query.plan import Algorithm
-    from .scenarios import preset_churn
+    from .scenarios import fleet_scenario, preset_churn
 
     scenario = fleet_scenario(cell.n_nodes, seed=cell.field_seed)
     baseline_factory = None

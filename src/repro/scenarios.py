@@ -16,6 +16,7 @@ scaling experiments.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Hashable
@@ -207,6 +208,41 @@ def grid_rooms_scenario(side: int = 8, rooms_per_axis: int = 4,
     )
     return Scenario(network=network, group_of=room_of,
                     attribute=attribute, field=field)
+
+
+def fleet_scenario(n: int, seed: int = 11,
+                   rooms_per_axis: int = 4) -> Scenario:
+    """A deployment of exactly ``n`` sensors on a near-square grid.
+
+    Square ``n`` uses the canonical ``side × side`` layout of
+    :func:`grid_rooms_scenario`; other sizes extend it to
+    ``rows × cols`` (rows = ⌊√n⌋) with the trailing row truncated, so
+    N = 1000 is a 31 × 33 grid missing 23 corner motes.
+    """
+    spacing = 10.0
+    rows = max(1, math.isqrt(n))
+    cols = math.ceil(n / rows)
+    positions: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
+    room_of: dict[int, Hashable] = {}
+    row_block = max(1, rows // rooms_per_axis)
+    col_block = max(1, cols // rooms_per_axis)
+    node_id = 1
+    for row in range(rows):
+        for col in range(cols):
+            if node_id > n:
+                break
+            positions[node_id] = (col * spacing, row * spacing)
+            room = (min(row // row_block, rooms_per_axis - 1),
+                    min(col // col_block, rooms_per_axis - 1))
+            room_of[node_id] = f"R{room[0]}{room[1]}"
+            node_id += 1
+    topology = Topology(positions=positions, radio_range=spacing * 1.5)
+    sound = RoomField(room_of, lo=0.0, hi=100.0, room_step=4.0,
+                      sensor_sigma=1.5, seed=seed)
+    network = Network(topology, boards=_boards_for(room_of, "sound", sound),
+                      group_of=room_of)
+    return Scenario(network=network, group_of=room_of,
+                    attribute="sound", field=sound)
 
 
 #: Churn presets: name → (expected deaths per epoch, births per epoch).

@@ -68,6 +68,20 @@ class TestScenarioWorkflow:
                      "FROM sensors"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_scenario_entry_is_a_clean_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "deployment.json"
+        main(["scenario-init", str(path)])
+        payload = json.loads(path.read_text())
+        payload["sink"] = "ab"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["run", str(path), "SELECT TOP 1 roomid, AVG(sound) "
+                     "FROM sensors GROUP BY roomid"]) == 2
+        captured = capsys.readouterr()
+        assert "error: malformed scenario file: sink" in captured.err
+        assert captured.out == ""
+
     def test_bad_query_is_a_clean_error(self, tmp_path, capsys):
         path = str(tmp_path / "deployment.json")
         main(["scenario-init", path])
@@ -91,6 +105,25 @@ class TestScenarioWorkflow:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "1024 readings" in captured.err
         assert captured.out == ""
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--sizes", "9", "--mixes", "mint", "--epochs", "1",
+         "--output", "/nonexistent/d/x.json"],
+        ["perf", "--output", "/nonexistent/x.json"],
+        ["lint", __file__, "--output", "/nonexistent/x.json"],
+        ["scenario-init", "/nonexistent/d/s.json"],
+    ], ids=["sweep", "perf", "lint", "scenario-init"])
+    def test_unwritable_output_is_a_clean_error(self, monkeypatch, capsys,
+                                                argv):
+        from repro import perf
+
+        monkeypatch.setattr(perf, "GATES", tuple(
+            (name, measure, 9, 4) for name, measure, _, _ in perf.GATES))
+        assert main(argv) == 2
+        assert ("error: cannot write /nonexistent/"
+                in capsys.readouterr().err)
 
 
 class TestWorkload:

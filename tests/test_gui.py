@@ -243,6 +243,28 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="version"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update(sink="ab"), "sink 'ab' is not a pair"),
+        (lambda p: p.update(sink=[1, 2, 3]), "not a pair of numbers"),
+        (lambda p: p.update(sink=[1, True]), "not a pair of numbers"),
+        (lambda p: p["sensors"][0].update(cluster=[1]), "not a label"),
+        (lambda p: p["sensors"][0].update(cluster={"a": 1}), "not a label"),
+        (lambda p: p["sensors"][0].update(id=1.7), "1.7 is not an integer"),
+        (lambda p: p["sensors"][0].update(id="1"), "not an integer"),
+        (lambda p: p["sensors"][1].update(id=1), "id 1 is listed twice"),
+    ], ids=["sink-string", "sink-triple", "sink-bool", "cluster-array",
+            "cluster-object", "id-float", "id-string", "id-repeated"])
+    def test_malformed_entries_rejected(self, tmp_path, edit, message):
+        import json
+
+        path = tmp_path / "scenario.json"
+        save_scenario(self.make_config(), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+
     def test_deploy_builds_network(self):
         from repro.sensing.generators import ConstantField
 

@@ -1,26 +1,40 @@
-"""The ``repro.perf`` harness: fleet builder, measurements, schema."""
+"""The ``repro.perf`` gates, their ratio helper and the gate script."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from repro import perf
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.perf import (
-    EPOCHS_FOR,
-    FLEET_SIZES,
-    QUICK_SIZES,
-    SCHEMA,
-    PathTiming,
-    PerfSample,
-    fleet_scenario,
-    rss_bytes,
-    run_perf,
-)
+from repro.network import hotpath
+from repro.perf import SCHEMA, measure_ratio, run_perf
+from repro.scenarios import fleet_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+GATE_NAMES = {"hot_vs_reference_n100", "hot_vs_reference_n400",
+              "certifier_n400"}
+
+
+def _load_gate():
+    spec = importlib.util.spec_from_file_location(
+        "check_perf_regression",
+        ROOT / "benchmarks" / "check_perf_regression.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+@pytest.fixture
+def small_gates(monkeypatch):
+    """The gate table at 9 motes and 4 timed epochs (one chunk)."""
+    monkeypatch.setattr(perf, "GATES", tuple(
+        (name, measure, 9, 4) for name, measure, _, _ in perf.GATES))
 
 
 class TestFleetScenario:
@@ -45,280 +59,203 @@ class TestFleetScenario:
             assert node_id in scenario.group_of
 
     def test_default_ladder(self):
-        assert FLEET_SIZES == (25, 100, 400, 1000)
-        assert set(EPOCHS_FOR) == set(FLEET_SIZES)
-        # The CI smoke ladder covers every size the regression gate
-        # inspects (N=100 and N=400).
-        assert QUICK_SIZES == (25, 100, 400)
+        """The default run measures exactly the gates the committed
+        trajectory holds, at the fleet sizes they name."""
+        trajectory = json.loads(
+            (ROOT / "benchmarks" / "perf_trajectory.json").read_text())
+        assert {name for name, *_ in perf.GATES} == set(
+            trajectory["gates"]) == GATE_NAMES
+        for name, _, motes, _ in perf.GATES:
+            assert name.endswith(f"_n{motes}")
+
+
+def _scripted_ratio(monkeypatch, durations, outputs=None):
+    """measure_ratio over two fake sides on a scripted clock: chunk c of
+    repeat r of a side takes ``durations[side][r][c]`` seconds, and its
+    output in repeat r is ``outputs[side][r]``. Returns the result, the
+    builds per side and the order the steps ran in."""
+    now, builds, order = [0.0], {"on": 0, "off": 0}, []
+    outputs = outputs or {"on": "-" * 9, "off": "-" * 9}
+    monkeypatch.setattr(perf.time, "perf_counter", lambda: now[0])
+
+    def side(label):
+        def build():
+            repeat = builds[label]
+            builds[label] += 1
+            chunks = iter(durations[label][repeat])
+
+            def step():
+                order.append(label)
+                now[0] += next(chunks)
+
+            return step, lambda: outputs[label][repeat]
+        return build
+
+    result = measure_ratio(side("on"), side("off"),
+                           chunks=len(durations["on"][0]),
+                           repeats=len(durations["on"]), name="gate-x")
+    return result, builds, order
 
 
 class TestMeasurement:
     @pytest.mark.parametrize("repeats", [0, -2])
     def test_no_repeats_is_a_configuration_error(self, repeats):
         with pytest.raises(ConfigurationError, match="repeats"):
-            run_perf(sizes=(9,), repeats=repeats, epochs_for={9: 2})
+            measure_ratio(lambda: (None, None), lambda: (None, None),
+                          chunks=1, repeats=repeats, name="gate-x")
 
-    def test_run_perf_produces_schema_versioned_report(self, tmp_path):
-        report = run_perf(sizes=(9,), repeats=1,
-                          epochs_for={9: 3})
-        data = report.as_dict()
-        assert data["schema"] == SCHEMA == "kspot-perf/7"
-        assert data["workload"] == "e11-multiquery"
-        assert len(data["queries"]) == 5
-        assert data["platform"]["cpu_count"] >= 1
-        assert data["platform"]["workers"] == 1
-        assert data["aggregate"] is None
-        assert data["shard_errors"] == []
-        # The certifier microbench rides every run, capped at the
-        # ladder's own largest size for unit-scale invocations.
-        certifier = data["certifier"]
-        assert certifier["n_groups"] == 9
-        assert certifier["certifications"] > 0
-        assert certifier["speedup"] > 0
-        assert certifier["incremental_per_sec"] > 0
-        assert "columnar" not in data  # dropped in kspot-perf/7
-        (sample,) = data["results"]
-        assert sample["n_nodes"] == 9
-        assert sample["epochs"] == 3
-        assert sample["epochs_per_sec"] > 0
-        assert sample["messages_per_sec"] > 0
-        assert sample["peak_rss_bytes"] > 0
-        assert "reference" not in sample
+    def test_all_repeat_timings_recorded(self, monkeypatch):
+        """Every repeat of every chunk is timed; each side keeps its
+        fastest run of each chunk."""
+        result, _, _ = _scripted_ratio(monkeypatch, {
+            "on": [[3.0, 1.0], [2.0, 5.0]], "off": [[6.0, 4.0], [8.0, 2.0]]})
+        assert result == {"on_s": 2.0 + 1.0, "off_s": 6.0 + 2.0,
+                          "ratio": 8.0 / 3.0}
 
-        path = report.write(tmp_path / "BENCH_perf.json")
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(data))
+    def test_builds_each_factory_once_per_repeat(self, monkeypatch):
+        _, builds, _ = _scripted_ratio(monkeypatch, {
+            "on": [[1.0]] * 3, "off": [[1.0]] * 3})
+        assert builds == {"on": 3, "off": 3}
 
-    def test_all_repeat_timings_recorded(self):
-        report = run_perf(sizes=(9,), repeats=3, epochs_for={9: 2},
-                          compare_reference=True)
-        sample = report.sample_for(9).as_dict()
-        assert len(sample["repeat_wall_seconds"]) == 3
-        assert sample["wall_seconds"] == min(sample["repeat_wall_seconds"])
-        assert len(sample["reference"]["repeat_wall_seconds"]) == 3
-        assert sample["reference"]["wall_seconds"] == min(
-            sample["reference"]["repeat_wall_seconds"])
+    def test_first_side_alternates_with_repeat_plus_chunk(self,
+                                                          monkeypatch):
+        _, _, order = _scripted_ratio(monkeypatch, {
+            "on": [[1.0] * 3] * 2, "off": [[1.0] * 3] * 2})
+        assert order == ["on", "off", "off", "on", "on", "off",
+                         "off", "on", "on", "off", "off", "on"]
+
+    def test_raises_when_only_a_later_repeat_diverges(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="gate-x.*repeat 2"):
+            _scripted_ratio(monkeypatch,
+                            {"on": [[1.0]] * 3, "off": [[1.0]] * 3},
+                            outputs={"on": "abc", "off": "abx"})
 
     def test_compare_reference_reports_speedup(self):
-        report = run_perf(sizes=(9,), repeats=1, epochs_for={9: 3},
-                          compare_reference=True)
-        sample = report.sample_for(9)
-        assert sample.reference is not None
-        assert sample.speedup == pytest.approx(
-            sample.hot.epochs_per_sec / sample.reference.epochs_per_sec)
-        assert sample.as_dict()["speedup_vs_reference"] == sample.speedup
+        result = perf.hot_vs_reference("hot_vs_reference_n9", 9, 4)
+        assert result["on_s"] > 0 and result["off_s"] > 0
+        assert result["ratio"] == result["off_s"] / result["on_s"]
 
-    def test_quick_mode_trims_the_ladder(self):
-        report = run_perf(sizes=(25, 100, 400, 1000), repeats=1,
-                          quick=True,
-                          epochs_for={25: 2, 100: 2, 400: 2})
-        assert [s.n_nodes for s in report.samples] == [25, 100, 400]
-        assert all(s.repeats == 1 for s in report.samples)
-        assert report.as_dict()["quick"] is True
-
-    def test_sharded_run_matches_serial_counters(self):
-        """--jobs changes wall clocks, never measurements: messages,
-        epochs and the schema payload shape are identical."""
-        serial = run_perf(sizes=(9, 16), repeats=2,
-                          epochs_for={9: 2, 16: 2})
-        sharded = run_perf(sizes=(9, 16), repeats=2,
-                           epochs_for={9: 2, 16: 2}, jobs=2)
-        assert sharded.workers == 2
-        assert sharded.shard_errors == []
-        for n in (9, 16):
-            a, b = serial.sample_for(n), sharded.sample_for(n)
-            assert a.hot.messages == b.hot.messages
-            assert a.hot.epochs == b.hot.epochs
-            assert a.repeats == b.repeats == 2
-        aggregate = sharded.as_dict()["aggregate"]
-        assert aggregate["workers"] == 2
-        assert aggregate["n_nodes"] == 16
-        assert aggregate["epochs_total"] == 2 * 2
-        assert aggregate["epochs_per_sec"] > 0
-        assert len(aggregate["shard_seconds"]) == 2
-
-    def test_shard_crash_lands_in_the_error_envelope(self, monkeypatch):
-        """A worker that raises must surface in shard_errors, never
-        vanish (the CI tripwire's contract)."""
-        import repro.perf as perf_module
-
-        def boom(spec):
-            raise RuntimeError("worker crashed")
-
-        monkeypatch.setattr(perf_module, "_measure_repeat", boom)
-        report = run_perf(sizes=(9,), repeats=1, epochs_for={9: 2})
-        assert report.samples == []
-        assert len(report.shard_errors) == 1
-        assert "worker crashed" in report.shard_errors[0]["error"]
-
-    def test_throughput_shard_crash_lands_in_the_error_envelope(
+    def test_reference_side_builds_and_steps_on_the_reference_path(
             self, monkeypatch):
-        """Aggregate-throughput shards report through the same
-        envelope as the ladder — a crashed worker there must not
-        leave an honest-looking aggregate section behind."""
-        import repro.perf as perf_module
+        from repro.api import EpochDriver
 
-        monkeypatch.setattr(perf_module, "_measure_throughput",
-                            _throughput_boom)
-        report = run_perf(sizes=(9,), repeats=1, epochs_for={9: 2},
-                          jobs=2)
-        assert len(report.shard_errors) == 2
-        assert all("throughput worker crashed" in entry["error"]
-                   for entry in report.shard_errors)
-        assert report.aggregate["epochs_total"] == 0
+        seen, run = [], EpochDriver.run
 
-    def test_churn_workload_runs(self):
-        report = run_perf(sizes=(16,), repeats=1, epochs_for={16: 4},
-                          churn="calm", churn_seed=1)
-        assert report.sample_for(16).hot.epochs_per_sec > 0
-        assert report.as_dict()["churn"] == "calm"
+        def recording_run(driver, epochs):
+            seen.append(hotpath.enabled())
+            return run(driver, epochs)
 
-    def test_rss_probe_is_positive(self):
-        assert rss_bytes() > 1_000_000  # a python process is >1 MB
+        def check_sides(on, off, *, chunks, repeats, name):
+            for side, hot in ((on, True), (off, False)):
+                seen.clear()
+                step, _ = side()
+                step()
+                assert seen == [hot, hot]  # warm-up, then one chunk
 
-    def test_path_timing_rates(self):
-        timing = PathTiming(wall_seconds=2.0, epochs=10, messages=500)
-        assert timing.epochs_per_sec == 5.0
-        assert timing.messages_per_sec == 250.0
+        monkeypatch.setattr(EpochDriver, "run", recording_run)
+        monkeypatch.setattr(perf, "measure_ratio", check_sides)
+        perf.hot_vs_reference("hot_vs_reference_n9", 9, 4)
+        assert hotpath.enabled()
 
-    def test_sample_speedup_none_without_reference(self):
-        sample = PerfSample(n_nodes=1, sessions=5, repeats=1,
-                            hot=PathTiming(1.0, 1, 1), reference=None,
-                            peak_rss_bytes=1)
-        assert sample.speedup is None
-        assert "speedup_vs_reference" not in sample.as_dict()
-
-
-def _throughput_boom(spec):
-    """Module-level (picklable) crasher for the tripwire test."""
-    raise RuntimeError("throughput worker crashed")
+    def test_run_perf_produces_schema_versioned_report(self, small_gates):
+        data = run_perf()
+        assert data["schema"] == SCHEMA == "kspot-perf/8"
+        assert set(data) == {"schema", "version", "platform", "gates"}
+        assert data["platform"]["cpu_count"] >= 1
+        assert list(data["gates"]) == [name for name, *_ in perf.GATES]
+        assert set(data["gates"]) == GATE_NAMES
+        for gate in data["gates"].values():
+            assert set(gate) == {"on_s", "off_s", "ratio"}
+            assert gate["ratio"] > 0
+        assert json.loads(json.dumps(data)) == data
 
 
 class TestPerfCli:
-    def test_perf_subcommand_writes_report(self, tmp_path, capsys):
+    def test_perf_subcommand_writes_report(self, small_gates, tmp_path,
+                                           capsys):
         output = tmp_path / "BENCH_perf.json"
-        code = cli_main(["perf", "--sizes", "9", "--repeats", "1",
-                         "--output", str(output)])
-        assert code == 0
-        assert "wrote" in capsys.readouterr().out
+        assert cli_main(["perf", "--output", str(output)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            name for name, *_ in perf.GATES]
+        assert lines[3] == f"wrote {output}"
         data = json.loads(output.read_text())
         assert data["schema"] == SCHEMA
-        assert data["results"][0]["n_nodes"] == 9
+        assert set(data["gates"]) == GATE_NAMES
 
     def test_bad_sizes_rejected(self, capsys):
-        assert cli_main(["perf", "--sizes", "ten"]) == 2
-        assert "comma-separated integers" in capsys.readouterr().err
+        """``--output`` is the only option: the ladder's are refused."""
+        with pytest.raises(SystemExit, match="2"):
+            cli_main(["perf", "--sizes", "ten"])
+        assert "unrecognized arguments: --sizes" in capsys.readouterr().err
 
     def test_zero_repeats_rejected(self, tmp_path, capsys):
         output = tmp_path / "BENCH_perf.json"
-        assert cli_main(["perf", "--sizes", "9", "--repeats", "0",
-                         "--output", str(output)]) == 2
-        assert "error: repeats" in capsys.readouterr().err
+        with pytest.raises(SystemExit, match="2"):
+            cli_main(["perf", "--repeats", "0", "--output", str(output)])
+        assert "unrecognized arguments: --repeats" in capsys.readouterr().err
         assert not output.exists()
 
 
 class TestRegressionGate:
-    def _report(self, speedup, eps=100.0, n=100):
-        return {
-            "schema": SCHEMA,
-            "workload": "e11-multiquery",
-            "results": [{
-                "n_nodes": n,
-                "epochs_per_sec": eps,
-                "speedup_vs_reference": speedup,
-            }],
-        }
+    HEALTHY = {"hot_vs_reference_n100": 2.8, "hot_vs_reference_n400": 3.4,
+               "certifier_n400": 2.9}
 
-    def _run_gate(self, tmp_path, fresh_speedup, committed_speedup):
-        import importlib.util
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location(
-            "check_perf_regression",
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "check_perf_regression.py")
-        gate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gate)
-
+    def _run_gate(self, tmp_path, fresh=(), committed=(), write=False):
+        """Gate a report of HEALTHY ratios updated by ``fresh`` against
+        a trajectory updated by ``committed``; a None ratio drops the
+        gate."""
+        gate = _load_gate()
+        ratios = [{name: ratio for name, ratio in
+                   {**self.HEALTHY, **dict(changes)}.items()
+                   if ratio is not None} for changes in (fresh, committed)]
         report = tmp_path / "BENCH_perf.json"
-        report.write_text(json.dumps(self._report(fresh_speedup)))
-        trajectory = tmp_path / "trajectory.json"
-        trajectory.write_text(json.dumps(self._report(committed_speedup)))
-        return gate.main([str(report), "--trajectory", str(trajectory)])
+        report.write_text(json.dumps({"schema": SCHEMA, "gates": {
+            name: {"on_s": 1.0, "off_s": ratio, "ratio": ratio}
+            for name, ratio in ratios[0].items()}}))
+        gate.TRAJECTORY = tmp_path / "trajectory.json"
+        gate.TRAJECTORY.write_text(json.dumps(
+            {"schema": gate.TRAJECTORY_SCHEMA, "gates": ratios[1]}))
+        return gate.main([str(report)] + ["--write"] * write)
 
     def test_within_tolerance_passes(self, tmp_path):
-        assert self._run_gate(tmp_path, 1.9, 2.0) == 0
+        assert self._run_gate(tmp_path, {"hot_vs_reference_n100": 2.3}) == 0
 
     def test_regression_beyond_tolerance_fails(self, tmp_path):
-        assert self._run_gate(tmp_path, 1.5, 2.0) == 1
-
-    def _load_gate(self):
-        import importlib.util
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location(
-            "check_perf_regression",
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "check_perf_regression.py")
-        gate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gate)
-        return gate
+        assert self._run_gate(tmp_path, {"hot_vs_reference_n400": 2.7}) == 1
 
     def test_write_refreshes_trajectory(self, tmp_path):
-        gate = self._load_gate()
-        report = tmp_path / "BENCH_perf.json"
-        payload = self._report(2.0)
-        payload["certifier"] = {"n_groups": 400, "speedup": 2.5,
-                                "certifications": 87}
-        report.write_text(json.dumps(payload))
-        trajectory = tmp_path / "trajectory.json"
-        assert gate.main([str(report), "--trajectory", str(trajectory),
-                          "--write"]) == 0
-        data = json.loads(trajectory.read_text())
-        assert data["schema"] == gate.TRAJECTORY_SCHEMA
-        assert data["results"][0]["speedup_vs_reference"] == 2.0
-        assert data["certifier"] == {"n_groups": 400, "speedup": 2.5}
-
-    def _run_certifier_gate(self, tmp_path, gate, fresh, committed):
-        report = tmp_path / "BENCH_perf.json"
-        payload = self._report(2.0)
-        if fresh is not None:
-            payload["certifier"] = fresh
-        report.write_text(json.dumps(payload))
-        trajectory = tmp_path / "trajectory.json"
-        committed_payload = self._report(2.0)
-        if committed is not None:
-            committed_payload["certifier"] = committed
-        trajectory.write_text(json.dumps(committed_payload))
-        return gate.main([str(report), "--trajectory", str(trajectory)])
+        assert self._run_gate(tmp_path, {"certifier_n400": 2.5},
+                              write=True) == 0
+        data = json.loads((tmp_path / "trajectory.json").read_text())
+        assert data == {"schema": _load_gate().TRAJECTORY_SCHEMA,
+                        "source_schema": SCHEMA,
+                        "gates": {**self.HEALTHY, "certifier_n400": 2.5}}
 
     def test_certifier_within_tolerance_passes(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_certifier_gate(
-            tmp_path, gate,
-            fresh={"n_groups": 400, "speedup": 2.4},
-            committed={"n_groups": 400, "speedup": 2.8}) == 0
+        assert self._run_gate(tmp_path, {"certifier_n400": 2.4},
+                              {"certifier_n400": 2.8}) == 0
 
     def test_certifier_regression_fails(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_certifier_gate(
-            tmp_path, gate,
-            fresh={"n_groups": 400, "speedup": 1.1},
-            committed={"n_groups": 400, "speedup": 2.8}) == 1
+        assert self._run_gate(tmp_path, {"certifier_n400": 2.1},
+                              {"certifier_n400": 2.8}) == 1
+
+    def test_certifier_absolute_floor_holds_below_a_low_commit(
+            self, tmp_path):
+        """0.8 x 2.2 = 1.76, but the certifier's constant floor is 2.0."""
+        assert self._run_gate(tmp_path, {"certifier_n400": 1.9},
+                              {"certifier_n400": 2.2}) == 1
 
     def test_certifier_absent_from_trajectory_skips(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_certifier_gate(
-            tmp_path, gate,
-            fresh={"n_groups": 400, "speedup": 2.8},
-            committed=None) == 0
+        """Only the relative check is skipped: the absolute floor still
+        applies."""
+        for fresh, expected in ((2.1, 0), (1.9, 1)):
+            assert self._run_gate(tmp_path, {"certifier_n400": fresh},
+                                  {"certifier_n400": None}) == expected
 
     def test_certifier_missing_from_report_is_hard_error(self, tmp_path):
-        gate = self._load_gate()
-        with pytest.raises(SystemExit):
-            self._run_certifier_gate(
-                tmp_path, gate, fresh=None,
-                committed={"n_groups": 400, "speedup": 2.8})
+        with pytest.raises(SystemExit, match="certifier_n400"):
+            self._run_gate(tmp_path, {"certifier_n400": None})
 
 
 class TestPerfDoc:
@@ -326,17 +263,14 @@ class TestPerfDoc:
     newest schema-history row, its shape example and its gate section
     cannot drift from the live constants."""
 
-    ROOT = Path(__file__).resolve().parent.parent
-
     def test_schema_table_and_example_match(self):
-        text = (self.ROOT / "docs" / "PERF.md").read_text(encoding="utf-8")
+        text = (ROOT / "docs" / "PERF.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `(kspot-perf/\d+)` \|", text, re.MULTILINE)
         assert rows and rows[-1] == SCHEMA
         examples = re.findall(r'"schema": "(kspot-perf/\d+)"', text)
         assert examples == [SCHEMA]
 
     def test_trajectory_schema_matches_gate(self):
-        text = (self.ROOT / "docs" / "PERF.md").read_text(encoding="utf-8")
-        gate = TestRegressionGate()._load_gate()
+        text = (ROOT / "docs" / "PERF.md").read_text(encoding="utf-8")
         named = set(re.findall(r"kspot-perf-trajectory/\d+", text))
-        assert named == {gate.TRAJECTORY_SCHEMA}
+        assert named == {_load_gate().TRAJECTORY_SCHEMA}
