@@ -176,9 +176,20 @@ class Deployment:
         The new session joins the shared epoch clock at the driver's
         next step; existing sessions keep running. Raises the precise
         :class:`~repro.errors.QueryError` subclass on a bad query, and
-        :class:`~repro.errors.SubmissionError` when the deployment's
-        ``max_sessions`` admission limit is reached.
+        :class:`~repro.errors.SubmissionError` when ``query_text`` is
+        not a string, ``algorithm`` is not an :class:`Algorithm` (or
+        None), or the deployment's ``max_sessions`` admission limit is
+        reached.
         """
+        if not isinstance(query_text, str):
+            raise SubmissionError(
+                f"query_text must be a string, got "
+                f"{type(query_text).__name__}")
+        if algorithm is not None and not isinstance(algorithm, Algorithm):
+            raise SubmissionError(
+                f"algorithm must be an Algorithm or None, got "
+                f"{algorithm!r}; the algorithms are "
+                f"{', '.join(a.value for a in Algorithm)}")
         if self.max_sessions is not None:
             active = len(self.active_sessions())
             if active >= self.max_sessions:

@@ -156,12 +156,17 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ScenarioError(
                 f"malformed scenario file: sink {sink!r} is not a pair "
                 f"of numbers")
+        attribute = payload.get("attribute", "sound")
+        if not isinstance(attribute, str):
+            raise ScenarioError(
+                f"malformed scenario file: attribute {attribute!r} is not "
+                f"a string")
         config = ScenarioConfig(
             name=payload["name"],
             map_width=float(payload["map"]["width"]),
             map_height=float(payload["map"]["height"]),
             radio_range=float(payload["radio_range"]),
-            attribute=payload.get("attribute", "sound"),
+            attribute=attribute,
             sink_position=(float(sink[0]), float(sink[1])),
             positions=positions,
             cluster_of=cluster_of,

@@ -51,10 +51,21 @@ What deliberately stays scalar, and why:
   them cell by cell;
 * float accumulations (windowed AVG/SUM) — ``sum()`` is a left fold,
   numpy reductions are pairwise; not byte-identical, so not batched;
-* message construction and transport — every shipped message must keep
-  its exact order (the loss process draws from a shared stream), so
-  masked passes visit violator rows in ascending id order and ship
-  scalar.
+* message construction and lossy transport — every shipped message
+  must keep its exact order (the loss process draws from a shared
+  stream), so masked passes visit violator rows in ascending id order,
+  and a lossy radio ships hop by hop.
+
+Large lossless relay batches are the exception:
+:meth:`~repro.network.simulator.Network.relay_many` charges a batch of
+``_SCATTER_MIN_MOTES`` motes or more in one numpy scatter, and still
+makes every float add of the per-hop loop, in its order. ``np.add.at``
+is unbuffered and applies repeated indices in index order, so each
+ledger's ``tx`` and ``rx`` receive their hops' joules one at a time,
+in shipping order. Each stats sink's running total folds through
+``np.cumsum``, a sequential ``add.accumulate``; the pairwise
+``np.sum`` could round differently. On the pure-python backend the
+loop runs.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ speed — the memoized :func:`~repro.network.packets.fragment` cost
 model, the per-topology converge-cast and flood plans, per-epoch
 traffic batching, the batch relay and flood kernels (one call per
 relayed list of motes or per flood instead of one per hop or
-forwarder), the engines' fused passes over the plan (MINT's
+forwarder; a large lossless relay batch charges its hops in one numpy
+scatter), the engines' fused passes over the plan (MINT's
 prune+update and probe converge-casts, TAG's aggregation, TJA's
 union and join passes) and the columnar kernel of
 :mod:`repro.network.columnar` (batched sensing, FILA's mask-driven

@@ -24,9 +24,10 @@ epoch/phase/tap boundaries, floods (:meth:`Network.flood_down`) over
 a lossless radio ship in one kernel call, flat relays
 (:meth:`Network.unicast_to_sink` / :meth:`Network.unicast_from_sink`,
 and FILA's whole report, probe and install passes) ship through one
-:meth:`Network.relay_many` call each, and the traversal order and the
-converge-cast and flood plans are cached and invalidated on topology
-change.
+:meth:`Network.relay_many` call each — a large lossless batch in one
+numpy scatter over a per-topology relay table — and the traversal
+order, the converge-cast and flood plans and the relay table are
+cached and invalidated on topology change.
 All of it is observationally identical to the reference path — same
 counters, same per-phase snapshots, same RNG draws — which stays
 available as the oracle via :func:`repro.network.hotpath.reference_path`;
@@ -69,6 +70,13 @@ from .tree import RoutingTree
 #: Offset deriving the recovery-handshake RNG stream from the loss seed
 #: (an arbitrary odd 64-bit constant; any fixed value works).
 _RECOVERY_STREAM = 0x9E3779B97F4A7C15
+
+#: Lossless :meth:`Network.relay_many` batches of at least this many
+#: motes charge their hops in one numpy scatter
+#: (:meth:`Network._relay_scatter`); smaller ones keep the per-hop
+#: loop, which beats the scatter's fixed cost of about 40 µs below it
+#: (the measured crossover is in ``docs/PERF.md``).
+_SCATTER_MIN_MOTES = 24
 
 
 class Network:
@@ -151,6 +159,7 @@ class Network:
                                 ...] | None = None
         self._alive_ids_cache: tuple[int, ...] | None = None
         self._flood_cache: tuple[tuple[int, tuple[int, ...]], ...] | None = None
+        self._relay_cache: tuple | None = None
         self._cache_tree: RoutingTree | None = None
         self._cache_version = -1
         #: Structure-of-arrays caches (readings rows / columns) for the
@@ -198,6 +207,7 @@ class Network:
             self._plan_cache = None
             self._alive_ids_cache = None
             self._flood_cache = None
+            self._relay_cache = None
 
     def _on_node_killed(self, _node_id: int) -> None:
         """Per-node death hook: invalidate aliveness-derived caches.
@@ -344,7 +354,7 @@ class Network:
             tap._rx_joules += rx_joules
 
     # repro: hot
-    def relay_many(self, nodes: Iterable[int],
+    def relay_many(self, nodes: Sequence[int],
                    down: tuple[str, int] | None = None,
                    up: tuple[str, int] | None = None) -> int:
         """Relay ``down`` from the sink to each node and then ``up`` from
@@ -357,6 +367,14 @@ class Network:
         adds its joules to the sender's and receiver's ledgers and to
         every stats sink in the reference path's order, while each
         kind's integer batch grows once per call (integers, so exact).
+
+        A lossless batch of at least ``_SCATTER_MIN_MOTES`` motes, with
+        numpy as the column backend and every mote in the tree, makes
+        those same float adds in one scatter (:meth:`_relay_scatter`);
+        smaller batches, the pure-python backend and a batch naming a
+        mote outside the tree run the per-hop loop below, which raises
+        :class:`~repro.errors.TopologyError` at that mote after
+        relaying the ones before it.
 
         Over a lossy radio every hop ships through :meth:`_ship_unicast`
         and draws the loss stream in the reference order. A drop raises
@@ -385,6 +403,12 @@ class Network:
                 drop.relayed = relayed
                 raise
             return hops
+        if len(nodes) >= _SCATTER_MIN_MOTES:
+            np = columnar.numpy_module()
+            if np is not None:
+                hops = self._relay_scatter(np, nodes, down, up)
+                if hops is not None:
+                    return hops
         memo = self._cost_memo
         if down is not None:
             down_kind, down_bytes = down
@@ -431,6 +455,134 @@ class Network:
                         rx += hop_rx
                     stats._tx_joules, stats._rx_joules = tx, rx
         return down_hops + up_hops
+
+    # repro: hot
+    def _relay_scatter(self, np, nodes: Sequence[int],
+                       down: tuple[str, int] | None,
+                       up: tuple[str, int] | None) -> int | None:
+        """:meth:`relay_many`'s lossless loop as one scatter; returns the
+        hops charged, or None (charging nothing) when a mote is not in
+        the tree.
+
+        The batch's hops expand leg by leg in the loop's order (per
+        mote its down leg, then its up leg) into ledger columns of the
+        :meth:`_relay_table`: a down leg's ``tx`` goes to each hop's
+        parent side and its ``rx`` to the child side, an up leg's the
+        other way round. Exact, not merely close: ``np.add.at`` is
+        unbuffered and applies repeated indices in order, so each
+        touched ledger receives the loop's float adds in the loop's
+        order, and ``np.cumsum`` is a sequential ``add.accumulate``
+        (unlike the pairwise ``np.sum``), so each stats sink's running
+        total folds every hop's joules in shipping order.
+        """
+        ledgers, row_of, starts, path_hops, child, parent = (
+            self._relay_table(np))
+        memo = self._cost_memo
+        if down is not None:
+            down_kind, down_bytes = down
+            down_cost = memo.get(down_bytes) or self._memo_cost(down_bytes)
+        if up is not None:
+            up_kind, up_bytes = up
+            up_cost = memo.get(up_bytes) or self._memo_cost(up_bytes)
+        try:
+            rows = np.array([row_of[node_id] for node_id in nodes],
+                            dtype=np.intp)
+        except KeyError:
+            return None
+        both = down is not None and up is not None
+        if both:
+            rows = rows.repeat(2)  # one row per leg: down, then up
+        leg_hops = path_hops[rows]
+        leg_ends = leg_hops.cumsum()
+        total = int(leg_ends[-1])
+        if not total:
+            return 0
+        # Each hop's position in the table: its leg's start plus its
+        # offset within the leg.
+        at = np.arange(total) + (starts[rows] - leg_ends + leg_hops).repeat(
+            leg_hops)
+        child_side, parent_side = child[at], parent[at]
+        if up is None:
+            tx_cols, rx_cols = parent_side, child_side
+            hop_tx, hop_rx = down_cost[2], down_cost[3]
+        elif down is None:
+            tx_cols, rx_cols = child_side, parent_side
+            hop_tx, hop_rx = up_cost[2], up_cost[3]
+        else:
+            is_down = np.zeros(len(rows), dtype=bool)
+            is_down[::2] = True
+            is_down = is_down.repeat(leg_hops)
+            tx_cols = np.where(is_down, parent_side, child_side)
+            rx_cols = np.where(is_down, child_side, parent_side)
+            hop_tx = np.where(is_down, down_cost[2], up_cost[2])
+            hop_rx = np.where(is_down, down_cost[3], up_cost[3])
+        # Only the ledgers on the batch's paths are read and written.
+        touched = np.flatnonzero(np.bincount(
+            np.concatenate((child_side, parent_side)),
+            minlength=len(ledgers)))
+        local = np.empty(len(ledgers), dtype=np.intp)
+        local[touched] = np.arange(len(touched))
+        hit = [ledgers[column] for column in touched.tolist()]
+        tx = np.array([ledger.tx for ledger in hit], dtype=np.float64)
+        rx = np.array([ledger.rx for ledger in hit], dtype=np.float64)
+        np.add.at(tx, local[tx_cols], hop_tx)
+        np.add.at(rx, local[rx_cols], hop_rx)
+        for ledger, ledger_tx, ledger_rx in zip(hit, tx.tolist(),
+                                                rx.tolist()):
+            ledger.tx = ledger_tx
+            ledger.rx = ledger_rx
+        leg_sends = total // 2 if both else total
+        if down is not None:
+            self._grow_batch(down_kind, leg_sends, down_bytes, down_cost)
+        if up is not None:
+            self._grow_batch(up_kind, leg_sends, up_bytes, up_cost)
+        # Row 0 folds tx, row 1 rx; column 0 holds the sink's total.
+        fold = np.empty((2, total + 1), dtype=np.float64)
+        fold[0, 1:] = hop_tx
+        fold[1, 1:] = hop_rx
+        for stats in (self.stats, *self._stat_taps):
+            fold[0, 0] = stats._tx_joules
+            fold[1, 0] = stats._rx_joules
+            stats._tx_joules, stats._rx_joules = (
+                fold.cumsum(axis=1)[:, -1].tolist())
+        return total
+
+    def _relay_table(self, np) -> tuple:
+        """``(ledgers, row_of, starts, hops, child, parent)`` for
+        :meth:`_relay_scatter`, built once per topology version.
+
+        ``ledgers`` lists every ledger of ``_ledger_of`` in column order
+        (dead motes' and a re-joined id's fresh one included);
+        ``row_of`` maps each tree node to its row. Row ``r``'s path
+        hops, from the node up to the sink, sit at ``starts[r]`` to
+        ``starts[r] + hops[r]`` of the ``child`` and ``parent`` arrays,
+        as the ledger columns of each hop's two ends.
+        """
+        self._validate_topo_caches()
+        table = self._relay_cache
+        if table is None:
+            column_of = {node_id: column
+                         for column, node_id in enumerate(self._ledger_of)}
+            path_of = self.tree.path_to_root
+            row_of: dict[int, int] = {}
+            starts: list[int] = []
+            hops: list[int] = []
+            child: list[int] = []
+            parent: list[int] = []
+            for node_id in self.tree.node_ids:
+                path = [column_of[hop] for hop in path_of(node_id)]
+                row_of[node_id] = len(starts)
+                starts.append(len(child))
+                hops.append(len(path) - 1)
+                child.extend(path[:-1])
+                parent.extend(path[1:])
+            table = self._relay_cache = (
+                list(self._ledger_of.values()), row_of,
+                np.array(starts, dtype=np.intp),
+                np.array(hops, dtype=np.intp),
+                np.array(child, dtype=np.intp),
+                np.array(parent, dtype=np.intp))
+        return table
 
     def _grow_batch(self, kind: str, sends: int, payload_bytes: int,
                     cost: tuple) -> None:

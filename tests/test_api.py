@@ -165,6 +165,25 @@ class TestDeployment:
         c = deployment.submit(MONITOR)
         assert c.state is SessionState.PENDING
 
+    @pytest.mark.parametrize("query", [None, 5, MONITOR.encode()],
+                             ids=["none", "int", "bytes"])
+    def test_non_string_query_is_a_submission_error(self, query):
+        _, deployment, _ = fresh()
+        with pytest.raises(SubmissionError, match="query_text must be a "
+                           "string, got " + type(query).__name__):
+            deployment.submit(query)
+        assert deployment.sessions() == ()
+
+    @pytest.mark.parametrize("algorithm", ["fila", 3, Algorithm],
+                             ids=["string", "int", "enum-class"])
+    def test_bad_algorithm_is_a_submission_error(self, algorithm):
+        _, deployment, _ = fresh()
+        with pytest.raises(SubmissionError, match="algorithm must be an "
+                           "Algorithm") as raised:
+            deployment.submit(MONITOR, algorithm=algorithm)
+        assert all(a.value in str(raised.value) for a in Algorithm)
+        assert deployment.sessions() == ()
+
     def test_live_registry_stays_bounded(self):
         """Cancelled sessions leave the live map at the next walk, so
         its size tracks the live set over any number of submissions;

@@ -82,6 +82,19 @@ class TestScenarioWorkflow:
         assert "error: malformed scenario file: sink" in captured.err
         assert captured.out == ""
 
+    def test_non_string_attribute_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "deployment.json"
+        main(["scenario-init", str(path)])
+        payload = json.loads(path.read_text())
+        payload["attribute"] = [1]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["run", str(path), "SELECT TOP 1 roomid, AVG(sound) "
+                     "FROM sensors GROUP BY roomid"]) == 2
+        captured = capsys.readouterr()
+        assert "error: malformed scenario file: attribute" in captured.err
+        assert captured.out == ""
+
     def test_bad_query_is_a_clean_error(self, tmp_path, capsys):
         path = str(tmp_path / "deployment.json")
         main(["scenario-init", path])

@@ -252,8 +252,12 @@ class TestScenarioFiles:
         (lambda p: p["sensors"][0].update(id=1.7), "1.7 is not an integer"),
         (lambda p: p["sensors"][0].update(id="1"), "not an integer"),
         (lambda p: p["sensors"][1].update(id=1), "id 1 is listed twice"),
+        (lambda p: p.update(attribute=[1]), r"attribute \[1\] is not a"),
+        (lambda p: p.update(attribute={}), "attribute {} is not a string"),
+        (lambda p: p.update(attribute=5), "attribute 5 is not a string"),
     ], ids=["sink-string", "sink-triple", "sink-bool", "cluster-array",
-            "cluster-object", "id-float", "id-string", "id-repeated"])
+            "cluster-object", "id-float", "id-string", "id-repeated",
+            "attribute-array", "attribute-object", "attribute-number"])
     def test_malformed_entries_rejected(self, tmp_path, edit, message):
         import json
 

@@ -29,9 +29,10 @@ from repro.errors import (
     ConfigurationError,
     KSpotError,
     RoutingError,
+    TopologyError,
     ValidationError,
 )
-from repro.network import columnar, hotpath
+from repro.network import columnar, hotpath, simulator
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
 from repro.network.messages import (
@@ -537,7 +538,13 @@ class TestFilaAtFleetScale:
               else contextlib.nullcontext()):
             with hotpath.reference_path():
                 reference = self.run()
-            hot = self.run()
+            with scatter_spy() as scatters:
+                hot = self.run()
+        # FILA's passes relay by the hundred, so on numpy they scatter.
+        if columnar.backend() == "numpy" and backend == "default":
+            assert len(scatters) >= self.EPOCHS and None not in scatters
+        else:
+            assert scatters == []
         for epoch, (h, r) in enumerate(zip(hot, reference)):
             for field, hot_value, reference_value in zip(self.FIELDS, h, r):
                 assert hot_value == reference_value, \
@@ -688,28 +695,74 @@ _BATCHES = st.lists(
     min_size=1, max_size=8)
 
 
-def batch_relay_all(batches, dead=(), *, per_node=False,
-                    network_class=Network, loss=0.0, seed=0):
-    """Relay every batch on a 5×5 grid whose ``dead`` sensors were
-    killed without repair, inside an open session tap, alternating two
-    stats phases: a probe request down and a filter report up per
-    node, as FILA's passes do. One ``relay_many`` call per batch, or
-    with ``per_node`` one ``unicast_*`` call per node and leg. Returns
-    every observable plus the hops of each batch and the nodes relayed
-    in full before each drop. One retry per packet makes drops
-    common on a lossy radio."""
+#: The sensor that :func:`batch_relay_all` kills and re-joins: a
+#: neighbour of the corner sink that relays for eight motes on the
+#: 10×10 grid.
+REJOINER = 12
+
+
+#: Batches large enough for the numpy scatter: (shape, picks into sink
+#: + sensors of a 10×10 grid, probe request groups, report entries).
+_LARGE_BATCHES = st.lists(
+    st.tuples(st.sampled_from(["up", "down", "down+up"]),
+              st.lists(st.integers(0, 100),
+                       min_size=simulator._SCATTER_MIN_MOTES, max_size=150),
+              st.integers(0, 60), st.integers(0, 15)),
+    min_size=2, max_size=4)
+
+needs_numpy = pytest.mark.skipif(columnar.numpy_module() is None,
+                                 reason="the relay scatter runs on numpy")
+
+
+@contextlib.contextmanager
+def scatter_spy():
+    """Record what each ``Network._relay_scatter`` call returned: its
+    hops, or None when it handed the batch back to the loop."""
+    calls = []
+    scatter = Network._relay_scatter
+
+    def spy(self, *args):
+        calls.append(scatter(self, *args))
+        return calls[-1]
+
+    Network._relay_scatter = spy
+    try:
+        yield calls
+    finally:
+        Network._relay_scatter = scatter
+
+
+def batch_relay_all(batches, dead=(), *, side=5, rejoin=False,
+                    per_node=False, network_class=Network, loss=0.0,
+                    seed=0):
+    """Relay every batch on a ``side``×``side`` grid whose ``dead``
+    sensors were killed without repair, inside an open session tap,
+    alternating two stats phases: a probe request down and a filter
+    report up per node, as FILA's passes do. One ``relay_many`` call
+    per batch, or with ``per_node`` one ``unicast_*`` call per node and
+    leg. With ``rejoin``, :data:`REJOINER` dies (repairing the tree)
+    halfway through and re-joins as a leaf with a fresh ledger, and
+    every later batch relays it too. Returns every observable plus the
+    hops of each batch and the nodes relayed in full before each drop.
+    One retry per packet makes drops common on a lossy radio."""
     network = network_class(
-        grid_topology(5),
+        grid_topology(side),
         radio=RadioModel(range_m=15.0, loss_probability=loss,
                          max_retries=1), seed=seed)
     for node_id in sorted(dead):
         network.kill_node(node_id, repair=False)
-    targets = (network.sink_id, *network.tree.sensor_ids)
     tap = NetworkStats()
     hops, relayed = [], []
+    rejoin_at = len(batches) // 2 if rejoin else None
     with network.tap_stats(tap):
         for index, (shape, picks, groups, entries) in enumerate(batches):
-            nodes = [targets[pick] for pick in picks]
+            if index == rejoin_at:
+                network.kill_node(REJOINER)
+                network.join_node(REJOINER, (9.0, 9.0))
+            targets = (network.sink_id, *network.tree.sensor_ids)
+            nodes = [targets[pick % len(targets)] for pick in picks]
+            if rejoin_at is not None and index >= rejoin_at:
+                nodes.append(REJOINER)
             down = ProbeRequestMessage(epoch=1, groups=(0,) * groups)
             up = FilterReportMessage(
                 epoch=1, entries=(ViewEntry(0, 1.0, 1),) * entries)
@@ -786,6 +839,72 @@ class TestBatchRelayKernel:
             reference = batch_relay_all(batches, dead, per_node=True,
                                         loss=loss, seed=seed)
         assert kernel == reference
+
+    @needs_numpy
+    @settings(max_examples=30, deadline=None)
+    @given(batches=_LARGE_BATCHES,
+           dead=st.sets(st.integers(1, 100), max_size=8),
+           rejoin=st.booleans())
+    def test_scatter_equals_the_loop_and_reference(self, batches, dead,
+                                                   rejoin):
+        """Batches of at least ``_SCATTER_MIN_MOTES`` motes on a 10×10
+        grid take the numpy scatter, which must equal the loop on the
+        pure-python backend, the per-hop oracle and the reference
+        path, through repeats, the sink, dead relays and a re-joined
+        id's fresh ledger."""
+        with scatter_spy() as calls:
+            kernel = batch_relay_all(batches, dead, side=10, rejoin=rejoin)
+        assert len(calls) == len(batches)
+        assert None not in calls
+        with scatter_spy() as calls, columnar.force_python_backend():
+            loop = batch_relay_all(batches, dead, side=10, rejoin=rejoin)
+        assert calls == []
+        per_hop = batch_relay_all(batches, dead, side=10, rejoin=rejoin,
+                                  network_class=PerHopNetwork)
+        with hotpath.reference_path():
+            reference = batch_relay_all(batches, dead, side=10,
+                                        rejoin=rejoin, per_node=True)
+        assert kernel == loop == per_hop == reference
+
+    @needs_numpy
+    def test_one_mote_calls_keep_the_loop(self):
+        network = Network(grid_topology(10))
+        message = ControlMessage(label="relay")
+        with scatter_spy() as calls:
+            assert network.unicast_to_sink(100, message) > 0
+            assert network.unicast_from_sink(100, message) > 0
+            network.relay_many([100] * (simulator._SCATTER_MIN_MOTES - 1),
+                               up=("relay", 4))
+        assert calls == []
+
+    def _relay_with_a_stranger(self):
+        """A 40-mote down+up batch on a 10×10 grid with an id outside
+        the tree at position 30; returns the error and every
+        observable it left behind."""
+        network = Network(grid_topology(10))
+        nodes = [1 + (7 * i) % 100 for i in range(40)]
+        nodes[30] = 999
+        tap = NetworkStats()
+        with network.tap_stats(tap):
+            with pytest.raises(TopologyError) as raised:
+                network.relay_many(nodes, down=("probe_request", 6),
+                                   up=("filter_report", 12))
+        return (str(raised.value), stats_signature(network.stats),
+                stats_signature(tap), ledger_signature(network))
+
+    @needs_numpy
+    def test_unknown_mote_falls_back_to_the_loop(self):
+        """The scatter charges nothing and hands the batch to the loop,
+        which raises at the stranger after relaying the 30 motes before
+        it, as on the pure-python backend."""
+        with scatter_spy() as calls:
+            scatter = self._relay_with_a_stranger()
+        assert calls == [None]
+        with columnar.force_python_backend():
+            loop = self._relay_with_a_stranger()
+        assert scatter == loop
+        assert "999" in scatter[0]
+        assert scatter[1][1]["filter_report"] > 0
 
 
 class PerForwarderNetwork(Network):
@@ -906,6 +1025,25 @@ def derived_plans(network):
     return converge, flood
 
 
+def relay_table_paths(network, table):
+    """Each tree node's path as the relay table spells it: the node
+    owning each hop's child-side ledger, then the last hop's
+    parent-side owner. A stale ledger (one no tree node owns any more)
+    raises KeyError."""
+    ledgers, row_of, starts, hops, child, parent = table
+    owner = {id(network.ledger(n)): n for n in network.tree.node_ids}
+    paths = {}
+    for node_id, row in row_of.items():
+        span = range(starts[row], starts[row] + hops[row])
+        path = [owner[id(ledgers[child[at]])] for at in span]
+        assert path[1:] == [owner[id(ledgers[parent[at]])]
+                            for at in span][:-1]
+        tail = (owner[id(ledgers[parent[span[-1]]])] if span
+                else node_id)
+        paths[node_id] = (*path, tail)
+    return paths
+
+
 #: Topology changes: a repaired kill, an unrepaired kill, a direct
 #: ``SensorNode.kill`` (bypassing the network) or a join; the integer
 #: picks the victim or the join's anchor.
@@ -917,8 +1055,10 @@ _CHANGES = st.lists(
 
 
 class TestTreePlans:
-    """The network caches one converge-cast plan and one flood plan per
-    topology version; every kill and join must invalidate them."""
+    """The network caches one converge-cast plan, one flood plan and
+    (on numpy) one relay table per topology version; every kill and
+    join must invalidate them, and a join's fresh ledger must replace
+    the one a killed id left behind."""
 
     @settings(max_examples=40, deadline=None)
     @given(changes=_CHANGES)
@@ -942,6 +1082,13 @@ class TestTreePlans:
             plans = (network.converge_cast_plan(), network._flood_plan())
             assert plans == derived_plans(network)
             assert network.converge_cast_plan() is plans[0]
+            np = columnar.numpy_module()
+            if np is not None:
+                table = network._relay_table(np)
+                assert relay_table_paths(network, table) == {
+                    n: network.tree.path_to_root(n)
+                    for n in network.tree.node_ids}
+                assert network._relay_table(np) is table
 
 
 class TestSamplingPlanSharing:

@@ -13,11 +13,15 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Deployment, SessionState
 from repro.core.aggregates import make_aggregate
 from repro.core.certify import certify_top_k
 from repro.core.aggregates import Bounds, Partial
 from repro.core.results import is_valid_top_k, oracle_scores, rank_key
+from repro.errors import KSpotError
 from repro.query.parser import parse
+from repro.query.plan import Algorithm
+from repro.scenarios import grid_rooms_scenario
 
 values = st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
                    allow_infinity=False)
@@ -254,3 +258,69 @@ class TestEndToEndExactness:
         _, expected = vertical_oracle(series, agg, k)
         result = Tja(scenario.network, agg, k, series).execute()
         assert [i.key for i in result.items] == [t for t, _ in expected]
+
+
+#: Valid queries of every class the compiler routes; the fuzz below
+#: mutates them.
+_VALID_QUERIES = (
+    "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid "
+    "EPOCH DURATION 1 min",
+    "SELECT TOP 3 epoch, MAX(sound) FROM sensors GROUP BY epoch "
+    "WITH HISTORY 5 s EPOCH DURATION 1 s",
+    "SELECT TOP 4 nodeid, MAX(sound) FROM sensors GROUP BY nodeid "
+    "EPOCH DURATION 1 min",
+    "SELECT roomid, SUM(sound) FROM sensors GROUP BY roomid",
+    "SELECT sound FROM sensors",
+)
+
+#: Query-language tokens, plus a few that are not, to splice in.
+_TOKENS = ("SELECT", "TOP", "FROM", "GROUP", "BY", "WITH", "HISTORY",
+           "EPOCH", "DURATION", "WHERE", "AND", ",", "(", ")", "*", ">",
+           "'", "0", "-1", "1.5", "99999999999999999999", "roomid",
+           "epoch", "nodeid", "sound", "light", "AVG", "COUNT", "s",
+           "min", "h", "sensors", ";", "--")
+
+
+@st.composite
+def mutated_queries(draw):
+    """A valid query with one to four characters or tokens inserted or
+    deleted."""
+    text = draw(st.sampled_from(_VALID_QUERIES))
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["insert-char", "delete-char",
+                                     "insert-token", "delete-token"]))
+        if edit == "insert-char":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.characters()) + text[at:]
+        elif edit == "delete-char" and text:
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + text[at + 1:]
+        else:
+            tokens = text.split(" ")
+            if edit == "insert-token":
+                tokens.insert(draw(st.integers(0, len(tokens))),
+                              draw(st.sampled_from(_TOKENS)))
+            elif len(tokens) > 1:
+                del tokens[draw(st.integers(0, len(tokens) - 1))]
+            text = " ".join(tokens)
+    return text
+
+
+class TestSubmitFuzz:
+    """Whatever text reaches ``Deployment.submit`` either opens a
+    session or raises a :class:`~repro.errors.KSpotError` subclass,
+    never a bare Python error."""
+
+    @given(text=st.one_of(st.text(max_size=120), mutated_queries()),
+           algorithm=st.sampled_from([None, *Algorithm]))
+    @settings(max_examples=300, deadline=None)
+    def test_submit_opens_a_session_or_raises_a_kspot_error(self, text,
+                                                            algorithm):
+        scenario = grid_rooms_scenario(side=3, rooms_per_axis=3, seed=1)
+        deployment = Deployment.from_scenario(scenario)
+        try:
+            handle = deployment.submit(text, algorithm=algorithm)
+        except KSpotError:
+            assert deployment.sessions() == ()
+        else:
+            assert handle.state is SessionState.PENDING
