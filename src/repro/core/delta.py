@@ -30,8 +30,10 @@ paths identical across random scenarios, engines and churn.
 One deliberate limit: groups whose *stringified* keys collide (e.g.
 the int ``1`` and the str ``"1"`` in one query) tie-break by the
 oracle's dict insertion order, which a maintained sorted structure
-cannot observe. Group key spaces are homogeneous in every query the
-planner produces, so the equivalence holds everywhere reachable.
+cannot observe. ``KSpotEngine._resolve_groups`` refuses a cluster
+mapping with such labels at submit time
+(:class:`~repro.errors.PlanError`); a newborn adopted mid-run with a
+colliding label is not checked.
 """
 
 from __future__ import annotations

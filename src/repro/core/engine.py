@@ -65,6 +65,13 @@ class KSpotEngine:
 
     def _resolve_groups(self, group_of: Mapping[int, GroupKey] | None
                         ) -> dict[int, GroupKey]:
+        """The node → group mapping this plan ranks over.
+
+        Equal scores rank by ``str(group)``, so two distinct cluster
+        labels that print alike (``1`` and ``"1"``) would tie in an
+        order only the reference certifier's dict order decides; such
+        a mapping is refused with :class:`PlanError`.
+        """
         key = self.plan.group_key
         sensor_ids = self.network.tree.sensor_ids
         if key == "nodeid" or key == "epoch":
@@ -82,6 +89,14 @@ class KSpotEngine:
                 f"the query groups by {key!r} but no cluster mapping is "
                 f"configured (Configuration Panel step missing)"
             )
+        printed: dict[str, GroupKey] = {}
+        for label in mapping.values():
+            first = printed.setdefault(str(label), label)
+            if first != label:
+                raise PlanError(
+                    f"the query groups by {key!r} but cluster labels "
+                    f"{first!r} and {label!r} print alike, so equal "
+                    f"scores cannot rank apart; rename one of them")
         return mapping
 
     def _build_aggregate(self) -> Aggregate:

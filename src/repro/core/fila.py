@@ -14,14 +14,13 @@ This implementation monitors the top-k *nodes* by their current reading
 filter interval as bounds — sound, because silence proves the reading
 stayed inside. Answers are therefore exact every epoch, like MINT's.
 
-Switch-and-prove: the column pass (mask-driven monitor, answer and
-filter-install loops over :mod:`repro.network.columnar` columns, each
-shipping through one ``Network.relay_many`` call and feeding the
-persistent ``TopKView`` one ``ensure_many`` batch) runs only while
-``hotpath.enabled()``; ``hotpath.reference_path()`` restores the
-first-principles branches, which build and ship every message node by
-node, and the cold ``certify_top_k`` oracle.
-``tests/test_hotpath_equivalence.py`` and
+Switch-and-prove: while ``hotpath.enabled()``, the monitor pass, each
+probe round and the filter-install pass are plain loops over the
+readings that ship a whole pass through one ``Network.relay_many``
+call and feed the persistent ``TopKView`` one ``ensure_many`` batch.
+``hotpath.reference_path()`` restores the first-principles branches,
+which build and ship every message node by node, and the cold
+``certify_top_k`` oracle. ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove the two paths
 byte-identical.
 """
@@ -31,7 +30,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..errors import RoutingError, ValidationError
-from ..network import columnar, hotpath
+from ..network import hotpath
 from ..network.messages import (
     FilterReportMessage,
     FilterUpdateMessage,
@@ -51,42 +50,6 @@ from .results import EpochResult
 _REPORT = (FilterReportMessage.kind, FilterReportMessage.wire_size(1))
 _PROBE = (ProbeRequestMessage.kind, ProbeRequestMessage.wire_size(1))
 _INSTALL = (FilterUpdateMessage.kind, FilterUpdateMessage.wire_size(1))
-
-
-class _FilaColumns:
-    """One session's structure-of-arrays mirror of its filter state.
-
-    Parallel columns aligned to the deployment's alive-id tuple: the
-    installed filter interval per row (NaN = none), the last exactly-
-    known value per row (NaN = none), and the ``synced`` mask — True
-    iff the certification view's bound for that row *is* its filter
-    interval, which is exactly the condition under which the scalar
-    monitor / answer passes would re-``ensure`` a value the view
-    already holds (a proven no-op). The mask helpers in
-    :mod:`repro.network.columnar` turn those no-op visits into
-    whole-column skips. Rebuilt (all-unsynced — always safe, the next
-    pass just visits every row once) whenever the id tuple's identity,
-    the backend, or out-of-band filter state changes.
-    """
-
-    __slots__ = ("ids", "index", "backend", "flt_lo", "flt_hi",
-                 "synced", "known")
-
-    def __init__(self, ids: tuple[int, ...],
-                 filters: Mapping[int, tuple[float, float]],
-                 known: Mapping[int, float]):
-        self.ids = ids
-        self.index = {node_id: row for row, node_id in enumerate(ids)}
-        self.backend = columnar.backend()
-        nan = columnar.nan()
-        intervals = [filters.get(node_id) for node_id in ids]
-        self.flt_lo = columnar.float_column(
-            [f[0] if f is not None else nan for f in intervals])
-        self.flt_hi = columnar.float_column(
-            [f[1] if f is not None else nan for f in intervals])
-        self.synced = columnar.bool_column(len(ids), False)
-        self.known = columnar.float_column(
-            [known.get(node_id, nan) for node_id in ids])
 
 
 class Fila:
@@ -122,10 +85,6 @@ class Fila:
         #: violations, probes and filter reinstalls, typically a
         #: handful per epoch.
         self._view = TopKView(k, require_exact_scores=False)
-        #: Columnar kernel state; None whenever the last epoch ran
-        #: without columns (setup, a reference-path epoch, or churn);
-        #: columns are rebuilt unsynced on reactivation.
-        self._cols: _FilaColumns | None = None
 
     # ------------------------------------------------------------------
     # Filter management
@@ -145,9 +104,10 @@ class Fila:
             return chosen_floor
         return (chosen_floor + others_ceiling) / 2.0
 
+    # repro: hot
     def _install_filters(self, chosen: set[int], boundary: float,
-                         exact_values: Mapping[int, float] | None = None,
-                         ) -> int:
+                         exact_values: Mapping[int, float], hot: bool
+                         ) -> None:
         """Repartition with minimal reinstalls.
 
         Certification needs every chosen filter to sit at or above the
@@ -156,105 +116,59 @@ class Fila:
         contains the node's value, where the sink knows it) — so a
         drift event only reinstalls the nodes actually involved.
         Assignment is by *rank*, not by value: a node tied exactly at
-        the boundary stays silent on whichever side it was assigned."""
-        exact_values = exact_values or {}
-        installed = 0
-        for node_id in sorted(self.filters or self.known):
-            node = self.network.nodes.get(node_id)
+        the boundary stays silent on whichever side it was assigned.
+
+        Walks every node the sink has heard from, so a mote that joined
+        after setup gets its first filter here. The reinstalls ship in
+        ascending id order: in one :meth:`Network.relay_many` call on
+        the hot path, one built message per mote on the reference path.
+        A drop leaves only the motes relayed before it installed."""
+        nodes = self.network.nodes
+        filters = self.filters
+        agg_lo, agg_hi = self.aggregate.lo, self.aggregate.hi
+        installs = []
+        for node_id in sorted(self.known):
+            node = nodes.get(node_id)
             if node is None or not node.alive:
                 continue
-            current = self.filters.get(node_id)
+            current = filters.get(node_id)
             if node_id in chosen:
                 acceptable = (current is not None
                               and current[0] >= boundary
-                              and current[1] == self.aggregate.hi)
-                new_filter = (boundary, self.aggregate.hi)
+                              and current[1] == agg_hi)
+                new_filter = (boundary, agg_hi)
             else:
                 acceptable = (current is not None
                               and current[1] <= boundary
-                              and current[0] == self.aggregate.lo)
-                new_filter = (self.aggregate.lo, boundary)
+                              and current[0] == agg_lo)
+                new_filter = (agg_lo, boundary)
             if acceptable and node_id in exact_values:
                 lo, hi = current
                 acceptable = lo <= exact_values[node_id] <= hi
-            if acceptable:
+            if acceptable or current == new_filter:
                 continue
-            if current == new_filter:
-                continue
-            self.network.unicast_from_sink(
-                node_id, FilterUpdateMessage(
-                    intervals=((node_id, *new_filter),)))
-            self.filters[node_id] = new_filter
-            installed += 1
-        return installed
-
-    # repro: hot
-    def _install_filters_columnar(self, chosen: set[int], boundary: float,
-                                  exact_values: Mapping[int, float],
-                                  cols: _FilaColumns) -> int:
-        """The column-mask form of :meth:`_install_filters`.
-
-        Whole-column acceptability (:func:`columnar.acceptable_filters`)
-        plus a sparse exact-value containment fix-up replace the
-        all-node scalar scan; only the rows
-        :func:`columnar.pending_install_rows` singles out are installed,
-        in ascending id order — the same nodes the scalar pass would
-        reinstall (only alive nodes have rows, and the scalar pass skips
-        dead ones), shipped by one :meth:`Network.relay_many` call with
-        the same bytes in the same order.
-        """
-        ids = cols.ids
-        index = cols.index
-        agg_lo, agg_hi = self.aggregate.lo, self.aggregate.hi
-        chosen_mask = columnar.bool_column(len(ids), False)
-        for node_id in chosen:
-            row = index.get(node_id)
-            if row is not None:
-                chosen_mask[row] = True
-        acceptable = columnar.acceptable_filters(
-            cols.flt_lo, cols.flt_hi, chosen_mask, boundary, agg_lo, agg_hi)
-        filters = self.filters
-        for node_id, value in exact_values.items():
-            row = index.get(node_id)
-            if row is None or not acceptable[row]:
-                continue
-            lo, hi = filters[node_id]
-            if not (lo <= value <= hi):
-                acceptable[row] = False
-        rows = columnar.pending_install_rows(
-            cols.flt_lo, cols.flt_hi, chosen_mask, acceptable,
-            boundary, agg_lo, agg_hi)
+            installs.append((node_id, new_filter))
+        if not hot:
+            for node_id, new_filter in installs:
+                self.network.unicast_from_sink(
+                    node_id, FilterUpdateMessage(
+                        intervals=((node_id, *new_filter),)))
+                filters[node_id] = new_filter
+            return
         try:
-            self.network.relay_many([ids[row] for row in rows],
+            self.network.relay_many([node_id for node_id, _ in installs],
                                     down=_INSTALL)
         except RoutingError as drop:
-            del rows[drop.relayed:]
+            del installs[drop.relayed:]
             raise
         finally:
-            # The filters a drop cut short were never installed.
-            flt_lo, flt_hi, synced = cols.flt_lo, cols.flt_hi, cols.synced
-            for row in rows:
-                new_filter = ((boundary, agg_hi) if chosen_mask[row]
-                              else (agg_lo, boundary))
-                filters[ids[row]] = new_filter
-                flt_lo[row], flt_hi[row] = new_filter
-                synced[row] = False
-        return len(rows)
+            filters.update(installs)
 
     # ------------------------------------------------------------------
     # Epoch driver
     # ------------------------------------------------------------------
 
-    def _columns(self, ids: tuple[int, ...]) -> _FilaColumns:
-        """This session's columns, rebuilt when stale (id tuple or
-        backend changed, or a reference-path epoch ran in between)."""
-        cols = self._cols
-        if (cols is None or cols.ids is not ids
-                or cols.backend != columnar.backend()):
-            cols = self._cols = _FilaColumns(ids, self.filters, self.known)
-        return cols
-
-    def _setup(self, readings: Mapping[int, float]) -> None:
+    def _setup(self, readings: Mapping[int, float], hot: bool) -> None:
         with self.network.stats.phase("setup"):
             self.network.flood_down(QueryMessage(query_id=4))
             for node_id, value in readings.items():
@@ -268,44 +182,33 @@ class Fila:
             if len(ranked) > self.k:
                 self.boundary = (ranked[self.k - 1][1]
                                  + ranked[self.k][1]) / 2.0
-            self._install_filters(chosen, self.boundary)
+            self._install_filters(chosen, self.boundary, {}, hot)
         self._setup_done = True
 
     # repro: hot
-    def _run_monitor_columnar(self, readings: Mapping[int, float],
-                              values, cols: _FilaColumns
-                              ) -> Mapping[int, Bounds]:
-        """The monitoring pass over columns (columnar kernel).
+    def _run_monitor(self, readings: Mapping[int, float]
+                     ) -> Mapping[int, Bounds]:
+        """The hot monitoring pass, one loop over the readings.
 
-        :func:`columnar.pending_monitor_rows` picks out, in one
-        whole-column operation, exactly the rows whose scalar visit
-        would do real work — a violation report or a view bound that
-        is not already the filter interval; every skipped row's visit
-        is a proven no-op (see the helper's contract). The violations
-        ship in ascending id order with the reference loop's bytes, in
-        one :meth:`Network.relay_many` call, and the view takes the
-        whole pass as one :meth:`TopKView.ensure_many` batch.
+        A node inside its filter keeps the filter interval as its
+        bound; every other node (a violation, or a joiner with no
+        filter yet) reports, in ascending id order with the reference
+        loop's bytes, through one :meth:`Network.relay_many` call. The
+        view takes the whole pass as one :meth:`TopKView.ensure_many`
+        batch.
         """
-        ids = cols.ids
         filters_get = self.filters.get
-        synced = cols.synced
         view = self._view
         changes = []
         reporters = []
-        rows = []
         with self.network.stats.phase("monitor"):
-            for row in columnar.pending_monitor_rows(
-                    values, cols.flt_lo, cols.flt_hi, synced):
-                node_id = ids[row]
-                value = readings[node_id]
+            for node_id, value in readings.items():
                 current = filters_get(node_id)
                 if (current is not None
                         and current[0] <= value <= current[1]):
                     changes.append((node_id, current[0], current[1]))
-                    synced[row] = True
-                    continue
-                reporters.append(node_id)
-                rows.append(row)
+                else:
+                    reporters.append(node_id)
             try:
                 self.network.relay_many(reporters, up=_REPORT)
             except RoutingError as drop:
@@ -314,20 +217,17 @@ class Fila:
             finally:
                 # Only the motes relayed before a drop reported.
                 known = self.known
-                known_col = cols.known
-                for node_id, row in zip(reporters, rows):
+                for node_id in reporters:
                     value = readings[node_id]
                     known[node_id] = value
-                    known_col[row] = value
                     changes.append((node_id, value, value))
-                    synced[row] = False
                 view.ensure_many(changes)
         self._drop_stale_view_nodes(readings)
         return view.bounds
 
     # repro: hot
-    def _probe_round(self, ambiguous, readings: Mapping[int, float],
-                     cols: _FilaColumns) -> None:
+    def _probe_round(self, ambiguous, readings: Mapping[int, float]
+                     ) -> None:
         """One hot probe round: every ambiguous node whose bound is not
         exact gets a probe down and reports its reading up, in the
         reference loop's order and bytes, through one
@@ -347,21 +247,15 @@ class Fila:
                 raise
             finally:
                 known = self.known
-                index = cols.index
                 changes = []
                 for node_id in targets:
                     value = readings[node_id]
                     known[node_id] = value
-                    row = index.get(node_id)
-                    if row is not None:
-                        cols.known[row] = value
-                        cols.synced[row] = False
                     changes.append((node_id, value, value))
                 view.ensure_many(changes)
 
     # repro: hot
-    def _converge_view(self, readings: Mapping[int, float], values,
-                       cols: _FilaColumns | None) -> None:
+    def _converge_view(self, readings: Mapping[int, float]) -> None:
         """Converge the persistent view to answer-time knowledge in one
         :meth:`TopKView.ensure_many` batch: only nodes whose filter was
         just reinstalled (or probed / violated) actually move."""
@@ -369,39 +263,15 @@ class Fila:
         filters_get = self.filters.get
         lo, hi = self.aggregate.lo, self.aggregate.hi
         changes = []
-        if cols is not None:
-            # Whole-column skip of the rows whose scalar visit would
-            # re-ensure the filter interval the view already holds
-            # (non-exact, synced, filter installed).
-            ids = cols.ids
-            synced = cols.synced
-            for row in columnar.pending_answer_rows(
-                    values, cols.known, cols.flt_lo, synced):
-                node_id = ids[row]
-                value = readings[node_id]
-                if known_get(node_id) == value:
-                    changes.append((node_id, value, value))
-                    synced[row] = False
+        for node_id, value in readings.items():
+            if known_get(node_id) == value:
+                changes.append((node_id, value, value))
+            else:
+                current = filters_get(node_id)
+                if current is None:
+                    changes.append((node_id, lo, hi))
                 else:
-                    current = filters_get(node_id)
-                    if current is None:
-                        changes.append((node_id, lo, hi))
-                        synced[row] = False
-                    else:
-                        changes.append((node_id, current[0], current[1]))
-                        synced[row] = True
-        else:
-            # No columns this epoch: the setup epoch, or the
-            # emptied-filter fallback of the repartition.
-            for node_id, value in readings.items():
-                if known_get(node_id) == value:
-                    changes.append((node_id, value, value))
-                else:
-                    current = filters_get(node_id)
-                    if current is None:
-                        changes.append((node_id, lo, hi))
-                    else:
-                        changes.append((node_id, current[0], current[1]))
+                    changes.append((node_id, current[0], current[1]))
         self._view.ensure_many(changes)
         self._drop_stale_view_nodes(readings)
 
@@ -425,24 +295,15 @@ class Fila:
     def run_epoch(self) -> EpochResult:
         """One monitoring round: violations, certification, probes."""
         network = self.network
-        ids = network.alive_sensor_ids()
-        readings = network.read_many(ids, self.attribute)
+        readings = network.read_many(network.alive_sensor_ids(),
+                                     self.attribute)
         probed = 0
         hot = hotpath.enabled()
-        cols = values = None
-        if hot and self._setup_done:
-            cols = self._columns(ids)
-            values = network.reading_column(ids, self.attribute)
-            if values is None:
-                values = columnar.float_column(
-                    [readings[node_id] for node_id in ids])
-        else:
-            self._cols = None
         if not self._setup_done:
-            self._setup(readings)
+            self._setup(readings, hot)
         else:
-            if cols is not None:
-                bounds = self._run_monitor_columnar(readings, values, cols)
+            if hot:
+                bounds = self._run_monitor(readings)
             else:
                 with self.network.stats.phase("monitor"):
                     for node_id, value in readings.items():
@@ -475,8 +336,8 @@ class Fila:
             # filter interval as the score estimate.
             outcome = self._certify(bounds, hot)
             while outcome.needs_probe:
-                if cols is not None:
-                    self._probe_round(outcome.ambiguous, readings, cols)
+                if hot:
+                    self._probe_round(outcome.ambiguous, readings)
                 else:
                     with self.network.stats.phase("probe"):
                         for node_id in outcome.ambiguous:
@@ -500,53 +361,19 @@ class Fila:
             # Re-partition the filters around the certified cut.
             chosen = {item.key for item in outcome.items}
             chosen_floor = min(bounds[n].lb for n in chosen)
-            if cols is not None:
-                # Post-monitor every row's upper bound is its filter
-                # ceiling (synced) or its exact reading, so the
-                # non-chosen maximum reduces over one column.
-                others_ceiling = columnar.masked_ceiling(
-                    values, cols.flt_hi, cols.synced,
-                    [cols.index[n] for n in chosen if n in cols.index])
-                boundary = (self._choose_boundary(chosen_floor,
-                                                  others_ceiling)
-                            if others_ceiling is not None
-                            else self.boundary)
-            else:
-                others = [n for n in bounds if n not in chosen]
-                if others:
-                    others_ceiling = max(bounds[n].ub for n in others)
-                    boundary = self._choose_boundary(chosen_floor,
-                                                     others_ceiling)
-                else:
-                    boundary = self.boundary
-            self.boundary = boundary
-            if cols is not None and self.filters:
-                known = self.known
-                fresh = {}
-                for row in columnar.exact_rows(cols.flt_lo, cols.flt_hi,
-                                               cols.synced):
-                    node_id = ids[row]
-                    value = known.get(node_id)
-                    if value is not None:
-                        fresh[node_id] = value
-                with self.network.stats.phase("filter_update"):
-                    self._install_filters_columnar(chosen, boundary,
-                                                   fresh, cols)
-            else:
-                if cols is not None:
-                    # Filter table emptied out-of-band (churn swept
-                    # every install): the scalar repartition rebuilds
-                    # it from ``known``; columns are stale after.
-                    cols = self._cols = None
-                fresh = {n: self.known[n] for n in bounds
-                         if bounds[n].exact and n in self.known}
-                with self.network.stats.phase("filter_update"):
-                    self._install_filters(chosen, boundary,
-                                          exact_values=fresh)
+            others = [n for n in bounds if n not in chosen]
+            if others:
+                others_ceiling = max(bounds[n].ub for n in others)
+                self.boundary = self._choose_boundary(chosen_floor,
+                                                      others_ceiling)
+            fresh = {n: self.known[n] for n in bounds
+                     if bounds[n].exact and n in self.known}
+            with self.network.stats.phase("filter_update"):
+                self._install_filters(chosen, self.boundary, fresh, hot)
 
         # Build the answer from current knowledge.
         if hot:
-            self._converge_view(readings, values, cols)
+            self._converge_view(readings)
             bounds = self._view.bounds
             outcome = self._view.outcome()
         else:
@@ -588,9 +415,6 @@ class Fila:
                 invalidated += 1
             self.known.pop(event.node_id, None)
             self._view.delete(event.node_id)
-            # Filter / known state changed out-of-band of the column
-            # maintenance sites; rebuild on the next columnar epoch.
-            self._cols = None
         return invalidated
 
     def run(self, epochs: int) -> list[EpochResult]:

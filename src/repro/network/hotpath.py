@@ -7,12 +7,11 @@ traffic batching, the batch relay and flood kernels (one call per
 relayed list of motes or per flood instead of one per hop or
 forwarder; a large lossless relay batch charges its hops in one numpy
 scatter), the engines' fused passes over the plan (MINT's
-prune+update and probe converge-casts, TAG's aggregation, TJA's
-union and join passes) and the columnar kernel of
-:mod:`repro.network.columnar` (batched sensing, FILA's mask-driven
-passes) — all of which are *semantically invisible*: with the caches
-on or off, every message, byte, joule and per-phase snapshot is
-identical.
+prune+update and probe converge-casts, TAG's aggregation, FILA's
+monitor, probe and install passes, TJA's union and join passes) and
+the batched sensing of :mod:`repro.network.columnar` — all of which
+are *semantically invisible*: with the caches on or off, every
+message, byte, joule and per-phase snapshot is identical.
 
 The switch also selects the sinks' certification strategy: on the hot
 path each session maintains an incremental

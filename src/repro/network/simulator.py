@@ -162,9 +162,9 @@ class Network:
         self._relay_cache: tuple | None = None
         self._cache_tree: RoutingTree | None = None
         self._cache_version = -1
-        #: Structure-of-arrays caches (readings rows / columns) for the
-        #: columnar kernel; epoch-stamped and id-tuple-keyed, so no
-        #: invalidation hooks are needed (see ColumnarState).
+        #: The columnar kernel's readings rows and sampling plans;
+        #: epoch-stamped and id-tuple-keyed, so no invalidation hooks
+        #: are needed (see ColumnarState).
         self._columnar = columnar.ColumnarState()
         for node in self.nodes.values():
             node.on_kill = self._on_node_killed
@@ -962,12 +962,6 @@ class Network:
             group[3].append(node_id)
             group[4].append((row_index, node))
         return tuple(groups.values())
-
-    def reading_column(self, node_ids: Sequence[int], attribute: str):
-        """This epoch's cached readings row as a backend float column
-        aligned to ``node_ids`` (None when :meth:`read_many` has not
-        built the row). FILA's mask passes consume this."""
-        return self._columnar.column(attribute, self.epoch, node_ids)
 
     def advance_epoch(self) -> int:
         """Close the epoch: charge idle energy, bump the counter.

@@ -184,6 +184,23 @@ class TestDeployment:
         assert all(a.value in str(raised.value) for a in Algorithm)
         assert deployment.sessions() == ()
 
+    def test_labels_that_print_alike_are_rejected(self):
+        """Equal scores rank by ``str(group)``: the clusters ``1`` and
+        ``"1"`` would tie in an order the hot path cannot reproduce.
+        Grouping by ``nodeid`` never reads the cluster labels."""
+        scenario = grid_rooms_scenario(side=3, rooms_per_axis=1, seed=2)
+        labels = {node_id: 1 if node_id % 2 else "1"
+                  for node_id in scenario.group_of}
+        deployment = Deployment(scenario.network, group_of=labels)
+        with pytest.raises(PlanError, match="print alike"):
+            deployment.submit(MONITOR_MAX)
+        assert deployment.sessions() == ()
+        handle = deployment.submit(
+            "SELECT TOP 2 nodeid, MAX(sound) FROM sensors "
+            "GROUP BY nodeid EPOCH DURATION 1 min",
+            algorithm=Algorithm.FILA)
+        assert handle.state is SessionState.PENDING
+
     def test_live_registry_stays_bounded(self):
         """Cancelled sessions leave the live map at the next walk, so
         its size tracks the live set over any number of submissions;

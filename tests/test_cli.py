@@ -95,6 +95,21 @@ class TestScenarioWorkflow:
         assert "error: malformed scenario file: attribute" in captured.err
         assert captured.out == ""
 
+    def test_labels_that_print_alike_are_a_clean_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "deployment.json"
+        main(["scenario-init", str(path)])
+        payload = json.loads(path.read_text())
+        for index, sensor in enumerate(payload["sensors"]):
+            sensor["cluster"] = 1 if index % 2 else "1"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["run", str(path), "SELECT TOP 1 roomid, MAX(sound) "
+                     "FROM sensors GROUP BY roomid"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "print alike" in captured.err
+        assert captured.out == ""
+
     def test_bad_query_is_a_clean_error(self, tmp_path, capsys):
         path = str(tmp_path / "deployment.json")
         main(["scenario-init", path])

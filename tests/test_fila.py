@@ -1,10 +1,13 @@
 """FILA: filter-based monitoring, correctness and suppression."""
 
+import contextlib
+
 import pytest
 
 from repro.core import Fila, oracle_scores
 from repro.core.aggregates import make_aggregate
 from repro.errors import ValidationError
+from repro.network import hotpath
 from repro.scenarios import grid_rooms_scenario
 from repro.sensing.modalities import get_modality
 
@@ -99,6 +102,30 @@ class TestSuppression:
         for _ in range(6):
             fila.run_epoch()
         assert scenario.network.stats.by_kind.get("filter_report", 0) > 0
+
+
+class TestJoiner:
+    @pytest.mark.parametrize("path", ["hot", "reference"])
+    def test_joiner_gets_a_filter_at_its_first_repartition(self, path):
+        """A mote that joins after setup has no filter, so it reports;
+        the repartition of that epoch must install one around its
+        reported value, or it would report every epoch."""
+        with (hotpath.reference_path() if path == "reference"
+              else contextlib.nullcontext()):
+            scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
+            network = scenario.network
+            fila = Fila(network, make_aggregate("MAX", 0, 100), 5)
+            fila.run(3)
+            x, y = network.topology.positions[36]
+            group = scenario.group_of[36]
+            scenario.field.enroll(99, group)
+            network.join_node(99, (x + 2.0, y + 2.0),
+                              board=scenario.board_for(99), group=group)
+            fila.run_epoch()
+            assert 99 in fila.known
+            assert 99 in fila.filters
+            lo, hi = fila.filters[99]
+            assert lo <= fila.known[99] <= hi
 
 
 class TestValidation:

@@ -328,11 +328,12 @@ class TestPerPurposeRngStreams:
 
 
 class TestColumnarEquivalence:
-    """The columnar epoch kernel (``repro.network.columnar``) runs
-    whenever the hot path does, so the reference-path proofs above
+    """The columnar kernel's batch sensing (``repro.network.columnar``)
+    runs whenever the hot path does, so the reference-path proofs above
     cover it; this class pins one more five-engine churn case and adds
-    the backend split: the pure-python fallback must give the numpy
-    kernel's answers, counters, ledgers and RNG draws."""
+    the backend split: the pure-python fallback (list sensing, the
+    per-hop relay loop) must give the numpy kernel's answers,
+    counters, ledgers and RNG draws."""
 
     def test_columnar_equals_reference_path(self):
         """The columnar kernel and the unoptimized reference path
@@ -357,10 +358,14 @@ class TestColumnarEquivalence:
             assert run_workload(**kwargs) == default
 
 
-def zipf_fila_fleet(side=8, seed=5, radio=None, loss_seed=0):
+needs_numpy = pytest.mark.skipif(columnar.numpy_module() is None,
+                                 reason="the relay scatter runs on numpy")
+
+
+def zipf_fila_fleet(side=8, seed=5, radio=None, loss_seed=0, k=25):
     """A ``side``² grid in 16 block rooms over one shared
     :class:`~repro.sensing.generators.ZipfEventField`, monitored by a
-    FILA MAX top-25 session; returns ``(session, network)``.
+    FILA MAX top-``k`` session; returns ``(session, network)``.
 
     Every mote samples the same batch-capable field, so one
     ``batch_values`` call (and one ``hash01_column`` jitter draw)
@@ -385,16 +390,16 @@ def zipf_fila_fleet(side=8, seed=5, radio=None, loss_seed=0):
     boards = {i: SensorBoard({"sound": zipf}) for i in room_of}
     network = Network(topology, radio=radio, boards=boards,
                       group_of=room_of, seed=loss_seed)
-    session = Fila(network, make_aggregate("MAX", 0.0, 100.0), 25,
+    session = Fila(network, make_aggregate("MAX", 0.0, 100.0), k,
                    attribute="sound")
     return session, network
 
 
 class TestZipfColumnarKernel:
     """FILA over a shared Zipf field: the one workload that drives the
-    vectorized jitter (``hash01_column``) and FILA's column pass end
-    to end, held to the reference path and to the pure-python
-    backend."""
+    vectorized jitter (``hash01_column``) and FILA's batched monitor,
+    probe and install passes end to end, held to the reference path
+    and to the pure-python backend."""
 
     @staticmethod
     def _stream():
@@ -556,6 +561,63 @@ class TestFilaAtFleetScale:
         assert 401 in hot[-1][4], "the newborn must report"
 
 
+class TestFilaAcrossFlips:
+    """One FILA deployment whose path or column backend flips between
+    epochs: a 10×10 Zipf fleet, ``TOP 20``, and a relay that dies
+    mid-run with the tree repaired. Each epoch's answer, ``all_bounds``
+    and network totals must equal a run on the reference path
+    throughout, whatever ran the epochs before it."""
+
+    EPOCHS = 12
+    DEATH = 6
+    #: Epoch → (reference path?, pure-python backend?).
+    FLIPS = {
+        "path-every-epoch": lambda epoch: (epoch % 2 == 1, False),
+        "reference-every-third": lambda epoch: (epoch % 3 == 2, False),
+        "backend-every-epoch": lambda epoch: (False, epoch % 2 == 1),
+        "both": lambda epoch: (epoch % 3 == 2, epoch % 2 == 1),
+    }
+
+    def run(self, flip):
+        session, network = zipf_fila_fleet(side=10, k=20)
+        network.subscribe(session.handle_topology_event)
+        tree = network.tree
+        victim = next(n for n in tree.sensor_ids
+                      if tree.depth(n) == 2 and tree.subtree_size(n) > 3)
+        epochs = []
+        for epoch in range(self.EPOCHS):
+            reference, python = flip(epoch)
+            with contextlib.ExitStack() as modes:
+                if reference:
+                    modes.enter_context(hotpath.reference_path())
+                if python:
+                    modes.enter_context(columnar.force_python_backend())
+                if epoch == self.DEATH:
+                    network.kill_node(victim)
+                result = session.run_epoch()
+            epochs.append((
+                (result.epoch, result.exact, result.probed,
+                 tuple(result.items), dict(result.all_bounds)),
+                network.stats.summary(),
+            ))
+        return epochs
+
+    @pytest.mark.parametrize("flips", [
+        "path-every-epoch",
+        "reference-every-third",
+        pytest.param("backend-every-epoch", marks=needs_numpy),
+        pytest.param("both", marks=needs_numpy),
+    ])
+    def test_every_epoch_equals_the_reference_path(self, flips):
+        with hotpath.reference_path():
+            reference = self.run(lambda epoch: (False, False))
+        flipped = self.run(self.FLIPS[flips])
+        for epoch, (f, r) in enumerate(zip(flipped, reference)):
+            assert f[0] == r[0], f"epoch {epoch}: answer"
+            assert f[1] == r[1], f"epoch {epoch}: network totals"
+        assert any(result[2] for result, _ in reference), "FILA must probe"
+
+
 class TestReadManyErrorPath:
     """A tuple holding a node without a ``sound`` channel cannot be
     planned, so the hot path takes the reference walk: it raises the
@@ -709,9 +771,6 @@ _LARGE_BATCHES = st.lists(
                        min_size=simulator._SCATTER_MIN_MOTES, max_size=150),
               st.integers(0, 60), st.integers(0, 15)),
     min_size=2, max_size=4)
-
-needs_numpy = pytest.mark.skipif(columnar.numpy_module() is None,
-                                 reason="the relay scatter runs on numpy")
 
 
 @contextlib.contextmanager
