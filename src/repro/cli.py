@@ -41,11 +41,26 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import __version__
-from .api import ChurnIntervention, Deployment, EpochDriver, SessionHandle
+from .api import Deployment, EpochDriver, SessionHandle
 from .errors import ConfigurationError, KSpotError
 from .gui.render import render_table
 from .gui.scenario import ScenarioConfig, load_scenario, save_scenario
+from .gui.stats import RecordedPanel, SystemPanel
+from .parallel import (
+    deployment_summary,
+    run_sharded,
+    run_sweep,
+    shard_errors,
+    sweep_grid,
+)
 from .query.plan import Algorithm, QueryClass
+from .scenarios import (
+    CHURN_PRESETS,
+    Scenario,
+    conference_scenario,
+    figure1_scenario,
+    grid_rooms_scenario,
+)
 from .sensing.generators import RoomField
 
 
@@ -177,8 +192,6 @@ def _add_jobs_argument(parser) -> None:
 
 
 def _add_churn_arguments(parser) -> None:
-    from .scenarios import CHURN_PRESETS
-
     parser.add_argument("--churn", choices=sorted(CHURN_PRESETS),
                         default=None,
                         help="subject the deployment to seeded Poisson "
@@ -186,35 +199,6 @@ def _add_churn_arguments(parser) -> None:
                              "sessions recover and keep answering")
     parser.add_argument("--churn-seed", type=int, default=0,
                         help="seed for the churn process")
-
-
-def _churn_for(churn: str | None, churn_seed: int, network, attribute,
-               field, group_of, epochs: int) -> ChurnIntervention | None:
-    """A :class:`ChurnIntervention` from explicit parameters, or None
-    (shared by the inline commands and the picklable shard workers)."""
-    if not churn:
-        return None
-    from .scenarios import preset_churn
-    from .sensing.board import SensorBoard
-
-    schedule = preset_churn(
-        network.topology, epochs, preset=churn, seed=churn_seed,
-        group_for=(group_of or {}).get, field=field)
-    return ChurnIntervention(
-        schedule, board_for=lambda _nid: SensorBoard({attribute: field}))
-
-
-def _make_churn(args, network, attribute, field, group_of,
-                epochs=None) -> ChurnIntervention | None:
-    """A :class:`ChurnIntervention` for ``--churn``, or None.
-
-    ``epochs`` is the horizon the run will actually drive (historic
-    queries run their window length, not ``--epochs``).
-    """
-    return _churn_for(getattr(args, "churn", None),
-                      getattr(args, "churn_seed", 0),
-                      network, attribute, field, group_of,
-                      epochs if epochs is not None else args.epochs)
 
 
 @contextmanager
@@ -305,13 +289,12 @@ def _session_json(handle: SessionHandle) -> dict:
     return data
 
 
-def _deployment_json(network) -> dict:
-    samples = sum(network.node(n).samples_taken
-                  for n in network.tree.sensor_ids)
-    summary = network.stats.summary()
-    summary["epoch"] = network.epoch
-    summary["sensor_samples"] = samples
-    return summary
+def _print_savings(aggregate: dict) -> None:
+    """The fleet-wide savings line of ``workload`` and ``sweep``."""
+    print(f"aggregate savings vs per-query TAG shadows: "
+          f"{aggregate['message_saving_pct']:.1f}% messages, "
+          f"{aggregate['byte_saving_pct']:.1f}% bytes, "
+          f"{aggregate['energy_saving_pct']:.1f}% radio energy")
 
 
 def _print_results(results, stats) -> None:
@@ -337,8 +320,6 @@ def _print_results(results, stats) -> None:
 
 
 def _cmd_demo(args) -> int:
-    from .scenarios import conference_scenario, figure1_scenario
-
     if args.name == "figure1":
         scenario = figure1_scenario()
         query = ("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors "
@@ -357,18 +338,22 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _deploy_from_config(config, seed: int):
-    """(network, field) for a scenario file over a seeded room field."""
+def _file_scenario(config: ScenarioConfig, seed: int) -> Scenario:
+    """A scenario file deployed over a seeded room field (each sensor
+    its own room when the file names no clusters)."""
     field = RoomField(config.cluster_of or
                       {n: n for n in config.positions},
                       seed=seed)
-    return config.deploy(field), field
+    return Scenario(network=config.deploy(field),
+                    group_of=dict(config.cluster_of),
+                    attribute=config.attribute, field=field)
 
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    network, field = _deploy_from_config(config, args.seed)
-    deployment = Deployment(network, group_of=config.cluster_of or None)
+    scenario = _file_scenario(config, args.seed)
+    network = scenario.network
+    deployment = Deployment.from_scenario(scenario)
     algorithm = Algorithm(args.algorithm) if args.algorithm else None
     handle = deployment.submit(args.query, algorithm=algorithm)
     plan = handle.plan
@@ -377,8 +362,9 @@ def _cmd_run(args) -> int:
     historic = plan.query_class is QueryClass.HISTORIC_VERTICAL
     horizon = (plan.window_epochs or args.epochs) if historic \
         else args.epochs
-    churn = _make_churn(args, network, config.attribute, field,
-                        config.cluster_of, epochs=horizon)
+    churn = (scenario.churn_intervention(horizon, preset=args.churn,
+                                         seed=args.churn_seed)
+             if args.churn else None)
     driver = EpochDriver(deployment,
                          interventions=[churn] if churn else ())
     as_json = args.format == "json"
@@ -410,7 +396,7 @@ def _cmd_run(args) -> int:
             "scenario": {"name": config.name,
                          "sensors": len(config.positions)},
             "session": _session_json(handle),
-            "deployment": _deployment_json(network),
+            "deployment": deployment_summary(network),
             "churn": churn_summary,
         }, indent=2))
     elif churn_summary is not None:
@@ -444,26 +430,10 @@ def _load_workload(path: str):
     return entries
 
 
-def _workload_row(handle: SessionHandle):
-    if handle.historic_result is not None:
-        answer = ", ".join(f"{i.key}={i.score:.2f}"
-                           for i in handle.historic_result.items[:3])
-        epochs_run = "one-shot"
-    elif handle.results:
-        last = handle.results[-1]
-        answer = ", ".join(f"{i.key}={i.score:.2f}" for i in last.items)
-        epochs_run = len(handle.results)
-    else:
-        answer = "(still acquiring)"
-        epochs_run = 0
-    return [handle.id, handle.algorithm.value, epochs_run, answer,
-            handle.stats.messages, handle.stats.payload_bytes]
-
-
 @dataclass(frozen=True)
 class _WorkloadSpec:
     """One workload file as an independent, picklable deployment spec
-    (the ``workload`` shard worker's input)."""
+    (the ``workload`` worker's input)."""
 
     file: str
     scenario: str | None
@@ -477,39 +447,27 @@ class _WorkloadSpec:
 
 
 def _workload_shard(spec: _WorkloadSpec) -> dict:
-    """Run one workload file over its own deployment (shard worker).
+    """Deploy, submit, churn and drive one workload file: the
+    ``workload`` worker, run inline for one file and sharded for
+    several.
 
     Module-level and spec-driven — the spawn contract — returning the
-    same JSON payload shape the single-file ``--format json`` mode
-    prints, plus the file it came from.
+    file's ``--format json`` payload plus the file it came from.
     """
-    from .gui.stats import SystemPanel
-    from .scenarios import grid_rooms_scenario
+    config = load_scenario(spec.scenario) if spec.scenario else None
 
-    if spec.scenario:
-        config = load_scenario(spec.scenario)
-        network, field = _deploy_from_config(config, spec.seed)
-        group_of = config.cluster_of or None
-        attribute = config.attribute
+    def deploy() -> Scenario:
+        if config is not None:
+            return _file_scenario(config, spec.seed)
+        return grid_rooms_scenario(side=spec.side, rooms_per_axis=spec.rooms,
+                                   seed=spec.seed)
 
-        def factory():
-            return _deploy_from_config(config, spec.seed)[0]
-    else:
-        scenario = grid_rooms_scenario(side=spec.side,
-                                       rooms_per_axis=spec.rooms,
-                                       seed=spec.seed)
-        network = scenario.network
-        group_of = scenario.group_of
-        field = scenario.field
-        attribute = scenario.attribute
-
-        def factory():
-            return grid_rooms_scenario(side=spec.side,
-                                       rooms_per_axis=spec.rooms,
-                                       seed=spec.seed).network
-    deployment = Deployment(
-        network, group_of=group_of,
-        baseline_factory=factory if spec.baseline else None)
+    scenario = deploy()
+    network = scenario.network
+    deployment = Deployment.from_scenario(
+        scenario,
+        baseline_factory=(lambda: deploy().network) if spec.baseline
+        else None)
     rejected = []
     for algorithm, query in _load_workload(spec.file):
         try:
@@ -517,10 +475,11 @@ def _workload_shard(spec: _WorkloadSpec) -> dict:
         except KSpotError as error:
             rejected.append({"query": query, "error": str(error)})
     if not deployment.sessions():
-        raise KSpotError(
-            f"every workload query in {spec.file!r} was rejected")
-    churn = _churn_for(spec.churn, spec.churn_seed, network, attribute,
-                       field, group_of, spec.epochs)
+        raise KSpotError("every workload query was rejected: " + "; ".join(
+            f"{entry['query']!r} — {entry['error']}" for entry in rejected))
+    churn = (scenario.churn_intervention(spec.epochs, preset=spec.churn,
+                                         seed=spec.churn_seed)
+             if spec.churn else None)
     driver = EpochDriver(deployment,
                          interventions=[churn] if churn else ())
     driver.run(spec.epochs)
@@ -533,7 +492,7 @@ def _workload_shard(spec: _WorkloadSpec) -> dict:
         "sessions": [_session_json(handle)
                      for handle in deployment.sessions()],
         "rejected": rejected,
-        "deployment": _deployment_json(network),
+        "deployment": deployment_summary(network),
         "churn": (_churn_summary(network, deployment)
                   if churn is not None else None),
         "aggregate_savings": (aggregate.as_dict()
@@ -541,42 +500,53 @@ def _workload_shard(spec: _WorkloadSpec) -> dict:
     }
 
 
-def _print_workload_shard(payload: dict) -> None:
-    """The compact per-file report of a sharded workload run."""
-    print(f"== {payload['file']} ==")
+def _print_workload(payload: dict, as_json: bool = False) -> None:
+    """One workload file's report: its rejected queries on stderr,
+    then its JSON payload, or its routing lines, session table and
+    deployment, churn and savings lines."""
+    for entry in payload["rejected"]:
+        print(f"rejected: {entry['query']!r} — {entry['error']}",
+              file=sys.stderr)
+    if as_json:
+        print(json.dumps(payload, indent=2))
+        return
     rows = []
     for session in payload["sessions"]:
-        if session.get("historic_result") is not None:
-            items = session["historic_result"]["items"][:3]
-            epochs_run = "one-shot"
+        print(f"session {session['id']}: routed {session['algorithm']} "
+              f"({session['query_class']}) — {session['query']}")
+        historic = session.get("historic_result")
+        results = session.get("results")
+        if historic is not None:
+            items, epochs_run = historic["items"][:3], "one-shot"
+        elif results:
+            items, epochs_run = results[-1]["items"], len(results)
         else:
-            results = session.get("results") or []
-            items = results[-1]["items"] if results else []
-            epochs_run = len(results)
-        answer = ", ".join(f"{i['key']}={i['score']:.2f}" for i in items)
+            items, epochs_run = None, 0
+        answer = ("(still acquiring)" if items is None else ", ".join(
+            f"{item['key']}={item['score']:.2f}" for item in items))
         rows.append([session["id"], session["algorithm"], epochs_run,
                      answer, session["stats"]["messages"],
                      session["stats"]["payload_bytes"]])
+    print()
     print(render_table(
         ["session", "algorithm", "epochs", "latest answer",
          "messages", "bytes"], rows))
+    print()
     summary = payload["deployment"]
+    rejected = payload["rejected"]
     print(f"deployment: epoch {summary['epoch']}, "
           f"{summary['sensor_samples']} sensor samples, "
           f"{summary['messages']} messages, "
-          f"{summary['payload_bytes']} payload bytes"
-          + (f" ({len(payload['rejected'])} queries rejected)"
-             if payload["rejected"] else ""))
+          f"{summary['payload_bytes']} payload bytes, "
+          f"{summary['radio_joules'] * 1e3:.2f} mJ radio"
+          + (f" ({len(rejected)} queries rejected)" if rejected else ""))
     if payload["churn"] is not None:
         _print_churn_summary(payload["churn"])
-    print()
+    if payload["aggregate_savings"] is not None:
+        _print_savings(payload["aggregate_savings"])
 
 
-def _cmd_workload_sharded(args) -> int:
-    """Several workload files: independent deployments across workers."""
-    from .gui.stats import RecordedPanel, SystemPanel
-    from .parallel import run_sharded, shard_errors
-
+def _cmd_workload(args) -> int:
     specs = [
         _WorkloadSpec(file=path, scenario=args.scenario, side=args.side,
                       rooms=args.rooms, seed=args.seed,
@@ -584,6 +554,12 @@ def _cmd_workload_sharded(args) -> int:
                       churn=args.churn, churn_seed=args.churn_seed)
         for path in args.files
     ]
+    if len(specs) == 1:
+        # Inline, so a KSpotError exits 2 as ``error: ...``.
+        payload = _workload_shard(specs[0])
+        del payload["file"]
+        _print_workload(payload, as_json=args.format == "json")
+        return 0
     results = run_sharded(_workload_shard, specs, jobs=args.jobs,
                           keys=list(args.files))
     errors = shard_errors(results)
@@ -594,127 +570,28 @@ def _cmd_workload_sharded(args) -> int:
         for session in payload["sessions"]
         if session.get("savings")
     ]
-    aggregate = SystemPanel.aggregate(panels) if panels else None
+    aggregate = (SystemPanel.aggregate(panels).as_dict()
+                 if panels else None)
     if args.format == "json":
         print(json.dumps({
             "shards": payloads,
-            "aggregate_savings": (aggregate.as_dict()
-                                  if aggregate is not None else None),
+            "aggregate_savings": aggregate,
             "shard_errors": errors,
         }, indent=2))
     else:
         for payload in payloads:
-            _print_workload_shard(payload)
+            print(f"== {payload['file']} ==")
+            _print_workload(payload)
+            print()
         if aggregate is not None:
-            print(f"aggregate savings vs per-query TAG shadows: "
-                  f"{aggregate.message_saving_pct:.1f}% messages, "
-                  f"{aggregate.byte_saving_pct:.1f}% bytes, "
-                  f"{aggregate.energy_saving_pct:.1f}% radio energy")
+            _print_savings(aggregate)
     for entry in errors:
         print(f"shard failed: {entry['key']}\n{entry['error']}",
               file=sys.stderr)
     return 2 if errors else 0
 
 
-def _cmd_workload(args) -> int:
-    if len(args.files) > 1:
-        return _cmd_workload_sharded(args)
-    from .gui.stats import SystemPanel
-    from .scenarios import grid_rooms_scenario
-
-    if args.scenario:
-        config = load_scenario(args.scenario)
-
-        def deploy():
-            return _deploy_from_config(config, args.seed)[0]
-
-        network, field = _deploy_from_config(config, args.seed)
-        group_of = config.cluster_of or None
-        attribute = config.attribute
-        factory = deploy
-    else:
-        def deploy():
-            return grid_rooms_scenario(side=args.side,
-                                       rooms_per_axis=args.rooms,
-                                       seed=args.seed)
-
-        scenario = deploy()
-        network = scenario.network
-        group_of = scenario.group_of
-        field = scenario.field
-        attribute = scenario.attribute
-        factory = lambda: deploy().network  # noqa: E731
-
-    as_json = args.format == "json"
-    deployment = Deployment(
-        network, group_of=group_of,
-        baseline_factory=factory if args.baseline else None)
-    entries = _load_workload(args.files[0])
-    rejected = []
-    for algorithm, query in entries:
-        try:
-            handle = deployment.submit(query, algorithm=algorithm)
-        except KSpotError as error:
-            rejected.append({"query": query, "error": str(error)})
-            print(f"rejected: {query!r} — {error}", file=sys.stderr)
-            continue
-        if not as_json:
-            print(f"session {handle.id}: routed {handle.algorithm.value} "
-                  f"({handle.plan.query_class.value}) — {query}")
-    if not deployment.sessions():
-        raise KSpotError("every workload query was rejected")
-    if not as_json:
-        print()
-
-    churn = _make_churn(args, network, attribute, field, group_of)
-    driver = EpochDriver(deployment,
-                         interventions=[churn] if churn else ())
-    driver.run(args.epochs)
-
-    churn_summary = (_churn_summary(network, deployment)
-                     if churn is not None else None)
-    panels = [handle.system_panel for handle in deployment.sessions()
-              if handle.system_panel is not None
-              and handle.system_panel.samples]
-    aggregate = SystemPanel.aggregate(panels) if panels else None
-
-    if as_json:
-        print(json.dumps({
-            "sessions": [_session_json(handle)
-                         for handle in deployment.sessions()],
-            "rejected": rejected,
-            "deployment": _deployment_json(network),
-            "churn": churn_summary,
-            "aggregate_savings": (aggregate.as_dict()
-                                  if aggregate is not None else None),
-        }, indent=2))
-        return 0
-
-    rows = [_workload_row(handle) for handle in deployment.sessions()]
-    print(render_table(
-        ["session", "algorithm", "epochs", "latest answer",
-         "messages", "bytes"], rows))
-    print()
-    summary = _deployment_json(network)
-    print(f"deployment: epoch {summary['epoch']}, "
-          f"{summary['sensor_samples']} sensor samples, "
-          f"{summary['messages']} messages, "
-          f"{summary['payload_bytes']} payload bytes, "
-          f"{summary['radio_joules'] * 1e3:.2f} mJ radio"
-          + (f" ({len(rejected)} queries rejected)" if rejected else ""))
-    if churn_summary is not None:
-        _print_churn_summary(churn_summary)
-    if aggregate is not None:
-        print(f"aggregate savings vs per-query TAG shadows: "
-              f"{aggregate.message_saving_pct:.1f}% messages, "
-              f"{aggregate.byte_saving_pct:.1f}% bytes, "
-              f"{aggregate.energy_saving_pct:.1f}% radio energy")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
-    from .parallel import run_sweep, sweep_grid
-
     try:
         sizes = tuple(int(part) for part in args.sizes.split(","))
     except ValueError:
@@ -755,12 +632,8 @@ def _cmd_sweep(args) -> int:
               f"{totals['sessions']} sessions, "
               f"{totals['messages']} messages, "
               f"{totals['sensor_samples']} sensor samples")
-        aggregate = merged["aggregate_savings"]
-        if aggregate is not None:
-            print(f"aggregate savings vs per-query TAG shadows: "
-                  f"{aggregate['message_saving_pct']:.1f}% messages, "
-                  f"{aggregate['byte_saving_pct']:.1f}% bytes, "
-                  f"{aggregate['energy_saving_pct']:.1f}% radio energy")
+        if merged["aggregate_savings"] is not None:
+            _print_savings(merged["aggregate_savings"])
         if args.output:
             print(f"wrote {args.output}")
     for entry in merged["shard_errors"]:
@@ -840,7 +713,6 @@ def _cmd_perf(args) -> int:
 def _cmd_savings(args) -> int:
     from .core import Mint, MintConfig, Tag
     from .core.aggregates import make_aggregate
-    from .scenarios import grid_rooms_scenario
 
     if args.k < 1:
         raise ConfigurationError(f"--k must be >= 1, got {args.k}")

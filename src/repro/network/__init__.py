@@ -12,7 +12,6 @@ displays.
 from .churn import ChurnEvent, ChurnKind, ChurnSchedule
 from .energy import EnergyLedger, EnergyModel
 from .events import TopologyEvent, TopologyEventKind
-from .failures import Failure, FailureSchedule
 from .lifetime import LifetimeReport, simulate_lifetime
 from .link import RadioModel
 from .node import SensorNode
@@ -41,8 +40,6 @@ __all__ = [
     "ChurnSchedule",
     "TopologyEvent",
     "TopologyEventKind",
-    "Failure",
-    "FailureSchedule",
     "RadioModel",
     "EnergyModel",
     "EnergyLedger",

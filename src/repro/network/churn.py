@@ -1,10 +1,9 @@
 """Churn schedules: scripted and stochastic node deaths *and* births.
 
-:class:`~repro.network.failures.FailureSchedule` scripts deaths only;
-real deployments also gain nodes — batteries get swapped, extra motes
-get scattered. A :class:`ChurnSchedule` is the generalisation: an
-ordered script of :class:`ChurnEvent` deaths and births applied
-against the simulator's lifecycle hooks
+Sensor deployments lose nodes — batteries die, hardware fails — and
+gain them — batteries get swapped, extra motes get scattered. A
+:class:`ChurnSchedule` is an ordered script of :class:`ChurnEvent`
+deaths and births applied against the simulator's lifecycle hooks
 (:meth:`~repro.network.simulator.Network.kill_node` /
 :meth:`~repro.network.simulator.Network.join_node`), plus a Poisson
 generator that draws both processes from one seed so experiments get
@@ -94,8 +93,8 @@ class ChurnSchedule:
                       epochs: int, seed: int = 0, first_epoch: int = 1,
                       sink_id: int = SINK_ID) -> "ChurnSchedule":
         """``count`` distinct non-sink victims at random epochs in
-        ``[first_epoch, epochs)`` — the FailureSchedule workload, typed
-        as churn. The sink is excluded from the victim pool."""
+        ``[first_epoch, epochs)``, a deaths-only schedule for failure
+        experiments. The sink is excluded from the victim pool."""
         pool = sorted(i for i in node_ids if i != sink_id)
         if count > len(pool):
             raise ConfigurationError(

@@ -360,6 +360,17 @@ def _answers_payload(handle) -> list:
     ]
 
 
+def deployment_summary(network) -> dict:
+    """A network's traffic summary plus its epoch and sensor samples:
+    the ``deployment`` section of the sweep and CLI reports."""
+    summary = network.stats.summary()
+    summary["epoch"] = network.epoch
+    summary["sensor_samples"] = sum(
+        network.node(node_id).samples_taken
+        for node_id in network.tree.sensor_ids)
+    return summary
+
+
 def run_sweep_cell(cell: SweepCell) -> dict:
     """Drive one cell's deployment to completion (the shard worker).
 
@@ -368,9 +379,9 @@ def run_sweep_cell(cell: SweepCell) -> dict:
     payload: per-session answers, traffic and recovery accounting,
     savings series (when shadowed), and the cell's throughput.
     """
-    from .api import ChurnIntervention, Deployment, EpochDriver
+    from .api import Deployment, EpochDriver
     from .query.plan import Algorithm
-    from .scenarios import fleet_scenario, preset_churn
+    from .scenarios import fleet_scenario
 
     scenario = fleet_scenario(cell.n_nodes, seed=cell.field_seed)
     baseline_factory = None
@@ -382,12 +393,8 @@ def run_sweep_cell(cell: SweepCell) -> dict:
         scenario, baseline_factory=baseline_factory)
     interventions = []
     if cell.churn != NO_CHURN:
-        schedule = preset_churn(
-            scenario.network.topology, cell.epochs, preset=cell.churn,
-            seed=cell.churn_seed, group_for=scenario.churn_group_for,
-            field=scenario.field)
-        interventions.append(
-            ChurnIntervention(schedule, board_for=scenario.board_for))
+        interventions.append(scenario.churn_intervention(
+            cell.epochs, preset=cell.churn, seed=cell.churn_seed))
     driver = EpochDriver(deployment, interventions=interventions)
     handles = [
         deployment.submit(query,
@@ -399,7 +406,6 @@ def run_sweep_cell(cell: SweepCell) -> dict:
     driver.run(cell.epochs)
     # repro: allow[no-wall-clock] -- cell throughput measurement, stripped by canonical()
     wall_seconds = time.perf_counter() - started
-    network = scenario.network
     sessions = []
     for handle in handles:
         entry = {
@@ -415,17 +421,12 @@ def run_sweep_cell(cell: SweepCell) -> dict:
             entry["savings"] = [sample.as_dict()
                                 for sample in panel.samples]
         sessions.append(entry)
-    summary = network.stats.summary()
-    summary["epoch"] = network.epoch
-    summary["sensor_samples"] = sum(
-        network.node(node_id).samples_taken
-        for node_id in network.tree.sensor_ids)
     return {
         "cell": {"n_nodes": cell.n_nodes, "churn": cell.churn,
                  "mix": cell.mix, "epochs": cell.epochs,
                  "seed": cell.seed, "key": cell.key},
         "sessions": sessions,
-        "deployment": summary,
+        "deployment": deployment_summary(scenario.network),
         "wall_seconds": wall_seconds,
         "epochs_per_sec": (cell.epochs / wall_seconds
                            if wall_seconds else 0.0),

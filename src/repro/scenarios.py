@@ -74,11 +74,6 @@ class Scenario:
     attribute: str
     field: FieldGenerator
 
-    @property
-    def readings_fn(self):
-        """Convenience: (node, epoch) → raw field value."""
-        return self.field.value
-
     def board_for(self, node_id: int) -> SensorBoard:
         """A sensor board for a newborn node, sensing this scenario's
         field (the ``board_for`` hook churn schedules need)."""
@@ -163,18 +158,13 @@ def grid_rooms_scenario(side: int = 8, rooms_per_axis: int = 4,
                         seed: int = 0, skew: float = 0.0,
                         attribute: str = "sound",
                         room_step: float = 4.0,
-                        sensor_sigma: float = 1.5,
-                        radio_factor: float = 1.5,
-                        hash_gauss: bool = False) -> Scenario:
+                        sensor_sigma: float = 1.5) -> Scenario:
     """A ``side × side`` grid partitioned into square rooms.
 
     The standard scaling layout (E2/E3/E4/E9): ``rooms_per_axis²``
     rooms, each covering a block of the grid. ``skew > 0`` switches the
     field to Zipf-distributed room loudness, concentrating activity in
-    a few rooms. ``hash_gauss=True`` opts the room field into the
-    hash-based Box–Muller noise stream (vectorizable; a deliberate RNG
-    break from the default Mersenne cells — see
-    :class:`~repro.sensing.generators.RoomField`).
+    a few rooms.
     """
     from .errors import ConfigurationError
     from .network.topology import grid_topology
@@ -184,7 +174,7 @@ def grid_rooms_scenario(side: int = 8, rooms_per_axis: int = 4,
             f"rooms_per_axis must be at least 1, got {rooms_per_axis}")
     spacing = 10.0
     topology = grid_topology(side, spacing=spacing,
-                             radio_range=spacing * radio_factor)
+                             radio_range=spacing * 1.5)
     room_of: dict[int, Hashable] = {}
     block = max(1, side // rooms_per_axis)
     node_id = 1
@@ -199,8 +189,7 @@ def grid_rooms_scenario(side: int = 8, rooms_per_axis: int = 4,
             room_of, lo=0.0, hi=100.0, skew=skew, jitter=5.0, seed=seed)
     else:
         field = RoomField(room_of, lo=0.0, hi=100.0, room_step=room_step,
-                          sensor_sigma=sensor_sigma, seed=seed,
-                          hash_gauss=hash_gauss)
+                          sensor_sigma=sensor_sigma, seed=seed)
     network = Network(
         topology,
         boards=_boards_for(room_of, attribute, field),

@@ -19,7 +19,6 @@ from repro.core.results import is_valid_top_k, oracle_scores
 from repro.errors import ConfigurationError, TopologyError
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.events import TopologyEvent, TopologyEventKind
-from repro.network.failures import Failure, FailureSchedule
 from repro.network.simulator import Network
 from repro.network.topology import grid_topology
 from repro.scenarios import (
@@ -152,13 +151,13 @@ class TestLifecycleHooks:
 
 class TestSchedules:
     def test_failure_schedule_excludes_sink(self):
-        schedule = FailureSchedule.random_deaths(
+        schedule = ChurnSchedule.random_deaths(
             range(0, 10), count=9, epochs=30, seed=1)
-        assert all(f.node_id != 0 for f in schedule.failures)
+        assert all(e.node_id != 0 for e in schedule.events)
 
     def test_failure_schedule_pool_without_sink_too_small(self):
         with pytest.raises(ConfigurationError):
-            FailureSchedule.random_deaths([0, 1, 2], count=3, epochs=10)
+            ChurnSchedule.random_deaths([0, 1, 2], count=3, epochs=10)
 
     def test_churn_random_deaths_excludes_sink(self):
         schedule = ChurnSchedule.random_deaths(
@@ -221,8 +220,9 @@ class TestSchedules:
 
     def test_failure_schedule_skips_unknown_victims(self):
         net = Network(grid_topology(3))
-        schedule = FailureSchedule([Failure(0, 5), Failure(0, 999)])
-        assert schedule.apply(net, 0) == (5,)
+        schedule = ChurnSchedule([ChurnEvent(0, ChurnKind.DEATH, 5),
+                                  ChurnEvent(0, ChurnKind.DEATH, 999)])
+        assert [e.node_id for e in schedule.apply(net, 0)] == [5]
 
     def test_apply_batches_deaths_and_skips_dead(self):
         net = Network(grid_topology(4))

@@ -487,6 +487,53 @@ class TestShardedWorkload:
         assert [shard["file"] for shard in serial["shards"]] == [a, b]
         assert serial["shard_errors"] == []
 
+    def test_each_file_gets_the_single_file_report(self, tmp_path,
+                                                   capsys):
+        """A file's block under its ``== file ==`` header is its
+        one-file report: routing lines, a still-acquiring TJA row, the
+        radio figure, and its rejected queries on stderr."""
+        a, _ = self._files(tmp_path)
+        c = tmp_path / "c.txt"
+        c.write_text(
+            "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch "
+            "WITH HISTORY 40 s EPOCH DURATION 1 s\n"
+            "fila: SELECT TOP 2 roomid, MAX(sound) FROM sensors "
+            "GROUP BY roomid EPOCH DURATION 1 min\n")
+        argv = ["--epochs", "4", "--side", "4", "--rooms", "2"]
+        assert main(["workload", str(c), *argv]) == 0
+        single = capsys.readouterr()
+        assert "session 1: routed tja (historic_vertical)" in single.out
+        assert "(still acquiring)" in single.out
+        assert " mJ radio (1 queries rejected)" in single.out
+        assert single.err.startswith("rejected: 'SELECT TOP 2 roomid")
+        assert main(["workload", a, str(c), *argv]) == 0
+        both = capsys.readouterr()
+        assert f"== {c} ==\n{single.out}\n" in both.out
+        assert both.out.count(" mJ radio") == 2
+        assert both.err == single.err
+
+    @pytest.mark.parametrize("deployment", ["grid", "scenario-file"])
+    def test_single_file_json_is_its_shard(self, tmp_path, capsys,
+                                           deployment):
+        a, b = self._files(tmp_path)
+        argv = ["--epochs", "6", "--churn", "harsh", "--baseline",
+                "--format", "json"]
+        if deployment == "grid":
+            argv += ["--side", "4", "--rooms", "2"]
+        else:
+            scenario = str(tmp_path / "deployment.json")
+            main(["scenario-init", scenario])
+            argv += ["--scenario", scenario]
+        capsys.readouterr()
+        assert main(["workload", b, *argv]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert single["churn"]["dead"] > 0
+        assert single["aggregate_savings"] is not None
+        assert main(["workload", a, b, *argv]) == 0
+        shard = json.loads(capsys.readouterr().out)["shards"][1]
+        assert shard.pop("file") == b
+        assert shard == single
+
     def test_failing_shard_reported_not_swallowed(self, tmp_path,
                                                   capsys):
         a, _ = self._files(tmp_path)

@@ -16,7 +16,6 @@ from repro.sensing.generators import (
     ZipfEventField,
     _cell_hash01,
 )
-from repro.scenarios import grid_rooms_scenario
 from repro.sensing.modalities import get_modality
 
 
@@ -332,63 +331,3 @@ class TestClusterEnrollment:
             ZipfEventField({1: 0}, 0, 100, skew=1.0, seed=1).enroll(9, 7)
         with pytest.raises(ConfigurationError):
             RoomField({1: "A"}, seed=1).enroll(9, "Z")
-
-
-class TestHashGaussNoise:
-    """``RoomField(hash_gauss=True)``: counter-based Box–Muller noise.
-
-    A deliberate RNG stream break versus the default Mersenne ``gauss``
-    stream (same distribution, different bytes) — opt-in per scenario,
-    documented in docs/ARCHITECTURE.md's RNG rules. What must hold:
-    the scalar and batch paths stay byte-identical to *each other*
-    under either numeric backend, and the default stream is untouched.
-    """
-
-    ROOMS = {i: ("A" if i % 2 else "B") for i in range(1, 21)}
-    IDS = tuple(range(1, 21)) + (999,)
-
-    def _field(self, **kwargs):
-        return RoomField(self.ROOMS, sensor_sigma=1.5, seed=7, **kwargs)
-
-    def test_batch_matches_scalar_loop(self):
-        field = self._field(hash_gauss=True)
-        for epoch in (0, 5, 1_000_000):
-            assert field.batch_values(self.IDS, epoch) == [
-                field.value(n, epoch) for n in self.IDS]
-
-    def test_batch_matches_under_python_backend(self):
-        field = self._field(hash_gauss=True)
-        with columnar.force_python_backend():
-            fallback = field.batch_values(self.IDS, 5)
-        assert fallback == field.batch_values(self.IDS, 5)
-
-    def test_stream_differs_from_mersenne_default(self):
-        hashed = self._field(hash_gauss=True)
-        mersenne = self._field()
-        values = [(hashed.value(n, e), mersenne.value(n, e))
-                  for n in range(1, 21) for e in range(5)]
-        assert any(a != b for a, b in values)
-
-    def test_default_stream_unchanged(self):
-        """``hash_gauss`` defaults off and the explicit False spelling
-        reads the exact historical bytes."""
-        explicit = self._field(hash_gauss=False)
-        default = self._field()
-        for epoch in (0, 3, 11):
-            assert default.batch_values(self.IDS, epoch) == \
-                explicit.batch_values(self.IDS, epoch)
-
-    def test_values_respect_the_clamp(self):
-        field = RoomField(self.ROOMS, lo=45.0, hi=55.0,
-                          sensor_sigma=40.0, seed=7, hash_gauss=True)
-        values = [field.value(n, e)
-                  for n in range(1, 21) for e in range(10)]
-        assert all(45.0 <= v <= 55.0 for v in values)
-        assert min(values) == 45.0 and max(values) == 55.0
-
-    def test_scenario_plumbs_the_flag(self):
-        hashed = grid_rooms_scenario(side=3, rooms_per_axis=1, seed=2,
-                                     hash_gauss=True)
-        default = grid_rooms_scenario(side=3, rooms_per_axis=1, seed=2)
-        assert hashed.field._hash_gauss is True
-        assert default.field._hash_gauss is False

@@ -16,7 +16,7 @@ from repro.core import (
     same_answer_set,
 )
 from repro.core.aggregates import make_aggregate
-from repro.network.failures import FailureSchedule
+from repro.network.churn import ChurnSchedule
 from repro.network.link import RadioModel
 from repro.network.simulator import Network
 from repro.scenarios import grid_rooms_scenario
@@ -90,9 +90,9 @@ class TestFailureResilience:
         # Kill two leaf nodes mid-run (leaves cannot partition the tree).
         leaves = [n for n in scenario.network.tree.sensor_ids
                   if scenario.network.tree.is_leaf(n)]
-        schedule = FailureSchedule.random_deaths(leaves[:6], count=2,
-                                                 epochs=10, seed=4,
-                                                 first_epoch=3)
+        schedule = ChurnSchedule.random_deaths(leaves[:6], count=2,
+                                               epochs=10, seed=4,
+                                               first_epoch=3)
         for epoch in range(10):
             victims = schedule.apply(scenario.network, epoch)
             if victims:

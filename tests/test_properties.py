@@ -9,11 +9,18 @@ agree with brute force.
 
 from __future__ import annotations
 
+import functools
+import io
+import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Deployment, SessionState
+from repro.cli import main
 from repro.core.aggregates import make_aggregate
 from repro.core.certify import certify_top_k
 from repro.core.aggregates import Bounds, Partial
@@ -283,12 +290,13 @@ _TOKENS = ("SELECT", "TOP", "FROM", "GROUP", "BY", "WITH", "HISTORY",
 
 @st.composite
 def mutated_queries(draw):
-    """A valid query with one to four characters or tokens inserted or
-    deleted."""
+    """A valid query with one to four edits: characters inserted or
+    deleted, tokens inserted, deleted or replaced."""
     text = draw(st.sampled_from(_VALID_QUERIES))
     for _ in range(draw(st.integers(1, 4))):
         edit = draw(st.sampled_from(["insert-char", "delete-char",
-                                     "insert-token", "delete-token"]))
+                                     "insert-token", "delete-token",
+                                     "replace-token"]))
         if edit == "insert-char":
             at = draw(st.integers(0, len(text)))
             text = text[:at] + draw(st.characters()) + text[at:]
@@ -300,6 +308,9 @@ def mutated_queries(draw):
             if edit == "insert-token":
                 tokens.insert(draw(st.integers(0, len(tokens))),
                               draw(st.sampled_from(_TOKENS)))
+            elif edit == "replace-token":
+                tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                    st.sampled_from(_TOKENS))
             elif len(tokens) > 1:
                 del tokens[draw(st.integers(0, len(tokens) - 1))]
             text = " ".join(tokens)
@@ -324,3 +335,120 @@ class TestSubmitFuzz:
             assert deployment.sessions() == ()
         else:
             assert handle.state is SessionState.PENDING
+
+
+#: Routing prefixes a workload line may carry: every algorithm, case
+#: and spacing variants, and unknown ones (which stay part of the
+#: query text).
+_PREFIXES = ("", *(f"{algorithm.value}: " for algorithm in Algorithm),
+             "FILA: ", " tag :", "nope: ", ":")
+
+
+@st.composite
+def workload_files(draw):
+    """A workload file's bytes: valid or mutated queries with routing
+    prefixes, comments, blank lines and, sometimes, non-UTF-8 bytes."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["query", "query", "mutated",
+                                     "mutated", "comment", "blank",
+                                     "bytes"]))
+        if kind == "comment":
+            line = ("# " + draw(st.text(max_size=20))).encode(
+                "utf-8", "surrogatepass")
+        elif kind == "blank":
+            line = draw(st.sampled_from([b"", b"   ", b"\t"]))
+        elif kind == "bytes":
+            line = draw(st.binary(min_size=1, max_size=12))
+        else:
+            query = draw(st.sampled_from(_VALID_QUERIES) if kind == "query"
+                         else mutated_queries())
+            line = (draw(st.sampled_from(_PREFIXES)) + query).encode(
+                "utf-8", "surrogatepass")
+        lines.append(line)
+    return b"\n".join(lines) + b"\n"
+
+
+#: What a scenario field may be replaced with: null, a bool, a
+#: positive or negative number, NaN, inf, a string, a list, an object.
+_JSON_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.sampled_from([0.5, -2.5, 1e9, math.nan, math.inf, -math.inf]),
+    st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def scenario_files(draw):
+    """The ``scenario-init`` template with one top-level, ``map`` or
+    sensor field removed or replaced."""
+    payload = json.loads(_template())
+    target = draw(st.sampled_from(["top", "map", "sensor"]))
+    if target == "top":
+        parent = payload
+    elif target == "map":
+        parent = payload["map"]
+    else:
+        parent = draw(st.sampled_from(payload["sensors"]))
+    key = draw(st.sampled_from(sorted(parent)))
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_JUNK)
+    return json.dumps(payload).encode()
+
+
+def _cli(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code: int, err: str) -> None:
+    """Exit 0, or exit 2 with stderr ending in one ``error:`` line."""
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.splitlines()
+        assert lines and lines[-1].startswith("error: "), err
+        assert sum(line.startswith("error: ") for line in lines) == 1, err
+
+
+@functools.lru_cache(maxsize=None)
+def _template() -> str:
+    """The file ``scenario-init`` writes."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "scenario.json"
+        assert _cli(["scenario-init", str(path)])[0] == 0
+        return path.read_text()
+
+
+class TestCliFileFuzz:
+    """Whatever workload or scenario file reaches the CLI, ``workload``
+    and ``run`` exit 0, or exit 2 with one ``error: ...`` line, and
+    never raise."""
+
+    SMALL = ("--side", "3", "--rooms", "1", "--epochs", "2")
+
+    @given(data=workload_files())
+    @settings(max_examples=40, deadline=None)
+    def test_workload_files(self, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "queries.txt"
+            path.write_bytes(data)
+            _assert_clean_exit(*_cli(["workload", str(path), *self.SMALL]))
+
+    @given(data=scenario_files())
+    @settings(max_examples=40, deadline=None)
+    def test_scenario_files(self, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            scenario = Path(scratch) / "scenario.json"
+            scenario.write_bytes(data)
+            queries = Path(scratch) / "queries.txt"
+            queries.write_text(_VALID_QUERIES[0] + "\n")
+            _assert_clean_exit(*_cli(["run", str(scenario),
+                                      _VALID_QUERIES[0], "--epochs", "2"]))
+            _assert_clean_exit(*_cli(["workload", str(queries),
+                                      "--scenario", str(scenario),
+                                      "--epochs", "2"]))
