@@ -109,6 +109,13 @@ class KSpotEngine:
             lo = min(lo * self.plan.window_epochs, lo)
         if self.plan.agg_func == "COUNT" and self.plan.window_epochs:
             raise PlanError("windowed COUNT is not supported")
+        if (self.plan.algorithm is Algorithm.TPUT
+                and self.plan.agg_func not in ("SUM", "AVG")):
+            # Refused here, not at the first execution inside a driver
+            # step that also drives everyone else's sessions.
+            raise PlanError(
+                f"TPUT ranks by SUM (or dense AVG); got "
+                f"{self.plan.agg_func}: route the query to TJA instead")
         return make_aggregate(self.plan.agg_func, lo, hi)
 
     def _check_where(self, where: Predicate | None) -> None:

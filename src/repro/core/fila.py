@@ -14,10 +14,11 @@ This implementation monitors the top-k *nodes* by their current reading
 filter interval as bounds — sound, because silence proves the reading
 stayed inside. Answers are therefore exact every epoch, like MINT's.
 
-Switch-and-prove: while ``hotpath.enabled()``, the monitor pass, each
-probe round and the filter-install pass are plain loops over the
-readings that ship a whole pass through one ``Network.relay_many``
-call and feed the persistent ``TopKView`` one ``ensure_many`` batch.
+Switch-and-prove: while ``hotpath.enabled()``, the set-up reports,
+the monitor pass, each probe round and the filter-install pass are
+plain loops over the readings that ship a whole pass through one
+``Network.relay_many`` call and feed the persistent ``TopKView`` one
+``ensure_many`` batch.
 ``hotpath.reference_path()`` restores the first-principles branches,
 which build and ship every message node by node, and the cold
 ``certify_top_k`` oracle. ``tests/test_hotpath_equivalence.py`` and
@@ -169,14 +170,31 @@ class Fila:
     # ------------------------------------------------------------------
 
     def _setup(self, readings: Mapping[int, float], hot: bool) -> None:
+        """Every mote reports its reading, in the readings' order, and
+        the first filters go out around the initial top-k. On the hot
+        path the reports ship in one :meth:`Network.relay_many` call; a
+        drop leaves only the motes relayed before it known, as the
+        reference loop's one built message per mote does."""
+        known = self.known
         with self.network.stats.phase("setup"):
             self.network.flood_down(QueryMessage(query_id=4))
-            for node_id, value in readings.items():
-                self.network.unicast_to_sink(
-                    node_id, FilterReportMessage(
-                        epoch=self.network.epoch,
-                        entries=(ViewEntry(node_id, value, 1),)))
-                self.known[node_id] = value
+            if hot:
+                motes = list(readings)
+                try:
+                    self.network.relay_many(motes, up=_REPORT)
+                except RoutingError as drop:
+                    del motes[drop.relayed:]
+                    raise
+                finally:
+                    for node_id in motes:
+                        known[node_id] = readings[node_id]
+            else:
+                for node_id, value in readings.items():
+                    self.network.unicast_to_sink(
+                        node_id, FilterReportMessage(
+                            epoch=self.network.epoch,
+                            entries=(ViewEntry(node_id, value, 1),)))
+                    known[node_id] = value
             ranked = sorted(self.known.items(), key=lambda kv: (-kv[1], kv[0]))
             chosen = {node_id for node_id, _ in ranked[:self.k]}
             if len(ranked) > self.k:

@@ -27,8 +27,8 @@ An optional adaptive controller grows ``slack`` after epochs that
 probed and shrinks it after quiet ones, trading view size against
 probe traffic (ablated in experiment E10).
 
-Switch-and-prove: the fused single-pass update phase and the
-incremental ``TopKView`` certification run only while
+Switch-and-prove: the fused single-pass creation and update phases
+and the incremental ``TopKView`` certification run only while
 ``hotpath.enabled()``; under ``hotpath.reference_path()`` the
 first-principles branches and the cold ``certify_top_k`` oracle take
 over. ``tests/test_hotpath_equivalence.py`` and
@@ -323,25 +323,33 @@ class Mint:
             state.gamma_reported = message.gamma
 
     def _creation_phase(self) -> None:
-        """First acquisition: full views up, cardinalities learned."""
+        """First acquisition: full views up, cardinalities learned.
+
+        The hot path runs the fused :meth:`_run_creation_pass`; the
+        reference branch below builds each node's view message and
+        sends it with :meth:`Network.send_up`."""
         contributions = self._acquire()
         with self.network.stats.phase("creation"):
             self.network.flood_down(QueryMessage(query_id=1))
-            for node_id in self.network.converge_cast_order():
-                state = self.states[node_id]
-                view = self._rebuild_view(node_id, contributions.get(node_id))
-                state.withheld = {}
-                message = ViewUpdateMessage(
-                    epoch=self.network.epoch,
-                    entries=tuple(
-                        ViewEntry(group, partial.value, partial.count)
-                        for group, partial in sorted(view.items(),
-                                                     key=lambda i: str(i[0]))
-                    ),
-                )
-                self.network.send_up(node_id, message)
-                state.reported = dict(view)
-                state.gamma_reported = None
+            if hotpath.enabled():
+                self._run_creation_pass(contributions)
+            else:
+                for node_id in self.network.converge_cast_order():
+                    state = self.states[node_id]
+                    view = self._rebuild_view(node_id,
+                                              contributions.get(node_id))
+                    state.withheld = {}
+                    message = ViewUpdateMessage(
+                        epoch=self.network.epoch,
+                        entries=tuple(
+                            ViewEntry(group, partial.value, partial.count)
+                            for group, partial in sorted(
+                                view.items(), key=lambda i: str(i[0]))
+                        ),
+                    )
+                    self.network.send_up(node_id, message)
+                    state.reported = dict(view)
+                    state.gamma_reported = None
         self.group_totals = {}
         self.child_group_totals = {}
         for child in self.network.tree.children(self.network.sink_id):
@@ -357,6 +365,42 @@ class Mint:
                     self.group_totals.get(group, 0) + count)
         self.created = True
         self._totals_stale = False
+
+    # repro: hot
+    def _run_creation_pass(self, contributions: dict[int, Partial]) -> None:
+        """The creation converge-cast as one pass over the network's
+        converge-cast plan (hot path).
+
+        Each row merges its own partial with its live children's
+        ``reported`` views, in :meth:`_rebuild_view`'s order, ships the
+        whole view's :meth:`ViewUpdateMessage.wire_size` and then
+        commits it as what the parent caches. A drop raises before the
+        dropped node commits, as on the reference path.
+        """
+        network = self.network
+        states = self.states
+        merge = self.aggregate.merge
+        group_of = self.group_of
+        contributions_get = contributions.get
+        ship_unicast = network._ship_unicast
+        kind = ViewUpdateMessage.kind
+        wire_size = ViewUpdateMessage.wire_size
+        for node_id, parent, children, _ in network.converge_cast_plan():
+            view: dict[GroupKey, Partial] = {}
+            contribution = contributions_get(node_id)
+            if contribution is not None:
+                view[group_of[node_id]] = contribution
+            view_get = view.get
+            for child in children:
+                for group, partial in states[child].reported.items():
+                    existing = view_get(group)
+                    view[group] = (partial if existing is None
+                                   else merge(existing, partial))
+            ship_unicast(node_id, parent, kind, wire_size(len(view)))
+            state = states[node_id]
+            state.reported = view
+            state.withheld = {}
+            state.gamma_reported = None
 
     def _live_sink_children(self) -> list[int]:
         return [

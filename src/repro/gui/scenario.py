@@ -10,6 +10,7 @@ and the radio range — everything needed to re-deploy the network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,7 +144,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                 raise ScenarioError(
                     f"malformed scenario file: sensor id {node_id} is "
                     f"listed twice")
-            if isinstance(cluster, (list, dict)):
+            if isinstance(cluster, (list, dict)) or (
+                    isinstance(cluster, float)
+                    and not math.isfinite(cluster)):
                 raise ScenarioError(
                     f"malformed scenario file: sensor {node_id} has "
                     f"cluster {cluster!r}, not a label")

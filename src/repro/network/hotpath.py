@@ -6,9 +6,10 @@ model, the per-topology converge-cast and flood plans, per-epoch
 traffic batching, the batch relay and flood kernels (one call per
 relayed list of motes or per flood instead of one per hop or
 forwarder; a large lossless relay batch charges its hops in one numpy
-scatter), the engines' fused passes over the plan (MINT's
+scatter), the engines' fused passes over the plan (MINT's creation,
 prune+update and probe converge-casts, TAG's aggregation, FILA's
-monitor, probe and install passes, TJA's union and join passes) and
+set-up, monitor, probe and install passes, TJA's union and join
+passes) and
 the batched sensing of :mod:`repro.network.columnar` — all of which
 are *semantically invisible*: with the caches on or off, every
 message, byte, joule and per-phase snapshot is identical.

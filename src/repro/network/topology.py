@@ -25,10 +25,22 @@ SINK_ID = 0
 class Topology:
     """Node positions and the range-disc connectivity they induce.
 
+    Two nodes are linked when ``math.hypot(ax - bx, ay - by) <=
+    radio_range``. The links come from a uniform grid of cells at least
+    as wide as the range: a node is tested only against the nodes in
+    its own cell and the eight around it, so building the links costs
+    O(N) tests on an evenly spread deployment instead of the N²/2 of an
+    all-pairs loop, and placing one node costs O(1).
+
     Attributes:
         positions: node id → (x, y) metres. Must include the sink.
         radio_range: maximum link distance in metres.
         sink_id: identifier of the base station.
+
+    Raises:
+        TopologyError: the sink has no position, the radio range is
+            not a positive finite number, or a coordinate is not
+            finite.
     """
 
     positions: dict[int, tuple[float, float]]
@@ -36,23 +48,78 @@ class Topology:
     sink_id: int = SINK_ID
     _adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False,
                                                    default_factory=dict)
+    #: Cell → ids binned there, and the cells' width (see _cell_width).
+    _cells: dict[tuple[int, int], list[int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    _width: float = field(init=False, repr=False, compare=False,
+                          default=1.0)
 
     def __post_init__(self) -> None:
         if self.sink_id not in self.positions:
             raise TopologyError(f"sink {self.sink_id} has no position")
-        if self.radio_range <= 0:
-            raise TopologyError("radio range must be positive")
+        if not 0 < self.radio_range < math.inf:
+            raise TopologyError(
+                f"radio range must be a positive finite number, got "
+                f"{self.radio_range!r}")
         self._rebuild_adjacency()
 
     def _rebuild_adjacency(self) -> None:
-        ids = sorted(self.positions)
-        adjacency: dict[int, list[int]] = {i: [] for i in ids}
-        for index, a in enumerate(ids):
-            for b in ids[index + 1:]:
-                if self.distance(a, b) <= self.radio_range:
-                    adjacency[a].append(b)
-                    adjacency[b].append(a)
-        self._adjacency = {i: tuple(ns) for i, ns in adjacency.items()}
+        """Re-bin every position and re-derive every node's links, e.g.
+        after ``positions`` was edited directly."""
+        self._width = _cell_width(self.radio_range)
+        cells: dict[tuple[int, int], list[int]] = {}
+        for node_id, position in self.positions.items():
+            cells.setdefault(self._cell(node_id, position), []).append(
+                node_id)
+        self._cells = cells
+        self._adjacency = {node_id: self._linked(node_id)
+                           for node_id in sorted(self.positions)}
+
+    def _cell(self, node_id: int, position: tuple[float, float]
+              ) -> tuple[int, int]:
+        """The grid cell holding ``position``; a non-finite coordinate
+        is refused by name (``math.floor`` cannot bin it)."""
+        x, y = position
+        if not (math.isfinite(x) and math.isfinite(y)):
+            name = "sink" if node_id == self.sink_id else "node"
+            raise TopologyError(
+                f"{name} {node_id} has a non-finite position "
+                f"({x!r}, {y!r})")
+        width = self._width
+        return math.floor(x / width), math.floor(y / width)
+
+    def _linked(self, node_id: int) -> tuple[int, ...]:
+        """The nodes within radio range of ``node_id``, in ascending id
+        order, found in its cell and the eight around it.
+
+        That scan cannot miss a pair the all-pairs rule links. The cells
+        are a power of two wide, at least 1 and wider than
+        ``radio_range · (1 + 2⁻²⁰)``. A linked pair's ``|ax - bx|``
+        exceeds the range by at most the few ulps that the subtraction
+        and ``hypot`` round off, so it is under one width. Dividing by
+        a power of two that is at least 1 cannot overflow and is exact
+        (off by under 2⁻¹⁰⁷⁴ where it underflows), so the pair's
+        quotients differ by less than 1 and their floors, the cell
+        indices, by at most 1 on each axis, on either side of any cell
+        edge.
+        """
+        positions = self.positions
+        radio_range = self.radio_range
+        cells = self._cells
+        hypot = math.hypot
+        x, y = positions[node_id]
+        cx, cy = self._cell(node_id, (x, y))
+        linked = []
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for other in cells.get((gx, gy), ()):
+                    if other == node_id:
+                        continue
+                    ox, oy = positions[other]
+                    if hypot(x - ox, y - oy) <= radio_range:
+                        linked.append(other)
+        linked.sort()
+        return tuple(linked)
 
     @property
     def node_ids(self) -> tuple[int, ...]:
@@ -99,28 +166,26 @@ class Topology:
         A node id that already has a position is moved — how a killed
         mote re-enters the field at a fresh spot when it rejoins.
 
-        Only the placed node's radio edges are recomputed (O(N), not the
-        O(N²) full rebuild); every neighbour tuple stays in ascending-id
+        Only the placed node's radio edges are recomputed, from the
+        cells around it; every neighbour tuple stays in ascending-id
         order, exactly as :meth:`_rebuild_adjacency` builds it.
         """
         if node_id == self.sink_id:
             raise TopologyError("the sink is already deployed")
         if node_id < 0:
             raise TopologyError("node ids must be non-negative")
+        position = (float(position[0]), float(position[1]))
+        cell = self._cell(node_id, position)
         if node_id in self.positions:
             self._unlink(node_id)
-        self.positions[node_id] = (float(position[0]), float(position[1]))
+        self.positions[node_id] = position
+        self._cells.setdefault(cell, []).append(node_id)
         adjacency = self._adjacency
-        linked = []
-        for other in sorted(self.positions):
-            if other == node_id:
-                continue
-            if self.distance(other, node_id) <= self.radio_range:
-                linked.append(other)
-                ns = adjacency[other]
-                at = bisect.bisect_left(ns, node_id)
-                adjacency[other] = ns[:at] + (node_id,) + ns[at:]
-        adjacency[node_id] = tuple(linked)
+        linked = adjacency[node_id] = self._linked(node_id)
+        for other in linked:
+            ns = adjacency[other]
+            at = bisect.bisect_left(ns, node_id)
+            adjacency[other] = ns[:at] + (node_id,) + ns[at:]
 
     def remove_node(self, node_id: int) -> None:
         """Delete a node (failure injection); the sink cannot be removed."""
@@ -128,17 +193,35 @@ class Topology:
             raise TopologyError("cannot remove the sink")
         if node_id not in self.positions:
             raise TopologyError(f"unknown node {node_id}")
-        del self.positions[node_id]
         self._unlink(node_id)
+        del self.positions[node_id]
 
     def _unlink(self, node_id: int) -> None:
-        """Drop ``node_id``'s radio edges: its neighbours forget it and
-        its own adjacency entry goes (incremental counterpart of
-        :meth:`_rebuild_adjacency`, O(degree) instead of O(N²))."""
+        """Drop ``node_id``'s radio edges and its cell entry: its
+        neighbours forget it and its own adjacency entry goes
+        (incremental counterpart of :meth:`_rebuild_adjacency`,
+        O(degree))."""
+        cell = self._cell(node_id, self.positions[node_id])
+        members = self._cells[cell]
+        members.remove(node_id)
+        if not members:
+            del self._cells[cell]
         adjacency = self._adjacency
         for other in adjacency.pop(node_id, ()):
             adjacency[other] = tuple(
                 n for n in adjacency[other] if n != node_id)
+
+
+def _cell_width(radio_range: float) -> float:
+    """The grid's cell width: the smallest power of two that is at
+    least 1 and above ``radio_range · (1 + 2⁻²⁰)``, or inf when that
+    power exceeds the largest float (one cell then holds every node)."""
+    mantissa, exponent = math.frexp(radio_range)
+    if mantissa > 1.0 - 2.0 ** -20:
+        exponent += 1
+    if exponent > 1023:
+        return math.inf
+    return math.ldexp(1.0, max(exponent, 0))
 
 
 def grid_topology(side: int, spacing: float = 10.0,

@@ -201,6 +201,27 @@ class TestDeployment:
             algorithm=Algorithm.FILA)
         assert handle.state is SessionState.PENDING
 
+    @pytest.mark.parametrize("agg", ["MAX", "MIN", "COUNT"])
+    def test_tput_over_anything_but_sum_or_avg_is_rejected(self, agg):
+        """TPUT ranks by SUM or AVG: ``submit`` refuses any other
+        aggregate, so it never reaches a driver step, and the sessions
+        already on the deployment keep stepping."""
+        deployment = Deployment.from_scenario(
+            grid_rooms_scenario(side=3, rooms_per_axis=1, seed=2))
+        driver = EpochDriver(deployment)
+        monitor = deployment.submit(MONITOR)
+        with pytest.raises(PlanError):
+            deployment.submit(
+                f"SELECT TOP 2 epoch, {agg}(sound) FROM sensors GROUP BY "
+                f"epoch WITH HISTORY 3 s EPOCH DURATION 1 s",
+                algorithm=Algorithm.TPUT)
+        assert deployment.sessions() == (monitor,)
+        driver.run(5)
+        assert len(monitor.results) == 5
+        tput = deployment.submit(HISTORIC, algorithm=Algorithm.TPUT)
+        driver.run(6)
+        assert tput.historic_result is not None
+
     def test_live_registry_stays_bounded(self):
         """Cancelled sessions leave the live map at the next walk, so
         its size tracks the live set over any number of submissions;

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,36 @@ class TestScenarioWorkflow:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "print alike" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda p: p.update(radio_range=math.nan),
+         "radio range must be a positive finite number, got nan"),
+        (lambda p: p.update(sink=[math.inf, 30.0]),
+         "sink 0 has a non-finite position (inf, 30.0)"),
+        (lambda p: (p["map"].update(width=math.inf),
+                    p["sensors"][2].update(x=math.inf)),
+         "node 3 has a non-finite position (inf, 15.0)"),
+        (lambda p: p["sensors"][1].update(cluster=math.nan),
+         "sensor 2 has cluster nan, not a label"),
+        (lambda p: p["sensors"][4].update(cluster=-math.inf),
+         "sensor 5 has cluster -inf, not a label"),
+    ], ids=["radio-range", "sink", "sensor", "nan-label", "inf-label"])
+    def test_non_finite_values_are_named(self, tmp_path, capsys, edit,
+                                         named):
+        """A JSON ``NaN`` or ``Infinity`` radio range, coordinate or
+        cluster label exits 2 with one ``error:`` line naming it."""
+        path = tmp_path / "deployment.json"
+        main(["scenario-init", str(path)])
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["run", str(path), "SELECT TOP 1 roomid, AVG(sound) "
+                     "FROM sensors GROUP BY roomid"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.startswith("error: ")] \
+            == lines[-1:]
+        assert named in lines[-1]
 
     def test_bad_query_is_a_clean_error(self, tmp_path, capsys):
         path = str(tmp_path / "deployment.json")
@@ -226,6 +257,25 @@ class TestWorkload:
         captured = capsys.readouterr()
         assert "rejected:" in captured.err
         # The rejected query never consumed a session id.
+        assert "session 1: routed mint" in captured.out
+        assert "(1 queries rejected)" in captured.out
+
+    @pytest.mark.parametrize("agg", ["MAX", "MIN"])
+    def test_tput_over_max_or_min_rejected_not_fatal(self, tmp_path,
+                                                     capsys, agg):
+        """TPUT ranks by SUM or AVG only: the line is rejected at
+        submit, and the rest of the workload runs."""
+        path = self._write(
+            tmp_path,
+            f"tput: SELECT TOP 2 epoch, {agg}(sound) FROM sensors "
+            "GROUP BY epoch WITH HISTORY 4 s EPOCH DURATION 1 s\n"
+            "SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid "
+            "EPOCH DURATION 1 min\n")
+        assert main(["workload", path, "--epochs", "6",
+                     "--side", "4", "--rooms", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("rejected: 'SELECT TOP 2 epoch")
+        assert f"TPUT ranks by SUM (or dense AVG); got {agg}" in captured.err
         assert "session 1: routed mint" in captured.out
         assert "(1 queries rejected)" in captured.out
 

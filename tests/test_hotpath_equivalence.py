@@ -1214,13 +1214,13 @@ class _Counting:
 
 
 class TestNoWireObjectsOnHotPath:
-    """The fused MINT update and probe passes, TAG's aggregation pass,
-    FILA's monitor, probe and install passes and TJA's union and join
-    passes ship each edge's kind and wire size: after the creation
-    epoch no hot epoch builds one of the wire objects below. The
-    reference path still builds every one. (MINT still builds the one
-    probe-request message each probe flood ships, so that class is
-    watched in FILA only.)"""
+    """The fused MINT creation, update and probe passes, TAG's
+    aggregation pass, FILA's set-up, monitor, probe and install passes
+    and TJA's union and join passes ship each edge's kind and wire
+    size: no hot epoch, the creation epoch included, builds one of the
+    wire objects below. The reference path still builds every one.
+    (MINT still builds the one probe-request message each probe flood
+    ships, so that class is watched in FILA only.)"""
 
     WIRE_NAMES = {
         "mint": ("ViewUpdateMessage", "ProbeReplyMessage", "ViewEntry"),
@@ -1251,14 +1251,15 @@ class TestNoWireObjectsOnHotPath:
         # Executes at its fifth acquisition epoch, inside the run below.
         historic = deployment.submit(
             TestSamplingPlanSharing.HISTORIC_QUERY)
-        driver.step()  # creation epoch: full views, FILA's filter setup
-        before = dict(filter_handle.stats.by_kind)
         counts = Counter()
         for module in (mint, tag, fila, tja):
             short = module.__name__.rsplit(".", 1)[-1]
             for name in self.WIRE_NAMES[short]:
                 monkeypatch.setattr(module, name, _Counting(
                     getattr(module, name), counts, f"{short}.{name}"))
+        driver.step()  # creation epoch: full views, FILA's filter setup
+        assert filter_handle.stats.by_kind["filter_report"] > 0
+        before = dict(filter_handle.stats.by_kind)
         driver.run(10)
         assert sum(r.probed for r in handle.results[1:]) == 10
         assert sum(r.probed for r in filter_handle.results[1:]) == 10
@@ -1300,7 +1301,7 @@ class TestMintStateAtFleetScale:
                           dict(state.withheld))
                 for node_id, state in mint.states.items()}
 
-    def run(self, mint_config):
+    def run(self, mint_config, recreate_at=None):
         scenario = grid_rooms_scenario(side=20, rooms_per_axis=4, seed=11)
         network = scenario.network
         tree = network.tree
@@ -1322,7 +1323,10 @@ class TestMintStateAtFleetScale:
         handles = [deployment.submit(query)
                    for query in TestSamplingPlanSharing.MONITOR_QUERIES]
         states = []
-        for _ in range(self.EPOCHS):
+        for epoch in range(self.EPOCHS):
+            if epoch == recreate_at:
+                for handle in handles:
+                    handle._session.engine.algorithm.handle_topology_change()
             driver.step()
             states.append([self.node_states(h) for h in handles])
         return (states, [answers_of(h) for h in handles],
@@ -1347,6 +1351,131 @@ class TestMintStateAtFleetScale:
         assert any(withheld for session in final
                    for _, _, withheld in session.values()), \
             "the mix must prune somewhere"
+
+    def test_blunt_recreation_hot_equals_reference(self):
+        """``handle_topology_change()`` after the death and the birth
+        resets every node, so the next epoch re-runs the creation pass
+        over the repaired tree, newborn included: node state after
+        every epoch, answers, stats and ledgers must equal the
+        reference path's."""
+        with hotpath.reference_path():
+            reference = self.run(None, recreate_at=8)
+        hot = self.run(None, recreate_at=8)
+        for epoch, (hot_states, reference_states) in enumerate(
+                zip(hot[0], reference[0])):
+            for session, (h, r) in enumerate(zip(hot_states,
+                                                 reference_states)):
+                assert h == r, f"epoch {epoch}, session {session + 1}"
+        assert hot[1:] == reference[1:]
+        # Two creation converge-casts per session: one view per alive
+        # mote each (one relay dead, one newborn in by the second).
+        creation = hot[2][3]["creation"].messages
+        assert creation >= 2 * 4 * 399, creation
+        recreated = hot[0][8]
+        assert all(not withheld for session in recreated
+                   for _, _, withheld in session.values())
+
+
+class TestLossyMintCreation:
+    """MINT's creation pass over a lossy radio (64 motes, 6% loss
+    with one retry): each edge ships through ``_ship_unicast``, which
+    draws the loss stream per packet as ``send_up`` does. A drop inside
+    the pass aborts the epoch with the motes before it committed; the
+    next epoch re-runs creation. After every step the per-node
+    ``(reported, gamma_reported, withheld)``, and at the end the
+    answers, stats, ledgers and loss-stream state must equal the
+    reference path's."""
+
+    STEPS = 6
+    SEEDS = range(10)
+
+    def run(self, seed):
+        from repro.sensing.board import SensorBoard
+
+        scenario = grid_rooms_scenario(side=8, rooms_per_axis=2, seed=1)
+        boards = {node_id: SensorBoard({"sound": scenario.field})
+                  for node_id in scenario.group_of}
+        network = Network(
+            scenario.network.topology,
+            radio=RadioModel(range_m=15.0, loss_probability=0.06,
+                             max_retries=1),
+            boards=boards, group_of=scenario.group_of, seed=seed)
+        mint = Mint(network, make_aggregate("SUM", 0.0, 100.0), 2,
+                    scenario.group_of, config=MintConfig(slack=0))
+        steps, inside = [], 0
+        for _ in range(self.STEPS):
+            try:
+                result = mint.run_epoch()
+            except RoutingError:
+                outcome = "dropped"
+                inside += (not mint.created and any(
+                    state.reported for state in mint.states.values()))
+            else:
+                outcome = (result.epoch, result.probed, tuple(result.items))
+            steps.append((outcome, {
+                node_id: (dict(state.reported), state.gamma_reported,
+                          dict(state.withheld))
+                for node_id, state in mint.states.items()}))
+        return (steps, stats_signature(network.stats),
+                ledger_signature(network), network._rng.getstate(), inside)
+
+    def test_hot_equals_reference(self):
+        inside = 0
+        for seed in self.SEEDS:
+            with hotpath.reference_path():
+                reference = self.run(seed)
+            hot = self.run(seed)
+            for step, (h, r) in enumerate(zip(hot[0], reference[0])):
+                assert h == r, f"seed {seed}, step {step}"
+            assert hot[1:] == reference[1:], f"seed {seed}"
+            inside += hot[4]
+        assert inside >= 1, "the radio must drop inside a creation pass"
+
+
+class TestLossyFilaSetUp:
+    """FILA's set-up reports ship in one ``relay_many`` call; over a
+    lossy radio (64 motes, 3% loss, one retry) a drop inside the set-up
+    must leave exactly what the reference loop leaves: ``known`` holds
+    the motes relayed before the drop and no filter is installed. After
+    every step ``known`` and ``filters``, and at the end the answers,
+    stats, ledgers and loss-stream state must equal the reference
+    path's."""
+
+    STEPS = 4
+    SEEDS = range(10)
+
+    def run(self, seed):
+        session, network = zipf_fila_fleet(
+            radio=RadioModel(range_m=15.0, loss_probability=0.03,
+                             max_retries=1),
+            loss_seed=seed)
+        steps, mid_set_up = [], 0
+        for _ in range(self.STEPS):
+            try:
+                result = session.run_epoch()
+            except RoutingError:
+                outcome = "dropped"
+                mid_set_up += (not session._setup_done
+                               and 0 < len(session.known) < 64)
+            else:
+                outcome = (result.epoch, result.probed, tuple(result.items))
+            steps.append((outcome, dict(session.known),
+                          dict(session.filters)))
+        return (steps, stats_signature(network.stats),
+                ledger_signature(network), network._rng.getstate(),
+                mid_set_up)
+
+    def test_hot_equals_reference(self):
+        mid_set_up = 0
+        for seed in self.SEEDS:
+            with hotpath.reference_path():
+                reference = self.run(seed)
+            hot = self.run(seed)
+            for step, (h, r) in enumerate(zip(hot[0], reference[0])):
+                assert h == r, f"seed {seed}, step {step}"
+            assert hot[1:] == reference[1:], f"seed {seed}"
+            mid_set_up += hot[4]
+        assert mid_set_up >= 1, "the radio must drop mid-set-up"
 
 
 def tja_signature(result):
