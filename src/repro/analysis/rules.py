@@ -235,9 +235,10 @@ class SwitchAndProve(Rule):
         "Every optimization ships behind a switch with its unoptimized "
         "oracle in-tree and a byte-equivalence suite (ARCHITECTURE.md "
         "'Switch-and-prove discipline'). A module that branches on "
-        "the hotpath switch — hotpath.enabled() or a bare "
-        "hotpath._enabled read — must say, in its docstring, which "
-        "oracle and which tests/test_*.py suite hold it to that.")
+        "the execution path — a deployment's .hot attribute, or the "
+        "bare hotpath._enabled default a network reads when it is "
+        "built — must say, in its docstring, which oracle and which "
+        "tests/test_*.py suite hold it to that.")
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
@@ -254,20 +255,22 @@ class SwitchAndProve(Rule):
             missing.append("its oracle (reference_path)")
         yield self.finding(
             ctx, node,
-            f"{node.name} branches on the hotpath switch but the "
+            f"{node.name} branches on the execution path but the "
             f"module docstring does not name "
             f"{' or '.join(missing)}; document the proof obligation "
             "(see docs/ARCHITECTURE.md, switch-and-prove)")
 
     @staticmethod
     def _reads_switch(func: ast.AST) -> bool:
-        """True when ``func`` reads ``hotpath.enabled`` (the call) or
-        ``hotpath._enabled`` (the bare flag hot call sites read)."""
+        """True when ``func`` loads an attribute named ``hot`` (a
+        deployment's path) or reads ``hotpath._enabled`` (the default
+        a network reads when it is built)."""
         return any(
             isinstance(node, ast.Attribute)
-            and node.attr in ("enabled", "_enabled")
             and isinstance(node.ctx, ast.Load)
-            and _is_name(node.value, "hotpath")
+            and (node.attr == "hot"
+                 or (node.attr == "_enabled"
+                     and _is_name(node.value, "hotpath")))
             for node in ast.walk(func))
 
 

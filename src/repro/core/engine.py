@@ -27,6 +27,7 @@ from .centralized import Centralized
 from .fila import Fila
 from .mint import Mint, MintConfig
 from .naive import NaiveTopK
+from .participants import Participants
 from .results import EpochResult, RankedItem, rank_key
 from .tag import Tag
 from .tja import Tja, TjaResult
@@ -56,6 +57,7 @@ class KSpotEngine:
         self.aggregate = self._build_aggregate()
         self._check_where(plan.where)
         self.participants = self._static_filter(plan.where)
+        self._live_participants = Participants(network)
         self._check_window()
         self._algorithm = None
 
@@ -223,6 +225,7 @@ class KSpotEngine:
                     "cluster ranking"
                 )
             return Fila(self.network, self.aggregate, plan.k,
+                        group_of=self.participants,
                         attribute=plan.attribute)
         raise PlanError(
             f"{plan.algorithm.value} does not run in epoch mode"
@@ -286,7 +289,8 @@ class KSpotEngine:
             if not evaluate(where, context):
                 return
         self.group_of[node_id] = group
-        self.participants[node_id] = group
+        # Rebound, not mutated: participant memos key on its identity.
+        self.participants = {**self.participants, node_id: group}
 
     def run_epoch(self) -> EpochResult:
         """Drive one epoch of a snapshot / horizontal / aggregate query."""
@@ -317,14 +321,8 @@ class KSpotEngine:
         re-sampled. When every alive sensor participates the network's
         alive tuple itself is read, so the batch shares the sampling
         plan and readings row of concurrent sessions."""
-        network = self.network
-        nodes = network.nodes
-        node_ids = [node_id for node_id in self.participants
-                    if nodes[node_id].alive]
-        alive = network.alive_sensor_ids()
-        if len(node_ids) == len(alive):
-            node_ids = alive
-        network.read_many(node_ids, self.plan.attribute)
+        self.network.read_many(self._live_participants(self.participants),
+                               self.plan.attribute)
 
     def fill_windows(self, epochs: int | None = None) -> None:
         """Acquisition stage: sample & buffer locally, radio silent."""

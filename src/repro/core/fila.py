@@ -14,24 +14,24 @@ This implementation monitors the top-k *nodes* by their current reading
 filter interval as bounds — sound, because silence proves the reading
 stayed inside. Answers are therefore exact every epoch, like MINT's.
 
-Switch-and-prove: while ``hotpath.enabled()``, the set-up reports,
-the monitor pass, each probe round and the filter-install pass are
-plain loops over the readings that ship a whole pass through one
-``Network.relay_many`` call and feed the persistent ``TopKView`` one
-``ensure_many`` batch.
-``hotpath.reference_path()`` restores the first-principles branches,
-which build and ship every message node by node, and the cold
-``certify_top_k`` oracle. ``tests/test_hotpath_equivalence.py`` and
+Switch-and-prove: on a deployment whose ``Network.hot`` is set, the
+set-up reports, the monitor pass, each probe round and the
+filter-install pass are plain loops over the readings that ship a
+whole pass through one ``Network.relay_many`` call and feed the
+persistent ``TopKView`` one ``ensure_many`` batch. A deployment built
+inside the oracle ``hotpath.reference_path()`` (or over a lossy radio)
+runs the first-principles branches, which build and ship every
+message node by node, and the cold ``certify_top_k`` oracle.
+``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove the two paths
 byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Hashable, Mapping
 
-from ..errors import RoutingError, ValidationError
-from ..network import hotpath
+from ..errors import ValidationError
 from ..network.messages import (
     FilterReportMessage,
     FilterUpdateMessage,
@@ -43,6 +43,7 @@ from ..network.simulator import Network
 from .aggregates import Aggregate, Bounds
 from .certify import certify_top_k
 from .delta import TopKView
+from .participants import Participants
 from .results import EpochResult
 
 #: What the hot passes relay, as ``(kind, payload bytes)``: a one-entry
@@ -59,12 +60,17 @@ class Fila:
     name = "fila"
 
     def __init__(self, network: Network, aggregate: Aggregate, k: int,
+                 group_of: Mapping[int, Hashable] | None = None,
                  attribute: str = "sound"):
         """Filters partition the value space strictly at the ranking
         boundary: the top-k nodes' filters sit above it, everyone
         else's below. Overlapping (hysteresis) filters would leave the
         boundary permanently ambiguous and force a probe per epoch —
         the partition is what lets silence certify the set.
+
+        ``group_of`` names the monitored sensors (the static WHERE
+        pre-filter, as for MINT and TAG); None monitors every alive
+        sensor.
         """
         if k < 1:
             raise ValidationError("k must be >= 1")
@@ -72,6 +78,9 @@ class Fila:
         self.aggregate = aggregate
         self.k = k
         self.attribute = attribute
+        self.group_of = None if group_of is None else dict(group_of)
+        #: The alive participants, memoized per topology and membership.
+        self._participants = Participants(network)
         #: Installed filter per node (lo, hi); None until setup.
         self.filters: dict[int, tuple[float, float]] = {}
         #: The sink's last exactly-known value per node.
@@ -107,8 +116,7 @@ class Fila:
 
     # repro: hot
     def _install_filters(self, chosen: set[int], boundary: float,
-                         exact_values: Mapping[int, float], hot: bool
-                         ) -> None:
+                         exact_values: Mapping[int, float]) -> None:
         """Repartition with minimal reinstalls.
 
         Certification needs every chosen filter to sit at or above the
@@ -122,8 +130,9 @@ class Fila:
         Walks every node the sink has heard from, so a mote that joined
         after setup gets its first filter here. The reinstalls ship in
         ascending id order: in one :meth:`Network.relay_many` call on
-        the hot path, one built message per mote on the reference path.
-        A drop leaves only the motes relayed before it installed."""
+        the hot path, one built message per mote on the reference path,
+        where a drop leaves only the motes relayed before it
+        installed."""
         nodes = self.network.nodes
         filters = self.filters
         agg_lo, agg_hi = self.aggregate.lo, self.aggregate.hi
@@ -149,45 +158,33 @@ class Fila:
             if acceptable or current == new_filter:
                 continue
             installs.append((node_id, new_filter))
-        if not hot:
+        if not self.network.hot:
             for node_id, new_filter in installs:
                 self.network.unicast_from_sink(
                     node_id, FilterUpdateMessage(
                         intervals=((node_id, *new_filter),)))
                 filters[node_id] = new_filter
             return
-        try:
-            self.network.relay_many([node_id for node_id, _ in installs],
-                                    down=_INSTALL)
-        except RoutingError as drop:
-            del installs[drop.relayed:]
-            raise
-        finally:
-            filters.update(installs)
+        self.network.relay_many([node_id for node_id, _ in installs],
+                                down=_INSTALL)
+        filters.update(installs)
 
     # ------------------------------------------------------------------
     # Epoch driver
     # ------------------------------------------------------------------
 
-    def _setup(self, readings: Mapping[int, float], hot: bool) -> None:
+    def _setup(self, readings: Mapping[int, float]) -> None:
         """Every mote reports its reading, in the readings' order, and
         the first filters go out around the initial top-k. On the hot
-        path the reports ship in one :meth:`Network.relay_many` call; a
-        drop leaves only the motes relayed before it known, as the
-        reference loop's one built message per mote does."""
+        path the reports ship in one :meth:`Network.relay_many` call;
+        on the reference path one built message per mote, where a drop
+        leaves only the motes relayed before it known."""
         known = self.known
         with self.network.stats.phase("setup"):
             self.network.flood_down(QueryMessage(query_id=4))
-            if hot:
-                motes = list(readings)
-                try:
-                    self.network.relay_many(motes, up=_REPORT)
-                except RoutingError as drop:
-                    del motes[drop.relayed:]
-                    raise
-                finally:
-                    for node_id in motes:
-                        known[node_id] = readings[node_id]
+            if self.network.hot:
+                self.network.relay_many(list(readings), up=_REPORT)
+                known.update(readings)
             else:
                 for node_id, value in readings.items():
                     self.network.unicast_to_sink(
@@ -200,7 +197,7 @@ class Fila:
             if len(ranked) > self.k:
                 self.boundary = (ranked[self.k - 1][1]
                                  + ranked[self.k][1]) / 2.0
-            self._install_filters(chosen, self.boundary, {}, hot)
+            self._install_filters(chosen, self.boundary, {})
         self._setup_done = True
 
     # repro: hot
@@ -227,19 +224,13 @@ class Fila:
                     changes.append((node_id, current[0], current[1]))
                 else:
                     reporters.append(node_id)
-            try:
-                self.network.relay_many(reporters, up=_REPORT)
-            except RoutingError as drop:
-                del reporters[drop.relayed:]
-                raise
-            finally:
-                # Only the motes relayed before a drop reported.
-                known = self.known
-                for node_id in reporters:
-                    value = readings[node_id]
-                    known[node_id] = value
-                    changes.append((node_id, value, value))
-                view.ensure_many(changes)
+            self.network.relay_many(reporters, up=_REPORT)
+            known = self.known
+            for node_id in reporters:
+                value = readings[node_id]
+                known[node_id] = value
+                changes.append((node_id, value, value))
+            view.ensure_many(changes)
         self._drop_stale_view_nodes(readings)
         return view.bounds
 
@@ -258,19 +249,14 @@ class Fila:
             if not bounds[node_id].exact:
                 targets.append(node_id)
         with self.network.stats.phase("probe"):
-            try:
-                self.network.relay_many(targets, down=_PROBE, up=_REPORT)
-            except RoutingError as drop:
-                del targets[drop.relayed:]
-                raise
-            finally:
-                known = self.known
-                changes = []
-                for node_id in targets:
-                    value = readings[node_id]
-                    known[node_id] = value
-                    changes.append((node_id, value, value))
-                view.ensure_many(changes)
+            self.network.relay_many(targets, down=_PROBE, up=_REPORT)
+            known = self.known
+            changes = []
+            for node_id in targets:
+                value = readings[node_id]
+                known[node_id] = value
+                changes.append((node_id, value, value))
+            view.ensure_many(changes)
 
     # repro: hot
     def _converge_view(self, readings: Mapping[int, float]) -> None:
@@ -302,23 +288,23 @@ class Fila:
             for node_id in [n for n in view.bounds if n not in readings]:
                 view.delete(node_id)
 
-    def _certify(self, bounds: Mapping[int, Bounds], hot: bool):
+    def _certify(self, bounds: Mapping[int, Bounds]):
         """Hot: the maintained view's O(k + |ambiguous| + log N)
         outcome. Reference: the cold O(N log N) oracle. Equal by the
         delta-equivalence suite."""
-        if hot:
+        if self.network.hot:
             return self._view.outcome()
         return certify_top_k(bounds, self.k, require_exact_scores=False)
 
     def run_epoch(self) -> EpochResult:
         """One monitoring round: violations, certification, probes."""
         network = self.network
-        readings = network.read_many(network.alive_sensor_ids(),
+        readings = network.read_many(self._participants(self.group_of),
                                      self.attribute)
         probed = 0
-        hot = hotpath.enabled()
+        hot = network.hot
         if not self._setup_done:
-            self._setup(readings, hot)
+            self._setup(readings)
         else:
             if hot:
                 bounds = self._run_monitor(readings)
@@ -352,7 +338,7 @@ class Fila:
                         bounds[node_id] = Bounds(value, value)
             # FILA certifies set membership: silent nodes keep their
             # filter interval as the score estimate.
-            outcome = self._certify(bounds, hot)
+            outcome = self._certify(bounds)
             while outcome.needs_probe:
                 if hot:
                     self._probe_round(outcome.ambiguous, readings)
@@ -374,7 +360,7 @@ class Fila:
                             self.known[node_id] = value
                             bounds[node_id] = Bounds(value, value)
                 probed += 1
-                outcome = self._certify(bounds, hot)
+                outcome = self._certify(bounds)
 
             # Re-partition the filters around the certified cut.
             chosen = {item.key for item in outcome.items}
@@ -387,7 +373,7 @@ class Fila:
             fresh = {n: self.known[n] for n in bounds
                      if bounds[n].exact and n in self.known}
             with self.network.stats.phase("filter_update"):
-                self._install_filters(chosen, self.boundary, fresh, hot)
+                self._install_filters(chosen, self.boundary, fresh)
 
         # Build the answer from current knowledge.
         if hot:

@@ -28,10 +28,11 @@ probed and shrinks it after quiet ones, trading view size against
 probe traffic (ablated in experiment E10).
 
 Switch-and-prove: the fused single-pass creation and update phases
-and the incremental ``TopKView`` certification run only while
-``hotpath.enabled()``; under ``hotpath.reference_path()`` the
-first-principles branches and the cold ``certify_top_k`` oracle take
-over. ``tests/test_hotpath_equivalence.py`` and
+and the incremental ``TopKView`` certification run only on a
+deployment whose ``Network.hot`` is set; on one built inside the
+oracle ``hotpath.reference_path()`` (or over a lossy radio) the
+first-principles branches and the cold ``certify_top_k`` oracle run
+instead. ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove both paths byte-identical
 (answers, certifications, stats, ledgers, RNG draws).
 """
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from ..errors import ConfigurationError, ProtocolError, ValidationError
-from ..network import hotpath
 from ..network.messages import (
     ProbeReplyMessage,
     ProbeRequestMessage,
@@ -55,6 +55,7 @@ from .aggregates import Aggregate, Bounds, Partial, SortKeys
 from .certify import certify_top_k
 from .delta import TopKView
 from .descriptors import should_reship_gamma, subtree_gamma
+from .participants import Participants
 from .results import EpochResult, rank_key
 from .views import MintNodeState, max_gamma
 
@@ -145,8 +146,8 @@ class Mint:
         #: Hot-path memo of lifted reading partials (value → Partial;
         #: readings are ADC-quantized, so the domain is small).
         self._lift_memo: dict[float, Partial] = {}
-        #: Hot-path memo of the participant tuple (see _participants).
-        self._participants_cache: tuple | None = None
+        #: The alive participants, memoized per topology and membership.
+        self._participants = Participants(network)
         #: Hot path: the sink's maintained certification view plus the
         #: bounds cache it mirrors. The update phase marks the groups
         #: whose sink-child reports moved; only those re-derive bounds
@@ -164,31 +165,6 @@ class Mint:
     # Acquisition
     # ------------------------------------------------------------------
 
-    def _participants(self) -> tuple[int, ...]:
-        if hotpath.enabled():
-            # Keyed by identity of the (cached) alive tuple and the
-            # membership dict: the network rebuilds the former only on
-            # topology change, the engine rebinds the latter only on
-            # newborn adoption. When every alive sensor participates the
-            # alive tuple itself is returned, so concurrent sessions
-            # share the network's identity-keyed sampling plan and
-            # readings row.
-            alive = self.network.alive_sensor_ids()
-            group_of = self.group_of
-            cache = self._participants_cache
-            if (cache is not None and cache[0] is alive
-                    and cache[1] is group_of):
-                return cache[2]
-            result = tuple(n for n in alive if n in group_of)
-            if len(result) == len(alive):
-                result = alive
-            self._participants_cache = (alive, group_of, result)
-            return result
-        return tuple(
-            node_id for node_id in self.network.alive_sensor_ids()
-            if node_id in self.group_of
-        )
-
     def _acquire(self) -> dict[int, Partial]:
         """Sample every participant and lift readings into partials.
 
@@ -202,7 +178,7 @@ class Mint:
         attribute = self.attribute
         from_value = self.aggregate.from_value
         if self.window_epochs is None:
-            if hotpath.enabled():
+            if self.network.hot:
                 # Readings are quantized to the modality's ADC, so the
                 # same few hundred values recur; lifted partials are
                 # immutable and safe to share across nodes and epochs.
@@ -213,20 +189,20 @@ class Mint:
                 if len(memo) > 4096:
                     memo.clear()
                 readings = self.network.read_many(
-                    self._participants(), attribute)
+                    self._participants(self.group_of), attribute)
                 for node_id, value in readings.items():
                     partial = memo.get(value)
                     if partial is None:
                         partial = memo[value] = from_value(value)
                     contributions[node_id] = partial
             else:
-                for node_id in self._participants():
+                for node_id in self._participants(self.group_of):
                     contributions[node_id] = from_value(
                         nodes[node_id].read(attribute, epoch))
             return contributions
         window_func = (self.aggregate.func.lower()
                        if self.aggregate.func != "COUNT" else "avg")
-        for node_id in self._participants():
+        for node_id in self._participants(self.group_of):
             node = nodes[node_id]
             node.read(attribute, epoch)
             value = node.window_for(attribute).aggregate(
@@ -331,7 +307,7 @@ class Mint:
         contributions = self._acquire()
         with self.network.stats.phase("creation"):
             self.network.flood_down(QueryMessage(query_id=1))
-            if hotpath.enabled():
+            if self.network.hot:
                 self._run_creation_pass(contributions)
             else:
                 for node_id in self.network.converge_cast_order():
@@ -374,8 +350,7 @@ class Mint:
         Each row merges its own partial with its live children's
         ``reported`` views, in :meth:`_rebuild_view`'s order, ships the
         whole view's :meth:`ViewUpdateMessage.wire_size` and then
-        commits it as what the parent caches. A drop raises before the
-        dropped node commits, as on the reference path.
+        commits it as what the parent caches.
         """
         network = self.network
         states = self.states
@@ -499,7 +474,7 @@ class Mint:
         merge = self.aggregate.merge
         epoch = network.epoch
         sink_id = network.sink_id
-        hot = hotpath.enabled()
+        hot = network.hot
         if hot:
             rows = network.converge_cast_plan()
         else:
@@ -554,11 +529,10 @@ class Mint:
         """Execute one acquisition round and return the certified top-k."""
         if not self.created:
             self._creation_phase()
-            if hotpath.enabled():
+            if self.network.hot:
                 bounds = self._rebuild_sink_state()
                 outcome = self._sink_view.outcome()
             else:
-                self._sink_cache = None
                 bounds = self._sink_bounds()
                 outcome = certify_top_k(bounds, self.k)
             result = EpochResult(
@@ -573,7 +547,7 @@ class Mint:
             self.network.advance_epoch()
             return result
 
-        hot = hotpath.enabled()
+        hot = self.network.hot
         if self._totals_stale:
             self._recount_totals()
             self._totals_stale = False
@@ -581,7 +555,6 @@ class Mint:
         if hot:
             self._run_update_phase(contributions)
         else:
-            self._sink_cache = None
             network = self.network
             states = self.states
             nodes = network.nodes

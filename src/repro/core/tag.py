@@ -7,13 +7,14 @@ count)`` tuple *per group it knows about* to its parent each epoch, and
 in a centralized manner". Exact by construction; the cost KSpot's
 pruning is measured against.
 
-Like MINT, the per-epoch converge-cast runs on a fused hot path (see
+Like MINT, the per-epoch converge-cast runs on a fused hot path on a
+deployment whose ``Network.hot`` is set (see
 :mod:`repro.network.hotpath`): acquisition shares lifted partials via
 a memo, the pass walks the network's cached converge-cast plan, and
 each view ships as its wire size straight over the tree edge, no
 message built. The reference implementation remains in
-:meth:`Tag.run_epoch`'s reference branch — the oracle
-``hotpath.reference_path()`` restores — and
+:meth:`Tag.run_epoch`'s reference branch — the oracle a deployment
+built inside ``hotpath.reference_path()`` runs — and
 ``tests/test_hotpath_equivalence.py`` holds both paths to identical
 traffic, stats and answers.
 """
@@ -23,11 +24,11 @@ from __future__ import annotations
 from typing import Hashable, Mapping
 
 from ..errors import ValidationError
-from ..network import hotpath
 from ..network.messages import QueryMessage, ViewEntry, ViewUpdateMessage
 from ..network.simulator import Network
 from .aggregates import Aggregate, Partial
 from .delta import TopKView
+from .participants import Participants
 from .results import EpochResult, RankedItem, rank_key
 
 GroupKey = Hashable
@@ -57,31 +58,13 @@ class Tag:
         self._disseminated = False
         #: Hot-path memo of lifted reading partials (see Mint._acquire).
         self._lift_memo: dict[float, Partial] = {}
-        #: Hot-path memo of the participant tuple (see Mint._participants).
-        self._participants_cache: tuple | None = None
+        #: The alive participants, memoized per topology and membership.
+        self._participants = Participants(network)
         #: Hot path: a ranking-only maintained view (k=None ranks all
         #: groups). Group scores drift a little per epoch; reconciling
         #: point deltas into the kept order beats re-sorting every
         #: group from scratch each round.
         self._rank_view = TopKView(self.k)
-
-    def _participants(self) -> tuple[int, ...]:
-        alive = self.network.alive_sensor_ids()
-        if hotpath.enabled():
-            # Keyed like Mint's: identity of the (cached) alive tuple
-            # and the membership dict the engine rebinds on adoption,
-            # returning the alive tuple itself when everyone participates.
-            group_of = self.group_of
-            cache = self._participants_cache
-            if (cache is not None and cache[0] is alive
-                    and cache[1] is group_of):
-                return cache[2]
-            result = tuple(n for n in alive if n in group_of)
-            if len(result) == len(alive):
-                result = alive
-            self._participants_cache = (alive, group_of, result)
-            return result
-        return tuple(n for n in alive if n in self.group_of)
 
     def _acquire(self) -> dict[int, Partial]:
         contributions: dict[int, Partial] = {}
@@ -89,7 +72,7 @@ class Tag:
         epoch = self.network.epoch
         attribute = self.attribute
         from_value = self.aggregate.from_value
-        if (hotpath.enabled() and self.window_epochs is None
+        if (self.network.hot and self.window_epochs is None
                 and self.where_fn is None):
             # Readings are ADC-quantized: the same few hundred values
             # recur, and lifted partials are immutable and shareable.
@@ -97,14 +80,14 @@ class Tag:
             if len(memo) > 4096:
                 memo.clear()
             readings = self.network.read_many(
-                self._participants(), attribute)
+                self._participants(self.group_of), attribute)
             for node_id, value in readings.items():
                 partial = memo.get(value)
                 if partial is None:
                     partial = memo[value] = from_value(value)
                 contributions[node_id] = partial
             return contributions
-        for node_id in self._participants():
+        for node_id in self._participants(self.group_of):
             node = nodes[node_id]
             value = node.read(attribute, epoch)
             if self.window_epochs is not None:
@@ -175,7 +158,7 @@ class Tag:
                 self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
         contributions = self._acquire()
-        hot = hotpath.enabled()
+        hot = self.network.hot
         if hot:
             sink_view = self._run_aggregation_phase(contributions)
         else:

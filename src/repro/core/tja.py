@@ -22,15 +22,16 @@ phases, as the paper sketches them:
 Object scores combine across nodes with the same partial-aggregate
 algebra MINT uses, so TJA here supports AVG / SUM / MIN / MAX ranking.
 
-Switch-and-prove: while ``hotpath.enabled()`` each phase runs as one
-fused pass over ``Network.converge_cast_plan()`` rows that ships each
-reply's ``wire_size`` through ``Network._ship_unicast`` and builds no
-message. LB and the CL expansion share one union pass; the join pass
+Switch-and-prove: on a deployment whose ``Network.hot`` is set each
+phase runs as one fused pass over ``Network.converge_cast_plan()``
+rows that ships each reply's ``wire_size`` through
+``Network._ship_unicast`` and builds no message. LB and the CL expansion share one union pass; the join pass
 holds one ``(values, count)`` row per subtree, because aligned
 windows give every partial of a subtree one count, and folds a
 child's row in with one ``map`` of ``Aggregate.combine``.
-``hotpath.reference_path()`` restores the first-principles phases,
-which build every message and ship it through ``Network.send_up``;
+A deployment built inside the oracle ``hotpath.reference_path()``
+(or over a lossy radio) runs the first-principles phases, which build
+every message and ship it through ``Network.send_up``;
 ``tests/test_hotpath_equivalence.py`` proves the two byte-identical.
 """
 
@@ -42,7 +43,6 @@ from operator import itemgetter
 from typing import Callable, Mapping
 
 from ..errors import ProtocolError, ValidationError
-from ..network import hotpath
 from ..network.messages import (
     CandidateSetMessage,
     ControlMessage,
@@ -423,7 +423,7 @@ class Tja:
     def execute(self) -> TjaResult:
         """Run LB → HJ → CL and return the certified exact top-k."""
         before = dict(self.network.stats.by_phase)
-        hot = hotpath.enabled()
+        hot = self.network.hot
         if hot:
             tops, thresholds = self._local_rankings()
             candidates = self._union_pass("LB", QueryMessage(query_id=2),

@@ -77,15 +77,7 @@ class TopologyError(ConfigurationError):
 
 
 class RoutingError(KSpotError):
-    """A message could not be routed (dead parent, unknown destination).
-
-    A drop inside :meth:`~repro.network.simulator.Network.relay_many`
-    sets :attr:`relayed` to the number of nodes relayed in full before
-    it, as :class:`BlockingIOError` reports ``characters_written``.
-    """
-
-    #: Nodes a batch relay delivered before the drop (None elsewhere).
-    relayed: int | None = None
+    """A message could not be routed (dead parent, unknown destination)."""
 
 
 class StorageError(KSpotError):

@@ -14,7 +14,8 @@ whole-column operations per board channel:
   :func:`hash01_column` — over the column.
 
 **Switch-and-prove discipline.** The kernel has no switch of its own:
-it runs whenever :mod:`repro.network.hotpath` is on, and
+it runs on every deployment whose ``Network.hot`` is set (see
+:mod:`repro.network.hotpath`), and a deployment built inside
 ``hotpath.reference_path()`` is its oracle. It is *semantically
 invisible* — every reading, message, byte, joule, counter and RNG draw
 is byte-identical to the reference path;
@@ -30,7 +31,9 @@ the vectorized ops used here (elementwise add / min / max and
 scalar equivalents, and anything that is *not* order-safe (windowed
 ``sum`` folds, per-cell Mersenne draws) stays scalar on purpose.
 :func:`force_python_backend` pins the fallback for tests even when
-numpy is installed.
+numpy is installed. Unlike the execution path, the backend stays
+process-wide: since the two cannot produce different bytes, flipping
+it cannot change an answer.
 
 What deliberately stays scalar, and why:
 
@@ -47,12 +50,12 @@ What deliberately stays scalar, and why:
   them cell by cell;
 * float accumulations (windowed AVG/SUM) — ``sum()`` is a left fold,
   numpy reductions are pairwise; not byte-identical, so not batched;
-* message construction and lossy transport — every shipped message
-  must keep its exact order (the loss process draws from a shared
-  stream), so FILA's passes visit violator rows in ascending id order,
-  and a lossy radio ships hop by hop.
+* message construction — every shipped message keeps its exact
+  order, so FILA's passes visit violator rows in ascending id order.
+  (A lossy radio, whose loss process draws from a shared stream, runs
+  the reference path and ships hop by hop.)
 
-Large lossless relay batches are the exception:
+Large relay batches are the exception:
 :meth:`~repro.network.simulator.Network.relay_many` charges a batch of
 ``_SCATTER_MIN_MOTES`` motes or more in one numpy scatter, and still
 makes every float add of the per-hop loop, in its order. ``np.add.at``

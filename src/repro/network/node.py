@@ -6,11 +6,10 @@ membership. Algorithm state (views, filters, candidate caches) lives in
 the algorithm objects in :mod:`repro.core`, mirroring how the real
 KSpot client keeps the top-k operator separate from the node firmware.
 
-Switch-and-prove: :meth:`SensorNode.read` serves a live node's
-same-epoch sample before the board checks only while the hot path is
-on; ``hotpath.reference_path()`` is the oracle that runs every check
-first, and ``tests/test_hotpath_equivalence.py`` proves the two
-byte-identical.
+A node samples its board at most once per (attribute, epoch):
+:meth:`SensorNode.read` serves a live node's same-epoch sample before
+any board check, on either execution path, and the columnar kernel
+books batch-acquired samples through :meth:`SensorNode.book_sample`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Callable, Hashable
 
 from ..errors import ConfigurationError
 from ..sensing.board import SensorBoard
-from . import hotpath
 from ..storage.microhash import MicroHashIndex
 from ..storage.window import SlidingWindow, WindowEntry
 from .energy import EnergyLedger
@@ -103,20 +101,17 @@ class SensorNode:
         double-buffer.
         """
         cached = self._sample_cache.get(attribute)
-        if (cached is not None and cached[0] == epoch and self.alive
-                and hotpath._enabled):
-            # Hot path: a cached same-epoch reading from a live node
-            # skips the board checks — concurrent sessions re-read the
-            # same epoch's sample hundreds of times per epoch. The
-            # liveness guard stays: a dead node must raise exactly as
-            # on the reference path, even with a fresh cache entry.
+        if cached is not None and cached[0] == epoch and self.alive:
+            # A cached same-epoch reading from a live node skips the
+            # board checks — concurrent sessions re-read the same
+            # epoch's sample hundreds of times per epoch. The liveness
+            # guard stays: a dead node raises, even with a fresh cache
+            # entry.
             return cached[1]
         if not self.alive:
             raise ConfigurationError(f"node {self.node_id} is dead")
         if self.board is None:
             raise ConfigurationError(f"node {self.node_id} has no sensor board")
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
         value = self.board.sample(attribute, self.node_id, epoch,
                                   energy_sink=self.ledger.charge_sensing)
         self.samples_taken += 1

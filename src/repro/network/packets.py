@@ -73,8 +73,8 @@ def fragment_cached(payload_bytes: int, mtu: int = PAYLOAD_MTU,
     distinct payload size is observationally identical to fragmenting
     afresh — but the converge-cast hot path ships the same few dozen
     payload sizes millions of times, making the allocation the single
-    most frequent one of the epoch loop. The simulator consults this
-    memo when :func:`repro.network.hotpath.enabled` and re-derives via
-    :func:`fragment` on the reference path.
+    most frequent one of the epoch loop. A hot network (see
+    :mod:`repro.network.hotpath`) consults this memo; the reference
+    path re-derives via :func:`fragment`.
     """
     return fragment(payload_bytes, mtu, header_bytes)

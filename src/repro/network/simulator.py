@@ -20,17 +20,21 @@ The per-message work runs on an allocation-free **hot path** (see
 :mod:`repro.network.hotpath`): packet costs come from the memoized
 fragment table, energy rates and ledger lookups are precomputed,
 traffic is batched per epoch into per-kind accumulators flushed at
-epoch/phase/tap boundaries, floods (:meth:`Network.flood_down`) over
-a lossless radio ship in one kernel call, flat relays
+epoch/phase/tap boundaries, floods (:meth:`Network.flood_down`) ship
+in one kernel call, flat relays
 (:meth:`Network.unicast_to_sink` / :meth:`Network.unicast_from_sink`,
 and FILA's whole report, probe and install passes) ship through one
-:meth:`Network.relay_many` call each — a large lossless batch in one
-numpy scatter over a per-topology relay table — and the traversal
-order, the converge-cast and flood plans and the relay table are
-cached and invalidated on topology change.
+:meth:`Network.relay_many` call each — a large batch in one numpy
+scatter over a per-topology relay table — and the traversal order,
+the converge-cast and flood plans and the relay table are cached and
+invalidated on topology change.
+A network decides its path once, when it is built, into
+:attr:`Network.hot`: the hot path needs a lossless radio, and a lossy
+one runs the reference path, which draws the loss process hop by hop.
 All of it is observationally identical to the reference path — same
 counters, same per-phase snapshots, same RNG draws — which stays
-available as the oracle via :func:`repro.network.hotpath.reference_path`;
+available as the oracle: a network built inside
+:func:`repro.network.hotpath.reference_path` runs it;
 ``tests/test_hotpath_equivalence.py`` proves the equivalence
 byte-for-byte.
 
@@ -71,7 +75,7 @@ from .tree import RoutingTree
 #: (an arbitrary odd 64-bit constant; any fixed value works).
 _RECOVERY_STREAM = 0x9E3779B97F4A7C15
 
-#: Lossless :meth:`Network.relay_many` batches of at least this many
+#: :meth:`Network.relay_many` batches of at least this many
 #: motes charge their hops in one numpy scatter
 #: (:meth:`Network._relay_scatter`); smaller ones keep the per-hop
 #: loop, which beats the scatter's fixed cost of about 40 µs below it
@@ -105,6 +109,10 @@ class Network:
         """
         self.topology = topology
         self.radio = radio or RadioModel(range_m=topology.radio_range)
+        #: The execution path, fixed for the network's life: hot unless
+        #: built inside ``hotpath.reference_path()`` or over a lossy
+        #: radio, whose retry draws only the reference path makes.
+        self.hot = hotpath._enabled and self.radio.loss_probability == 0.0
         self.energy = energy or EnergyModel()
         self.tree = tree or RoutingTree.from_topology(topology)
         missing = set(self.tree.node_ids) - set(topology.node_ids)
@@ -187,7 +195,7 @@ class Network:
 
     def alive_sensor_ids(self) -> tuple[int, ...]:
         """Sensors still running, sorted by id."""
-        if hotpath.enabled():
+        if self.hot:
             self._validate_topo_caches()
             if self._alive_ids_cache is None:
                 nodes = self.nodes
@@ -247,39 +255,37 @@ class Network:
         passes its own stream so repairs never perturb session losses).
         """
         receivers = tuple(receivers)
-        hot = hotpath.enabled()
-        cost = (fragment_cached(message.payload_bytes) if hot
-                else fragment(message.payload_bytes))
-        if hot and self.radio.loss_probability == 0.0:
-            # Lossless links take exactly one attempt per packet and
-            # consume no randomness — identical to the drawn outcome.
-            attempts = cost.packets
-        else:
-            if rng is None:
-                rng = self._rng
-            attempts = 0
-            try:
-                for _ in range(cost.packets):
-                    attempts += self.radio.attempts_needed(rng)
-            except RoutingError:
-                self.stats.record_drop()
-                for tap in self._stat_taps:
-                    tap.record_drop()
-                raise
-        air_bytes = cost.air_bytes + (attempts - cost.packets) * (
-            cost.air_bytes // cost.packets)
-        if hot:
-            tx_joules = air_bytes * self._tx_rate
-            rx_joules_each = air_bytes * self._rx_rate
+        if self.hot:
+            # The radio is lossless: exactly one attempt per packet and
+            # no randomness consumed — identical to the drawn outcome.
+            payload_bytes = message.payload_bytes
+            info = (self._cost_memo.get(payload_bytes)
+                    or self._memo_cost(payload_bytes))
+            tx_joules, rx_joules_each = info[2], info[3]
             ledgers = self._ledger_of
             ledgers[sender].tx += tx_joules
             for receiver in receivers:
                 ledgers[receiver].rx += rx_joules_each
-            self._record_hot(message.kind, cost.packets,
-                             cost.payload_bytes, air_bytes,
-                             attempts - cost.packets, tx_joules,
-                             rx_joules_each * len(receivers))
+            self._grow_batch(message.kind, 1, payload_bytes, info)
+            rx_total = rx_joules_each * len(receivers)
+            for stats in (self.stats, *self._stat_taps):
+                stats._tx_joules += tx_joules
+                stats._rx_joules += rx_total
             return
+        cost = fragment(message.payload_bytes)
+        if rng is None:
+            rng = self._rng
+        attempts = 0
+        try:
+            for _ in range(cost.packets):
+                attempts += self.radio.attempts_needed(rng)
+        except RoutingError:
+            self.stats.record_drop()
+            for tap in self._stat_taps:
+                tap.record_drop()
+            raise
+        air_bytes = cost.air_bytes + (attempts - cost.packets) * (
+            cost.air_bytes // cost.packets)
         tx_joules = air_bytes * self.energy.tx_joules_per_byte
         rx_joules_each = air_bytes * self.energy.rx_joules_per_byte
         self.ledger(sender).charge_tx(tx_joules)
@@ -305,39 +311,21 @@ class Network:
         edge), so the single-receiver case skips the receiver tuple,
         the receiver loop and the generic branching. Costs, energy and
         recorded counters are identical to :meth:`_ship` of a message
-        with this ``kind`` and ``payload_bytes``.
+        with this ``kind`` and ``payload_bytes`` on a hot network,
+        whose radio is lossless.
         """
-        if self.radio.loss_probability == 0.0:
-            info = (self._cost_memo.get(payload_bytes)
-                    or self._memo_cost(payload_bytes))
-            packets, air_bytes, tx_joules, rx_joules = info
-            retransmissions = 0
-        else:
-            cost = fragment_cached(payload_bytes)
-            packets = cost.packets
-            rng = self._rng
-            attempts_needed = self.radio.attempts_needed
-            attempts = 0
-            try:
-                for _ in range(packets):
-                    attempts += attempts_needed(rng)
-            except RoutingError:
-                self.stats.record_drop()
-                for tap in self._stat_taps:
-                    tap.record_drop()
-                raise
-            air_bytes = cost.air_bytes + (attempts - packets) * (
-                cost.air_bytes // packets)
-            tx_joules = air_bytes * self._tx_rate
-            rx_joules = air_bytes * self._rx_rate
-            retransmissions = attempts - packets
+        packets, air_bytes, tx_joules, rx_joules = (
+            self._cost_memo.get(payload_bytes)
+            or self._memo_cost(payload_bytes))
         ledgers = self._ledger_of
         ledgers[sender].tx += tx_joules
         ledgers[receiver].rx += rx_joules
-        # _record_hot, inlined: this is the per-converge-cast-edge call
-        # site — the hottest in the simulator — and the call frame
-        # alone is measurable there. Keep in lock-step with
-        # _record_hot (the canonical implementation).
+        # _grow_batch for one send, inlined: this is the
+        # per-converge-cast-edge call site — the hottest in the
+        # simulator — and the call frame alone is measurable there.
+        # The joule adds write the sinks' private accumulators
+        # directly; Network owns their batching lifecycle (it installs
+        # their drain hooks).
         batch = self._pending_traffic.get(kind)
         if batch is None:
             batch = self._pending_traffic[kind] = [0, 0, 0, 0, 0]
@@ -345,7 +333,6 @@ class Network:
         batch[1] += packets
         batch[2] += payload_bytes
         batch[3] += air_bytes
-        batch[4] += retransmissions
         stats = self.stats
         stats._tx_joules += tx_joules
         stats._rx_joules += rx_joules
@@ -368,41 +355,23 @@ class Network:
         every stats sink in the reference path's order, while each
         kind's integer batch grows once per call (integers, so exact).
 
-        A lossless batch of at least ``_SCATTER_MIN_MOTES`` motes, with
-        numpy as the column backend and every mote in the tree, makes
-        those same float adds in one scatter (:meth:`_relay_scatter`);
+        A batch of at least ``_SCATTER_MIN_MOTES`` motes, with numpy
+        as the column backend and every mote in the tree, makes those
+        same float adds in one scatter (:meth:`_relay_scatter`);
         smaller batches, the pure-python backend and a batch naming a
         mote outside the tree run the per-hop loop below, which raises
         :class:`~repro.errors.TopologyError` at that mote after
         relaying the ones before it.
 
-        Over a lossy radio every hop ships through :meth:`_ship_unicast`
-        and draws the loss stream in the reference order. A drop raises
-        :class:`~repro.errors.RoutingError` with ``relayed`` set to the
-        number of nodes relayed in full before it, so a caller records
-        exactly the nodes a per-node loop would have.
+        Every hop takes one attempt, so a lossy radio, whose hops draw
+        the loss process, raises
+        :class:`~repro.errors.ConfigurationError`: its deployments run
+        the reference path, which relays hop by hop.
         """
-        path_of = self.tree.path_to_root
         if self.radio.loss_probability != 0.0:
-            ship = self._ship_unicast
-            relayed = hops = 0
-            try:
-                for node_id in nodes:
-                    path = path_of(node_id)
-                    if down is not None:
-                        for receiver, sender in zip(path[-2::-1],
-                                                    path[::-1]):
-                            ship(sender, receiver, *down)
-                            hops += 1
-                    if up is not None:
-                        for sender, receiver in zip(path, path[1:]):
-                            ship(sender, receiver, *up)
-                            hops += 1
-                    relayed += 1
-            except RoutingError as drop:
-                drop.relayed = relayed
-                raise
-            return hops
+            raise ConfigurationError(
+                "relay_many charges lossless hops; a lossy radio relays "
+                "hop by hop on the reference path")
         if len(nodes) >= _SCATTER_MIN_MOTES:
             np = columnar.numpy_module()
             if np is not None:
@@ -419,6 +388,7 @@ class Network:
             up_cost = memo.get(up_bytes) or self._memo_cost(up_bytes)
             up_tx, up_rx = up_joules = up_cost[2:]
         ledgers = self._ledger_of
+        path_of = self.tree.path_to_root
         # Every hop's (tx, rx) joules in shipping order, for the sinks.
         hop_joules: list[tuple[float, float]] = []
         down_hops = up_hops = 0
@@ -608,8 +578,6 @@ class Network:
         once per forwarder — one ``tx`` per forwarder ledger, one ``rx``
         per child ledger, and ``sends`` adds of tx and of rx × children
         to each stats sink, in pre-order. Returns the number of sends.
-        Only for lossless radios; :meth:`flood_down` ships per
-        forwarder otherwise.
         """
         plan = self._flood_plan()
         sends = len(plan)
@@ -647,34 +615,6 @@ class Network:
         )
         return info
 
-    def _record_hot(self, kind: str, packets: int, payload_bytes: int,
-                    air_bytes: int, retransmissions: int,
-                    tx_joules: float, rx_total: float) -> None:
-        """Record one hot-path message: integer counters into the
-        per-epoch per-kind batch, joules eagerly into every sink (so
-        float accumulation order matches eager recording).
-
-        The joule adds write the sinks' private accumulators directly
-        — this is the single hottest call site in the simulator, and
-        Network already owns the sinks' batching lifecycle (it installs
-        their drain hooks); see NetworkStats.add_joules for the
-        public equivalent.
-        """
-        batch = self._pending_traffic.get(kind)
-        if batch is None:
-            batch = self._pending_traffic[kind] = [0, 0, 0, 0, 0]
-        batch[0] += 1
-        batch[1] += packets
-        batch[2] += payload_bytes
-        batch[3] += air_bytes
-        batch[4] += retransmissions
-        stats = self.stats
-        stats._tx_joules += tx_joules
-        stats._rx_joules += rx_total
-        for tap in self._stat_taps:
-            tap._tx_joules += tx_joules
-            tap._rx_joules += rx_total
-
     def _flush_traffic(self) -> None:
         """Fold the per-epoch traffic accumulator into every active
         stats sink (the deployment ledger plus any session taps).
@@ -697,7 +637,7 @@ class Network:
 
     def send_up(self, child: int, message: WireMessage) -> int:
         """Unicast from ``child`` to its tree parent; returns the parent id."""
-        if hotpath.enabled():
+        if self.hot:
             parent = self.tree._parents.get(child)
             if parent is None:
                 parent = self.tree.parent(child)  # error semantics
@@ -728,14 +668,9 @@ class Network:
         whose children are all dead sends nothing. Returns the number
         of broadcasts sent.
         """
+        if self.hot:
+            return self._flood_lossless(message)
         sends = 0
-        if hotpath.enabled():
-            if self.radio.loss_probability == 0.0:
-                return self._flood_lossless(message)
-            for node_id, live in self._flood_plan():
-                self._ship(node_id, live, message)
-                sends += 1
-            return sends
         for node_id in self.tree.pre_order():
             if node_id != self.sink_id and not self.nodes[node_id].alive:
                 continue
@@ -774,7 +709,7 @@ class Network:
         receive at every hop. Returns the number of hops charged. The
         hot path ships it as a one-node :meth:`relay_many`.
         """
-        if hotpath.enabled():
+        if self.hot:
             return self.relay_many(
                 (origin,), up=(message.kind, message.payload_bytes))
         path = self.tree.path_to_root(origin)
@@ -787,7 +722,7 @@ class Network:
     def unicast_from_sink(self, target: int, message: WireMessage) -> int:
         """Relay hop-by-hop from the sink to ``target``; returns hops.
         The hot path ships it as a one-node :meth:`relay_many`."""
-        if hotpath.enabled():
+        if self.hot:
             return self.relay_many(
                 (target,), down=(message.kind, message.payload_bytes))
         path = self.tree.path_to_root(target)
@@ -803,7 +738,7 @@ class Network:
 
     def converge_cast_order(self) -> tuple[int, ...]:
         """Live sensors leaves-first (the per-epoch send schedule)."""
-        if hotpath.enabled():
+        if self.hot:
             self._validate_topo_caches()
             if self._order_cache is None:
                 nodes = self.nodes
@@ -873,7 +808,7 @@ class Network:
         """
         nodes, epoch = self.nodes, self.epoch
         plan = None
-        if hotpath._enabled:
+        if self.hot:
             row = self._columnar.cached(attribute, epoch, node_ids)
             if row is not None:
                 return row

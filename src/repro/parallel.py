@@ -23,9 +23,11 @@ module owns that scale-out layer:
 * **The executor** — :class:`ShardPool` wraps
   :class:`concurrent.futures.ProcessPoolExecutor` with order-preserving
   submission, per-shard error capture, and explicit propagation of the
-  :mod:`repro.network.hotpath` switch (process-local state a ``spawn``
-  worker would otherwise reset). ``jobs <= 1`` runs inline — same
-  envelopes, no pool — so serial and sharded runs share one code path.
+  :mod:`repro.network.hotpath` default (process-local state a ``spawn``
+  worker would otherwise reset): shards submitted inside
+  ``hotpath.reference_path()`` build their deployments inside it too.
+  ``jobs <= 1`` runs inline — same envelopes, no pool — so serial and
+  sharded runs share one code path.
 
 * **Sweeps** — :class:`SweepCell` grids (fleet size × churn preset ×
   query mix) with :func:`run_sweep_cell` as the worker and
@@ -36,9 +38,8 @@ module owns that scale-out layer:
 
 Merged results are a pure function of the cell set — the property
 tests (``tests/test_parallel.py``) drive random partitions and worker
-counts through this module and require byte-identical merges. Workers
-re-assert the hotpath switch, whose oracle stays reachable via
-``hotpath.reference_path()`` inside any shard.
+counts through this module and require byte-identical merges, on the
+hot path and on its oracle, ``hotpath.reference_path()``.
 """
 
 from __future__ import annotations
@@ -132,28 +133,27 @@ def _execute_shard(worker: Callable[[object], dict], spec,
     """Run one shard in whatever process this lands in.
 
     Must stay a module-level function (picklable under ``spawn``).
-    Re-asserts the hot-path switch — process-local state the parent
-    cannot rely on a fresh interpreter inheriting — then captures
-    either the payload or the full traceback into the envelope.
+    Runs the worker on the parent's path default — process-local
+    state a fresh interpreter does not inherit and a forked one may
+    have inherited from inside a ``hotpath.reference_path()`` block —
+    and captures either the payload or the full traceback into the
+    envelope.
     """
-    previous = hotpath.enabled()
-    hotpath.set_enabled(hot)
-    # repro: allow[no-wall-clock] -- shard wall_seconds is harness measurement metadata in the envelope, never simulation state (epochs stay the only clock in-sim)
-    started = time.perf_counter()
-    try:
-        payload = worker(spec)
-        return ShardResult(key=key, payload=payload, error=None,
-                           # repro: allow[no-wall-clock] -- envelope timing metadata, not simulation state
-                           wall_seconds=time.perf_counter() - started,
-                           pid=os.getpid())
-    except BaseException:
-        return ShardResult(key=key, payload=None,
-                           error=traceback.format_exc(),
-                           # repro: allow[no-wall-clock] -- envelope timing metadata, not simulation state
-                           wall_seconds=time.perf_counter() - started,
-                           pid=os.getpid())
-    finally:
-        hotpath.set_enabled(previous)
+    with hotpath._default(hot):
+        # repro: allow[no-wall-clock] -- shard wall_seconds is harness measurement metadata in the envelope, never simulation state (epochs stay the only clock in-sim)
+        started = time.perf_counter()
+        try:
+            payload = worker(spec)
+            return ShardResult(key=key, payload=payload, error=None,
+                               # repro: allow[no-wall-clock] -- envelope timing metadata, not simulation state
+                               wall_seconds=time.perf_counter() - started,
+                               pid=os.getpid())
+        except BaseException:
+            return ShardResult(key=key, payload=None,
+                               error=traceback.format_exc(),
+                               # repro: allow[no-wall-clock] -- envelope timing metadata, not simulation state
+                               wall_seconds=time.perf_counter() - started,
+                               pid=os.getpid())
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -218,7 +218,7 @@ class ShardPool:
         if len(keys) != len(specs):
             raise ValueError(
                 f"{len(specs)} specs but {len(keys)} keys")
-        hot = hotpath.enabled()
+        hot = hotpath._enabled
         if self._executor is None:
             return [_execute_shard(worker, spec, key, hot)
                     for spec, key in zip(specs, keys)]

@@ -97,7 +97,7 @@ def measure_ratio(on: Side, off: Side, *, chunks: int, repeats: int,
 def _e11_side(n: int, reference: bool) -> Side:
     """One side of a hot-versus-reference gate: the e11 mix on ``n``
     motes, warmed up, ``CHUNK_EPOCHS`` epochs per step. The reference
-    side is built and stepped only inside ``reference_path()``."""
+    side is built inside ``reference_path()``, so it runs that path."""
     from .api import Deployment, EpochDriver
 
     path = hotpath.reference_path if reference else nullcontext
@@ -105,15 +105,14 @@ def _e11_side(n: int, reference: bool) -> Side:
     def build():
         with path():
             scenario = fleet_scenario(n, seed=SEED)
-            deployment = Deployment.from_scenario(scenario)
-            driver = EpochDriver(deployment)
-            handles = [deployment.submit(query)
-                       for _, query in QUERY_MIXES["e11"]]
-            driver.run(WARMUP_EPOCHS)
+        deployment = Deployment.from_scenario(scenario)
+        driver = EpochDriver(deployment)
+        handles = [deployment.submit(query)
+                   for _, query in QUERY_MIXES["e11"]]
+        driver.run(WARMUP_EPOCHS)
 
         def step():
-            with path():
-                driver.run(CHUNK_EPOCHS)
+            driver.run(CHUNK_EPOCHS)
 
         def output():
             return ([(handle.results, handle.historic_result)

@@ -289,11 +289,14 @@ class QuerySession:
         self._stop()
 
     def _stop(self) -> None:
-        """Deactivate and release both engines. Results, stats, the
-        recovery log and the System Panel stay readable."""
+        """Deactivate and release both engines and the shadow network.
+        Results, stats, the recovery log and the System Panel's samples
+        stay readable."""
         self.active = False
         self.engine = None
         self.baseline_engine = None
+        if self.system_panel is not None:
+            self.system_panel.release()
 
     def __repr__(self) -> str:
         state = ("finished" if self.finished

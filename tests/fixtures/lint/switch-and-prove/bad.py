@@ -1,10 +1,8 @@
-"""Positive fixture: branches on the hotpath switch, but this
-docstring names neither the proof suite nor the unoptimized twin."""
-
-from repro.network import hotpath
+"""Positive fixture: branches on the deployment's execution path, but
+this docstring names neither the proof suite nor the unoptimized twin."""
 
 
-def run_epoch(state: dict) -> int:
-    if hotpath.enabled():
+def run_epoch(network, state: dict) -> int:
+    if network.hot:
         return state.get("fast", 0)
     return state.get("slow", 0)

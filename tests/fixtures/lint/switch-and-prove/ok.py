@@ -1,14 +1,12 @@
 """Negative fixture: the proof obligation is documented.
 
-The fused branch below is byte-identical to the reference branch the
-oracle ``hotpath.reference_path()`` restores;
+The fused branch below is byte-identical to the reference branch a
+deployment built inside the oracle ``hotpath.reference_path()`` runs;
 ``tests/test_hotpath_equivalence.py`` proves it.
 """
 
-from repro.network import hotpath
 
-
-def run_epoch(state: dict) -> int:
-    if hotpath.enabled():
+def run_epoch(network, state: dict) -> int:
+    if network.hot:
         return state.get("fast", 0)
     return state.get("slow", 0)

@@ -8,8 +8,12 @@ rootdir import mode.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+
+from repro.network import hotpath
+from repro.network.simulator import Network
 
 
 def make_series(nodes, epochs, seed=0, lo=0.0, hi=100.0, correlated=False):
@@ -48,3 +52,39 @@ def vertical_oracle(series, aggregate, k):
         scores[t] = aggregate.finalize(partial)
     ranked = sorted(scores.items(), key=lambda kv: rank_key(kv[0], kv[1]))
     return scores, ranked[:k]
+
+
+@contextlib.contextmanager
+def built_networks():
+    """Record every :class:`Network` built inside the block."""
+    built = []
+    init = Network.__init__
+
+    def recording(network, *args, **kwargs):
+        init(network, *args, **kwargs)
+        built.append(network)
+
+    Network.__init__ = recording
+    try:
+        yield built
+    finally:
+        Network.__init__ = init
+
+
+def on_both_paths(run, *args, **kwargs):
+    """``(hot, reference)``: ``run(*args, **kwargs)`` once under the hot
+    default and once inside ``hotpath.reference_path()``.
+
+    Every network the reference leg builds must run the reference path,
+    and every one the hot leg builds the hot path unless its radio is
+    lossy, so a comparison can never pit one path against itself.
+    """
+    with built_networks() as networks, hotpath.reference_path():
+        reference = run(*args, **kwargs)
+    assert networks and not any(network.hot for network in networks)
+    with built_networks() as networks:
+        hot = run(*args, **kwargs)
+    assert networks
+    for network in networks:
+        assert network.hot is (network.radio.loss_probability == 0.0)
+    return hot, reference

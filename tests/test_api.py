@@ -37,6 +37,7 @@ from repro.query.plan import Algorithm
 from repro.scenarios import (
     conference_scenario,
     figure1_scenario,
+    fleet_scenario,
     grid_rooms_scenario,
 )
 
@@ -301,6 +302,31 @@ class TestSessionState:
         assert len(monitor.system_panel.samples) == 6
         assert historic.system_panel is None
         assert (monitor.plan.k, historic.plan.k) == (2, 3)
+
+    def test_cancelled_session_releases_its_shadow_network(self):
+        """The System Panel keeps the shadow baseline's stats, whose
+        drain hook is the shadow network's: a cancelled session must let
+        that network go, and its panel must read the same samples and
+        totals afterwards."""
+        shadows = []
+
+        def shadow():
+            network = fleet_scenario(25, seed=3).network
+            shadows.append(weakref.ref(network))
+            return network
+
+        deployment = Deployment.from_scenario(fleet_scenario(25, seed=3),
+                                              baseline_factory=shadow)
+        handle = deployment.submit(MONITOR)
+        EpochDriver(deployment).run(4)
+        panel = handle.system_panel
+        samples, cumulative = list(panel.samples), panel.cumulative
+        assert cumulative.baseline_messages > 0
+        deployment.cancel(handle.id)
+        gc.collect()
+        assert [ref() for ref in shadows] == [None]
+        assert panel.samples == samples
+        assert panel.cumulative == cumulative
 
     def test_cancelled_historic_session_does_not_execute(self):
         _, deployment, driver = fresh()

@@ -28,9 +28,9 @@ from repro.core.certify import certify_top_k
 from repro.core.delta import BoundsDelta, DeltaEntry, TopKView
 from repro.core.results import rank_key
 from repro.errors import ValidationError
-from repro.network import hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.scenarios import grid_rooms_scenario
+from helpers import on_both_paths
 from test_hotpath_equivalence import (
     QUERY_BY_ENGINE,
     answers_of,
@@ -278,12 +278,10 @@ def test_view_fed_engines_equal_cold_certifier(seed, k, agg, engines,
     TAG re-aggregation) produce identical answers, certification
     outcomes, probe schedules, stats and ledgers whether they feed a
     maintained view (hot) or call certify_top_k cold (reference)."""
-    kwargs = dict(seed=seed, k=k, agg=agg, engines=engines,
-                  epochs=epochs, churn_seed=churn_seed)
-    with hotpath.reference_path():
-        reference = run_workload(**kwargs)
-    assert hotpath.enabled()
-    assert run_workload(**kwargs) == reference
+    hot, reference = on_both_paths(
+        run_workload, seed=seed, k=k, agg=agg, engines=engines,
+        epochs=epochs, churn_seed=churn_seed)
+    assert hot == reference
 
 
 def run_extinction_workload(*, engine, k=2, agg="AVG", epochs=7):
@@ -318,6 +316,5 @@ def run_extinction_workload(*, engine, k=2, agg="AVG", epochs=7):
 def test_group_extinction_and_birth_equivalence(engine):
     """Hot equals reference across a whole-group death plus a birth
     into a never-seen group key."""
-    with hotpath.reference_path():
-        reference = run_extinction_workload(engine=engine)
-    assert run_extinction_workload(engine=engine) == reference
+    hot, reference = on_both_paths(run_extinction_workload, engine=engine)
+    assert hot == reference

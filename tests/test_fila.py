@@ -4,11 +4,14 @@ import contextlib
 
 import pytest
 
+from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.core import Fila, oracle_scores
 from repro.core.aggregates import make_aggregate
 from repro.errors import ValidationError
 from repro.network import hotpath
-from repro.scenarios import grid_rooms_scenario
+from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
+from repro.query.plan import Algorithm
+from repro.scenarios import fleet_scenario, grid_rooms_scenario
 from repro.sensing.modalities import get_modality
 
 
@@ -114,6 +117,7 @@ class TestJoiner:
               else contextlib.nullcontext()):
             scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
             network = scenario.network
+            assert network.hot is (path == "hot")
             fila = Fila(network, make_aggregate("MAX", 0, 100), 5)
             fila.run(3)
             x, y = network.topology.positions[36]
@@ -126,6 +130,48 @@ class TestJoiner:
             assert 99 in fila.filters
             lo, hi = fila.filters[99]
             assert lo <= fila.known[99] <= hi
+
+
+class TestStaticWhere:
+    """FILA monitors only the motes its static WHERE admits, as MINT
+    and TAG do: its answers equal CENTRALIZED's, and a newborn the
+    WHERE excludes never samples or reports."""
+
+    QUERY = ("SELECT TOP 3 nodeid, MAX(sound) FROM sensors "
+             "WHERE nodeid < 6 GROUP BY nodeid EPOCH DURATION 1 min")
+    NEWBORN = 99
+
+    def run(self, algorithm):
+        scenario = fleet_scenario(25, seed=3)
+        network = scenario.network
+        x, y = network.topology.positions[3]
+        scenario.field.enroll(self.NEWBORN, scenario.group_of[3])
+        schedule = ChurnSchedule([
+            ChurnEvent(2, ChurnKind.BIRTH, self.NEWBORN,
+                       position=(x + 2.0, y + 2.0),
+                       group=scenario.group_of[3])])
+        deployment = Deployment.from_scenario(scenario)
+        driver = EpochDriver(deployment, interventions=[
+            ChurnIntervention(schedule, board_for=scenario.board_for)])
+        handle = deployment.submit(self.QUERY, algorithm=algorithm)
+        driver.run(5)
+        assert network.node(self.NEWBORN).alive
+        answers = [(r.epoch, r.exact, {item.key for item in r.items})
+                   for r in handle.results]
+        return answers, handle, network
+
+    @pytest.mark.parametrize("path", ["hot", "reference"])
+    def test_answers_equal_centralized(self, path):
+        with (hotpath.reference_path() if path == "reference"
+              else contextlib.nullcontext()):
+            fila, handle, network = self.run(Algorithm.FILA)
+            centralized, _, _ = self.run(Algorithm.CENTRALIZED)
+        assert fila == centralized
+        assert all(exact and keys <= {1, 2, 3, 4, 5}
+                   for _, exact, keys in fila)
+        engine = handle._session.engine.algorithm
+        assert set(engine.known) == {1, 2, 3, 4, 5}
+        assert network.node(self.NEWBORN).samples_taken == 0
 
 
 class TestValidation:

@@ -8,11 +8,16 @@ same answers, same :class:`~repro.network.stats.NetworkStats` counters
 bit-for-bit, same per-phase snapshots, same energy ledgers, same RNG
 consumption. These property tests drive random scenarios, ranks,
 engines and churn schedules through both paths and compare everything.
+A deployment's path is fixed when its network is built, so every
+comparison builds its reference side inside
+``hotpath.reference_path()`` and checks, through
+:func:`helpers.on_both_paths`, that each side really ran its path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 from collections import Counter
 
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_series
+from helpers import make_series, on_both_paths
 from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.core.aggregates import make_aggregate
 from repro.core.mint import Mint, MintConfig
@@ -117,9 +122,19 @@ QUERY_BY_ENGINE = {
 }
 
 
-def run_workload(*, seed, k, agg, engines, epochs, churn_seed):
-    """One deterministic run; returns every observable as plain data."""
+def build_workload(*, seed, k, agg, engines, churn_seed, loss=0.0):
+    """One deterministic deployment with its sessions submitted; returns
+    ``(driver, handles, network)``. A non-zero ``loss`` deploys it over
+    a lossy radio whose retry budget no packet exhausts."""
     scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=seed)
+    if loss:
+        wired = scenario.network
+        scenario = dataclasses.replace(scenario, network=Network(
+            wired.topology,
+            radio=RadioModel(range_m=wired.topology.radio_range,
+                             loss_probability=loss, max_retries=20),
+            boards={i: node.board for i, node in wired.nodes.items()},
+            group_of=scenario.group_of, seed=seed))
     deployment = Deployment.from_scenario(scenario)
     interventions = []
     if churn_seed is not None:
@@ -139,16 +154,32 @@ def run_workload(*, seed, k, agg, engines, epochs, churn_seed):
         template, algorithm = QUERY_BY_ENGINE[engine]
         query = template.format(k=k, agg=agg)
         handles.append(deployment.submit(query, algorithm=algorithm))
+    return driver, handles, scenario.network
+
+
+def observe(handles, network):
+    """Every observable of a running workload, by field name."""
+    return {
+        "answers": [answers_of(h) for h in handles],
+        "stats": stats_signature(network.stats),
+        "taps": [stats_signature(h.stats) for h in handles],
+        "ledgers": ledger_signature(network),
+        "epoch": network.epoch,
+        "states": [h.state.value for h in handles],
+    }
+
+
+def run_workload(*, epochs, **workload):
+    """One deterministic run; returns every observable as plain data."""
+    driver, handles, network = build_workload(**workload)
     driver.run(epochs)
-    network = scenario.network
-    return (
-        [answers_of(h) for h in handles],
-        stats_signature(network.stats),
-        [stats_signature(h.stats) for h in handles],
-        ledger_signature(network),
-        network.epoch,
-        [h.state.value for h in handles],
-    )
+    return observe(handles, network)
+
+
+#: The mode matrix's legs: (name, built inside ``reference_path()``,
+#: stepped on the pure-python column backend).
+LEGS = (("reference", True, False), ("numpy", False, False),
+        ("python", False, True))
 
 
 @settings(max_examples=25, deadline=None)
@@ -161,19 +192,42 @@ def run_workload(*, seed, k, agg, engines, epochs, churn_seed):
         min_size=1, max_size=3, unique=True),
     epochs=st.integers(3, 7),
     churn_seed=st.one_of(st.none(), st.integers(0, 7)),
+    loss=st.sampled_from([0.0, 0.1]),
 )
 def test_hot_path_equals_reference_path(seed, k, agg, engines, epochs,
-                                        churn_seed):
-    """Answers, stats, per-session taps, per-phase snapshots and energy
-    ledgers are identical — bit-for-bit — on both paths, across random
-    scenarios, ranks, aggregates, engine mixes and churn schedules."""
-    kwargs = dict(seed=seed, k=k, agg=agg, engines=engines,
-                  epochs=epochs, churn_seed=churn_seed)
-    with hotpath.reference_path():
-        reference = run_workload(**kwargs)
-    assert hotpath.enabled(), "reference_path() must restore the flag"
-    hot = run_workload(**kwargs)
-    assert hot == reference
+                                        churn_seed, loss):
+    """The mode matrix: one deployment built on the reference path, one
+    hot on numpy and one hot on the pure-python backend, stepped
+    interleaved, epoch by epoch, in one process. After every epoch the
+    answers, stats by kind and phase, session taps and energy ledgers
+    are identical — bit-for-bit — across random scenarios, ranks,
+    aggregates, engine mixes, churn schedules and radios. A lossy
+    radio runs the reference path on every leg."""
+    workload = dict(seed=seed, k=k, agg=agg, engines=engines,
+                    churn_seed=churn_seed, loss=loss)
+    legs = {}
+    for name, reference, python in LEGS:
+        with contextlib.ExitStack() as modes:
+            if reference:
+                modes.enter_context(hotpath.reference_path())
+            if python:
+                modes.enter_context(columnar.force_python_backend())
+            legs[name] = build_workload(**workload)
+        assert legs[name][2].hot is (not reference and not loss), name
+    for epoch in range(epochs):
+        if not legs["reference"][0].deployment.active_sessions():
+            break
+        seen = {}
+        for name, _, python in LEGS:
+            driver, handles, network = legs[name]
+            with (columnar.force_python_backend() if python
+                  else contextlib.nullcontext()):
+                driver.step()
+            seen[name] = observe(handles, network)
+        for name in ("numpy", "python"):
+            for field, expected in seen["reference"].items():
+                assert seen[name][field] == expected, (
+                    f"epoch {epoch}: {field} differs on the {name} leg")
 
 
 @pytest.mark.parametrize("engine", ["mint", "tag", "fila"])
@@ -183,22 +237,19 @@ def test_each_engine_hot_equals_reference(engine, churn_seed):
     hot-path pass (MINT's prune+update, TAG's aggregation, FILA's
     monitor+bounds) is held to the reference path individually — the
     property test above samples engine mixes, this pins each one."""
-    kwargs = dict(seed=1234, k=2, agg="AVG", engines=[engine],
-                  epochs=6, churn_seed=churn_seed)
-    with hotpath.reference_path():
-        reference = run_workload(**kwargs)
-    assert run_workload(**kwargs) == reference
+    hot, reference = on_both_paths(
+        run_workload, seed=1234, k=2, agg="AVG", engines=[engine],
+        epochs=6, churn_seed=churn_seed)
+    assert hot == reference
 
 
 def test_all_engines_concurrently_hot_equals_reference():
     """The full five-engine mix sharing one deployment and one clock:
     cross-engine interleaving must not leak between the paths."""
-    kwargs = dict(seed=77, k=2, agg="MAX",
-                  engines=sorted(QUERY_BY_ENGINE), epochs=5,
-                  churn_seed=3)
-    with hotpath.reference_path():
-        reference = run_workload(**kwargs)
-    assert run_workload(**kwargs) == reference
+    hot, reference = on_both_paths(
+        run_workload, seed=77, k=2, agg="MAX",
+        engines=sorted(QUERY_BY_ENGINE), epochs=5, churn_seed=3)
+    assert hot == reference
 
 
 @settings(max_examples=20, deadline=None)
@@ -208,8 +259,10 @@ def test_all_engines_concurrently_hot_equals_reference():
     payloads=st.lists(st.integers(0, 120), min_size=1, max_size=30),
 )
 def test_lossy_transport_equivalence(seed, loss, payloads):
-    """With a lossy radio both paths draw the same retransmissions from
-    the same RNG stream and record identical counters and drops."""
+    """A lossy radio runs the reference path whatever the default, so a
+    network built under the hot default draws the same retransmissions
+    from the same RNG stream, and records the same counters and drops,
+    as one built inside ``reference_path()``."""
 
     def ship_all():
         network = Network(grid_topology(3),
@@ -229,9 +282,8 @@ def test_lossy_transport_equivalence(seed, loss, payloads):
         return (stats_signature(network.stats), ledger_signature(network),
                 drops, network._rng.random())
 
-    with hotpath.reference_path():
-        reference = ship_all()
-    assert ship_all() == reference
+    hot, reference = on_both_paths(ship_all)
+    assert hot == reference
 
 
 class TestFragmentMemo:
@@ -268,22 +320,55 @@ class TestFragmentMemo:
         assert fragment_cached(payload) == fragment(payload)
 
 
+def built_hot():
+    """Whether a network built here runs the hot path."""
+    return Network(grid_topology(2)).hot
+
+
 class TestReferencePathToggle:
     def test_toggle_restores_on_error(self):
         try:
             with hotpath.reference_path():
-                assert not hotpath.enabled()
+                assert not built_hot()
                 raise ValueError("boom")
         except ValueError:
             pass
-        assert hotpath.enabled()
+        assert built_hot()
 
     def test_nested_toggle(self):
         with hotpath.reference_path():
             with hotpath.reference_path():
-                assert not hotpath.enabled()
-            assert not hotpath.enabled()
-        assert hotpath.enabled()
+                assert not built_hot()
+            assert not built_hot()
+        assert built_hot()
+
+    def test_path_is_fixed_when_the_network_is_built(self, monkeypatch):
+        """A deployment built outside ``reference_path()`` stays hot when
+        stepped inside it, one built inside stays on the reference path
+        after it, and only the hot one enters the flood kernel. Both
+        answer alike. A lossy radio is never hot."""
+        flooded = []
+        kernel = Network._flood_lossless
+
+        def recording(network, message):
+            flooded.append(network)
+            return kernel(network, message)
+
+        monkeypatch.setattr(Network, "_flood_lossless", recording)
+        hot_run = build_workload(seed=5, k=2, agg="AVG", engines=["mint"],
+                                 churn_seed=None)
+        with hotpath.reference_path():
+            reference_run = build_workload(seed=5, k=2, agg="AVG",
+                                           engines=["mint"], churn_seed=None)
+        for _ in range(3):
+            with hotpath.reference_path():
+                hot_run[0].step()
+            reference_run[0].step()
+        assert hot_run[2].hot and not reference_run[2].hot
+        assert flooded and set(map(id, flooded)) == {id(hot_run[2])}
+        assert observe(*hot_run[1:]) == observe(*reference_run[1:])
+        lossy = RadioModel(range_m=20.0, loss_probability=0.1)
+        assert not Network(grid_topology(2), radio=lossy).hot
 
 
 class TestPerPurposeRngStreams:
@@ -339,12 +424,10 @@ class TestColumnarEquivalence:
         """The columnar kernel and the unoptimized reference path
         produce identical observables on the full five-engine mix with
         churn."""
-        kwargs = dict(seed=4321, k=2, agg="MAX",
-                      engines=sorted(QUERY_BY_ENGINE), epochs=5,
-                      churn_seed=2)
-        with hotpath.reference_path():
-            reference = run_workload(**kwargs)
-        assert run_workload(**kwargs) == reference
+        hot, reference = on_both_paths(
+            run_workload, seed=4321, k=2, agg="MAX",
+            engines=sorted(QUERY_BY_ENGINE), epochs=5, churn_seed=2)
+        assert hot == reference
 
     def test_python_backend_matches_numpy(self):
         """The pure-python fallback draws the same values as the numpy
@@ -413,9 +496,7 @@ class TestZipfColumnarKernel:
         return results, joules, samples
 
     def test_all_modes_identical(self):
-        default = self._stream()
-        with hotpath.reference_path():
-            reference = self._stream()
+        default, reference = on_both_paths(self._stream)
         with columnar.force_python_backend():
             fallback = self._stream()
         assert default == reference
@@ -424,12 +505,11 @@ class TestZipfColumnarKernel:
 
 class TestLossyFilaStepsOnAfterADrop:
     """A drop mid-pass aborts FILA's epoch; the session then steps on.
-    The hot passes ship a whole pass in one relay, so a drop must leave
-    exactly what the reference path's node-by-node loop leaves: the
-    motes ahead of the dropped one delivered and recorded, the dropped
-    one and every mote after it not. Answers, stats and per-node
-    ledgers must equal the reference path's after 25 steps with drops,
-    and FILA's ``known`` and ``filters`` after every step."""
+    A lossy radio runs the reference path whatever the default, so a
+    deployment built under the hot default must equal one built inside
+    ``reference_path()``: answers, stats and per-node ledgers after 25
+    steps with drops, and FILA's ``known`` and ``filters`` after every
+    step."""
 
     STEPS = 25
 
@@ -454,9 +534,7 @@ class TestLossyFilaStepsOnAfterADrop:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_hot_equals_reference(self, seed):
-        with hotpath.reference_path():
-            reference = self.run(seed)
-        hot = self.run(seed)
+        hot, reference = on_both_paths(self.run, seed)
         assert hot[1] >= 1, "the radio must drop somewhere"
         for field, h, r in zip(("results", "drops", "stats", "ledgers"),
                                hot, reference):
@@ -541,10 +619,8 @@ class TestFilaAtFleetScale:
     def test_hot_equals_reference_every_epoch(self, backend):
         with (columnar.force_python_backend() if backend == "python"
               else contextlib.nullcontext()):
-            with hotpath.reference_path():
-                reference = self.run()
             with scatter_spy() as scatters:
-                hot = self.run()
+                hot, reference = on_both_paths(self.run)
         # FILA's passes relay by the hundred, so on numpy they scatter.
         if columnar.backend() == "numpy" and backend == "default":
             assert len(scatters) >= self.EPOCHS and None not in scatters
@@ -562,21 +638,17 @@ class TestFilaAtFleetScale:
 
 
 class TestFilaAcrossFlips:
-    """One FILA deployment whose path or column backend flips between
-    epochs: a 10×10 Zipf fleet, ``TOP 20``, and a relay that dies
-    mid-run with the tree repaired. Each epoch's answer, ``all_bounds``
-    and network totals must equal a run on the reference path
-    throughout, whatever ran the epochs before it."""
+    """One FILA deployment whose column backend flips between epochs: a
+    10×10 Zipf fleet, ``TOP 20``, and a relay that dies mid-run with
+    the tree repaired. Each epoch's answer, ``all_bounds`` and network
+    totals must equal a run on the reference path throughout, whatever
+    backend ran the epochs before it. (The execution path is fixed
+    when the network is built, so it cannot flip.)"""
 
     EPOCHS = 12
     DEATH = 6
-    #: Epoch → (reference path?, pure-python backend?).
-    FLIPS = {
-        "path-every-epoch": lambda epoch: (epoch % 2 == 1, False),
-        "reference-every-third": lambda epoch: (epoch % 3 == 2, False),
-        "backend-every-epoch": lambda epoch: (False, epoch % 2 == 1),
-        "both": lambda epoch: (epoch % 3 == 2, epoch % 2 == 1),
-    }
+    #: Epoch → pure-python backend?
+    FLIPS = {"backend-every-epoch": lambda epoch: epoch % 2 == 1}
 
     def run(self, flip):
         session, network = zipf_fila_fleet(side=10, k=20)
@@ -586,12 +658,8 @@ class TestFilaAcrossFlips:
                       if tree.depth(n) == 2 and tree.subtree_size(n) > 3)
         epochs = []
         for epoch in range(self.EPOCHS):
-            reference, python = flip(epoch)
-            with contextlib.ExitStack() as modes:
-                if reference:
-                    modes.enter_context(hotpath.reference_path())
-                if python:
-                    modes.enter_context(columnar.force_python_backend())
+            with (columnar.force_python_backend() if flip(epoch)
+                  else contextlib.nullcontext()):
                 if epoch == self.DEATH:
                     network.kill_node(victim)
                 result = session.run_epoch()
@@ -603,15 +671,10 @@ class TestFilaAcrossFlips:
         return epochs
 
     @pytest.mark.parametrize("flips", [
-        "path-every-epoch",
-        "reference-every-third",
         pytest.param("backend-every-epoch", marks=needs_numpy),
-        pytest.param("both", marks=needs_numpy),
     ])
     def test_every_epoch_equals_the_reference_path(self, flips):
-        with hotpath.reference_path():
-            reference = self.run(lambda epoch: (False, False))
-        flipped = self.run(self.FLIPS[flips])
+        flipped, reference = on_both_paths(self.run, self.FLIPS[flips])
         for epoch, (f, r) in enumerate(zip(flipped, reference)):
             assert f[0] == r[0], f"epoch {epoch}: answer"
             assert f[1] == r[1], f"epoch {epoch}: network totals"
@@ -647,9 +710,7 @@ class TestReadManyErrorPath:
         (("light",), ValidationError),
     ], ids=["board-less", "channel-less"])
     def test_hot_equals_reference(self, bad_channels, error):
-        hot = self._read_bad_tuple(bad_channels)
-        with hotpath.reference_path():
-            reference = self._read_bad_tuple(bad_channels)
+        hot, reference = on_both_paths(self._read_bad_tuple, bad_channels)
         assert hot == reference
         assert hot[0] is error
         assert sum(hot[2].values()) == 8
@@ -721,10 +782,8 @@ class TestPathRelayKernel:
     @settings(max_examples=40, deadline=None)
     @given(relays=_RELAYS)
     def test_kernel_equals_per_hop_and_reference(self, relays):
-        kernel = relay_all(relays)
+        kernel, reference = on_both_paths(relay_all, relays)
         per_hop = relay_all(relays, network_class=PerHopNetwork)
-        with hotpath.reference_path():
-            reference = relay_all(relays)
         assert kernel == per_hop == reference
 
     def test_zero_hop_path_records_nothing(self):
@@ -740,11 +799,12 @@ class TestPathRelayKernel:
     @given(relays=_RELAYS, seed=st.integers(0, 10_000),
            loss=st.floats(0.05, 0.4))
     def test_lossy_radio_falls_back_per_hop(self, relays, seed, loss):
-        """Lossy radios keep the per-hop loop: the same retransmission
-        draws from the same loss stream as the reference path."""
-        hot = relay_all(relays, loss=loss, seed=seed)
-        with hotpath.reference_path():
-            reference = relay_all(relays, loss=loss, seed=seed)
+        """A lossy radio runs the reference path's per-hop loop whatever
+        the default (the relay kernel refuses it): a network built under
+        the hot default draws the same retransmissions from the same
+        loss stream as one built inside ``reference_path()``."""
+        hot, reference = on_both_paths(relay_all, relays, loss=loss,
+                                       seed=seed)
         assert hot == reference
 
 
@@ -792,8 +852,7 @@ def scatter_spy():
 
 
 def batch_relay_all(batches, dead=(), *, side=5, rejoin=False,
-                    per_node=False, network_class=Network, loss=0.0,
-                    seed=0):
+                    per_node=False, network_class=Network):
     """Relay every batch on a ``side``×``side`` grid whose ``dead``
     sensors were killed without repair, inside an open session tap,
     alternating two stats phases: a probe request down and a filter
@@ -802,16 +861,12 @@ def batch_relay_all(batches, dead=(), *, side=5, rejoin=False,
     leg. With ``rejoin``, :data:`REJOINER` dies (repairing the tree)
     halfway through and re-joins as a leaf with a fresh ledger, and
     every later batch relays it too. Returns every observable plus the
-    hops of each batch and the nodes relayed in full before each drop.
-    One retry per packet makes drops common on a lossy radio."""
-    network = network_class(
-        grid_topology(side),
-        radio=RadioModel(range_m=15.0, loss_probability=loss,
-                         max_retries=1), seed=seed)
+    hops of each batch."""
+    network = network_class(grid_topology(side))
     for node_id in sorted(dead):
         network.kill_node(node_id, repair=False)
     tap = NetworkStats()
-    hops, relayed = [], []
+    hops = []
     rejoin_at = len(batches) // 2 if rejoin else None
     with network.tap_stats(tap):
         for index, (shape, picks, groups, entries) in enumerate(batches):
@@ -826,35 +881,26 @@ def batch_relay_all(batches, dead=(), *, side=5, rejoin=False,
             up = FilterReportMessage(
                 epoch=1, entries=(ViewEntry(0, 1.0, 1),) * entries)
             with network.stats.phase("probe" if index % 2 else "monitor"):
-                done = 0
-                try:
-                    if per_node:
-                        count = 0
-                        for node_id in nodes:
-                            if "down" in shape:
-                                count += network.unicast_from_sink(node_id,
-                                                                   down)
-                            if "up" in shape:
-                                count += network.unicast_to_sink(node_id, up)
-                            done += 1
-                    else:
-                        count = network.relay_many(
-                            nodes,
-                            down=(ProbeRequestMessage.kind,
-                                  ProbeRequestMessage.wire_size(groups))
-                            if "down" in shape else None,
-                            up=(FilterReportMessage.kind,
-                                FilterReportMessage.wire_size(entries))
-                            if "up" in shape else None)
-                except RoutingError as drop:
-                    hops.append(None)
-                    relayed.append(done if per_node else drop.relayed)
+                if per_node:
+                    count = 0
+                    for node_id in nodes:
+                        if "down" in shape:
+                            count += network.unicast_from_sink(node_id, down)
+                        if "up" in shape:
+                            count += network.unicast_to_sink(node_id, up)
                 else:
-                    hops.append(count)
-                    relayed.append(None)
+                    count = network.relay_many(
+                        nodes,
+                        down=(ProbeRequestMessage.kind,
+                              ProbeRequestMessage.wire_size(groups))
+                        if "down" in shape else None,
+                        up=(FilterReportMessage.kind,
+                            FilterReportMessage.wire_size(entries))
+                        if "up" in shape else None)
+                hops.append(count)
     network.advance_epoch()
     return (stats_signature(network.stats), stats_signature(tap),
-            ledger_signature(network), hops, relayed, network._rng.random())
+            ledger_signature(network), hops, network._rng.random())
 
 
 class TestBatchRelayKernel:
@@ -869,11 +915,10 @@ class TestBatchRelayKernel:
     @given(batches=_BATCHES, dead=st.sets(st.integers(1, 25), max_size=8))
     def test_kernel_equals_per_node_and_reference(self, batches, dead):
         kernel = batch_relay_all(batches, dead)
-        per_node = batch_relay_all(batches, dead, per_node=True)
+        per_node, reference = on_both_paths(batch_relay_all, batches, dead,
+                                            per_node=True)
         per_hop = batch_relay_all(batches, dead, per_node=True,
                                   network_class=PerHopNetwork)
-        with hotpath.reference_path():
-            reference = batch_relay_all(batches, dead, per_node=True)
         assert kernel == per_node == per_hop == reference
 
     def test_empty_and_sink_only_batches_record_nothing(self):
@@ -885,19 +930,18 @@ class TestBatchRelayKernel:
         assert (stats_signature(network.stats)
                 == stats_signature(Network(grid_topology(3)).stats))
 
-    @settings(max_examples=20, deadline=None)
-    @given(batches=_BATCHES, dead=st.sets(st.integers(1, 25), max_size=8),
-           seed=st.integers(0, 10_000), loss=st.floats(0.05, 0.4))
-    def test_lossy_radio_draws_the_reference_sequence(self, batches, dead,
-                                                      seed, loss):
-        """Over a lossy radio each hop draws the loss stream in the
-        reference order, and a drop reports the motes relayed in full
-        before it — the ones a per-node loop got through."""
-        kernel = batch_relay_all(batches, dead, loss=loss, seed=seed)
-        with hotpath.reference_path():
-            reference = batch_relay_all(batches, dead, per_node=True,
-                                        loss=loss, seed=seed)
-        assert kernel == reference
+    def test_lossy_radio_is_refused(self):
+        """Every relayed hop takes one attempt, so the kernel refuses a
+        lossy radio, charging nothing: its deployments run the
+        reference path, which relays hop by hop."""
+        network = Network(grid_topology(3),
+                          radio=RadioModel(range_m=15.0,
+                                           loss_probability=0.1))
+        with pytest.raises(ConfigurationError):
+            network.relay_many([5, 9], down=("probe_request", 6),
+                               up=("filter_report", 12))
+        assert network._pending_traffic == {}
+        assert network.ledger(9).tx == 0
 
     @needs_numpy
     @settings(max_examples=30, deadline=None)
@@ -920,10 +964,10 @@ class TestBatchRelayKernel:
         assert calls == []
         per_hop = batch_relay_all(batches, dead, side=10, rejoin=rejoin,
                                   network_class=PerHopNetwork)
-        with hotpath.reference_path():
-            reference = batch_relay_all(batches, dead, side=10,
-                                        rejoin=rejoin, per_node=True)
-        assert kernel == loop == per_hop == reference
+        per_node, reference = on_both_paths(
+            batch_relay_all, batches, dead, side=10, rejoin=rejoin,
+            per_node=True)
+        assert kernel == loop == per_hop == per_node == reference
 
     @needs_numpy
     def test_one_mote_calls_keep_the_loop(self):
@@ -978,7 +1022,7 @@ class PerForwarderNetwork(Network):
 
 
 class NoFloodKernelNetwork(Network):
-    """Fails if a flood reaches the lossless kernel."""
+    """Fails if a flood reaches the hot path's flood kernel."""
 
     def _flood_lossless(self, message):
         raise AssertionError("a lossy flood reached the lossless kernel")
@@ -1017,7 +1061,7 @@ def flood_all(floods, dead=(), *, network_class=Network, loss=0.0, seed=0):
 
 
 class TestFloodKernel:
-    """``flood_down`` over a lossless radio ships the whole flood in one
+    """``flood_down`` on a hot network ships the whole flood in one
     ``_flood_lossless`` call. Per-node ledgers, by_kind, by_phase,
     totals and an open tap must equal both a per-forwarder ``_ship``
     loop over the same plan and the reference path, which walks the
@@ -1026,17 +1070,18 @@ class TestFloodKernel:
     @settings(max_examples=40, deadline=None)
     @given(floods=_FLOODS, dead=_DEAD)
     def test_kernel_equals_per_forwarder_and_reference(self, floods, dead):
-        kernel = flood_all(floods, dead)
+        kernel, reference = on_both_paths(flood_all, floods, dead)
         per_forwarder = flood_all(floods, dead,
                                   network_class=PerForwarderNetwork)
-        with hotpath.reference_path():
-            reference = flood_all(floods, dead)
         assert kernel == per_forwarder == reference
 
     @pytest.mark.parametrize("reference", [False, True],
                              ids=["hot", "reference"])
     def test_forwarder_with_dead_children_sends_nothing(self, reference):
-        network = Network(grid_topology(3))
+        with (hotpath.reference_path() if reference
+              else contextlib.nullcontext()):
+            network = Network(grid_topology(3))
+        assert network.hot is not reference
         tree = network.tree
         forwarder = next(n for n in tree.sensor_ids if tree.children(n))
         for child in tree.children(forwarder):
@@ -1044,9 +1089,7 @@ class TestFloodKernel:
         senders = [n for n in tree.node_ids
                    if (n == network.sink_id or network.nodes[n].alive)
                    and any(network.nodes[c].alive for c in tree.children(n))]
-        with (hotpath.reference_path() if reference
-              else contextlib.nullcontext()):
-            sends = network.flood_down(QueryMessage(query_id=1))
+        sends = network.flood_down(QueryMessage(query_id=1))
         assert forwarder not in senders
         assert sends == len(senders) == network.stats.messages
         assert network.ledger(forwarder).tx == 0
@@ -1057,13 +1100,14 @@ class TestFloodKernel:
            loss=st.floats(0.05, 0.4))
     def test_lossy_radio_falls_back_per_forwarder(self, floods, dead, seed,
                                                   loss):
-        """Lossy radios keep one ``_ship`` per forwarder: the same
-        retransmission draws from the same loss stream as the reference
-        path, and the lossless kernel is never entered."""
-        hot = flood_all(floods, dead, network_class=NoFloodKernelNetwork,
-                        loss=loss, seed=seed)
-        with hotpath.reference_path():
-            reference = flood_all(floods, dead, loss=loss, seed=seed)
+        """A lossy radio runs the reference path's broadcast per
+        forwarder whatever the default: a network built under the hot
+        default never enters the lossless kernel and draws the same
+        retransmissions from the same loss stream as one built inside
+        ``reference_path()``."""
+        hot, reference = on_both_paths(
+            flood_all, floods, dead, network_class=NoFloodKernelNetwork,
+            loss=loss, seed=seed)
         assert hot == reference
 
 
@@ -1337,9 +1381,7 @@ class TestMintStateAtFleetScale:
         None, MintConfig(adaptive=True, quiet_epochs=2)],
         ids=["default", "adaptive"])
     def test_node_state_hot_equals_reference_every_epoch(self, mint_config):
-        with hotpath.reference_path():
-            reference = self.run(mint_config)
-        hot = self.run(mint_config)
+        hot, reference = on_both_paths(self.run, mint_config)
         for epoch, (hot_states, reference_states) in enumerate(
                 zip(hot[0], reference[0])):
             for session, (h, r) in enumerate(zip(hot_states,
@@ -1358,9 +1400,7 @@ class TestMintStateAtFleetScale:
         over the repaired tree, newborn included: node state after
         every epoch, answers, stats and ledgers must equal the
         reference path's."""
-        with hotpath.reference_path():
-            reference = self.run(None, recreate_at=8)
-        hot = self.run(None, recreate_at=8)
+        hot, reference = on_both_paths(self.run, None, recreate_at=8)
         for epoch, (hot_states, reference_states) in enumerate(
                 zip(hot[0], reference[0])):
             for session, (h, r) in enumerate(zip(hot_states,
@@ -1378,13 +1418,14 @@ class TestMintStateAtFleetScale:
 
 class TestLossyMintCreation:
     """MINT's creation pass over a lossy radio (64 motes, 6% loss
-    with one retry): each edge ships through ``_ship_unicast``, which
-    draws the loss stream per packet as ``send_up`` does. A drop inside
-    the pass aborts the epoch with the motes before it committed; the
-    next epoch re-runs creation. After every step the per-node
-    ``(reported, gamma_reported, withheld)``, and at the end the
-    answers, stats, ledgers and loss-stream state must equal the
-    reference path's."""
+    with one retry): each edge ships through ``send_up``, which draws
+    the loss stream per packet. A drop inside the pass aborts the
+    epoch with the motes before it committed; the next epoch re-runs
+    creation. A lossy radio runs the reference path whatever the
+    default, so after every step the per-node ``(reported,
+    gamma_reported, withheld)``, and at the end the answers, stats,
+    ledgers and loss-stream state of a deployment built under the hot
+    default must equal one built inside ``reference_path()``."""
 
     STEPS = 6
     SEEDS = range(10)
@@ -1422,9 +1463,7 @@ class TestLossyMintCreation:
     def test_hot_equals_reference(self):
         inside = 0
         for seed in self.SEEDS:
-            with hotpath.reference_path():
-                reference = self.run(seed)
-            hot = self.run(seed)
+            hot, reference = on_both_paths(self.run, seed)
             for step, (h, r) in enumerate(zip(hot[0], reference[0])):
                 assert h == r, f"seed {seed}, step {step}"
             assert hot[1:] == reference[1:], f"seed {seed}"
@@ -1433,13 +1472,14 @@ class TestLossyMintCreation:
 
 
 class TestLossyFilaSetUp:
-    """FILA's set-up reports ship in one ``relay_many`` call; over a
-    lossy radio (64 motes, 3% loss, one retry) a drop inside the set-up
-    must leave exactly what the reference loop leaves: ``known`` holds
-    the motes relayed before the drop and no filter is installed. After
-    every step ``known`` and ``filters``, and at the end the answers,
-    stats, ledgers and loss-stream state must equal the reference
-    path's."""
+    """FILA's set-up over a lossy radio (64 motes, 3% loss, one retry):
+    each report relays hop by hop, and a drop inside the set-up leaves
+    ``known`` holding the motes relayed before it and no filter
+    installed; the next epoch re-runs the set-up. A lossy radio runs
+    the reference path whatever the default, so after every step
+    ``known`` and ``filters``, and at the end the answers, stats,
+    ledgers and loss-stream state of a deployment built under the hot
+    default must equal one built inside ``reference_path()``."""
 
     STEPS = 4
     SEEDS = range(10)
@@ -1468,9 +1508,7 @@ class TestLossyFilaSetUp:
     def test_hot_equals_reference(self):
         mid_set_up = 0
         for seed in self.SEEDS:
-            with hotpath.reference_path():
-                reference = self.run(seed)
-            hot = self.run(seed)
+            hot, reference = on_both_paths(self.run, seed)
             for step, (h, r) in enumerate(zip(hot[0], reference[0])):
                 assert h == r, f"seed {seed}, step {step}"
             assert hot[1:] == reference[1:], f"seed {seed}"
@@ -1529,9 +1567,7 @@ class TestTjaAtFleetScale:
     def test_hot_equals_reference(self, agg, backend):
         with (columnar.force_python_backend() if backend == "python"
               else contextlib.nullcontext()):
-            with hotpath.reference_path():
-                reference = self.run(agg)
-            hot = self.run(agg)
+            hot, reference = on_both_paths(self.run, agg)
         for field, hot_value, reference_value in zip(self.FIELDS, hot,
                                                      reference):
             assert hot_value == reference_value, field
@@ -1556,9 +1592,7 @@ class TestTjaTiedLocalValues:
         return tja_signature(result), stats_signature(scenario.network.stats)
 
     def test_hot_equals_reference(self):
-        with hotpath.reference_path():
-            reference = self.run()
-        hot = self.run()
+        hot, reference = on_both_paths(self.run)
         assert hot == reference
         assert [item[0] for item in hot[0][0]] == [10]
         assert hot[0][1] == 1
@@ -1586,9 +1620,7 @@ class TestTjaCleanUp:
 
     @pytest.mark.parametrize("agg", ["AVG", "SUM", "MIN"])
     def test_hot_equals_reference(self, agg):
-        with hotpath.reference_path():
-            reference = self.run(agg)
-        hot = self.run(agg)
+        hot, reference = on_both_paths(self.run, agg)
         assert hot == reference
         assert hot[0][2] == 1, "the data must need the clean-up round"
         by_kind = hot[1][1]
@@ -1596,12 +1628,14 @@ class TestTjaCleanUp:
 
 
 class TestLossyTja:
-    """TJA over a lossy radio (64 motes, 4% loss, one retry): the hot
-    passes ship through ``_ship_unicast``, which draws the loss stream
-    per packet as ``send_up`` does. A drop in any phase must raise the
-    same :class:`~repro.errors.RoutingError` on both paths and leave
-    equal stats, ledgers and loss-stream state; an execution that
-    completes must give the same result."""
+    """TJA over a lossy radio (64 motes, 4% loss, one retry): every
+    reply ships through ``send_up``, which draws the loss stream per
+    packet, and a drop in any phase raises
+    :class:`~repro.errors.RoutingError`. A lossy radio runs the
+    reference path whatever the default, so a deployment built under
+    the hot default must raise the same drop, leave equal stats,
+    ledgers and loss-stream state, and give the same result when the
+    execution completes, as one built inside ``reference_path()``."""
 
     SEEDS = range(12)
 
@@ -1625,9 +1659,7 @@ class TestLossyTja:
     def test_hot_equals_reference(self, agg):
         drops = 0
         for seed in self.SEEDS:
-            with hotpath.reference_path():
-                reference = self.run(seed, agg)
-            hot = self.run(seed, agg)
+            hot, reference = on_both_paths(self.run, seed, agg)
             assert hot == reference, f"seed {seed}"
             drops += hot[0][0] == "dropped"
         assert 0 < drops < len(self.SEEDS), drops

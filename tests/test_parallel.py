@@ -13,6 +13,7 @@ side effects (the fork-unsafety class of bug).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import random
 import subprocess
 import sys
@@ -24,6 +25,8 @@ from hypothesis import strategies as st
 
 from repro.gui.stats import RecordedPanel, SavingsSample, SystemPanel
 from repro.network import hotpath
+from repro.network.simulator import Network
+from repro.network.topology import grid_topology
 from repro.parallel import (
     NO_CHURN,
     QUERY_MIXES,
@@ -57,7 +60,7 @@ def _boom(spec):
 
 
 def _hot_flag(spec):
-    return {"hot": hotpath.enabled()}
+    return {"hot": Network(grid_topology(2)).hot}
 
 
 # ----------------------------------------------------------------------
@@ -142,20 +145,25 @@ class TestShardPool:
             with pytest.raises(ValueError):
                 pool.map_shards(_square, [1, 2], keys=["only-one"])
 
-    @pytest.mark.parametrize("jobs, start_method",
-                             [(1, None), (2, "spawn")])
+    @pytest.mark.parametrize("jobs, start_method", [
+        (1, None), (2, "spawn"),
+        pytest.param(2, "fork", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="no fork start method"))])
     def test_workers_inherit_the_hotpath_switch(self, jobs, start_method):
-        """The hotpath flag is a worker's whole execution mode: shards
-        submitted inside ``reference_path()`` run on it, inline or in
-        a fresh interpreter, and the parent's flag is restored."""
+        """Shards submitted inside ``reference_path()`` build their
+        networks on it, inline, in a fresh interpreter or in a forked
+        one, and shards submitted after it on the hot path, though a
+        forked worker kept the default it was forked with; the
+        parent's default is restored."""
         with ShardPool(jobs=jobs, start_method=start_method) as pool:
             with hotpath.reference_path():
                 inside = pool.map_shards(_hot_flag, [0, 1])
-            assert hotpath.enabled()
+            assert _hot_flag(None) == {"hot": True}
             outside = pool.map_shards(_hot_flag, [0, 1])
         assert [r.payload for r in inside] == [{"hot": False}] * 2
         assert [r.payload for r in outside] == [{"hot": True}] * 2
-        assert hotpath.enabled()
+        assert _hot_flag(None) == {"hot": True}
 
     def test_jobs_resolution(self):
         assert ShardPool(jobs=0).jobs == 1

@@ -142,7 +142,7 @@ class TestMeasurement:
         seen, run = [], EpochDriver.run
 
         def recording_run(driver, epochs):
-            seen.append(hotpath.enabled())
+            seen.append(driver.deployment.network.hot)
             return run(driver, epochs)
 
         def check_sides(on, off, *, chunks, repeats, name):
@@ -155,7 +155,7 @@ class TestMeasurement:
         monkeypatch.setattr(EpochDriver, "run", recording_run)
         monkeypatch.setattr(perf, "measure_ratio", check_sides)
         perf.hot_vs_reference("hot_vs_reference_n9", 9, 4)
-        assert hotpath.enabled()
+        assert hotpath._enabled
 
     def test_run_perf_produces_schema_versioned_report(self, small_gates):
         data = run_perf()
