@@ -24,7 +24,7 @@ def run_demo():
     scenario = conference_scenario(seed=7, room_step=2.0, sensor_sigma=0.2)
     shadow = conference_scenario(seed=7, room_step=2.0, sensor_sigma=0.2)
     deployment = Deployment.from_scenario(
-        scenario, baseline_network=shadow.network,
+        scenario, baseline_factory=lambda: shadow.network,
         mint_config=MintConfig(slack=0, adaptive=True))
     handle = deployment.submit(QUERY)
     EpochDriver(deployment).run(EPOCHS)

@@ -50,7 +50,7 @@ def main():
     deployment = Deployment.from_scenario(
         scenario,
         display=display,
-        baseline_network=shadow.network,
+        baseline_factory=lambda: shadow.network,
         mint_config=MintConfig(slack=0, adaptive=True),
     )
     driver = EpochDriver(deployment)

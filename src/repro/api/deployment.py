@@ -49,7 +49,6 @@ class Deployment:
                  group_of: Mapping[int, Hashable] | None = None,
                  display: "DisplayPanel | None" = None,
                  baseline_factory: "Callable[[], Network] | None" = None,
-                 baseline_network: "Network | None" = None,
                  mint_config: "MintConfig | None" = None,
                  max_sessions: int | None = None,
                  scenario: "Scenario | None" = None):
@@ -62,9 +61,9 @@ class Deployment:
             baseline_factory: Zero-argument callable deploying a fresh
                 shadow network; called once per top-k session so each
                 session's TAG baseline (and System Panel) is isolated.
-            baseline_network: One shared shadow deployment — only safe
-                when a single session wants a baseline; prefer
-                ``baseline_factory``.
+                A factory returning one existing network shares it,
+                which is sound only when a single session wants a
+                baseline.
             mint_config: Tunables forwarded to MINT-routed sessions.
             max_sessions: Admission limit, an integer >= 1 —
                 :meth:`submit` raises
@@ -86,7 +85,6 @@ class Deployment:
         self.group_of = group_of
         self.display = display
         self.baseline_factory = baseline_factory
-        self.baseline_network = baseline_network
         self.mint_config = mint_config
         self.max_sessions = max_sessions
         self.scenario = scenario
@@ -150,15 +148,12 @@ class Deployment:
         baseline_engine = None
         wants_baseline = (plan.query_class is not QueryClass.HISTORIC_VERTICAL
                           and plan.k is not None)
-        if wants_baseline:
-            shadow = (self.baseline_factory()
-                      if self.baseline_factory is not None
-                      else self.baseline_network)
-            if shadow is not None:
-                _, baseline_plan = compile_query(query_text, self.schema,
-                                                 algorithm=Algorithm.TAG)
-                baseline_engine = KSpotEngine(shadow, baseline_plan,
-                                              group_of=self.group_of)
+        if wants_baseline and self.baseline_factory is not None:
+            shadow = self.baseline_factory()
+            _, baseline_plan = compile_query(query_text, self.schema,
+                                             algorithm=Algorithm.TAG)
+            baseline_engine = KSpotEngine(shadow, baseline_plan,
+                                          group_of=self.group_of)
         session = QuerySession(self._next_session_id, self.network, plan,
                                engine, query_text,
                                baseline_engine=baseline_engine,

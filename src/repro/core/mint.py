@@ -140,7 +140,8 @@ class Mint:
         self.child_group_totals: dict[int, dict[GroupKey, int]] = {}
         self._quiet_streak = 0
         self.probes_run = 0
-        self._totals_stale = False
+        #: The converge-cast plan the group totals were counted on.
+        self._census_plan: tuple | None = None
         #: Hot-path memo of per-group string sort keys.
         self._gstr = SortKeys()
         #: Hot-path memo of lifted reading partials (value → Partial;
@@ -326,21 +327,8 @@ class Mint:
                     self.network.send_up(node_id, message)
                     state.reported = dict(view)
                     state.gamma_reported = None
-        self.group_totals = {}
-        self.child_group_totals = {}
-        for child in self.network.tree.children(self.network.sink_id):
-            if not self.network.node(child).alive:
-                continue
-            counts = {
-                group: partial.count
-                for group, partial in self.states[child].reported.items()
-            }
-            self.child_group_totals[child] = counts
-            for group, count in counts.items():
-                self.group_totals[group] = (
-                    self.group_totals.get(group, 0) + count)
+        self._count_members(self.network.converge_cast_plan())
         self.created = True
-        self._totals_stale = False
 
     # repro: hot
     def _run_creation_pass(self, contributions: dict[int, Partial]) -> None:
@@ -548,9 +536,9 @@ class Mint:
             return result
 
         hot = self.network.hot
-        if self._totals_stale:
-            self._recount_totals()
-            self._totals_stale = False
+        plan = self.network.converge_cast_plan()
+        if plan is not self._census_plan:
+            self._count_members(plan)
         contributions = self._acquire()
         if hot:
             self._run_update_phase(contributions)
@@ -788,9 +776,9 @@ class Mint:
         full pruned view (its empty ``reported`` makes the next delta
         the whole of V'), re-priming the caches along both the old and
         the new attachment paths. The sink's per-subtree cardinalities
-        are recounted lazily (once per batch, at the next epoch) from
-        the static group membership of the repaired tree. Returns the
-        number of node states re-primed.
+        are recounted at the next epoch (:meth:`_count_members`, once
+        per batch of events). Returns the number of node states
+        re-primed.
 
         Args:
             event: A :class:`~repro.network.events.TopologyEvent`.
@@ -810,32 +798,42 @@ class Mint:
             if state is not None:
                 state.reset()
                 reprimed += 1
-        self._totals_stale = True
         return reprimed
 
-    def _recount_totals(self) -> None:
-        """Re-learn group cardinalities from the repaired tree.
+    def _count_members(self, plan: tuple) -> None:
+        """Learn the sink's group cardinalities from a converge-cast
+        plan: per live sink child, the members whose readings can reach
+        the sink.
 
         Group membership is static knowledge (the Configuration Panel's
-        clusters), so the sink can recount each sink-child subtree's
-        per-group totals without any radio traffic.
+        clusters), so the sink counts without any radio traffic. The
+        plan read in reverse is root-first; a row counts only when its
+        parent is the sink or a counted row, so the live descendants of
+        a dead relay (a tree left unrepaired, or a node killed without
+        an event) are not counted: their reports never arrive. Runs at
+        creation and whenever the network has built a new plan, i.e.
+        its tree or topology changed.
         """
+        self._census_plan = plan
         self._sink_cache = None
-        self.group_totals = {}
-        self.child_group_totals = {}
-        for child in self.network.tree.children(self.network.sink_id):
-            if not self.network.node(child).alive:
-                continue
-            counts: dict[GroupKey, int] = {}
-            for node_id in self.network.tree.subtree(child):
-                if (node_id in self.group_of
-                        and self.network.node(node_id).alive):
-                    group = self.group_of[node_id]
-                    counts[group] = counts.get(group, 0) + 1
-            self.child_group_totals[child] = counts
-            for group, count in counts.items():
-                self.group_totals[group] = (
-                    self.group_totals.get(group, 0) + count)
+        group_of = self.group_of
+        totals: dict[GroupKey, int] = {}
+        child_totals: dict[int, dict[GroupKey, int]] = {}
+        counts_of: dict[int, dict[GroupKey, int]] = {}
+        for node_id, parent, _, to_sink in reversed(plan):
+            if to_sink:
+                counts = child_totals[node_id] = {}
+            else:
+                counts = counts_of.get(parent)
+                if counts is None:
+                    continue
+            counts_of[node_id] = counts
+            if node_id in group_of:
+                group = group_of[node_id]
+                counts[group] = counts.get(group, 0) + 1
+                totals[group] = totals.get(group, 0) + 1
+        self.group_totals = totals
+        self.child_group_totals = child_totals
 
     def run(self, epochs: int) -> list[EpochResult]:
         """Convenience driver: ``epochs`` consecutive rounds."""

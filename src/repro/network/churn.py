@@ -70,19 +70,11 @@ def _poisson(rng: random.Random, lam: float) -> int:
 class ChurnSchedule:
     """An ordered script of node deaths and births.
 
-    The per-epoch lookup (:meth:`due`) keeps a lazily built epoch
-    index, so a driver stepping E epochs over an N-event schedule pays
-    pointer-cheap fingerprint checks instead of re-filtering all N
-    events per epoch. The index rebuilds whenever the ``events`` list
-    no longer holds the same event objects it was built from (append,
-    remove, replace — any mutation).
+    ``events`` is a plain list: callers may append, remove or replace
+    events between epochs, and :meth:`due` reads it afresh each time.
     """
 
     events: list[ChurnEvent] = field(default_factory=list)
-    _by_epoch: "dict[int, tuple[ChurnEvent, ...]] | None" = field(
-        default=None, init=False, repr=False, compare=False)
-    _index_fingerprint: "tuple[ChurnEvent, ...] | None" = field(
-        default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Generators
@@ -179,19 +171,8 @@ class ChurnSchedule:
         return max((e.epoch for e in self.events), default=-1)
 
     def due(self, epoch: int) -> tuple[ChurnEvent, ...]:
-        """Events scheduled for exactly this epoch (indexed lookup)."""
-        # Value-based fingerprint: ChurnEvent is frozen, so equality is
-        # by content and immune to id() reuse after a pop+append; the
-        # unmutated common case still compares pointer-fast (tuple
-        # equality short-circuits on element identity).
-        fingerprint = tuple(self.events)
-        if self._by_epoch is None or self._index_fingerprint != fingerprint:
-            index: dict[int, list[ChurnEvent]] = {}
-            for event in self.events:
-                index.setdefault(event.epoch, []).append(event)
-            self._by_epoch = {e: tuple(batch) for e, batch in index.items()}
-            self._index_fingerprint = fingerprint
-        return self._by_epoch.get(epoch, ())
+        """Events scheduled for exactly this epoch, in script order."""
+        return tuple(e for e in self.events if e.epoch == epoch)
 
     # ------------------------------------------------------------------
     # Application

@@ -112,38 +112,32 @@ class SensorNode:
             raise ConfigurationError(f"node {self.node_id} is dead")
         if self.board is None:
             raise ConfigurationError(f"node {self.node_id} has no sensor board")
-        value = self.board.sample(attribute, self.node_id, epoch,
-                                  energy_sink=self.ledger.charge_sensing)
-        self.samples_taken += 1
-        self._sample_cache[attribute] = (epoch, value)
-        self.window_for(attribute).append(epoch, value)
-        if self.flash_index is not None:
-            before = self.flash_index.flash.stats.joules
-            self.flash_index.insert(epoch, value)
-            self._charge_flash(before)
-        return value
+        value = self.board.sample(attribute, self.node_id, epoch)
+        return self.book_sample(
+            attribute, epoch, value,
+            self.board.modality(attribute).sample_cost_joules)
 
     # repro: hot
     def book_sample(self, attribute: str, epoch: int, value: float,
                     cost_joules: float) -> float:
-        """Book one batch-acquired sample exactly as :meth:`read` does.
+        """Book one acquired sample: the second half of :meth:`read`.
 
-        The columnar kernel samples a whole id column in one batch
+        :meth:`read` books its one sample here, and the columnar kernel
+        samples a whole id column in one batch
         (:meth:`repro.network.simulator.Network.read_many`) and books
-        each value here: the same-epoch-cache check of :meth:`read`,
-        then on a miss the sensing charge, counter increment,
-        same-epoch cache, history window and flash — so per-node state
-        is byte-identical to a scalar :meth:`read`. One fused method
-        because ``read_many`` calls it for every freshly-drawn row and
-        the call overhead was measurable. The caller's sampling plan
-        guarantees this node is alive with a board (plan validity is
-        tied to the alive-tuple's identity), so the liveness/board
-        checks are hoisted; the caller also pre-filters
-        same-epoch-fresh rows, making the cache check here a cheap
-        second line of defence rather than the primary one. Returns
-        the value actually booked (the cached one on a same-epoch hit
-        — byte-identical, since field generators are deterministic per
-        cell)."""
+        each value here: the same-epoch-cache check, then on a miss the
+        sensing charge, counter increment, same-epoch cache, history
+        window and flash — so per-node state is byte-identical to a
+        scalar :meth:`read`. One fused method because ``read_many``
+        calls it for every freshly-drawn row and the call overhead was
+        measurable. The caller guarantees this node is alive with a
+        board (:meth:`read` checks; a sampling plan's validity is tied
+        to the alive-tuple's identity), so the liveness/board checks
+        are hoisted; both callers also serve same-epoch-fresh rows
+        themselves, making the cache check here a cheap second line of
+        defence rather than the primary one. Returns the value actually
+        booked (the cached one on a same-epoch hit — byte-identical,
+        since field generators are deterministic per cell)."""
         cached = self._sample_cache.get(attribute)
         if cached is not None and cached[0] == epoch:
             return cached[1]

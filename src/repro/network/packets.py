@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ..errors import ValidationError
 
@@ -62,19 +61,3 @@ def fragment(payload_bytes: int, mtu: int = PAYLOAD_MTU,
         air_bytes=payload_bytes + packets * header_bytes,
     )
 
-
-@lru_cache(maxsize=8192)
-def fragment_cached(payload_bytes: int, mtu: int = PAYLOAD_MTU,
-                    header_bytes: int = HEADER_BYTES) -> PacketCount:
-    """Memoized :func:`fragment` — the epoch loop's cost model.
-
-    ``fragment`` is a pure function of its integer arguments and
-    :class:`PacketCount` is frozen, so sharing one instance per
-    distinct payload size is observationally identical to fragmenting
-    afresh — but the converge-cast hot path ships the same few dozen
-    payload sizes millions of times, making the allocation the single
-    most frequent one of the epoch loop. A hot network (see
-    :mod:`repro.network.hotpath`) consults this memo; the reference
-    path re-derives via :func:`fragment`.
-    """
-    return fragment(payload_bytes, mtu, header_bytes)

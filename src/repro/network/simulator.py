@@ -17,17 +17,20 @@ transmit energy to the sender and receive energy to each receiver, and
 record everything in :class:`~repro.network.stats.NetworkStats`.
 
 The per-message work runs on an allocation-free **hot path** (see
-:mod:`repro.network.hotpath`): packet costs come from the memoized
-fragment table, energy rates and ledger lookups are precomputed,
-traffic is batched per epoch into per-kind accumulators flushed at
-epoch/phase/tap boundaries, floods (:meth:`Network.flood_down`) ship
-in one kernel call, flat relays
+:mod:`repro.network.hotpath`): the engines' fused passes ship each
+converge-cast edge through :meth:`Network._ship_unicast`, packet costs
+come from a per-network cost memo, energy rates and ledger lookups are
+precomputed, traffic is batched per epoch into per-kind accumulators
+flushed at epoch/phase/tap boundaries, floods
+(:meth:`Network.flood_down`) ship in one kernel call, flat relays
 (:meth:`Network.unicast_to_sink` / :meth:`Network.unicast_from_sink`,
 and FILA's whole report, probe and install passes) ship through one
 :meth:`Network.relay_many` call each — a large batch in one numpy
-scatter over a per-topology relay table — and the traversal order,
+scatter over a per-topology relay table — and the alive-sensor tuple,
 the converge-cast and flood plans and the relay table are cached and
-invalidated on topology change.
+invalidated on topology change. :meth:`Network.send_up`,
+:meth:`Network.broadcast_down` and the churn handshakes ship through
+the one reference :meth:`Network._ship` on either path.
 A network decides its path once, when it is built, into
 :attr:`Network.hot`: the hot path needs a lossless radio, and a lossy
 one runs the reference path, which draws the loss process hop by hop.
@@ -66,7 +69,7 @@ from .events import TopologyEvent, TopologyEventKind
 from .link import RadioModel
 from .messages import ControlMessage, WireMessage
 from .node import SensorNode
-from .packets import fragment, fragment_cached
+from .packets import fragment
 from .stats import NetworkStats
 from .topology import Topology
 from .tree import RoutingTree
@@ -151,8 +154,8 @@ class Network:
             self._sink_id: self.sink_ledger,
             **{i: n.ledger for i, n in self.nodes.items()},
         }
-        #: Per-epoch traffic accumulator: kind → [messages, packets,
-        #: payload, air, retransmissions]; flushed into the active
+        #: Per-epoch traffic accumulator of the lossless kernels: kind →
+        #: [messages, packets, payload, air]; flushed into the active
         #: stats sinks at epoch / phase / tap boundaries.
         self._pending_traffic: dict[str, list] = {}
         #: payload bytes → (packets, air bytes, tx J, rx J) for
@@ -162,7 +165,6 @@ class Network:
         #: Topology caches, invalidated by bumping the version (node
         #: deaths report in via the per-node kill hook).
         self._topo_version = 0
-        self._order_cache: tuple[int, ...] | None = None
         self._plan_cache: tuple[tuple[int, int, tuple[int, ...], bool],
                                 ...] | None = None
         self._alive_ids_cache: tuple[int, ...] | None = None
@@ -211,7 +213,6 @@ class Network:
                 or self._cache_version != self._topo_version):
             self._cache_tree = self.tree
             self._cache_version = self._topo_version
-            self._order_cache = None
             self._plan_cache = None
             self._alive_ids_cache = None
             self._flood_cache = None
@@ -253,25 +254,9 @@ class Network:
         ``rng`` selects the randomness stream paying for this message's
         loss draws (default: the loss-process stream; churn recovery
         passes its own stream so repairs never perturb session losses).
+        A lossless radio takes one attempt per packet and draws nothing.
         """
         receivers = tuple(receivers)
-        if self.hot:
-            # The radio is lossless: exactly one attempt per packet and
-            # no randomness consumed — identical to the drawn outcome.
-            payload_bytes = message.payload_bytes
-            info = (self._cost_memo.get(payload_bytes)
-                    or self._memo_cost(payload_bytes))
-            tx_joules, rx_joules_each = info[2], info[3]
-            ledgers = self._ledger_of
-            ledgers[sender].tx += tx_joules
-            for receiver in receivers:
-                ledgers[receiver].rx += rx_joules_each
-            self._grow_batch(message.kind, 1, payload_bytes, info)
-            rx_total = rx_joules_each * len(receivers)
-            for stats in (self.stats, *self._stat_taps):
-                stats._tx_joules += tx_joules
-                stats._rx_joules += rx_total
-            return
         cost = fragment(message.payload_bytes)
         if rng is None:
             rng = self._rng
@@ -311,8 +296,8 @@ class Network:
         edge), so the single-receiver case skips the receiver tuple,
         the receiver loop and the generic branching. Costs, energy and
         recorded counters are identical to :meth:`_ship` of a message
-        with this ``kind`` and ``payload_bytes`` on a hot network,
-        whose radio is lossless.
+        with this ``kind`` and ``payload_bytes`` over the lossless radio
+        every hot network has.
         """
         packets, air_bytes, tx_joules, rx_joules = (
             self._cost_memo.get(payload_bytes)
@@ -328,7 +313,7 @@ class Network:
         # their drain hooks).
         batch = self._pending_traffic.get(kind)
         if batch is None:
-            batch = self._pending_traffic[kind] = [0, 0, 0, 0, 0]
+            batch = self._pending_traffic[kind] = [0, 0, 0, 0]
         batch[0] += 1
         batch[1] += packets
         batch[2] += payload_bytes
@@ -560,7 +545,7 @@ class Network:
         kind's integer batch (the joules are the caller's)."""
         batch = self._pending_traffic.get(kind)
         if batch is None:
-            batch = self._pending_traffic[kind] = [0, 0, 0, 0, 0]
+            batch = self._pending_traffic[kind] = [0, 0, 0, 0]
         batch[0] += sends
         batch[1] += sends * cost[0]
         batch[2] += sends * payload_bytes
@@ -607,7 +592,7 @@ class Network:
         """Fill the lossless cost memo for one payload size: one memo
         entry yields packets, air bytes and both joule figures (energy
         rates are fixed per deployment). Cold path only."""
-        cost = fragment_cached(payload_bytes)
+        cost = fragment(payload_bytes)
         info = self._cost_memo[payload_bytes] = (
             cost.packets, cost.air_bytes,
             cost.air_bytes * self._tx_rate,
@@ -632,20 +617,10 @@ class Network:
         sinks = (self.stats, *self._stat_taps)
         for kind, batch in pending.items():
             for sink in sinks:
-                sink.apply_batch(kind, batch[0], batch[1], batch[2],
-                                 batch[3], batch[4])
+                sink.apply_batch(kind, *batch)
 
     def send_up(self, child: int, message: WireMessage) -> int:
         """Unicast from ``child`` to its tree parent; returns the parent id."""
-        if self.hot:
-            parent = self.tree._parents.get(child)
-            if parent is None:
-                parent = self.tree.parent(child)  # error semantics
-            if child != self._sink_id and not self.nodes[child].alive:
-                raise RoutingError(f"dead node {child} cannot transmit")
-            self._ship_unicast(child, parent, message.kind,
-                               message.payload_bytes)
-            return parent
         parent = self.tree.parent(child)
         if child != self.sink_id and not self.nodes[child].alive:
             raise RoutingError(f"dead node {child} cannot transmit")
@@ -738,16 +713,6 @@ class Network:
 
     def converge_cast_order(self) -> tuple[int, ...]:
         """Live sensors leaves-first (the per-epoch send schedule)."""
-        if self.hot:
-            self._validate_topo_caches()
-            if self._order_cache is None:
-                nodes = self.nodes
-                sink = self._sink_id
-                self._order_cache = tuple(
-                    node_id for node_id in self.tree.post_order()
-                    if node_id != sink and nodes[node_id].alive
-                )
-            return self._order_cache
         return tuple(
             node_id for node_id in self.tree.post_order()
             if node_id != self.sink_id and self.nodes[node_id].alive
@@ -758,12 +723,14 @@ class Network:
         """:meth:`converge_cast_order` as rows ``(node, parent, live
         children, parent is sink)``.
 
-        Built once per topology version next to the order cache and
-        shared by every session, so the fused engine passes look up no
-        children, parents or liveness per node. A live child always
-        precedes its parent, and the parent of a row may be dead (a
-        tree left unrepaired): rows follow the tree's edges, as
-        :meth:`send_up` does.
+        Built once per topology version and shared by every session,
+        so the fused engine passes look up no children, parents or
+        liveness per node. A new plan is built exactly when the tree
+        or the topology version changed, so state derived from a plan
+        may be keyed on its identity (MINT's group census is). A live
+        child always precedes its parent, and the parent of a row may
+        be dead (a tree left unrepaired): rows follow the tree's
+        edges, as :meth:`send_up` does.
         """
         self._validate_topo_caches()
         plan = self._plan_cache

@@ -116,14 +116,14 @@ class NetworkStats:
         )
 
     def apply_batch(self, kind: str, messages: int, packets: int,
-                    payload_bytes: int, air_bytes: int,
-                    retransmissions: int) -> None:
-        """Fold a per-kind batch of already-aggregated counters in.
+                    payload_bytes: int, air_bytes: int) -> None:
+        """Fold a per-kind batch of already-aggregated lossless sends in.
 
         Equivalent to ``messages`` consecutive :meth:`record` calls of
-        the same kind whose integer counters sum to the given totals.
-        Only the integer counters batch — integer addition reassociates
-        exactly. Joules go through :meth:`add_joules` per message so the
+        the same kind, none retransmitted, whose integer counters sum to
+        the given totals. Only the integer counters batch — integer
+        addition reassociates exactly. The sending kernels add each
+        message's joules to this ledger as they ship it, so the
         floating-point accumulation order (and thus every bit of the
         totals) matches eager recording.
         """
@@ -131,17 +131,10 @@ class NetworkStats:
         self._packets += packets
         self._payload_bytes += payload_bytes
         self._air_bytes += air_bytes
-        self._retransmissions += retransmissions
         self._by_kind[kind] = self._by_kind.get(kind, 0) + messages
         self._bytes_by_kind[kind] = (
             self._bytes_by_kind.get(kind, 0) + payload_bytes
         )
-
-    def add_joules(self, tx_joules: float, rx_joules: float) -> None:
-        """Charge one message's radio energy (hot-path companion of
-        :meth:`apply_batch`; call order matches eager :meth:`record`)."""
-        self._tx_joules += tx_joules
-        self._rx_joules += rx_joules
 
     def record_drop(self) -> None:
         """Count a packet lost beyond the retry budget."""

@@ -246,11 +246,11 @@ class RoutingTree:
                  ) -> "tuple[RoutingTree, RepairReport]":
         """Incremental repair: re-home orphaned subtrees, keep the rest.
 
-        Unlike :meth:`without` (a full BFS rebuild that may reshuffle
-        every parent pointer in the network), this touches only the
-        subtrees the deaths actually orphaned: each orphaned component
-        is re-rooted at the node with a radio link into the surviving
-        tree and re-attached there, so the repair's message bill is
+        Unlike a full BFS rebuild, which may reshuffle every parent
+        pointer in the network, this touches only the subtrees the
+        deaths actually orphaned: each orphaned component is re-rooted
+        at the node with a radio link into the surviving tree and
+        re-attached there, so the repair's message bill is
         proportional to the damage, not to the network size.
 
         New parents are chosen *residual-energy-aware*: among the
@@ -335,24 +335,3 @@ class RoutingTree:
                               reattached=tuple(reattached),
                               detached=tuple(detached))
         return tree, report
-
-    def without(self, dead: Iterable[int], topology: Topology) -> "RoutingTree":
-        """Repair the tree after nodes die.
-
-        Dead nodes and their (possibly orphaned) descendants are
-        re-attached by rebuilding a BFS tree on the surviving
-        connectivity graph — how TinyDB recovers when a parent stops
-        acknowledging. Raises if survivors become unreachable.
-        """
-        dead_set = set(dead)
-        if self._root in dead_set:
-            raise TopologyError("the sink cannot die")
-        survivors = {
-            i: topology.positions[i]
-            for i in self.node_ids
-            if i not in dead_set and i in topology.positions
-        }
-        repaired = Topology(positions=survivors,
-                            radio_range=topology.radio_range,
-                            sink_id=self._root)
-        return RoutingTree.from_topology(repaired)

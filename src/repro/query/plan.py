@@ -127,6 +127,9 @@ def _ranking_aggregate(query: Query, schema: Schema) -> AggregateCall:
         return aggregates[0]
     # Ungrouped ranking over a bare attribute: one reading per node.
     sensed = [c.name for c in query.plain_columns if c.name in schema.sensed]
+    if not sensed:
+        raise PlanError(
+            "the query selects no sensed attribute and no aggregate")
     return AggregateCall("AVG", sensed[0])
 
 

@@ -652,7 +652,7 @@ class TestPanels:
         scenario = conference_scenario(seed=7)
         shadow = conference_scenario(seed=7)
         deployment = Deployment.from_scenario(
-            scenario, baseline_network=shadow.network)
+            scenario, baseline_factory=lambda: shadow.network)
         handle = deployment.submit(
             "SELECT TOP 1 roomid, AVG(sound) FROM sensors "
             "GROUP BY roomid EPOCH DURATION 1 min")
@@ -672,7 +672,7 @@ class TestPanels:
         scenario = conference_scenario(seed=7)
         shadow = conference_scenario(seed=7)
         deployment = Deployment.from_scenario(
-            scenario, baseline_network=shadow.network)
+            scenario, baseline_factory=lambda: shadow.network)
         handle = deployment.submit(query)
         tag = Deployment.from_scenario(conference_scenario(seed=7))
         tag_handle = tag.submit(query, algorithm=Algorithm.TAG)

@@ -10,10 +10,12 @@ still agree with serial ones under identical churn.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import on_both_paths
 from repro.core.aggregates import make_aggregate
 from repro.core.results import is_valid_top_k, oracle_scores
 from repro.errors import ConfigurationError, TopologyError
@@ -21,6 +23,7 @@ from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.events import TopologyEvent, TopologyEventKind
 from repro.network.simulator import Network
 from repro.network.topology import grid_topology
+from repro.query.plan import Algorithm
 from repro.scenarios import (
     CHURN_PRESETS,
     churn_schedule,
@@ -237,9 +240,8 @@ class TestSchedules:
         assert schedule.apply(net, 2) == ()
 
     def test_due_index_tracks_any_mutation(self):
-        """due()'s lazy epoch index must never serve stale events —
-        appends, removals and length-preserving replacements all
-        invalidate it."""
+        """due() must never serve stale events — appends, removals and
+        length-preserving replacements all show at the next call."""
         schedule = ChurnSchedule([ChurnEvent(1, ChurnKind.DEATH, 5)])
         assert [e.node_id for e in schedule.due(1)] == [5]
         schedule.events.append(ChurnEvent(1, ChurnKind.DEATH, 6))
@@ -361,6 +363,44 @@ class TestRecoveryProtocol:
         assert log.failures == 2
         assert log.reprimed > 0
         assert len(log.records) == 2
+
+    @pytest.mark.parametrize("direct", [False, True],
+                             ids=["unrepaired", "direct"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mint_answers_as_tag_after_a_kill_without_repair(self, seed,
+                                                             direct):
+        """A relay killed without repair (``kill_node(repair=False)``)
+        or on the node itself (no event reaches the sessions) strands
+        live sensors whose reports can no longer reach the sink. MINT
+        counts only the reachable members, so it keeps answering, as
+        TAG does, over the reachable sensors, on both paths."""
+
+        def answers():
+            scenario = grid_rooms_scenario(side=6, rooms_per_axis=2,
+                                           seed=seed)
+            net = scenario.network
+            deployment = Deployment.from_scenario(scenario)
+            query = ("SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+                     "GROUP BY roomid EPOCH DURATION 1 min")
+            mint = deployment.submit(query)
+            tag = deployment.submit(query, algorithm=Algorithm.TAG)
+            driver = EpochDriver(deployment)
+            driver.run(3)
+            relays = [n for n in net.tree.sensor_ids if net.tree.children(n)]
+            victim = random.Random(seed).choice(relays)
+            if direct:
+                net.node(victim).kill()
+            else:
+                net.kill_node(victim, repair=False)
+            seen = []
+            for _ in range(4):
+                driver.step()
+                assert mint.last_result.keys == tag.last_result.keys
+                seen.append(mint.last_result.keys)
+            return seen
+
+        hot, reference = on_both_paths(answers)
+        assert hot == reference
 
     def test_joined_node_enters_the_ranking(self):
         scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=29)

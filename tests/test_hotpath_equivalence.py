@@ -47,12 +47,7 @@ from repro.network.messages import (
     QueryMessage,
     ViewEntry,
 )
-from repro.network.packets import (
-    HEADER_BYTES,
-    PAYLOAD_MTU,
-    fragment,
-    fragment_cached,
-)
+from repro.network.packets import HEADER_BYTES
 from repro.network.simulator import Network
 from repro.network.stats import NetworkStats
 from repro.network.topology import grid_topology
@@ -117,8 +112,13 @@ QUERY_BY_ENGINE = {
                     Algorithm.CENTRALIZED),
     "fila": ("SELECT TOP {k} nodeid, {agg}(sound) FROM sensors "
              "GROUP BY nodeid EPOCH DURATION 1 min", Algorithm.FILA),
+    "naive": ("SELECT TOP {k} roomid, {agg}(sound) FROM sensors "
+              "GROUP BY roomid EPOCH DURATION 1 min", Algorithm.NAIVE),
     "tja": ("SELECT TOP {k} epoch, {agg}(sound) FROM sensors "
             "GROUP BY epoch WITH HISTORY 5 s EPOCH DURATION 1 s", None),
+    "tput": ("SELECT TOP {k} epoch, {agg}(sound) FROM sensors "
+             "GROUP BY epoch WITH HISTORY 5 s EPOCH DURATION 1 s",
+             Algorithm.TPUT),
 }
 
 
@@ -152,7 +152,9 @@ def build_workload(*, seed, k, agg, engines, churn_seed, loss=0.0):
     handles = []
     for engine in engines:
         template, algorithm = QUERY_BY_ENGINE[engine]
-        query = template.format(k=k, agg=agg)
+        # TPUT ranks by SUM: ``submit`` refuses it over MAX or MIN.
+        ranked = "SUM" if engine == "tput" and agg in ("MAX", "MIN") else agg
+        query = template.format(k=k, agg=ranked)
         handles.append(deployment.submit(query, algorithm=algorithm))
     return driver, handles, scenario.network
 
@@ -244,7 +246,7 @@ def test_each_engine_hot_equals_reference(engine, churn_seed):
 
 
 def test_all_engines_concurrently_hot_equals_reference():
-    """The full five-engine mix sharing one deployment and one clock:
+    """Every engine in one mix sharing one deployment and one clock:
     cross-engine interleaving must not leak between the paths."""
     hot, reference = on_both_paths(
         run_workload, seed=77, k=2, agg="MAX",
@@ -287,37 +289,25 @@ def test_lossy_transport_equivalence(seed, loss, payloads):
 
 
 class TestFragmentMemo:
-    """Boundary behaviour of the memoized fragment table."""
+    """Boundary behaviour of the per-network lossless cost memo
+    (``Network._cost_memo``) that the hot kernels read in place of
+    :func:`~repro.network.packets.fragment`."""
 
     def test_zero_byte_message_still_costs_one_frame(self):
-        assert fragment_cached(0) == fragment(0)
-        assert fragment_cached(0).packets == 1
-        assert fragment_cached(0).air_bytes == HEADER_BYTES
-
-    @pytest.mark.parametrize("multiple", [1, 2, 3, 7])
-    def test_exact_mtu_multiples(self, multiple):
-        payload = PAYLOAD_MTU * multiple
-        cost = fragment_cached(payload)
-        assert cost == fragment(payload)
-        assert cost.packets == multiple
-        assert cost.air_bytes == payload + multiple * HEADER_BYTES
-
-    @pytest.mark.parametrize("payload", [1, PAYLOAD_MTU - 1, PAYLOAD_MTU,
-                                         PAYLOAD_MTU + 1, 1000])
-    def test_memo_matches_reference(self, payload):
-        assert fragment_cached(payload) == fragment(payload)
-
-    def test_memo_returns_shared_instances(self):
-        assert fragment_cached(42) is fragment_cached(42)
-
-    def test_custom_mtu_keys_separately(self):
-        assert fragment_cached(30).packets == 2
-        assert fragment_cached(30, 30).packets == 1
-
-    @given(payload=st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_memo_equals_reference_everywhere(self, payload):
-        assert fragment_cached(payload) == fragment(payload)
+        """A zero-byte message charged through the memo costs one
+        header-only frame, exactly as the reference ``_ship`` charges it."""
+        hot = Network(grid_topology(3))
+        with hotpath.reference_path():
+            reference = Network(grid_topology(3))
+        assert hot.hot and not reference.hot
+        child = hot.tree.sensor_ids[0]
+        hot._ship_unicast(child, hot.tree.parent(child), "control", 0)
+        reference.send_up(child, ControlMessage(label="x", size=0))
+        for network in (hot, reference):
+            assert network.stats.packets == 1
+            assert network.stats.air_bytes == HEADER_BYTES
+        assert stats_signature(hot.stats) == stats_signature(reference.stats)
+        assert ledger_signature(hot) == ledger_signature(reference)
 
 
 def built_hot():
@@ -415,14 +405,14 @@ class TestPerPurposeRngStreams:
 class TestColumnarEquivalence:
     """The columnar kernel's batch sensing (``repro.network.columnar``)
     runs whenever the hot path does, so the reference-path proofs above
-    cover it; this class pins one more five-engine churn case and adds
+    cover it; this class pins one more all-engine churn case and adds
     the backend split: the pure-python fallback (list sensing, the
     per-hop relay loop) must give the numpy kernel's answers,
     counters, ledgers and RNG draws."""
 
     def test_columnar_equals_reference_path(self):
         """The columnar kernel and the unoptimized reference path
-        produce identical observables on the full five-engine mix with
+        produce identical observables on the all-engine mix with
         churn."""
         hot, reference = on_both_paths(
             run_workload, seed=4321, k=2, agg="MAX",
@@ -1170,6 +1160,7 @@ class TestTreePlans:
         network = Network(grid_topology(5))
         next_id = 100
         for kind, pick in [(None, 0), *changes]:
+            before = network.converge_cast_plan()
             alive = network.alive_sensor_ids()
             if kind == "join":
                 anchors = (network.sink_id, *alive)
@@ -1185,6 +1176,10 @@ class TestTreePlans:
             plans = (network.converge_cast_plan(), network._flood_plan())
             assert plans == derived_plans(network)
             assert network.converge_cast_plan() is plans[0]
+            # A change always builds a new plan: MINT's group census is
+            # keyed on the plan's identity.
+            changed = kind == "join" or (kind is not None and bool(alive))
+            assert (plans[0] is not before) is changed
             np = columnar.numpy_module()
             if np is not None:
                 table = network._relay_table(np)

@@ -43,6 +43,16 @@ class TestFragmentation:
         assert cost.packets == 3
         assert cost.air_bytes == 60 + 3 * HEADER_BYTES
 
+    @pytest.mark.parametrize("multiple", [1, 2, 3, 7])
+    def test_exact_mtu_multiples(self, multiple):
+        cost = fragment(PAYLOAD_MTU * multiple)
+        assert cost.packets == multiple
+        assert cost.air_bytes == PAYLOAD_MTU * multiple + multiple * HEADER_BYTES
+
+    def test_custom_mtu(self):
+        assert fragment(30).packets == 2
+        assert fragment(30, mtu=30).packets == 1
+
     def test_negative_payload_rejected(self):
         with pytest.raises(ValidationError):
             fragment(-1)

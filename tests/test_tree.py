@@ -108,19 +108,24 @@ class TestRepair:
         topo = grid_topology(4)
         tree = RoutingTree.from_topology(topo)
         victim = next(n for n in tree.sensor_ids if tree.children(n))
-        repaired = tree.without([victim], topo)
+        repaired, report = tree.repaired([victim], topo)
         assert victim not in repaired.node_ids
         assert set(repaired.node_ids) == set(tree.node_ids) - {victim}
+        assert set(report.orphaned) >= set(tree.children(victim))
+        assert report.reattached
+        for child, parent in report.reattached:
+            assert repaired.parent(child) == parent
+            assert parent in topo.neighbors(child)
 
     def test_sink_cannot_die(self):
         topo = grid_topology(2)
         tree = RoutingTree.from_topology(topo)
         with pytest.raises(TopologyError):
-            tree.without([0], topo)
+            tree.repaired([0], topo)
 
     def test_partition_detected(self):
         topo = linear_topology(4)
         tree = RoutingTree.from_topology(topo)
         # Killing node 2 strands nodes 3 and 4.
         with pytest.raises(TopologyError):
-            tree.without([2], topo)
+            tree.repaired([2], topo)

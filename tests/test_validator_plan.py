@@ -126,6 +126,15 @@ class TestRouting:
                 "SELECT TOP 2 roomid, AVG(sound) FROM sensors "
                 "GROUP BY roomid", schema, algorithm=Algorithm.TJA)
 
+    @pytest.mark.parametrize("text", [
+        "SELECT * FROM sensors",
+        "SELECT epoch FROM sensors",
+        "SELECT nodeid FROM sensors",
+    ])
+    def test_nothing_to_sample_rejected(self, schema, text):
+        with pytest.raises(PlanError):
+            compile_query(text, schema)
+
     def test_tput_only_for_vertical(self, schema):
         _, plan = compile_query(
             "SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch "
