@@ -4,7 +4,8 @@ The "not cost effective" strawman of §I: no in-network aggregation at
 all — each node forwards its own reading plus every reading received
 from its children, so a reading pays one message-slot per hop between
 its origin and the sink. The sink evaluates the query with complete
-information (this doubles as the oracle the exactness tests use).
+information, every reading that arrives (this doubles as the oracle
+the exactness tests use).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class Centralized:
             readings[node_id] = value
 
         buffers: dict[int, list[Reading]] = {}
+        arrived: set[int] = set()
         with self.network.stats.phase("collection"):
             for node_id in self.network.converge_cast_order():
                 batch: list[Reading] = []
@@ -73,8 +75,15 @@ class Centralized:
                 message = RawReadingsMessage(
                     epoch=self.network.epoch, readings=tuple(batch))
                 parent = self.network.send_up(node_id, message)
-                if parent != self.network.sink_id:
+                if parent == self.network.sink_id:
+                    arrived.update(reading.node_id for reading in batch)
+                else:
                     buffers[node_id] = batch
+        if len(arrived) != len(readings):
+            # The batches of motes below a dead relay never arrive. The
+            # survivors keep the readings' order, so sums stay bitwise.
+            readings = {node_id: value for node_id, value in readings.items()
+                        if node_id in arrived}
 
         k = self.k if self.k is not None else max(1, len(
             {self.group_of[n] for n in readings} or {0}))

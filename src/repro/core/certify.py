@@ -14,13 +14,15 @@ After probing, every ambiguous group's interval is a point, so the set
 
 :func:`certify_top_k` here is the stateless **reference oracle** of
 that decision procedure: given a full bounds mapping it re-derives
-everything from scratch, O(N log N) per call. On the optimized path
-(:mod:`repro.network.hotpath`) the engines no longer call it per
-epoch — each session feeds per-epoch *deltas* into a maintained
-:class:`~repro.core.delta.TopKView` whose ``outcome()`` is proven
+everything from scratch, O(N log N) per call. MINT's sink calls it
+every epoch on both paths, since nearly every group's interval moves
+each epoch. FILA's sink, which certifies N node intervals several
+times an epoch while a pass moves only a few, feeds *deltas* into a
+maintained :class:`~repro.core.delta.TopKView` on the optimized path
+(:mod:`repro.network.hotpath`) instead; its ``outcome()`` is proven
 byte-identical to this oracle (``tests/test_delta_equivalence.py``).
-The oracle stays authoritative: the reference path still runs it cold,
-and every equivalence test compares the view against it.
+The oracle stays authoritative: the reference path runs it cold, and
+every equivalence test compares the view against it.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Incremental top-k view maintenance: weighted deltas over a sink view.
 
-A typical epoch perturbs only a handful of group bounds — a couple of
-FILA violations, one MINT sink-child delta — yet the sink used to
-re-run :func:`~repro.core.certify.certify_top_k` from scratch: an
-O(N log N) re-rank of every group per certification call. This module
-is the DBSP/Z-set treatment of that cost: the per-epoch bound changes
-form a :class:`BoundsDelta` (a batch of per-group retract/assert pairs,
-group birth and death included), and a :class:`TopKView` *maintains*
+FILA's sink certifies its N node intervals several times an epoch (the
+monitor pass, each probe round, the answer), yet a pass moves only a
+few of them: the violations, the probed nodes and the reinstalled
+filters. Re-running :func:`~repro.core.certify.certify_top_k` from
+scratch would re-rank all N nodes per call. This module is the
+DBSP/Z-set treatment of that cost: the bound changes form a
+:class:`BoundsDelta` (a batch of per-group retract/assert pairs, group
+birth and death included), and a :class:`TopKView` *maintains*
 everything the certifier derives —
 
 * the ranked-by-lower-bound order (the ``rank_key`` order),
@@ -19,21 +20,19 @@ re-ranking all N groups, and answering :meth:`TopKView.outcome` in
 O(k + |ambiguous| + log N).
 
 The stateless :func:`~repro.core.certify.certify_top_k` stays as the
-**reference oracle**: for any view content, ``view.outcome()`` equals
-``certify_top_k(dict(view.bounds), k, tolerance, require_exact_scores)``
-byte for byte — certified flag, items, ambiguous tuple, threshold.
-The engines feed their per-session views only on the optimized path
-(:mod:`repro.network.hotpath`); the reference path still calls the
-oracle cold, and ``tests/test_delta_equivalence.py`` proves the two
-paths identical across random scenarios, engines and churn.
+**reference oracle**: for any view content whose keys print apart,
+``view.outcome()`` equals ``certify_top_k(dict(view.bounds), k,
+tolerance, require_exact_scores)`` byte for byte — certified flag,
+items, ambiguous tuple, threshold. FILA feeds its view only on the
+optimized path (:mod:`repro.network.hotpath`); the reference path
+calls the oracle cold, and ``tests/test_delta_equivalence.py`` proves
+the two paths identical across random scenarios, engines and churn.
+MINT and TAG keep no view: nearly every group's interval moves each
+epoch there, so both rank from scratch on either path.
 
-One deliberate limit: groups whose *stringified* keys collide (e.g.
-the int ``1`` and the str ``"1"`` in one query) tie-break by the
-oracle's dict insertion order, which a maintained sorted structure
-cannot observe. ``KSpotEngine._resolve_groups`` refuses a cluster
-mapping with such labels at submit time
-(:class:`~repro.errors.PlanError`); a newborn adopted mid-run with a
-colliding label is not checked.
+Keys that print alike (the int ``1`` and the str ``"1"``) would tie in
+the oracle's dict insertion order, which a sorted structure cannot
+observe. No engine can hit that: FILA ranks node ids.
 """
 
 from __future__ import annotations
@@ -157,20 +156,17 @@ class TopKView:
     cut) — so a delta of d groups costs O(d · log N) and a
     certification outcome O(k + |ambiguous| + log N).
 
-    ``k=None`` builds a *ranking-only* view (TAG's full per-epoch
-    ranking): :meth:`ranking` works, :meth:`outcome` is refused.
-
-    The mutation surface mirrors how the engines produce deltas:
-    :meth:`ensure` for one group (no allocation when the bound is
-    unchanged) and :meth:`ensure_many` for a whole pass of them (FILA's
-    monitor, probe and answer passes), :meth:`set`/:meth:`delete` for
-    probe collapses and churn, :meth:`apply`/:meth:`reconcile` for
-    whole-batch maintenance.
+    The mutation surface: :meth:`ensure_many` converges a whole pass
+    of bounds (FILA's monitor, probe and answer passes) and
+    :meth:`delete` retracts a group (a FILA node that died or can no
+    longer report); :meth:`set` and :meth:`ensure` are the one-group
+    forms, :meth:`apply`, :meth:`reconcile` and
+    :meth:`reconcile_scores` the whole-batch ones.
     """
 
-    def __init__(self, k: int | None, *, tolerance: float = 1e-9,
+    def __init__(self, k: int, *, tolerance: float = 1e-9,
                  require_exact_scores: bool = True):
-        if k is not None and k < 1:
+        if k < 1:
             raise ValidationError("k must be >= 1")
         self.k = k
         self.tolerance = tolerance
@@ -185,9 +181,6 @@ class TopKView:
         #: the only state between certifications, so an unchanged epoch
         #: answers in O(1) (outcomes are frozen, sharing is safe).
         self._cached_outcome: CertificationOutcome | None = None
-        #: Last plain-tuple bounds snapshot (``EpochResult.all_bounds``
-        #: shape), same validity rule as the outcome cache.
-        self._cached_snapshot: dict | None = None
 
     # -- mapping surface ------------------------------------------------
 
@@ -196,19 +189,6 @@ class TopKView:
         """The maintained per-group intervals (do not mutate: every
         write must go through the delta surface to keep the orders)."""
         return self._bounds
-
-    def bounds_snapshot(self) -> dict:
-        """``{group: (lb, ub)}`` over the whole view — the
-        ``EpochResult.all_bounds`` payload — memoized until the next
-        mutation, so an epoch that changed nothing reuses the dict
-        instead of re-walking N groups. Treat as read-only (shared
-        across results, like the frozen outcome)."""
-        snapshot = self._cached_snapshot
-        if snapshot is None:
-            snapshot = self._cached_snapshot = {
-                group: (interval.lb, interval.ub)
-                for group, interval in self._bounds.items()}
-        return snapshot
 
     def __len__(self) -> int:
         return len(self._bounds)
@@ -226,7 +206,6 @@ class TopKView:
         self._bounds[group] = new
         self._reorder(group, old, new)
         self._cached_outcome = None
-        self._cached_snapshot = None
 
     def ensure(self, group: GroupKey, lb: float, ub: float) -> bool:
         """Converge one group to ``[lb, ub]``; True when it changed.
@@ -268,7 +247,6 @@ class TopKView:
         for group, old, new in moved:
             self._reorder(group, old, new)
         self._cached_outcome = None
-        self._cached_snapshot = None
         return len(moved)
 
     def _reorder(self, group: GroupKey, old: Bounds | None,
@@ -291,7 +269,6 @@ class TopKView:
         self._pop(self._by_lb, (-old.lb, gstr), group)
         self._pop(self._by_ub, (old.ub, gstr), group)
         self._cached_outcome = None
-        self._cached_snapshot = None
         return True
 
     @staticmethod
@@ -385,7 +362,6 @@ class TopKView:
             [(interval.ub, gstr[group], group)
              for group, interval in items], key=_order_key)
         self._cached_outcome = None
-        self._cached_snapshot = None
 
     def reconcile(self, new_bounds: Mapping[GroupKey, Bounds]
                   ) -> BoundsDelta:
@@ -403,8 +379,8 @@ class TopKView:
 
     def reconcile_scores(self, scores: Mapping[GroupKey, float]
                          ) -> BoundsDelta:
-        """Point-valued :meth:`reconcile` (TAG's per-epoch ranking):
-        allocates a Bounds only for groups that actually moved."""
+        """Point-valued :meth:`reconcile`: allocates a Bounds only for
+        groups that actually moved."""
         entries = []
         bounds = self._bounds
         births = 0
@@ -426,12 +402,6 @@ class TopKView:
 
     # -- derived state --------------------------------------------------
 
-    def ranking(self) -> list[tuple[GroupKey, Bounds]]:
-        """Every group with its interval, in certified rank order
-        (``rank_key`` on the lower bound — TAG's full ranking)."""
-        bounds = self._bounds
-        return [(entry[2], bounds[entry[2]]) for entry in self._by_lb]
-
     def outcome(self) -> CertificationOutcome:
         """The certification outcome of the current view content.
 
@@ -440,9 +410,6 @@ class TopKView:
         the hypothesis suite proves — at O(k + |ambiguous| + log N)
         instead of the oracle's O(N log N).
         """
-        if self.k is None:
-            raise ValidationError(
-                "a ranking-only view (k=None) has no certification")
         cached = self._cached_outcome
         if cached is not None:
             return cached

@@ -70,9 +70,10 @@ class KSpotEngine:
         """The node → group mapping this plan ranks over.
 
         Equal scores rank by ``str(group)``, so two distinct cluster
-        labels that print alike (``1`` and ``"1"``) would tie in an
-        order only the reference certifier's dict order decides; such
-        a mapping is refused with :class:`PlanError`.
+        labels that print alike (``1`` and ``"1"``) would tie in the
+        order the sink happens to first meet them, which no query can
+        name and the printed answer cannot show; such a mapping is
+        refused with :class:`PlanError`.
         """
         key = self.plan.group_key
         sensor_ids = self.network.tree.sensor_ids

@@ -43,7 +43,7 @@ from ..network.simulator import Network
 from .aggregates import Aggregate, Bounds
 from .certify import certify_top_k
 from .delta import TopKView
-from .participants import Participants
+from .participants import Participants, sink_roots
 from .results import EpochResult
 
 #: What the hot passes relay, as ``(kind, payload bytes)``: a one-entry
@@ -81,6 +81,8 @@ class Fila:
         self.group_of = None if group_of is None else dict(group_of)
         #: The alive participants, memoized per topology and membership.
         self._participants = Participants(network)
+        #: The converge-cast plan and its rows that reach the sink.
+        self._reach: tuple[tuple | None, dict[int, int]] = (None, {})
         #: Installed filter per node (lo, hi); None until setup.
         self.filters: dict[int, tuple[float, float]] = {}
         #: The sink's last exactly-known value per node.
@@ -296,11 +298,34 @@ class Fila:
             return self._view.outcome()
         return certify_top_k(bounds, self.k, require_exact_scores=False)
 
+    def _reporting(self, readings: dict[int, float]) -> dict[int, float]:
+        """The readings of the motes that can report to the sink.
+
+        A relay killed without a repair strands its live subtree:
+        nothing those motes send arrives. The sink forgets them as it
+        forgets the dead (:meth:`_forget`); once a repair reconnects
+        them they report and get a filter, as joiners do. The reach is
+        derived once per converge-cast plan, as MINT's census is.
+        """
+        plan = self.network.converge_cast_plan()
+        if plan is not self._reach[0]:
+            self._reach = (plan, sink_roots(plan))
+        reach = self._reach[1]
+        if len(reach) == len(plan):
+            return readings
+        reporting = {}
+        for node_id, value in readings.items():
+            if node_id in reach:
+                reporting[node_id] = value
+            else:
+                self._forget(node_id)
+        return reporting
+
     def run_epoch(self) -> EpochResult:
         """One monitoring round: violations, certification, probes."""
         network = self.network
-        readings = network.read_many(self._participants(self.group_of),
-                                     self.attribute)
+        readings = self._reporting(network.read_many(
+            self._participants(self.group_of), self.attribute))
         probed = 0
         hot = network.hot
         if not self._setup_done:
@@ -400,26 +425,27 @@ class Fila:
             exact=outcome.certified,
             algorithm=self.name,
             probed=probed,
-            all_bounds=(self._view.bounds_snapshot() if hot else
-                        {g: (b.lb, b.ub) for g, b in bounds.items()}),
+            all_bounds={g: (b.lb, b.ub) for g, b in bounds.items()},
             certification=outcome,
         )
         self.network.advance_epoch()
         return result
 
+    def _forget(self, node_id: int) -> bool:
+        """Drop a node's filter, known value and view entry; True when
+        it had a filter."""
+        self.known.pop(node_id, None)
+        self._view.delete(node_id)
+        return self.filters.pop(node_id, None) is not None
+
     def handle_topology_event(self, event) -> int:
-        """Drop the dead node's filter, known value and view entry;
-        newborns get a filter lazily (their first epoch reports, the
-        repartition step then installs one). Returns the number of
-        filters invalidated.
+        """Forget the dead node (:meth:`_forget`); newborns get a filter
+        lazily (their first epoch reports, the repartition step then
+        installs one). Returns the number of filters invalidated.
         """
-        invalidated = 0
-        if event.failed:
-            if self.filters.pop(event.node_id, None) is not None:
-                invalidated += 1
-            self.known.pop(event.node_id, None)
-            self._view.delete(event.node_id)
-        return invalidated
+        if not event.failed:
+            return 0
+        return int(self._forget(event.node_id))
 
     def run(self, epochs: int) -> list[EpochResult]:
         """``epochs`` consecutive monitoring rounds."""

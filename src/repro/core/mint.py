@@ -27,12 +27,14 @@ An optional adaptive controller grows ``slack`` after epochs that
 probed and shrinks it after quiet ones, trading view size against
 probe traffic (ablated in experiment E10).
 
-Switch-and-prove: the fused single-pass creation and update phases
-and the incremental ``TopKView`` certification run only on a
-deployment whose ``Network.hot`` is set; on one built inside the
-oracle ``hotpath.reference_path()`` (or over a lossy radio) the
-first-principles branches and the cold ``certify_top_k`` oracle run
-instead. ``tests/test_hotpath_equivalence.py`` and
+Switch-and-prove: the fused single-pass creation, update and probe
+passes run only on a deployment whose ``Network.hot`` is set; on one
+built inside the oracle ``hotpath.reference_path()`` (or over a lossy
+radio) the first-principles branches run instead. The sink certifies
+the same way on both: it derives every group's interval from its
+child caches (:meth:`Mint._sink_bounds`) and hands them to the cold
+``certify_top_k`` oracle, as nearly every group's interval moves each
+epoch anyway. ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove both paths byte-identical
 (answers, certifications, stats, ledgers, RNG draws).
 """
@@ -53,9 +55,8 @@ from ..network.messages import (
 from ..network.simulator import Network
 from .aggregates import Aggregate, Bounds, Partial, SortKeys
 from .certify import certify_top_k
-from .delta import TopKView
 from .descriptors import should_reship_gamma, subtree_gamma
-from .participants import Participants
+from .participants import Participants, sink_roots
 from .results import EpochResult, rank_key
 from .views import MintNodeState, max_gamma
 
@@ -149,18 +150,6 @@ class Mint:
         self._lift_memo: dict[float, Partial] = {}
         #: The alive participants, memoized per topology and membership.
         self._participants = Participants(network)
-        #: Hot path: the sink's maintained certification view plus the
-        #: bounds cache it mirrors. The update phase marks the groups
-        #: whose sink-child reports moved; only those re-derive bounds
-        #: and re-enter the view (O(|dirty| · log N) per epoch instead
-        #: of a full _sink_bounds + certify_top_k re-rank).
-        self._sink_view = TopKView(k)
-        self._sink_cache: dict[GroupKey, Bounds] | None = None
-        self._sink_dirty: set[GroupKey] = set()
-        #: Groups the last probe collapsed to points in the view; their
-        #: pristine cached intervals are restored next epoch before the
-        #: dirty recompute.
-        self._probe_restore: tuple[GroupKey, ...] = ()
 
     # ------------------------------------------------------------------
     # Acquisition
@@ -402,49 +391,6 @@ class Mint:
             for group, total in self.group_totals.items()
         }
 
-    def _rebuild_sink_state(self) -> dict[GroupKey, Bounds]:
-        """Cold start of the incremental sink state: derive every
-        group's bounds and reconcile the view (births and deaths of
-        groups fall out of the reconcile — churn recovery lands here
-        via the cache invalidation in the topology handlers)."""
-        cache = self._sink_bounds()
-        self._sink_cache = cache
-        self._sink_dirty.clear()
-        self._probe_restore = ()
-        self._sink_view.reconcile(cache)
-        return cache
-
-    def _refresh_sink_state(self) -> dict[GroupKey, Bounds]:
-        """Re-derive bounds for the dirty groups only, feed the deltas
-        into the maintained view, and return the full (cached) mapping
-        — the hot-path replacement for a cold :meth:`_sink_bounds`."""
-        cache = self._sink_cache
-        if cache is None:
-            return self._rebuild_sink_state()
-        dirty = self._sink_dirty
-        if dirty:
-            sink_children = self._live_sink_children()
-            totals = self.group_totals
-            for group in dirty:
-                total = totals.get(group)
-                if total is None:
-                    continue
-                cache[group] = self._bounds_for_group(
-                    group, total, sink_children)
-        view_set = self._sink_view.set
-        for group in self._probe_restore:
-            # Undo last epoch's probe collapse unless the group is
-            # dirty anyway (then the loop below re-asserts it).
-            if group not in dirty and group in cache:
-                view_set(group, cache[group])
-        self._probe_restore = ()
-        for group in dirty:
-            interval = cache.get(group)
-            if interval is not None:
-                view_set(group, interval)
-        dirty.clear()
-        return cache
-
     # repro: hot
     def _probe(self, groups: tuple[GroupKey, ...]) -> dict[GroupKey, Partial]:
         """Fetch the withheld partials of the ambiguous groups.
@@ -517,12 +463,8 @@ class Mint:
         """Execute one acquisition round and return the certified top-k."""
         if not self.created:
             self._creation_phase()
-            if self.network.hot:
-                bounds = self._rebuild_sink_state()
-                outcome = self._sink_view.outcome()
-            else:
-                bounds = self._sink_bounds()
-                outcome = certify_top_k(bounds, self.k)
+            bounds = self._sink_bounds()
+            outcome = certify_top_k(bounds, self.k)
             result = EpochResult(
                 epoch=self.network.epoch,
                 items=outcome.items,
@@ -535,12 +477,11 @@ class Mint:
             self.network.advance_epoch()
             return result
 
-        hot = self.network.hot
         plan = self.network.converge_cast_plan()
         if plan is not self._census_plan:
             self._count_members(plan)
         contributions = self._acquire()
-        if hot:
+        if self.network.hot:
             self._run_update_phase(contributions)
         else:
             network = self.network
@@ -568,22 +509,12 @@ class Mint:
                         network.send_up(node_id, message)
                         self._apply_report(state, kept, message)
 
-        if hot:
-            bounds = self._refresh_sink_state()
-            outcome = self._sink_view.outcome()
-        else:
-            bounds = self._sink_bounds()
-            outcome = certify_top_k(bounds, self.k)
+        bounds = self._sink_bounds()
+        outcome = certify_top_k(bounds, self.k)
         probed = 0
         if outcome.needs_probe:
             collected = self._probe(outcome.ambiguous)
             probed = 1
-            if hot:
-                # Copy-on-probe: the cache keeps the pristine intervals
-                # (next epoch's dirty recompute diffs against them);
-                # only the result's all_bounds and the view see points.
-                bounds = dict(bounds)
-            restore = []
             for group, extra in collected.items():
                 # Merge the probe mass with the already-seen partial
                 # (recomputed from the sink's child caches).
@@ -596,16 +527,8 @@ class Mint:
                         f"probe for {group!r} returned {merged.count} of "
                         f"{self.group_totals[group]} readings"
                     )
-                point = Bounds(exact, exact)
-                bounds[group] = point
-                if hot:
-                    self._sink_view.set(group, point)
-                    restore.append(group)
-            if hot:
-                self._probe_restore = tuple(restore)
-                outcome = self._sink_view.outcome()
-            else:
-                outcome = certify_top_k(bounds, self.k)
+                bounds[group] = Bounds(exact, exact)
+            outcome = certify_top_k(bounds, self.k)
             if outcome.needs_probe:
                 raise ProtocolError("probe did not certify the result")
 
@@ -637,9 +560,7 @@ class Mint:
         exactly what turns one into the other. So this pass commits by
         swapping the kept dict in, and only *counts* the delta (new or
         changed entries, retractions) for the message's
-        :meth:`ViewUpdateMessage.wire_size`; the delta's groups are
-        collected only where the parent is the sink, whose dirty groups
-        they are.
+        :meth:`ViewUpdateMessage.wire_size`.
         """
         network = self.network
         states = self.states
@@ -653,11 +574,9 @@ class Mint:
         ship_unicast = network._ship_unicast
         kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
-        sink_dirty = self._sink_dirty
         sort_key = lambda item: (-finalize(item[1]), gstr[item[0]])  # noqa: E731
         with network.stats.phase("update"):
-            for node_id, parent, children, to_sink in (
-                    network.converge_cast_plan()):
+            for node_id, parent, children, _ in network.converge_cast_plan():
                 state = states[node_id]
                 # -- rebuild V_i ------------------------------------
                 view: dict[GroupKey, Partial] = {}
@@ -713,19 +632,6 @@ class Mint:
                 # guards are vacuous here.
                 ship_unicast(node_id, parent, kind,
                              wire_size(changed, retracted, ship_gamma))
-                if to_sink:
-                    for group, partial in kept.items():
-                        if reported_get(group) != partial:
-                            sink_dirty.add(group)
-                    for group in reported:
-                        if group not in kept:
-                            sink_dirty.add(group)
-                    if ship_gamma:
-                        # A new γ can move the bound of every group with
-                        # unseen mass under this child; the child's
-                        # subtree census is the conservative superset.
-                        sink_dirty.update(
-                            self.child_group_totals.get(node_id, ()))
                 # -- commit: the parent now caches exactly V'_i -----
                 state.reported = kept
                 if ship_gamma:
@@ -764,7 +670,6 @@ class Mint:
         for state in self.states.values():
             state.reset()
         self.created = False
-        self._sink_cache = None
 
     def handle_topology_event(self, event) -> int:
         """Invalidate and re-prime only the subtree state churn touched.
@@ -787,7 +692,6 @@ class Mint:
             self.states.pop(event.node_id, None)
         elif event.joined:
             self.states[event.node_id] = MintNodeState()
-        self._sink_cache = None
         if not self.created:
             # Creation has not run yet; the first epoch will learn the
             # repaired topology from scratch anyway.
@@ -803,33 +707,24 @@ class Mint:
     def _count_members(self, plan: tuple) -> None:
         """Learn the sink's group cardinalities from a converge-cast
         plan: per live sink child, the members whose readings can reach
-        the sink.
+        the sink (:func:`~repro.core.participants.sink_roots`).
 
         Group membership is static knowledge (the Configuration Panel's
         clusters), so the sink counts without any radio traffic. The
-        plan read in reverse is root-first; a row counts only when its
-        parent is the sink or a counted row, so the live descendants of
-        a dead relay (a tree left unrepaired, or a node killed without
-        an event) are not counted: their reports never arrive. Runs at
-        creation and whenever the network has built a new plan, i.e.
-        its tree or topology changed.
+        live descendants of a dead relay are not counted: their reports
+        never arrive. Runs at creation and whenever the network has
+        built a new plan, i.e. its tree or topology changed.
         """
         self._census_plan = plan
-        self._sink_cache = None
         group_of = self.group_of
         totals: dict[GroupKey, int] = {}
         child_totals: dict[int, dict[GroupKey, int]] = {}
-        counts_of: dict[int, dict[GroupKey, int]] = {}
-        for node_id, parent, _, to_sink in reversed(plan):
-            if to_sink:
-                counts = child_totals[node_id] = {}
-            else:
-                counts = counts_of.get(parent)
-                if counts is None:
-                    continue
-            counts_of[node_id] = counts
+        for node_id, root in sink_roots(plan).items():
+            if node_id == root:
+                child_totals[root] = {}
             if node_id in group_of:
                 group = group_of[node_id]
+                counts = child_totals[root]
                 counts[group] = counts.get(group, 0) + 1
                 totals[group] = totals.get(group, 0) + 1
         self.group_totals = totals

@@ -16,7 +16,8 @@ message built. The reference implementation remains in
 :meth:`Tag.run_epoch`'s reference branch — the oracle a deployment
 built inside ``hotpath.reference_path()`` runs — and
 ``tests/test_hotpath_equivalence.py`` holds both paths to identical
-traffic, stats and answers.
+traffic, stats and answers. The sink ranks the same way on both: one
+``rank_key`` sort of every group's score per epoch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..errors import ValidationError
 from ..network.messages import QueryMessage, ViewEntry, ViewUpdateMessage
 from ..network.simulator import Network
 from .aggregates import Aggregate, Partial
-from .delta import TopKView
 from .participants import Participants
 from .results import EpochResult, RankedItem, rank_key
 
@@ -60,11 +60,6 @@ class Tag:
         self._lift_memo: dict[float, Partial] = {}
         #: The alive participants, memoized per topology and membership.
         self._participants = Participants(network)
-        #: Hot path: a ranking-only maintained view (k=None ranks all
-        #: groups). Group scores drift a little per epoch; reconciling
-        #: point deltas into the kept order beats re-sorting every
-        #: group from scratch each round.
-        self._rank_view = TopKView(self.k)
 
     def _acquire(self) -> dict[int, Partial]:
         contributions: dict[int, Partial] = {}
@@ -158,8 +153,7 @@ class Tag:
                 self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
         contributions = self._acquire()
-        hot = self.network.hot
-        if hot:
+        if self.network.hot:
             sink_view = self._run_aggregation_phase(contributions)
         else:
             partial_views: dict[int, dict[GroupKey, Partial]] = {}
@@ -195,19 +189,11 @@ class Tag:
                     else:
                         partial_views[node_id] = view
 
-        if hot:
-            finalize = self.aggregate.finalize
-            self._rank_view.reconcile_scores(
-                {group: finalize(partial)
-                 for group, partial in sink_view.items()})
-            scored = [(group, interval.lb)
-                      for group, interval in self._rank_view.ranking()]
-        else:
-            scored = sorted(
-                ((group, self.aggregate.finalize(partial))
-                 for group, partial in sink_view.items()),
-                key=lambda pair: rank_key(pair[0], pair[1]),
-            )
+        scored = sorted(
+            ((group, self.aggregate.finalize(partial))
+             for group, partial in sink_view.items()),
+            key=lambda pair: rank_key(pair[0], pair[1]),
+        )
         cut = scored if self.k is None else scored[:self.k]
         items = tuple(
             RankedItem(key=group, score=score, lb=score, ub=score)

@@ -18,10 +18,9 @@ the child exposing it. The invariant MINT maintains per edge:
     reading of the subtree not covered by any ``reported`` entry lies
     in some pruned partial whose finalized value ≤ ``gamma_reported``.
 
-This module is *node-side* state only. The sink-side derived state —
-the per-group certified intervals, their ranking, τ and the ambiguous
-set — lives in the maintained :class:`~repro.core.delta.TopKView`
-each engine feeds on the hot path.
+This module is *node-side* state only. The sink derives the per-group
+certified intervals from its children's ``reported`` caches each epoch
+and ranks them with :func:`~repro.core.certify.certify_top_k`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Hot-path switchboard: optimized epoch loop vs. reference semantics.
 
 The simulator's epoch loop carries several caches that exist purely for
-speed — the memoized :func:`~repro.network.packets.fragment` cost
-model, the per-topology converge-cast and flood plans, per-epoch
+speed — the per-network memo of :func:`~repro.network.packets.fragment`
+costs, the per-topology converge-cast and flood plans, per-epoch
 traffic batching, the batch relay and flood kernels (one call per
 relayed list of motes or per flood instead of one per hop or
 forwarder; a large relay batch charges its hops in one numpy
@@ -14,13 +14,14 @@ the batched sensing of :mod:`repro.network.columnar` — all of which
 are *semantically invisible*: with the caches on or off, every
 message, byte, joule and per-phase snapshot is identical.
 
-The path also selects the sinks' certification strategy: on the hot
-path each session maintains an incremental
-:class:`~repro.core.delta.TopKView` (threshold, rank order and
-ambiguous set updated per delta); on the reference path every epoch
-calls the stateless :func:`~repro.core.certify.certify_top_k` oracle
-cold. ``tests/test_delta_equivalence.py`` proves the two byte-identical
-across engines and churn.
+The path also selects FILA's certification strategy: on the hot path
+its sink maintains an incremental :class:`~repro.core.delta.TopKView`
+(threshold, rank order and ambiguous set updated per delta); on the
+reference path every certification calls the stateless
+:func:`~repro.core.certify.certify_top_k` oracle cold.
+``tests/test_delta_equivalence.py`` proves the two byte-identical
+across engines and churn. MINT's sink certifies with the oracle and
+TAG's ranks with one ``rank_key`` sort on either path.
 
 An epoch runs exactly one of two ways:
 

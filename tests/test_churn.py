@@ -402,6 +402,59 @@ class TestRecoveryProtocol:
         hot, reference = on_both_paths(answers)
         assert hot == reference
 
+    @pytest.mark.parametrize("direct", [False, True],
+                             ids=["unrepaired", "direct"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fila_and_centralized_rank_what_reaches_the_sink(self, seed,
+                                                             direct):
+        """The live motes below a relay killed without repair cannot
+        report. FILA and CENTRALIZED leave them out of the node ranking,
+        as TAG does, and take them back once a later repair reconnects
+        them, on both paths."""
+
+        def answers():
+            scenario = grid_rooms_scenario(side=6, rooms_per_axis=2,
+                                           seed=seed)
+            net = scenario.network
+            deployment = Deployment.from_scenario(scenario)
+            query = ("SELECT TOP 3 nodeid, MAX(sound) FROM sensors "
+                     "GROUP BY nodeid EPOCH DURATION 1 min")
+            tag, fila, centralized = (
+                deployment.submit(query, algorithm=algorithm)
+                for algorithm in (Algorithm.TAG, Algorithm.FILA,
+                                  Algorithm.CENTRALIZED))
+            driver = EpochDriver(deployment)
+            driver.run(3)
+            tree = net.tree
+            victim = min(n for n in tree.sensor_ids if tree.children(n)
+                         and tree.parent(n) != net.sink_id)
+            stranded = set(tree.subtree(victim))
+            if direct:
+                net.node(victim).kill()
+            else:
+                net.kill_node(victim, repair=False)
+            seen = []
+
+            def step():
+                driver.step()
+                keys = tag.last_result.keys
+                assert fila.last_result.keys == keys
+                assert centralized.last_result.keys == keys
+                seen.append(keys)
+
+            for _ in range(4):
+                step()
+            leaf = max(n for n in net.tree.sensor_ids
+                       if net.nodes[n].alive and not net.tree.children(n)
+                       and n not in stranded)
+            net.kill_node(leaf)
+            for _ in range(3):
+                step()
+            return seen
+
+        hot, reference = on_both_paths(answers)
+        assert hot == reference
+
     def test_joined_node_enters_the_ranking(self):
         scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=29)
         net = scenario.network

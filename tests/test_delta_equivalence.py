@@ -10,10 +10,13 @@ Two layers of proof:
   certified flag, items (scores, lbs, ubs), ambiguous tuple and τ all
   match bit for bit.
 * **Engine vs. engine** — full workloads (MINT / FILA / TAG, churn
-  included, plus a whole-group extinction-and-birth schedule) run on
-  the hot path (per-session views) and the reference path (cold
-  certifier per round) and must agree on every observable, including
-  the per-epoch certification outcomes now attached to results.
+  included, plus a whole-group extinction-and-birth schedule and a
+  newborn whose label prints like an existing one) run on the hot path
+  and the reference path and must agree on every observable, including
+  the per-epoch certification outcomes attached to results. FILA feeds
+  its view on the hot path only; MINT and TAG rank from scratch on
+  both, so for them the proof covers the fused passes that feed the
+  sink.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.core.aggregates import Bounds
 from repro.core.certify import certify_top_k
 from repro.core.delta import BoundsDelta, DeltaEntry, TopKView
-from repro.core.results import rank_key
 from repro.errors import ValidationError
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
+from repro.network.simulator import Network
+from repro.network.topology import grid_topology
+from repro.query.plan import Algorithm
 from repro.scenarios import grid_rooms_scenario
+from repro.sensing.board import SensorBoard
+from repro.sensing.generators import ConstantField
 from helpers import on_both_paths
 from test_hotpath_equivalence import (
     QUERY_BY_ENGINE,
@@ -159,7 +166,7 @@ class TestViewMatchesOracle:
         k=st.integers(1, 5),
     )
     def test_reconcile_scores_equals_point_reconcile(self, snapshots, k):
-        """TAG's point-valued reconcile is the same delta stream as a
+        """The point-valued reconcile is the same delta stream as a
         Bounds(v, v) reconcile."""
         by_scores = TopKView(k)
         by_points = TopKView(k)
@@ -171,15 +178,6 @@ class TestViewMatchesOracle:
             assert dict(by_scores.bounds) == dict(by_points.bounds)
             if snapshot:
                 assert by_scores.outcome() == by_points.outcome()
-
-    @settings(max_examples=50, deadline=None)
-    @given(snapshot=mappings(min_size=1), k=st.integers(1, 4))
-    def test_ranking_matches_rank_key_sort(self, snapshot, k):
-        view = TopKView(k)
-        view.reconcile(snapshot)
-        expected = sorted(snapshot.items(),
-                          key=lambda pair: rank_key(pair[0], pair[1].lb))
-        assert view.ranking() == expected
 
 
 class TestDeltaSemantics:
@@ -232,13 +230,6 @@ class TestDeltaSemantics:
         assert not view.delete("A")
         assert len(view) == 0 and "A" not in view
 
-    def test_ranking_only_view_refuses_outcome(self):
-        view = TopKView(None)
-        view.set("A", Bounds(1.0, 1.0))
-        assert view.ranking() == [("A", Bounds(1.0, 1.0))]
-        with pytest.raises(ValidationError):
-            view.outcome()
-
     def test_bad_k_rejected_at_construction(self):
         with pytest.raises(ValidationError):
             TopKView(0)
@@ -274,10 +265,10 @@ ENGINE_SETS = st.lists(st.sampled_from(["mint", "tag", "fila"]),
 )
 def test_view_fed_engines_equal_cold_certifier(seed, k, agg, engines,
                                                epochs, churn_seed):
-    """The three refactored sinks (MINT update, FILA monitor/probe,
-    TAG re-aggregation) produce identical answers, certification
-    outcomes, probe schedules, stats and ledgers whether they feed a
-    maintained view (hot) or call certify_top_k cold (reference)."""
+    """MINT, FILA and TAG produce identical answers, certification
+    outcomes, probe schedules, stats and ledgers on the hot path (fused
+    passes; FILA's maintained view) and on the reference path (one
+    message at a time; certify_top_k cold everywhere)."""
     hot, reference = on_both_paths(
         run_workload, seed=seed, k=k, agg=agg, engines=engines,
         epochs=epochs, churn_seed=churn_seed)
@@ -317,4 +308,41 @@ def test_group_extinction_and_birth_equivalence(engine):
     """Hot equals reference across a whole-group death plus a birth
     into a never-seen group key."""
     hot, reference = on_both_paths(run_extinction_workload, engine=engine)
+    assert hot == reference
+
+
+def run_colliding_newborn_workload(*, k, agg, epochs=6):
+    """MINT and TAG sessions over clusters ``"1"`` and ``"2"`` when a
+    newborn joins at epoch 2 with the int label ``1``, which prints
+    like ``"1"``. Every mote reads 50, so all three groups tie."""
+    field = ConstantField({}, default=50.0)
+    topology = grid_topology(3, spacing=10.0, radio_range=15.0)
+    sensors = [node for node in topology.node_ids if node != 0]
+    network = Network(
+        topology,
+        boards={node: SensorBoard({"sound": field}) for node in sensors},
+        group_of={node: "1" if node % 2 else "2" for node in sensors})
+    deployment = Deployment(network)
+    birth = ChurnEvent(2, ChurnKind.BIRTH, 100, position=(5.0, 5.0),
+                       group=1)
+    driver = EpochDriver(deployment, interventions=[ChurnIntervention(
+        ChurnSchedule([birth]),
+        board_for=lambda _: SensorBoard({"sound": field}))])
+    query = (f"SELECT TOP {k} roomid, {agg}(sound) FROM sensors "
+             f"GROUP BY roomid EPOCH DURATION 1 min")
+    handles = [deployment.submit(query),
+               deployment.submit(query, algorithm=Algorithm.TAG)]
+    driver.run(epochs)
+    for handle in handles:
+        assert {1, "1"} <= set(handle.last_result.all_bounds)
+    return [answers_of(handle) for handle in handles]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("agg", ["MAX", "MIN", "AVG"])
+def test_newborn_with_colliding_label_equivalence(agg, k):
+    """A newborn adopted mid-run whose label prints like an existing
+    one ties with it in the same order on both paths."""
+    hot, reference = on_both_paths(run_colliding_newborn_workload,
+                                   k=k, agg=agg)
     assert hot == reference
