@@ -173,14 +173,19 @@ class SessionHandle:
         Historic sessions yield their one-shot answer as the final
         item.
 
-        Like :meth:`EpochDriver.run`, an unbounded watch of a session
-        that never terminates by itself (a continuous monitoring query,
-        no ``epochs``, no driver ``max_epochs``) raises
+        Like :meth:`EpochDriver.run`, it raises
         :class:`~repro.errors.ConfigurationError` — at the call site,
-        not at the first ``next()`` — instead of spinning forever.
+        not at the first ``next()`` — for an ``epochs`` that is not a
+        non-negative integer, and for an unbounded watch of a session
+        that never terminates by itself (a continuous monitoring query,
+        no ``epochs``, no driver ``max_epochs``) instead of spinning
+        forever.
         """
         from ..errors import ConfigurationError
+        from .driver import _check_count
 
+        if epochs is not None:
+            _check_count("epochs", epochs)
         if (driver is not None
                 and driver.deployment.network is not self._session.network):
             raise ConfigurationError(

@@ -217,8 +217,6 @@ class SystemPanel:
 
     def sample(self) -> SavingsSample:
         """Close the current epoch and record its savings."""
-        if self._baseline is None:
-            raise ValidationError("the panel's session has stopped")
         system_now = self._system.snapshot()
         baseline_now = self._baseline.snapshot()
         system_delta = system_now.minus(self._last_system)
@@ -240,15 +238,6 @@ class SystemPanel:
         self._last_baseline = baseline_now
         self._epoch += 1
         return entry
-
-    def release(self) -> None:
-        """Stop observing the two ledgers once the session stops.
-
-        The samples and running totals stay readable. The baseline
-        ledger's drain hook is its shadow network's, so holding that
-        ledger would keep the whole shadow deployment alive.
-        """
-        self._system = self._baseline = None
 
     @staticmethod
     def _summed(samples: "Iterable[SavingsSample]",

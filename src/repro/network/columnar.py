@@ -61,7 +61,7 @@ Large relay batches are the exception:
 makes every float add of the per-hop loop, in its order. ``np.add.at``
 is unbuffered and applies repeated indices in index order, so each
 ledger's ``tx`` and ``rx`` receive their hops' joules one at a time,
-in shipping order. Each stats sink's running total folds through
+in shipping order. The deployment ledger's running total folds through
 ``np.cumsum``, a sequential ``add.accumulate``; the pairwise
 ``np.sum`` could round differently. On the pure-python backend the
 loop runs.

@@ -20,9 +20,9 @@ The per-message work runs on an allocation-free **hot path** (see
 :mod:`repro.network.hotpath`): the engines' fused passes ship each
 converge-cast edge through :meth:`Network._ship_unicast`, packet costs
 come from a per-network cost memo, energy rates and ledger lookups are
-precomputed, traffic is batched per epoch into per-kind accumulators
-flushed at epoch/phase/tap boundaries, floods
-(:meth:`Network.flood_down`) ship in one kernel call, flat relays
+precomputed and each kind's counters grow in the ledger's per-kind
+table, floods (:meth:`Network.flood_down`) ship in one kernel call,
+flat relays
 (:meth:`Network.unicast_to_sink` / :meth:`Network.unicast_from_sink`,
 and FILA's whole report, probe and install passes) ship through one
 :meth:`Network.relay_many` call each — a large batch in one numpy
@@ -139,7 +139,6 @@ class Network:
         self.epoch = 0
         self._clock_holds = 0
         self._advance_requested = False
-        self._stat_taps: list[NetworkStats] = []
         self._subscribers: list[Callable[[TopologyEvent], None]] = []
         # ---- hot-path state (semantically invisible; see hotpath) ----
         #: The root id never changes across repairs (the sink cannot
@@ -154,14 +153,9 @@ class Network:
             self._sink_id: self.sink_ledger,
             **{i: n.ledger for i, n in self.nodes.items()},
         }
-        #: Per-epoch traffic accumulator of the lossless kernels: kind →
-        #: [messages, packets, payload, air]; flushed into the active
-        #: stats sinks at epoch / phase / tap boundaries.
-        self._pending_traffic: dict[str, list] = {}
         #: payload bytes → (packets, air bytes, tx J, rx J) for
         #: lossless hops (unicast fast path).
         self._cost_memo: dict[int, tuple] = {}
-        self.stats._drain_hook = self._flush_traffic
         #: Topology caches, invalidated by bumping the version (node
         #: deaths report in via the per-node kill hook).
         self._topo_version = 0
@@ -266,8 +260,6 @@ class Network:
                 attempts += self.radio.attempts_needed(rng)
         except RoutingError:
             self.stats.record_drop()
-            for tap in self._stat_taps:
-                tap.record_drop()
             raise
         air_bytes = cost.air_bytes + (attempts - cost.packets) * (
             cost.air_bytes // cost.packets)
@@ -276,16 +268,15 @@ class Network:
         self.ledger(sender).charge_tx(tx_joules)
         for receiver in receivers:
             self.ledger(receiver).charge_rx(rx_joules_each)
-        for stats in (self.stats, *self._stat_taps):
-            stats.record(
-                kind=message.kind,
-                packets=cost.packets,
-                payload_bytes=cost.payload_bytes,
-                air_bytes=air_bytes,
-                tx_joules=tx_joules,
-                rx_joules=rx_joules_each * len(receivers),
-                retransmissions=attempts - cost.packets,
-            )
+        self.stats.record(
+            kind=message.kind,
+            packets=cost.packets,
+            payload_bytes=cost.payload_bytes,
+            air_bytes=air_bytes,
+            tx_joules=tx_joules,
+            rx_joules=rx_joules_each * len(receivers),
+            retransmissions=attempts - cost.packets,
+        )
 
     # repro: hot
     def _ship_unicast(self, sender: int, receiver: int, kind: str,
@@ -305,25 +296,19 @@ class Network:
         ledgers = self._ledger_of
         ledgers[sender].tx += tx_joules
         ledgers[receiver].rx += rx_joules
-        # _grow_batch for one send, inlined: this is the
+        # NetworkStats.record, inlined: this is the
         # per-converge-cast-edge call site — the hottest in the
         # simulator — and the call frame alone is measurable there.
-        # The joule adds write the sinks' private accumulators
-        # directly; Network owns their batching lifecycle (it installs
-        # their drain hooks).
-        batch = self._pending_traffic.get(kind)
-        if batch is None:
-            batch = self._pending_traffic[kind] = [0, 0, 0, 0]
-        batch[0] += 1
-        batch[1] += packets
-        batch[2] += payload_bytes
-        batch[3] += air_bytes
         stats = self.stats
+        row = stats._kinds.get(kind)
+        if row is None:
+            row = stats._kinds[kind] = [0, 0, 0, 0]
+        row[0] += 1
+        row[1] += packets
+        row[2] += payload_bytes
+        row[3] += air_bytes
         stats._tx_joules += tx_joules
         stats._rx_joules += rx_joules
-        for tap in self._stat_taps:
-            tap._tx_joules += tx_joules
-            tap._rx_joules += rx_joules
 
     # repro: hot
     def relay_many(self, nodes: Sequence[int],
@@ -337,8 +322,8 @@ class Network:
         :meth:`unicast_to_sink` per node in order: each hop of each
         memoized :meth:`~repro.network.tree.RoutingTree.path_to_root`
         adds its joules to the sender's and receiver's ledgers and to
-        every stats sink in the reference path's order, while each
-        kind's integer batch grows once per call (integers, so exact).
+        the deployment ledger in the reference path's order, while each
+        kind's integer counters grow once per call (integers, so exact).
 
         A batch of at least ``_SCATTER_MIN_MOTES`` motes, with numpy
         as the column backend and every mote in the tree, makes those
@@ -374,7 +359,7 @@ class Network:
             up_tx, up_rx = up_joules = up_cost[2:]
         ledgers = self._ledger_of
         path_of = self.tree.path_to_root
-        # Every hop's (tx, rx) joules in shipping order, for the sinks.
+        # Every hop's (tx, rx) joules in shipping order, for the ledger.
         hop_joules: list[tuple[float, float]] = []
         down_hops = up_hops = 0
         try:
@@ -399,16 +384,16 @@ class Network:
                     up_hops += hops
         finally:
             if down_hops:
-                self._grow_batch(down_kind, down_hops, down_bytes, down_cost)
+                self._add_sends(down_kind, down_hops, down_bytes, down_cost)
             if up_hops:
-                self._grow_batch(up_kind, up_hops, up_bytes, up_cost)
+                self._add_sends(up_kind, up_hops, up_bytes, up_cost)
             if hop_joules:
-                for stats in (self.stats, *self._stat_taps):
-                    tx, rx = stats._tx_joules, stats._rx_joules
-                    for hop_tx, hop_rx in hop_joules:
-                        tx += hop_tx
-                        rx += hop_rx
-                    stats._tx_joules, stats._rx_joules = tx, rx
+                stats = self.stats
+                tx, rx = stats._tx_joules, stats._rx_joules
+                for hop_tx, hop_rx in hop_joules:
+                    tx += hop_tx
+                    rx += hop_rx
+                stats._tx_joules, stats._rx_joules = tx, rx
         return down_hops + up_hops
 
     # repro: hot
@@ -427,8 +412,8 @@ class Network:
         unbuffered and applies repeated indices in order, so each
         touched ledger receives the loop's float adds in the loop's
         order, and ``np.cumsum`` is a sequential ``add.accumulate``
-        (unlike the pairwise ``np.sum``), so each stats sink's running
-        total folds every hop's joules in shipping order.
+        (unlike the pairwise ``np.sum``), so the deployment ledger's
+        running total folds every hop's joules in shipping order.
         """
         ledgers, row_of, starts, path_hops, child, parent = (
             self._relay_table(np))
@@ -488,18 +473,18 @@ class Network:
             ledger.rx = ledger_rx
         leg_sends = total // 2 if both else total
         if down is not None:
-            self._grow_batch(down_kind, leg_sends, down_bytes, down_cost)
+            self._add_sends(down_kind, leg_sends, down_bytes, down_cost)
         if up is not None:
-            self._grow_batch(up_kind, leg_sends, up_bytes, up_cost)
-        # Row 0 folds tx, row 1 rx; column 0 holds the sink's total.
+            self._add_sends(up_kind, leg_sends, up_bytes, up_cost)
+        # Row 0 folds tx, row 1 rx; column 0 holds the ledger's total.
+        stats = self.stats
         fold = np.empty((2, total + 1), dtype=np.float64)
+        fold[0, 0] = stats._tx_joules
+        fold[1, 0] = stats._rx_joules
         fold[0, 1:] = hop_tx
         fold[1, 1:] = hop_rx
-        for stats in (self.stats, *self._stat_taps):
-            fold[0, 0] = stats._tx_joules
-            fold[1, 0] = stats._rx_joules
-            stats._tx_joules, stats._rx_joules = (
-                fold.cumsum(axis=1)[:, -1].tolist())
+        stats._tx_joules, stats._rx_joules = (
+            fold.cumsum(axis=1)[:, -1].tolist())
         return total
 
     def _relay_table(self, np) -> tuple:
@@ -539,17 +524,12 @@ class Network:
                 np.array(parent, dtype=np.intp))
         return table
 
-    def _grow_batch(self, kind: str, sends: int, payload_bytes: int,
-                    cost: tuple) -> None:
-        """Add ``sends`` lossless sends of one memoized cost to the
-        kind's integer batch (the joules are the caller's)."""
-        batch = self._pending_traffic.get(kind)
-        if batch is None:
-            batch = self._pending_traffic[kind] = [0, 0, 0, 0]
-        batch[0] += sends
-        batch[1] += sends * cost[0]
-        batch[2] += sends * payload_bytes
-        batch[3] += sends * cost[1]
+    def _add_sends(self, kind: str, sends: int, payload_bytes: int,
+                   cost: tuple) -> None:
+        """Count ``sends`` lossless sends of one memoized cost in the
+        deployment ledger (the joules are the caller's)."""
+        self.stats.add_sends(kind, sends, sends * cost[0],
+                             sends * payload_bytes, sends * cost[1])
 
     # repro: hot
     def _flood_lossless(self, message: WireMessage) -> int:
@@ -558,11 +538,12 @@ class Network:
 
         The flood twin of :meth:`relay_many`, equal to one
         lossless :meth:`_ship` per forwarder in pre-order: the cost memo
-        is read once and the kind's integer batch grows by ``sends`` ×
+        is read once and the kind's integer counters grow by ``sends`` ×
         the per-send counts, while every float joule add still happens
         once per forwarder — one ``tx`` per forwarder ledger, one ``rx``
         per child ledger, and ``sends`` adds of tx and of rx × children
-        to each stats sink, in pre-order. Returns the number of sends.
+        to the deployment ledger, in pre-order. Returns the number of
+        sends.
         """
         plan = self._flood_plan()
         sends = len(plan)
@@ -577,15 +558,15 @@ class Network:
             ledgers[sender].tx += tx_joules
             for receiver in receivers:
                 ledgers[receiver].rx += rx_joules
-        self._grow_batch(message.kind, sends, payload_bytes, info)
-        for stats in (self.stats, *self._stat_taps):
-            tx_total = stats._tx_joules
-            rx_total = stats._rx_joules
-            for _, receivers in plan:
-                tx_total += tx_joules
-                rx_total += rx_joules * len(receivers)
-            stats._tx_joules = tx_total
-            stats._rx_joules = rx_total
+        self._add_sends(message.kind, sends, payload_bytes, info)
+        stats = self.stats
+        tx_total = stats._tx_joules
+        rx_total = stats._rx_joules
+        for _, receivers in plan:
+            tx_total += tx_joules
+            rx_total += rx_joules * len(receivers)
+        stats._tx_joules = tx_total
+        stats._rx_joules = rx_total
         return sends
 
     def _memo_cost(self, payload_bytes: int) -> tuple:
@@ -599,25 +580,6 @@ class Network:
             cost.air_bytes * self._rx_rate,
         )
         return info
-
-    def _flush_traffic(self) -> None:
-        """Fold the per-epoch traffic accumulator into every active
-        stats sink (the deployment ledger plus any session taps).
-
-        Installed as the sinks' drain hook, so it runs before any
-        counter read, phase boundary or snapshot — readers can never
-        observe half-recorded epochs. Tap registration flushes first,
-        so everything pending was recorded while the current sink set
-        was active.
-        """
-        pending = self._pending_traffic
-        if not pending:
-            return
-        self._pending_traffic = {}
-        sinks = (self.stats, *self._stat_taps)
-        for kind, batch in pending.items():
-            for sink in sinks:
-                sink.apply_batch(kind, *batch)
 
     def send_up(self, child: int, message: WireMessage) -> int:
         """Unicast from ``child`` to its tree parent; returns the parent id."""
@@ -873,7 +835,6 @@ class Network:
         outermost block exits. That lets N query sessions each "finish
         their epoch" while the deployment's clock ticks exactly once.
         """
-        self._flush_traffic()
         if self._clock_holds:
             self._advance_requested = True
             return self.epoch
@@ -905,29 +866,19 @@ class Network:
 
     @contextmanager
     def tap_stats(self, stats: NetworkStats) -> Iterator[NetworkStats]:
-        """Mirror every message shipped inside the block into ``stats``.
+        """Add the traffic shipped inside the block to ``stats`` too.
 
         Sessions use this to attribute their own traffic on a shared
-        deployment: the global ledger keeps counting everything, while
-        the tapped ledger sees only the block's messages.
+        deployment: the deployment ledger counts everything, and on
+        exit, even by an exception, ``stats`` gains that ledger's
+        change across the block. Blocks nest: an outer block's change
+        includes an inner one's.
         """
-        # Whatever is pending was recorded before the tap existed; fold
-        # it in now so the tap sees only the block's traffic, and give
-        # the tap the drain hook so reads inside the block stay exact.
-        self._flush_traffic()
-        self._stat_taps.append(stats)
-        stats._drain_hook = self._flush_traffic
+        start = self.stats._counters()
         try:
             yield stats
         finally:
-            self._flush_traffic()
-            stats._drain_hook = None
-            # Unregister by identity: list.remove() would match any
-            # ledger with equal counters.
-            for index, tap in enumerate(reversed(self._stat_taps)):
-                if tap is stats:
-                    del self._stat_taps[len(self._stat_taps) - 1 - index]
-                    break
+            stats._add_change(self.stats._counters(), start)
 
     # ------------------------------------------------------------------
     # Node lifecycle (churn)

@@ -13,22 +13,19 @@ summing ``by_phase`` never double-counts a message. (Before this
 contract, nested phases credited both levels, silently inflating every
 outer phase that happened to contain churn repair.)
 
-**Batched recording.** On the optimized hot path the simulator does not
-call :meth:`NetworkStats.record` per message; it accumulates per-kind
-counters for the whole epoch and folds them in bulk via
-:meth:`apply_batch`. So that readers never observe half-flushed state,
-a :class:`NetworkStats` can carry a *drain hook* (installed by the
-:class:`~repro.network.simulator.Network` that feeds it): every public
-read — counter attributes, :meth:`snapshot`, :meth:`summary`, phase
-boundaries — first drains pending traffic. The observable counter
-sequence is therefore byte-for-byte identical to eager recording.
+**One table.** A ledger keeps its integer counters in one per-kind
+table, ``kind → [messages, packets, payload bytes, air bytes]``; the
+totals sum it on read, so nothing is ever pending. The simulator's
+kernels add to a row directly, in bulk or per message, and add each
+message's joules to the ledger as they ship it, so every total is
+exactly what one :meth:`NetworkStats.record` per message would give.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -72,28 +69,19 @@ class NetworkStats:
     """Mutable counters accumulated over a run.
 
     The public counter attributes (``messages``, ``packets``, …) are
-    read-only properties; they drain any pending batched traffic before
-    returning, so callers always see up-to-date totals regardless of
-    how the simulator chose to record.
+    read-only properties summed from the per-kind table.
     """
 
     def __init__(self) -> None:
-        self._messages = 0
-        self._packets = 0
-        self._payload_bytes = 0
-        self._air_bytes = 0
+        #: kind → [messages, packets, payload bytes, air bytes]
+        self._kinds: dict[str, list[int]] = {}
         self._tx_joules = 0.0
         self._rx_joules = 0.0
         self._retransmissions = 0
         self._drops = 0
-        self._by_kind: dict[str, int] = {}
-        self._bytes_by_kind: dict[str, int] = {}
         self.by_phase: dict[str, PhaseSnapshot] = {}
         #: (name, start snapshot, traffic claimed by closed inner phases)
         self._phase_stack: list[list] = []
-        #: Installed by the owning Network while batched traffic may be
-        #: pending for this ledger; called before every read.
-        self._drain_hook: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -103,92 +91,94 @@ class NetworkStats:
                air_bytes: int, tx_joules: float, rx_joules: float,
                retransmissions: int = 0) -> None:
         """Charge one shipped logical message."""
-        self._messages += 1
-        self._packets += packets
-        self._payload_bytes += payload_bytes
-        self._air_bytes += air_bytes
+        self.add_sends(kind, 1, packets, payload_bytes, air_bytes)
         self._tx_joules += tx_joules
         self._rx_joules += rx_joules
         self._retransmissions += retransmissions
-        self._by_kind[kind] = self._by_kind.get(kind, 0) + 1
-        self._bytes_by_kind[kind] = (
-            self._bytes_by_kind.get(kind, 0) + payload_bytes
-        )
 
-    def apply_batch(self, kind: str, messages: int, packets: int,
-                    payload_bytes: int, air_bytes: int) -> None:
-        """Fold a per-kind batch of already-aggregated lossless sends in.
+    def add_sends(self, kind: str, messages: int, packets: int,
+                  payload_bytes: int, air_bytes: int) -> None:
+        """Add ``messages`` sends of one kind, none retransmitted, whose
+        integer counters sum to the given totals.
 
-        Equivalent to ``messages`` consecutive :meth:`record` calls of
-        the same kind, none retransmitted, whose integer counters sum to
-        the given totals. Only the integer counters batch — integer
-        addition reassociates exactly. The sending kernels add each
-        message's joules to this ledger as they ship it, so the
-        floating-point accumulation order (and thus every bit of the
-        totals) matches eager recording.
+        The joules are the caller's: the sending kernels add each
+        message's joules as they ship it, so the floating-point
+        accumulation order (and thus every bit of the totals) matches
+        one :meth:`record` per message.
         """
-        self._messages += messages
-        self._packets += packets
-        self._payload_bytes += payload_bytes
-        self._air_bytes += air_bytes
-        self._by_kind[kind] = self._by_kind.get(kind, 0) + messages
-        self._bytes_by_kind[kind] = (
-            self._bytes_by_kind.get(kind, 0) + payload_bytes
-        )
+        row = self._kinds.get(kind)
+        if row is None:
+            row = self._kinds[kind] = [0, 0, 0, 0]
+        row[0] += messages
+        row[1] += packets
+        row[2] += payload_bytes
+        row[3] += air_bytes
 
     def record_drop(self) -> None:
         """Count a packet lost beyond the retry budget."""
         self._drops += 1
 
-    def _drain(self) -> None:
-        hook = self._drain_hook
-        if hook is not None:
-            hook()
+    def _counters(self) -> tuple:
+        """Every counter as plain values, ``(rows, tx J, rx J,
+        retransmissions, drops)`` with ``rows`` a copy of the table."""
+        return ({kind: tuple(row) for kind, row in self._kinds.items()},
+                self._tx_joules, self._rx_joules, self._retransmissions,
+                self._drops)
+
+    def _add_change(self, now: tuple, then: tuple) -> None:
+        """Add another ledger's change from its :meth:`_counters`
+        ``then`` to ``now``; a kind that sent nothing adds no row."""
+        before = then[0]
+        for kind, row in now[0].items():
+            old = before.get(kind, (0, 0, 0, 0))
+            if row[0] != old[0]:
+                self.add_sends(kind, *(count - earlier
+                                       for count, earlier in zip(row, old)))
+        self._tx_joules += now[1] - then[1]
+        self._rx_joules += now[2] - then[2]
+        self._retransmissions += now[3] - then[3]
+        self._drops += now[4] - then[4]
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
 
+    def _column(self, index: int) -> int:
+        return sum(row[index] for row in self._kinds.values())
+
     @property
     def messages(self) -> int:
         """Logical messages shipped."""
-        self._drain()
-        return self._messages
+        return self._column(0)
 
     @property
     def packets(self) -> int:
         """TOS_Msg frames transmitted (excluding retransmissions)."""
-        self._drain()
-        return self._packets
+        return self._column(1)
 
     @property
     def payload_bytes(self) -> int:
         """Application bytes carried."""
-        self._drain()
-        return self._payload_bytes
+        return self._column(2)
 
     @property
     def air_bytes(self) -> int:
         """Total bytes on the air (payload + headers + retries)."""
-        self._drain()
-        return self._air_bytes
+        return self._column(3)
 
     @property
     def tx_joules(self) -> float:
         """Transmit energy charged."""
-        self._drain()
         return self._tx_joules
 
     @property
     def rx_joules(self) -> float:
         """Receive energy charged."""
-        self._drain()
         return self._rx_joules
 
     @property
     def retransmissions(self) -> int:
         """Extra attempts the loss process cost."""
-        self._drain()
         return self._retransmissions
 
     @property
@@ -198,27 +188,19 @@ class NetworkStats:
 
     @property
     def by_kind(self) -> dict[str, int]:
-        """Message count per message kind."""
-        self._drain()
-        return self._by_kind
+        """Message count per message kind (a fresh dict)."""
+        return {kind: row[0] for kind, row in self._kinds.items()}
 
     @property
     def bytes_by_kind(self) -> dict[str, int]:
-        """Payload bytes per message kind."""
-        self._drain()
-        return self._bytes_by_kind
+        """Payload bytes per message kind (a fresh dict)."""
+        return {kind: row[2] for kind, row in self._kinds.items()}
 
     def snapshot(self) -> PhaseSnapshot:
         """Immutable copy of the headline totals."""
-        self._drain()
-        return PhaseSnapshot(
-            messages=self._messages,
-            packets=self._packets,
-            payload_bytes=self._payload_bytes,
-            air_bytes=self._air_bytes,
-            tx_joules=self._tx_joules,
-            rx_joules=self._rx_joules,
-        )
+        totals = [sum(column) for column in zip(*self._kinds.values())]
+        return PhaseSnapshot(*(totals or (0, 0, 0, 0)), self._tx_joules,
+                             self._rx_joules)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -250,17 +232,16 @@ class NetworkStats:
     @property
     def radio_joules(self) -> float:
         """Total radio energy (transmit plus receive)."""
-        self._drain()
         return self._tx_joules + self._rx_joules
 
     def summary(self) -> dict[str, float]:
         """Headline totals as a plain dict (for printing / JSON)."""
-        self._drain()
+        totals = self.snapshot()
         return {
-            "messages": self._messages,
-            "packets": self._packets,
-            "payload_bytes": self._payload_bytes,
-            "air_bytes": self._air_bytes,
+            "messages": totals.messages,
+            "packets": totals.packets,
+            "payload_bytes": totals.payload_bytes,
+            "air_bytes": totals.air_bytes,
             "tx_joules": self._tx_joules,
             "rx_joules": self._rx_joules,
             "radio_joules": self._tx_joules + self._rx_joules,
@@ -269,9 +250,9 @@ class NetworkStats:
         }
 
     def __repr__(self) -> str:
-        self._drain()
-        return (f"NetworkStats(messages={self._messages}, "
-                f"packets={self._packets}, "
-                f"payload_bytes={self._payload_bytes}, "
-                f"air_bytes={self._air_bytes}, "
+        totals = self.snapshot()
+        return (f"NetworkStats(messages={totals.messages}, "
+                f"packets={totals.packets}, "
+                f"payload_bytes={totals.payload_bytes}, "
+                f"air_bytes={totals.air_bytes}, "
                 f"drops={self._drops})")

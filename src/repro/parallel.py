@@ -335,6 +335,11 @@ def sweep_grid(sizes: Iterable[int], churns: Iterable[str],
             raise ConfigurationError(
                 f"unknown churn preset {churn!r}; choose from "
                 f"{sorted((*CHURN_PRESETS, NO_CHURN))}")
+        # A preset schedule churns from epoch 1 on: refuse here what
+        # each churned cell's ChurnSchedule.poisson would refuse inside
+        # its shard.
+        if churn != NO_CHURN and epochs <= 1:
+            raise ConfigurationError("no epoch available for churn")
     for n_nodes in sizes:
         if n_nodes < 1:
             raise ConfigurationError("fleet sizes must be positive")

@@ -98,8 +98,9 @@ class QuerySession:
         self.query_text = query_text
         self.baseline_engine: "KSpotEngine | None" = baseline_engine
         self.display = display
-        #: This session's share of traffic on the shared deployment
-        #: (mirrored via the network's stats tap while it executes).
+        #: This session's share of traffic on the shared deployment:
+        #: the deployment ledger's change over each of its steps
+        #: (see ``Network.tap_stats``).
         self.stats = NetworkStats()
         #: Churn-recovery accounting: one record per absorbed event
         #: batch (exposed on the session's System Panel when present).
@@ -289,14 +290,13 @@ class QuerySession:
         self._stop()
 
     def _stop(self) -> None:
-        """Deactivate and release both engines and the shadow network.
-        Results, stats, the recovery log and the System Panel's samples
-        stay readable."""
+        """Deactivate and release both engines, and with the baseline
+        engine the shadow network: the System Panel holds only the
+        shadow's ledger, which refers to no network. Results, stats,
+        the recovery log and the panel's samples stay readable."""
         self.active = False
         self.engine = None
         self.baseline_engine = None
-        if self.system_panel is not None:
-            self.system_panel.release()
 
     def __repr__(self) -> str:
         state = ("finished" if self.finished

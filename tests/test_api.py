@@ -304,9 +304,9 @@ class TestSessionState:
         assert (monitor.plan.k, historic.plan.k) == (2, 3)
 
     def test_cancelled_session_releases_its_shadow_network(self):
-        """The System Panel keeps the shadow baseline's stats, whose
-        drain hook is the shadow network's: a cancelled session must let
-        that network go, and its panel must read the same samples and
+        """The System Panel keeps the shadow baseline's stats, a ledger
+        that refers to no network: a cancelled session must let the
+        shadow network go, and its panel must read the same samples and
         totals afterwards."""
         shadows = []
 
@@ -389,6 +389,18 @@ class TestWatch:
         # Bounded by the driver's own policy it is fine.
         bounded = EpochDriver(deployment, max_epochs=2)
         assert len(list(handle.watch(bounded))) == 2
+
+    @pytest.mark.parametrize("epochs", [-1, 1.5, True, "3"])
+    def test_watch_refuses_a_bad_epoch_count(self, epochs):
+        """watch() checks its count as EpochDriver.run does: at the
+        call site, stepping nothing; 0 steps nothing either."""
+        _, deployment, driver = fresh()
+        handle = deployment.submit(MONITOR)
+        with pytest.raises(ConfigurationError,
+                           match="non-negative integer"):
+            handle.watch(driver, epochs=epochs)
+        assert list(handle.watch(driver, epochs=0)) == []
+        assert deployment.network.epoch == 0
 
     def test_watch_rejects_foreign_driver(self):
         """A driver bound to another deployment can never advance this

@@ -1,13 +1,18 @@
 """Radio link model, energy model, statistics ledger."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.errors import ConfigurationError, RoutingError
 from repro.network.energy import EnergyLedger, EnergyModel, lifetime_epochs
 from repro.network.link import RadioModel
+from repro.network.messages import ControlMessage
+from repro.network.simulator import Network
 from repro.network.stats import NetworkStats
+from repro.network.topology import grid_topology
 
 
 class TestRadioModel:
@@ -218,3 +223,35 @@ class TestNetworkStats:
         stats.record_drop()
         assert stats.drops == 1
         assert stats.summary()["drops"] == 1
+
+    def test_ledger_outlives_its_network_and_taps_nest(self):
+        """A deployment ledger refers to no network: kept past its
+        deployment, it still reads its totals while the network is
+        collected. A tap adds the ledger's change across its block: an
+        inner tap's traffic counts in the outer tap's too, and a block
+        that raises still adds what it shipped."""
+        network = Network(grid_topology(3))
+        message = ControlMessage(label="relay")
+        mote = network.tree.sensor_ids[-1]
+        outer, inner, raised = NetworkStats(), NetworkStats(), NetworkStats()
+        with network.tap_stats(outer):
+            hops = network.unicast_to_sink(mote, message)
+            with network.tap_stats(inner):
+                sends = network.flood_down(message)
+        with pytest.raises(ZeroDivisionError):
+            with network.tap_stats(raised):
+                network.unicast_from_sink(mote, message)
+                1 / 0
+        assert hops > 0 and sends > 0
+        assert inner.by_kind == {"control": sends}
+        assert outer.by_kind == {"control": hops + sends}
+        assert raised.by_kind == {"control": hops}
+        assert 0 < inner.radio_joules < outer.radio_joules
+        ledger = network.stats
+        assert ledger.messages == outer.messages + raised.messages
+        totals = ledger.summary()
+        alive = weakref.ref(network)
+        del network
+        gc.collect()
+        assert alive() is None
+        assert ledger.summary() == totals

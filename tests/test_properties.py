@@ -17,7 +17,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Deployment, SessionState
 from repro.cli import main
@@ -28,7 +28,7 @@ from repro.core.results import is_valid_top_k, oracle_scores, rank_key
 from repro.errors import KSpotError
 from repro.query.parser import parse
 from repro.query.plan import Algorithm
-from repro.scenarios import grid_rooms_scenario
+from repro.scenarios import CHURN_PRESETS, grid_rooms_scenario
 
 values = st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
                    allow_infinity=False)
@@ -452,3 +452,50 @@ class TestCliFileFuzz:
             _assert_clean_exit(*_cli(["workload", str(queries),
                                       "--scenario", str(scenario),
                                       "--epochs", "2"]))
+
+
+#: Small integers, zero and negatives included, for integer flags.
+_SMALL_INTS = st.integers(-2, 4)
+#: Stands for the workload file in a drawn ``workload`` call.
+_QUERY_FILE = "{queries}"
+
+
+@st.composite
+def flag_calls(draw):
+    """A ``workload``, ``savings`` or ``sweep`` call with small integer
+    flags (grids of at most 4×4) and a churn preset or none."""
+    def flags(*names):
+        return [f"--{name}={draw(_SMALL_INTS)}" for name in names]
+
+    command = draw(st.sampled_from(["workload", "savings", "sweep"]))
+    if command == "workload":
+        argv = ["workload", _QUERY_FILE,
+                *flags("side", "rooms", "epochs", "seed", "churn-seed",
+                       "jobs")]
+        churn = draw(st.sampled_from([None, *sorted(CHURN_PRESETS)]))
+        return argv + ([f"--churn={churn}"] if churn else [])
+    if command == "savings":
+        return ["savings", *flags("side", "rooms", "k", "epochs", "seed")]
+    sizes = draw(st.lists(_SMALL_INTS, min_size=1, max_size=2))
+    churns = draw(st.lists(st.sampled_from(["none", *sorted(CHURN_PRESETS)]),
+                           min_size=1, max_size=2))
+    return ["sweep", "--sizes=" + ",".join(map(str, sizes)),
+            "--churn=" + ",".join(churns), *flags("epochs"), "--jobs=1"]
+
+
+class TestCliFlagFuzz:
+    """Whatever small integers and churn presets reach the CLI's flags,
+    ``workload``, ``savings`` and ``sweep`` exit 0, or exit 2 with one
+    ``error: ...`` line, and never raise."""
+
+    @given(argv=flag_calls())
+    @example(argv=["sweep", "--sizes=1,4", "--churn=harsh,none",
+                   "--epochs=1", "--jobs=1"])
+    @settings(max_examples=40, deadline=None)
+    def test_integer_flags(self, argv):
+        with tempfile.TemporaryDirectory() as scratch:
+            queries = Path(scratch) / "queries.txt"
+            queries.write_text(_VALID_QUERIES[0] + "\n")
+            argv = [str(queries) if arg == _QUERY_FILE else arg
+                    for arg in argv]
+            _assert_clean_exit(*_cli(argv))
