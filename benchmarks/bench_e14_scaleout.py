@@ -15,6 +15,11 @@ This benchmark prices that claim and pins its correctness contract:
   >= 3x at 4 workers when 4+ CPUs are visible, scaling down honestly
   on smaller hosts (a 1-CPU container can only prove overhead stays
   bounded).
+
+Each worker count is timed ``REPEATS`` times, interleaved with the
+others (1, 2, 4, 1, 2, 4, ...), and scales by its fastest run: a load
+burst on a shared host then slows one run, not the verdict. Every run's
+merge is checked against the first serial run's.
 """
 
 import _bootstrap  # noqa: F401  src/ path wiring for script runs
@@ -46,70 +51,74 @@ SEED = 11
 
 WORKER_COUNTS = (2, 4)
 
+#: Timed runs per worker count (serial included), interleaved.
+REPEATS = 3
+
 
 def run_scaleout():
     cells = sweep_grid(SIZES, CHURNS, MIXES, epochs=EPOCHS, seed=SEED)
     keys = [cell.key for cell in cells]
     epochs_total = sum(cell.epochs for cell in cells)
-
-    def measured(jobs):
-        started = time.perf_counter()
-        results = run_sharded(run_sweep_cell, cells, jobs=jobs, keys=keys)
-        wall = time.perf_counter() - started
-        return results, wall
-
-    serial_results, serial_wall = measured(1)
-    serial_canonical = json.dumps(canonical(merge_sweep(serial_results)),
-                                  sort_keys=True)
-    rows = [[1, f"{serial_wall:.2f}", f"{epochs_total / serial_wall:.1f}",
-             "1.00x", "yes"]]
-    outcomes = []
-    for jobs in WORKER_COUNTS:
-        results, wall = measured(jobs)
-        merged_canonical = json.dumps(canonical(merge_sweep(results)),
-                                      sort_keys=True)
-        identical = merged_canonical == serial_canonical
-        scaling = serial_wall / wall
-        rows.append([jobs, f"{wall:.2f}",
-                     f"{epochs_total / wall:.1f}", f"{scaling:.2f}x",
-                     "yes" if identical else "NO"])
-        outcomes.append((jobs, scaling, identical,
-                         shard_errors(results)))
-    return rows, outcomes, serial_wall, epochs_total
+    serial_canonical = None
+    fastest: dict[int, float] = {}
+    identical: dict[int, bool] = {}
+    runs = []
+    for _ in range(REPEATS):
+        for jobs in (1, *WORKER_COUNTS):
+            started = time.perf_counter()
+            results = run_sharded(run_sweep_cell, cells, jobs=jobs,
+                                  keys=keys)
+            wall = time.perf_counter() - started
+            merged = json.dumps(canonical(merge_sweep(results)),
+                                sort_keys=True)
+            if serial_canonical is None:
+                serial_canonical = merged  # the first run is serial
+            same = merged == serial_canonical
+            runs.append((jobs, same, shard_errors(results)))
+            fastest[jobs] = min(wall, fastest.get(jobs, wall))
+            identical[jobs] = identical.get(jobs, True) and same
+    rows = [[jobs, f"{wall:.2f}", f"{epochs_total / wall:.1f}",
+             f"{fastest[1] / wall:.2f}x",
+             "yes" if identical[jobs] else "NO"]
+            for jobs, wall in fastest.items()]
+    scaling = {jobs: fastest[1] / fastest[jobs] for jobs in WORKER_COUNTS}
+    return rows, runs, scaling
 
 
 def test_e14_scaleout(benchmark, table):
-    rows, outcomes, serial_wall, epochs_total = once(benchmark,
-                                                     run_scaleout)
+    rows, runs, scaling = once(benchmark, run_scaleout)
     cpus = os.cpu_count() or 1
     table(f"E14: process-sharded sweep scale-out "
           f"({len(SIZES) * len(CHURNS) * len(MIXES)} cells x "
-          f"{EPOCHS} epochs, e11 workload, {cpus} CPUs visible)",
+          f"{EPOCHS} epochs, e11 workload, {cpus} CPUs visible; "
+          f"fastest of {REPEATS} interleaved runs)",
           ["workers", "wall s", "agg epochs/s", "scale-out",
            "merge identical"],
           rows)
 
-    for jobs, scaling, identical, errors in outcomes:
-        # The executor's correctness contract: no silent worker
-        # crashes, and the merged report is byte-identical to serial.
+    for jobs, identical, errors in runs:
+        # The executor's correctness contract, on every run: no silent
+        # worker crashes, and the merged report is byte-identical to
+        # serial.
         assert errors == []
         assert identical, f"{jobs}-worker merge diverged from serial"
+    for jobs, scale in scaling.items():
         usable = min(jobs, cpus)
         if usable >= 4:
             # The acceptance bar: >= 3x aggregate throughput at 4
             # workers on a 4-CPU host.
-            assert scaling >= 3.0, (
+            assert scale >= 3.0, (
                 f"{jobs} workers on {cpus} CPUs scaled only "
-                f"{scaling:.2f}x (need >= 3x)")
+                f"{scale:.2f}x (need >= 3x)")
         elif usable > 1:
-            assert scaling >= 0.6 * usable, (
+            assert scale >= 0.6 * usable, (
                 f"{jobs} workers on {cpus} CPUs scaled only "
-                f"{scaling:.2f}x (need >= {0.6 * usable:.1f}x)")
+                f"{scale:.2f}x (need >= {0.6 * usable:.1f}x)")
         else:
             # Single CPU: parallelism cannot help; prove the pool
             # overhead stays bounded instead.
-            assert scaling >= 0.5, (
-                f"pool overhead ate {1 - scaling:.0%} of serial "
+            assert scale >= 0.5, (
+                f"pool overhead ate {1 - scale:.0%} of serial "
                 f"throughput on a single CPU")
 
 

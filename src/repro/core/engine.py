@@ -352,10 +352,17 @@ class KSpotEngine:
         if self.plan.query_class is not QueryClass.HISTORIC_VERTICAL:
             raise PlanError("execute_historic() is for GROUP BY epoch plans")
         series = self._series()
+        # Churn can leave no participant with a buffered reading: then
+        # there is no epoch to rank, and nothing goes on the air.
+        empty = not any(series.values())
         if self.plan.algorithm is Algorithm.TJA:
+            if empty:
+                return TjaResult(items=(), candidates=0, cleanup_rounds=0)
             return Tja(self.network, self.aggregate, self.plan.k,
                        series).execute()
         if self.plan.algorithm is Algorithm.TPUT:
+            if empty:
+                return TputResult(items=(), candidates=0)
             return Tput(self.network, self.aggregate, self.plan.k,
                         series).execute()
         if self.plan.algorithm is Algorithm.CENTRALIZED:

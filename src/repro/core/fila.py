@@ -43,7 +43,7 @@ from ..network.simulator import Network
 from .aggregates import Aggregate, Bounds
 from .certify import certify_top_k
 from .delta import TopKView
-from .participants import Participants, sink_roots
+from .participants import Participants
 from .results import EpochResult
 
 #: What the hot passes relay, as ``(kind, payload bytes)``: a one-entry
@@ -81,8 +81,6 @@ class Fila:
         self.group_of = None if group_of is None else dict(group_of)
         #: The alive participants, memoized per topology and membership.
         self._participants = Participants(network)
-        #: The converge-cast plan and its rows that reach the sink.
-        self._reach: tuple[tuple | None, dict[int, int]] = (None, {})
         #: Installed filter per node (lo, hi); None until setup.
         self.filters: dict[int, tuple[float, float]] = {}
         #: The sink's last exactly-known value per node.
@@ -305,13 +303,11 @@ class Fila:
         nothing those motes send arrives. The sink forgets them as it
         forgets the dead (:meth:`_forget`); once a repair reconnects
         them they report and get a filter, as joiners do. The reach is
-        derived once per converge-cast plan, as MINT's census is.
+        the network's, derived once per converge-cast plan and read by
+        MINT's census too.
         """
-        plan = self.network.converge_cast_plan()
-        if plan is not self._reach[0]:
-            self._reach = (plan, sink_roots(plan))
-        reach = self._reach[1]
-        if len(reach) == len(plan):
+        reach = self.network.sink_roots()
+        if len(reach) == len(self.network.converge_cast_plan()):
             return readings
         reporting = {}
         for node_id, value in readings.items():

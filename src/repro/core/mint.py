@@ -41,7 +41,9 @@ epoch anyway. ``tests/test_hotpath_equivalence.py`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, repeat
 from typing import Hashable, Mapping
 
 from ..errors import ConfigurationError, ProtocolError, ValidationError
@@ -56,7 +58,7 @@ from ..network.simulator import Network
 from .aggregates import Aggregate, Bounds, Partial, SortKeys
 from .certify import certify_top_k
 from .descriptors import should_reship_gamma, subtree_gamma
-from .participants import Participants, sink_roots
+from .participants import Participants
 from .results import EpochResult, rank_key
 from .views import MintNodeState, max_gamma
 
@@ -316,7 +318,7 @@ class Mint:
                     self.network.send_up(node_id, message)
                     state.reported = dict(view)
                     state.gamma_reported = None
-        self._count_members(self.network.converge_cast_plan())
+        self._count_members()
         self.created = True
 
     # repro: hot
@@ -464,10 +466,10 @@ class Mint:
         if not self.created:
             self._creation_phase()
             bounds = self._sink_bounds()
-            outcome = certify_top_k(bounds, self.k)
+            outcome = _certify(bounds, self.k)
             result = EpochResult(
                 epoch=self.network.epoch,
-                items=outcome.items,
+                items=outcome.items if outcome else (),
                 exact=True,
                 algorithm=self.name,
                 probed=0,
@@ -477,9 +479,8 @@ class Mint:
             self.network.advance_epoch()
             return result
 
-        plan = self.network.converge_cast_plan()
-        if plan is not self._census_plan:
-            self._count_members(plan)
+        if self.network.converge_cast_plan() is not self._census_plan:
+            self._count_members()
         contributions = self._acquire()
         if self.network.hot:
             self._run_update_phase(contributions)
@@ -510,9 +511,9 @@ class Mint:
                         self._apply_report(state, kept, message)
 
         bounds = self._sink_bounds()
-        outcome = certify_top_k(bounds, self.k)
+        outcome = _certify(bounds, self.k)
         probed = 0
-        if outcome.needs_probe:
+        if outcome and outcome.needs_probe:
             collected = self._probe(outcome.ambiguous)
             probed = 1
             for group, extra in collected.items():
@@ -535,7 +536,7 @@ class Mint:
         self._adapt_slack(probed)
         result = EpochResult(
             epoch=self.network.epoch,
-            items=outcome.items,
+            items=outcome.items if outcome else (),
             exact=True,
             algorithm=self.name,
             probed=probed,
@@ -704,10 +705,11 @@ class Mint:
                 reprimed += 1
         return reprimed
 
-    def _count_members(self, plan: tuple) -> None:
-        """Learn the sink's group cardinalities from a converge-cast
-        plan: per live sink child, the members whose readings can reach
-        the sink (:func:`~repro.core.participants.sink_roots`).
+    def _count_members(self) -> None:
+        """Learn the sink's group cardinalities from the network's
+        converge-cast plan: per live sink child, the members whose
+        readings can reach the sink
+        (:meth:`~repro.network.simulator.Network.sink_roots`).
 
         Group membership is static knowledge (the Configuration Panel's
         clusters), so the sink counts without any radio traffic. The
@@ -715,24 +717,38 @@ class Mint:
         never arrive. Runs at creation and whenever the network has
         built a new plan, i.e. its tree or topology changed.
         """
-        self._census_plan = plan
-        group_of = self.group_of
+        self._census_plan = self.network.converge_cast_plan()
+        group = self.group_of.get
+        roots = self.network.sink_roots()
         totals: dict[GroupKey, int] = {}
         child_totals: dict[int, dict[GroupKey, int]] = {}
-        for node_id, root in sink_roots(plan).items():
-            if node_id == root:
-                child_totals[root] = {}
-            if node_id in group_of:
-                group = group_of[node_id]
-                counts = child_totals[root]
-                counts[group] = counts.get(group, 0) + 1
-                totals[group] = totals.get(group, 0) + 1
+        # Each sink child's run of the map is one block, root first:
+        # its members count per group in one pass of C-level lookups.
+        for root, run in groupby(roots, roots.__getitem__):
+            counts = Counter(map(group, run, repeat(_NOT_A_MEMBER)))
+            counts.pop(_NOT_A_MEMBER, None)
+            child_totals[root] = dict(counts)
+            for key, count in counts.items():
+                totals[key] = totals.get(key, 0) + count
         self.group_totals = totals
         self.child_group_totals = child_totals
 
     def run(self, epochs: int) -> list[EpochResult]:
         """Convenience driver: ``epochs`` consecutive rounds."""
         return [self.run_epoch() for _ in range(epochs)]
+
+
+#: What the census reads for a sensor outside the query's membership
+#: map (a plain ``None`` could be a group label).
+_NOT_A_MEMBER = object()
+
+
+def _certify(bounds: Mapping[GroupKey, Bounds], k: int):
+    """:func:`~repro.core.certify.certify_top_k`, except that an epoch
+    in which no member can reach the sink (churn killed or cut off
+    every one) has nothing to rank: it answers no items and certifies
+    nothing (None), as TAG answers no items then."""
+    return certify_top_k(bounds, k) if bounds else None
 
 
 def _probe_reply(epoch: int,

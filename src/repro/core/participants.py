@@ -1,6 +1,7 @@
 """The alive sensors a query reads each epoch — the alive members of
-its static ``WHERE`` pre-filter, a node id → group map — and which of
-them the sink can hear."""
+its static ``WHERE`` pre-filter, a node id → group map. Which of them
+the sink can hear is the network's
+(:meth:`~repro.network.simulator.Network.sink_roots`)."""
 
 from __future__ import annotations
 
@@ -39,22 +40,3 @@ class Participants:
             result = alive
         self._memo = (alive, members, result)
         return result
-
-
-def sink_roots(plan: tuple) -> dict[int, int]:
-    """Each row of a converge-cast plan whose reports reach the sink,
-    mapped to the sink child they arrive through, root-first.
-
-    The plan read in reverse is root-first; a row reaches the sink
-    when its parent is the sink or a row that reaches it. So the live
-    descendants of a dead relay (a tree left unrepaired, or a node
-    killed without an event) are left out: nothing they send arrives.
-    Every row reaches the sink exactly when the result is as long as
-    the plan.
-    """
-    roots: dict[int, int] = {}
-    for node_id, parent, _, to_sink in reversed(plan):
-        root = node_id if to_sink else roots.get(parent)
-        if root is not None:
-            roots[node_id] = root
-    return roots

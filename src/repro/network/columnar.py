@@ -217,21 +217,27 @@ class ColumnarState:
     value dict, in ascending-id order, shared by every session that
     asks for the same id tuple — so N concurrent sessions pay for one
     batch acquisition instead of N scans of the per-node sample
-    caches. Rows are keyed by the identity of the requesting id tuple
-    (the network's cached alive tuple, or an engine's cached
-    participant tuple) and epoch-stamped, so staleness is impossible
-    by construction: a new epoch or a topology change (which rebuilds
-    the id tuple) simply never matches.
+    caches. Rows and sampling plans are keyed by the identity of the
+    requesting id tuple (the network's cached alive tuple, or an
+    engine's cached participant tuple), so staleness is impossible by
+    construction: a topology change (which rebuilds the id tuple), or
+    for a row a new epoch, simply never matches. So only the current
+    epoch's rows are kept, and the network drops every plan when its
+    topology changes (:meth:`drop_plans`); either table also starts
+    over past :data:`_MAX_TUPLES` tuples of one attribute.
     """
 
-    __slots__ = ("_rows", "_plans", "_epochs")
+    __slots__ = ("_rows", "_plans", "_channels", "_epochs")
 
     def __init__(self) -> None:
         #: attribute -> {id(ids_tuple): (epoch, ids_tuple, readings)}
         self._rows: dict[str, dict[int, tuple]] = {}
-        #: attribute -> (ids_tuple, plan) — the memoized sampling plan
-        #: (see :meth:`plan`).
-        self._plans: dict[str, tuple] = {}
+        #: attribute -> {id(ids_tuple): (ids_tuple, plan)} — the
+        #: memoized sampling plans (see :meth:`plan`).
+        self._plans: dict[str, dict[int, tuple]] = {}
+        #: attribute -> {node id: (board, group key, channel)} — see
+        #: :meth:`channels`.
+        self._channels: dict[str, dict[int, tuple]] = {}
         #: attribute -> epoch of the newest stored row (any id tuple).
         self._epochs: dict[str, int] = {}
 
@@ -258,13 +264,10 @@ class ColumnarState:
     def store(self, attribute: str, epoch: int, ids: tuple[int, ...],
               readings: dict[int, float]) -> None:
         """Remember one epoch's readings row for an id tuple."""
+        if self._epochs.get(attribute) != epoch:
+            self._rows.pop(attribute, None)  # no older row matches again
         self._epochs[attribute] = epoch
-        per_attribute = self._rows.setdefault(attribute, {})
-        if len(per_attribute) > 16:
-            # A session churning through fresh participant tuples must
-            # not grow the row table without bound.
-            per_attribute.clear()
-        per_attribute[id(ids)] = (epoch, ids, readings)
+        _remember(self._rows, attribute, ids, (epoch, ids, readings))
 
     def plan(self, attribute: str, ids: tuple[int, ...]):
         """The memoized sampling plan for this exact id tuple, or None.
@@ -280,14 +283,50 @@ class ColumnarState:
         Per-epoch freshness (the same-epoch sample cache) is *not*
         baked in — :meth:`~repro.network.node.SensorNode.book_sample`
         re-checks it per node each epoch."""
-        entry = self._plans.get(attribute)
+        entry = self._plans.get(attribute, {}).get(id(ids))
         if entry is not None and entry[0] is ids:
             return entry[1]
         return None
 
     def store_plan(self, attribute: str, ids: tuple[int, ...],
                    plan) -> None:
-        """Remember the sampling plan for an id tuple (one per
-        attribute — sessions share the alive tuple, and an engine
-        cycling through fresh subset tuples overwrites harmlessly)."""
-        self._plans[attribute] = (ids, plan)
+        """Remember the sampling plan for an id tuple. Sessions over
+        every alive sensor share the alive tuple; one reading a subset
+        (a historic query, which adopts no newborn) keeps its own plan
+        beside it instead of evicting it."""
+        _remember(self._plans, attribute, ids, (ids, plan))
+
+    def drop_plans(self) -> None:
+        """Forget every sampling plan: after a topology change no id
+        tuple they were built for is asked for again."""
+        self._plans.clear()
+
+    def channels(self, attribute: str) -> dict[int, tuple]:
+        """Node id → ``(board, group key, (field, modality, quantize))``
+        for every live node a plan over ``attribute`` grouped: a new
+        plan regroups such a node without asking its board again while
+        ``node.board`` is still that board object. The network updates
+        it while building a plan and drops a node on its death
+        (:meth:`forget`)."""
+        return self._channels.setdefault(attribute, {})
+
+    def forget(self, node_id: int) -> None:
+        """Drop a dead node from every attribute's channel memo."""
+        for known in self._channels.values():
+            known.pop(node_id, None)
+
+
+#: Id tuples whose readings rows (and, separately, sampling plans) an
+#: attribute keeps before the table starts over: a session churning
+#: through fresh participant tuples must not grow it without bound.
+_MAX_TUPLES = 16
+
+
+def _remember(table: dict[str, dict[int, tuple]], attribute: str,
+              ids: tuple[int, ...], entry: tuple) -> None:
+    """Store ``entry`` under the identity of ``ids`` in the attribute's
+    table, clearing a full table first."""
+    per_attribute = table.setdefault(attribute, {})
+    if len(per_attribute) > _MAX_TUPLES:
+        per_attribute.clear()
+    per_attribute[id(ids)] = entry

@@ -27,8 +27,13 @@ flat relays
 and FILA's whole report, probe and install passes) ship through one
 :meth:`Network.relay_many` call each — a large batch in one numpy
 scatter over a per-topology relay table — and the alive-sensor tuple,
-the converge-cast and flood plans and the relay table are cached and
-invalidated on topology change. :meth:`Network.send_up`,
+the converge-cast and flood plans, the :meth:`Network.sink_roots` map
+and the relay table are cached and invalidated on topology change. A
+churn event costs what it touched: the tree derives its successor by
+patching (:mod:`repro.network.tree`), a plan rebuild keeps every row
+the event did not touch, and a new sampling plan regroups the nodes an
+earlier one grouped without asking their boards again.
+:meth:`Network.send_up`,
 :meth:`Network.broadcast_down` and the churn handshakes ship through
 the one reference :meth:`Network._ship` on either path.
 A network decides its path once, when it is built, into
@@ -53,7 +58,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import (
@@ -84,6 +89,11 @@ _RECOVERY_STREAM = 0x9E3779B97F4A7C15
 #: loop, which beats the scatter's fixed cost of about 40 µs below it
 #: (the measured crossover is in ``docs/PERF.md``).
 _SCATTER_MIN_MOTES = 24
+
+#: Payload sizes the lossless cost memo holds before it starts over. A
+#: query mix ships a few dozen sizes, so this only caps a pathological
+#: one.
+_COST_MEMO_SIZES = 4096
 
 
 class Network:
@@ -163,7 +173,14 @@ class Network:
                                 ...] | None = None
         self._alive_ids_cache: tuple[int, ...] | None = None
         self._flood_cache: tuple[tuple[int, tuple[int, ...]], ...] | None = None
+        self._roots_cache: dict[int, int] | None = None
         self._relay_cache: tuple | None = None
+        #: live sensor → (its tree child tuple, its converge-cast plan
+        #: row): the rows a plan rebuild reuses. A row stays valid while
+        #: the tree hands out the same child tuple and parent; a death
+        #: drops the dead node's row and its parent's (whose live
+        #: children changed), so only live tree nodes are held.
+        self._plan_rows: dict[int, tuple[tuple[int, ...], tuple]] = {}
         self._cache_tree: RoutingTree | None = None
         self._cache_version = -1
         #: The columnar kernel's readings rows and sampling plans;
@@ -210,16 +227,25 @@ class Network:
             self._plan_cache = None
             self._alive_ids_cache = None
             self._flood_cache = None
+            self._roots_cache = None
             self._relay_cache = None
+            self._columnar.drop_plans()
 
-    def _on_node_killed(self, _node_id: int) -> None:
+    def _on_node_killed(self, node_id: int) -> None:
         """Per-node death hook: invalidate aliveness-derived caches.
 
         Installed on every :class:`SensorNode` (including ones killed
         directly, bypassing :meth:`kill_node`), so caches can never
-        observe a stale ``alive`` flag.
+        observe a stale ``alive`` flag. The dead node's plan row goes,
+        and so does its parent's, whose live children just changed;
+        the sampling plans forget its board channel.
         """
         self._topo_version += 1
+        rows = self._plan_rows
+        rows.pop(node_id, None)
+        if node_id in self.tree:
+            rows.pop(self.tree.parent(node_id), None)
+        self._columnar.forget(node_id)
 
     def ledger(self, node_id: int) -> EnergyLedger:
         """The energy ledger of a node (or of the sink)."""
@@ -573,8 +599,11 @@ class Network:
         """Fill the lossless cost memo for one payload size: one memo
         entry yields packets, air bytes and both joule figures (energy
         rates are fixed per deployment). Cold path only."""
+        memo = self._cost_memo
+        if len(memo) >= _COST_MEMO_SIZES:
+            memo.clear()
         cost = fragment(payload_bytes)
-        info = self._cost_memo[payload_bytes] = (
+        info = memo[payload_bytes] = (
             cost.packets, cost.air_bytes,
             cost.air_bytes * self._tx_rate,
             cost.air_bytes * self._rx_rate,
@@ -620,22 +649,25 @@ class Network:
     def _flood_plan(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``(forwarder, live children)`` in pre-order: the sink and
         every live sensor with at least one live child. Cached per
-        topology version."""
+        topology version; a sensor's live children are its
+        converge-cast row's."""
         self._validate_topo_caches()
         plan = self._flood_cache
         if plan is None:
+            self.converge_cast_plan()  # brings the rows up to date
+            rows = self._plan_rows
             sink = self._sink_id
             nodes = self.nodes
-            tree = self.tree
-            rows = []
-            for node_id in tree.pre_order():
-                if node_id != sink and not nodes[node_id].alive:
-                    continue
-                live = tuple(c for c in tree.children(node_id)
-                             if nodes[c].alive)
-                if live:
-                    rows.append((node_id, live))
-            plan = self._flood_cache = tuple(rows)
+            order = self.tree.pre_order()  # the sink first
+            live = tuple(c for c in self.tree.children(sink)
+                         if nodes[c].alive)
+            forwarders = [(sink, live)] if live else []
+            for node_id in islice(order, 1, None):
+                if nodes[node_id].alive:
+                    live = rows[node_id][1][2]
+                    if live:
+                        forwarders.append((node_id, live))
+            plan = self._flood_cache = tuple(forwarders)
         return plan
 
     def unicast_to_sink(self, origin: int, message: WireMessage) -> int:
@@ -692,22 +724,58 @@ class Network:
         may be keyed on its identity (MINT's group census is). A live
         child always precedes its parent, and the parent of a row may
         be dead (a tree left unrepaired): rows follow the tree's
-        edges, as :meth:`send_up` does.
+        edges, as :meth:`send_up` does. A rebuild keeps the previous
+        row of every node whose child tuple, parent and children's
+        liveness did not change (see ``_plan_rows``).
         """
         self._validate_topo_caches()
         plan = self._plan_cache
         if plan is None:
             nodes = self.nodes
             tree = self.tree
+            children_of = tree._children
+            parent_of = tree._parents
             sink = self._sink_id
+            memo = self._plan_rows
             rows = []
-            for node_id in self.converge_cast_order():
-                parent = tree.parent(node_id)
-                live = tuple(c for c in tree.children(node_id)
-                             if nodes[c].alive)
-                rows.append((node_id, parent, live, parent == sink))
+            for node_id in tree.post_order():
+                if node_id == sink or not nodes[node_id].alive:
+                    continue
+                kids = children_of[node_id]
+                parent = parent_of[node_id]
+                entry = memo.get(node_id)
+                if (entry is None or entry[0] is not kids
+                        or entry[1][1] != parent):
+                    live = tuple(c for c in kids if nodes[c].alive)
+                    entry = memo[node_id] = (
+                        kids, (node_id, parent, live, parent == sink))
+                rows.append(entry[1])
             plan = self._plan_cache = tuple(rows)
         return plan
+
+    def sink_roots(self) -> dict[int, int]:
+        """Each row of the converge-cast plan whose reports reach the
+        sink, mapped to the sink child they arrive through, root-first.
+
+        The plan read in reverse is root-first; a row reaches the sink
+        when its parent is the sink or a row that reaches it. So the
+        live descendants of a dead relay (a tree left unrepaired, or a
+        node killed without an event) are left out: nothing they send
+        arrives. Every row reaches the sink exactly when the map is as
+        long as the plan. The plan is a depth-first order, so each sink
+        child's entries form one run, the sink child first. Built once
+        per plan and shared by every session (MINT's census, FILA's
+        reach): treat it as read-only.
+        """
+        plan = self.converge_cast_plan()
+        roots = self._roots_cache
+        if roots is None:
+            roots = self._roots_cache = {}
+            for node_id, parent, _, to_sink in reversed(plan):
+                root = node_id if to_sink else roots.get(parent)
+                if root is not None:
+                    roots[node_id] = root
+        return roots
 
     def sample_all(self, attribute: str) -> dict[int, float]:
         """Every live sensor samples ``attribute`` for the current epoch."""
@@ -808,21 +876,29 @@ class Network:
         :meth:`repro.network.columnar.ColumnarState.plan`). None when
         any node is dead, board-less or lacks the channel — those
         tuples take the reference walk, which raises at that node's
-        position."""
+        position. A node an earlier plan grouped keeps its channel
+        while its board is the same object
+        (:meth:`~repro.network.columnar.ColumnarState.channels`)."""
         nodes = self.nodes
+        known = self._columnar.channels(attribute)
         groups: dict[tuple, tuple] = {}
         for row_index, node_id in enumerate(node_ids):
             node = nodes[node_id]
-            if not node.alive or node.board is None:
+            board = node.board
+            if not node.alive or board is None:
                 return None
-            try:
-                field, modality, quantize = node.board.channel(attribute)
-            except ValidationError:
-                return None
-            key = (id(field), id(modality), quantize)
-            group = groups.get(key)
+            entry = known.get(node_id)
+            if entry is None or entry[0] is not board:
+                try:
+                    channel = board.channel(attribute)
+                except ValidationError:
+                    return None
+                field, modality, quantize = channel
+                entry = known[node_id] = (
+                    board, (id(field), id(modality), quantize), channel)
+            group = groups.get(entry[1])
             if group is None:
-                group = groups[key] = (field, modality, quantize, [], [])
+                group = groups[entry[1]] = (*entry[2], [], [])
             group[3].append(node_id)
             group[4].append((row_index, node))
         return tuple(groups.values())
@@ -924,7 +1000,7 @@ class Network:
                 "station every query routes to"
             )
         former_parent = (self.tree.parent(node_id)
-                         if node_id in self.tree.node_ids else None)
+                         if node_id in self.tree else None)
         self.node(node_id).kill()
         reattached: tuple[tuple[int, int], ...] = ()
         detached: tuple[int, ...] = ()
@@ -945,11 +1021,10 @@ class Network:
                     self._ship(child, (parent,),
                                ControlMessage(label="attach"),
                                rng=self._recovery_rng)
-            in_tree = set(self.tree.node_ids)
             for child, parent in reattached:
                 dirty.add(child)
                 dirty.update(self.tree.path_to_root(parent))
-            if former_parent in in_tree:
+            if former_parent in self.tree:
                 dirty.update(self.tree.path_to_root(former_parent))
         dirty.discard(self.sink_id)
         self._emit(TopologyEvent(
@@ -987,10 +1062,10 @@ class Network:
             raise ConfigurationError(
                 f"node {node_id} is already deployed and alive")
         self.topology.add_node(node_id, position)
-        in_tree = set(self.tree.node_ids)
+        tree = self.tree
         candidates = [
             neighbor for neighbor in self.topology.neighbors(node_id)
-            if neighbor in in_tree
+            if neighbor in tree
             and (neighbor == self.sink_id or self.nodes[neighbor].alive)
         ]
         if not candidates:

@@ -6,10 +6,20 @@ the sink as its parent. :class:`RoutingTree` captures that structure,
 serves the traversal orders the aggregation algorithms need
 (leaves-first converge-cast, root-first dissemination), and supports
 repair after node failures.
+
+A tree never mutates. A join (:meth:`RoutingTree.attach`) and a repair
+(:meth:`RoutingTree.repaired`) derive the next tree from this one
+through one edit primitive, which copies the child and depth maps and
+rebuilds only the child tuples of the parents the edit touched, so
+every untouched node keeps its very child tuple (the network's plan
+rows key on that identity). A repair walks only the dead nodes'
+subtrees to find the orphans and re-derives depths only inside each
+re-homed component, so its cost follows the damage, not the fleet.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -50,14 +60,13 @@ class RoutingTree:
             parents: parent of every non-root node. Every chain must
                 terminate at ``root``; cycles raise TopologyError.
         """
-        self._root = root
-        self._parents = dict(parents)
-        if root in self._parents:
+        parents = dict(parents)
+        if root in parents:
             raise TopologyError("the root cannot have a parent")
         grow: dict[int, list[int]] = {root: []}
-        for child in self._parents:
+        for child in parents:
             grow.setdefault(child, [])
-        for child, parent in sorted(self._parents.items()):
+        for child, parent in sorted(parents.items()):
             if parent not in grow:
                 raise TopologyError(
                     f"node {child} has parent {parent} which is not in the tree"
@@ -67,12 +76,22 @@ class RoutingTree:
         # build new trees), so child lists freeze into tuples here and
         # children() becomes a plain dict lookup — the converge-cast
         # loop asks for them once per node per epoch.
-        self._children: dict[int, tuple[int, ...]] = {
-            node: tuple(kids) for node, kids in grow.items()
-        }
-        self._depths = self._compute_depths()
+        children = {node: tuple(kids) for node, kids in grow.items()}
+        self._assemble(root, parents, children,
+                       self._bfs_depths(root, children))
+
+    def _assemble(self, root: int, parents: dict[int, int],
+                  children: dict[int, tuple[int, ...]],
+                  depths: dict[int, int]) -> None:
+        """Adopt the three maps (the tree owns them from here on)."""
+        self._root = root
+        self._parents = parents
+        self._children = children
+        self._depths = depths
         # Traversal orders are pure functions of the frozen structure;
-        # memoized lazily (see post_order / pre_order / path_to_root).
+        # memoized lazily (see node_ids / post_order / pre_order /
+        # path_to_root).
+        self._node_ids: tuple[int, ...] | None = None
         self._post_order: tuple[int, ...] | None = None
         self._pre_order: tuple[int, ...] | None = None
         self._path_memo: dict[int, tuple[int, ...]] = {}
@@ -102,19 +121,25 @@ class RoutingTree:
             )
         return cls(root, parents)
 
-    def _compute_depths(self) -> dict[int, int]:
-        depths = {self._root: 0}
-        frontier = deque([self._root])
+    @staticmethod
+    def _bfs_depths(root: int,
+                    children: Mapping[int, tuple[int, ...]]) -> dict[int, int]:
+        depths = {root: 0}
+        frontier = deque([root])
         visited = 1
         while frontier:
             current = frontier.popleft()
-            for child in self._children[current]:
+            for child in children[current]:
                 depths[child] = depths[current] + 1
                 frontier.append(child)
                 visited += 1
-        if visited != len(self._children):
+        if visited != len(children):
             raise TopologyError("parent map contains a cycle or unreachable node")
         return depths
+
+    def __contains__(self, node_id: object) -> bool:
+        """Whether ``node_id`` is a node of this tree (root included)."""
+        return node_id in self._children
 
     @property
     def root(self) -> int:
@@ -123,13 +148,17 @@ class RoutingTree:
 
     @property
     def node_ids(self) -> tuple[int, ...]:
-        """All tree nodes including the root, sorted."""
-        return tuple(sorted(self._children))
+        """All tree nodes including the root, sorted; memoized."""
+        if self._node_ids is None:
+            self._node_ids = tuple(sorted(self._children))
+        return self._node_ids
 
     @property
     def sensor_ids(self) -> tuple[int, ...]:
-        """All tree nodes except the root."""
-        return tuple(i for i in self.node_ids if i != self._root)
+        """All tree nodes except the root, sorted."""
+        ids = self.node_ids
+        at = bisect_left(ids, self._root)
+        return ids[:at] + ids[at + 1:]
 
     def parent(self, node_id: int) -> int:
         """The parent of a non-root node."""
@@ -171,16 +200,16 @@ class RoutingTree:
         Computed once and memoized (the tree never mutates).
         """
         if self._post_order is None:
+            # Reversed, a root-first walk that takes the children last
+            # to first is leaves-first with the children first to last.
+            children = self._children
             order: list[int] = []
-            stack: list[tuple[int, bool]] = [(self._root, False)]
+            stack = [self._root]
             while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    order.append(node)
-                else:
-                    stack.append((node, True))
-                    for child in reversed(self._children[node]):
-                        stack.append((child, False))
+                node = stack.pop()
+                order.append(node)
+                stack.extend(children[node])
+            order.reverse()
             self._post_order = tuple(order)
         return self._post_order
 
@@ -237,8 +266,53 @@ class RoutingTree:
             raise TopologyError(f"node {node_id} is already in the tree")
         if parent_id not in self._children:
             raise TopologyError(f"unknown parent {parent_id}")
-        return RoutingTree(self._root,
-                           {**self._parents, node_id: parent_id})
+        return self._edited(
+            {**self._parents, node_id: parent_id},
+            {**self._depths, node_id: self._depths[parent_id] + 1},
+            moved=(node_id,), removed=())
+
+    def _edited(self, parents: dict[int, int], depths: dict[int, int],
+                moved: Iterable[int], removed: Iterable[int],
+                ) -> "RoutingTree":
+        """The tree this one becomes after an edit.
+
+        ``parents`` and ``depths`` are the edited tree's whole maps,
+        which it adopts; ``moved`` names the nodes whose parent is new
+        (a joiner, a re-homed node) and ``removed`` the nodes that left.
+        The child map is copied and only the child tuples of the
+        parents those nodes left or joined are rebuilt, in ascending id
+        order as the constructor builds them, so every other node keeps
+        its very tuple. The constructor's invariant stays a check: the
+        callers derive each new depth by walking down from a node the
+        root reaches, so a node on a cycle or apart from the root has
+        no depth, and a node without one raises.
+        """
+        old_children = self._children
+        old_parents = self._parents
+        children = dict(old_children)
+        stale: set[int] = set()
+        for node in removed:
+            del children[node]
+            stale.add(old_parents[node])
+        gained: dict[int, set[int]] = {}
+        for node in moved:
+            if node in old_parents:
+                stale.add(old_parents[node])
+            children.setdefault(node, ())
+            gained.setdefault(parents[node], set()).add(node)
+        stale.update(gained)
+        for parent in stale:
+            if parent not in children:
+                continue  # it left the tree too
+            kids = {child for child in old_children.get(parent, ())
+                    if parents.get(child) == parent}
+            kids.update(gained.get(parent, ()))
+            children[parent] = tuple(sorted(kids))
+        if depths.keys() != children.keys():
+            raise TopologyError("parent map contains a cycle or unreachable node")
+        tree = RoutingTree.__new__(RoutingTree)
+        tree._assemble(self._root, parents, children, depths)
+        return tree
 
     def repaired(self, dead: Iterable[int], topology: Topology,
                  energy_of: Callable[[int], float] | None = None,
@@ -251,7 +325,10 @@ class RoutingTree:
         deaths actually orphaned: each orphaned component is re-rooted
         at the node with a radio link into the surviving tree and
         re-attached there, so the repair's message bill is
-        proportional to the damage, not to the network size.
+        proportional to the damage, not to the network size. So is its
+        host cost: the orphans are found by walking the dead nodes'
+        subtrees, every other survivor keeps its depth, and depths are
+        re-derived only inside each re-homed component.
 
         New parents are chosen *residual-energy-aware*: among the
         attached in-range candidates the one that has spent the fewest
@@ -270,28 +347,28 @@ class RoutingTree:
         if self._root in dead_set:
             raise TopologyError("the sink cannot die")
         spent = energy_of or (lambda _node: 0.0)
-        parents = {child: parent
-                   for child, parent in self._parents.items()
-                   if child not in dead_set}
-        survivors = set(parents) | {self._root}
-
-        def attached_and_depths() -> tuple[set[int], dict[int, int]]:
-            children: dict[int, list[int]] = {i: [] for i in survivors}
-            for child, parent in parents.items():
-                if parent in survivors:
-                    children[parent].append(child)
-            depths = {self._root: 0}
-            frontier = deque([self._root])
-            while frontier:
-                current = frontier.popleft()
-                for child in children[current]:
-                    if child not in depths:
-                        depths[child] = depths[current] + 1
-                        frontier.append(child)
-            return set(depths), depths
-
-        attached, depths = attached_and_depths()
-        orphaned = survivors - attached
+        children = self._children
+        parents = dict(self._parents)
+        # Attached survivors are exactly the nodes with a depth: the
+        # dead and the orphans lose theirs here.
+        depths = dict(self._depths)
+        # The orphans are the survivors below a dead node, each with
+        # its surviving children (the depth walks follow these lists).
+        orphaned: set[int] = set()
+        below: dict[int, list[int]] = {}
+        for victim in dead_set:
+            del parents[victim]
+            del depths[victim]
+            stack = list(children[victim])
+            while stack:
+                node = stack.pop()
+                if node in dead_set:
+                    continue  # walked from that victim
+                orphaned.add(node)
+                del depths[node]
+                kids = below[node] = [child for child in children[node]
+                                      if child not in dead_set]
+                stack.extend(kids)
         orphaned_initially = tuple(sorted(orphaned))
         reattached: list[tuple[int, int]] = []
         detached: list[int] = []
@@ -299,9 +376,10 @@ class RoutingTree:
             best: tuple[tuple[float, int, int, int], int, int] | None = None
             for node in sorted(orphaned):
                 for neighbor in topology.neighbors(node):
-                    if neighbor not in attached:
-                        continue
-                    key = (spent(neighbor), depths[neighbor], neighbor, node)
+                    depth = depths.get(neighbor)
+                    if depth is None:
+                        continue  # not attached
+                    key = (spent(neighbor), depth, neighbor, node)
                     if best is None or key < best[0]:
                         best = (key, node, neighbor)
             if best is None:
@@ -325,11 +403,23 @@ class RoutingTree:
             for upper, lower in zip(chain[1:], chain):
                 parents[upper] = lower
                 reattached.append((upper, lower))
+                below[upper].remove(lower)
+                below[lower].append(upper)
             parents[node] = new_parent
             reattached.append((node, new_parent))
-            attached, depths = attached_and_depths()
-            orphaned = survivors - attached
-        tree = RoutingTree(self._root, parents)
+            # The whole component now hangs below ``node``: only its
+            # depths are new.
+            depths[node] = depths[new_parent] + 1
+            frontier = [node]
+            for current in frontier:
+                orphaned.discard(current)
+                depth = depths[current] + 1
+                for child in below[current]:
+                    depths[child] = depth
+                    frontier.append(child)
+        tree = self._edited(parents, depths,
+                            moved=[child for child, _ in reattached],
+                            removed=dead_set.union(detached))
         report = RepairReport(dead=tuple(sorted(dead_set)),
                               orphaned=orphaned_initially,
                               reattached=tuple(reattached),

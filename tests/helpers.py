@@ -88,3 +88,81 @@ def on_both_paths(run, *args, **kwargs):
     for network in networks:
         assert network.hot is (network.radio.loss_probability == 0.0)
     return hot, reference
+
+
+def reference_repair(tree, dead, topology, energy_of=None,
+                     detach_unreachable=False):
+    """The survivor-wide repair ``RoutingTree.repaired`` replaced: after
+    every re-attachment it re-derives the attached set and every depth
+    by a BFS over all survivors. Returns ``(RoutingTree(root, parents),
+    RepairReport)``, the oracle for the repair that follows only the
+    damage."""
+    from collections import deque
+
+    from repro.errors import TopologyError
+    from repro.network.tree import RepairReport, RoutingTree
+
+    root = tree.root
+    dead_set = {d for d in dead if d in tree.node_ids}
+    if root in dead_set:
+        raise TopologyError("the sink cannot die")
+    spent = energy_of or (lambda _node: 0.0)
+    parents = {child: tree.parent(child) for child in tree.sensor_ids
+               if child not in dead_set}
+    survivors = set(parents) | {root}
+
+    def attached_and_depths():
+        children = {i: [] for i in survivors}
+        for child, parent in parents.items():
+            if parent in survivors:
+                children[parent].append(child)
+        depths = {root: 0}
+        frontier = deque([root])
+        while frontier:
+            current = frontier.popleft()
+            for child in children[current]:
+                if child not in depths:
+                    depths[child] = depths[current] + 1
+                    frontier.append(child)
+        return set(depths), depths
+
+    attached, depths = attached_and_depths()
+    orphaned = survivors - attached
+    orphaned_initially = tuple(sorted(orphaned))
+    reattached = []
+    detached = []
+    while orphaned:
+        best = None
+        for node in sorted(orphaned):
+            for neighbor in topology.neighbors(node):
+                if neighbor not in attached:
+                    continue
+                key = (spent(neighbor), depths[neighbor], neighbor, node)
+                if best is None or key < best[0]:
+                    best = (key, node, neighbor)
+        if best is None:
+            if not detach_unreachable:
+                raise TopologyError(
+                    f"nodes unreachable from the sink after failures: "
+                    f"{sorted(orphaned)}")
+            detached.extend(sorted(orphaned))
+            for node in orphaned:
+                parents.pop(node, None)
+            break
+        _, node, new_parent = best
+        chain = [node]
+        while (chain[-1] in parents and parents[chain[-1]] in orphaned
+               and parents[chain[-1]] not in chain):
+            chain.append(parents[chain[-1]])
+        for upper, lower in zip(chain[1:], chain):
+            parents[upper] = lower
+            reattached.append((upper, lower))
+        parents[node] = new_parent
+        reattached.append((node, new_parent))
+        attached, depths = attached_and_depths()
+        orphaned = survivors - attached
+    report = RepairReport(dead=tuple(sorted(dead_set)),
+                          orphaned=orphaned_initially,
+                          reattached=tuple(reattached),
+                          detached=tuple(detached))
+    return RoutingTree(root, parents), report

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import on_both_paths
 from repro.core.aggregates import make_aggregate
 from repro.core.results import is_valid_top_k, oracle_scores
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError, PlanError, TopologyError
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.events import TopologyEvent, TopologyEventKind
 from repro.network.simulator import Network
@@ -402,6 +402,62 @@ class TestRecoveryProtocol:
         hot, reference = on_both_paths(answers)
         assert hot == reference
 
+    @pytest.mark.parametrize("repair", [False, True],
+                             ids=["stranded", "all-dead"])
+    def test_mint_answers_no_items_when_no_member_reaches_the_sink(
+            self, repair):
+        """Churn can leave no group member that reaches the sink: every
+        sink child killed without a repair strands the rest, and a
+        repaired kill of every mote leaves none. MINT then answers no
+        items and certifies nothing, as TAG answers no items, instead
+        of failing the whole driver step; on both paths."""
+
+        def answers():
+            scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=1)
+            net = scenario.network
+            deployment = Deployment.from_scenario(scenario)
+            query = ("SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+                     "GROUP BY roomid EPOCH DURATION 1 min")
+            mint = deployment.submit(query)
+            tag = deployment.submit(query, algorithm=Algorithm.TAG)
+            driver = EpochDriver(deployment)
+            driver.run(2)
+            victims = (net.alive_sensor_ids() if repair
+                       else net.tree.children(net.sink_id))
+            for victim in victims:
+                if net.node(victim).alive:
+                    net.kill_node(victim, repair=repair)
+            driver.run(2)
+            for handle in (mint, tag):
+                assert handle.last_result.items == ()
+                assert handle.last_result.exact
+            assert mint.last_result.certification is None
+            return [r.keys for r in mint.results]
+
+        hot, reference = on_both_paths(answers)
+        assert hot == reference
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.TJA, Algorithm.TPUT])
+    def test_a_historic_query_over_a_dead_fleet_answers_no_items(
+            self, algorithm):
+        """A historic query whose every participant died before it ran
+        has no buffered reading: it answers no items instead of failing
+        the driver step."""
+        scenario = grid_rooms_scenario(side=3, rooms_per_axis=1, seed=1)
+        net = scenario.network
+        deployment = Deployment.from_scenario(scenario)
+        handle = deployment.submit(
+            "SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch "
+            "WITH HISTORY 3 s EPOCH DURATION 1 s", algorithm=algorithm)
+        driver = EpochDriver(deployment)
+        driver.step()
+        for victim in net.alive_sensor_ids():
+            net.kill_node(victim)
+        shipped = net.stats.messages
+        driver.run()
+        assert handle.historic_result.items == ()
+        assert net.stats.messages == shipped
+
     @pytest.mark.parametrize("direct", [False, True],
                              ids=["unrepaired", "direct"])
     @pytest.mark.parametrize("seed", range(6))
@@ -506,3 +562,80 @@ class TestRecoveryProtocol:
                     interventions=[ChurnIntervention(schedule)]).run(8)
         assert handle.historic_result is not None
         assert len(handle.historic_result.items) == 3
+
+
+class TestCachesStayBounded:
+    """The cache half of a soak: long churn grows no memo. Every
+    node-keyed memo holds only nodes of the current tree, and every
+    identity-keyed one stays within its fixed bound. (Retained results
+    grow by design and are left out.)"""
+
+    ROOM_QUERIES = (
+        "SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+        "SELECT TOP 1 roomid, MAX(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+        "SELECT TOP 3 roomid, SUM(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+        "SELECT TOP 1 roomid, MIN(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min",
+    )
+    HISTORIC_QUERY = ("SELECT TOP 3 epoch, AVG(sound) FROM sensors "
+                      "GROUP BY epoch WITH HISTORY 5 s EPOCH DURATION 1 s")
+    EPOCHS = 600
+
+    def test_monitor_mix_under_harsh_churn(self):
+        from repro.network import columnar, simulator
+
+        scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=7)
+        network = scenario.network
+        deployment = Deployment.from_scenario(scenario)
+        churn = scenario.churn_intervention(self.EPOCHS, preset="harsh",
+                                            seed=7)
+        driver = EpochDriver(deployment, interventions=(churn,),
+                             stop_when_idle=False)
+        for query in self.ROOM_QUERIES:
+            deployment.submit(query)
+        historic = self.resubmit(deployment)
+        state = network._columnar
+        bound = columnar._MAX_TUPLES + 1
+        for _ in range(self.EPOCHS):
+            driver.step()
+            if historic is None or historic.historic_result is not None:
+                historic = self.resubmit(deployment)
+            tree = network.tree
+            nodes = set(tree.node_ids)
+            assert set(network._plan_rows) <= nodes
+            for known in state._channels.values():
+                assert set(known) <= nodes
+            # Plans go with the topology and rows with the epoch, so
+            # every tuple either table still holds is of live motes.
+            live = set(network.alive_sensor_ids())
+            for ids_at, table in ((0, state._plans), (1, state._rows)):
+                for entries in table.values():
+                    assert len(entries) <= bound
+                    assert all(set(entry[ids_at]) <= live
+                               for entry in entries.values())
+            assert len(network._cost_memo) <= simulator._COST_MEMO_SIZES
+            for session in deployment.active_sessions():
+                engine = session.engine
+                algorithm = engine._algorithm  # None for a historic one
+                if hasattr(algorithm, "states"):
+                    assert set(algorithm.states) <= nodes
+                alive = network.alive_sensor_ids()
+                for participants in (engine._live_participants,
+                                     getattr(algorithm, "_participants",
+                                             None)):
+                    memo = getattr(participants, "_memo", None)
+                    assert memo is None or memo[0] is alive
+        applied = churn.applied
+        assert sum(e.kind is ChurnKind.DEATH for e in applied) > 30
+        assert sum(e.kind is ChurnKind.BIRTH for e in applied) > 20
+
+    def resubmit(self, deployment):
+        """The historic query again, or None once churn has left the
+        deployment no sensor to read (``submit`` refuses it then)."""
+        try:
+            return deployment.submit(self.HISTORIC_QUERY)
+        except PlanError:
+            return None

@@ -51,8 +51,11 @@ from repro.network.packets import HEADER_BYTES
 from repro.network.simulator import Network
 from repro.network.stats import NetworkStats
 from repro.network.topology import grid_topology
+from repro.network.tree import RoutingTree
 from repro.query.plan import Algorithm
 from repro.scenarios import grid_rooms_scenario
+from repro.sensing.board import SensorBoard
+from repro.sensing.generators import ZipfEventField
 
 
 def stats_signature(stats):
@@ -1099,10 +1102,18 @@ class TestFloodKernel:
         assert hot == reference
 
 
+def rebuilt_tree(network):
+    """The network's tree built from scratch from its parent map."""
+    tree = network.tree
+    return RoutingTree(tree.root,
+                       {n: tree.parent(n) for n in tree.sensor_ids})
+
+
 def derived_plans(network):
-    """The converge-cast and flood plans derived afresh from the tree
-    and the nodes' liveness."""
-    tree, nodes, sink = network.tree, network.nodes, network.sink_id
+    """The converge-cast and flood plans derived afresh from the tree's
+    parent map and the nodes' liveness. The orders come from a tree
+    rebuilt from that map, so a wrongly patched order cannot hide."""
+    tree, nodes, sink = rebuilt_tree(network), network.nodes, network.sink_id
 
     def live_children(node_id):
         return tuple(c for c in tree.children(node_id) if nodes[c].alive)
@@ -1114,6 +1125,33 @@ def derived_plans(network):
         (n, live_children(n)) for n in tree.pre_order()
         if (n == sink or nodes[n].alive) and live_children(n))
     return converge, flood
+
+
+def derived_alive_and_roots(network):
+    """The alive tuple, and each live sensor whose path to the sink
+    runs through live motes only mapped to the sink child it passes,
+    root-first (the converge-cast order reversed), derived afresh."""
+    tree, nodes, sink = rebuilt_tree(network), network.nodes, network.sink_id
+    alive = tuple(n for n in tree.node_ids if n != sink and nodes[n].alive)
+    roots = {}
+    for n in reversed(tree.post_order()):
+        path = tree.path_to_root(n)[:-1]
+        if path and all(nodes[hop].alive for hop in path):
+            roots[n] = path[-1]
+    return alive, roots
+
+
+def derived_sampling_plan(network, ids, attribute):
+    """An id tuple grouped by board channel, asking every board."""
+    groups = {}
+    for row, node_id in enumerate(ids):
+        node = network.nodes[node_id]
+        field, modality, quantize = node.board.channel(attribute)
+        group = groups.setdefault((id(field), id(modality), quantize),
+                                  (field, modality, quantize, [], []))
+        group[3].append(node_id)
+        group[4].append((row, node))
+    return tuple(groups.values())
 
 
 def relay_table_paths(network, table):
@@ -1136,26 +1174,30 @@ def relay_table_paths(network, table):
 
 
 #: Topology changes: a repaired kill, an unrepaired kill, a direct
-#: ``SensorNode.kill`` (bypassing the network) or a join; the integer
-#: picks the victim or the join's anchor.
+#: ``SensorNode.kill`` (bypassing the network), a batch of 2–4 kills
+#: repaired on the last victim (as ``ChurnSchedule.apply`` batches
+#: them) or a join; the integer picks the victims or the join's anchor.
 _CHANGES = st.lists(
     st.tuples(st.sampled_from(["kill", "kill-unrepaired", "node-kill",
-                               "join"]),
+                               "batch", "join"]),
               st.integers(0, 10_000)),
     min_size=1, max_size=8)
 
 
 class TestTreePlans:
-    """The network caches one converge-cast plan, one flood plan and
-    (on numpy) one relay table per topology version; every kill and
-    join must invalidate them, and a join's fresh ledger must replace
-    the one a killed id left behind."""
+    """The network caches one converge-cast plan, one flood plan, one
+    ``sink_roots`` map, the alive tuple, its sampling plans and (on
+    numpy) one relay table per topology version; every kill and join
+    must invalidate them, the rows a rebuild reuses must still be
+    right, and a join's fresh ledger must replace the one a killed id
+    left behind."""
 
     @settings(max_examples=40, deadline=None)
     @given(changes=_CHANGES)
     def test_plans_equal_a_fresh_derivation_after_every_change(
             self, changes):
-        network = Network(grid_topology(5))
+        scenario = grid_rooms_scenario(side=5, rooms_per_axis=2, seed=1)
+        network = scenario.network
         next_id = 100
         for kind, pick in [(None, 0), *changes]:
             before = network.converge_cast_plan()
@@ -1163,8 +1205,16 @@ class TestTreePlans:
             if kind == "join":
                 anchors = (network.sink_id, *alive)
                 x, y = network.topology.positions[anchors[pick % len(anchors)]]
-                network.join_node(next_id, (x + 3.0, y + 4.0))
+                network.join_node(next_id, (x + 3.0, y + 4.0),
+                                  board=scenario.board_for(next_id))
                 next_id += 1
+            elif kind == "batch" and alive:
+                victims = list(dict.fromkeys(
+                    alive[(pick + 5 * i) % len(alive)]
+                    for i in range(2 + pick % 3)))
+                for victim in victims[:-1]:
+                    network.kill_node(victim, repair=False)
+                network.kill_node(victims[-1])
             elif kind is not None and alive:
                 victim = alive[pick % len(alive)]
                 if kind == "node-kill":
@@ -1178,6 +1228,17 @@ class TestTreePlans:
             # keyed on the plan's identity.
             changed = kind == "join" or (kind is not None and bool(alive))
             assert (plans[0] is not before) is changed
+            ids, roots = derived_alive_and_roots(network)
+            assert network.alive_sensor_ids() == ids
+            assert list(network.sink_roots().items()) == list(roots.items())
+            assert network.sink_roots() is network.sink_roots()
+            assert set(network._plan_rows) == set(ids)
+            ids = network.alive_sensor_ids()
+            network.read_many(ids, "sound")
+            if ids:  # an emptied fleet's row is the cached empty one
+                assert (network._columnar.plan("sound", ids)
+                        == derived_sampling_plan(network, ids, "sound"))
+            assert set(network._columnar.channels("sound")) <= set(ids)
             np = columnar.numpy_module()
             if np is not None:
                 table = network._relay_table(np)
@@ -1185,6 +1246,29 @@ class TestTreePlans:
                     n: network.tree.path_to_root(n)
                     for n in network.tree.node_ids}
                 assert network._relay_table(np) is table
+
+
+class TestSamplingPlanChannels:
+    """A sampling plan regroups a node without asking its board again
+    only while ``node.board`` is the board it grouped."""
+
+    def test_a_board_swap_regroups_the_node(self):
+        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=2)
+        network = scenario.network
+        ids = network.alive_sensor_ids()
+        network.read_many(ids, "sound")
+        assert len(network._columnar.plan("sound", ids)) == 1
+        swapped = ids[3]
+        other = ZipfEventField({swapped: "R00"}, lo=0.0, hi=100.0,
+                               skew=1.0)
+        network.node(swapped).board = SensorBoard({"sound": other})
+        network.kill_node(ids[-1])  # a new alive tuple
+        ids = network.alive_sensor_ids()
+        network.read_many(ids, "sound")
+        plan = network._columnar.plan("sound", ids)
+        assert plan == derived_sampling_plan(network, ids, "sound")
+        assert [group[3] for group in plan if group[0] is other] == [
+            [swapped]]
 
 
 class TestSamplingPlanSharing:
@@ -1205,10 +1289,26 @@ class TestSamplingPlanSharing:
     HISTORIC_QUERY = ("SELECT TOP 3 epoch, AVG(sound) FROM sensors "
                       "GROUP BY epoch WITH HISTORY 5 s EPOCH DURATION 1 s")
 
-    def test_one_plan_per_topology_version(self, monkeypatch):
+    def run_mix(self, monkeypatch, epochs, births=()):
+        """Step the monitor mix (four MINT room queries and a TJA query
+        re-submitted whenever it completes) after its creation epoch;
+        ``births`` are ``(epoch, anchor)`` pairs, each a mote born next
+        to ``anchor`` in its room. Returns one record per epoch: the
+        topology version after it, whether the TJA query was
+        re-submitted before it, and the sampling plans it built."""
         scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
+        events = []
+        for index, (epoch, anchor) in enumerate(births):
+            x, y = scenario.network.topology.positions[anchor]
+            node_id = 100 + index
+            group = scenario.group_of[anchor]
+            scenario.field.enroll(node_id, group)
+            events.append(ChurnEvent(epoch, ChurnKind.BIRTH, node_id,
+                                     position=(x + 2.0, y + 2.0),
+                                     group=group))
         deployment = Deployment.from_scenario(scenario)
-        driver = EpochDriver(deployment, stop_when_idle=False)
+        driver = EpochDriver(deployment, stop_when_idle=False, interventions=(
+            ChurnIntervention(ChurnSchedule(events)),))
         for query in self.MONITOR_QUERIES:
             deployment.submit(query)
         historic = deployment.submit(self.HISTORIC_QUERY)
@@ -1221,15 +1321,41 @@ class TestSamplingPlanSharing:
 
         monkeypatch.setattr(Network, "_build_sampling_plan", counting)
         driver.step()  # creation epoch: plans may be built here
-        built.clear()
-        executions = 0
-        for _ in range(20):
+        epochs_seen = []
+        resubmitted = False
+        for _ in range(epochs):
+            built.clear()
             driver.step()
-            if historic.historic_result is not None:
-                executions += 1
+            epochs_seen.append((scenario.network._topo_version,
+                                resubmitted, list(built)))
+            resubmitted = historic.historic_result is not None
+            if resubmitted:
                 historic = deployment.submit(self.HISTORIC_QUERY)
-        assert executions >= 2, "TJA must cycle through its window"
+        return epochs_seen
+
+    def test_one_plan_per_topology_version(self, monkeypatch):
+        epochs = self.run_mix(monkeypatch, 20)
+        assert sum(resubmitted for _, resubmitted, _ in epochs) >= 2, (
+            "TJA must cycle through its window")
+        built = [plan for _, _, plans in epochs for plan in plans]
         assert len(built) <= len(set(built))
+
+    def test_a_newborn_does_not_make_the_sessions_evict_each_other(
+            self, monkeypatch):
+        """A mote born mid-run joins the MINT sessions, which then read
+        the alive tuple, but not the historic query, which reads a
+        subset: the two tuples keep one plan each. After the birth's
+        epoch, an epoch that changes no topology and submits nothing
+        builds no plan."""
+        epochs = self.run_mix(monkeypatch, 12, births=[(3, 8)])
+        version = None
+        quiet = 0
+        for number, (after, resubmitted, plans) in enumerate(epochs, 1):
+            if number > 3 and after == version and not resubmitted:
+                assert plans == [], f"epoch {number} rebuilt {plans}"
+                quiet += 1
+            version = after
+        assert quiet >= 5
 
 
 class _Counting:
