@@ -31,9 +31,9 @@ The ninety-second tour (doctest-checked by ``tests/test_doctests.py``
     ...     print(result.epoch,
     ...           [(i.key, round(i.score, 1)) for i in result.items],
     ...           result.exact)
-    0 [('ConferenceRoomA', 57.1)] True
-    1 [('ConferenceRoomA', 60.6)] True
-    2 [('ConferenceRoomA', 55.7)] True
+    0 [('ConferenceRoomA', 62.4)] True
+    1 [('ConferenceRoomA', 59.3)] True
+    2 [('ConferenceRoomA', 54.3)] True
 
 (Determinism is the simulator's contract: the scenario seed pins every
 reading and loss draw, on either the hot or reference path — see

@@ -12,7 +12,11 @@ This implementation monitors the top-k *nodes* by their current reading
 (FILA's core setting). Correctness is certification-based, reusing
 :func:`repro.core.certify.certify_top_k`: silent nodes contribute their
 filter interval as bounds — sound, because silence proves the reading
-stayed inside. Answers are therefore exact every epoch, like MINT's.
+stayed inside. Each epoch's answer is therefore certified as a *set*:
+its k nodes are the true top-k. Unlike MINT's, its order and scores are
+not: an item ranks by its interval's lower bound and scores the
+interval's midpoint, so an item whose ``[lb, ub]`` is not a point can
+rank below a node with a lower reading.
 
 Switch-and-prove: on a deployment whose ``Network.hot`` is set, the
 set-up reports, the monitor pass, each probe round and the

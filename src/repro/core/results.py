@@ -48,9 +48,12 @@ class EpochResult:
     Attributes:
         epoch: The acquisition round this answers.
         items: The k highest-ranked answers, best first.
-        exact: Whether the algorithm certifies the answer equals the
-            centralized oracle's (baselines that are exact by
-            construction set it; the naive algorithm never does).
+        exact: Whether the algorithm certifies the answer. MINT
+            certifies that keys, order and scores equal the centralized
+            oracle's; FILA certifies the key *set* only, ranking and
+            scoring from each item's ``[lb, ub]``. Baselines that are
+            exact by construction set it; the naive algorithm never
+            does.
         algorithm: Producing algorithm name (for panels and logs).
         probed: Number of probe/clean-up rounds the epoch needed.
         all_bounds: Certified intervals for every group (diagnostics).

@@ -9,9 +9,9 @@ whole-column operations per board channel:
   samples a whole id tuple through one
   :meth:`~repro.sensing.generators.FieldGenerator.batch_values` call
   per board channel (grouped by an identity-keyed sampling plan cached
-  on the alive tuple), vectorizing the clamp + ADC quantization — and,
-  for hash-jittered fields, the per-cell uniform draw itself via
-  :func:`hash01_column` — over the column.
+  on the alive tuple), vectorizing the clamp + ADC quantization — and
+  the per-cell uniform draws themselves via :func:`hash01_column` —
+  over the column.
 
 **Switch-and-prove discipline.** The kernel has no switch of its own:
 it runs on every deployment whose ``Network.hot`` is set (see
@@ -28,8 +28,8 @@ and on pure-python lists when it is not (bare deployments, the CI job
 that uninstalls numpy). Both backends produce bit-identical columns:
 the vectorized ops used here (elementwise add / min / max and
 ``np.rint``-based ADC quantization) are IEEE-754 identical to their
-scalar equivalents, and anything that is *not* order-safe (windowed
-``sum`` folds, per-cell Mersenne draws) stays scalar on purpose.
+scalar equivalents, and anything that is not (windowed ``sum``
+folds, the ``log``/``cos`` of a Gaussian draw) stays scalar on purpose.
 :func:`force_python_backend` pins the fallback for tests even when
 numpy is installed. Unlike the execution path, the backend stays
 process-wide: since the two cannot produce different bytes, flipping
@@ -37,17 +37,14 @@ it cannot change an answer.
 
 What deliberately stays scalar, and why:
 
-* per-cell *Mersenne* draws — Gaussian readings
-  (:class:`~repro.sensing.generators.RoomField`) are pinned to
-  ``random.Random(cell_seed)``'s Mersenne Twister output, which cannot
-  be vectorized without changing bytes; the batch path only amortizes
-  the object allocation by reusing one instance (``seed()`` resets
-  ``gauss_next``, so draws match a fresh instance exactly). Uniform
-  jitter (:class:`~repro.sensing.generators.ZipfEventField`) escaped
-  this trap by moving to the counter-based splitmix64 hash
-  (``_cell_hash01``), whose scalar and :func:`hash01_column` forms are
-  bit-identical by construction — ``tests/test_generators.py`` pins
-  them cell by cell;
+* the Gaussian transform — every cell draw is a counter-based
+  splitmix64 hash (``_cell_hash01``), whose scalar and
+  :func:`hash01_column` forms are bit-identical by construction
+  (``tests/test_generators.py`` pins them cell by cell), so the
+  uniform columns are hashed whole. But numpy's ``log`` and ``cos``
+  are not promised to be bit-equal to libm's, so
+  :class:`~repro.sensing.generators.RoomField` turns its two uniform
+  columns into Gaussian noise row by row with scalar ``math``;
 * float accumulations (windowed AVG/SUM) — ``sum()`` is a left fold,
   numpy reductions are pairwise; not byte-identical, so not batched;
 * message construction — every shipped message keeps its exact
@@ -177,29 +174,31 @@ def clamp_values(values: Sequence[float], lo: float, hi: float
     return np.minimum(hi, np.maximum(lo, column)).tolist()
 
 
-def hash01_column(seed: int, node_ids: Sequence[int], epoch: int):
-    """One splitmix64 uniform in ``[0, 1)`` per (node, epoch) cell.
+def hash01_column(seed: int, node_ids: Sequence[int], epoch: int,
+                  draw: int = 0):
+    """Uniform draw ``draw`` of each (node, epoch) cell, in ``[0, 1)``.
 
     The vectorized twin of
     :func:`repro.sensing.generators._cell_hash01` — same linear cell
-    seed, same finalizer constants, wrapped mod 2**64 (numpy's uint64
-    wraparound equals the scalar path's explicit masking), and the
-    ``(h >> 11) * 2**-53`` float conversion is exact in both (the
-    mantissa fits 53 bits). ``tests/test_generators.py`` pins the two
-    together cell-by-cell.
+    seed and draw stride, same splitmix64 finalizer constants, wrapped
+    mod 2**64 (numpy's uint64 wraparound equals the scalar path's
+    explicit masking), and the ``(h >> 11) * 2**-53`` float conversion
+    is exact in both (the mantissa fits 53 bits).
+    ``tests/test_generators.py`` pins the two together cell by cell.
 
     Returns a numpy float64 array, or a plain list on the pure-python
-    backend (one scalar hash per cell — still ~300x cheaper than
-    per-cell Mersenne seeding).
+    backend (one scalar hash per cell).
     """
     np = numpy_module()
     if np is None:
         from ..sensing.generators import _cell_hash01
-        return [_cell_hash01(seed, node_id, epoch) for node_id in node_ids]
+        return [_cell_hash01(seed, node_id, epoch, draw)
+                for node_id in node_ids]
     mask64 = (1 << 64) - 1
     ids = np.asarray(node_ids, dtype=np.uint64)
     h = ((np.uint64((seed * 1_000_003) & mask64) + ids)
-         * np.uint64(1_000_033) + np.uint64(epoch & mask64))
+         * np.uint64(1_000_033)
+         + np.uint64((epoch + draw * 0x9E3779B97F4A7C15) & mask64))
     h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     h ^= h >> np.uint64(31)

@@ -840,8 +840,9 @@ class Network:
             # only the first reader of an epoch pays the physical
             # draw; everyone else is served from the per-node cache
             # (exactly the scalar ``read`` fast path). Only stale
-            # rows reach ``batch_values`` — a Mersenne cell draw is
-            # ~100x the cost of this dict probe.
+            # rows reach ``batch_values``: a cell draw (two hashes and
+            # a Gaussian transform for ``RoomField``) costs several
+            # times this dict probe.
             stale = None
             for pair_index, (row_index, node) in enumerate(rows):
                 cached = node._sample_cache.get(attribute)

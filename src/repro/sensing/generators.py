@@ -23,50 +23,49 @@ from ..errors import ConfigurationError
 from .modalities import Modality
 
 
-def _rng_for(seed: int, node_id: int, epoch: int) -> random.Random:
-    """A private RNG for one (node, epoch) cell.
-
-    Seeding per cell makes every reading independent of evaluation
-    order: the simulator may sample nodes in any order (or resample
-    after a failure) and still observe identical values.
-    """
-    return random.Random((seed * 1_000_003 + node_id) * 1_000_033 + epoch)
-
-
-def _cell_seed(seed: int, node_id: int, epoch: int) -> int:
-    """The integer seed :func:`_rng_for` hands ``random.Random``.
-
-    The batch paths reuse one ``Random`` instance and re-seed it per
-    cell — CPython's ``seed()`` resets the full Mersenne state *and*
-    ``gauss_next``, so the draws are byte-identical to a fresh
-    instance (proved by ``tests/test_generators.py``).
-    """
-    return (seed * 1_000_003 + node_id) * 1_000_033 + epoch
-
-
 _MASK64 = (1 << 64) - 1
+#: splitmix64's golden-ratio stride: draw ``d`` of a cell is ``d`` strides on.
+_GOLDEN = 0x9E3779B97F4A7C15
+_TWO_PI = 2.0 * math.pi
 
 
-def _cell_hash01(seed: int, node_id: int, epoch: int) -> float:
-    """A uniform float in ``[0, 1)`` from one splitmix64 finalizer.
+def _cell_hash01(seed: int, node_id: int, epoch: int, draw: int = 0
+                 ) -> float:
+    """Uniform float ``draw`` of one cell in ``[0, 1)``: a splitmix64
+    finalizer over the linear cell seed plus ``draw`` golden strides.
 
-    Counter-based: the cell coordinates *are* the state, so there is
-    no sequential stream to advance and the whole column can be hashed
-    at once (:func:`repro.network.columnar.hash01_column` is the
-    vectorized twin; the equivalence suite pins the two together).
-    Fields that need exactly one uniform per cell
-    (:class:`ZipfEventField` jitter) use this instead of seeding a
-    Mersenne Twister per cell — full-state MT seeding costs ~6µs per
-    cell, ~300x the hash. Gaussian draws (:class:`RoomField` noise)
-    keep the per-cell Mersenne stream: ``gauss`` consumes a variable
-    number of uniforms plus ``log``/``sqrt``, which does not vectorize
-    byte-identically.
+    Counter-based: the cell coordinates *are* the state, so a reading
+    is a pure function of ``(seed, node_id, epoch)``, independent of
+    evaluation order, and the whole column can be hashed at once
+    (:func:`repro.network.columnar.hash01_column` is the vectorized
+    twin; ``tests/test_generators.py`` pins the two together). Every
+    per-reading draw of the sensing layer comes from this one family:
+    :class:`ZipfEventField` jitter and :class:`UniformRandomField`
+    readings use draw 0, and :func:`_cell_gauss` uses draws 0 and 1.
     """
-    h = ((seed * 1_000_003 + node_id) * 1_000_033 + epoch) & _MASK64
+    h = ((seed * 1_000_003 + node_id) * 1_000_033 + epoch
+         + draw * _GOLDEN) & _MASK64
     h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
     h ^= h >> 31
     return (h >> 11) * 2.0 ** -53
+
+
+def _gauss01(u0: float, u1: float) -> float:
+    """A standard normal from two uniforms in ``[0, 1)``.
+
+    CPython's own ``random.gauss`` transform, in its order: angle from
+    ``u0``, radius from ``u1`` (``1 - u1`` is never 0). Scalar ``math``
+    on purpose: numpy's ``log``/``cos`` are not promised to be bit-equal
+    to libm's, and a batch path must equal the scalar one.
+    """
+    return math.cos(_TWO_PI * u0) * math.sqrt(-2.0 * math.log(1.0 - u1))
+
+
+def _cell_gauss(seed: int, node_id: int, epoch: int) -> float:
+    """One cell's standard normal, from its draws 0 and 1."""
+    return _gauss01(_cell_hash01(seed, node_id, epoch),
+                    _cell_hash01(seed, node_id, epoch, 1))
 
 
 class FieldGenerator(ABC):
@@ -159,7 +158,8 @@ class UniformRandomField(FieldGenerator):
         self._seed = seed
 
     def value(self, node_id: int, epoch: int) -> float:
-        return _rng_for(self._seed, node_id, epoch).uniform(self._lo, self._hi)
+        return self._lo + (self._hi - self._lo) * _cell_hash01(
+            self._seed, node_id, epoch)
 
 
 class GaussianNoiseField(FieldGenerator):
@@ -173,7 +173,7 @@ class GaussianNoiseField(FieldGenerator):
         self._seed = seed
 
     def value(self, node_id: int, epoch: int) -> float:
-        noise = _rng_for(self._seed ^ 0x5EED, node_id, epoch).gauss(0.0, self._sigma)
+        noise = self._sigma * _cell_gauss(self._seed ^ 0x5EED, node_id, epoch)
         return self._base.value(node_id, epoch) + noise
 
 
@@ -182,6 +182,12 @@ class RandomWalkField(FieldGenerator):
 
     Temporal correlation is what makes MINT's cached views pay off: a
     view whose tuples barely move needs few update messages.
+
+    Each step is a uniform draw from a Mersenne Twister seeded per
+    (walk, epoch) cell, not a :func:`_cell_hash01` draw: a walk makes
+    one memoized draw per epoch, so a hash cell would buy no speed, and
+    moving it would shift every :class:`RoomField` scenario's room
+    trajectories.
     """
 
     def __init__(self, start: float, step: float, lo: float, hi: float,
@@ -199,7 +205,8 @@ class RandomWalkField(FieldGenerator):
         walk = self._cache.setdefault(node_id, [self._start])
         while len(walk) <= epoch:
             t = len(walk)
-            rng = _rng_for(self._seed ^ 0xA1C, node_id, t)
+            rng = random.Random(((self._seed ^ 0xA1C) * 1_000_003 + node_id)
+                                * 1_000_033 + t)
             nxt = walk[-1] + rng.uniform(-self._step, self._step)
             walk.append(min(self._hi, max(self._lo, nxt)))
         return walk[epoch]
@@ -358,8 +365,8 @@ class RoomField(ClusterField):
     discussions heat up and cool down); every sensor in the room reads
     the room level plus small per-sensor Gaussian noise. This is the
     synthetic stand-in for the paper's "rooms with the most active
-    discussions" demo scenario. The noise is a per-cell Mersenne
-    ``gauss`` draw (bytes pinned by every committed artifact).
+    discussions" demo scenario. The noise is the cell's
+    :func:`_cell_gauss` draw scaled by ``sensor_sigma``.
     """
 
     #: The per-cell noise RNG stream offset (distinct per field kind).
@@ -396,15 +403,17 @@ class RoomField(ClusterField):
         if room is None:
             return self._lo
         level = self.room_level(room, epoch)
-        noise = _rng_for(self._seed ^ self._STREAM, node_id, epoch).gauss(
-            0.0, self._sigma)
+        noise = self._sigma * _cell_gauss(self._seed ^ self._STREAM,
+                                          node_id, epoch)
         return min(self._hi, max(self._lo, level + noise))
 
     def batch_values(self, node_ids: Sequence[int], epoch: int
                      ) -> list[float]:
-        """Batch :meth:`value`: room levels resolved once per room,
-        one reused per-cell RNG for the sensor noise, clamp vectorized
-        over the column (byte-identical; see base class)."""
+        """Batch :meth:`value`: both uniform columns hashed whole, room
+        levels resolved once per room, the Gaussian transform applied
+        row by row with scalar ``math`` (see :func:`_gauss01`), and the
+        clamp vectorized over the column (byte-identical; see base
+        class)."""
         # repro: allow[layer-dag] -- column backend lives in network/columnar, same contract as ZipfEventField.batch_values
         from ..network import columnar
 
@@ -412,9 +421,12 @@ class RoomField(ClusterField):
         seed = self._seed ^ self._STREAM
         sigma = self._sigma
         levels: dict = {}
-        rng = random.Random()
+        u0 = columnar.hash01_column(seed, node_ids, epoch)
+        u1 = columnar.hash01_column(seed, node_ids, epoch, 1)
+        if not isinstance(u0, list):  # numpy: the transform runs on floats
+            u0, u1 = u0.tolist(), u1.tolist()
         raw: list[float] = []
-        for node_id in node_ids:
+        for node_id, a, b in zip(node_ids, u0, u1):
             room = cluster_of.get(node_id)
             if room is None:
                 raw.append(self._lo)
@@ -422,8 +434,7 @@ class RoomField(ClusterField):
             level = levels.get(room)
             if level is None:
                 level = levels[room] = self.room_level(room, epoch)
-            rng.seed(_cell_seed(seed, node_id, epoch))
-            raw.append(level + rng.gauss(0.0, sigma))
+            raw.append(level + sigma * _gauss01(a, b))
         return columnar.clamp_values(raw, self._lo, self._hi)
 
 

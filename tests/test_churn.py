@@ -466,7 +466,9 @@ class TestRecoveryProtocol:
         """The live motes below a relay killed without repair cannot
         report. FILA and CENTRALIZED leave them out of the node ranking,
         as TAG does, and take them back once a later repair reconnects
-        them, on both paths."""
+        them, on both paths. CENTRALIZED ranks as TAG does. FILA
+        certifies the set only: its keys are TAG's, each interval holds
+        TAG's score, and only its point intervals are ranked exactly."""
 
         def answers():
             scenario = grid_rooms_scenario(side=6, rooms_per_axis=2,
@@ -494,9 +496,16 @@ class TestRecoveryProtocol:
             def step():
                 driver.step()
                 keys = tag.last_result.keys
-                assert fila.last_result.keys == keys
                 assert centralized.last_result.keys == keys
-                seen.append(keys)
+                certified = fila.last_result.items
+                assert {item.key for item in certified} == set(keys)
+                score = {item.key: item.score
+                         for item in tag.last_result.items}
+                assert all(item.lb <= score[item.key] <= item.ub
+                           for item in certified)
+                points = [item.key for item in certified if item.exact]
+                assert points == [key for key in keys if key in points]
+                seen.append((keys, certified))
 
             for _ in range(4):
                 step()

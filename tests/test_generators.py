@@ -1,5 +1,9 @@
 """Synthetic field generators: determinism, bounds, composition."""
 
+import contextlib
+import itertools
+import statistics
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,6 +18,7 @@ from repro.sensing.generators import (
     TableField,
     UniformRandomField,
     ZipfEventField,
+    _cell_gauss,
     _cell_hash01,
 )
 from repro.sensing.modalities import get_modality
@@ -194,11 +199,12 @@ class TestComposition:
 
 
 class TestCellHashRNG:
-    """The counter-based jitter RNG (``_cell_hash01``) and its
-    vectorized twin (``repro.network.columnar.hash01_column``) draw
-    the same bits for the same (seed, node, epoch) cell — the scalar
-    splitmix64 finalizer masks to 64 bits exactly where numpy's uint64
-    arithmetic wraps, so the columns are pinned bit-for-bit."""
+    """The counter-based cell RNG (``_cell_hash01``) and its vectorized
+    twin (``repro.network.columnar.hash01_column``) draw the same bits
+    for the same (seed, node, epoch, draw) cell — the scalar splitmix64
+    finalizer masks to 64 bits exactly where numpy's uint64 arithmetic
+    wraps, so the columns are pinned bit-for-bit, for both draws the
+    Gaussian cells use."""
 
     CELLS = [
         (11, tuple(range(1, 41)), 0),
@@ -208,23 +214,35 @@ class TestCellHashRNG:
     ]
 
     def test_column_matches_scalar(self):
-        for seed, ids, epoch in self.CELLS:
-            column = hash01_column(seed, ids, epoch)
-            assert list(column) == [_cell_hash01(seed, n, epoch)
+        for (seed, ids, epoch), draw in itertools.product(self.CELLS,
+                                                          (0, 1)):
+            column = hash01_column(seed, ids, epoch, draw)
+            assert list(column) == [_cell_hash01(seed, n, epoch, draw)
                                     for n in ids]
 
     def test_column_matches_scalar_python_backend(self):
         with columnar.force_python_backend():
-            for seed, ids, epoch in self.CELLS:
-                column = hash01_column(seed, ids, epoch)
-                assert list(column) == [_cell_hash01(seed, n, epoch)
+            for (seed, ids, epoch), draw in itertools.product(self.CELLS,
+                                                              (0, 1)):
+                column = hash01_column(seed, ids, epoch, draw)
+                assert list(column) == [_cell_hash01(seed, n, epoch, draw)
                                         for n in ids]
 
+    def test_draw_zero_keeps_its_bytes(self):
+        """Draw 0 is the single-draw hash ``ZipfEventField`` jitter has
+        always used: adding draws must not move its bytes."""
+        assert _cell_hash01(11, 1, 0) == 0.39537942774223467
+
     def test_unit_interval_and_spread(self):
-        draws = [_cell_hash01(1, n, e)
-                 for n in range(50) for e in range(4)]
+        draws = [_cell_hash01(1, n, e, d)
+                 for n in range(50) for e in range(4) for d in (0, 1)]
         assert all(0.0 <= d < 1.0 for d in draws)
         assert len(set(draws)) == len(draws)
+
+    def test_gauss_moments(self):
+        draws = [_cell_gauss(0, n, e) for n in range(400) for e in range(100)]
+        assert abs(statistics.fmean(draws)) < 0.02
+        assert abs(statistics.stdev(draws) - 1.0) < 0.02
 
 
 class TestBatchValues:
@@ -254,9 +272,12 @@ class TestBatchValues:
     def test_room_batch_matches_scalar_loop(self):
         field = RoomField(self.ROOMS, seed=7)
         ids = tuple(range(1, 21)) + (999,)
-        for epoch in (0, 5, 42):
-            assert field.batch_values(ids, epoch) == [
-                field.value(n, epoch) for n in ids]
+        for backend in (contextlib.nullcontext,
+                        columnar.force_python_backend):
+            with backend():
+                for epoch in (0, 5, 42):
+                    assert field.batch_values(ids, epoch) == [
+                        field.value(n, epoch) for n in ids]
 
     def test_zipf_batch_cache_invalidated_by_enrollment(self):
         """The memoized level column is keyed on the id tuple's

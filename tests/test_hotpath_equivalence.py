@@ -1395,7 +1395,8 @@ class TestNoWireObjectsOnHotPath:
     #: SUM with slack 0 leaves the top room ambiguous: MINT probes.
     QUERY = ("SELECT TOP 1 roomid, SUM(sound) FROM sensors "
              "GROUP BY roomid EPOCH DURATION 1 min")
-    #: FILA reports, probes and reinstalls filters every epoch here.
+    #: FILA reports and reinstalls filters every epoch here, and probes
+    #: in nine of the ten epochs after its set-up.
     FILA_QUERY = ("SELECT TOP 2 nodeid, MAX(sound) FROM sensors "
                   "GROUP BY nodeid EPOCH DURATION 1 min")
 
@@ -1425,7 +1426,7 @@ class TestNoWireObjectsOnHotPath:
         before = dict(filter_handle.stats.by_kind)
         driver.run(10)
         assert sum(r.probed for r in handle.results[1:]) == 10
-        assert sum(r.probed for r in filter_handle.results[1:]) == 10
+        assert sum(r.probed for r in filter_handle.results[1:]) == 9
         after = filter_handle.stats.by_kind
         assert all(after[kind] > before.get(kind, 0) for kind in (
             "filter_report", "filter_update", "probe_request"))
