@@ -138,7 +138,13 @@ class KSpotEngine:
         self._dynamic_where = bool(dynamic)
 
     def _static_filter(self, where: Predicate | None) -> dict[int, GroupKey]:
-        """Participants after static WHERE resolution."""
+        """Participants after static WHERE resolution.
+
+        A ``WHERE`` that excludes every sensor of the map is refused. An
+        empty map is not: a ``nodeid`` or ``epoch`` key maps the tree's
+        sensors, and a fleet that churn emptied has none, so the query
+        answers no items, as it would had the fleet emptied after it
+        was submitted."""
         participants: dict[int, GroupKey] = {}
         static_names = {"nodeid", self.plan.group_key}
         for node_id, group in self.group_of.items():
@@ -147,7 +153,7 @@ class KSpotEngine:
                 if not evaluate(where, context):
                     continue
             participants[node_id] = group
-        if not participants:
+        if self.group_of and not participants:
             raise PlanError("the WHERE clause excludes every sensor")
         return participants
 

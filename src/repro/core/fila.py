@@ -326,6 +326,14 @@ class Fila:
         network = self.network
         readings = self._reporting(network.read_many(
             self._participants(self.group_of), self.attribute))
+        if not readings:
+            # Churn killed or cut off every monitored mote: there is
+            # nothing to rank, so the epoch answers no items and
+            # certifies nothing, as MINT and TAG answer then.
+            result = EpochResult(epoch=network.epoch, items=(), exact=True,
+                                 algorithm=self.name)
+            network.advance_epoch()
+            return result
         probed = 0
         hot = network.hot
         if not self._setup_done:

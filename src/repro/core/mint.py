@@ -326,35 +326,50 @@ class Mint:
         """The creation converge-cast as one pass over the network's
         converge-cast plan (hot path).
 
-        Each row merges its own partial with its live children's
-        ``reported`` views, in :meth:`_rebuild_view`'s order, ships the
-        whole view's :meth:`ViewUpdateMessage.wire_size` and then
-        commits it as what the parent caches.
+        Each row builds V_i as :meth:`_run_update_phase` does and
+        commits it whole as what the parent caches; the pass ships each
+        view's :meth:`ViewUpdateMessage.wire_size` in one
+        :meth:`Network.ship_edges` call, even when a row raises.
         """
         network = self.network
         states = self.states
         merge = self.aggregate.merge
         group_of = self.group_of
         contributions_get = contributions.get
-        ship_unicast = network._ship_unicast
-        kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
-        for node_id, parent, children, _ in network.converge_cast_plan():
-            view: dict[GroupKey, Partial] = {}
-            contribution = contributions_get(node_id)
-            if contribution is not None:
-                view[group_of[node_id]] = contribution
-            view_get = view.get
-            for child in children:
-                for group, partial in states[child].reported.items():
-                    existing = view_get(group)
-                    view[group] = (partial if existing is None
-                                   else merge(existing, partial))
-            ship_unicast(node_id, parent, kind, wire_size(len(view)))
-            state = states[node_id]
-            state.reported = view
-            state.withheld = {}
-            state.gamma_reported = None
+        edges: list[tuple[int, int, int]] = []
+        ship = edges.append
+        try:
+            for node_id, parent, children, _ in network.converge_cast_plan():
+                contribution = contributions_get(node_id)
+                if len(children) == 1:
+                    reported = states[children[0]].reported
+                    if contribution is None:
+                        view = reported.copy()
+                    else:
+                        group = group_of[node_id]
+                        view = {group: contribution}
+                        view.update(reported)
+                        cached = reported.get(group)
+                        if cached is not None:
+                            view[group] = merge(contribution, cached)
+                else:
+                    view = {}
+                    if contribution is not None:
+                        view[group_of[node_id]] = contribution
+                    view_get = view.get
+                    for child in children:
+                        for group, partial in states[child].reported.items():
+                            existing = view_get(group)
+                            view[group] = (partial if existing is None
+                                           else merge(existing, partial))
+                ship((node_id, parent, wire_size(len(view))))
+                state = states[node_id]
+                state.reported = view
+                state.withheld = {}
+                state.gamma_reported = None
+        finally:
+            network.ship_edges(ViewUpdateMessage.kind, edges)
 
     def _live_sink_children(self) -> list[int]:
         return [
@@ -400,9 +415,11 @@ class Mint:
         The request floods down; replies converge-cast back up, merging
         withheld partials per group. Only nodes with content (their own
         withheld tuples or a descendant's reply) transmit. The hot path
-        walks the network's converge-cast plan and ships each reply's
-        wire size; the reference path asks the tree for each node's
-        children and sends a built reply with :meth:`Network.send_up`.
+        walks the network's converge-cast plan and ships every reply's
+        wire size in one :meth:`Network.ship_edges` call, even when a
+        row raises, as :meth:`_run_update_phase` does; the reference
+        path asks the tree for each node's children and sends a built
+        reply with :meth:`Network.send_up`.
         """
         probe_set = set(groups)
         network = self.network
@@ -417,43 +434,47 @@ class Mint:
             children_of = network.tree.children
             rows = ((node_id, None, children_of(node_id), None)
                     for node_id in network.converge_cast_order())
+        wire_size = ProbeReplyMessage.wire_size
+        edges: list[tuple[int, int, int]] = []
         with network.stats.phase("probe"):
             network.flood_down(ProbeRequestMessage(
                 epoch=epoch, groups=tuple(sorted(probe_set, key=str))))
             replies: dict[int, dict[GroupKey, Partial]] = {}
             collected: dict[GroupKey, Partial] = {}
-            for node_id, parent, children, to_sink in rows:
-                payload: dict[GroupKey, Partial] = {}
-                for group, partial in states[node_id].withheld.items():
-                    if group in probe_set:
-                        payload[group] = partial
-                for child in children:
-                    reply = replies.get(child)
-                    if not reply:
+            try:
+                for node_id, parent, children, to_sink in rows:
+                    payload: dict[GroupKey, Partial] = {}
+                    for group, partial in states[node_id].withheld.items():
+                        if group in probe_set:
+                            payload[group] = partial
+                    for child in children:
+                        reply = replies.get(child)
+                        if not reply:
+                            continue
+                        for group, partial in reply.items():
+                            existing = payload.get(group)
+                            payload[group] = (
+                                partial if existing is None
+                                else merge(existing, partial))
+                    if not payload:
                         continue
-                    for group, partial in reply.items():
-                        existing = payload.get(group)
-                        payload[group] = (
-                            partial if existing is None
-                            else merge(existing, partial))
-                if not payload:
-                    continue
-                if hot:
-                    network._ship_unicast(
-                        node_id, parent, ProbeReplyMessage.kind,
-                        ProbeReplyMessage.wire_size(len(payload)))
-                else:
-                    parent = network.send_up(
-                        node_id, _probe_reply(epoch, payload))
-                    to_sink = parent == sink_id
-                if to_sink:
-                    for group, partial in payload.items():
-                        existing = collected.get(group)
-                        collected[group] = (
-                            partial if existing is None
-                            else merge(existing, partial))
-                else:
-                    replies[node_id] = payload
+                    if hot:
+                        edges.append((node_id, parent,
+                                      wire_size(len(payload))))
+                    else:
+                        parent = network.send_up(
+                            node_id, _probe_reply(epoch, payload))
+                        to_sink = parent == sink_id
+                    if to_sink:
+                        for group, partial in payload.items():
+                            existing = collected.get(group)
+                            collected[group] = (
+                                partial if existing is None
+                                else merge(existing, partial))
+                    else:
+                        replies[node_id] = payload
+            finally:
+                network.ship_edges(ProbeReplyMessage.kind, edges)
         self.probes_run += 1
         return collected
 
@@ -561,7 +582,23 @@ class Mint:
         exactly what turns one into the other. So this pass commits by
         swapping the kept dict in, and only *counts* the delta (new or
         changed entries, retractions) for the message's
-        :meth:`ViewUpdateMessage.wire_size`.
+        :meth:`ViewUpdateMessage.wire_size`; every delta ships in one
+        :meth:`Network.ship_edges` call, in plan order.
+
+        A row with exactly one live child builds V_i from that child's
+        ``reported`` view in C: a copy of it, or, with a partial of its
+        own, ``{own group: own}`` updated with it and the own group's
+        entry then merged as ``merge(own, child's)``. That is the dict,
+        insertion order included, that the per-entry loop builds for
+        leaves and rows of several children. The order matters: a
+        newborn adopted mid-run may carry a label that prints like an
+        existing one, and the prune's sort key ``(-score, str(group))``
+        then ties the two and keeps them in the view's order, as the
+        reference path's stable sort does.
+
+        The pass ships what it walked even when a row raises (a mote
+        with no state, which only an engine that missed a join lacks),
+        so a failed pass charges what the per-edge reference path does.
         """
         network = self.network
         states = self.states
@@ -572,71 +609,88 @@ class Mint:
         keep_count = self.k + self.slack
         hysteresis = self.config.gamma_hysteresis
         contributions_get = contributions.get
-        ship_unicast = network._ship_unicast
-        kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
         sort_key = lambda item: (-finalize(item[1]), gstr[item[0]])  # noqa: E731
+        edges: list[tuple[int, int, int]] = []
+        ship = edges.append
         with network.stats.phase("update"):
-            for node_id, parent, children, _ in network.converge_cast_plan():
-                state = states[node_id]
-                # -- rebuild V_i ------------------------------------
-                view: dict[GroupKey, Partial] = {}
-                contribution = contributions_get(node_id)
-                if contribution is not None:
-                    view[group_of[node_id]] = contribution
-                view_get = view.get
-                for child in children:
-                    for group, partial in states[child].reported.items():
-                        existing = view_get(group)
-                        view[group] = (partial if existing is None
-                                       else merge(existing, partial))
-                # -- prune into V'_i + withheld; γ: local max first -
-                if len(view) <= keep_count:
-                    kept = view
-                    gamma = None
-                    if state.withheld:
-                        state.withheld = {}
-                else:
-                    ranked = sorted(view.items(), key=sort_key)
-                    kept = dict(ranked[:keep_count])
-                    withheld = state.withheld = dict(ranked[keep_count:])
-                    gamma = max(map(finalize, withheld.values()))
-                for child in children:
-                    child_gamma = states[child].gamma_reported
-                    if child_gamma is not None and (
-                            gamma is None or child_gamma > gamma):
-                        gamma = child_gamma
-                # -- count the delta vs the parent's cache ----------
-                reported = state.reported
-                reported_get = reported.get
-                kept_cached = changed = 0
-                for group, partial in kept.items():
-                    cached = reported_get(group)
-                    if cached is None:
-                        changed += 1
-                        continue
-                    kept_cached += 1
-                    if cached != partial:
-                        changed += 1
-                retracted = len(reported) - kept_cached
-                # Inlined should_reship_gamma (one call per node saved).
-                reported_gamma = state.gamma_reported
-                if gamma is None:
-                    ship_gamma = False
-                elif reported_gamma is None or gamma > reported_gamma:
-                    ship_gamma = True
-                else:
-                    ship_gamma = reported_gamma - gamma > hysteresis
-                if not changed and not retracted and not ship_gamma:
-                    continue  # reported already equals kept
-                # Every row is an alive non-root node, so the send_up
-                # guards are vacuous here.
-                ship_unicast(node_id, parent, kind,
-                             wire_size(changed, retracted, ship_gamma))
-                # -- commit: the parent now caches exactly V'_i -----
-                state.reported = kept
-                if ship_gamma:
-                    state.gamma_reported = gamma
+            try:
+                for node_id, parent, children, _ in (
+                        network.converge_cast_plan()):
+                    state = states[node_id]
+                    # -- rebuild V_i --------------------------------
+                    contribution = contributions_get(node_id)
+                    if len(children) == 1:
+                        reported = states[children[0]].reported
+                        if contribution is None:
+                            view = reported.copy()
+                        else:
+                            group = group_of[node_id]
+                            view = {group: contribution}
+                            view.update(reported)
+                            cached = reported.get(group)
+                            if cached is not None:
+                                view[group] = merge(contribution, cached)
+                    else:
+                        view = {}
+                        if contribution is not None:
+                            view[group_of[node_id]] = contribution
+                        view_get = view.get
+                        for child in children:
+                            for group, partial in (
+                                    states[child].reported.items()):
+                                existing = view_get(group)
+                                view[group] = (partial if existing is None
+                                               else merge(existing, partial))
+                    # -- prune into V'_i + withheld; γ: local max first
+                    if len(view) <= keep_count:
+                        kept = view
+                        gamma = None
+                        if state.withheld:
+                            state.withheld = {}
+                    else:
+                        ranked = sorted(view.items(), key=sort_key)
+                        kept = dict(ranked[:keep_count])
+                        withheld = state.withheld = dict(ranked[keep_count:])
+                        gamma = max(map(finalize, withheld.values()))
+                    for child in children:
+                        child_gamma = states[child].gamma_reported
+                        if child_gamma is not None and (
+                                gamma is None or child_gamma > gamma):
+                            gamma = child_gamma
+                    # -- count the delta vs the parent's cache ------
+                    reported = state.reported
+                    reported_get = reported.get
+                    kept_cached = changed = 0
+                    for group, partial in kept.items():
+                        cached = reported_get(group)
+                        if cached is None:
+                            changed += 1
+                            continue
+                        kept_cached += 1
+                        if cached != partial:
+                            changed += 1
+                    retracted = len(reported) - kept_cached
+                    # Inlined should_reship_gamma (one call per node saved).
+                    reported_gamma = state.gamma_reported
+                    if gamma is None:
+                        ship_gamma = False
+                    elif reported_gamma is None or gamma > reported_gamma:
+                        ship_gamma = True
+                    else:
+                        ship_gamma = reported_gamma - gamma > hysteresis
+                    if not changed and not retracted and not ship_gamma:
+                        continue  # reported already equals kept
+                    # Every row is an alive non-root node, so the send_up
+                    # guards are vacuous here.
+                    ship((node_id, parent,
+                          wire_size(changed, retracted, ship_gamma)))
+                    # -- commit: the parent now caches exactly V'_i -
+                    state.reported = kept
+                    if ship_gamma:
+                        state.gamma_reported = gamma
+            finally:
+                network.ship_edges(ViewUpdateMessage.kind, edges)
 
     def _seen_partial(self, group: GroupKey) -> Partial | None:
         seen: Partial | None = None

@@ -107,36 +107,58 @@ class Tag:
         loop (the same fusion MINT's update phase applies; the
         equivalence property test covers it). A view ships as the kind
         and :meth:`ViewUpdateMessage.wire_size` of its group count, so
-        no entries are built or ordered.
+        no entries are built or ordered, and the whole pass ships in
+        one :meth:`Network.ship_edges` call; nothing in the loop can
+        raise, so no edge is left unshipped.
+
+        A row with exactly one live child takes that child's view over
+        (only this row reads it) and builds its own from it in C, in the
+        reference branch's insertion order, as MINT's update pass does:
+        ``{own group: own}`` updated with the child's view, then the own
+        group's entry merged as ``merge(own, child's)``. The sink's
+        stable sort ranks groups whose labels print alike in that order.
         """
         network = self.network
         merge = self.aggregate.merge
         group_of = self.group_of
         contributions_get = contributions.get
-        ship_unicast = network._ship_unicast
-        kind = ViewUpdateMessage.kind
         wire_size = ViewUpdateMessage.wire_size
         partial_views: dict[int, dict[GroupKey, Partial]] = {}
+        take_view = partial_views.pop
         sink_view: dict[GroupKey, Partial] = {}
         sink_get = sink_view.get
+        edges: list[tuple[int, int, int]] = []
+        ship = edges.append
         with network.stats.phase("aggregation"):
             for node_id, parent, children, to_sink in (
                     network.converge_cast_plan()):
-                view: dict[GroupKey, Partial] = {}
                 own = contributions_get(node_id)
-                if own is not None:
-                    view[group_of[node_id]] = own
-                view_get = view.get
-                for child in children:
-                    # A live child precedes its (non-sink) parent in
-                    # the plan and always ships its view.
-                    for group, partial in partial_views[child].items():
-                        existing = view_get(group)
-                        view[group] = (partial if existing is None
-                                       else merge(existing, partial))
+                # A live child precedes its (non-sink) parent in the
+                # plan and always ships its view.
+                if len(children) == 1:
+                    child_view = take_view(children[0])
+                    if own is None:
+                        view = child_view
+                    else:
+                        group = group_of[node_id]
+                        view = {group: own}
+                        view.update(child_view)
+                        existing = child_view.get(group)
+                        if existing is not None:
+                            view[group] = merge(own, existing)
+                else:
+                    view = {}
+                    if own is not None:
+                        view[group_of[node_id]] = own
+                    view_get = view.get
+                    for child in children:
+                        for group, partial in partial_views[child].items():
+                            existing = view_get(group)
+                            view[group] = (partial if existing is None
+                                           else merge(existing, partial))
                 # Every row is an alive non-root node, so the send_up
                 # guards are vacuous here.
-                ship_unicast(node_id, parent, kind, wire_size(len(view)))
+                ship((node_id, parent, wire_size(len(view))))
                 if to_sink:
                     for group, partial in view.items():
                         existing = sink_get(group)
@@ -144,6 +166,7 @@ class Tag:
                                             else merge(existing, partial))
                 else:
                     partial_views[node_id] = view
+            network.ship_edges(ViewUpdateMessage.kind, edges)
         return sink_view
 
     def run_epoch(self) -> EpochResult:

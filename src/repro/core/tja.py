@@ -24,8 +24,9 @@ algebra MINT uses, so TJA here supports AVG / SUM / MIN / MAX ranking.
 
 Switch-and-prove: on a deployment whose ``Network.hot`` is set each
 phase runs as one fused pass over ``Network.converge_cast_plan()``
-rows that ships each reply's ``wire_size`` through
-``Network._ship_unicast`` and builds no message. LB and the CL expansion share one union pass; the join pass
+rows that ships every reply's ``wire_size`` in one
+``Network.ship_edges`` call and builds no message. LB and the CL
+expansion share one union pass; the join pass
 holds one ``(values, count)`` row per subtree, because aligned
 windows give every partial of a subtree one count, and folds a
 child's row in with one ``map`` of ``Aggregate.combine``.
@@ -317,14 +318,16 @@ class Tja:
         """The LB phase or the CL expansion: flood, then converge-cast
         the union of every mote's ``nominations`` (consumed) and return
         the sink's union. Every mote ships its subtree's union size as
-        one ``lb_reply``, empty ones included."""
+        one ``lb_reply``, empty ones included, and the pass ships them
+        in one :meth:`Network.ship_edges` call (nothing in the loop can
+        raise, so no edge is left unshipped)."""
         network = self.network
-        ship_unicast = network._ship_unicast
-        kind = LBReplyMessage.kind
         wire_size = LBReplyMessage.wire_size
         nominated_by = nominations.get
         unions: dict[int, set[int]] = {}
         l_sink: set[int] = set()
+        edges: list[tuple[int, int, int]] = []
+        ship = edges.append
         with network.stats.phase(phase):
             network.flood_down(flood)
             for node_id, parent, children, to_sink in (
@@ -336,12 +339,12 @@ class Tja:
                     # A live child precedes its (non-sink) parent in
                     # the plan and always ships its union.
                     nominated |= unions[child]
-                ship_unicast(node_id, parent, kind,
-                             wire_size(len(nominated)))
+                ship((node_id, parent, wire_size(len(nominated))))
                 if to_sink:
                     l_sink |= nominated
                 else:
                     unions[node_id] = nominated
+            network.ship_edges(LBReplyMessage.kind, edges)
         return l_sink
 
     # repro: hot
@@ -358,7 +361,9 @@ class Tja:
         the children in plan order, as :meth:`_join_phase` merges each
         object. ``thresholds`` (each mote's lifted k-th value; empty
         for the CL join, which drops the threshold) fold as scalar
-        partials. The sink rebuilds ``{object: Partial}`` once."""
+        partials. The sink rebuilds ``{object: Partial}`` once. The
+        replies ship in one :meth:`Network.ship_edges` call, as in
+        :meth:`_union_pass`."""
         network = self.network
         aggregate = self.aggregate
         combine = aggregate.combine
@@ -367,14 +372,14 @@ class Tja:
         lift = _Lifts(aggregate.from_value).__getitem__
         column_of = self.series.get
         threshold_of = thresholds.get
-        ship_unicast = network._ship_unicast
-        kind = JoinReplyMessage.kind
         full = JoinReplyMessage.wire_size(len(ordered))
         empty = JoinReplyMessage.wire_size(0)
         rows: dict[int, tuple[list[float] | None, int, Partial | None]] = {}
         sink_values: list[float] | None = None
         sink_count = 0
         threshold: Partial | None = None
+        edges: list[tuple[int, int, int]] = []
+        ship = edges.append
         with network.stats.phase(phase):
             network.flood_down(CandidateSetMessage(object_ids=ordered))
             for node_id, parent, children, to_sink in (
@@ -398,7 +403,7 @@ class Tja:
                     if child_bound is not None:
                         bound = (child_bound if bound is None
                                  else merge(bound, child_bound))
-                ship_unicast(node_id, parent, kind, full if count else empty)
+                ship((node_id, parent, full if count else empty))
                 if not to_sink:
                     rows[node_id] = (values, count, bound)
                     continue
@@ -410,6 +415,7 @@ class Tja:
                 if bound is not None:
                     threshold = (bound if threshold is None
                                  else merge(threshold, bound))
+            network.ship_edges(JoinReplyMessage.kind, edges)
         if sink_values is None:
             return {}, threshold
         return (dict(zip(ordered, map(Partial, sink_values,

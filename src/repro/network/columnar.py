@@ -224,9 +224,12 @@ class ColumnarState:
     epoch's rows are kept, and the network drops every plan when its
     topology changes (:meth:`drop_plans`); either table also starts
     over past :data:`_MAX_TUPLES` tuples of one attribute.
+
+    Equal tuples share those entries only when they are one object, so
+    the state also hands out one tuple per content (:meth:`shared`).
     """
 
-    __slots__ = ("_rows", "_plans", "_channels", "_epochs")
+    __slots__ = ("_rows", "_plans", "_channels", "_epochs", "_subsets")
 
     def __init__(self) -> None:
         #: attribute -> {id(ids_tuple): (epoch, ids_tuple, readings)}
@@ -239,6 +242,9 @@ class ColumnarState:
         self._channels: dict[str, dict[int, tuple]] = {}
         #: attribute -> epoch of the newest stored row (any id tuple).
         self._epochs: dict[str, int] = {}
+        #: id tuple -> the first equal tuple handed out since the plans
+        #: were last dropped (see :meth:`shared`).
+        self._subsets: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def cached(self, attribute: str, epoch: int, ids: tuple[int, ...]):
         """The readings dict previously built for this exact id tuple
@@ -296,9 +302,28 @@ class ColumnarState:
         _remember(self._plans, attribute, ids, (ids, plan))
 
     def drop_plans(self) -> None:
-        """Forget every sampling plan: after a topology change no id
-        tuple they were built for is asked for again."""
+        """Forget every sampling plan, and every tuple :meth:`shared`
+        handed out: after a topology change no id tuple they were built
+        for is asked for again."""
         self._plans.clear()
+        self._subsets.clear()
+
+    def shared(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """The first tuple equal to ``ids`` handed out since the plans
+        were last dropped, or ``ids`` itself, remembered.
+
+        Engines whose membership maps select the same sensors build
+        equal participant tuples of their own; read through this, they
+        read one tuple and so share its sampling plan and readings row.
+        The table starts over past :data:`_MAX_TUPLES` tuples, as the
+        plans do."""
+        subsets = self._subsets
+        first = subsets.get(ids)
+        if first is None:
+            if len(subsets) > _MAX_TUPLES:
+                subsets.clear()
+            first = subsets[ids] = ids
+        return first
 
     def channels(self, attribute: str) -> dict[int, tuple]:
         """Node id → ``(board, group key, (field, modality, quantize))``

@@ -17,9 +17,9 @@ transmit energy to the sender and receive energy to each receiver, and
 record everything in :class:`~repro.network.stats.NetworkStats`.
 
 The per-message work runs on an allocation-free **hot path** (see
-:mod:`repro.network.hotpath`): the engines' fused passes ship each
-converge-cast edge through :meth:`Network._ship_unicast`, packet costs
-come from a per-network cost memo, energy rates and ledger lookups are
+:mod:`repro.network.hotpath`): each of the engines' fused passes ships
+its converge-cast edges in one :meth:`Network.ship_edges` call, packet
+costs come from a per-network cost memo, energy rates and ledger lookups are
 precomputed and each kind's counters grow in the ledger's per-kind
 table, floods (:meth:`Network.flood_down`) ship in one kernel call,
 flat relays
@@ -217,6 +217,15 @@ class Network:
             return self._alive_ids_cache
         return tuple(i for i in self.tree.sensor_ids if self.nodes[i].alive)
 
+    def shared_ids(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """The first id tuple equal to ``ids`` handed out since the
+        topology last changed (``ids`` itself when none was). Sessions
+        reading equal subsets of the alive sensors then share one
+        sampling plan and one readings row, which :meth:`read_many`
+        keys by the tuple's identity."""
+        self._validate_topo_caches()
+        return self._columnar.shared(ids)
+
     def _validate_topo_caches(self) -> None:
         """Drop every topology-derived cache after a tree change or a
         node death/join (cheap identity + version check per use)."""
@@ -305,36 +314,47 @@ class Network:
         )
 
     # repro: hot
-    def _ship_unicast(self, sender: int, receiver: int, kind: str,
-                      payload_bytes: int) -> None:
-        """Hot-path :meth:`_ship` specialised for one receiver.
+    def ship_edges(self, kind: str,
+                   edges: Sequence[tuple[int, int, int]]) -> None:
+        """Ship one converge-cast pass: a message of ``kind`` over each
+        ``(sender, receiver, payload bytes)`` edge, in order.
 
-        Tree traffic is overwhelmingly unicast (every converge-cast
-        edge), so the single-receiver case skips the receiver tuple,
-        the receiver loop and the generic branching. Costs, energy and
-        recorded counters are identical to :meth:`_ship` of a message
-        with this ``kind`` and ``payload_bytes`` over the lossless radio
-        every hot network has.
+        Equal to one lossless :meth:`_ship` per edge in order: each
+        edge adds its memoized ``tx`` joules to the sender's ledger and
+        its ``rx`` joules to the receiver's, and both to the deployment
+        ledger's running sums, edge by edge (a left fold, so every bit
+        of the totals matches), while the kind's integer counters grow
+        once per call. An empty pass records nothing, not even a row
+        for its kind.
+
+        Every edge takes one attempt, so a lossy radio, whose edges
+        draw the loss process, raises
+        :class:`~repro.errors.ConfigurationError`, as
+        :meth:`relay_many` does.
         """
-        packets, air_bytes, tx_joules, rx_joules = (
-            self._cost_memo.get(payload_bytes)
-            or self._memo_cost(payload_bytes))
+        if not edges:
+            return
+        if self.radio.loss_probability != 0.0:
+            raise ConfigurationError(
+                "ship_edges charges lossless edges; a lossy radio ships "
+                "edge by edge on the reference path")
+        memo = self._cost_memo
         ledgers = self._ledger_of
-        ledgers[sender].tx += tx_joules
-        ledgers[receiver].rx += rx_joules
-        # NetworkStats.record, inlined: this is the
-        # per-converge-cast-edge call site — the hottest in the
-        # simulator — and the call frame alone is measurable there.
         stats = self.stats
-        row = stats._kinds.get(kind)
-        if row is None:
-            row = stats._kinds[kind] = [0, 0, 0, 0]
-        row[0] += 1
-        row[1] += packets
-        row[2] += payload_bytes
-        row[3] += air_bytes
-        stats._tx_joules += tx_joules
-        stats._rx_joules += rx_joules
+        tx_total, rx_total = stats._tx_joules, stats._rx_joules
+        packets = payload = air = 0
+        for sender, receiver, payload_bytes in edges:
+            edge_packets, edge_air, tx_joules, rx_joules = (
+                memo.get(payload_bytes) or self._memo_cost(payload_bytes))
+            ledgers[sender].tx += tx_joules
+            ledgers[receiver].rx += rx_joules
+            tx_total += tx_joules
+            rx_total += rx_joules
+            packets += edge_packets
+            payload += payload_bytes
+            air += edge_air
+        stats._tx_joules, stats._rx_joules = tx_total, rx_total
+        stats.add_sends(kind, len(edges), packets, payload, air)
 
     # repro: hot
     def relay_many(self, nodes: Sequence[int],

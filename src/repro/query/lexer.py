@@ -87,11 +87,13 @@ def tokenize(text: str) -> list[Token]:
                 advance(1)
             continue
         start_line, start_column = line, column
-        if char.isdigit() or (char == "." and position + 1 < length
-                              and text[position + 1].isdigit()):
+        # Decimal digits only: ``isdigit`` also holds for superscripts
+        # such as "²", which ``float`` cannot read.
+        if char.isdecimal() or (char == "." and position + 1 < length
+                                and text[position + 1].isdecimal()):
             end = position
             seen_dot = False
-            while end < length and (text[end].isdigit()
+            while end < length and (text[end].isdecimal()
                                     or (text[end] == "." and not seen_dot)):
                 if text[end] == ".":
                     seen_dot = True

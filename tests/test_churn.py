@@ -458,6 +458,62 @@ class TestRecoveryProtocol:
         assert handle.historic_result.items == ()
         assert net.stats.messages == shipped
 
+    #: One query per engine; the last three key on nodeid and epoch,
+    #: whose membership maps list the tree's sensors.
+    EMPTIED_FLEET_QUERIES = (
+        ("SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+         "GROUP BY roomid EPOCH DURATION 1 min", None),
+        ("SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+         "GROUP BY roomid EPOCH DURATION 1 min", Algorithm.TAG),
+        ("SELECT TOP 3 nodeid, MAX(sound) FROM sensors "
+         "GROUP BY nodeid EPOCH DURATION 1 min", Algorithm.FILA),
+        ("SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch "
+         "WITH HISTORY 3 s EPOCH DURATION 1 s", Algorithm.TJA),
+        ("SELECT TOP 2 epoch, SUM(sound) FROM sensors GROUP BY epoch "
+         "WITH HISTORY 3 s EPOCH DURATION 1 s", Algorithm.TPUT),
+    )
+
+    def test_every_engine_answers_no_items_on_an_emptied_fleet(self):
+        """Killing every child of the sink detaches the whole fleet, so
+        the tree holds no sensor and a nodeid or epoch key maps none.
+        Such a query is not refused as a WHERE that excludes every
+        sensor (none of these has a WHERE): MINT, TAG, FILA, TJA and
+        TPUT sessions answer no items and ship nothing, on both
+        paths."""
+
+        def answers():
+            scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
+            net = scenario.network
+            deployment = Deployment.from_scenario(scenario)
+            for child in net.tree.children(net.sink_id):
+                net.kill_node(child)
+            assert not net.tree.sensor_ids
+            shipped = net.stats.messages
+            handles = [deployment.submit(text, algorithm=algorithm)
+                       for text, algorithm in self.EMPTIED_FLEET_QUERIES]
+            EpochDriver(deployment).run(4)
+            continuous, historic = handles[:3], handles[3:]
+            for handle in continuous:
+                assert len(handle.results) == 4
+                assert all(r.items == () and r.exact
+                           for r in handle.results)
+            for handle in historic:
+                assert handle.historic_result.items == ()
+            assert net.stats.messages == shipped
+            return [[r.keys for r in h.results] for h in continuous]
+
+        hot, reference = on_both_paths(answers)
+        assert hot == reference
+
+    def test_a_where_excluding_every_live_sensor_is_still_refused(self):
+        scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
+        deployment = Deployment.from_scenario(scenario)
+        with pytest.raises(PlanError, match="excludes every sensor"):
+            deployment.submit("SELECT TOP 3 nodeid, MAX(sound) FROM sensors "
+                              "WHERE nodeid > 999 GROUP BY nodeid "
+                              "EPOCH DURATION 1 min",
+                              algorithm=Algorithm.FILA)
+
     @pytest.mark.parametrize("direct", [False, True],
                              ids=["unrepaired", "direct"])
     @pytest.mark.parametrize("seed", range(6))
@@ -610,7 +666,7 @@ class TestCachesStayBounded:
         bound = columnar._MAX_TUPLES + 1
         for _ in range(self.EPOCHS):
             driver.step()
-            if historic is None or historic.historic_result is not None:
+            if historic.historic_result is not None:
                 historic = self.resubmit(deployment)
             tree = network.tree
             nodes = set(tree.node_ids)
@@ -625,6 +681,8 @@ class TestCachesStayBounded:
                     assert len(entries) <= bound
                     assert all(set(entry[ids_at]) <= live
                                for entry in entries.values())
+            assert len(state._subsets) <= bound
+            assert all(set(ids) <= live for ids in state._subsets)
             assert len(network._cost_memo) <= simulator._COST_MEMO_SIZES
             for session in deployment.active_sessions():
                 engine = session.engine
@@ -642,9 +700,6 @@ class TestCachesStayBounded:
         assert sum(e.kind is ChurnKind.BIRTH for e in applied) > 20
 
     def resubmit(self, deployment):
-        """The historic query again, or None once churn has left the
-        deployment no sensor to read (``submit`` refuses it then)."""
-        try:
-            return deployment.submit(self.HISTORIC_QUERY)
-        except PlanError:
-            return None
+        """The historic query again; once churn has left the deployment
+        no sensor to read, it answers no items."""
+        return deployment.submit(self.HISTORIC_QUERY)

@@ -29,6 +29,7 @@ from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.core.aggregates import Bounds
 from repro.core.certify import certify_top_k
 from repro.core.delta import BoundsDelta, DeltaEntry, TopKView
+from repro.core.mint import MintConfig
 from repro.errors import ValidationError
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.simulator import Network
@@ -311,7 +312,8 @@ def test_group_extinction_and_birth_equivalence(engine):
     assert hot == reference
 
 
-def run_colliding_newborn_workload(*, k, agg, epochs=6):
+def run_colliding_newborn_workload(*, k, agg, epochs=6, slack=None,
+                                   position=(5.0, 5.0)):
     """MINT and TAG sessions over clusters ``"1"`` and ``"2"`` when a
     newborn joins at epoch 2 with the int label ``1``, which prints
     like ``"1"``. Every mote reads 50, so all three groups tie."""
@@ -322,8 +324,8 @@ def run_colliding_newborn_workload(*, k, agg, epochs=6):
         topology,
         boards={node: SensorBoard({"sound": field}) for node in sensors},
         group_of={node: "1" if node % 2 else "2" for node in sensors})
-    deployment = Deployment(network)
-    birth = ChurnEvent(2, ChurnKind.BIRTH, 100, position=(5.0, 5.0),
+    deployment = Deployment(network, mint_config=MintConfig(slack=slack))
+    birth = ChurnEvent(2, ChurnKind.BIRTH, 100, position=position,
                        group=1)
     driver = EpochDriver(deployment, interventions=[ChurnIntervention(
         ChurnSchedule([birth]),
@@ -345,4 +347,18 @@ def test_newborn_with_colliding_label_equivalence(agg, k):
     one ties with it in the same order on both paths."""
     hot, reference = on_both_paths(run_colliding_newborn_workload,
                                    k=k, agg=agg)
+    assert hot == reference
+
+
+@pytest.mark.parametrize("agg", ["MIN", "AVG", "SUM"])
+def test_colliding_newborn_tied_at_the_cut_equivalence(agg):
+    """With no slack MINT keeps one group per view, so the newborn's
+    ``1`` and the cluster ``"1"`` tie at the cut and the order in which
+    a view met them decides which one a mote keeps. Born in the far
+    corner, the newborn feeds rows that have one child: such a row must
+    build its view in the reference path's insertion order, own group
+    first."""
+    hot, reference = on_both_paths(run_colliding_newborn_workload,
+                                   k=1, agg=agg, slack=0,
+                                   position=(25.0, 25.0))
     assert hot == reference

@@ -304,13 +304,70 @@ class TestFragmentMemo:
             reference = Network(grid_topology(3))
         assert hot.hot and not reference.hot
         child = hot.tree.sensor_ids[0]
-        hot._ship_unicast(child, hot.tree.parent(child), "control", 0)
+        hot.ship_edges("control", [(child, hot.tree.parent(child), 0)])
         reference.send_up(child, ControlMessage(label="x", size=0))
         for network in (hot, reference):
             assert network.stats.packets == 1
             assert network.stats.air_bytes == HEADER_BYTES
         assert stats_signature(hot.stats) == stats_signature(reference.stats)
         assert ledger_signature(hot) == ledger_signature(reference)
+
+
+#: Converge-cast passes: each edge is (index into the 24 sensors of a
+#: 5×5 grid, payload bytes), the sensor sending to its tree parent.
+_PASSES = st.lists(
+    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 120)),
+             max_size=30),
+    min_size=1, max_size=6)
+
+
+def ship_passes(passes):
+    """Ship every pass on a 5×5 grid, alternating two stats phases: a
+    hot network ships each pass in one ``ship_edges`` call, a reference
+    one edge by edge through ``send_up``. Returns every observable."""
+    network = Network(grid_topology(5))
+    sensors = network.tree.sensor_ids
+    parent = network.tree.parent
+    for index, edges in enumerate(passes):
+        edges = [(sensors[i], parent(sensors[i]), size) for i, size in edges]
+        with network.stats.phase("update" if index % 2 else "probe"):
+            if network.hot:
+                network.ship_edges("control", edges)
+                continue
+            for sender, _, size in edges:
+                network.send_up(sender, ControlMessage(label="x", size=size))
+    return stats_signature(network.stats), ledger_signature(network)
+
+
+class TestShipEdges:
+    """``Network.ship_edges`` ships a whole converge-cast pass in one
+    call. Per-node ledgers, by_kind, by_phase and totals must equal the
+    reference path's ``send_up`` per edge, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(passes=_PASSES)
+    def test_one_call_per_pass_equals_send_up_per_edge(self, passes):
+        hot, reference = on_both_paths(ship_passes, passes)
+        assert hot == reference
+
+    def test_empty_pass_records_nothing(self):
+        network = Network(grid_topology(3))
+        network.ship_edges("control", [])
+        assert (stats_signature(network.stats)
+                == stats_signature(Network(grid_topology(3)).stats))
+
+    def test_lossy_radio_is_refused(self):
+        """Every edge takes one attempt, so ``ship_edges`` refuses a
+        lossy radio, charging nothing."""
+        network = Network(grid_topology(3),
+                          radio=RadioModel(range_m=15.0,
+                                           loss_probability=0.1))
+        child = network.tree.sensor_ids[0]
+        with pytest.raises(ConfigurationError):
+            network.ship_edges("control",
+                               [(child, network.tree.parent(child), 8)])
+        assert network.stats.messages == 0
+        assert network.ledger(child).tx == 0
 
 
 def built_hot():
@@ -711,19 +768,21 @@ class TestReadManyErrorPath:
 
 class PerHopNetwork(Network):
     """The relay loop the batch relay kernel replaces: node by node,
-    one :meth:`Network._ship_unicast` per hop."""
+    one one-edge :meth:`Network.ship_edges` call per hop."""
 
     def relay_many(self, nodes, down=None, up=None):
         hops = 0
         for node_id in nodes:
             path = self.tree.path_to_root(node_id)
             if down is not None:
+                kind, size = down
                 for receiver, sender in zip(path[-2::-1], path[::-1]):
-                    self._ship_unicast(sender, receiver, *down)
+                    self.ship_edges(kind, [(sender, receiver, size)])
                     hops += 1
             if up is not None:
+                kind, size = up
                 for sender, receiver in zip(path, path[1:]):
-                    self._ship_unicast(sender, receiver, *up)
+                    self.ship_edges(kind, [(sender, receiver, size)])
                     hops += 1
         return hops
 
@@ -768,7 +827,7 @@ class TestPathRelayKernel:
     over its whole tree path in one ``relay_many`` call. Per-node
     ledgers, by_kind,
     by_phase, totals and an open tap must equal both the per-hop
-    ``_ship_unicast`` loop and the reference path's ``_ship`` per hop
+    ``ship_edges`` loop and the reference path's ``_ship`` per hop
     (the latter catches a sender/receiver swap, which the per-hop
     oracle would share with the kernel)."""
 
@@ -1357,6 +1416,42 @@ class TestSamplingPlanSharing:
             version = after
         assert quiet >= 5
 
+    def test_sessions_with_equal_membership_read_one_subset(
+            self, monkeypatch):
+        """A mote born with no room joins no room session, so each one
+        then reads a subset of the alive tuple. Two sessions with equal
+        maps must read one tuple, and so build one sampling plan and
+        one readings row, in every epoch."""
+        scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
+        network = scenario.network
+        x, y = network.topology.positions[1]
+        birth = ChurnEvent(2, ChurnKind.BIRTH, 100,
+                           position=(x + 1.0, y + 1.0), group=None)
+        deployment = Deployment.from_scenario(scenario)
+        driver = EpochDriver(deployment, interventions=[ChurnIntervention(
+            ChurnSchedule([birth]), board_for=scenario.board_for)])
+        for query in self.MONITOR_QUERIES[:2]:
+            deployment.submit(query)
+        tuples, plans = Counter(), Counter()
+        read_many = network.read_many
+        build = network._build_sampling_plan
+
+        def reading(node_ids, attribute):
+            tuples[network.epoch, id(node_ids)] += 1
+            return read_many(node_ids, attribute)
+
+        def building(node_ids, attribute):
+            plans[network.epoch] += 1
+            return build(node_ids, attribute)
+
+        monkeypatch.setattr(network, "read_many", reading)
+        monkeypatch.setattr(network, "_build_sampling_plan", building)
+        driver.run(6)
+        assert 100 in network.alive_sensor_ids()
+        per_epoch = Counter(epoch for epoch, _ in tuples)
+        assert per_epoch == {epoch: 1 for epoch in range(6)}
+        assert plans == {0: 1, 2: 1}
+
 
 class _Counting:
     """Stands in for a wire class inside an engine module: counts
@@ -1534,6 +1629,32 @@ class TestMintStateAtFleetScale:
         recreated = hot[0][8]
         assert all(not withheld for session in recreated
                    for _, _, withheld in session.values())
+
+
+class TestFailedMintPass:
+    """A MINT engine driven without the session layer misses a join, so
+    its next update pass raises at the newborn's row. The rows before it
+    have shipped on the reference path, one ``send_up`` each; the hot
+    pass must charge the same edges although it ships them in one call
+    at its end."""
+
+    @staticmethod
+    def fail_a_pass():
+        scenario = grid_rooms_scenario(side=5, rooms_per_axis=2, seed=1)
+        network = scenario.network
+        mint = Mint(network, make_aggregate("AVG", 0.0, 120.0), 1,
+                    scenario.group_of)
+        mint.run(2)
+        x, y = network.topology.positions[24]
+        network.join_node(100, (x + 1.0, y + 1.0))
+        with pytest.raises(KeyError):
+            mint.run_epoch()
+        return stats_signature(network.stats), ledger_signature(network)
+
+    def test_hot_charges_the_edges_the_reference_shipped(self):
+        hot, reference = on_both_paths(self.fail_a_pass)
+        assert hot == reference
+        assert hot[0][3]["update"].messages > 0
 
 
 class TestLossyMintCreation:

@@ -23,6 +23,13 @@ class TestBasics:
         assert kinds("3.5") == [(TokenType.NUMBER, "3.5")]
         assert kinds(".5") == [(TokenType.NUMBER, ".5")]
 
+    def test_superscript_digit_is_refused(self):
+        """``"²".isdigit()`` holds, but ``float`` cannot read it: the
+        lexer refuses it instead of handing the parser a number it
+        fails to convert."""
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize("TOP ²2")
+
     def test_strings(self):
         assert kinds("'Room A'") == [(TokenType.STRING, "Room A")]
 
