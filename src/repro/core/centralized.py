@@ -16,6 +16,7 @@ from ..errors import ValidationError
 from ..network.messages import QueryMessage, RawReadingsMessage, Reading
 from ..network.simulator import Network
 from .aggregates import Aggregate
+from .participants import Participants
 from .results import EpochResult, oracle_top_k
 
 GroupKey = Hashable
@@ -42,6 +43,8 @@ class Centralized:
         self.group_of = dict(group_of)
         self.window_epochs = window_epochs
         self._disseminated = False
+        #: The alive participants and their epoch's readings.
+        self._participants = Participants(network)
 
     def run_epoch(self) -> EpochResult:
         """Collect every reading, evaluate at the sink."""
@@ -49,19 +52,9 @@ class Centralized:
             with self.network.stats.phase("dissemination"):
                 self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
-        readings: dict[int, float] = {}
-        for node_id in self.network.alive_sensor_ids():
-            if node_id not in self.group_of:
-                continue
-            node = self.network.node(node_id)
-            value = node.read(self.attribute, self.network.epoch)
-            if self.window_epochs is not None:
-                value = node.window_for(self.attribute).aggregate(
-                    self.aggregate.func.lower(), last_n=self.window_epochs)
-            if self.where_fn is not None and not self.where_fn(
-                    node_id, self.group_of[node_id], value):
-                continue
-            readings[node_id] = value
+        readings = self._participants.readings(
+            self.group_of, self.attribute, self.aggregate,
+            self.window_epochs, self.where_fn)
 
         buffers: dict[int, list[Reading]] = {}
         arrived: set[int] = set()

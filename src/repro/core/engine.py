@@ -87,7 +87,10 @@ class KSpotEngine:
                 for node_id in sensor_ids
                 if self.network.node(node_id).group is not None
             }
-        if not mapping:
+        # A fleet that churn emptied has no live sensor to map, but its
+        # dead motes still carry the clusters the query names.
+        if not mapping and (group_of is not None or all(
+                node.group is None for node in self.network.nodes.values())):
             raise PlanError(
                 f"the query groups by {key!r} but no cluster mapping is "
                 f"configured (Configuration Panel step missing)"
@@ -328,8 +331,8 @@ class KSpotEngine:
         re-sampled. When every alive sensor participates the network's
         alive tuple itself is read, so the batch shares the sampling
         plan and readings row of concurrent sessions."""
-        self.network.read_many(self._live_participants(self.participants),
-                               self.plan.attribute)
+        self._live_participants.readings(self.participants,
+                                         self.plan.attribute)
 
     def fill_windows(self, epochs: int | None = None) -> None:
         """Acquisition stage: sample & buffer locally, radio silent."""

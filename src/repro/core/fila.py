@@ -83,7 +83,7 @@ class Fila:
         self.k = k
         self.attribute = attribute
         self.group_of = None if group_of is None else dict(group_of)
-        #: The alive participants, memoized per topology and membership.
+        #: The alive participants and their epoch's readings.
         self._participants = Participants(network)
         #: Installed filter per node (lo, hi); None until setup.
         self.filters: dict[int, tuple[float, float]] = {}
@@ -324,8 +324,8 @@ class Fila:
     def run_epoch(self) -> EpochResult:
         """One monitoring round: violations, certification, probes."""
         network = self.network
-        readings = self._reporting(network.read_many(
-            self._participants(self.group_of), self.attribute))
+        readings = self._reporting(
+            self._participants.readings(self.group_of, self.attribute))
         if not readings:
             # Churn killed or cut off every monitored mote: there is
             # nothing to rank, so the epoch answers no items and
@@ -411,7 +411,6 @@ class Fila:
         # Build the answer from current knowledge.
         if hot:
             self._converge_view(readings)
-            bounds = self._view.bounds
             outcome = self._view.outcome()
         else:
             known_get = self.known.get
@@ -433,7 +432,6 @@ class Fila:
             exact=outcome.certified,
             algorithm=self.name,
             probed=probed,
-            all_bounds={g: (b.lb, b.ub) for g, b in bounds.items()},
             certification=outcome,
         )
         self.network.advance_epoch()

@@ -30,8 +30,11 @@ probe traffic (ablated in experiment E10).
 Switch-and-prove: the fused single-pass creation, update and probe
 passes run only on a deployment whose ``Network.hot`` is set; on one
 built inside the oracle ``hotpath.reference_path()`` (or over a lossy
-radio) the first-principles branches run instead. The sink certifies
-the same way on both: it derives every group's interval from its
+radio) the first-principles branches run instead. Both sample the
+same way, as every epoch engine does: one
+:meth:`~repro.core.participants.Participants.partials` call over
+``Network.read_many`` per epoch. The sink certifies the same way on
+both too: it derives every group's interval from its
 child caches (:meth:`Mint._sink_bounds`) and hands them to the cold
 ``certify_top_k`` oracle, as nearly every group's interval moves each
 epoch anyway. ``tests/test_hotpath_equivalence.py`` and
@@ -41,7 +44,7 @@ epoch anyway. ``tests/test_hotpath_equivalence.py`` and
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from typing import Hashable, Mapping
@@ -65,6 +68,14 @@ from .views import MintNodeState, max_gamma
 GroupKey = Hashable
 
 
+#: Ceiling of the adaptive slack controller.
+MAX_SLACK = 16
+#: Probe-free epochs after which the adaptive controller shrinks slack.
+QUIET_EPOCHS = 8
+#: Tightening margin below which a smaller γ is not worth a message.
+GAMMA_HYSTERESIS = 1.0
+
+
 @dataclass
 class MintConfig:
     """Tunables of the pruning framework.
@@ -73,34 +84,21 @@ class MintConfig:
         slack: Extra groups kept beyond k (keep-count = k + slack).
             Slack 0 prunes hardest but probes most; the paper's γ
             framework keeps answers exact either way.
-        adaptive: Grow slack after a probing epoch, shrink it after
-            ``quiet_epochs`` consecutive probe-free epochs.
-        max_slack: Ceiling for the adaptive controller.
-        quiet_epochs: Probe-free epochs before slack shrinks.
-        gamma_hysteresis: Tightening margin below which a smaller γ is
-            not worth a message.
+        adaptive: Grow slack after a probing epoch, up to
+            :data:`MAX_SLACK`, and shrink it after :data:`QUIET_EPOCHS`
+            consecutive probe-free epochs.
 
     Raises:
-        ConfigurationError: a negative ``slack`` (None means k),
-            ``max_slack`` or ``gamma_hysteresis``, or ``quiet_epochs``
-            below 1.
+        ConfigurationError: a negative ``slack`` (None means k).
     """
 
     slack: int | None = None
     adaptive: bool = False
-    max_slack: int = 16
-    quiet_epochs: int = 8
-    gamma_hysteresis: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, floor in (("slack", 0), ("max_slack", 0),
-                            ("quiet_epochs", 1), ("gamma_hysteresis", 0)):
-            value = getattr(self, name)
-            if value is None and name == "slack":
-                continue
-            if not value >= floor:
-                raise ConfigurationError(
-                    f"MintConfig.{name} must be >= {floor}, got {value!r}")
+        if self.slack is not None and not self.slack >= 0:
+            raise ConfigurationError(
+                f"MintConfig.slack must be >= 0, got {self.slack!r}")
 
 
 class Mint:
@@ -134,9 +132,12 @@ class Mint:
         self.config = config or MintConfig()
         self.window_epochs = window_epochs
         self.slack = self.config.slack if self.config.slack is not None else k
-        self.states: dict[int, MintNodeState] = {
-            node_id: MintNodeState() for node_id in network.tree.sensor_ids
-        }
+        #: Per-mote state. A mote that joins unannounced (no topology
+        #: event reached this engine) gets a fresh one on first use and
+        #: relays as a non-member, as an unannounced death drops out.
+        self.states: defaultdict[int, MintNodeState] = defaultdict(
+            MintNodeState,
+            {node_id: MintNodeState() for node_id in network.tree.sensor_ids})
         self.created = False
         #: Sink knowledge: group → total count, and per sink-child counts.
         self.group_totals: dict[GroupKey, int] = {}
@@ -147,60 +148,14 @@ class Mint:
         self._census_plan: tuple | None = None
         #: Hot-path memo of per-group string sort keys.
         self._gstr = SortKeys()
-        #: Hot-path memo of lifted reading partials (value → Partial;
-        #: readings are ADC-quantized, so the domain is small).
-        self._lift_memo: dict[float, Partial] = {}
-        #: The alive participants, memoized per topology and membership.
+        #: The alive participants and their epoch's contributions.
         self._participants = Participants(network)
 
-    # ------------------------------------------------------------------
-    # Acquisition
-    # ------------------------------------------------------------------
-
     def _acquire(self) -> dict[int, Partial]:
-        """Sample every participant and lift readings into partials.
-
-        In windowed mode the node first reduces its local history
-        window (the "local search and filtering" of §III-B) and the
-        window aggregate becomes its contribution.
-        """
-        contributions: dict[int, Partial] = {}
-        nodes = self.network.nodes
-        epoch = self.network.epoch
-        attribute = self.attribute
-        from_value = self.aggregate.from_value
-        if self.window_epochs is None:
-            if self.network.hot:
-                # Readings are quantized to the modality's ADC, so the
-                # same few hundred values recur; lifted partials are
-                # immutable and safe to share across nodes and epochs.
-                # Acquisition goes through the columnar batch read —
-                # one batch_values call per board channel, shared with
-                # any concurrent session over the same participants.
-                memo = self._lift_memo
-                if len(memo) > 4096:
-                    memo.clear()
-                readings = self.network.read_many(
-                    self._participants(self.group_of), attribute)
-                for node_id, value in readings.items():
-                    partial = memo.get(value)
-                    if partial is None:
-                        partial = memo[value] = from_value(value)
-                    contributions[node_id] = partial
-            else:
-                for node_id in self._participants(self.group_of):
-                    contributions[node_id] = from_value(
-                        nodes[node_id].read(attribute, epoch))
-            return contributions
-        window_func = (self.aggregate.func.lower()
-                       if self.aggregate.func != "COUNT" else "avg")
-        for node_id in self._participants(self.group_of):
-            node = nodes[node_id]
-            node.read(attribute, epoch)
-            value = node.window_for(attribute).aggregate(
-                window_func, last_n=self.window_epochs)
-            contributions[node_id] = from_value(value)
-        return contributions
+        """Every participant's reading (or window aggregate), lifted."""
+        return self._participants.partials(
+            self.group_of, self.attribute, self.aggregate,
+            self.window_epochs)
 
     # ------------------------------------------------------------------
     # Phases
@@ -262,8 +217,7 @@ class Mint:
             if group not in kept
         )
         ship_gamma = should_reship_gamma(
-            gamma, state.gamma_reported,
-            hysteresis=self.config.gamma_hysteresis)
+            gamma, state.gamma_reported, hysteresis=GAMMA_HYSTERESIS)
         if not changed and not retractions and not ship_gamma:
             return None
         return ViewUpdateMessage(
@@ -329,7 +283,7 @@ class Mint:
         Each row builds V_i as :meth:`_run_update_phase` does and
         commits it whole as what the parent caches; the pass ships each
         view's :meth:`ViewUpdateMessage.wire_size` in one
-        :meth:`Network.ship_edges` call, even when a row raises.
+        :meth:`Network.ship_edges` call.
         """
         network = self.network
         states = self.states
@@ -339,37 +293,35 @@ class Mint:
         wire_size = ViewUpdateMessage.wire_size
         edges: list[tuple[int, int, int]] = []
         ship = edges.append
-        try:
-            for node_id, parent, children, _ in network.converge_cast_plan():
-                contribution = contributions_get(node_id)
-                if len(children) == 1:
-                    reported = states[children[0]].reported
-                    if contribution is None:
-                        view = reported.copy()
-                    else:
-                        group = group_of[node_id]
-                        view = {group: contribution}
-                        view.update(reported)
-                        cached = reported.get(group)
-                        if cached is not None:
-                            view[group] = merge(contribution, cached)
+        for node_id, parent, children, _ in network.converge_cast_plan():
+            contribution = contributions_get(node_id)
+            if len(children) == 1:
+                reported = states[children[0]].reported
+                if contribution is None:
+                    view = reported.copy()
                 else:
-                    view = {}
-                    if contribution is not None:
-                        view[group_of[node_id]] = contribution
-                    view_get = view.get
-                    for child in children:
-                        for group, partial in states[child].reported.items():
-                            existing = view_get(group)
-                            view[group] = (partial if existing is None
-                                           else merge(existing, partial))
-                ship((node_id, parent, wire_size(len(view))))
-                state = states[node_id]
-                state.reported = view
-                state.withheld = {}
-                state.gamma_reported = None
-        finally:
-            network.ship_edges(ViewUpdateMessage.kind, edges)
+                    group = group_of[node_id]
+                    view = {group: contribution}
+                    view.update(reported)
+                    cached = reported.get(group)
+                    if cached is not None:
+                        view[group] = merge(contribution, cached)
+            else:
+                view = {}
+                if contribution is not None:
+                    view[group_of[node_id]] = contribution
+                view_get = view.get
+                for child in children:
+                    for group, partial in states[child].reported.items():
+                        existing = view_get(group)
+                        view[group] = (partial if existing is None
+                                       else merge(existing, partial))
+            ship((node_id, parent, wire_size(len(view))))
+            state = states[node_id]
+            state.reported = view
+            state.withheld = {}
+            state.gamma_reported = None
+        network.ship_edges(ViewUpdateMessage.kind, edges)
 
     def _live_sink_children(self) -> list[int]:
         return [
@@ -416,10 +368,10 @@ class Mint:
         withheld partials per group. Only nodes with content (their own
         withheld tuples or a descendant's reply) transmit. The hot path
         walks the network's converge-cast plan and ships every reply's
-        wire size in one :meth:`Network.ship_edges` call, even when a
-        row raises, as :meth:`_run_update_phase` does; the reference
-        path asks the tree for each node's children and sends a built
-        reply with :meth:`Network.send_up`.
+        wire size in one :meth:`Network.ship_edges` call, as
+        :meth:`_run_update_phase` does; the reference path asks the
+        tree for each node's children and sends a built reply with
+        :meth:`Network.send_up`.
         """
         probe_set = set(groups)
         network = self.network
@@ -441,40 +393,38 @@ class Mint:
                 epoch=epoch, groups=tuple(sorted(probe_set, key=str))))
             replies: dict[int, dict[GroupKey, Partial]] = {}
             collected: dict[GroupKey, Partial] = {}
-            try:
-                for node_id, parent, children, to_sink in rows:
-                    payload: dict[GroupKey, Partial] = {}
-                    for group, partial in states[node_id].withheld.items():
-                        if group in probe_set:
-                            payload[group] = partial
-                    for child in children:
-                        reply = replies.get(child)
-                        if not reply:
-                            continue
-                        for group, partial in reply.items():
-                            existing = payload.get(group)
-                            payload[group] = (
-                                partial if existing is None
-                                else merge(existing, partial))
-                    if not payload:
+            for node_id, parent, children, to_sink in rows:
+                payload: dict[GroupKey, Partial] = {}
+                for group, partial in states[node_id].withheld.items():
+                    if group in probe_set:
+                        payload[group] = partial
+                for child in children:
+                    reply = replies.get(child)
+                    if not reply:
                         continue
-                    if hot:
-                        edges.append((node_id, parent,
-                                      wire_size(len(payload))))
-                    else:
-                        parent = network.send_up(
-                            node_id, _probe_reply(epoch, payload))
-                        to_sink = parent == sink_id
-                    if to_sink:
-                        for group, partial in payload.items():
-                            existing = collected.get(group)
-                            collected[group] = (
-                                partial if existing is None
-                                else merge(existing, partial))
-                    else:
-                        replies[node_id] = payload
-            finally:
-                network.ship_edges(ProbeReplyMessage.kind, edges)
+                    for group, partial in reply.items():
+                        existing = payload.get(group)
+                        payload[group] = (
+                            partial if existing is None
+                            else merge(existing, partial))
+                if not payload:
+                    continue
+                if hot:
+                    edges.append((node_id, parent,
+                                  wire_size(len(payload))))
+                else:
+                    parent = network.send_up(
+                        node_id, _probe_reply(epoch, payload))
+                    to_sink = parent == sink_id
+                if to_sink:
+                    for group, partial in payload.items():
+                        existing = collected.get(group)
+                        collected[group] = (
+                            partial if existing is None
+                            else merge(existing, partial))
+                else:
+                    replies[node_id] = payload
+            network.ship_edges(ProbeReplyMessage.kind, edges)
         self.probes_run += 1
         return collected
 
@@ -494,7 +444,6 @@ class Mint:
                 exact=True,
                 algorithm=self.name,
                 probed=0,
-                all_bounds={g: (b.lb, b.ub) for g, b in bounds.items()},
                 certification=outcome,
             )
             self.network.advance_epoch()
@@ -561,7 +510,6 @@ class Mint:
             exact=True,
             algorithm=self.name,
             probed=probed,
-            all_bounds={g: (b.lb, b.ub) for g, b in bounds.items()},
             certification=outcome,
         )
         self.network.advance_epoch()
@@ -595,10 +543,6 @@ class Mint:
         existing one, and the prune's sort key ``(-score, str(group))``
         then ties the two and keeps them in the view's order, as the
         reference path's stable sort does.
-
-        The pass ships what it walked even when a row raises (a mote
-        with no state, which only an engine that missed a join lacks),
-        so a failed pass charges what the per-edge reference path does.
         """
         network = self.network
         states = self.states
@@ -607,90 +551,88 @@ class Mint:
         gstr = self._gstr
         group_of = self.group_of
         keep_count = self.k + self.slack
-        hysteresis = self.config.gamma_hysteresis
+        hysteresis = GAMMA_HYSTERESIS
         contributions_get = contributions.get
         wire_size = ViewUpdateMessage.wire_size
         sort_key = lambda item: (-finalize(item[1]), gstr[item[0]])  # noqa: E731
         edges: list[tuple[int, int, int]] = []
         ship = edges.append
         with network.stats.phase("update"):
-            try:
-                for node_id, parent, children, _ in (
-                        network.converge_cast_plan()):
-                    state = states[node_id]
-                    # -- rebuild V_i --------------------------------
-                    contribution = contributions_get(node_id)
-                    if len(children) == 1:
-                        reported = states[children[0]].reported
-                        if contribution is None:
-                            view = reported.copy()
-                        else:
-                            group = group_of[node_id]
-                            view = {group: contribution}
-                            view.update(reported)
-                            cached = reported.get(group)
-                            if cached is not None:
-                                view[group] = merge(contribution, cached)
+            for node_id, parent, children, _ in (
+                    network.converge_cast_plan()):
+                state = states[node_id]
+                # -- rebuild V_i --------------------------------
+                contribution = contributions_get(node_id)
+                if len(children) == 1:
+                    reported = states[children[0]].reported
+                    if contribution is None:
+                        view = reported.copy()
                     else:
-                        view = {}
-                        if contribution is not None:
-                            view[group_of[node_id]] = contribution
-                        view_get = view.get
-                        for child in children:
-                            for group, partial in (
-                                    states[child].reported.items()):
-                                existing = view_get(group)
-                                view[group] = (partial if existing is None
-                                               else merge(existing, partial))
-                    # -- prune into V'_i + withheld; γ: local max first
-                    if len(view) <= keep_count:
-                        kept = view
-                        gamma = None
-                        if state.withheld:
-                            state.withheld = {}
-                    else:
-                        ranked = sorted(view.items(), key=sort_key)
-                        kept = dict(ranked[:keep_count])
-                        withheld = state.withheld = dict(ranked[keep_count:])
-                        gamma = max(map(finalize, withheld.values()))
+                        group = group_of[node_id]
+                        view = {group: contribution}
+                        view.update(reported)
+                        cached = reported.get(group)
+                        if cached is not None:
+                            view[group] = merge(contribution, cached)
+                else:
+                    view = {}
+                    if contribution is not None:
+                        view[group_of[node_id]] = contribution
+                    view_get = view.get
                     for child in children:
-                        child_gamma = states[child].gamma_reported
-                        if child_gamma is not None and (
-                                gamma is None or child_gamma > gamma):
-                            gamma = child_gamma
-                    # -- count the delta vs the parent's cache ------
-                    reported = state.reported
-                    reported_get = reported.get
-                    kept_cached = changed = 0
-                    for group, partial in kept.items():
-                        cached = reported_get(group)
-                        if cached is None:
-                            changed += 1
-                            continue
-                        kept_cached += 1
-                        if cached != partial:
-                            changed += 1
-                    retracted = len(reported) - kept_cached
-                    # Inlined should_reship_gamma (one call per node saved).
-                    reported_gamma = state.gamma_reported
-                    if gamma is None:
-                        ship_gamma = False
-                    elif reported_gamma is None or gamma > reported_gamma:
-                        ship_gamma = True
-                    else:
-                        ship_gamma = reported_gamma - gamma > hysteresis
-                    if not changed and not retracted and not ship_gamma:
-                        continue  # reported already equals kept
-                    # Every row is an alive non-root node, so the send_up
-                    # guards are vacuous here.
-                    ship((node_id, parent,
-                          wire_size(changed, retracted, ship_gamma)))
-                    # -- commit: the parent now caches exactly V'_i -
-                    state.reported = kept
-                    if ship_gamma:
-                        state.gamma_reported = gamma
-            finally:
-                network.ship_edges(ViewUpdateMessage.kind, edges)
+                        for group, partial in (
+                                states[child].reported.items()):
+                            existing = view_get(group)
+                            view[group] = (partial if existing is None
+                                           else merge(existing, partial))
+                # -- prune into V'_i + withheld; γ: local max first
+                if len(view) <= keep_count:
+                    kept = view
+                    gamma = None
+                    if state.withheld:
+                        state.withheld = {}
+                else:
+                    ranked = sorted(view.items(), key=sort_key)
+                    kept = dict(ranked[:keep_count])
+                    withheld = state.withheld = dict(ranked[keep_count:])
+                    gamma = max(map(finalize, withheld.values()))
+                for child in children:
+                    child_gamma = states[child].gamma_reported
+                    if child_gamma is not None and (
+                            gamma is None or child_gamma > gamma):
+                        gamma = child_gamma
+                # -- count the delta vs the parent's cache ------
+                reported = state.reported
+                reported_get = reported.get
+                kept_cached = changed = 0
+                for group, partial in kept.items():
+                    cached = reported_get(group)
+                    if cached is None:
+                        changed += 1
+                        continue
+                    kept_cached += 1
+                    if cached != partial:
+                        changed += 1
+                retracted = len(reported) - kept_cached
+                # Inlined should_reship_gamma (one call per node saved).
+                reported_gamma = state.gamma_reported
+                if gamma is None:
+                    ship_gamma = False
+                elif reported_gamma is None or gamma > reported_gamma:
+                    ship_gamma = True
+                else:
+                    ship_gamma = reported_gamma - gamma > hysteresis
+                if not changed and not retracted and not ship_gamma:
+                    continue  # reported already equals kept
+                # Every row is an alive non-root node, so the send_up
+                # guards are vacuous here.
+                ship((node_id, parent,
+                      wire_size(changed, retracted, ship_gamma)))
+                # -- commit: the parent now caches exactly V'_i -
+                state.reported = kept
+                if ship_gamma:
+                    state.gamma_reported = gamma
+            network.ship_edges(ViewUpdateMessage.kind, edges)
 
     def _seen_partial(self, group: GroupKey) -> Partial | None:
         seen: Partial | None = None
@@ -707,11 +649,11 @@ class Mint:
         if not self.config.adaptive:
             return
         if probed:
-            self.slack = min(self.config.max_slack, self.slack + 1)
+            self.slack = min(MAX_SLACK, self.slack + 1)
             self._quiet_streak = 0
             return
         self._quiet_streak += 1
-        if self._quiet_streak >= self.config.quiet_epochs and self.slack > 0:
+        if self._quiet_streak >= QUIET_EPOCHS and self.slack > 0:
             self.slack -= 1
             self._quiet_streak = 0
 

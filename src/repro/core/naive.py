@@ -19,6 +19,7 @@ from ..errors import ValidationError
 from ..network.messages import QueryMessage, ViewEntry, ViewUpdateMessage
 from ..network.simulator import Network
 from .aggregates import Aggregate, Partial
+from .participants import Participants
 from .results import EpochResult, RankedItem, rank_key
 
 GroupKey = Hashable
@@ -42,6 +43,8 @@ class NaiveTopK:
         self.group_of = dict(group_of)
         self.window_epochs = window_epochs
         self._disseminated = False
+        #: The alive participants and their epoch's contributions.
+        self._participants = Participants(network)
 
     def run_epoch(self) -> EpochResult:
         """One round of greedy pruning; the answer may be wrong."""
@@ -49,20 +52,17 @@ class NaiveTopK:
             with self.network.stats.phase("dissemination"):
                 self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
+        contributions = self._participants.partials(
+            self.group_of, self.attribute, self.aggregate,
+            self.window_epochs)
         partial_views: dict[int, dict[GroupKey, Partial]] = {}
         sink_view: dict[GroupKey, Partial] = {}
         with self.network.stats.phase("aggregation"):
             for node_id in self.network.converge_cast_order():
                 view: dict[GroupKey, Partial] = {}
-                if node_id in self.group_of:
-                    node = self.network.node(node_id)
-                    value = node.read(self.attribute, self.network.epoch)
-                    if self.window_epochs is not None:
-                        value = node.window_for(self.attribute).aggregate(
-                            self.aggregate.func.lower(),
-                            last_n=self.window_epochs)
-                    view[self.group_of[node_id]] = (
-                        self.aggregate.from_value(value))
+                own = contributions.get(node_id)
+                if own is not None:
+                    view[self.group_of[node_id]] = own
                 for child in self.network.tree.children(node_id):
                     for group, partial in partial_views.get(child, {}).items():
                         existing = view.get(group)

@@ -7,7 +7,7 @@ exactness claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 from ..errors import ValidationError
@@ -56,7 +56,6 @@ class EpochResult:
             does.
         algorithm: Producing algorithm name (for panels and logs).
         probed: Number of probe/clean-up rounds the epoch needed.
-        all_bounds: Certified intervals for every group (diagnostics).
         certification: The sink's final
             :class:`~repro.core.certify.CertificationOutcome` for the
             epoch (certifying engines only — MINT and FILA attach it;
@@ -68,8 +67,6 @@ class EpochResult:
     exact: bool
     algorithm: str
     probed: int = 0
-    all_bounds: Mapping[Hashable, tuple[float, float]] = field(
-        default_factory=dict)
     certification: "CertificationOutcome | None" = None
 
     @property

@@ -9,14 +9,16 @@ pruning is measured against.
 
 Like MINT, the per-epoch converge-cast runs on a fused hot path on a
 deployment whose ``Network.hot`` is set (see
-:mod:`repro.network.hotpath`): acquisition shares lifted partials via
-a memo, the pass walks the network's cached converge-cast plan, and
-each view ships as its wire size straight over the tree edge, no
-message built. The reference implementation remains in
-:meth:`Tag.run_epoch`'s reference branch — the oracle a deployment
+:mod:`repro.network.hotpath`): the pass walks the network's cached
+converge-cast plan, and each view ships as its wire size straight over
+the tree edge, no message built. The reference implementation remains
+in :meth:`Tag.run_epoch`'s reference branch — the oracle a deployment
 built inside ``hotpath.reference_path()`` runs — and
 ``tests/test_hotpath_equivalence.py`` holds both paths to identical
-traffic, stats and answers. The sink ranks the same way on both: one
+traffic, stats and answers. Both sample the same way, as every epoch
+engine does: one :meth:`~repro.core.participants.Participants.partials`
+call over ``Network.read_many`` per epoch, windows and a dynamic
+``WHERE`` included. The sink ranks the same way on both: one
 ``rank_key`` sort of every group's score per epoch.
 """
 
@@ -56,43 +58,8 @@ class Tag:
         #: ``where_fn(node_id, group, value) -> bool``.
         self.where_fn = where_fn
         self._disseminated = False
-        #: Hot-path memo of lifted reading partials (see Mint._acquire).
-        self._lift_memo: dict[float, Partial] = {}
-        #: The alive participants, memoized per topology and membership.
+        #: The alive participants and their epoch's contributions.
         self._participants = Participants(network)
-
-    def _acquire(self) -> dict[int, Partial]:
-        contributions: dict[int, Partial] = {}
-        nodes = self.network.nodes
-        epoch = self.network.epoch
-        attribute = self.attribute
-        from_value = self.aggregate.from_value
-        if (self.network.hot and self.window_epochs is None
-                and self.where_fn is None):
-            # Readings are ADC-quantized: the same few hundred values
-            # recur, and lifted partials are immutable and shareable.
-            memo = self._lift_memo
-            if len(memo) > 4096:
-                memo.clear()
-            readings = self.network.read_many(
-                self._participants(self.group_of), attribute)
-            for node_id, value in readings.items():
-                partial = memo.get(value)
-                if partial is None:
-                    partial = memo[value] = from_value(value)
-                contributions[node_id] = partial
-            return contributions
-        for node_id in self._participants(self.group_of):
-            node = nodes[node_id]
-            value = node.read(attribute, epoch)
-            if self.window_epochs is not None:
-                value = node.window_for(attribute).aggregate(
-                    self.aggregate.func.lower(), last_n=self.window_epochs)
-            if self.where_fn is not None and not self.where_fn(
-                    node_id, self.group_of[node_id], value):
-                continue
-            contributions[node_id] = from_value(value)
-        return contributions
 
     # repro: hot
     def _run_aggregation_phase(
@@ -175,7 +142,9 @@ class Tag:
             with self.network.stats.phase("dissemination"):
                 self.network.flood_down(QueryMessage(query_id=1))
             self._disseminated = True
-        contributions = self._acquire()
+        contributions = self._participants.partials(
+            self.group_of, self.attribute, self.aggregate,
+            self.window_epochs, self.where_fn)
         if self.network.hot:
             sink_view = self._run_aggregation_phase(contributions)
         else:
@@ -217,17 +186,15 @@ class Tag:
              for group, partial in sink_view.items()),
             key=lambda pair: rank_key(pair[0], pair[1]),
         )
-        cut = scored if self.k is None else scored[:self.k]
         items = tuple(
             RankedItem(key=group, score=score, lb=score, ub=score)
-            for group, score in cut
+            for group, score in scored[:self.k]  # k None: every group
         )
         result = EpochResult(
             epoch=self.network.epoch,
             items=items,
             exact=True,
             algorithm=self.name,
-            all_bounds={g: (s, s) for g, s in scored},
         )
         self.network.advance_epoch()
         return result

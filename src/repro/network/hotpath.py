@@ -11,7 +11,11 @@ TAG's aggregation, FILA's set-up, monitor, probe and install passes,
 TJA's union and join passes) and the batched sensing of
 :mod:`repro.network.columnar` — all of which
 are *semantically invisible*: with the caches on or off, every
-message, byte, joule and per-phase snapshot is identical.
+message, byte, joule and per-phase snapshot is identical. Every epoch
+engine samples through one
+:meth:`~repro.network.simulator.Network.read_many` call per epoch
+(:class:`~repro.core.participants.Participants`), so that call is the
+one place sensing asks which path it runs.
 
 The path also selects FILA's certification strategy: on the hot path
 its sink maintains an incremental :class:`~repro.core.delta.TopKView`

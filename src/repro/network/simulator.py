@@ -797,10 +797,6 @@ class Network:
                     roots[node_id] = root
         return roots
 
-    def sample_all(self, attribute: str) -> dict[int, float]:
-        """Every live sensor samples ``attribute`` for the current epoch."""
-        return dict(self.read_many(self.alive_sensor_ids(), attribute))
-
     def read_many(self, node_ids: Sequence[int],
                   attribute: str) -> dict[int, float]:
         """One epoch's readings for a whole id column, in id order.
@@ -820,8 +816,7 @@ class Network:
         concurrent sessions over the same deployment pay for one batch.
 
         The returned dict is shared with later same-epoch callers —
-        treat it as read-only (copy it to mutate, as
-        :meth:`sample_all` does).
+        treat it as read-only (copy it to mutate).
         """
         nodes, epoch = self.nodes, self.epoch
         plan = None

@@ -28,7 +28,9 @@ from hypothesis import strategies as st
 from helpers import make_series, on_both_paths
 from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.core.aggregates import make_aggregate
-from repro.core.mint import Mint, MintConfig
+from repro.core.mint import QUIET_EPOCHS, Mint, MintConfig
+from repro.core.participants import Participants
+from repro.core.results import is_valid_top_k, oracle_scores
 from repro.core.tja import Tja
 from repro.errors import (
     ConfigurationError,
@@ -55,7 +57,7 @@ from repro.network.tree import RoutingTree
 from repro.query.plan import Algorithm
 from repro.scenarios import grid_rooms_scenario
 from repro.sensing.board import SensorBoard
-from repro.sensing.generators import ZipfEventField
+from repro.sensing.generators import ConstantField, ZipfEventField
 
 
 def stats_signature(stats):
@@ -108,8 +110,14 @@ def answers_of(handle):
 QUERY_BY_ENGINE = {
     "mint": ("SELECT TOP {k} roomid, {agg}(sound) FROM sensors "
              "GROUP BY roomid EPOCH DURATION 1 min", None),
+    "mint-window": ("SELECT TOP {k} roomid, {agg}(sound) FROM sensors "
+                    "GROUP BY roomid WITH HISTORY 3 s EPOCH DURATION 1 s",
+                    None),
     "tag": ("SELECT TOP {k} roomid, {agg}(sound) FROM sensors "
             "GROUP BY roomid EPOCH DURATION 1 min", Algorithm.TAG),
+    "tag-where": ("SELECT TOP {k} roomid, {agg}(sound) FROM sensors "
+                  "WHERE sound > 40 GROUP BY roomid EPOCH DURATION 1 min",
+                  Algorithm.TAG),
     "centralized": ("SELECT TOP {k} roomid, {agg}(sound) FROM sensors "
                     "GROUP BY roomid EPOCH DURATION 1 min",
                     Algorithm.CENTRALIZED),
@@ -532,15 +540,18 @@ class TestZipfColumnarKernel:
     """FILA over a shared Zipf field: the one workload that drives the
     vectorized jitter (``hash01_column``) and FILA's batched monitor,
     probe and install passes end to end, held to the reference path
-    and to the pure-python backend."""
+    and to the pure-python backend: each epoch's answer and FILA's
+    ``known`` and ``filters`` after it, which with the readings fix
+    every mote's interval."""
 
     @staticmethod
     def _stream():
         session, network = zipf_fila_fleet()
-        results = [
-            (r.epoch, tuple(r.items), r.exact, dict(r.all_bounds))
-            for r in session.run(8)
-        ]
+        results = []
+        for _ in range(8):
+            r = session.run_epoch()
+            results.append((r.epoch, tuple(r.items), r.exact,
+                            dict(session.known), dict(session.filters)))
         joules = sum(n.ledger.total for n in network.nodes.values())
         samples = sum(n.samples_taken for n in network.nodes.values())
         return results, joules, samples
@@ -576,8 +587,7 @@ class TestLossyFilaStepsOnAfterADrop:
                 drops += 1
             else:
                 results.append((result.epoch, result.exact, result.probed,
-                                tuple(result.items),
-                                dict(result.all_bounds)))
+                                tuple(result.items)))
             states.append((dict(session.known), dict(session.filters)))
         return (results, drops, stats_signature(network.stats),
                 ledger_signature(network), states)
@@ -618,10 +628,9 @@ class TestFilaAtFleetScale:
     interleaved Zipf clusters, ``TOP 200``, so every epoch reports,
     probes and reinstalls filters by the hundred. Through one relay's
     death and one mote's birth, after every epoch the answers (with
-    their certification and ``all_bounds``), stats by kind and phase,
-    the session tap, per-node ledgers and FILA's ``known`` and
-    ``filters`` must equal the reference path's, on either column
-    backend."""
+    their certification), stats by kind and phase, the session tap,
+    per-node ledgers and FILA's ``known`` and ``filters`` must equal
+    the reference path's, on either column backend."""
 
     EPOCHS = 10
     QUERY = ("SELECT TOP 200 nodeid, MAX(sound) FROM sensors "
@@ -655,8 +664,7 @@ class TestFilaAtFleetScale:
             epochs.append((
                 (result.epoch, result.exact, result.probed,
                  tuple((i.key, i.score, i.lb, i.ub) for i in result.items),
-                 certification_signature(result.certification),
-                 dict(result.all_bounds)),
+                 certification_signature(result.certification)),
                 stats_signature(network.stats),
                 stats_signature(handle.stats),
                 ledger_signature(network),
@@ -690,10 +698,11 @@ class TestFilaAtFleetScale:
 class TestFilaAcrossFlips:
     """One FILA deployment whose column backend flips between epochs: a
     10×10 Zipf fleet, ``TOP 20``, and a relay that dies mid-run with
-    the tree repaired. Each epoch's answer, ``all_bounds`` and network
-    totals must equal a run on the reference path throughout, whatever
-    backend ran the epochs before it. (The execution path is fixed
-    when the network is built, so it cannot flip.)"""
+    the tree repaired. Each epoch's answer, network totals and FILA's
+    ``known`` and ``filters`` must equal a run on the reference path
+    throughout, whatever backend ran the epochs before it. (The
+    execution path is fixed when the network is built, so it cannot
+    flip.)"""
 
     EPOCHS = 12
     DEATH = 6
@@ -715,8 +724,9 @@ class TestFilaAcrossFlips:
                 result = session.run_epoch()
             epochs.append((
                 (result.epoch, result.exact, result.probed,
-                 tuple(result.items), dict(result.all_bounds)),
+                 tuple(result.items)),
                 network.stats.summary(),
+                (dict(session.known), dict(session.filters)),
             ))
         return epochs
 
@@ -728,7 +738,9 @@ class TestFilaAcrossFlips:
         for epoch, (f, r) in enumerate(zip(flipped, reference)):
             assert f[0] == r[0], f"epoch {epoch}: answer"
             assert f[1] == r[1], f"epoch {epoch}: network totals"
-        assert any(result[2] for result, _ in reference), "FILA must probe"
+            assert f[2] == r[2], f"epoch {epoch}: known and filters"
+        assert any(result[2] for result, _, _ in reference), \
+            "FILA must probe"
 
 
 class TestReadManyErrorPath:
@@ -1547,10 +1559,12 @@ class TestMintStateAtFleetScale:
     (the four e11 room queries, k 1–3), through one relay's death and
     one mote's birth, every MINT session's per-node ``(reported,
     gamma_reported, withheld)`` must equal the reference path's after
-    every epoch. The adaptive case shrinks slack after quiet epochs, so
-    kept views shrink and nodes ship retractions with no new entry."""
+    every epoch. The adaptive case grows slack after probing epochs
+    and shrinks it after ``QUIET_EPOCHS`` quiet ones, so kept views
+    shrink in the last epoch and nodes ship retractions with no new
+    entry."""
 
-    EPOCHS = 10
+    EPOCHS = QUIET_EPOCHS + 2
 
     @staticmethod
     def node_states(handle):
@@ -1593,7 +1607,7 @@ class TestMintStateAtFleetScale:
                 [h.recovery for h in handles])
 
     @pytest.mark.parametrize("mint_config", [
-        None, MintConfig(adaptive=True, quiet_epochs=2)],
+        None, MintConfig(adaptive=True)],
         ids=["default", "adaptive"])
     def test_node_state_hot_equals_reference_every_epoch(self, mint_config):
         hot, reference = on_both_paths(self.run, mint_config)
@@ -1631,30 +1645,83 @@ class TestMintStateAtFleetScale:
                    for _, _, withheld in session.values())
 
 
-class TestFailedMintPass:
-    """A MINT engine driven without the session layer misses a join, so
-    its next update pass raises at the newborn's row. The rows before it
-    have shipped on the reference path, one ``send_up`` each; the hot
-    pass must charge the same edges although it ships them in one call
-    at its end."""
+class TestUnannouncedMintJoin:
+    """A MINT engine driven without the session layer hears of no join.
+    The newborn (no board, no cluster) gets a fresh state on first use
+    and relays as a non-member, as an unannounced death drops out: over
+    two epochs before the join and three after it, the answers, stats
+    and ledgers equal the reference path's, and every answer is the
+    oracle's over the members' readings."""
 
     @staticmethod
-    def fail_a_pass():
+    def run():
         scenario = grid_rooms_scenario(side=5, rooms_per_axis=2, seed=1)
         network = scenario.network
-        mint = Mint(network, make_aggregate("AVG", 0.0, 120.0), 1,
-                    scenario.group_of)
-        mint.run(2)
+        aggregate = make_aggregate("AVG", 0.0, 120.0)
+        mint = Mint(network, aggregate, 1, scenario.group_of)
+
+        def step():
+            result = mint.run_epoch()
+            readings = {}
+            for node_id in scenario.group_of:
+                latest = network.node(node_id).window_for("sound").latest()
+                assert latest.epoch == result.epoch
+                readings[node_id] = latest.value
+            truth = oracle_scores(readings, scenario.group_of, aggregate)
+            assert is_valid_top_k(result.items, truth, 1, tolerance=1e-9)
+            return (result.epoch, result.probed,
+                    tuple((i.key, i.score, i.lb, i.ub) for i in result.items),
+                    certification_signature(result.certification))
+
+        answers = [step() for _ in range(2)]
         x, y = network.topology.positions[24]
         network.join_node(100, (x + 1.0, y + 1.0))
-        with pytest.raises(KeyError):
-            mint.run_epoch()
-        return stats_signature(network.stats), ledger_signature(network)
+        answers += [step() for _ in range(3)]
+        assert 100 in mint.states and 100 not in mint.group_of
+        return answers, stats_signature(network.stats), \
+            ledger_signature(network)
 
-    def test_hot_charges_the_edges_the_reference_shipped(self):
-        hot, reference = on_both_paths(self.fail_a_pass)
+    def test_hot_equals_reference_and_the_oracle(self):
+        hot, reference = on_both_paths(self.run)
         assert hot == reference
-        assert hot[0][3]["update"].messages > 0
+        assert len(hot[0]) == 5
+        assert hot[1][3]["update"].messages > 0
+
+
+class TestParticipantsLift:
+    """Acquisition lifts each member's reading into a partial. Nine
+    motes read one value: on a hot network they share one partial per
+    aggregate, and switching the aggregate starts the memo over (COUNT
+    lifts a reading to ``(1.0, 1)``, AVG to ``(reading, 1)``); a
+    reference network lifts every reading afresh. Both lift equal
+    values."""
+
+    @staticmethod
+    def lift():
+        field = ConstantField({}, default=50.0)
+        topology = grid_topology(4, spacing=10.0, radio_range=15.0)
+        network = Network(topology, boards={
+            node: SensorBoard({"sound": field})
+            for node in topology.node_ids if node != 0})
+        members = {node: "room" for node in range(1, 10)}
+        participants = Participants(network)
+        avg = make_aggregate("AVG", 0.0, 100.0)
+        count = make_aggregate("COUNT", 0.0, 100.0)
+        return [participants.partials(members, "sound", aggregate)
+                for aggregate in (avg, count, avg)]
+
+    def test_hot_shares_partials_and_reference_lifts_afresh(self):
+        hot, reference = on_both_paths(self.lift)
+        assert hot == reference
+        lifted_values = [{(p.value, p.count) for p in lifted.values()}
+                         for lifted in hot]
+        assert lifted_values[1] == {(1.0, 1)}
+        assert lifted_values[0] == lifted_values[2] != lifted_values[1]
+        assert all(len(lifted) == 9 for lifted in hot)
+        assert [len({id(p) for p in lifted.values()})
+                for lifted in hot] == [1, 1, 1]
+        assert [len({id(p) for p in lifted.values()})
+                for lifted in reference] == [9, 9, 9]
 
 
 class TestLossyMintCreation:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Mint, MintConfig, Tag, is_valid_top_k, oracle_scores
 from repro.core.aggregates import make_aggregate
+from repro.core.mint import MAX_SLACK, QUIET_EPOCHS
 from repro.errors import ConfigurationError, ValidationError
 from repro.scenarios import figure1_scenario, grid_rooms_scenario
 from repro.sensing.modalities import get_modality
@@ -59,13 +60,6 @@ class TestFigure1:
                     scenario.group_of, attribute="sound")
         mint.run_epoch()
         assert mint.group_totals == {"A": 2, "B": 2, "C": 2, "D": 3}
-
-    def test_bounds_reported_for_every_group(self):
-        scenario = figure1_scenario()
-        mint = Mint(scenario.network, make_aggregate("AVG", 0, 100), 1,
-                    scenario.group_of, attribute="sound")
-        result = mint.run_epoch()
-        assert set(result.all_bounds) == {"A", "B", "C", "D"}
 
 
 class TestExactness:
@@ -151,23 +145,27 @@ class TestAdaptiveSlack:
         assert mint.slack == 1
 
     def test_slack_shrinks_after_quiet_period(self):
+        """Figure 1's readings are constant, so no update epoch probes:
+        slack holds through creation and QUIET_EPOCHS - 1 quiet
+        updates, and the QUIET_EPOCHS-th shrinks it."""
         scenario = figure1_scenario()
         mint = Mint(scenario.network, make_aggregate("AVG", 0, 100), 2,
                     scenario.group_of,
-                    config=MintConfig(slack=2, adaptive=True,
-                                      quiet_epochs=3))
-        for _ in range(8):
+                    config=MintConfig(slack=2, adaptive=True))
+        for _ in range(QUIET_EPOCHS):
             mint.run_epoch()
-        assert mint.slack < 2
+        assert mint.slack == 2
+        mint.run_epoch()
+        assert mint.slack == 1
 
     def test_slack_capped(self):
-        config = MintConfig(slack=0, adaptive=True, max_slack=1)
         scenario = figure1_scenario()
         mint = Mint(scenario.network, make_aggregate("AVG", 0, 100), 1,
-                    scenario.group_of, config=config)
-        for _ in range(6):
-            mint.run_epoch()
-        assert mint.slack <= 1
+                    scenario.group_of,
+                    config=MintConfig(slack=MAX_SLACK - 1, adaptive=True))
+        for _ in range(3):
+            mint._adapt_slack(probed=1)
+        assert mint.slack == MAX_SLACK
 
 
 class TestTopologyChange:
@@ -207,18 +205,13 @@ class TestValidation:
         results = mint.run(3)
         assert [r.epoch for r in results] == [0, 1, 2]
 
-    @pytest.mark.parametrize("field, value", [
-        ("slack", -3), ("max_slack", -1), ("gamma_hysteresis", -0.5),
-        ("gamma_hysteresis", float("nan")), ("quiet_epochs", 0),
-    ])
+    @pytest.mark.parametrize("field, value", [("slack", -3)])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             MintConfig(**{field: value})
 
     def test_config_edge_values_accepted(self):
-        config = MintConfig(slack=0, max_slack=0, quiet_epochs=1,
-                            gamma_hysteresis=0.0)
-        assert (config.slack, config.max_slack) == (0, 0)
+        assert MintConfig(slack=0).slack == 0
         scenario = figure1_scenario()
         mint = Mint(scenario.network, make_aggregate("AVG", 0, 100), 2,
                     scenario.group_of, config=MintConfig(slack=None))

@@ -101,7 +101,7 @@ class TestGammaReship:
         network = chain_network(rows, groups)
         aggregate = make_aggregate("AVG", 0, 100)
         mint = Mint(network, aggregate, 1, groups,
-                    config=MintConfig(slack=0, gamma_hysteresis=1.0))
+                    config=MintConfig(slack=0))
         mint.run_epoch()
         after_first = network.stats.messages
         mint.run_epoch()

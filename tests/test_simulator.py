@@ -108,9 +108,11 @@ class TestEpochMachinery:
         assert net.epoch == 1
 
     def test_sample_all_uses_boards(self):
-        scenario = figure1_scenario()
-        readings = scenario.network.sample_all("sound")
+        """Every alive sensor samples its board in one batch read."""
+        network = figure1_scenario().network
+        readings = network.read_many(network.alive_sensor_ids(), "sound")
         assert readings[7] == 78.0
+        assert list(readings) == list(network.alive_sensor_ids())
 
     def test_groups_counts_live_members(self):
         scenario = figure1_scenario()
