@@ -17,10 +17,11 @@ that decision procedure: given a full bounds mapping it re-derives
 everything from scratch, O(N log N) per call. MINT's sink calls it
 every epoch on both paths, since nearly every group's interval moves
 each epoch. FILA's sink, which certifies N node intervals several
-times an epoch while a pass moves only a few, feeds *deltas* into a
-maintained :class:`~repro.core.delta.TopKView` on the optimized path
-(:mod:`repro.network.hotpath`) instead; its ``outcome()`` is proven
-byte-identical to this oracle (``tests/test_delta_equivalence.py``).
+times an epoch, keeps them as float pairs in a
+:class:`~repro.core.delta.TopKView` on the optimized path
+(:mod:`repro.network.hotpath`) instead, which ranks them in one C
+sort per changed outcome; its ``outcome()`` is proven byte-identical
+to this oracle (``tests/test_delta_equivalence.py``).
 The oracle stays authoritative: the reference path runs it cold, and
 every equivalence test compares the view against it.
 """

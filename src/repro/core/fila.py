@@ -22,10 +22,12 @@ Switch-and-prove: on a deployment whose ``Network.hot`` is set, the
 set-up reports, the monitor pass, each probe round and the
 filter-install pass are plain loops over the readings that ship a
 whole pass through one ``Network.relay_many`` call and feed the
-persistent ``TopKView`` one ``ensure_many`` batch. A deployment built
-inside the oracle ``hotpath.reference_path()`` (or over a lossy radio)
-runs the first-principles branches, which build and ship every
-message node by node, and the cold ``certify_top_k`` oracle.
+persistent ``TopKView`` each node's interval as an ``(lb, ub)`` pair in
+one ``ensure_many`` batch; the repartition reads those pairs back. A
+deployment built inside the oracle ``hotpath.reference_path()`` (or
+over a lossy radio) runs the first-principles branches, which build
+and ship every message node by node, hold a ``Bounds`` per node and
+certify with the cold ``certify_top_k`` oracle.
 ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove the two paths
 byte-identical.
@@ -92,12 +94,11 @@ class Fila:
         #: The global ranking boundary the filters partition at.
         self.boundary = aggregate.lo
         self._setup_done = False
-        #: Hot path: the sink's maintained certification view. FILA is
-        #: the certifier's heaviest client (monitor + probe rounds +
-        #: the answer pass certify every epoch over all N nodes); the
-        #: view re-ranks only the nodes whose bound actually moved —
-        #: violations, probes and filter reinstalls, typically a
-        #: handful per epoch.
+        #: Hot path: the sink's certification view. FILA is the
+        #: certifier's heaviest client (the monitor pass, each probe
+        #: round and the answer pass certify all N nodes every epoch);
+        #: the view holds each node's interval as a float pair and
+        #: ranks them in one C sort per outcome.
         self._view = TopKView(k, require_exact_scores=False)
 
     # ------------------------------------------------------------------
@@ -205,19 +206,17 @@ class Fila:
         self._setup_done = True
 
     # repro: hot
-    def _run_monitor(self, readings: Mapping[int, float]
-                     ) -> Mapping[int, Bounds]:
+    def _run_monitor(self, readings: Mapping[int, float]) -> None:
         """The hot monitoring pass, one loop over the readings.
 
         A node inside its filter keeps the filter interval as its
-        bound; every other node (a violation, or a joiner with no
+        pair; every other node (a violation, or a joiner with no
         filter yet) reports, in ascending id order with the reference
         loop's bytes, through one :meth:`Network.relay_many` call. The
         view takes the whole pass as one :meth:`TopKView.ensure_many`
         batch.
         """
         filters_get = self.filters.get
-        view = self._view
         changes = []
         reporters = []
         with self.network.stats.phase("monitor"):
@@ -225,7 +224,7 @@ class Fila:
                 current = filters_get(node_id)
                 if (current is not None
                         and current[0] <= value <= current[1]):
-                    changes.append((node_id, current[0], current[1]))
+                    changes.append((node_id, current))
                 else:
                     reporters.append(node_id)
             self.network.relay_many(reporters, up=_REPORT)
@@ -233,24 +232,23 @@ class Fila:
             for node_id in reporters:
                 value = readings[node_id]
                 known[node_id] = value
-                changes.append((node_id, value, value))
-            view.ensure_many(changes)
+                changes.append((node_id, (value, value)))
+            self._view.ensure_many(changes)
         self._drop_stale_view_nodes(readings)
-        return view.bounds
 
     # repro: hot
     def _probe_round(self, ambiguous, readings: Mapping[int, float]
                      ) -> None:
-        """One hot probe round: every ambiguous node whose bound is not
-        exact gets a probe down and reports its reading up, in the
+        """One hot probe round: every ambiguous node whose pair is not
+        a point gets a probe down and reports its reading up, in the
         reference loop's order and bytes, through one
         :meth:`Network.relay_many` call; the view collapses the
-        delivered bounds as one :meth:`TopKView.ensure_many` batch."""
-        view = self._view
-        bounds = view.bounds
+        delivered pairs as one :meth:`TopKView.ensure_many` batch."""
+        pairs = self._view.pairs
         targets = []
         for node_id in ambiguous:
-            if not bounds[node_id].exact:
+            lb, ub = pairs[node_id]
+            if lb != ub:
                 targets.append(node_id)
         with self.network.stats.phase("probe"):
             self.network.relay_many(targets, down=_PROBE, up=_REPORT)
@@ -259,8 +257,8 @@ class Fila:
             for node_id in targets:
                 value = readings[node_id]
                 known[node_id] = value
-                changes.append((node_id, value, value))
-            view.ensure_many(changes)
+                changes.append((node_id, (value, value)))
+            self._view.ensure_many(changes)
 
     # repro: hot
     def _converge_view(self, readings: Mapping[int, float]) -> None:
@@ -269,17 +267,15 @@ class Fila:
         just reinstalled (or probed / violated) actually move."""
         known_get = self.known.get
         filters_get = self.filters.get
-        lo, hi = self.aggregate.lo, self.aggregate.hi
+        unknown = (self.aggregate.lo, self.aggregate.hi)
         changes = []
         for node_id, value in readings.items():
             if known_get(node_id) == value:
-                changes.append((node_id, value, value))
+                changes.append((node_id, (value, value)))
             else:
                 current = filters_get(node_id)
-                if current is None:
-                    changes.append((node_id, lo, hi))
-                else:
-                    changes.append((node_id, current[0], current[1]))
+                changes.append((node_id,
+                                unknown if current is None else current))
         self._view.ensure_many(changes)
         self._drop_stale_view_nodes(readings)
 
@@ -289,16 +285,31 @@ class Fila:
         runs)."""
         view = self._view
         if len(view) != len(readings):
-            for node_id in [n for n in view.bounds if n not in readings]:
+            for node_id in [n for n in view.pairs if n not in readings]:
                 view.delete(node_id)
 
-    def _certify(self, bounds: Mapping[int, Bounds]):
-        """Hot: the maintained view's O(k + |ambiguous| + log N)
-        outcome. Reference: the cold O(N log N) oracle. Equal by the
-        delta-equivalence suite."""
-        if self.network.hot:
-            return self._view.outcome()
-        return certify_top_k(bounds, self.k, require_exact_scores=False)
+    # repro: hot
+    def _repartition(self, outcome,
+                     intervals: Mapping[int, tuple[float, float]]) -> None:
+        """Re-partition the filters around the certified cut.
+
+        ``intervals`` holds every node's ``(lb, ub)`` at the certified
+        outcome. The chosen k's floor is the outcome's τ (the smallest
+        lb among them); the others' ceiling is their largest ub; a node
+        whose pair is a point and whose value the sink knows is fresh.
+        """
+        chosen = {item.key for item in outcome.items}
+        if len(intervals) > len(chosen):
+            others_ceiling = max(ub for node_id, (_, ub) in intervals.items()
+                                 if node_id not in chosen)
+            self.boundary = self._choose_boundary(outcome.threshold,
+                                                  others_ceiling)
+        known = self.known
+        fresh = {node_id: known[node_id]
+                 for node_id, (lb, ub) in intervals.items()
+                 if lb == ub and node_id in known}
+        with self.network.stats.phase("filter_update"):
+            self._install_filters(chosen, self.boundary, fresh)
 
     def _reporting(self, readings: dict[int, float]) -> dict[int, float]:
         """The readings of the motes that can report to the sink.
@@ -338,75 +349,67 @@ class Fila:
         hot = network.hot
         if not self._setup_done:
             self._setup(readings)
+        elif hot:
+            self._run_monitor(readings)
+            # FILA certifies set membership: silent nodes keep their
+            # filter interval as the score estimate.
+            outcome = self._view.outcome()
+            while outcome.needs_probe:
+                self._probe_round(outcome.ambiguous, readings)
+                probed += 1
+                outcome = self._view.outcome()
+            self._repartition(outcome, self._view.pairs)
         else:
-            if hot:
-                bounds = self._run_monitor(readings)
-            else:
-                with self.network.stats.phase("monitor"):
-                    for node_id, value in readings.items():
-                        # A node with no installed filter (it joined
-                        # after setup) always reports: silence only
-                        # certifies where a filter exists to stay
-                        # inside.
-                        current = self.filters.get(node_id)
-                        if (current is not None
-                                and current[0] <= value <= current[1]):
-                            continue
-                        self.network.unicast_to_sink(
-                            node_id, FilterReportMessage(
-                                epoch=self.network.epoch,
-                                entries=(ViewEntry(node_id, value, 1),)))
-                        self.known[node_id] = value
-                        # The violating node's filter is void until
-                        # reset; treat its value as exactly known this
-                        # epoch.
-
-                bounds = {}
+            with self.network.stats.phase("monitor"):
                 for node_id, value in readings.items():
+                    # A node with no installed filter (it joined after
+                    # setup) always reports: silence only certifies
+                    # where a filter exists to stay inside.
                     current = self.filters.get(node_id)
                     if (current is not None
                             and current[0] <= value <= current[1]):
-                        bounds[node_id] = Bounds(current[0], current[1])
-                    else:
-                        bounds[node_id] = Bounds(value, value)
-            # FILA certifies set membership: silent nodes keep their
-            # filter interval as the score estimate.
-            outcome = self._certify(bounds)
-            while outcome.needs_probe:
-                if hot:
-                    self._probe_round(outcome.ambiguous, readings)
-                else:
-                    with self.network.stats.phase("probe"):
-                        for node_id in outcome.ambiguous:
-                            if bounds[node_id].exact:
-                                continue
-                            self.network.unicast_from_sink(
-                                node_id, ProbeRequestMessage(
-                                    epoch=self.network.epoch,
-                                    groups=(node_id,)))
-                            self.network.unicast_to_sink(
-                                node_id, FilterReportMessage(
-                                    epoch=self.network.epoch,
-                                    entries=(ViewEntry(
-                                        node_id, readings[node_id], 1),)))
-                            value = readings[node_id]
-                            self.known[node_id] = value
-                            bounds[node_id] = Bounds(value, value)
-                probed += 1
-                outcome = self._certify(bounds)
+                        continue
+                    self.network.unicast_to_sink(
+                        node_id, FilterReportMessage(
+                            epoch=self.network.epoch,
+                            entries=(ViewEntry(node_id, value, 1),)))
+                    # The violating node's filter is void until reset;
+                    # treat its value as exactly known this epoch.
+                    self.known[node_id] = value
 
-            # Re-partition the filters around the certified cut.
-            chosen = {item.key for item in outcome.items}
-            chosen_floor = min(bounds[n].lb for n in chosen)
-            others = [n for n in bounds if n not in chosen]
-            if others:
-                others_ceiling = max(bounds[n].ub for n in others)
-                self.boundary = self._choose_boundary(chosen_floor,
-                                                      others_ceiling)
-            fresh = {n: self.known[n] for n in bounds
-                     if bounds[n].exact and n in self.known}
-            with self.network.stats.phase("filter_update"):
-                self._install_filters(chosen, self.boundary, fresh)
+            bounds = {}
+            for node_id, value in readings.items():
+                current = self.filters.get(node_id)
+                if (current is not None
+                        and current[0] <= value <= current[1]):
+                    bounds[node_id] = Bounds(current[0], current[1])
+                else:
+                    bounds[node_id] = Bounds(value, value)
+            outcome = certify_top_k(bounds, self.k,
+                                    require_exact_scores=False)
+            while outcome.needs_probe:
+                with self.network.stats.phase("probe"):
+                    for node_id in outcome.ambiguous:
+                        if bounds[node_id].exact:
+                            continue
+                        self.network.unicast_from_sink(
+                            node_id, ProbeRequestMessage(
+                                epoch=self.network.epoch,
+                                groups=(node_id,)))
+                        self.network.unicast_to_sink(
+                            node_id, FilterReportMessage(
+                                epoch=self.network.epoch,
+                                entries=(ViewEntry(
+                                    node_id, readings[node_id], 1),)))
+                        value = readings[node_id]
+                        self.known[node_id] = value
+                        bounds[node_id] = Bounds(value, value)
+                probed += 1
+                outcome = certify_top_k(bounds, self.k,
+                                        require_exact_scores=False)
+            self._repartition(outcome, {node_id: (interval.lb, interval.ub)
+                                        for node_id, interval
+                                        in bounds.items()})
 
         # Build the answer from current knowledge.
         if hot:

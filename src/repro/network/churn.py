@@ -118,6 +118,17 @@ class ChurnSchedule:
         highest ever used and are dropped next to a surviving anchor
         node — within ~70 % of the radio range, so they can hear the
         deployment — inheriting the anchor's cluster via ``group_for``.
+
+        The floor counts *scheduled* survivors: motes no event of this
+        schedule has killed. It does not count the motes that can still
+        reach the sink. A death that partitions the routing tree
+        strands its live subtree, which :meth:`Network.kill_node`
+        detaches from the fleet, so the motes a deployment can hear
+        may fall below the floor, even to none (``harsh`` churn on a
+        6×6 grid does within 600 epochs at most seeds). Counting
+        reachable motes would need the tree while drawing and would
+        change every schedule drawn so far, so the floor keeps this
+        meaning.
         """
         if epochs <= first_epoch:
             raise ConfigurationError("no epoch available for churn")

@@ -18,10 +18,11 @@ engine samples through one
 one place sensing asks which path it runs.
 
 The path also selects FILA's certification strategy: on the hot path
-its sink maintains an incremental :class:`~repro.core.delta.TopKView`
-(threshold, rank order and ambiguous set updated per delta); on the
-reference path every certification calls the stateless
-:func:`~repro.core.certify.certify_top_k` oracle cold.
+its sink keeps a :class:`~repro.core.delta.TopKView` (one ``(lb, ub)``
+float pair per node, ranked in one C sort per changed outcome); on the
+reference path it holds a ``Bounds`` per node and every certification
+calls the stateless :func:`~repro.core.certify.certify_top_k` oracle
+cold.
 ``tests/test_delta_equivalence.py`` proves the two byte-identical
 across engines and churn. MINT's sink certifies with the oracle and
 TAG's ranks with one ``rank_key`` sort on either path.

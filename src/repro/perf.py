@@ -14,10 +14,11 @@ compare it with the committed trajectory on any runner.
   session) on a 100- and a 400-mote fleet, hot path against
   ``hotpath.reference_path()``; the answers of every session and
   ``NetworkStats.summary()`` must be equal;
-* ``certifier_n400`` — the certification calls FILA's sink makes over
-  30 epochs on the 400-mote fleet, replayed cold through
-  ``certify_top_k`` and incrementally through one persistent
-  :class:`~repro.core.delta.TopKView`; the outcomes must be equal.
+* ``certifier_n400`` — the calls FILA's sink makes on its
+  :class:`~repro.core.delta.TopKView` over 30 hot-path epochs on the
+  400-mote fleet (its ``ensure_many`` batches, deletes and outcomes),
+  replayed through one view and against a plain dict certified cold
+  by ``certify_top_k`` at each outcome; the outcomes must be equal.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ SEED = 11
 WARMUP_EPOCHS = 2
 #: Epochs per timed chunk of a hot-versus-reference gate.
 CHUNK_EPOCHS = 4
-#: Certification calls per timed chunk of the certifier gate.
+#: Outcomes per timed chunk of the certifier gate.
 CHUNK_CALLS = 8
 #: Fresh builds of both sides per gate.
 REPEATS = 4
@@ -133,71 +134,90 @@ def hot_vs_reference(name: str, n: int, epochs: int) -> dict:
                          name=name)
 
 
-def certifier_streams(n: int, epochs: int) -> list[dict]:
-    """The bounds snapshot of every cold ``certify_top_k`` call FILA's
-    sink makes over ``epochs`` reference-path rounds on the ``n``-mote
-    fleet (monitor pass, probe loop and answer pass), in call order."""
-    from .core import fila as fila_module
+def certifier_stream(n: int, epochs: int) -> list[list[tuple]]:
+    """The calls FILA's sink makes on its :class:`~repro.core.delta.
+    TopKView` over ``epochs`` hot-path rounds on the ``n``-mote fleet,
+    in call order, cut after each ``outcome``: every segment is a list
+    of ``("ensure_many", changes)`` and ``("delete", group)`` calls
+    ending in ``("outcome", None)``."""
     from .core.aggregates import make_aggregate
+    from .core.delta import TopKView
+    from .core.fila import Fila
 
-    calls: list[dict] = []
-    real = fila_module.certify_top_k
+    segments: list[list[tuple]] = [[]]
 
-    def recorder(bounds, k, tolerance=1e-9, require_exact_scores=True):
-        if k != K or require_exact_scores:
-            raise RuntimeError("certifier stream mixes certification modes")
-        calls.append(dict(bounds))
-        return real(bounds, k, tolerance=tolerance,
-                    require_exact_scores=require_exact_scores)
+    class Recording(TopKView):
+        def ensure_many(self, changes):
+            segments[-1].append(("ensure_many", list(changes)))
+            return super().ensure_many(changes)
 
-    fila_module.certify_top_k = recorder
-    try:
-        with hotpath.reference_path():
-            scenario = fleet_scenario(n, seed=SEED)
-            engine = fila_module.Fila(
-                scenario.network, make_aggregate("AVG", 0.0, 100.0), K,
-                attribute=scenario.attribute)
-            engine.run(epochs)
-    finally:
-        fila_module.certify_top_k = real
-    return calls
+        def delete(self, group):
+            segments[-1].append(("delete", group))
+            return super().delete(group)
+
+        def outcome(self):
+            segments[-1].append(("outcome", None))
+            segments.append([])
+            return super().outcome()
+
+    scenario = fleet_scenario(n, seed=SEED)
+    engine = Fila(scenario.network, make_aggregate("AVG", 0.0, 100.0), K,
+                  attribute=scenario.attribute)
+    engine._view = Recording(K, require_exact_scores=False)
+    engine.run(epochs)
+    return segments[:-1]
 
 
 def certifier(name: str, n: int, epochs: int) -> dict:
-    """The recorded FILA stream, ``CHUNK_CALLS`` calls per step: one
-    persistent :class:`~repro.core.delta.TopKView` applying each
-    call's :class:`~repro.core.delta.BoundsDelta` (``on``) against a
-    cold ``certify_top_k`` per snapshot (``off``)."""
+    """The recorded FILA stream, ``CHUNK_CALLS`` outcomes per step:
+    one :class:`~repro.core.delta.TopKView` taking every call
+    (``on``) against a plain ``{node: Bounds}`` dict taking the same
+    changes and certifying with a cold ``certify_top_k`` at each
+    outcome (``off``)."""
+    from .core.aggregates import Bounds
     from .core.certify import certify_top_k
-    from .core.delta import BoundsDelta, TopKView
+    from .core.delta import TopKView
 
-    snapshots = certifier_streams(n, epochs)
-    deltas = [BoundsDelta.diff(old, new)
-              for old, new in zip([{}] + snapshots, snapshots)]
-    chunks = -(-len(snapshots) // CHUNK_CALLS)
+    segments = certifier_stream(n, epochs)
+    chunks = -(-len(segments) // CHUNK_CALLS)
 
-    def batches(calls):
-        return iter([calls[start:start + CHUNK_CALLS]
-                     for start in range(0, len(calls), CHUNK_CALLS)])
+    def batches():
+        return iter([segments[start:start + CHUNK_CALLS]
+                     for start in range(0, len(segments), CHUNK_CALLS)])
 
     def incremental():
         view = TopKView(K, require_exact_scores=False)
-        pending, outcomes = batches(deltas), []
+        pending, outcomes = batches(), []
 
         def step():
-            for delta in next(pending):
-                view.apply(delta)
-                outcomes.append(view.outcome())
+            for segment in next(pending):
+                for call, argument in segment:
+                    if call == "ensure_many":
+                        view.ensure_many(argument)
+                    elif call == "delete":
+                        view.delete(argument)
+                    else:
+                        outcomes.append(view.outcome())
 
         return step, lambda: outcomes
 
     def cold():
-        pending, outcomes = batches(snapshots), []
+        bounds: dict = {}
+        pending, outcomes = batches(), []
 
         def step():
-            outcomes.extend(
-                certify_top_k(bounds, K, require_exact_scores=False)
-                for bounds in next(pending))
+            for segment in next(pending):
+                for call, argument in segment:
+                    if call == "ensure_many":
+                        for group, (lb, ub) in argument:
+                            old = bounds.get(group)
+                            if old is None or old.lb != lb or old.ub != ub:
+                                bounds[group] = Bounds(lb, ub)
+                    elif call == "delete":
+                        bounds.pop(argument, None)
+                    else:
+                        outcomes.append(certify_top_k(
+                            bounds, K, require_exact_scores=False))
 
         return step, lambda: outcomes
 

@@ -189,6 +189,33 @@ class TestSchedules:
                                          min_population=5)
         assert len(schedule.deaths) <= 9 - 5
 
+    def test_harsh_floor_counts_scheduled_survivors_not_reachable_motes(
+            self):
+        """Replaying one seeded ``harsh`` schedule on a 6×6 grid: the
+        motes the schedule has not killed never fall below the floor,
+        while the motes that can reach the sink do, because a death
+        that partitions the tree detaches its live subtree too."""
+        scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=7)
+        network = scenario.network
+        scheduled = {n for n in network.topology.node_ids
+                     if n != network.sink_id}
+        floor = len(scheduled) // 2
+        schedule = churn_schedule(scenario, 200, preset="harsh", seed=7)
+        reachable = []
+        for epoch in range(200):
+            for event in schedule.due(epoch):
+                if event.kind is ChurnKind.BIRTH:
+                    scheduled.add(event.node_id)
+                else:
+                    scheduled.discard(event.node_id)
+            schedule.apply(network, epoch, board_for=scenario.board_for)
+            assert len(scheduled) >= floor
+            alive = {n for n, node in network.nodes.items()
+                     if node.alive and n != network.sink_id}
+            assert alive == set(network.tree.sensor_ids)
+            reachable.append(len(alive))
+        assert min(reachable) < floor
+
     def test_scenario_presets_cover_all_names(self):
         scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=2)
         for preset in CHURN_PRESETS:

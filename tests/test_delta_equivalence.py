@@ -2,12 +2,14 @@
 
 Two layers of proof:
 
-* **View vs. oracle** — hypothesis drives random delta streams
-  (set / ensure / delete / reconcile, group birth and death, varied k,
-  tolerance and exactness modes) through a maintained
-  :class:`~repro.core.delta.TopKView` and asserts ``outcome()`` equals
-  ``certify_top_k`` over the same mapping — dataclass equality, so the
-  certified flag, items (scores, lbs, ubs), ambiguous tuple and τ all
+* **View vs. oracle** — hypothesis drives random mutation streams
+  (set / ensure / ensure_many / delete / reconcile, group birth and
+  death, k at or above the group count, tied bounds, bounds exactly at
+  τ ± tolerance, keys whose string order is not their numeric order or
+  that print alike) through a :class:`~repro.core.delta.TopKView` and
+  asserts ``outcome()`` equals ``certify_top_k`` over the same mapping
+  — dataclass equality and equal reprs, so the certified flag, items
+  (scores, lbs, ubs, signed zeros included), ambiguous tuple and τ all
   match bit for bit.
 * **Engine vs. engine** — full workloads (MINT / FILA / TAG, churn
   included, plus a whole-group extinction-and-birth schedule and a
@@ -49,8 +51,24 @@ from test_hotpath_equivalence import (
 
 # -- strategies ---------------------------------------------------------
 
-groups = st.sampled_from([f"G{i}" for i in range(12)])
-values = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+#: The key spaces a view is drawn over: labels; node ids whose string
+#: order differs from their numeric order; and mixed keys, some of which
+#: print alike (the oracle breaks their ties by insertion order).
+KEY_SPACES = (
+    [f"G{i}" for i in range(12)],
+    [1, 2, 3, 9, 10, 11, 20, 99, 100, 101, 200, 1000],
+    [1, "1", 2, "2", 10, "10", 100, "zz"],
+)
+#: Mostly a handful of values, so lower bounds tie and upper bounds
+#: land exactly on τ ± tolerance (signed zeros included); any float
+#: otherwise.
+HANDFUL = [-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0]
+values = st.one_of(*[st.sampled_from(HANDFUL)] * 3,
+                   st.floats(0.0, 100.0, allow_nan=False,
+                             allow_infinity=False))
+tolerances = st.sampled_from([0.0, 1e-9, 0.5, 1.0, 5.0])
+#: At or above the number of groups a view can hold, too.
+ks = st.integers(1, 14)
 
 
 @st.composite
@@ -64,16 +82,30 @@ def intervals(draw):
 
 @st.composite
 def operations(draw):
-    """One mutation: (kind, group, payload)."""
-    kind = draw(st.sampled_from(["set", "ensure", "delete"]))
-    group = draw(groups)
-    if kind == "delete":
-        return (kind, group, None)
-    return (kind, group, draw(intervals()))
+    """A key space and a stream of mutations over it: ``(kind, group,
+    payload)``, births and deaths included."""
+    groups = st.sampled_from(draw(st.sampled_from(KEY_SPACES)))
+    kinds = st.sampled_from(["set", "ensure", "delete"])
+    return draw(st.lists(st.tuples(kinds, groups, intervals()),
+                         min_size=1, max_size=40))
+
+
+@st.composite
+def batches(draw):
+    """A key space, a starting mapping over it and ``ensure_many``
+    batches, each followed by the groups that die before the next."""
+    space = draw(st.sampled_from(KEY_SPACES))
+    groups = st.sampled_from(space)
+    start = draw(st.dictionaries(groups, intervals(), max_size=10))
+    steps = draw(st.lists(st.tuples(
+        st.lists(st.tuples(groups, intervals()), max_size=14),
+        st.lists(groups, max_size=3)), min_size=1, max_size=5))
+    return start, steps
 
 
 @st.composite
 def mappings(draw, min_size=0, max_size=10):
+    groups = st.sampled_from(draw(st.sampled_from(KEY_SPACES)))
     keys = draw(st.lists(groups, min_size=min_size, max_size=max_size,
                          unique=True))
     return {key: draw(intervals()) for key in keys}
@@ -88,22 +120,20 @@ def oracle_equivalent(view: TopKView):
     expected = certify_top_k(dict(view.bounds), view.k,
                              tolerance=view.tolerance,
                              require_exact_scores=view.require_exact_scores)
-    assert view.outcome() == expected
+    outcome = view.outcome()
+    assert outcome == expected
+    assert repr(outcome) == repr(expected)
 
 
 # -- view vs. oracle ----------------------------------------------------
 
 class TestViewMatchesOracle:
     @settings(max_examples=200, deadline=None)
-    @given(
-        ops=st.lists(operations(), min_size=1, max_size=40),
-        k=st.integers(1, 5),
-        tolerance=st.sampled_from([1e-9, 0.5, 5.0]),
-        require_exact=st.booleans(),
-    )
+    @given(ops=operations(), k=ks, tolerance=tolerances,
+           require_exact=st.booleans())
     def test_random_delta_streams(self, ops, k, tolerance, require_exact):
-        """After every single mutation the maintained outcome equals
-        the cold oracle on the identical mapping."""
+        """After every single mutation the outcome equals the cold
+        oracle on the identical mapping."""
         view = TopKView(k, tolerance=tolerance,
                         require_exact_scores=require_exact)
         for kind, group, payload in ops:
@@ -116,38 +146,36 @@ class TestViewMatchesOracle:
             oracle_equivalent(view)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        start=mappings(),
-        batches=st.lists(st.lists(st.tuples(groups, intervals()),
-                                  max_size=14), min_size=1, max_size=5),
-        k=st.integers(1, 5),
-    )
-    def test_ensure_many_equals_per_group_ensures(self, start, batches, k):
-        """One ``ensure_many`` batch — repeats, births, and batches
-        moving more or less than a quarter of the view — leaves the
-        bounds (insertion order included), both maintained orders and
-        the moved count exactly as per-group ``ensure`` calls do, and
-        the outcome equal to the cold oracle."""
-        batched, single = TopKView(k), TopKView(k)
+    @given(stream=batches(), k=ks, tolerance=tolerances,
+           require_exact=st.booleans())
+    def test_ensure_many_equals_per_group_ensures(self, stream, k,
+                                                  tolerance, require_exact):
+        """One ``ensure_many`` batch — repeats and births, with deaths
+        between batches — leaves the pairs (insertion order included)
+        and the moved count exactly as per-group ``ensure`` calls do,
+        and the outcome equal to the cold oracle after every batch and
+        every death."""
+        start, steps = stream
+        batched, single = (TopKView(k, tolerance=tolerance,
+                                    require_exact_scores=require_exact)
+                           for _ in range(2))
         batched.reconcile(start)
         single.reconcile(start)
-        for batch in batches:
-            changes = [(group, b.lb, b.ub) for group, b in batch]
+        for batch, deaths in steps:
+            changes = [(group, (b.lb, b.ub)) for group, b in batch]
             moved = batched.ensure_many(changes)
-            assert moved == sum(single.ensure(*change)
-                                for change in changes)
-            assert list(batched.bounds.items()) == list(
-                single.bounds.items())
-            assert batched._by_lb == single._by_lb
-            assert batched._by_ub == single._by_ub
+            assert moved == sum(single.ensure(group, lb, ub)
+                                for group, (lb, ub) in changes)
+            assert list(batched.pairs.items()) == list(
+                single.pairs.items())
             oracle_equivalent(batched)
+            for group in deaths:
+                assert batched.delete(group) == single.delete(group)
+                oracle_equivalent(batched)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        snapshots=st.lists(mappings(), min_size=1, max_size=6),
-        k=st.integers(1, 5),
-        require_exact=st.booleans(),
-    )
+    @given(snapshots=st.lists(mappings(), min_size=1, max_size=6), k=ks,
+           require_exact=st.booleans())
     def test_reconcile_streams(self, snapshots, k, require_exact):
         """Whole-epoch reconciliation (births and deaths included)
         keeps the view equal to a cold certify of each snapshot."""
@@ -162,9 +190,10 @@ class TestViewMatchesOracle:
     @settings(max_examples=100, deadline=None)
     @given(
         snapshots=st.lists(
-            st.dictionaries(groups, values, max_size=10),
+            st.dictionaries(st.sampled_from(KEY_SPACES[1]), values,
+                            max_size=10),
             min_size=1, max_size=6),
-        k=st.integers(1, 5),
+        k=ks,
     )
     def test_reconcile_scores_equals_point_reconcile(self, snapshots, k):
         """The point-valued reconcile is the same delta stream as a
