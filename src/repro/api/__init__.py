@@ -43,8 +43,10 @@ Errors raised by this layer live in :mod:`repro.errors` and are
 re-exported here: :class:`SessionError` (base of the session
 taxonomy), :class:`UnknownSessionError`, :class:`SubmissionError`.
 
-This surface is snapshot-tested (``tests/api_surface.txt``): additions
-and signature changes must update the snapshot deliberately.
+This surface is snapshot-tested (``tests/api_surface.txt``), together
+with the value types a handle returns (``EpochResult``, ``RankedItem``,
+``CertificationOutcome``): additions and signature changes must update
+the snapshot deliberately.
 """
 
 from ..errors import SessionError, SubmissionError, UnknownSessionError

@@ -8,7 +8,7 @@ exactness claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, NamedTuple
 
 from ..errors import ValidationError
 from .aggregates import Aggregate, Partial
@@ -26,9 +26,16 @@ def rank_key(key: Hashable, score: float) -> tuple:
     return (-score, str(key))
 
 
-@dataclass(frozen=True)
-class RankedItem:
-    """One answer row: a group (or object) and its certified score."""
+class RankedItem(NamedTuple):
+    """One answer row: a group (or object) and its certified score.
+
+    A NamedTuple rather than a frozen dataclass: FILA's sink builds k
+    rows per changed outcome (200 per outcome on a top-200 query), and
+    a tuple is built in C, where a frozen dataclass ``__init__`` pays
+    one ``object.__setattr__`` per field. Field access, ``repr`` and
+    hashing read as before; as a tuple, a row is also iterable,
+    indexable and orderable, and equals a plain 4-tuple of its fields.
+    """
 
     key: Hashable
     score: float

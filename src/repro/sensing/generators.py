@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from collections import deque
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
@@ -188,7 +189,16 @@ class RandomWalkField(FieldGenerator):
     one memoized draw per epoch, so a hash cell would buy no speed, and
     moving it would shift every :class:`RoomField` scenario's room
     trajectories.
+
+    A walk keeps its newest ``_WINDOW`` values and the epoch of the
+    first one it holds, so a long run holds bounded memory. An older
+    epoch is recomputed stepwise from the start and not cached; since
+    each step is seeded per cell, a value is the same whatever order
+    the epochs are read in.
     """
+
+    #: The newest values a walk keeps.
+    _WINDOW = 1024
 
     def __init__(self, start: float, step: float, lo: float, hi: float,
                  seed: int = 0):
@@ -199,17 +209,36 @@ class RandomWalkField(FieldGenerator):
         self._lo = lo
         self._hi = hi
         self._seed = seed
-        self._cache: dict[int, list[float]] = {}
+        #: walk → [epoch of the first value held, the newest values].
+        self._cache: dict[int, list] = {}
+
+    def _next(self, node_id: int, t: int, previous: float) -> float:
+        """The walk's value at epoch ``t`` from its value at ``t - 1``."""
+        rng = random.Random(((self._seed ^ 0xA1C) * 1_000_003 + node_id)
+                            * 1_000_033 + t)
+        nxt = previous + rng.uniform(-self._step, self._step)
+        return min(self._hi, max(self._lo, nxt))
 
     def value(self, node_id: int, epoch: int) -> float:
-        walk = self._cache.setdefault(node_id, [self._start])
-        while len(walk) <= epoch:
-            t = len(walk)
-            rng = random.Random(((self._seed ^ 0xA1C) * 1_000_003 + node_id)
-                                * 1_000_033 + t)
-            nxt = walk[-1] + rng.uniform(-self._step, self._step)
-            walk.append(min(self._hi, max(self._lo, nxt)))
-        return walk[epoch]
+        held = self._cache.get(node_id)
+        if held is None:
+            held = self._cache[node_id] = [
+                0, deque((self._start,), maxlen=self._WINDOW)]
+        first, walk = held
+        if epoch < first:
+            value = self._start
+            for t in range(1, epoch + 1):
+                value = self._next(node_id, t, value)
+            return value
+        end = first + len(walk)
+        if epoch < end:
+            return walk[epoch - first]
+        value = walk[-1]
+        for t in range(end, epoch + 1):
+            value = self._next(node_id, t, value)
+            walk.append(value)
+        held[0] = epoch + 1 - len(walk)
+        return value
 
 
 class DiurnalField(FieldGenerator):

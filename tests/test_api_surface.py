@@ -2,15 +2,19 @@
 
 The snapshot lists every public symbol of the facade — classes with
 their public methods (signatures, annotation-free), properties, and
-enum members; exceptions with their bases. Any drift (a rename, a new
-default, a removed accessor) fails this test until the snapshot is
-deliberately regenerated:
+enum members; exceptions with their bases. It also lists the value
+types the facade hands out (``SessionHandle.results``, ``last_result``
+and ``watch()`` yield them), each with its kind, its constructor fields
+in order and its public properties and methods. Any drift (a rename, a
+new default, a removed accessor, a dataclass turned tuple) fails this
+test until the snapshot is deliberately regenerated:
 
     PYTHONPATH=src python tests/test_api_surface.py --write
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import inspect
 import sys
@@ -25,7 +29,7 @@ def _params(func) -> str:
     would make the snapshot noisy without adding drift protection)."""
     parts = []
     for parameter in inspect.signature(func).parameters.values():
-        if parameter.name in ("self", "cls"):
+        if parameter.name in ("self", "cls", "_cls"):
             continue
         name = parameter.name
         if parameter.kind is inspect.Parameter.VAR_POSITIONAL:
@@ -52,9 +56,13 @@ def _class_lines(name: str, cls: type) -> list[str]:
             if isinstance(vars(cls)[attr], property):
                 lines.append(f"{name}.{attr} [property]")
         return lines
-    lines = [f"{name}({_params(cls.__init__)})"]
+    return [f"{name}({_params(cls.__init__)})", *_member_lines(name, cls)]
+
+
+def _member_lines(name: str, cls: type, fields=()) -> list[str]:
+    lines = []
     for attr in sorted(vars(cls)):
-        if attr.startswith("_"):
+        if attr.startswith("_") or attr in fields:
             continue
         value = vars(cls)[attr]
         if isinstance(value, property):
@@ -71,8 +79,24 @@ def _class_lines(name: str, cls: type) -> list[str]:
     return lines
 
 
+def _value_lines(name: str, cls: type) -> list[str]:
+    """A returned value type: its kind, its fields in constructor order
+    (a NamedTuple's from ``__new__``), then its public members."""
+    if dataclasses.is_dataclass(cls):
+        frozen = cls.__dataclass_params__.frozen
+        kind = "frozen dataclass" if frozen else "dataclass"
+        fields = tuple(field.name for field in dataclasses.fields(cls))
+        constructor = cls.__init__
+    else:
+        kind, fields, constructor = "NamedTuple", cls._fields, cls.__new__
+    return [f"{name} [{kind}]({_params(constructor)})",
+            *_member_lines(name, cls, fields)]
+
+
 def build_surface() -> str:
     import repro.api
+    from repro.core.certify import CertificationOutcome
+    from repro.core.results import EpochResult, RankedItem
 
     lines = []
     for name in sorted(repro.api.__all__):
@@ -81,6 +105,9 @@ def build_surface() -> str:
             lines.extend(_class_lines(name, obj))
         else:
             lines.append(name)
+    # The value types a session handle returns.
+    for cls in (CertificationOutcome, EpochResult, RankedItem):
+        lines.extend(_value_lines(cls.__name__, cls))
     return "\n".join(lines) + "\n"
 
 

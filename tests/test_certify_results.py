@@ -1,10 +1,14 @@
 """Top-k certification and result helpers."""
 
+import pickle
+
 import pytest
 
 from repro.core.aggregates import Bounds, make_aggregate
 from repro.core.certify import CertificationOutcome, certify_top_k
+from repro.core.delta import TopKView
 from repro.core.results import (
+    EpochResult,
     RankedItem,
     is_valid_top_k,
     oracle_scores,
@@ -187,6 +191,56 @@ class TestOutcomeRoundTrip:
         rebuilt = CertificationOutcome.from_dict(
             json.loads(json.dumps(outcome.as_dict())))
         assert rebuilt == outcome
+
+
+class TestRankedItem:
+    """An answer row is a NamedTuple: its fields, repr and hash read as
+    the frozen dataclass it replaced, and it is a tuple besides."""
+
+    ITEM = RankedItem("A", 1.0, 0.5, 1.5)
+
+    def test_fields_in_order(self):
+        assert RankedItem._fields == ("key", "score", "lb", "ub")
+        assert RankedItem(key="A", score=1.0, lb=0.5, ub=1.5) == self.ITEM
+
+    def test_exact_is_a_point_interval(self):
+        assert RankedItem("A", 1.0, 1.0, 1.0).exact
+        assert not self.ITEM.exact
+
+    def test_repr_reads_as_the_dataclass_did(self):
+        assert (repr(self.ITEM)
+                == "RankedItem(key='A', score=1.0, lb=0.5, ub=1.5)")
+
+    def test_hash_is_the_fields_tuple_hash(self):
+        assert hash(self.ITEM) == hash(("A", 1.0, 0.5, 1.5))
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.ITEM.score = 2.0
+
+    def test_equals_a_plain_tuple_of_its_fields(self):
+        assert self.ITEM == ("A", 1.0, 0.5, 1.5)
+        assert self.ITEM != ("A", 1.0, 0.5, 1.25)
+        assert tuple(self.ITEM) == ("A", 1.0, 0.5, 1.5)
+
+    def test_survives_pickle_inside_a_result(self):
+        """``--jobs`` workers return their results through pickle."""
+        outcome = certify_top_k({"A": Bounds(0.5, 1.5), "B": point(0.0)},
+                                k=1, require_exact_scores=False)
+        result = EpochResult(epoch=3, items=outcome.items, exact=True,
+                             algorithm="FILA", certification=outcome)
+        rebuilt = pickle.loads(pickle.dumps(result))
+        assert rebuilt == result
+        assert type(rebuilt.items[0]) is RankedItem
+        assert rebuilt.items[0] == self.ITEM
+
+    def test_view_rows_round_trip_through_as_dict(self):
+        view = TopKView(2, require_exact_scores=False)
+        view.ensure_many([("A", (0.5, 1.5)), (7, (2.0, 2.0)),
+                          ("B", (0.0, 0.25))])
+        outcome = view.outcome()
+        assert outcome.items == (RankedItem(7, 2.0, 2.0, 2.0), self.ITEM)
+        assert CertificationOutcome.from_dict(outcome.as_dict()) == outcome
 
 
 class TestOracle:

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import random
 import statistics
 
 import pytest
@@ -87,6 +88,35 @@ class TestRandomWalkField:
         a = [walk.value(1, t) for t in range(20)]
         b = [walk.value(2, t) for t in range(20)]
         assert a != b
+
+    @staticmethod
+    def unbounded(seed, node_id, epochs, start=50, step=5, lo=0, hi=100):
+        """One walk's first ``epochs`` values, each step seeded per
+        ``(walk, t)`` cell, all of them kept."""
+        walk = [start]
+        while len(walk) < epochs:
+            t = len(walk)
+            rng = random.Random(((seed ^ 0xA1C) * 1_000_003 + node_id)
+                                * 1_000_033 + t)
+            nxt = walk[-1] + rng.uniform(-step, step)
+            walk.append(min(hi, max(lo, nxt)))
+        return walk
+
+    def test_any_read_order_equals_the_unbounded_walk(self):
+        reference = self.unbounded(5, 3, 2600)
+        walk = RandomWalkField(start=50, step=5, lo=0, hi=100, seed=5)
+        for epoch in (2599, 10, 1575, 1576, 2000, 0, 2599, 1574, 2598, 7):
+            assert walk.value(3, epoch) == reference[epoch]
+        assert walk._cache[3][0] == 1576
+
+    def test_sequential_reads_hold_a_bounded_window(self):
+        walk = RandomWalkField(start=50, step=5, lo=0, hi=100, seed=6)
+        values = [walk.value(1, t) for t in range(5000)]
+        first, held = walk._cache[1]
+        assert len(held) == 1024 and first == 5000 - 1024
+        assert values == self.unbounded(6, 1, 5000)
+        assert walk.value(1, 3) == values[3]
+        assert list(held) == values[-1024:]
 
 
 class TestDiurnalField:

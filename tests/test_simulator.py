@@ -107,7 +107,7 @@ class TestEpochMachinery:
         assert net.ledger(node).idle > 0
         assert net.epoch == 1
 
-    def test_sample_all_uses_boards(self):
+    def test_read_many_uses_boards(self):
         """Every alive sensor samples its board in one batch read."""
         network = figure1_scenario().network
         readings = network.read_many(network.alive_sensor_ids(), "sound")
