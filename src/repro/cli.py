@@ -45,7 +45,7 @@ from .api import Deployment, EpochDriver, SessionHandle
 from .errors import ConfigurationError, KSpotError
 from .gui.render import render_table
 from .gui.scenario import ScenarioConfig, load_scenario, save_scenario
-from .gui.stats import RecordedPanel, SystemPanel
+from .gui.stats import SavingsSample, SystemPanel
 from .parallel import (
     deployment_summary,
     run_sharded,
@@ -483,10 +483,11 @@ def _workload_shard(spec: _WorkloadSpec) -> dict:
     driver = EpochDriver(deployment,
                          interventions=[churn] if churn else ())
     driver.run(spec.epochs)
-    panels = [handle.system_panel for handle in deployment.sessions()
-              if handle.system_panel is not None
-              and handle.system_panel.samples]
-    aggregate = SystemPanel.aggregate(panels) if panels else None
+    savings = [handle.system_panel.cumulative
+               for handle in deployment.sessions()
+               if handle.system_panel is not None
+               and handle.system_panel.samples]
+    aggregate = SystemPanel.aggregate(savings) if savings else None
     return {
         "file": spec.file,
         "sessions": [_session_json(handle)
@@ -564,14 +565,14 @@ def _cmd_workload(args) -> int:
                           keys=list(args.files))
     errors = shard_errors(results)
     payloads = [result.payload for result in results if result.ok]
-    panels = [
-        RecordedPanel.from_dicts([session["savings"]])
+    savings = [
+        SavingsSample.from_dict(session["savings"])
         for payload in payloads
         for session in payload["sessions"]
         if session.get("savings")
     ]
-    aggregate = (SystemPanel.aggregate(panels).as_dict()
-                 if panels else None)
+    aggregate = (SystemPanel.aggregate(savings).as_dict()
+                 if savings else None)
     if args.format == "json":
         print(json.dumps({
             "shards": payloads,

@@ -42,11 +42,9 @@ class Participants:
     alive tuple, which a hot network rebuilds only on a topology
     change, and of the map, which the engine rebinds when it adopts a
     newborn. When every alive sensor is a member the alive tuple itself
-    is read, and a subset is the network's one tuple of that content
-    (:meth:`~repro.network.simulator.Network.shared_ids`), so
-    concurrent sessions with equal membership share the network's
-    identity-keyed sampling plan and readings row. None as the map
-    means every alive sensor.
+    is read. The network keys its sampling plans and readings rows by
+    the tuple's content, so concurrent sessions with equal membership
+    share them. None as the map means every alive sensor.
     """
 
     __slots__ = ("network", "_memo", "_lifted")
@@ -66,8 +64,8 @@ class Participants:
         if memo is not None and memo[0] is alive and memo[1] is members:
             return memo[2]
         result = tuple(n for n in alive if n in members)
-        result = (alive if len(result) == len(alive)
-                  else self.network.shared_ids(result))
+        if len(result) == len(alive):
+            result = alive
         self._memo = (alive, members, result)
         return result
 

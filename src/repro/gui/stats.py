@@ -8,7 +8,7 @@ keeps a time series of per-epoch savings for plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from ..errors import ValidationError
@@ -63,6 +63,14 @@ class SavingsSample:
             baseline_radio_joules=(self.baseline_radio_joules
                                    + other.baseline_radio_joules),
         )
+
+    @classmethod
+    def from_dict(cls, entry: dict) -> "SavingsSample":
+        """Rebuild from an :meth:`as_dict` payload: the seven raw
+        fields are read and the derived ``*_pct`` keys recomputed, not
+        trusted."""
+        return cls(**{column.name: entry[column.name]
+                      for column in fields(cls)})
 
     def as_dict(self) -> dict:
         """Raw costs plus derived savings, JSON-ready (the CLI's
@@ -148,48 +156,6 @@ class RecoveryLog:
         }
 
 
-class RecordedPanel:
-    """A panel-shaped view over already-recorded savings samples.
-
-    Live :class:`SystemPanel` instances observe two stat ledgers and
-    cannot leave their process; shard workers therefore serialize the
-    *samples* (plain frozen dataclasses) into their result envelope,
-    and the merging side rebuilds this read-only stand-in — exposing
-    the same ``samples`` / ``cumulative`` surface — so
-    :meth:`SystemPanel.aggregate` can fold fleet-wide savings across
-    process boundaries exactly as it does across live sessions.
-    """
-
-    def __init__(self, samples: Iterable[SavingsSample]):
-        self.samples: list[SavingsSample] = list(samples)
-        self._totals: SavingsSample | None = None
-        for sample in self.samples:
-            self._totals = (sample if self._totals is None
-                            else self._totals.plus(
-                                sample,
-                                epoch=max(self._totals.epoch, sample.epoch)))
-
-    @classmethod
-    def from_dicts(cls, dicts: "Iterable[dict]") -> "RecordedPanel":
-        """Rebuild from :meth:`SavingsSample.as_dict` payloads (the
-        derived ``*_pct`` keys are recomputed, not trusted)."""
-        fields_wanted = ("epoch", "messages", "baseline_messages",
-                        "payload_bytes", "baseline_payload_bytes",
-                        "radio_joules", "baseline_radio_joules")
-        return cls(SavingsSample(**{name: entry[name]
-                                    for name in fields_wanted})
-                   for entry in dicts)
-
-    @property
-    def cumulative(self) -> SavingsSample:
-        """Totals over the recorded series (mirrors
-        :attr:`SystemPanel.cumulative`) — pre-folded at construction,
-        O(1) per read."""
-        if self._totals is None:
-            raise ValidationError("no epochs sampled yet")
-        return self._totals
-
-
 class SystemPanel:
     """Tracks two stat ledgers and derives the savings series.
 
@@ -265,20 +231,19 @@ class SystemPanel:
         return self._totals
 
     @staticmethod
-    def aggregate(panels: "Iterable[SystemPanel]") -> SavingsSample:
-        """Fleet-wide savings across many sessions' panels.
+    def aggregate(totals: "Iterable[SavingsSample]") -> SavingsSample:
+        """Fleet-wide savings across many sessions' cumulative samples.
 
         The multi-query server keeps one panel per session; the wall
         display wants a single number for the whole deployment. Sums
-        every panel's cumulative costs (panels that have not sampled an
-        epoch yet contribute zero) and reports them as one sample whose
-        ``epoch`` is the deepest epoch any panel has closed.
+        the sessions' :attr:`cumulative` costs — live panels' or, across
+        processes, recorded series rebuilt with
+        :meth:`SavingsSample.from_dict` and folded with
+        :meth:`SavingsSample.plus` — and reports them as one sample
+        whose ``epoch`` is the deepest epoch any session has closed.
         """
-        panels = tuple(panels)
-        if not panels:
-            raise ValidationError("no panels to aggregate")
-        totals = [panel.cumulative for panel in panels if panel.samples]
+        totals = tuple(totals)
         if not totals:
-            raise ValidationError("no epochs sampled yet")
+            raise ValidationError("no savings to aggregate")
         return SystemPanel._summed(totals,
                                    epoch=max(s.epoch for s in totals))

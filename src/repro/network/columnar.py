@@ -8,10 +8,10 @@ whole-column operations per board channel:
 * **batch sensing** — :meth:`repro.network.simulator.Network.read_many`
   samples a whole id tuple through one
   :meth:`~repro.sensing.generators.FieldGenerator.batch_values` call
-  per board channel (grouped by an identity-keyed sampling plan cached
-  on the alive tuple), vectorizing the clamp + ADC quantization — and
-  the per-cell uniform draws themselves via :func:`hash01_column` —
-  over the column.
+  per board channel (grouped by a sampling plan cached per id tuple
+  until the topology changes), vectorizing the clamp + ADC
+  quantization — and the per-cell uniform draws themselves via
+  :func:`hash01_column` — over the column.
 
 **Switch-and-prove discipline.** The kernel has no switch of its own:
 it runs on every deployment whose ``Network.hot`` is set (see
@@ -66,7 +66,6 @@ loop runs.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -77,15 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 # Backend selection
 # --------------------------------------------------------------------
 
-#: numpy module when importable (and not disabled), else None. The
-#: REPRO_NO_NUMPY environment variable forces the pure-python backend
-#: process-wide — the CI fallback job and the bench's backend ablation
-#: both use it.
+#: numpy module when importable, else None (the CI job that
+#: uninstalls numpy runs the pure-python backend this way).
 try:  # pragma: no cover - exercised via both CI environments
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
+    import numpy as _np
 except ImportError:  # pragma: no cover - the no-numpy environment
     _np = None
 
@@ -96,8 +90,8 @@ _force_python = False
 
 def numpy_module():
     """The active numpy module, or None when the pure-python backend
-    is in effect (numpy missing, ``REPRO_NO_NUMPY`` set, or a
-    :func:`force_python_backend` block)."""
+    is in effect (numpy missing, or a :func:`force_python_backend`
+    block)."""
     return None if _force_python else _np
 
 
@@ -212,46 +206,39 @@ def hash01_column(seed: int, node_ids: Sequence[int], epoch: int,
 class ColumnarState:
     """Structure-of-arrays caches one :class:`Network` owns.
 
-    Holds the per-attribute *readings row* of the current epoch — the
-    value dict, in ascending-id order, shared by every session that
-    asks for the same id tuple — so N concurrent sessions pay for one
-    batch acquisition instead of N scans of the per-node sample
-    caches. Rows and sampling plans are keyed by the identity of the
-    requesting id tuple (the network's cached alive tuple, or an
-    engine's cached participant tuple), so staleness is impossible by
-    construction: a topology change (which rebuilds the id tuple), or
-    for a row a new epoch, simply never matches. So only the current
-    epoch's rows are kept, and the network drops every plan when its
-    topology changes (:meth:`drop_plans`); either table also starts
-    over past :data:`_MAX_TUPLES` tuples of one attribute.
-
-    Equal tuples share those entries only when they are one object, so
-    the state also hands out one tuple per content (:meth:`shared`).
+    Holds the per-attribute *readings rows* of the current epoch —
+    each the value dict of one id tuple, in ascending-id order — so N
+    concurrent sessions that ask for equal id tuples pay for one batch
+    acquisition instead of N scans of the per-node sample caches, and
+    the *sampling plans* that batch reuses. Both are keyed by the id
+    tuple itself, so sessions whose membership selects the same motes
+    share them whether or not they hold one tuple object. A row lives
+    for its epoch: the first store of a newer epoch drops the older
+    rows. The network drops every row and plan when its topology
+    changes (:meth:`drop_rows_and_plans`), so neither can outlive the
+    motes it was built over; either table also starts over past
+    :data:`_MAX_TUPLES` tuples of one attribute.
     """
 
-    __slots__ = ("_rows", "_plans", "_channels", "_epochs", "_subsets")
+    __slots__ = ("_rows", "_plans", "_channels")
 
     def __init__(self) -> None:
-        #: attribute -> {id(ids_tuple): (epoch, ids_tuple, readings)}
-        self._rows: dict[str, dict[int, tuple]] = {}
-        #: attribute -> {id(ids_tuple): (ids_tuple, plan)} — the
-        #: memoized sampling plans (see :meth:`plan`).
-        self._plans: dict[str, dict[int, tuple]] = {}
+        #: attribute -> (epoch, {ids_tuple: readings}) — the rows of
+        #: the newest epoch read.
+        self._rows: dict[str, tuple[int, dict[tuple[int, ...], dict]]] = {}
+        #: attribute -> {ids_tuple: plan} — the memoized sampling plans
+        #: (see :meth:`plan`).
+        self._plans: dict[str, dict[tuple[int, ...], tuple]] = {}
         #: attribute -> {node id: (board, group key, channel)} — see
         #: :meth:`channels`.
         self._channels: dict[str, dict[int, tuple]] = {}
-        #: attribute -> epoch of the newest stored row (any id tuple).
-        self._epochs: dict[str, int] = {}
-        #: id tuple -> the first equal tuple handed out since the plans
-        #: were last dropped (see :meth:`shared`).
-        self._subsets: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def cached(self, attribute: str, epoch: int, ids: tuple[int, ...]):
-        """The readings dict previously built for this exact id tuple
-        at this epoch, or None."""
-        entry = self._rows.get(attribute, {}).get(id(ids))
-        if entry is not None and entry[0] == epoch and entry[1] is ids:
-            return entry[2]
+        """The readings dict previously built for an equal id tuple at
+        this epoch, or None."""
+        entry = self._rows.get(attribute)
+        if entry is not None and entry[0] == epoch:
+            return entry[1].get(ids)
         return None
 
     def has_row(self, attribute: str, epoch: int) -> bool:
@@ -264,34 +251,30 @@ class ColumnarState:
         probe (:meth:`~repro.network.node.SensorNode.book_sample` still
         re-checks per node, covering stragglers sampled by a scalar
         ``read``)."""
-        return self._epochs.get(attribute) == epoch
+        entry = self._rows.get(attribute)
+        return entry is not None and entry[0] == epoch
 
     def store(self, attribute: str, epoch: int, ids: tuple[int, ...],
               readings: dict[int, float]) -> None:
         """Remember one epoch's readings row for an id tuple."""
-        if self._epochs.get(attribute) != epoch:
-            self._rows.pop(attribute, None)  # no older row matches again
-        self._epochs[attribute] = epoch
-        _remember(self._rows, attribute, ids, (epoch, ids, readings))
+        entry = self._rows.get(attribute)
+        if entry is None or entry[0] != epoch:
+            entry = self._rows[attribute] = (epoch, {})
+        _remember(entry[1], ids, readings)
 
     def plan(self, attribute: str, ids: tuple[int, ...]):
-        """The memoized sampling plan for this exact id tuple, or None.
+        """The memoized sampling plan for an equal id tuple, or None.
 
         A plan is the id tuple's partition into board channels —
         ``((field, modality, quantize, ids_list, (row, node) pairs),
         ...)`` — everything about the grouping walk of
         :meth:`~repro.network.simulator.Network.read_many` that is a
-        pure function of the id tuple and the nodes' boards. It is
-        keyed by the tuple's *identity*: any topology change rebuilds
-        the network's alive tuple (and engines rebuild their
-        participant tuples), so a stale plan simply never matches.
+        pure function of the id tuple and the nodes' boards. It holds
+        until the topology changes, when the network drops it.
         Per-epoch freshness (the same-epoch sample cache) is *not*
         baked in — :meth:`~repro.network.node.SensorNode.book_sample`
         re-checks it per node each epoch."""
-        entry = self._plans.get(attribute, {}).get(id(ids))
-        if entry is not None and entry[0] is ids:
-            return entry[1]
-        return None
+        return self._plans.get(attribute, {}).get(ids)
 
     def store_plan(self, attribute: str, ids: tuple[int, ...],
                    plan) -> None:
@@ -299,31 +282,14 @@ class ColumnarState:
         every alive sensor share the alive tuple; one reading a subset
         (a historic query, which adopts no newborn) keeps its own plan
         beside it instead of evicting it."""
-        _remember(self._plans, attribute, ids, (ids, plan))
+        _remember(self._plans.setdefault(attribute, {}), ids, plan)
 
-    def drop_plans(self) -> None:
-        """Forget every sampling plan, and every tuple :meth:`shared`
-        handed out: after a topology change no id tuple they were built
-        for is asked for again."""
+    def drop_rows_and_plans(self) -> None:
+        """Forget every readings row and sampling plan: after a
+        topology change an equal id tuple may name a mote that died
+        or a newborn that took a dead mote's id."""
+        self._rows.clear()
         self._plans.clear()
-        self._subsets.clear()
-
-    def shared(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        """The first tuple equal to ``ids`` handed out since the plans
-        were last dropped, or ``ids`` itself, remembered.
-
-        Engines whose membership maps select the same sensors build
-        equal participant tuples of their own; read through this, they
-        read one tuple and so share its sampling plan and readings row.
-        The table starts over past :data:`_MAX_TUPLES` tuples, as the
-        plans do."""
-        subsets = self._subsets
-        first = subsets.get(ids)
-        if first is None:
-            if len(subsets) > _MAX_TUPLES:
-                subsets.clear()
-            first = subsets[ids] = ids
-        return first
 
     def channels(self, attribute: str) -> dict[int, tuple]:
         """Node id → ``(board, group key, (field, modality, quantize))``
@@ -346,11 +312,9 @@ class ColumnarState:
 _MAX_TUPLES = 16
 
 
-def _remember(table: dict[str, dict[int, tuple]], attribute: str,
-              ids: tuple[int, ...], entry: tuple) -> None:
-    """Store ``entry`` under the identity of ``ids`` in the attribute's
-    table, clearing a full table first."""
-    per_attribute = table.setdefault(attribute, {})
-    if len(per_attribute) > _MAX_TUPLES:
-        per_attribute.clear()
-    per_attribute[id(ids)] = entry
+def _remember(table: dict[tuple[int, ...], object], ids: tuple[int, ...],
+              entry: object) -> None:
+    """Store ``entry`` under ``ids``, clearing a full table first."""
+    if len(table) > _MAX_TUPLES:
+        table.clear()
+    table[ids] = entry

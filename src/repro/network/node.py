@@ -131,8 +131,8 @@ class SensorNode:
         scalar :meth:`read`. One fused method because ``read_many``
         calls it for every freshly-drawn row and the call overhead was
         measurable. The caller guarantees this node is alive with a
-        board (:meth:`read` checks; a sampling plan's validity is tied
-        to the alive-tuple's identity), so the liveness/board checks
+        board (:meth:`read` checks; a sampling plan lives only until
+        the topology changes), so the liveness/board checks
         are hoisted; both callers also serve same-epoch-fresh rows
         themselves, making the cache check here a cheap second line of
         defence rather than the primary one. Returns the value actually

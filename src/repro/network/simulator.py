@@ -183,9 +183,9 @@ class Network:
         self._plan_rows: dict[int, tuple[tuple[int, ...], tuple]] = {}
         self._cache_tree: RoutingTree | None = None
         self._cache_version = -1
-        #: The columnar kernel's readings rows and sampling plans;
-        #: epoch-stamped and id-tuple-keyed, so no invalidation hooks
-        #: are needed (see ColumnarState).
+        #: The columnar kernel's readings rows and sampling plans, keyed
+        #: by id tuple and dropped with the topology caches (see
+        #: ColumnarState).
         self._columnar = columnar.ColumnarState()
         for node in self.nodes.values():
             node.on_kill = self._on_node_killed
@@ -217,15 +217,6 @@ class Network:
             return self._alive_ids_cache
         return tuple(i for i in self.tree.sensor_ids if self.nodes[i].alive)
 
-    def shared_ids(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        """The first id tuple equal to ``ids`` handed out since the
-        topology last changed (``ids`` itself when none was). Sessions
-        reading equal subsets of the alive sensors then share one
-        sampling plan and one readings row, which :meth:`read_many`
-        keys by the tuple's identity."""
-        self._validate_topo_caches()
-        return self._columnar.shared(ids)
-
     def _validate_topo_caches(self) -> None:
         """Drop every topology-derived cache after a tree change or a
         node death/join (cheap identity + version check per use)."""
@@ -238,7 +229,7 @@ class Network:
             self._flood_cache = None
             self._roots_cache = None
             self._relay_cache = None
-            self._columnar.drop_plans()
+            self._columnar.drop_rows_and_plans()
 
     def _on_node_killed(self, node_id: int) -> None:
         """Per-node death hook: invalidate aliveness-derived caches.
@@ -797,7 +788,7 @@ class Network:
                     roots[node_id] = root
         return roots
 
-    def read_many(self, node_ids: Sequence[int],
+    def read_many(self, node_ids: tuple[int, ...],
                   attribute: str) -> dict[int, float]:
         """One epoch's readings for a whole id column, in id order.
 
@@ -812,8 +803,9 @@ class Network:
         call plus a vectorized clamp/quantize per channel, then booked
         per node exactly as a scalar read
         (:meth:`~repro.network.node.SensorNode.book_sample`). The row
-        is cached per (attribute, epoch, id-tuple identity), so N
-        concurrent sessions over the same deployment pay for one batch.
+        is cached per (attribute, epoch, id tuple) until the topology
+        changes, so N concurrent sessions reading equal tuples over the
+        same deployment pay for one batch.
 
         The returned dict is shared with later same-epoch callers —
         treat it as read-only (copy it to mutate).
@@ -821,6 +813,9 @@ class Network:
         nodes, epoch = self.nodes, self.epoch
         plan = None
         if self.hot:
+            # A row keyed by content could name a mote that died since
+            # it was read, so the topology check comes first.
+            self._validate_topo_caches()
             row = self._columnar.cached(attribute, epoch, node_ids)
             if row is not None:
                 return row

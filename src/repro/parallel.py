@@ -33,8 +33,8 @@ module owns that scale-out layer:
   query mix) with :func:`run_sweep_cell` as the worker and
   :func:`merge_sweep` folding the envelopes: per-cell answers and
   stats, fleet-wide savings via
-  :meth:`~repro.gui.stats.SystemPanel.aggregate` over
-  :class:`~repro.gui.stats.RecordedPanel` rebuilds.
+  :meth:`~repro.gui.stats.SystemPanel.aggregate` over each session's
+  recorded savings series, folded in order.
 
 Merged results are a pure function of the cell set — the property
 tests (``tests/test_parallel.py``) drive random partitions and worker
@@ -442,24 +442,32 @@ def merge_sweep(results: Iterable[ShardResult]) -> dict:
     """Fold shard envelopes into the sweep report.
 
     Pure data-plane merging: cells stay in grid order, fleet totals
-    sum, and per-session savings series rebuild into
-    :class:`~repro.gui.stats.RecordedPanel` stand-ins so
+    sum, and each session's recorded savings series is folded with
+    :meth:`~repro.gui.stats.SavingsSample.plus`, in order, as a live
+    panel accumulates it, so
     :meth:`~repro.gui.stats.SystemPanel.aggregate` prices the whole
     sweep's savings exactly as it would price live sessions. Timing
     fields are measurements and are reported per cell, never compared.
     """
-    from .gui.stats import RecordedPanel, SystemPanel
+    from .gui.stats import SavingsSample, SystemPanel
+
+    def folded(series: list[dict]) -> SavingsSample:
+        samples = map(SavingsSample.from_dict, series)
+        total = next(samples)
+        for sample in samples:
+            total = total.plus(sample, epoch=max(total.epoch, sample.epoch))
+        return total
 
     results = list(results)
     cells = [result.payload for result in results if result.ok]
-    panels = [
-        RecordedPanel.from_dicts(session["savings"])
+    savings = [
+        folded(session["savings"])
         for payload in cells
         for session in payload["sessions"]
         if session.get("savings")
     ]
-    aggregate = (SystemPanel.aggregate(panels).as_dict()
-                 if panels else None)
+    aggregate = (SystemPanel.aggregate(savings).as_dict()
+                 if savings else None)
     totals = {
         "cells": len(cells),
         "sessions": sum(len(payload["sessions"]) for payload in cells),

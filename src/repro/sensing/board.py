@@ -1,21 +1,20 @@
 """The sensor-board model a node carries.
 
 A :class:`SensorBoard` binds MTS310 modalities to field generators and
-serves quantized samples, charging the sampling energy to a caller-
-provided ledger. This is the software stand-in for the physical MTS310
-expansion board of the demo (§IV-A).
+serves quantized samples; the node that reads it charges each sample's
+energy to its own ledger
+(:meth:`~repro.network.node.SensorNode.book_sample`). This is the
+software stand-in for the physical MTS310 expansion board of the demo
+(§IV-A).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..errors import ConfigurationError, ValidationError
 from .generators import FieldGenerator
 from .modalities import Modality, get_modality
-
-#: Callback the board uses to charge sampling energy: (joules) -> None.
-EnergySink = Callable[[float], None]
 
 
 class SensorBoard:
@@ -64,28 +63,15 @@ class SensorBoard:
         modality = self.modality(attribute)
         return self._fields[attribute], modality, self._quantize
 
-    def sample(self, attribute: str, node_id: int, epoch: int,
-               energy_sink: EnergySink | None = None) -> float:
-        """Acquire one quantized reading, charging sampling energy.
+    def sample(self, attribute: str, node_id: int, epoch: int) -> float:
+        """Acquire one quantized reading.
 
         Args:
             attribute: Channel to sample.
             node_id: Identity of the sampling node (fields are node-aware).
             epoch: Current epoch number.
-            energy_sink: Optional ledger callback charged with the
-                modality's sampling cost.
         """
         modality = self.modality(attribute)
-        if energy_sink is not None:
-            energy_sink(modality.sample_cost_joules)
         if self._quantize:
             return self._fields[attribute].bounded(modality, node_id, epoch)
         return modality.clamp(self._fields[attribute].value(node_id, epoch))
-
-    def sample_all(self, node_id: int, epoch: int,
-                   energy_sink: EnergySink | None = None) -> dict[str, float]:
-        """Sample every channel on the board at once."""
-        return {
-            attribute: self.sample(attribute, node_id, epoch, energy_sink)
-            for attribute in self.attributes
-        }

@@ -1,8 +1,9 @@
-"""SensorBoard: sampling, quantization, energy charging."""
+"""SensorBoard: sampling, quantization, and the energy a read charges."""
 
 import pytest
 
 from repro.errors import ConfigurationError, ValidationError
+from repro.network.node import SensorNode
 from repro.sensing.board import SensorBoard
 from repro.sensing.generators import ConstantField
 from repro.sensing.modalities import get_modality
@@ -35,27 +36,20 @@ class TestSampling:
         with pytest.raises(ValidationError, match="no 'light' channel"):
             board.sample("light", 1, 0)
 
-    def test_sample_all_covers_every_channel(self, board):
-        values = board.sample_all(1, 0)
-        assert set(values) == {"sound", "temperature"}
-
     def test_attributes_sorted(self, board):
         assert board.attributes == ("sound", "temperature")
 
 
 class TestEnergyCharging:
     def test_sample_charges_modality_cost(self, board):
-        charged = []
-        board.sample("sound", 1, 0, energy_sink=charged.append)
-        assert charged == [get_modality("sound").sample_cost_joules]
-
-    def test_sample_all_charges_per_channel(self, board):
-        charged = []
-        board.sample_all(1, 0, energy_sink=charged.append)
-        assert len(charged) == 2
-
-    def test_no_sink_no_error(self, board):
-        board.sample("sound", 1, 0, energy_sink=None)
+        """The node reading the board books the modality's sampling
+        cost once per epoch: a second read of the epoch is served from
+        its sample and charges nothing."""
+        node = SensorNode(1, board=board)
+        node.read("sound", 0)
+        assert node.ledger.sensing == get_modality("sound").sample_cost_joules
+        node.read("sound", 0)
+        assert node.ledger.sensing == get_modality("sound").sample_cost_joules
 
 
 class TestConstruction:

@@ -694,7 +694,7 @@ class TestRecoveryProtocol:
 class TestCachesStayBounded:
     """The cache half of a soak: long churn grows no memo. Every
     node-keyed memo holds only nodes of the current tree, and every
-    identity-keyed one stays within its fixed bound. (Retained results
+    tuple-keyed one stays within its fixed bound. (Retained results
     grow by design and are left out.)"""
 
     ROOM_QUERIES = (
@@ -735,16 +735,14 @@ class TestCachesStayBounded:
             assert set(network._plan_rows) <= nodes
             for known in state._channels.values():
                 assert set(known) <= nodes
-            # Plans go with the topology and rows with the epoch, so
-            # every tuple either table still holds is of live motes.
+            # Plans and rows go with the topology, and rows also with
+            # the epoch, so every tuple either table still holds is of
+            # live motes.
             live = set(network.alive_sensor_ids())
-            for ids_at, table in ((0, state._plans), (1, state._rows)):
-                for entries in table.values():
-                    assert len(entries) <= bound
-                    assert all(set(entry[ids_at]) <= live
-                               for entry in entries.values())
-            assert len(state._subsets) <= bound
-            assert all(set(ids) <= live for ids in state._subsets)
+            for entries in (*state._plans.values(),
+                            *(rows for _, rows in state._rows.values())):
+                assert len(entries) <= bound
+                assert all(set(ids) <= live for ids in entries)
             assert len(network._cost_memo) <= simulator._COST_MEMO_SIZES
             for session in deployment.active_sessions():
                 engine = session.engine

@@ -188,7 +188,11 @@ class TestSystemPanel:
                 panel.samples, epoch=panel.samples[-1].epoch)
 
     def test_recorded_panel_totals_match_resum(self):
-        from repro.gui.stats import RecordedPanel, SavingsSample
+        """A recorded series, rebuilt from its dicts and folded with
+        ``plus`` in order as ``merge_sweep`` folds each session's,
+        totals to the component-wise re-sum, and ``aggregate`` sums
+        such totals the same way."""
+        from repro.gui.stats import SavingsSample
 
         samples = [
             SavingsSample(epoch=e, messages=e + 1, baseline_messages=9,
@@ -196,8 +200,14 @@ class TestSystemPanel:
                           radio_joules=0.5 * e, baseline_radio_joules=3.0)
             for e in range(4)
         ]
-        panel = RecordedPanel(samples)
-        assert panel.cumulative == SystemPanel._summed(samples, epoch=3)
+        recorded = [SavingsSample.from_dict(sample.as_dict())
+                    for sample in samples]
+        total = recorded[0]
+        for sample in recorded[1:]:
+            total = total.plus(sample, epoch=max(total.epoch, sample.epoch))
+        assert total == SystemPanel._summed(samples, epoch=3)
+        assert SystemPanel.aggregate([total, total]) == SystemPanel._summed(
+            [total, total], epoch=3)
 
 
 class TestScenarioFiles:

@@ -777,6 +777,30 @@ class TestReadManyErrorPath:
         assert hot[0] is error
         assert sum(hot[2].values()) == 8
 
+    @staticmethod
+    def _read_equal_tuple_after_a_kill():
+        network = grid_rooms_scenario(side=4, rooms_per_axis=2,
+                                      seed=5).network
+        alive = network.alive_sensor_ids()
+        network.read_many(alive, "sound")
+        network.node(alive[6]).kill()
+        fresh = tuple(list(alive))
+        assert fresh == alive and fresh is not alive
+        with pytest.raises(KSpotError) as raised:
+            network.read_many(fresh, "sound")
+        samples = {i: network.node(i).samples_taken for i in alive}
+        return type(raised.value), str(raised.value), samples
+
+    def test_a_kill_voids_the_row_of_an_equal_tuple(self):
+        """Rows are keyed by the tuple's content, so a mote killed
+        after its row was read must not be served from that row to an
+        equal tuple: the hot path raises at the dead mote as the
+        reference walk does."""
+        hot, reference = on_both_paths(self._read_equal_tuple_after_a_kill)
+        assert hot == reference
+        assert hot[0] is ConfigurationError
+        assert set(hot[2].values()) == {1}
+
 
 class PerHopNetwork(Network):
     """The relay loop the batch relay kernel replaces: node by node,
@@ -1432,8 +1456,8 @@ class TestSamplingPlanSharing:
             self, monkeypatch):
         """A mote born with no room joins no room session, so each one
         then reads a subset of the alive tuple. Two sessions with equal
-        maps must read one tuple, and so build one sampling plan and
-        one readings row, in every epoch."""
+        maps read equal tuples, and so share one sampling plan, one
+        batch and one readings row in every epoch."""
         scenario = grid_rooms_scenario(side=6, rooms_per_axis=2, seed=3)
         network = scenario.network
         x, y = network.topology.positions[1]
@@ -1444,24 +1468,32 @@ class TestSamplingPlanSharing:
             ChurnSchedule([birth]), board_for=scenario.board_for)])
         for query in self.MONITOR_QUERIES[:2]:
             deployment.submit(query)
-        tuples, plans = Counter(), Counter()
+        reads, stores, plans = Counter(), Counter(), Counter()
         read_many = network.read_many
+        state = network._columnar
+        store = columnar.ColumnarState.store
         build = network._build_sampling_plan
 
         def reading(node_ids, attribute):
-            tuples[network.epoch, id(node_ids)] += 1
+            reads[network.epoch] += 1
             return read_many(node_ids, attribute)
+
+        def storing(self, attribute, epoch, ids, readings):
+            if self is state:
+                stores[epoch] += 1
+            return store(self, attribute, epoch, ids, readings)
 
         def building(node_ids, attribute):
             plans[network.epoch] += 1
             return build(node_ids, attribute)
 
         monkeypatch.setattr(network, "read_many", reading)
+        monkeypatch.setattr(columnar.ColumnarState, "store", storing)
         monkeypatch.setattr(network, "_build_sampling_plan", building)
         driver.run(6)
         assert 100 in network.alive_sensor_ids()
-        per_epoch = Counter(epoch for epoch, _ in tuples)
-        assert per_epoch == {epoch: 1 for epoch in range(6)}
+        assert reads == {epoch: 2 for epoch in range(6)}
+        assert stores == {epoch: 1 for epoch in range(6)}
         assert plans == {0: 1, 2: 1}
 
 

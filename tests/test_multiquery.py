@@ -321,7 +321,7 @@ class TestPerSessionAccounting:
                   for handle in deployment.sessions()]
         assert all(panel is not None and len(panel.samples) == 5
                    for panel in panels)
-        fleet = SystemPanel.aggregate(panels)
+        fleet = SystemPanel.aggregate(panel.cumulative for panel in panels)
         assert fleet.payload_bytes == sum(
             p.cumulative.payload_bytes for p in panels)
         assert fleet.baseline_payload_bytes == sum(

@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gui.stats import RecordedPanel, SavingsSample, SystemPanel
+from repro.gui.stats import SavingsSample, SystemPanel
 from repro.network import hotpath
 from repro.network.simulator import Network
+from repro.network.stats import NetworkStats
 from repro.network.topology import grid_topology
 from repro.parallel import (
     NO_CHURN,
@@ -270,43 +271,73 @@ class TestSweepGrid:
 
 
 # ----------------------------------------------------------------------
-# RecordedPanel: cross-process savings aggregation
+# Recorded panels: cross-process savings aggregation
 # ----------------------------------------------------------------------
 
 
 class TestRecordedPanel:
+    """A shard records each session's savings series as dicts;
+    ``merge_sweep`` rebuilds every sample with
+    ``SavingsSample.from_dict``, folds the series with ``plus`` in
+    order, as a live panel accumulates it, and hands the totals to
+    ``SystemPanel.aggregate``."""
+
     def _sample(self, epoch, scale=1):
         return SavingsSample(
             epoch=epoch, messages=10 * scale, baseline_messages=20 * scale,
             payload_bytes=100 * scale, baseline_payload_bytes=300 * scale,
             radio_joules=1.0 * scale, baseline_radio_joules=4.0 * scale)
 
+    @staticmethod
+    def _merged_savings(*series):
+        """``merge_sweep``'s aggregate over one shard per series, each
+        holding one session that recorded it."""
+        deployment = {"messages": 0, "payload_bytes": 0,
+                      "radio_joules": 0.0, "sensor_samples": 0}
+        return merge_sweep([
+            ShardResult(key=f"shard{index}", payload={
+                "cell": {"epochs": 1}, "deployment": deployment,
+                "sessions": [{"savings": [sample.as_dict()
+                                          for sample in samples]}]},
+                error=None, wall_seconds=0.0, pid=0)
+            for index, samples in enumerate(series)
+        ])["aggregate_savings"]
+
     def test_round_trips_as_dicts(self):
         samples = [self._sample(0), self._sample(1, scale=2)]
-        panel = RecordedPanel.from_dicts(
-            [sample.as_dict() for sample in samples])
-        assert panel.samples == samples
+        entries = [sample.as_dict() for sample in samples]
+        for entry in entries:
+            entry["message_saving_pct"] = 99.0  # recomputed, not read
+        assert [SavingsSample.from_dict(entry)
+                for entry in entries] == samples
 
     def test_cumulative_matches_live_semantics(self):
-        panel = RecordedPanel([self._sample(0), self._sample(1)])
-        total = panel.cumulative
-        assert total.messages == 20
-        assert total.baseline_messages == 40
-        assert total.epoch == 1
+        system, baseline = NetworkStats(), NetworkStats()
+        panel = SystemPanel(system, baseline)
+        for step in range(1, 6):
+            system.record("x", step, 10 * step, 17, 1e-3 * step, 0.0)
+            baseline.record("x", step, 40 * step, 47, 4e-3 * step, 0.0)
+            panel.sample()
+        assert (self._merged_savings(panel.samples)
+                == panel.cumulative.as_dict())
+        total = self._merged_savings([self._sample(0), self._sample(1)])
+        assert total["messages"] == 20
+        assert total["baseline_messages"] == 40
+        assert total["epoch"] == 1
 
     def test_empty_panel_refuses_cumulative(self):
         from repro.errors import ValidationError
 
         with pytest.raises(ValidationError):
-            RecordedPanel([]).cumulative
+            SystemPanel.aggregate([])
+        assert self._merged_savings([]) is None
 
     def test_aggregate_accepts_recorded_panels(self):
-        panels = [RecordedPanel([self._sample(0)]),
-                  RecordedPanel([self._sample(0, scale=3)])]
-        total = SystemPanel.aggregate(panels)
-        assert total.messages == 40
-        assert total.baseline_messages == 80
-        assert total.message_saving_pct == pytest.approx(50.0)
+        total = self._merged_savings([self._sample(0)],
+                                     [self._sample(0, scale=3)])
+        assert total["messages"] == 40
+        assert total["baseline_messages"] == 80
+        assert total["message_saving_pct"] == pytest.approx(50.0)
 
 
 # ----------------------------------------------------------------------
