@@ -352,9 +352,10 @@ class HotLoopAllocation(Rule):
         "The perf kernels exist because allocation in the epoch loop "
         "dominates at N=1000. Functions marked '# repro: hot' are the "
         "measured hot path: key=lambda sorts (one closure call per "
-        "element) and comprehensions inside loops (one fresh container "
-        "per iteration) belong outside them — precompute tuple keys "
-        "and reuse buffers, as delta.py and the fused passes do.")
+        "element, also through a name bound to the lambda) and "
+        "comprehensions inside loops (one fresh container per "
+        "iteration) belong outside them — precompute tuple keys and "
+        "reuse buffers, as delta.py and the fused passes do.")
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
@@ -362,7 +363,25 @@ class HotLoopAllocation(Rule):
             return ()
         findings: List[Finding] = []
         self._scan_block(node.body, 0, ctx, findings)
+        lambdas = {target.id for sub in ast.walk(node)
+                   if isinstance(sub, ast.Assign)
+                   and isinstance(sub.value, ast.Lambda)
+                   for target in sub.targets if isinstance(target, ast.Name)}
+        findings.extend(
+            self.finding(ctx, sub, f"key={kw.value.id} is bound to a lambda "
+                         "in this hot function, so the sort calls a "
+                         "closure per element; precompute a tuple sort key")
+            for sub in ast.walk(node) if self._is_sort(sub)
+            for kw in sub.keywords if kw.arg == "key"
+            and isinstance(kw.value, ast.Name) and kw.value.id in lambdas)
         return findings
+
+    @staticmethod
+    def _is_sort(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and (
+            _is_name(node.func, "sorted") or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sort"))
 
     def _scan_block(self, stmts, loop_depth: int, ctx: FileContext,
                     out: List[Finding]) -> None:
@@ -398,13 +417,9 @@ class HotLoopAllocation(Rule):
                    out: List[Finding]) -> None:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
-                is_sort = (isinstance(sub.func, ast.Name)
-                           and sub.func.id == "sorted") \
-                    or (isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == "sort")
-                if is_sort and any(kw.arg == "key"
-                                   and isinstance(kw.value, ast.Lambda)
-                                   for kw in sub.keywords):
+                if self._is_sort(sub) and any(
+                        kw.arg == "key" and isinstance(kw.value, ast.Lambda)
+                        for kw in sub.keywords):
                     out.append(self.finding(
                         ctx, sub,
                         "key=lambda in a hot function calls a closure "

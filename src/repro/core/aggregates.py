@@ -21,6 +21,10 @@ The bound contract (used by MINT's certification and probe logic):
 Each aggregate derives a sound interval from those facts; the proofs
 are one-liners noted per class (the AVG case uses the mediant
 inequality via sum/count mass accounting).
+
+One :meth:`Aggregate.merge`, built from each class's ``combine``, and
+one ``from_value`` (all but COUNT) serve all five; SUM, COUNT, MAX and
+MIN finalize to the value in C, through ``operator.itemgetter(0)``.
 """
 
 from __future__ import annotations
@@ -86,10 +90,10 @@ class Aggregate(ABC):
 
     func: str = ""
 
-    #: The value half of :meth:`merge`: ``merge(a, b)`` is
-    #: ``Partial(combine(a.value, b.value), a.count + b.count)``. A
-    #: builtin, so a pass folding many values of equal count (TJA's
-    #: join rows) can ``map`` it in C.
+    #: The value half of :meth:`merge`; every concrete aggregate sets
+    #: it. A builtin or ``staticmethod`` (a plain function would bind),
+    #: so TJA's join rows can ``map`` it in C and hot passes can merge
+    #: inline with :meth:`merge`'s formula.
     combine: ClassVar[Callable[[float, float], float]]
 
     def __init__(self, lo: float, hi: float):
@@ -100,13 +104,15 @@ class Aggregate(ABC):
 
     # -- TAG algebra ----------------------------------------------------
 
-    @abstractmethod
     def from_value(self, value: float) -> Partial:
         """Lift one reading into a partial."""
+        return Partial(value, 1)
 
-    @abstractmethod
     def merge(self, a: Partial, b: Partial) -> Partial:
-        """Combine two disjoint partials."""
+        """Combine two disjoint partials: ``combine`` the values, add
+        the counts (``Partial``'s constructor, minus a Python frame)."""
+        return tuple.__new__(Partial,
+                             (self.combine(a[0], b[0]), a[1] + b[1]))
 
     @abstractmethod
     def finalize(self, partial: Partial) -> float:
@@ -150,12 +156,6 @@ class AvgAggregate(Aggregate):
     func = "AVG"
     combine = operator.add
 
-    def from_value(self, value: float) -> Partial:
-        return Partial(value, 1)
-
-    def merge(self, a: Partial, b: Partial) -> Partial:
-        return Partial(a.value + b.value, a.count + b.count)
-
     def finalize(self, partial: Partial) -> float:
         if partial.count == 0:
             raise ValidationError("cannot finalize an empty AVG partial")
@@ -190,15 +190,7 @@ class SumAggregate(Aggregate):
 
     func = "SUM"
     combine = operator.add
-
-    def from_value(self, value: float) -> Partial:
-        return Partial(value, 1)
-
-    def merge(self, a: Partial, b: Partial) -> Partial:
-        return Partial(a.value + b.value, a.count + b.count)
-
-    def finalize(self, partial: Partial) -> float:
-        return partial.value
+    finalize = operator.itemgetter(0)
 
     def bounds(self, seen: Partial | None, unseen: int,
                gamma: float | None) -> Bounds:
@@ -216,18 +208,13 @@ class CountAggregate(Aggregate):
 
     func = "COUNT"
     combine = operator.add
+    finalize = operator.itemgetter(0)
 
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
         super().__init__(0.0, 1.0)
 
     def from_value(self, value: float) -> Partial:
         return Partial(1.0, 1)
-
-    def merge(self, a: Partial, b: Partial) -> Partial:
-        return Partial(a.value + b.value, a.count + b.count)
-
-    def finalize(self, partial: Partial) -> float:
-        return partial.value
 
     def bounds(self, seen: Partial | None, unseen: int,
                gamma: float | None) -> Bounds:
@@ -242,15 +229,7 @@ class MaxAggregate(Aggregate):
 
     func = "MAX"
     combine = max
-
-    def from_value(self, value: float) -> Partial:
-        return Partial(value, 1)
-
-    def merge(self, a: Partial, b: Partial) -> Partial:
-        return Partial(max(a.value, b.value), a.count + b.count)
-
-    def finalize(self, partial: Partial) -> float:
-        return partial.value
+    finalize = operator.itemgetter(0)
 
     def bounds(self, seen: Partial | None, unseen: int,
                gamma: float | None) -> Bounds:
@@ -272,15 +251,7 @@ class MinAggregate(Aggregate):
 
     func = "MIN"
     combine = min
-
-    def from_value(self, value: float) -> Partial:
-        return Partial(value, 1)
-
-    def merge(self, a: Partial, b: Partial) -> Partial:
-        return Partial(min(a.value, b.value), a.count + b.count)
-
-    def finalize(self, partial: Partial) -> float:
-        return partial.value
+    finalize = operator.itemgetter(0)
 
     def bounds(self, seen: Partial | None, unseen: int,
                gamma: float | None) -> Bounds:

@@ -1,8 +1,12 @@
 """Partial-aggregate algebra and its bound logic."""
 
+import itertools
+import math
+import operator
+
 import pytest
 
-from repro.core.aggregates import Bounds, Partial, make_aggregate
+from repro.core.aggregates import Aggregate, Bounds, Partial, make_aggregate
 from repro.errors import ValidationError
 
 
@@ -50,6 +54,75 @@ class TestAlgebra:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValidationError):
             make_aggregate("AVG", 10, 5)
+
+
+class TestMergedAlgebra:
+    """One :meth:`Aggregate.merge`, built from each class's ``combine``,
+    stands in for five per-class copies; SUM, COUNT, MAX and MIN
+    finalize through ``operator.itemgetter(0)``."""
+
+    #: The per-class formulas the shared merge replaced.
+    OLD_MERGE = {
+        "AVG": lambda a, b: Partial(a.value + b.value, a.count + b.count),
+        "SUM": lambda a, b: Partial(a.value + b.value, a.count + b.count),
+        "COUNT": lambda a, b: Partial(a.value + b.value,
+                                      a.count + b.count),
+        "MAX": lambda a, b: Partial(max(a.value, b.value),
+                                    a.count + b.count),
+        "MIN": lambda a, b: Partial(min(a.value, b.value),
+                                    a.count + b.count),
+    }
+    GRID = [Partial(value, count)
+            for value in (-3.5, 0.0, 2.0, 2.0, 7.25, 100.0)
+            for count in (1, 2, 5)]
+
+    @pytest.mark.parametrize("func", sorted(OLD_MERGE))
+    def test_merge_returns_a_partial(self, func):
+        merged = make_aggregate(func, 0, 100).merge(Partial(3.0, 1),
+                                                    Partial(4.0, 2))
+        assert type(merged) is Partial
+        value = {"MAX": 4.0, "MIN": 3.0}.get(func, 7.0)
+        assert repr(merged) == f"Partial(value={value}, count=3)"
+        assert merged.value == value and merged.count == 3
+
+    @pytest.mark.parametrize("func", sorted(OLD_MERGE))
+    def test_merge_equals_the_per_class_formula(self, func):
+        aggregate = make_aggregate(func, 0, 100)
+        old = self.OLD_MERGE[func]
+        for a, b in itertools.product(self.GRID, repeat=2):
+            assert aggregate.merge(a, b) == old(a, b), (a, b)
+
+    @pytest.mark.parametrize("func", ["MAX", "MIN"])
+    def test_extremum_keeps_the_first_argument_on_a_tie(self, func):
+        aggregate = make_aggregate(func, -1, 1)
+        first = aggregate.merge(Partial(0.0, 1), Partial(-0.0, 1)).value
+        second = aggregate.merge(Partial(-0.0, 1), Partial(0.0, 1)).value
+        assert math.copysign(1.0, first) == 1.0
+        assert math.copysign(1.0, second) == -1.0
+
+    @pytest.mark.parametrize("func", ["SUM", "COUNT", "MAX", "MIN"])
+    def test_value_aggregates_finalize_to_the_value(self, func):
+        aggregate = make_aggregate(func, 0, 100)
+        assert isinstance(aggregate.finalize, operator.itemgetter)
+        for partial in self.GRID:
+            assert aggregate.finalize(partial) == partial.value
+
+    def test_a_subclass_setting_only_combine_merges(self):
+        class Product(Aggregate):
+            func = "PRODUCT"
+            combine = operator.mul
+
+            def finalize(self, partial):
+                return partial.value
+
+            def bounds(self, seen, unseen, gamma):
+                return Bounds(self.lo, self.hi)
+
+        product = Product(0, 100)
+        merged = product.merge_many([product.from_value(v)
+                                     for v in (2.0, 3.0, 4.0)])
+        assert type(merged) is Partial
+        assert merged == Partial(24.0, 3)
 
 
 class TestAvgBounds:

@@ -23,6 +23,8 @@ Two layers of proof:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +41,7 @@ from repro.network.topology import grid_topology
 from repro.query.plan import Algorithm
 from repro.scenarios import grid_rooms_scenario
 from repro.sensing.board import SensorBoard
-from repro.sensing.generators import ConstantField
+from repro.sensing.generators import ConstantField, TableField
 from helpers import on_both_paths
 from test_hotpath_equivalence import (
     QUERY_BY_ENGINE,
@@ -390,4 +392,54 @@ def test_colliding_newborn_tied_at_the_cut_equivalence(agg):
     hot, reference = on_both_paths(run_colliding_newborn_workload,
                                    k=1, agg=agg, slack=0,
                                    position=(25.0, 25.0))
+    assert hot == reference
+
+
+def run_two_valued_newborn_workload(*, seed, agg, epochs=12):
+    """One slack-free MINT session over clusters ``"1"``, ``"2"`` and
+    ``"3"`` drawn per mote, every mote reading 40 or 50 each epoch, and
+    a newborn labelled ``1`` at epoch 1. Ties between ``1`` and ``"1"``
+    then fall at different rows in different epochs, so the order in
+    which each parent caches a kept view decides later prunes. Returns
+    the answers, stats, ledgers and every node's ordered cache."""
+    rng = random.Random(seed)
+    topology = grid_topology(4, spacing=10.0, radio_range=15.0)
+    sensors = [node for node in topology.node_ids if node != 0]
+    field = TableField([{node: rng.choice((40.0, 50.0))
+                         for node in sensors + [100]}
+                        for _ in range(epochs + 2)])
+    network = Network(
+        topology,
+        boards={node: SensorBoard({"sound": field}) for node in sensors},
+        group_of={node: rng.choice(["1", "2", "3"]) for node in sensors})
+    deployment = Deployment(network, mint_config=MintConfig(slack=0))
+    birth = ChurnEvent(1, ChurnKind.BIRTH, 100, position=(18.8, 14.7),
+                       group=1)
+    driver = EpochDriver(deployment, interventions=[ChurnIntervention(
+        ChurnSchedule([birth]),
+        board_for=lambda _: SensorBoard({"sound": field}))])
+    handle = deployment.submit(
+        f"SELECT TOP 2 roomid, {agg}(sound) FROM sensors "
+        "GROUP BY roomid EPOCH DURATION 1 min")
+    driver.run(epochs)
+    mint = handle._session.engine.algorithm
+    assert {1, "1"} <= set(mint.group_totals)
+    caches = {node_id: (tuple(state.reported.items()), state.gamma_reported)
+              for node_id, state in sorted(mint.states.items())}
+    return (answers_of(handle), stats_signature(network.stats),
+            ledger_signature(network), caches)
+
+
+@pytest.mark.parametrize("seed", [9, 10, 18])
+@pytest.mark.parametrize("agg", ["MIN", "SUM", "AVG"])
+def test_colliding_newborn_over_two_valued_readings_equivalence(agg, seed):
+    """Both paths commit a parent's cache in V'_i's order: the view's
+    own order when nothing is pruned, rank order otherwise. A reference
+    path that sorted every view and patched the old cache in place
+    ordered the caches differently in all nine cases, and at a tie
+    between ``1`` and ``"1"`` kept different groups, so answers and
+    traffic differed too (MIN at seeds 9 and 18, SUM at 10, AVG at 9
+    and 18)."""
+    hot, reference = on_both_paths(run_two_valued_newborn_workload,
+                                   seed=seed, agg=agg)
     assert hot == reference

@@ -35,6 +35,7 @@ from repro.core.tja import Tja
 from repro.errors import (
     ConfigurationError,
     KSpotError,
+    ProtocolError,
     RoutingError,
     TopologyError,
     ValidationError,
@@ -1591,19 +1592,22 @@ class TestMintStateAtFleetScale:
     (the four e11 room queries, k 1–3), through one relay's death and
     one mote's birth, every MINT session's per-node ``(reported,
     gamma_reported, withheld)`` must equal the reference path's after
-    every epoch. The adaptive case grows slack after probing epochs
-    and shrinks it after ``QUIET_EPOCHS`` quiet ones, so kept views
-    shrink in the last epoch and nodes ship retractions with no new
-    entry."""
+    every epoch, each cache in the same order. The adaptive case grows
+    slack after probing epochs and shrinks it after ``QUIET_EPOCHS``
+    quiet ones, so kept views shrink in the last epoch and nodes ship
+    retractions with no new entry."""
 
     EPOCHS = QUIET_EPOCHS + 2
 
     @staticmethod
     def node_states(handle):
+        """Each node's caches as ordered items: a view's order is the
+        prune's tie-break between labels that print alike."""
         mint = handle._session.engine.algorithm
         assert isinstance(mint, Mint)
-        return {node_id: (dict(state.reported), state.gamma_reported,
-                          dict(state.withheld))
+        return {node_id: (tuple(state.reported.items()),
+                          state.gamma_reported,
+                          tuple(state.withheld.items()))
                 for node_id, state in mint.states.items()}
 
     def run(self, mint_config, recreate_at=None):
@@ -1718,6 +1722,78 @@ class TestUnannouncedMintJoin:
         assert hot == reference
         assert len(hot[0]) == 5
         assert hot[1][3]["update"].messages > 0
+
+
+class TestMintSinkProtocolErrors:
+    """The sink refuses child caches that break MINT's bound contract,
+    with the same message on both paths. SUM at ``k = 1`` with no slack
+    on 36 motes prunes below the sink and probes from the second epoch
+    on; after three epochs a sink child that withholds a group's
+    readings loses its γ, or the fourth epoch's probe loses one
+    withheld partial of a probed group."""
+
+    EPOCHS = 3
+
+    @classmethod
+    def mint(cls):
+        scenario = grid_rooms_scenario(side=6, rooms_per_axis=3, seed=0)
+        mint = Mint(scenario.network, make_aggregate("SUM", 0.0, 120.0), 1,
+                    scenario.group_of, config=MintConfig(slack=0))
+        assert [r.probed for r in mint.run(cls.EPOCHS)] == [0, 1, 1]
+        return mint
+
+    @classmethod
+    def withholding_without_gamma(cls):
+        mint = cls.mint()
+        network = mint.network
+        child = next(
+            child for child in network.tree.children(network.sink_id)
+            if any(mint.states[child].reported.get(group, (0.0, 0))[1]
+                   < expected for group, expected
+                   in mint.child_group_totals[child].items()))
+        assert mint.states[child].gamma_reported is not None
+        mint.states[child].gamma_reported = None
+        with pytest.raises(ProtocolError) as error:
+            mint._sink_bounds()
+        return str(error.value), child
+
+    @classmethod
+    def short_probe(cls):
+        mint = cls.mint()
+        probe = mint._probe
+        dropped = []
+
+        def drop_one_then_probe(groups):
+            # A probed group that two motes withhold, so the replies
+            # still carry some of it: drop it at the first holder.
+            holders = {group: [node_id for node_id in sorted(mint.states)
+                               if group in mint.states[node_id].withheld]
+                       for group in groups}
+            group = next(group for group in groups
+                         if len(holders[group]) > 1)
+            del mint.states[holders[group][0]].withheld[group]
+            dropped.append(group)
+            return probe(groups)
+
+        mint._probe = drop_one_then_probe
+        with pytest.raises(ProtocolError) as error:
+            mint.run_epoch()
+        return str(error.value), dropped
+
+    def test_a_child_withholding_without_gamma_is_refused(self):
+        hot, reference = on_both_paths(self.withholding_without_gamma)
+        assert hot == reference
+        message, child = hot
+        assert message.startswith(f"child {child} withholds mass for group")
+        assert message.endswith("without a γ descriptor")
+
+    def test_a_probe_short_of_readings_is_refused(self):
+        hot, reference = on_both_paths(self.short_probe)
+        assert hot == reference
+        message, dropped = hot
+        assert dropped and message.startswith(f"probe for {dropped[0]!r} "
+                                              "returned ")
+        assert message.endswith(" readings")
 
 
 class TestParticipantsLift:
