@@ -22,7 +22,7 @@ stays visible, justified and greppable instead of silently blessed.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 _FOUNDATION = frozenset({"errors", "units"})
 _DATA = _FOUNDATION | {"storage", "query", "sensing"}
@@ -118,7 +118,3 @@ def resolve_import_targets(
     else:  # ``from . import x`` at the package root
         for alias in node.names:
             yield alias.name, f"repro.{alias.name}"
-
-
-def package_of(module_parts: Optional[Tuple[str, ...]]) -> Optional[str]:
-    return module_parts[0] if module_parts else None

@@ -127,14 +127,6 @@ class Aggregate(ABC):
 
     # -- Helpers ----------------------------------------------------------
 
-    def merge_many(self, partials: "list[Partial] | tuple[Partial, ...]"
-                   ) -> Partial | None:
-        """Fold a batch of partials (None for an empty batch)."""
-        result: Partial | None = None
-        for partial in partials:
-            result = partial if result is None else self.merge(result, partial)
-        return result
-
     def _pruned_value_cap(self, gamma: float | None) -> float:
         """Upper bound on any missing reading mass per reading."""
         if gamma is None:

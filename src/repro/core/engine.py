@@ -56,7 +56,7 @@ class KSpotEngine:
         self.group_of = self._resolve_groups(group_of)
         self.aggregate = self._build_aggregate()
         self._check_where(plan.where)
-        self.participants = self._static_filter(plan.where)
+        self.participants = self._static_filter()
         self._live_participants = Participants(network)
         self._check_window()
         self._algorithm = None
@@ -140,7 +140,7 @@ class KSpotEngine:
             )
         self._dynamic_where = bool(dynamic)
 
-    def _static_filter(self, where: Predicate | None) -> dict[int, GroupKey]:
+    def _static_filter(self) -> dict[int, GroupKey]:
         """Participants after static WHERE resolution.
 
         A ``WHERE`` that excludes every sensor of the map is refused. An
@@ -148,17 +148,22 @@ class KSpotEngine:
         sensors, and a fleet that churn emptied has none, so the query
         answers no items, as it would had the fleet emptied after it
         was submitted."""
-        participants: dict[int, GroupKey] = {}
-        static_names = {"nodeid", self.plan.group_key}
-        for node_id, group in self.group_of.items():
-            if where is not None and not references(where) - static_names:
-                context = {"nodeid": node_id, self.plan.group_key: group}
-                if not evaluate(where, context):
-                    continue
-            participants[node_id] = group
+        participants = {node_id: group
+                        for node_id, group in self.group_of.items()
+                        if self._passes_static_where(node_id, group)}
         if self.group_of and not participants:
             raise PlanError("the WHERE clause excludes every sensor")
         return participants
+
+    def _passes_static_where(self, node_id: int, group: GroupKey) -> bool:
+        """Whether a sensor passes the ``WHERE`` clause, when that
+        clause names only ``nodeid`` and the group key; any other clause
+        is not decided here (see :meth:`_check_where`)."""
+        where = self.plan.where
+        key = self.plan.group_key
+        if where is None or references(where) - {"nodeid", key}:
+            return True
+        return evaluate(where, {"nodeid": node_id, key: group})
 
     def _check_window(self) -> None:
         """Reject a ``WITH HISTORY`` window a participant cannot buffer.
@@ -292,12 +297,8 @@ class KSpotEngine:
             group = node.group
         else:
             return
-        where = self.plan.where
-        static_names = {"nodeid", key}
-        if where is not None and not references(where) - static_names:
-            context = {"nodeid": node_id, key: group}
-            if not evaluate(where, context):
-                return
+        if not self._passes_static_where(node_id, group):
+            return
         self.group_of[node_id] = group
         # Rebound, not mutated: participant memos key on its identity.
         self.participants = {**self.participants, node_id: group}

@@ -671,17 +671,6 @@ class Mint:
             self.slack -= 1
             self._quiet_streak = 0
 
-    def handle_topology_change(self) -> None:
-        """Nodes died / tree repaired: views must be re-created.
-
-        The blunt fallback — full reset, full re-creation converge-cast
-        next epoch. Subscribed sessions use the surgical
-        :meth:`handle_topology_event` instead.
-        """
-        for state in self.states.values():
-            state.reset()
-        self.created = False
-
     def handle_topology_event(self, event) -> int:
         """Invalidate and re-prime only the subtree state churn touched.
 

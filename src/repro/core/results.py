@@ -100,18 +100,8 @@ def oracle_top_k(readings: Mapping[int, float],
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    partials: dict[Hashable, Partial] = {}
-    for node_id, value in readings.items():
-        group = group_of.get(node_id, node_id)
-        lifted = aggregate.from_value(value)
-        existing = partials.get(group)
-        partials[group] = (lifted if existing is None
-                           else aggregate.merge(existing, lifted))
-    scored = [
-        (group, aggregate.finalize(partial))
-        for group, partial in partials.items()
-    ]
-    scored.sort(key=lambda pair: rank_key(pair[0], pair[1]))
+    scored = sorted(oracle_scores(readings, group_of, aggregate).items(),
+                    key=lambda pair: rank_key(*pair))
     return tuple(
         RankedItem(key=group, score=score, lb=score, ub=score)
         for group, score in scored[:k]

@@ -45,7 +45,8 @@ class MintNodeState:
     withheld: dict[GroupKey, Partial] = field(default_factory=dict)
 
     def reset(self) -> None:
-        """Forget everything (topology changed; creation phase re-runs)."""
+        """Forget everything: churn dirtied this node's subtree, so it
+        re-ships its whole pruned view next epoch."""
         self.reported.clear()
         self.withheld.clear()
         self.gamma_reported = None

@@ -150,7 +150,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                 raise ScenarioError(
                     f"malformed scenario file: sensor {node_id} has "
                     f"cluster {cluster!r}, not a label")
-            positions[node_id] = (float(sensor["x"]), float(sensor["y"]))
+            positions[node_id] = (_number(sensor["x"], f"sensor {node_id} x"),
+                                  _number(sensor["y"], f"sensor {node_id} y"))
             if cluster is not None:
                 cluster_of[node_id] = cluster
         sink = payload.get("sink", [0.0, 0.0])
@@ -166,9 +167,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                 f"a string")
         config = ScenarioConfig(
             name=payload["name"],
-            map_width=float(payload["map"]["width"]),
-            map_height=float(payload["map"]["height"]),
-            radio_range=float(payload["radio_range"]),
+            map_width=_number(payload["map"]["width"], "map width"),
+            map_height=_number(payload["map"]["height"], "map height"),
+            radio_range=_number(payload["radio_range"], "radio_range"),
             attribute=attribute,
             sink_position=(float(sink[0]), float(sink[1])),
             positions=positions,
@@ -176,7 +177,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             floor_plan_caption=payload.get("floor_plan_caption",
                                            "floor plan"),
         )
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ScenarioError(f"malformed scenario file: {error}") from error
     config.validate()
     return config
+
+
+def _number(value: object, what: str) -> float:
+    """A field that must be a JSON number (an int or a float, never a
+    bool), as a float. A non-finite one passes: deployment names it."""
+    if type(value) not in (int, float):
+        raise ScenarioError(
+            f"malformed scenario file: {what} {value!r} is not a number")
+    return float(value)

@@ -12,7 +12,6 @@ displays.
 from .churn import ChurnEvent, ChurnKind, ChurnSchedule
 from .energy import EnergyLedger, EnergyModel
 from .events import TopologyEvent, TopologyEventKind
-from .lifetime import LifetimeReport, simulate_lifetime
 from .link import RadioModel
 from .node import SensorNode
 from .simulator import Network
@@ -43,8 +42,6 @@ __all__ = [
     "RadioModel",
     "EnergyModel",
     "EnergyLedger",
-    "LifetimeReport",
-    "simulate_lifetime",
     "SensorNode",
     "Network",
     "NetworkStats",

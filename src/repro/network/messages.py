@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, NamedTuple, Sequence
+from typing import Hashable, NamedTuple
 
 #: Field encodings (bytes).
 SZ_NODE_ID = 2
@@ -288,13 +288,3 @@ class ControlMessage(WireMessage):
     @property
     def payload_bytes(self) -> int:
         return self.size
-
-
-def total_entries(messages: Sequence[WireMessage]) -> int:
-    """Number of tuples carried by a batch of messages (for assertions)."""
-    count = 0
-    for message in messages:
-        entries = getattr(message, "entries", None) or getattr(message, "items", None)
-        if entries:
-            count += len(entries)
-    return count

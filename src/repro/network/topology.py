@@ -13,7 +13,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..errors import TopologyError
 
@@ -355,11 +355,3 @@ def room_topology(rooms: Sequence[RoomSpec], radio_range: float = 30.0,
             "increase radio_range or move rooms closer"
         )
     return topology, room_of
-
-
-def group_counts(group_of: Mapping[int, str | int]) -> dict[str | int, int]:
-    """Sensors per group — the cardinalities MINT learns at creation."""
-    counts: dict[str | int, int] = {}
-    for group in group_of.values():
-        counts[group] = counts.get(group, 0) + 1
-    return counts

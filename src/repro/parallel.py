@@ -85,13 +85,6 @@ def derive_seed(root_seed: int, *path) -> int:
     return int.from_bytes(digest.digest()[:8], "big") >> 1
 
 
-def split_seeds(root_seed: int, count: int,
-                label: str = "shard") -> tuple[int, ...]:
-    """``count`` independent child seeds (``derive_seed`` per index)."""
-    return tuple(derive_seed(root_seed, label, index)
-                 for index in range(count))
-
-
 # ----------------------------------------------------------------------
 # The shard envelope and the executor
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Sensing substrate: MTS310 modalities, synthetic field generators, traces.
+"""Sensing substrate: MTS310 modalities and synthetic field generators.
 
 The demo hardware attaches an MTS310 multi-sensor board to each MICA2
 mote. This package models that board (:mod:`repro.sensing.modalities`,
 :mod:`repro.sensing.board`) and, because no live conference sound field
 is available, provides deterministic synthetic field generators
-(:mod:`repro.sensing.generators`) plus trace record/replay
-(:mod:`repro.sensing.traces`).
+(:mod:`repro.sensing.generators`).
 """
 
 from .board import SensorBoard
@@ -21,7 +20,6 @@ from .generators import (
     UniformRandomField,
     ZipfEventField,
 )
-from .traces import Trace, TraceRecorder, replay
 
 __all__ = [
     "SensorBoard",
@@ -37,7 +35,4 @@ __all__ = [
     "ZipfEventField",
     "RoomField",
     "TableField",
-    "Trace",
-    "TraceRecorder",
-    "replay",
 ]

@@ -470,9 +470,8 @@ class RoomField(ClusterField):
 class TableField(FieldGenerator):
     """Readings replayed from an explicit (epoch → node → value) table.
 
-    The inverse of :class:`repro.sensing.traces.TraceRecorder`; also the
-    workhorse for historic-query experiments that need a fixed dense
-    matrix of history.
+    The workhorse for historic-query experiments that need a fixed
+    dense matrix of history.
     """
 
     def __init__(self, table: Sequence[Mapping[int, float]],

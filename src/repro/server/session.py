@@ -118,7 +118,6 @@ class QuerySession:
         #: Epochs this session has been stepped (acquisition included).
         self.steps_taken = 0
         self._acquired_epochs = 0
-        self._acquisition_target = plan.window_epochs
         # Push subscriptions (the api layer's SessionHandle registers
         # here): result callbacks fire on every appended EpochResult
         # and on the historic answer; recovery callbacks fire per
@@ -235,54 +234,25 @@ class QuerySession:
         return result
 
     def _step_historic(self) -> "TjaResult | TputResult | None":
-        """One acquisition epoch; executes once the window is full.
+        """One acquisition epoch; once the window is full, the one-shot
+        distributed execution, which finishes the session.
 
         Sampling goes through the node-level per-epoch cache, so when
         monitoring sessions share the deployment the acquisition is
         free — the board already fired this epoch.
         """
-        if self._acquisition_target is None:
+        window = self.plan.window_epochs
+        if window is None:
             raise PlanError("no window length to fill")
         self.engine.sample_participants()
         self._acquired_epochs += 1
         self.network.advance_epoch()
-        if self._acquired_epochs < self._acquisition_target:
+        if self._acquired_epochs < window:
             return None
-        return self._execute_historic()
-
-    def _execute_historic(self) -> "TjaResult | TputResult":
-        """Run the one-shot distributed execution; finishes the session."""
         with self.network.tap_stats(self.stats):
             self.historic_result = self.engine.execute_historic()
         self._stop()
         self._publish_result(self.historic_result)
-        return self.historic_result
-
-    def run_historic(self, acquisition_epochs: int | None = None
-                     ) -> "TjaResult | TputResult":
-        """Drive acquisition to completion and return the answer.
-
-        ``acquisition_epochs`` overrides the plan's window length;
-        with 0 (or when the target is already met) no further sampling
-        or epoch advance happens — the one-shot execution runs straight
-        over the already-buffered windows, exactly like the engine's
-        ``fill_windows(0)`` + ``execute_historic()``.
-        """
-        if not self.is_historic:
-            raise PlanError(
-                "run_historic() is for GROUP BY epoch sessions")
-        if not self.active and not self.finished:
-            raise SessionError(
-                f"session {self.session_id} is no longer active")
-        if acquisition_epochs is not None:
-            self._acquisition_target = acquisition_epochs
-        if self._acquisition_target is None:
-            raise PlanError("no window length to fill")
-        while (self.historic_result is None
-               and self._acquired_epochs < self._acquisition_target):
-            self.step()
-        if self.historic_result is None:
-            self._execute_historic()
         return self.historic_result
 
     def cancel(self) -> None:

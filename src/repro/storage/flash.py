@@ -50,11 +50,6 @@ class FlashModel:
     def __len__(self) -> int:
         return len(self._pages)
 
-    @property
-    def free_pages(self) -> int:
-        """Pages still writable before the device is full."""
-        return self.capacity_pages - len(self._pages)
-
     def append_page(self, payload: object) -> int:
         """Write one page at the append point, returning its page number."""
         if not self._pages and self.capacity_pages == 0:

@@ -78,11 +78,6 @@ class Duration:
         return f"{amount} {self.unit}"
 
 
-def known_units() -> tuple[str, ...]:
-    """All accepted unit spellings (lower-case)."""
-    return tuple(sorted(_SECONDS_PER_UNIT))
-
-
 #: Convenience aliases for energy arithmetic (joules).
 MILLIJOULE = 1e-3
 MICROJOULE = 1e-6

@@ -1,5 +1,6 @@
 """Partial-aggregate algebra and its bound logic."""
 
+import functools
 import itertools
 import math
 import operator
@@ -35,10 +36,7 @@ class TestAlgebra:
     def test_merge_many(self):
         avg = make_aggregate("AVG", 0, 100)
         partials = [avg.from_value(v) for v in (10.0, 20.0, 30.0)]
-        assert avg.finalize(avg.merge_many(partials)) == 20.0
-
-    def test_merge_many_empty_is_none(self):
-        assert make_aggregate("AVG", 0, 100).merge_many([]) is None
+        assert avg.finalize(functools.reduce(avg.merge, partials)) == 20.0
 
     def test_average_alias(self):
         assert make_aggregate("AVERAGE", 0, 1).func == "AVG"
@@ -119,8 +117,8 @@ class TestMergedAlgebra:
                 return Bounds(self.lo, self.hi)
 
         product = Product(0, 100)
-        merged = product.merge_many([product.from_value(v)
-                                     for v in (2.0, 3.0, 4.0)])
+        merged = functools.reduce(product.merge, [product.from_value(v)
+                                                  for v in (2.0, 3.0, 4.0)])
         assert type(merged) is Partial
         assert merged == Partial(24.0, 3)
 
@@ -236,11 +234,13 @@ class TestBoundSoundnessSweep:
             values = [rng.uniform(0, 100) for _ in range(total)]
             seen_values = values[:seen_count]
             unseen_values = values[seen_count:]
-            seen = agg.merge_many([agg.from_value(v) for v in seen_values])
+            seen = functools.reduce(
+                agg.merge, [agg.from_value(v) for v in seen_values]
+            ) if seen_values else None
             # γ must bound the pruned partials; use the max unseen value
             # (each unseen reading is its own pruned partial here).
             gamma = max(unseen_values) if unseen_values else None
-            true = agg.finalize(
-                agg.merge_many([agg.from_value(v) for v in values]))
+            true = agg.finalize(functools.reduce(
+                agg.merge, [agg.from_value(v) for v in values]))
             bounds = agg.bounds(seen, len(unseen_values), gamma)
             assert bounds.lb - 1e-9 <= true <= bounds.ub + 1e-9

@@ -334,9 +334,8 @@ class TestSessionState:
         driver.step()
         session = deployment.active_sessions()[0]
         deployment.cancel(handle.id)
-        for epochs in (None, 0):
-            with pytest.raises(SessionError, match="no longer active"):
-                session.run_historic(acquisition_epochs=epochs)
+        with pytest.raises(SessionError, match="no longer active"):
+            session.step()
         assert handle.historic_result is None
         assert handle.state is SessionState.CANCELLED
 

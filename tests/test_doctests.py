@@ -6,10 +6,9 @@ import pytest
 
 from repro import api, units
 from repro.network import packets
-from repro.sensing import traces
 
 
-@pytest.mark.parametrize("module", [api, units, packets, traces],
+@pytest.mark.parametrize("module", [api, units, packets],
                          ids=lambda m: m.__name__)
 def test_module_doctests(module):
     results = doctest.testmod(module)

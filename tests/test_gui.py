@@ -265,9 +265,24 @@ class TestScenarioFiles:
         (lambda p: p.update(attribute=[1]), r"attribute \[1\] is not a"),
         (lambda p: p.update(attribute={}), "attribute {} is not a string"),
         (lambda p: p.update(attribute=5), "attribute 5 is not a string"),
+        (lambda p: p["sensors"][0].update(x="10"),
+         "sensor 1 x '10' is not a number"),
+        (lambda p: p["sensors"][0].update(y=True),
+         "sensor 1 y True is not a number"),
+        (lambda p: p["sensors"][2].update(x=None),
+         "sensor 3 x None is not a number"),
+        (lambda p: p["map"].update(width="100"),
+         "map width '100' is not a number"),
+        (lambda p: p["map"].update(height=[60]),
+         r"map height \[60\] is not a number"),
+        (lambda p: p.update(radio_range=True),
+         "radio_range True is not a number"),
+        (lambda p: p.update(radio_range=10 ** 400), "too large"),
     ], ids=["sink-string", "sink-triple", "sink-bool", "cluster-array",
             "cluster-object", "id-float", "id-string", "id-repeated",
-            "attribute-array", "attribute-object", "attribute-number"])
+            "attribute-array", "attribute-object", "attribute-number",
+            "x-string", "y-bool", "x-null", "width-string",
+            "height-array", "radio-bool", "radio-huge"])
     def test_malformed_entries_rejected(self, tmp_path, edit, message):
         import json
 

@@ -1610,7 +1610,7 @@ class TestMintStateAtFleetScale:
                           tuple(state.withheld.items()))
                 for node_id, state in mint.states.items()}
 
-    def run(self, mint_config, recreate_at=None):
+    def run(self, mint_config):
         scenario = grid_rooms_scenario(side=20, rooms_per_axis=4, seed=11)
         network = scenario.network
         tree = network.tree
@@ -1632,10 +1632,7 @@ class TestMintStateAtFleetScale:
         handles = [deployment.submit(query)
                    for query in TestSamplingPlanSharing.MONITOR_QUERIES]
         states = []
-        for epoch in range(self.EPOCHS):
-            if epoch == recreate_at:
-                for handle in handles:
-                    handle._session.engine.algorithm.handle_topology_change()
+        for _ in range(self.EPOCHS):
             driver.step()
             states.append([self.node_states(h) for h in handles])
         return (states, [answers_of(h) for h in handles],
@@ -1658,27 +1655,6 @@ class TestMintStateAtFleetScale:
         assert any(withheld for session in final
                    for _, _, withheld in session.values()), \
             "the mix must prune somewhere"
-
-    def test_blunt_recreation_hot_equals_reference(self):
-        """``handle_topology_change()`` after the death and the birth
-        resets every node, so the next epoch re-runs the creation pass
-        over the repaired tree, newborn included: node state after
-        every epoch, answers, stats and ledgers must equal the
-        reference path's."""
-        hot, reference = on_both_paths(self.run, None, recreate_at=8)
-        for epoch, (hot_states, reference_states) in enumerate(
-                zip(hot[0], reference[0])):
-            for session, (h, r) in enumerate(zip(hot_states,
-                                                 reference_states)):
-                assert h == r, f"epoch {epoch}, session {session + 1}"
-        assert hot[1:] == reference[1:]
-        # Two creation converge-casts per session: one view per alive
-        # mote each (one relay dead, one newborn in by the second).
-        creation = hot[2][3]["creation"].messages
-        assert creation >= 2 * 4 * 399, creation
-        recreated = hot[0][8]
-        assert all(not withheld for session in recreated
-                   for _, _, withheld in session.values())
 
 
 class TestUnannouncedMintJoin:

@@ -87,6 +87,7 @@ class TestFailureResilience:
         scenario = grid_rooms_scenario(side=5, rooms_per_axis=2, seed=44)
         aggregate = make_aggregate("AVG", 0, 100)
         mint = Mint(scenario.network, aggregate, 2, scenario.group_of)
+        scenario.network.subscribe(mint.handle_topology_event)
         # Kill two leaf nodes mid-run (leaves cannot partition the tree).
         leaves = [n for n in scenario.network.tree.sensor_ids
                   if scenario.network.tree.is_leaf(n)]
@@ -94,9 +95,7 @@ class TestFailureResilience:
                                                epochs=10, seed=4,
                                                first_epoch=3)
         for epoch in range(10):
-            victims = schedule.apply(scenario.network, epoch)
-            if victims:
-                mint.handle_topology_change()
+            schedule.apply(scenario.network, epoch)
             result = mint.run_epoch()
             survivors = {n: g for n, g in scenario.group_of.items()
                          if scenario.network.nodes[n].alive}

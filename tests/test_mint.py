@@ -171,16 +171,23 @@ class TestAdaptiveSlack:
 class TestTopologyChange:
     def test_recreates_views_after_death(self):
         scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=19)
+        network, tree = scenario.network, scenario.network.tree
         aggregate = make_aggregate("AVG", 0, 100)
-        mint = Mint(scenario.network, aggregate, 2, scenario.group_of)
+        mint = Mint(network, aggregate, 2, scenario.group_of)
+        network.subscribe(mint.handle_topology_event)
         for _ in range(3):
             mint.run_epoch()
-        victim = next(n for n in scenario.network.tree.sensor_ids
-                      if scenario.network.tree.is_leaf(n))
-        scenario.network.kill_node(victim)
-        mint.handle_topology_change()
-        assert not mint.created
-        epoch = scenario.network.epoch
+        victim = next(n for n in tree.sensor_ids
+                      if tree.is_leaf(n) and tree.parent(n) != tree.root)
+        relays = [n for n in tree.path_to_root(tree.parent(victim))
+                  if n != tree.root]
+        network.kill_node(victim)
+        # The victim's ancestors forget their reports, so each re-ships
+        # its whole pruned view next epoch; creation does not re-run.
+        assert victim not in mint.states
+        assert relays and all(not mint.states[n].reported for n in relays)
+        assert mint.created
+        epoch = network.epoch
         result = mint.run_epoch()
         survivors = {n: scenario.group_of[n]
                      for n in scenario.group_of if n != victim}

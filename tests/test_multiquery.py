@@ -170,30 +170,22 @@ class TestSessionLifecycle:
         assert handle.state is SessionState.FINISHED
 
     def test_run_historic_zero_acquisition_executes_in_place(self):
-        """Windows already filled by the shared clock execute without
-        further sampling or epoch advance (fill_windows(0) semantics)."""
+        """The step that fills the window executes over it in place,
+        without further sampling or epoch advance (fill_windows(0)
+        semantics): the shared clock ticks once per step."""
         scenario, deployment, driver = fresh(seed=2)
         deployment.submit(EPOCH_QUERIES[0])
         hist = deployment.submit(HISTORIC_QUERY)
-        for _ in range(6):
+        for _ in range(5):
             driver.step()
-        epoch_before = scenario.network.epoch
-        answer = hist.historic_result
-        assert answer is not None
-        assert scenario.network.epoch == epoch_before
-
-        # The engine-room equivalent: pre-filled windows, zero extra
-        # acquisition, same answer.
-        _, standalone, _ = fresh(seed=2)
-        alone = standalone.submit(HISTORIC_QUERY)
-        session = standalone.active_sessions()[0]
-        session.engine.fill_windows(6)
-        net = standalone.network
-        epoch_before = net.epoch
-        result = session.run_historic(acquisition_epochs=0)
-        assert net.epoch == epoch_before
-        assert result.items == answer.items
-        assert alone.state is SessionState.FINISHED
+        assert hist.historic_result is None
+        driver.step()
+        assert hist.historic_result is not None
+        assert hist.state is SessionState.FINISHED
+        network = scenario.network
+        assert network.epoch == 6
+        assert all(network.node(node_id).samples_taken == 6
+                   for node_id in network.tree.sensor_ids)
 
     def test_nested_stat_taps_unregister_by_identity(self):
         """Equal-but-distinct NetworkStats ledgers must not release

@@ -21,7 +21,6 @@ from repro.network.messages import (
     ScoreListMessage,
     ViewEntry,
     ViewUpdateMessage,
-    total_entries,
 )
 from repro.network.packets import HEADER_BYTES, PAYLOAD_MTU, fragment
 
@@ -203,15 +202,6 @@ class TestWireSize:
 
 
 class TestHelpers:
-    def test_total_entries_counts_tuples(self):
-        messages = [
-            ViewUpdateMessage(epoch=0, entries=(ViewEntry("A", 1.0, 1),)),
-            JoinReplyMessage(items=(ObjectScore(1, 2.0), ObjectScore(2, 3.0)),
-                             threshold_value=0.0, threshold_count=0),
-            QueryMessage(query_id=1),
-        ]
-        assert total_entries(messages) == 3
-
     def test_kind_labels(self):
         assert ViewUpdateMessage(epoch=0, entries=()).kind == "view_update"
         # The hot passes ship the class-level kind without an instance.

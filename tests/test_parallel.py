@@ -40,7 +40,6 @@ from repro.parallel import (
     run_sweep,
     run_sweep_cell,
     shard_errors,
-    split_seeds,
     sweep_grid,
 )
 
@@ -89,11 +88,6 @@ class TestSeedDerivation:
         assert 0 <= seed < 2 ** 63
         assert random.Random(seed).random() == \
             random.Random(seed).random()
-
-    def test_split_seeds_unique(self):
-        seeds = split_seeds(11, 64)
-        assert len(seeds) == 64
-        assert len(set(seeds)) == 64
 
     def test_derivation_is_pinned(self):
         """The derivation is part of the persisted-results contract:

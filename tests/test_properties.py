@@ -68,9 +68,10 @@ class TestAggregateAlgebra:
     @given(funcs, st.lists(values, min_size=1, max_size=20))
     def test_merge_order_irrelevant(self, func, readings):
         agg = make_aggregate(func, 0, 100)
-        forward = agg.merge_many([agg.from_value(v) for v in readings])
-        backward = agg.merge_many(
-            [agg.from_value(v) for v in reversed(readings)])
+        forward = functools.reduce(
+            agg.merge, [agg.from_value(v) for v in readings])
+        backward = functools.reduce(
+            agg.merge, [agg.from_value(v) for v in reversed(readings)])
         assert math.isclose(agg.finalize(forward), agg.finalize(backward),
                             rel_tol=1e-9, abs_tol=1e-9)
 
@@ -94,14 +95,17 @@ class TestBoundSoundness:
             parts = [unseen_values[:cut], unseen_values[cut:]]
             parts = [p for p in parts if p]
             gamma = max(
-                agg.finalize(agg.merge_many([agg.from_value(v) for v in p]))
+                agg.finalize(functools.reduce(
+                    agg.merge, [agg.from_value(v) for v in p]))
                 for p in parts
             )
         else:
             gamma = None
-        seen = agg.merge_many([agg.from_value(v) for v in seen_values])
-        true = agg.finalize(agg.merge_many(
-            [agg.from_value(v) for v in readings]))
+        seen = functools.reduce(
+            agg.merge, [agg.from_value(v) for v in seen_values]
+        ) if seen_values else None
+        true = agg.finalize(functools.reduce(
+            agg.merge, [agg.from_value(v) for v in readings]))
         bounds = agg.bounds(seen, len(unseen_values), gamma)
         assert bounds.lb - 1e-9 <= true <= bounds.ub + 1e-9
 

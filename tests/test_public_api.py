@@ -1,5 +1,8 @@
 """The top-level package surface and TinyDB compatibility details."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -11,8 +14,17 @@ class TestTopLevelExports:
         assert repro.__version__
 
     def test_everything_in_all_is_importable(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        """The package and each of its subpackages bind every name
+        their ``__all__`` exports."""
+        subpackages = [f"repro.{info.name}"
+                       for info in pkgutil.iter_modules(repro.__path__)
+                       if info.ispkg]
+        assert "repro.network" in subpackages
+        for package in ["repro", *subpackages]:
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                assert getattr(module, name) is not None, \
+                    f"{package}.{name}"
 
     def test_one_liner_workflow(self):
         scenario = repro.figure1_scenario()

@@ -13,7 +13,6 @@ from repro.network.topology import (
     RoomSpec,
     Topology,
     grid_topology,
-    group_counts,
     linear_topology,
     random_topology,
     room_topology,
@@ -348,6 +347,3 @@ class TestRooms:
     def test_empty_room_rejected(self):
         with pytest.raises(TopologyError):
             RoomSpec("A", 0, 0, 5, 5, sensors=0)
-
-    def test_group_counts(self):
-        assert group_counts({1: "A", 2: "A", 3: "B"}) == {"A": 2, "B": 1}

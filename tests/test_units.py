@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.units import Duration, joules_from_current, known_units
+from repro.units import Duration, joules_from_current
 
 
 class TestDuration:
@@ -49,11 +49,6 @@ class TestDuration:
 
     def test_str_keeps_fractions(self):
         assert str(Duration(1.5, "h")) == "1.5 h"
-
-    def test_known_units_sorted_and_nonempty(self):
-        units = known_units()
-        assert units == tuple(sorted(units))
-        assert "min" in units
 
 
 class TestEnergyArithmetic:
