@@ -10,6 +10,13 @@ Historic-vertical queries run in two stages, as on real motes: an
 locally (radio silent — that is the point of local buffering), followed
 by the one-shot distributed TJA/TPUT execution over the buffered
 columns.
+
+Switch-and-prove: on a hot network TJA reads each window once into
+aligned value rows (:meth:`KSpotEngine._rows`); a deployment built
+inside the oracle ``hotpath.reference_path()`` reads the same windows
+into dict columns (:meth:`KSpotEngine._series`), as TPUT and
+CENTRALIZED always do. ``tests/test_hotpath_equivalence.py`` proves
+the two byte-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .naive import NaiveTopK
 from .participants import Participants
 from .results import EpochResult, RankedItem, rank_key
 from .tag import Tag
-from .tja import Tja, TjaResult
+from .tja import Rows, Tja, TjaResult, aligned_rows
 from .tput import Tput, TputResult
 
 GroupKey = Hashable
@@ -125,11 +132,22 @@ class KSpotEngine:
         return make_aggregate(self.plan.agg_func, lo, hi)
 
     def _check_where(self, where: Predicate | None) -> None:
+        """Refuse a ``WHERE`` no routed algorithm can evaluate, and
+        note whether the clause filters on sensed attributes.
+
+        A clause that names ``epoch`` is refused on every algorithm: a
+        static pre-filter has no epoch to test, and under ``GROUP BY
+        epoch`` it would test each sensor's id instead."""
         self._dynamic_where = False
         if where is None:
             return
-        dynamic = references(where) - {"nodeid", self.plan.group_key}
-        dynamic -= {"epoch"}
+        names = references(where)
+        if "epoch" in names:
+            raise PlanError(
+                "the WHERE clause names epoch, which no algorithm can "
+                "filter on; select the epochs with WITH HISTORY or "
+                "LIFETIME instead")
+        dynamic = names - {"nodeid", self.plan.group_key}
         if dynamic and self.plan.algorithm in (Algorithm.MINT, Algorithm.FILA,
                                                Algorithm.NAIVE):
             raise PlanError(
@@ -206,7 +224,6 @@ class KSpotEngine:
                 "nodeid": node_id,
                 plan.group_key: group,
                 plan.attribute: value,
-                "epoch": self.network.epoch,
             }
             return evaluate(plan.where, context)
 
@@ -357,10 +374,31 @@ class KSpotEngine:
             series[node_id] = {entry.epoch: entry.value for entry in entries}
         return series
 
+    def _rows(self) -> tuple[tuple[int, ...], Rows]:
+        """The hot path's :meth:`_series`: each alive participant's
+        window, read once through :meth:`SensorNode.history
+        <repro.network.node.SensorNode.history>` (which charges a
+        flash-backed mote's page reads), as TJA's labels and value rows
+        (see :func:`~repro.core.tja.aligned_rows`)."""
+        window = self.plan.window_epochs
+        if window is None:
+            raise PlanError("historic execution requires WITH HISTORY")
+        attribute = self.plan.attribute
+        return aligned_rows(
+            (node.node_id, node.history(window, attribute=attribute))
+            for node in map(self.network.node, self.participants)
+            if node.alive)
+
     def execute_historic(self) -> "TjaResult | TputResult":
         """Run the one-shot distributed query over the buffered windows."""
         if self.plan.query_class is not QueryClass.HISTORIC_VERTICAL:
             raise PlanError("execute_historic() is for GROUP BY epoch plans")
+        if self.plan.algorithm is Algorithm.TJA and self.network.hot:
+            labels, rows = self._rows()
+            if not rows:
+                return TjaResult(items=(), candidates=0, cleanup_rounds=0)
+            return Tja.over_rows(self.network, self.aggregate, self.plan.k,
+                                 labels, rows).execute()
         series = self._series()
         # Churn can leave no participant with a buffered reading: then
         # there is no epoch to rank, and nothing goes on the air.

@@ -25,23 +25,34 @@ algebra MINT uses, so TJA here supports AVG / SUM / MIN / MAX ranking.
 Switch-and-prove: on a deployment whose ``Network.hot`` is set each
 phase runs as one fused pass over ``Network.converge_cast_plan()``
 rows that ships every reply's ``wire_size`` in one
-``Network.ship_edges`` call and builds no message. LB and the CL
-expansion share one union pass; the join pass
-holds one ``(values, count)`` row per subtree, because aligned
-windows give every partial of a subtree one count, and folds a
-child's row in with one ``map`` of ``Aggregate.combine``.
+``Network.ship_edges`` call and builds no message. The hot passes
+read one value *row* per participant: its window's values ordered by
+the object ids' ``str`` labels (:func:`aligned_rows` reads them
+straight from the windows; ``Tja(...)`` converts dict columns once).
+Because positions follow the labels, one stable sort of a row's
+positions by value ranks it in :func:`rank_key` order. Nominations
+are int bitmasks over those positions: LB and the CL expansion share
+one union pass that ORs them and ships each mask's ``bit_count``.
+The join pass reads a row, or its candidate positions, as the
+partial values themselves, since every aggregate but COUNT lifts a
+reading to itself, and holds one ``(values, count, bound)`` row per
+subtree, because aligned windows give every partial of a subtree one
+count; a child's row folds in with one ``map`` of
+``Aggregate.combine``.
 A deployment built inside the oracle ``hotpath.reference_path()``
-(or over a lossy radio) runs the first-principles phases, which build
-every message and ship it through ``Network.send_up``;
-``tests/test_hotpath_equivalence.py`` proves the two byte-identical.
+(or over a lossy radio) runs the first-principles phases over the
+dict columns, which build every message and ship it through
+``Network.send_up``; ``tests/test_hotpath_equivalence.py`` proves the
+two byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
-from typing import Callable, Mapping
+from functools import cached_property
+from itertools import compress, repeat
+from operator import itemgetter, lt
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import ProtocolError, ValidationError
 from ..network.messages import (
@@ -58,19 +69,41 @@ from .aggregates import Aggregate, Partial
 from .results import RankedItem, rank_key
 
 
-class _Lifts(dict):
-    """reading → ``from_value(reading).value``, filled on first use.
+Rows = dict[int, Sequence[float]]
 
-    Readings are ADC-quantized, so a join pass lifts the same few
-    hundred values over and over; a hit is one dict lookup in C."""
 
-    def __init__(self, from_value: Callable[[float], Partial]):
-        super().__init__()
-        self._from_value = from_value
+def aligned_rows(windows: Iterable[tuple[int, Sequence[tuple[int, float]]]],
+                 ) -> tuple[tuple[int, ...], Rows]:
+    """Labels and value rows from ``(node, window)`` pairs.
 
-    def __missing__(self, reading: float) -> float:
-        value = self[reading] = self._from_value(reading).value
-        return value
+    A window lists ``(epoch, value)`` entries, one per epoch, in an
+    order every window shares: epoch order, as
+    :meth:`~repro.network.node.SensorNode.history` returns them. Empty
+    windows are skipped; every other window must cover the first one's
+    epochs, which one tuple compare checks. The labels are those epochs
+    in ``str`` order, and each node's row holds its values in label
+    order."""
+    epochs: tuple[int, ...] = ()
+    labels: tuple[int, ...] = ()
+    pick: Callable[[Sequence[float]], tuple[float, ...]] | None = None
+    rows: Rows = {}
+    for node_id, entries in windows:
+        if not entries:
+            continue
+        node_epochs, values = zip(*entries)
+        if not rows:
+            epochs = node_epochs
+            order = sorted(range(len(epochs)),
+                           key=list(map(str, epochs)).__getitem__)
+            labels = tuple(map(epochs.__getitem__, order))
+            # A one-entry order is the identity, so itemgetter always
+            # gets two or more positions and returns a tuple.
+            pick = None if labels == epochs else itemgetter(*order)
+        elif node_epochs != epochs:
+            raise ValidationError("TJA requires aligned history windows "
+                                  "(same object ids on every node)")
+        rows[node_id] = values if pick is None else pick(values)
+    return labels, rows
 
 
 @dataclass(frozen=True)
@@ -106,23 +139,49 @@ class Tja:
                 participating node must cover the same object ids (the
                 dense sliding window of §III-B).
         """
+        self.series = {node: dict(column) for node, column in series.items()}
+        self._bind(network, aggregate, k, *aligned_rows(
+            (node, sorted(column.items(), key=lambda item: str(item[0])))
+            for node, column in self.series.items()))
+
+    @classmethod
+    def over_rows(cls, network: Network, aggregate: Aggregate, k: int,
+                  labels: tuple[int, ...], rows: Rows) -> "Tja":
+        """An execution over :func:`aligned_rows`' output: ``labels``
+        are the object ids in ``str`` order and ``rows`` holds each
+        participant's values in that order. No dict column is built
+        unless a reference phase reads :attr:`series`."""
+        tja = cls.__new__(cls)
+        tja._bind(network, aggregate, k, labels, rows)
+        return tja
+
+    def _bind(self, network: Network, aggregate: Aggregate, k: int,
+              labels: tuple[int, ...], rows: Rows) -> None:
         if k < 1:
             raise ValidationError("k must be >= 1")
+        if not rows:
+            raise ValidationError("TJA needs at least one non-empty series")
         self.network = network
         self.aggregate = aggregate
         self.k = k
-        self.series = {node: dict(column) for node, column in series.items()}
-        participants = [n for n in self.series if self.series[n]]
-        if not participants:
-            raise ValidationError("TJA needs at least one non-empty series")
-        universe = set(self.series[participants[0]])
-        for node in participants[1:]:
-            if self.series[node].keys() != universe:
-                raise ValidationError(
-                    "TJA requires aligned history windows "
-                    "(same object ids on every node)"
-                )
-        self.universe = universe
+        self.labels = labels
+        self.rows = rows
+        self._bits = [1 << position for position in range(len(labels))]
+        # Every aggregate but COUNT shares Aggregate.from_value, which
+        # lifts a reading to Partial(reading, 1), so a row holds its
+        # own partial values and only the others lift.
+        from_value = aggregate.from_value
+        self._lift = (
+            None if type(aggregate).from_value is Aggregate.from_value
+            else lambda reading: from_value(reading).value)
+
+    @cached_property
+    def series(self) -> dict[int, dict[int, float]]:
+        """node id → {object id → local value}: the columns the
+        reference phases read, rebuilt from the rows for an execution
+        built by :meth:`over_rows`."""
+        return {node: dict(zip(self.labels, row))
+                for node, row in self.rows.items()}
 
     # ------------------------------------------------------------------
     # Local computations
@@ -242,8 +301,7 @@ class Tja:
         argument): n values each ≤ τ/n sum to ≤ τ.
         """
         if self.aggregate.func == "SUM":
-            participants = max(1, sum(1 for s in self.series.values() if s))
-            return tau / participants
+            return tau / len(self.rows)
         return tau
 
     def _expansion_phase(self, tau: float, known: set[int]) -> set[int]:
@@ -275,71 +333,65 @@ class Tja:
     # ------------------------------------------------------------------
 
     # repro: hot
-    def _local_rankings(self) -> tuple[dict[int, set[int]],
-                                       dict[int, Partial]]:
-        """Each mote's local top-k ids and lifted k-th value, from one
-        sort of its window (:meth:`_local_top_k` and
-        :meth:`_local_threshold` sort it twice).
+    def _local_rankings(self) -> tuple[dict[int, int], dict[int, float]]:
+        """Each mote's local top-k, as a bitmask over label positions,
+        and its lifted k-th value, from one sort of its row
+        (:meth:`_local_top_k` and :meth:`_local_threshold` sort its
+        column twice).
 
-        Every column covers the universe, so ordering the universe by
-        label once and then each column stably by value, descending,
-        gives :func:`rank_key` order without a Python key function."""
+        Positions follow the labels, so a stable sort of them by value,
+        descending, gives :func:`rank_key` order."""
         k = self.k
-        labelled = sorted(self.universe, key=str)
-        kth = min(k, len(labelled)) - 1
-        value_of = itemgetter(0)
-        object_of = itemgetter(1)
-        from_value = self.aggregate.from_value
-        tops: dict[int, set[int]] = {}
-        thresholds: dict[int, Partial] = {}
-        for node_id, column in self.series.items():
-            if not column:
-                continue
-            ranked = sorted(zip(map(column.__getitem__, labelled), labelled),
-                            key=value_of, reverse=True)
-            tops[node_id] = set(map(object_of, ranked[:k]))
-            thresholds[node_id] = from_value(ranked[kth][0])
+        positions = range(len(self.labels))
+        kth = min(k, len(positions)) - 1
+        bit = self._bits.__getitem__
+        lift = self._lift
+        tops: dict[int, int] = {}
+        thresholds: dict[int, float] = {}
+        for node_id, row in self.rows.items():
+            ranked = sorted(positions, key=row.__getitem__, reverse=True)
+            tops[node_id] = sum(map(bit, ranked[:k]))
+            value = row[ranked[kth]]
+            thresholds[node_id] = value if lift is None else lift(value)
         return tops, thresholds
 
-    def _nominations_above(self, tau: float,
-                           known: set[int]) -> dict[int, set[int]]:
-        """Each mote's CL nominations: its values above the expansion
-        threshold, minus the ``known`` candidates."""
+    def _nominations_above(self, tau: float, known: int) -> dict[int, int]:
+        """Each mote's CL nominations: the positions of its values above
+        the expansion threshold, minus the ``known`` candidates."""
         tau = self._expansion_tau(tau)
+        bits = self._bits
         return {
-            node_id: {object_id for object_id, value in column.items()
-                      if value > tau and object_id not in known}
-            for node_id, column in self.series.items()
+            node_id: sum(compress(bits, map(lt, repeat(tau), row))) & ~known
+            for node_id, row in self.rows.items()
         }
 
     # repro: hot
     def _union_pass(self, phase: str, flood: WireMessage,
-                    nominations: dict[int, set[int]]) -> set[int]:
+                    nominations: dict[int, int]) -> int:
         """The LB phase or the CL expansion: flood, then converge-cast
-        the union of every mote's ``nominations`` (consumed) and return
-        the sink's union. Every mote ships its subtree's union size as
-        one ``lb_reply``, empty ones included, and the pass ships them
-        in one :meth:`Network.ship_edges` call (nothing in the loop can
+        the OR of every mote's ``nominations`` and return the sink's
+        mask. Every mote ships its subtree's union size as one
+        ``lb_reply``, empty ones included, and the pass ships them in
+        one :meth:`Network.ship_edges` call (nothing in the loop can
         raise, so no edge is left unshipped)."""
         network = self.network
-        wire_size = LBReplyMessage.wire_size
+        size_of = list(map(LBReplyMessage.wire_size,
+                           range(len(self.labels) + 1)))
         nominated_by = nominations.get
-        unions: dict[int, set[int]] = {}
-        l_sink: set[int] = set()
+        unions: dict[int, int] = {}
+        l_sink = 0
         edges: list[tuple[int, int, int]] = []
         ship = edges.append
         with network.stats.phase(phase):
             network.flood_down(flood)
             for node_id, parent, children, to_sink in (
                     network.converge_cast_plan()):
-                nominated = nominated_by(node_id)
-                if nominated is None:
-                    nominated = set()
+                nominated = nominated_by(node_id, 0)
                 for child in children:
                     # A live child precedes its (non-sink) parent in
                     # the plan and always ships its union.
                     nominated |= unions[child]
-                ship((node_id, parent, wire_size(len(nominated))))
+                ship((node_id, parent, size_of[nominated.bit_count()]))
                 if to_sink:
                     l_sink |= nominated
                 else:
@@ -348,79 +400,85 @@ class Tja:
         return l_sink
 
     # repro: hot
-    def _join_pass(self, candidates: set[int], phase: str,
-                   thresholds: Mapping[int, Partial],
+    def _join_pass(self, candidates: int, phase: str,
+                   thresholds: Mapping[int, float],
                    ) -> tuple[dict[int, Partial], Partial | None]:
-        """The HJ phase or the CL join: flood the candidates, then
-        converge-cast one ``(values, count)`` row per subtree.
+        """The HJ phase or the CL join: flood the ``candidates`` (a
+        bitmask over label positions), then converge-cast one
+        ``(values, count, bound)`` row per subtree.
 
-        ``values`` lines up with the sorted candidates and is None for
-        a subtree without a participant. Aligned windows give all of a
-        subtree's partials one count, so a child's row folds in with
-        one ``map`` of ``Aggregate.combine``: own values first, then
-        the children in plan order, as :meth:`_join_phase` merges each
-        object. ``thresholds`` (each mote's lifted k-th value; empty
-        for the CL join, which drops the threshold) fold as scalar
-        partials. The sink rebuilds ``{object: Partial}`` once. The
-        replies ship in one :meth:`Network.ship_edges` call, as in
-        :meth:`_union_pass`."""
+        A participant's ``values`` are its row read at the candidate
+        positions (the row itself when every label is a candidate),
+        lifted only when the aggregate's lift is not the identity, and
+        its ``bound`` is its lifted k-th value from ``thresholds``.
+        Aligned windows give all of a subtree's partials one count,
+        the thresholds' too, so a child's row folds in with one ``map``
+        of ``Aggregate.combine`` and one scalar ``combine``: own values
+        first, then the children in plan order, as :meth:`_join_phase`
+        merges each object and threshold. A subtree without a
+        participant has count 0. The sink rebuilds ``{object: Partial}``
+        and the threshold partial once. The replies ship in one
+        :meth:`Network.ship_edges` call, as in :meth:`_union_pass`."""
         network = self.network
-        aggregate = self.aggregate
-        combine = aggregate.combine
-        merge = aggregate.merge
-        ordered = tuple(sorted(candidates))
-        lift = _Lifts(aggregate.from_value).__getitem__
-        column_of = self.series.get
-        threshold_of = thresholds.get
-        full = JoinReplyMessage.wire_size(len(ordered))
+        combine = self.aggregate.combine
+        lift = self._lift
+        labels = self.labels
+        positions = [position for position, bit in enumerate(self._bits)
+                     if candidates & bit]
+        picked = None if len(positions) == len(labels) else positions
+        objects = list(map(labels.__getitem__, positions))
+        row_of = self.rows.get
+        threshold_of = thresholds.__getitem__
+        full = JoinReplyMessage.wire_size(len(positions))
         empty = JoinReplyMessage.wire_size(0)
-        rows: dict[int, tuple[list[float] | None, int, Partial | None]] = {}
-        sink_values: list[float] | None = None
+        subtrees: dict[int, tuple[Sequence[float] | None, int, float]] = {}
+        sink_values: Sequence[float] | None = None
         sink_count = 0
-        threshold: Partial | None = None
+        sink_bound = 0.0
         edges: list[tuple[int, int, int]] = []
         ship = edges.append
         with network.stats.phase(phase):
-            network.flood_down(CandidateSetMessage(object_ids=ordered))
+            network.flood_down(
+                CandidateSetMessage(object_ids=tuple(sorted(objects))))
             for node_id, parent, children, to_sink in (
                     network.converge_cast_plan()):
-                column = column_of(node_id)
-                if column:
-                    values = list(map(lift, map(column.__getitem__,
-                                                ordered)))
-                    count = 1
-                else:
-                    values = None
+                values = row_of(node_id)
+                if values is None:
                     count = 0
-                bound = threshold_of(node_id)
+                    bound = 0.0
+                else:
+                    if picked is not None:
+                        values = list(map(values.__getitem__, picked))
+                    if lift is not None:
+                        values = list(map(lift, values))
+                    count = 1
+                    bound = threshold_of(node_id)
                 for child in children:
-                    child_values, child_count, child_bound = rows[child]
-                    if child_count:
-                        values = (child_values if values is None
-                                  else list(map(combine, values,
-                                                child_values)))
-                        count += child_count
-                    if child_bound is not None:
-                        bound = (child_bound if bound is None
-                                 else merge(bound, child_bound))
+                    child_values, child_count, child_bound = subtrees[child]
+                    if not child_count:
+                        continue
+                    if count:
+                        values = list(map(combine, values, child_values))
+                        bound = combine(bound, child_bound)
+                    else:
+                        values, bound = child_values, child_bound
+                    count += child_count
                 ship((node_id, parent, full if count else empty))
                 if not to_sink:
-                    rows[node_id] = (values, count, bound)
-                    continue
-                if count:
-                    sink_values = (values if sink_values is None
-                                   else list(map(combine, sink_values,
-                                                 values)))
+                    subtrees[node_id] = (values, count, bound)
+                elif count:
+                    if sink_count:
+                        sink_values = list(map(combine, sink_values, values))
+                        sink_bound = combine(sink_bound, bound)
+                    else:
+                        sink_values, sink_bound = values, bound
                     sink_count += count
-                if bound is not None:
-                    threshold = (bound if threshold is None
-                                 else merge(threshold, bound))
             network.ship_edges(JoinReplyMessage.kind, edges)
-        if sink_values is None:
-            return {}, threshold
-        return (dict(zip(ordered, map(Partial, sink_values,
+        if not sink_count:
+            return {}, None
+        return (dict(zip(objects, map(Partial, sink_values,
                                       repeat(sink_count)))),
-                threshold)
+                Partial(sink_bound, sink_count))
 
     # ------------------------------------------------------------------
     # Driver
@@ -447,23 +505,23 @@ class Tja:
         }
         ranked = sorted(exact.items(),
                         key=lambda item: rank_key(item[0], item[1]))
-        effective_k = min(self.k, len(self.universe))
+        effective_k = min(self.k, len(self.labels))
         tau = ranked[min(effective_k, len(ranked)) - 1][1]
 
         unseen_bound = (self.aggregate.finalize(threshold)
                         if threshold is not None else float("-inf"))
         cleanup_rounds = 0
-        if len(exact) < len(self.universe) and unseen_bound > tau:
+        if len(exact) < len(self.labels) and unseen_bound > tau:
             cleanup_rounds = 1
             if hot:
                 extra = self._union_pass(
                     "CL", ControlMessage(label="cl_threshold", size=8),
-                    self._nominations_above(tau, set(exact)))
+                    self._nominations_above(tau, candidates))
             else:
                 extra = self._expansion_phase(tau, set(exact))
             if extra:
                 joined_extra, _ = (
-                    self._join_pass(extra, "CL", {}) if hot
+                    self._join_pass(extra, "CL", thresholds) if hot
                     else self._join_phase(extra, phase_name="CL",
                                           include_threshold=False))
                 for object_id, partial in joined_extra.items():

@@ -1,9 +1,8 @@
 """Plain-function helpers shared across test modules.
 
-Kept outside ``conftest.py`` so test modules can import them absolutely
-(``from helpers import ...``): ``tests/`` is not a package, so relative
-imports of the conftest module do not resolve under pytest's default
-rootdir import mode.
+Test modules import them absolutely (``from helpers import ...``):
+``tests/`` is not a package, and pytest's default import mode puts
+each test module's directory on ``sys.path``.
 """
 
 from __future__ import annotations

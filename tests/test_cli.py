@@ -64,6 +64,17 @@ class TestScenarioWorkflow:
                      "--epochs", "1"]) == 0
         assert "routed:   tag" in capsys.readouterr().out
 
+    def test_where_naming_epoch_is_a_clean_error(self, tmp_path, capsys):
+        path = str(tmp_path / "deployment.json")
+        main(["scenario-init", path])
+        capsys.readouterr()
+        assert main(["run", path,
+                     "SELECT TOP 1 roomid, AVG(sound) FROM sensors "
+                     "WHERE epoch > 100 GROUP BY roomid"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "names epoch" in captured.err
+        assert captured.out == ""
+
     def test_missing_scenario_is_a_clean_error(self, capsys):
         assert main(["run", "/nonexistent.json", "SELECT sound "
                      "FROM sensors"]) == 2

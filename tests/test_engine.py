@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Deployment
 from repro.core import KSpotEngine, is_valid_top_k, oracle_scores
 from repro.core.aggregates import make_aggregate
 from repro.errors import PlanError
@@ -135,6 +136,27 @@ class TestWhereHandling:
             engine_for(scenario,
                        "SELECT TOP 1 roomid, AVG(sound) FROM sensors "
                        "WHERE nodeid > 99 GROUP BY roomid", schema)
+
+    @pytest.mark.parametrize("text, algorithm", [
+        ("SELECT TOP 2 roomid, AVG(sound) FROM sensors WHERE epoch > 100 "
+         "GROUP BY roomid EPOCH DURATION 1 s", None),
+        ("SELECT TOP 2 roomid, AVG(sound) FROM sensors WHERE epoch > 100 "
+         "GROUP BY roomid EPOCH DURATION 1 s", Algorithm.TAG),
+        ("SELECT TOP 2 nodeid, MAX(sound) FROM sensors WHERE epoch > 100 "
+         "GROUP BY nodeid EPOCH DURATION 1 s", Algorithm.FILA),
+        ("SELECT TOP 2 epoch, AVG(sound) FROM sensors WHERE epoch > 12 "
+         "GROUP BY epoch WITH HISTORY 3 s EPOCH DURATION 1 s", None),
+    ], ids=["mint", "tag", "fila", "tja"])
+    def test_where_naming_epoch_refused_at_submit(self, text, algorithm):
+        """No algorithm filters on ``epoch``: MINT, TAG and FILA
+        answered from epoch 0 on, and under ``GROUP BY epoch`` the
+        static pre-filter tested each sensor's id instead, keeping
+        motes 13-16 and answering epochs 2 and 0."""
+        deployment = Deployment.from_scenario(
+            grid_rooms_scenario(side=4, rooms_per_axis=2, seed=1))
+        with pytest.raises(PlanError, match="names epoch"):
+            deployment.submit(text, algorithm=algorithm)
+        assert deployment.sessions() == ()
 
 
 class TestHistoric:

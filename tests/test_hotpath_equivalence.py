@@ -27,11 +27,11 @@ from hypothesis import strategies as st
 
 from helpers import make_series, on_both_paths
 from repro.api import ChurnIntervention, Deployment, EpochDriver
-from repro.core.aggregates import make_aggregate
+from repro.core.aggregates import AvgAggregate, Partial, make_aggregate
 from repro.core.mint import QUIET_EPOCHS, Mint, MintConfig
 from repro.core.participants import Participants
 from repro.core.results import is_valid_top_k, oracle_scores
-from repro.core.tja import Tja
+from repro.core.tja import Tja, aligned_rows
 from repro.errors import (
     ConfigurationError,
     KSpotError,
@@ -1928,6 +1928,9 @@ class TestTjaAtFleetScale:
     QUERY = ("SELECT TOP 3 epoch, {agg}(sound) FROM sensors "
              "GROUP BY epoch WITH HISTORY 10 s EPOCH DURATION 1 s")
     FIELDS = ("result", "stats", "tap", "ledgers")
+    #: The epoch the query is submitted at: its window covers START to
+    #: START + 9, and the churn events fall 4 and 6 epochs into it.
+    START = 0
 
     def run(self, agg):
         scenario = grid_rooms_scenario(side=20, rooms_per_axis=4, seed=11)
@@ -1939,15 +1942,22 @@ class TestTjaAtFleetScale:
         group = scenario.group_of[victim]
         scenario.field.enroll(401, group)
         schedule = ChurnSchedule([
-            ChurnEvent(4, ChurnKind.DEATH, victim),
-            ChurnEvent(6, ChurnKind.BIRTH, 401, position=(x + 2.0, y + 2.0),
-                       group=group),
+            ChurnEvent(self.START + 4, ChurnKind.DEATH, victim),
+            ChurnEvent(self.START + 6, ChurnKind.BIRTH, 401,
+                       position=(x + 2.0, y + 2.0), group=group),
         ])
         deployment = Deployment.from_scenario(scenario)
         driver = EpochDriver(deployment, interventions=[
             ChurnIntervention(schedule, board_for=scenario.board_for)])
+        if self.START:
+            rooms = deployment.submit(
+                "SELECT TOP 2 roomid, AVG(sound) FROM sensors "
+                "GROUP BY roomid EPOCH DURATION 1 s")
+            driver.run(self.START)
+            deployment.cancel(rooms.id)
         handle = deployment.submit(self.QUERY.format(agg=agg))
         driver.run()
+        assert network.epoch == self.START + 10
         assert not network.node(victim).alive
         assert network.node(401).alive
         return (tja_signature(handle.historic_result),
@@ -1966,6 +1976,18 @@ class TestTjaAtFleetScale:
         by_kind = hot[1][1]
         assert by_kind["lb_reply"] == by_kind["join_reply"] == 400
         assert hot[0][1] >= 3
+
+
+class TestTjaAcrossADigitBoundary(TestTjaAtFleetScale):
+    """:class:`TestTjaAtFleetScale` with the query submitted after a
+    room query has run epochs 0-4, so its window covers epochs 5-14.
+    The hot path orders each row by the epochs' labels, and here
+    ``"10" < ... < "14" < "5" < ... < "9"`` differs from the window's
+    epoch order, so every row is permuted once; the motes' windows
+    also hold the five older readings, which the rows must leave
+    out."""
+
+    START = 5
 
 
 class TestTjaTiedLocalValues:
@@ -2017,6 +2039,95 @@ class TestTjaCleanUp:
         assert hot[0][2] == 1, "the data must need the clean-up round"
         by_kind = hot[1][1]
         assert by_kind["lb_reply"] == by_kind["join_reply"] == 2 * self.MOTES
+
+
+class ShiftedAvg(AvgAggregate):
+    """AVG of each reading less 20. Its lift is not the identity,
+    unlike that of every built-in aggregate but COUNT."""
+
+    def from_value(self, value):
+        return Partial(value - 20.0, 1)
+
+
+class TestTjaLiftedJoin:
+    """TJA over aggregates whose lift is not the identity, so the hot
+    join lifts each row (every other built-in aggregate reads it as
+    is). Only a direct build reaches COUNT: windowed COUNT is refused
+    at plan time. COUNT scores every object by its participants, so its
+    unseen bound equals the k-th score and it never needs the clean-up
+    round; the shifted AVG runs the CL expansion and the CL join over
+    lifted values. Both paths must agree on the result, stats and
+    ledgers."""
+
+    MOTES = 16
+
+    def run(self, aggregate):
+        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=1)
+        network = scenario.network
+        series = make_series(list(scenario.group_of), epochs=40, seed=6)
+        result = Tja(network, aggregate, 3, series).execute()
+        return (tja_signature(result), stats_signature(network.stats),
+                ledger_signature(network))
+
+    def test_count_hot_equals_reference(self):
+        hot, reference = on_both_paths(
+            self.run, make_aggregate("COUNT", 0.0, 100.0))
+        assert hot == reference
+        items, _, cleanup_rounds, _ = hot[0]
+        assert [item[1] for item in items] == [float(self.MOTES)] * 3
+        assert cleanup_rounds == 0
+
+    def test_cleanup_hot_equals_reference(self):
+        hot, reference = on_both_paths(self.run, ShiftedAvg(0.0, 100.0))
+        assert hot == reference
+        assert hot[0][2] == 1, "the data must need the clean-up round"
+        by_kind = hot[1][1]
+        assert by_kind["join_reply"] == 2 * self.MOTES
+
+
+class TestTjaRowsFromWindows:
+    """The hot path's rows come from the windows through
+    :func:`~repro.core.tja.aligned_rows`. A mote whose window holds one
+    reading more than the others (epochs 1-8 against 0-7) refuses the
+    execution with the "aligned" :class:`ValidationError` on both
+    paths, before anything ships; and an execution built from rows
+    runs on either path, the reference phases reading dict columns
+    rebuilt from them."""
+
+    QUERY = ("SELECT TOP 2 epoch, AVG(sound) FROM sensors "
+             "GROUP BY epoch WITH HISTORY 8 s EPOCH DURATION 1 s")
+
+    def misaligned(self):
+        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=1)
+        network = scenario.network
+        deployment = Deployment.from_scenario(scenario)
+        handle = deployment.submit(self.QUERY)
+        engine = handle._session.engine
+        engine.fill_windows()
+        network.node(5).window_for("sound").append(network.epoch, 50.0)
+        with pytest.raises(ValidationError, match="aligned") as refusal:
+            engine.execute_historic()
+        return str(refusal.value), network.stats.summary()
+
+    def test_misaligned_refused_on_both_paths(self):
+        hot, reference = on_both_paths(self.misaligned)
+        assert hot == reference
+        assert hot[1]["messages"] == 0
+
+    def over_rows(self):
+        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=1)
+        network = scenario.network
+        series = make_series(list(scenario.group_of), epochs=12, seed=6)
+        labels, rows = aligned_rows(
+            (node, sorted(column.items())) for node, column in series.items())
+        result = Tja.over_rows(network, make_aggregate("AVG", 0.0, 100.0), 3,
+                               labels, rows).execute()
+        return labels, tja_signature(result), stats_signature(network.stats)
+
+    def test_rows_run_on_either_path(self):
+        hot, reference = on_both_paths(self.over_rows)
+        assert hot == reference
+        assert hot[0] == (0, 1, 10, 11, *range(2, 10))
 
 
 class TestLossyTja:
