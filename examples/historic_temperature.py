@@ -4,7 +4,7 @@
 The paper's example query — "Find the K time instances with the highest
 average temperature during the last 3 months" — over a 36-node
 deployment sensing a diurnal temperature field. Each mote buffers one
-reading per day locally (a sliding window on flash); TJA then finds the
+reading per day locally (a sliding window in SRAM); TJA then finds the
 exact answer, and the same query runs under TPUT and a centralized
 collection to show the cost gap.
 

@@ -27,8 +27,8 @@ DEFAULT_ERROR_NAMES = frozenset({
     "KSpotError", "ConfigurationError", "QueryError", "LexError",
     "ParseError", "ValidationError", "PlanError", "SessionError",
     "UnknownSessionError", "SubmissionError", "TopologyError",
-    "RoutingError", "StorageError", "StorageFullError", "ProtocolError",
-    "CertificationError", "ScenarioError",
+    "RoutingError", "StorageError", "ProtocolError", "CertificationError",
+    "ScenarioError",
 })
 
 _SUITE_PATTERN = re.compile(r"tests/test_\w+\.py")

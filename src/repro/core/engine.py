@@ -186,21 +186,18 @@ class KSpotEngine:
     def _check_window(self) -> None:
         """Reject a ``WITH HISTORY`` window a participant cannot buffer.
 
-        Windowed epoch-mode plans aggregate each mote's SRAM window; a
-        historic-vertical plan reads a mote's flash index when one is
-        attached (:meth:`~repro.network.node.SensorNode.history`) and
-        its SRAM window otherwise. A full window has evicted the
-        oldest readings, so a longer history would be answered from
-        what is left of it.
+        Windowed epoch-mode plans and historic-vertical plans both read
+        each mote's SRAM window. A full window has evicted the oldest
+        readings, so a longer history would be answered from what is
+        left of it.
         """
         window = self.plan.window_epochs
         if window is None:
             return
-        vertical = self.plan.query_class is QueryClass.HISTORIC_VERTICAL
         nodes = self.network.nodes
         for node_id in self.participants:
             node = nodes.get(node_id)
-            if node is None or (vertical and node.flash_index is not None):
+            if node is None:
                 continue
             capacity = node.window.capacity
             if window > capacity:
@@ -344,11 +341,11 @@ class KSpotEngine:
     def sample_participants(self) -> None:
         """One radio-silent acquisition: every live participant samples
         (and locally buffers) the plan's attribute for the current
-        epoch. Reads go through the node-level per-epoch cache, so on a
-        shared deployment boards that already fired this epoch are not
-        re-sampled. When every alive sensor participates the network's
-        alive tuple itself is read, so the batch shares the sampling
-        plan and readings row of concurrent sessions."""
+        epoch. A window whose newest entry is this epoch's serves the
+        read, so on a shared deployment boards that already fired this
+        epoch are not re-sampled. When every alive sensor participates
+        the network's alive tuple itself is read, so the batch shares
+        the sampling plan and readings row of concurrent sessions."""
         self._live_participants.readings(self.participants,
                                          self.plan.attribute)
 
@@ -362,30 +359,29 @@ class KSpotEngine:
             self.network.advance_epoch()
 
     def _series(self) -> dict[int, dict[int, float]]:
+        """Each alive participant's last ``WITH HISTORY`` readings as a
+        dict column, object id (epoch) → value: what TPUT, CENTRALIZED
+        and the reference path's TJA read."""
         window = self.plan.window_epochs
         if window is None:
             raise PlanError("historic execution requires WITH HISTORY")
-        series: dict[int, dict[int, float]] = {}
-        for node_id in self.participants:
-            node = self.network.node(node_id)
-            if not node.alive:
-                continue
-            entries = node.history(window, attribute=self.plan.attribute)
-            series[node_id] = {entry.epoch: entry.value for entry in entries}
-        return series
+        attribute = self.plan.attribute
+        return {
+            node.node_id: dict(zip(*node.window_for(attribute).tail(window)))
+            for node in map(self.network.node, self.participants)
+            if node.alive}
 
     def _rows(self) -> tuple[tuple[int, ...], Rows]:
         """The hot path's :meth:`_series`: each alive participant's
-        window, read once through :meth:`SensorNode.history
-        <repro.network.node.SensorNode.history>` (which charges a
-        flash-backed mote's page reads), as TJA's labels and value rows
-        (see :func:`~repro.core.tja.aligned_rows`)."""
+        window, read once as an epochs slice and a values slice
+        (:meth:`~repro.storage.window.SlidingWindow.tail`), as TJA's
+        labels and value rows (see :func:`~repro.core.tja.aligned_rows`)."""
         window = self.plan.window_epochs
         if window is None:
             raise PlanError("historic execution requires WITH HISTORY")
         attribute = self.plan.attribute
         return aligned_rows(
-            (node.node_id, node.history(window, attribute=attribute))
+            (node.node_id, *node.window_for(attribute).tail(window))
             for node in map(self.network.node, self.participants)
             if node.alive)
 

@@ -72,25 +72,26 @@ from .results import RankedItem, rank_key
 Rows = dict[int, Sequence[float]]
 
 
-def aligned_rows(windows: Iterable[tuple[int, Sequence[tuple[int, float]]]],
+def aligned_rows(windows: Iterable[tuple[int, Sequence[int],
+                                         Sequence[float]]],
                  ) -> tuple[tuple[int, ...], Rows]:
-    """Labels and value rows from ``(node, window)`` pairs.
+    """Labels and value rows from ``(node, epochs, values)`` windows.
 
-    A window lists ``(epoch, value)`` entries, one per epoch, in an
-    order every window shares: epoch order, as
-    :meth:`~repro.network.node.SensorNode.history` returns them. Empty
+    A window is two aligned columns, one entry per epoch, in an order
+    every window shares: epoch order, as
+    :meth:`~repro.storage.window.SlidingWindow.tail` slices them. Empty
     windows are skipped; every other window must cover the first one's
-    epochs, which one tuple compare checks. The labels are those epochs
-    in ``str`` order, and each node's row holds its values in label
-    order."""
-    epochs: tuple[int, ...] = ()
+    epochs, which one compare of the epochs columns checks (so every
+    window's epochs must be of one sequence type). The labels are
+    those epochs in ``str`` order, and each node's row holds its values
+    in label order."""
+    epochs: Sequence[int] = ()
     labels: tuple[int, ...] = ()
     pick: Callable[[Sequence[float]], tuple[float, ...]] | None = None
     rows: Rows = {}
-    for node_id, entries in windows:
-        if not entries:
+    for node_id, node_epochs, values in windows:
+        if not node_epochs:
             continue
-        node_epochs, values = zip(*entries)
         if not rows:
             epochs = node_epochs
             order = sorted(range(len(epochs)),
@@ -98,12 +99,20 @@ def aligned_rows(windows: Iterable[tuple[int, Sequence[tuple[int, float]]]],
             labels = tuple(map(epochs.__getitem__, order))
             # A one-entry order is the identity, so itemgetter always
             # gets two or more positions and returns a tuple.
-            pick = None if labels == epochs else itemgetter(*order)
+            pick = None if labels == tuple(epochs) else itemgetter(*order)
         elif node_epochs != epochs:
             raise ValidationError("TJA requires aligned history windows "
                                   "(same object ids on every node)")
         rows[node_id] = values if pick is None else pick(values)
     return labels, rows
+
+
+def _column_window(node: int, column: Mapping[int, float]
+                   ) -> tuple[int, list[int], list[float]]:
+    """A dict column as an :func:`aligned_rows` window, its object ids
+    in ``str`` order."""
+    epochs = sorted(column, key=str)
+    return node, epochs, [column[epoch] for epoch in epochs]
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ class Tja:
         """
         self.series = {node: dict(column) for node, column in series.items()}
         self._bind(network, aggregate, k, *aligned_rows(
-            (node, sorted(column.items(), key=lambda item: str(item[0])))
+            _column_window(node, column)
             for node, column in self.series.items()))
 
     @classmethod

@@ -84,10 +84,6 @@ class StorageError(KSpotError):
     """Base class for local-storage failures on a node."""
 
 
-class StorageFullError(StorageError):
-    """The flash device or window buffer has no free space left."""
-
-
 class ProtocolError(KSpotError):
     """An algorithm received a message that violates its protocol phase."""
 

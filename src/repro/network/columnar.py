@@ -209,7 +209,7 @@ class ColumnarState:
     Holds the per-attribute *readings rows* of the current epoch —
     each the value dict of one id tuple, in ascending-id order — so N
     concurrent sessions that ask for equal id tuples pay for one batch
-    acquisition instead of N scans of the per-node sample caches, and
+    acquisition instead of N scans of the motes' windows, and
     the *sampling plans* that batch reuses. Both are keyed by the id
     tuple itself, so sessions whose membership selects the same motes
     share them whether or not they hold one tuple object. A row lives
@@ -246,11 +246,11 @@ class ColumnarState:
         stored for this attribute at this epoch.
 
         False means no batch read has run yet this epoch, so no session
-        can have warmed the per-node sample caches through the planned
+        can have booked this epoch into the windows through the planned
         path — the epoch's first batch may skip the per-row freshness
-        probe (:meth:`~repro.network.node.SensorNode.book_sample` still
-        re-checks per node, covering stragglers sampled by a scalar
-        ``read``)."""
+        probe (it still sends a mote whose window holds this epoch, a
+        straggler sampled by a scalar ``read``, through
+        :meth:`~repro.network.node.SensorNode.book_sample`)."""
         entry = self._rows.get(attribute)
         return entry is not None and entry[0] == epoch
 
@@ -266,14 +266,14 @@ class ColumnarState:
         """The memoized sampling plan for an equal id tuple, or None.
 
         A plan is the id tuple's partition into board channels —
-        ``((field, modality, quantize, ids_list, (row, node) pairs),
-        ...)`` — everything about the grouping walk of
+        ``((field, modality, quantize, ids_list, (row, node, window)
+        triples), ...)`` — everything about the grouping walk of
         :meth:`~repro.network.simulator.Network.read_many` that is a
-        pure function of the id tuple and the nodes' boards. It holds
-        until the topology changes, when the network drops it.
-        Per-epoch freshness (the same-epoch sample cache) is *not*
-        baked in — :meth:`~repro.network.node.SensorNode.book_sample`
-        re-checks it per node each epoch."""
+        pure function of the id tuple and the nodes' boards, plus each
+        node's window for the attribute. It holds until the topology
+        changes, when the network drops it. Per-epoch freshness (a
+        window whose newest entry is this epoch's) is *not* baked in —
+        ``read_many`` checks each window every epoch."""
         return self._plans.get(attribute, {}).get(ids)
 
     def store_plan(self, attribute: str, ids: tuple[int, ...],

@@ -70,12 +70,11 @@ class EnergyLedger:
     rx: float = 0.0
     sensing: float = 0.0
     idle: float = 0.0
-    storage: float = 0.0
 
     @property
     def total(self) -> float:
         """All joules drawn so far."""
-        return self.tx + self.rx + self.sensing + self.idle + self.storage
+        return self.tx + self.rx + self.sensing + self.idle
 
     def charge_tx(self, joules: float) -> None:
         self.tx += joules
@@ -89,13 +88,10 @@ class EnergyLedger:
     def charge_idle(self, joules: float) -> None:
         self.idle += joules
 
-    def charge_storage(self, joules: float) -> None:
-        self.storage += joules
-
     def copy(self) -> "EnergyLedger":
         """A snapshot for before/after phase accounting."""
         return EnergyLedger(tx=self.tx, rx=self.rx, sensing=self.sensing,
-                            idle=self.idle, storage=self.storage)
+                            idle=self.idle)
 
 
 def lifetime_epochs(model: EnergyModel, per_epoch_joules: float) -> float:

@@ -788,6 +788,7 @@ class Network:
                     roots[node_id] = root
         return roots
 
+    # repro: hot
     def read_many(self, node_ids: tuple[int, ...],
                   attribute: str) -> dict[int, float]:
         """One epoch's readings for a whole id column, in id order.
@@ -796,16 +797,18 @@ class Network:
         for n in node_ids}`` — that *is* the code path on the reference
         path, and for any tuple holding a dead or board-less node or
         one whose board lacks ``attribute``, where it raises at that
-        node's position after sampling the nodes ahead of it. On the hot path, nodes still needing a
-        physical sample are grouped by board channel and acquired
-        through one
+        node's position after sampling the nodes ahead of it. On the
+        hot path, nodes still needing a physical sample are grouped by
+        board channel and acquired through one
         :meth:`~repro.sensing.generators.FieldGenerator.batch_values`
         call plus a vectorized clamp/quantize per channel, then booked
-        per node exactly as a scalar read
-        (:meth:`~repro.network.node.SensorNode.book_sample`). The row
-        is cached per (attribute, epoch, id tuple) until the topology
-        changes, so N concurrent sessions reading equal tuples over the
-        same deployment pay for one batch.
+        exactly as a scalar read books them: the epoch's first batch
+        appends each value to its window's columns, charges the
+        sensing and counts the sample inline, and a later batch books
+        through :meth:`~repro.network.node.SensorNode.book_sample`.
+        The row is cached per (attribute, epoch, id tuple) until the
+        topology changes, so N concurrent sessions reading equal
+        tuples over the same deployment pay for one batch.
 
         The returned dict is shared with later same-epoch callers —
         treat it as read-only (copy it to mutate).
@@ -829,11 +832,8 @@ class Network:
                     for node_id in node_ids}
         out = [0.0] * len(node_ids)
         # The epoch's first batch (no row stored yet for this
-        # attribute+epoch, so no session warmed the per-node caches
-        # through this path) skips the freshness probe entirely and
-        # draws every row — ``book_sample`` still re-checks per node,
-        # so a straggler sampled by a scalar ``read`` is never
-        # double-booked.
+        # attribute+epoch, so no session warmed the windows through
+        # this path) skips the freshness probe and draws every row.
         first_batch = not self._columnar.has_row(attribute, epoch)
         for field, modality, quantize, ids, rows in plan:
             if first_batch:
@@ -842,22 +842,36 @@ class Network:
                           if quantize
                           else columnar.clamp_column(values, modality))
                 cost = modality.sample_cost_joules
-                for (row_index, node), value in zip(rows, values):
-                    out[row_index] = node.book_sample(attribute, epoch,
-                                                      value, cost)
+                for (row_index, node, window), value in zip(rows, values):
+                    epochs = window.epochs
+                    if epochs and epochs[-1] >= epoch:
+                        # A straggler a scalar ``read`` sampled first,
+                        # or an epoch older than the window's newest:
+                        # ``book_sample`` serves the one and refuses
+                        # the other.
+                        out[row_index] = node.book_sample(
+                            attribute, epoch, value, cost)
+                        continue
+                    epochs.append(epoch)
+                    window.values.append(value)
+                    if len(epochs) >= window.limit:
+                        window.compact()
+                    node.ledger.sensing += cost
+                    node.samples_taken += 1
+                    out[row_index] = value
                 continue
             # Later same-epoch readers: with N concurrent sessions
             # only the first reader of an epoch pays the physical
-            # draw; everyone else is served from the per-node cache
-            # (exactly the scalar ``read`` fast path). Only stale
+            # draw; everyone else is served from the window's newest
+            # entry (exactly the scalar ``read`` fast path). Only stale
             # rows reach ``batch_values``: a cell draw (two hashes and
             # a Gaussian transform for ``RoomField``) costs several
-            # times this dict probe.
+            # times this probe.
             stale = None
-            for pair_index, (row_index, node) in enumerate(rows):
-                cached = node._sample_cache.get(attribute)
-                if cached is not None and cached[0] == epoch:
-                    out[row_index] = cached[1]
+            for pair_index, (row_index, _, window) in enumerate(rows):
+                epochs = window.epochs
+                if epochs and epochs[-1] == epoch:
+                    out[row_index] = window.values[-1]
                 elif stale is None:
                     stale = [pair_index]
                 else:
@@ -867,14 +881,17 @@ class Network:
             # All-stale (the first session each epoch) reuses the
             # plan's id list itself, so the fields' identity-keyed
             # base memos keep hitting.
-            stale_ids = (ids if len(stale) == len(ids)
-                         else [ids[i] for i in stale])
+            if len(stale) == len(ids):
+                stale_ids = ids
+            else:
+                # repro: allow[hot-loop-allocation] -- one list per channel group of a later same-epoch batch that found stale rows, not one per mote
+                stale_ids = [ids[i] for i in stale]
             values = field.batch_values(stale_ids, epoch)
             values = (columnar.quantize_column(values, modality) if quantize
                       else columnar.clamp_column(values, modality))
             cost = modality.sample_cost_joules
             for pair_index, value in zip(stale, values):
-                row_index, node = rows[pair_index]
+                row_index, node, _ = rows[pair_index]
                 out[row_index] = node.book_sample(attribute, epoch,
                                                   value, cost)
         readings = dict(zip(node_ids, out))
@@ -889,7 +906,9 @@ class Network:
         tuples take the reference walk, which raises at that node's
         position. A node an earlier plan grouped keeps its channel
         while its board is the same object
-        (:meth:`~repro.network.columnar.ColumnarState.channels`)."""
+        (:meth:`~repro.network.columnar.ColumnarState.channels`). Each
+        row carries the node's window for ``attribute``, so the batch
+        books into its columns without asking the node for it."""
         nodes = self.nodes
         known = self._columnar.channels(attribute)
         groups: dict[tuple, tuple] = {}
@@ -911,7 +930,7 @@ class Network:
             if group is None:
                 group = groups[entry[1]] = (*entry[2], [], [])
             group[3].append(node_id)
-            group[4].append((row_index, node))
+            group[4].append((row_index, node, node.window_for(attribute)))
         return tuple(groups.values())
 
     def advance_epoch(self) -> int:

@@ -1,21 +1,16 @@
-"""Local storage substrate: sliding windows, flash model, MicroHash.
+"""Local storage substrate: the per-mote history window.
 
 Historic top-k queries (§III-B) require each sensor to "buffer sensor
 readings locally in a sliding window fashion (either in main memory or
 on flash)". :class:`~repro.storage.window.SlidingWindow` is the
-main-memory path (IMote2-class SRAM); :mod:`repro.storage.flash` +
-:mod:`repro.storage.microhash` model the flash path of the cited
-MicroHash index (USENIX FAST 2005), with page-level cost accounting.
+main-memory path (IMote2-class SRAM), held as an epochs column and a
+values column; no reproduced figure keeps its history on flash, so
+this package models none.
 """
 
-from .flash import FlashModel, FlashStats
-from .microhash import MicroHashIndex
 from .window import SlidingWindow, WindowEntry
 
 __all__ = [
     "SlidingWindow",
     "WindowEntry",
-    "FlashModel",
-    "FlashStats",
-    "MicroHashIndex",
 ]

@@ -1,42 +1,59 @@
-"""In-memory sliding window of (epoch, value) readings.
+"""In-memory sliding window of (epoch, value) readings, in two columns.
 
 The main-memory history buffer of §III-B: bounded capacity, oldest
-entries evicted first. Supports the local search and filtering a
-historic-horizontal query performs before transmitting (windowed
-aggregates, local top-k, threshold scans).
+entries evicted first. A window keeps its readings as a structure of
+arrays: an ``array('q')`` of epochs and a ``list`` of values, so
+booking a reading allocates no per-entry tuple and a reader takes the
+newest entries as two slices (:meth:`SlidingWindow.tail`). The values
+column is a list, so the window keeps the exact object it booked: an
+int reading stays an int.
+
+The columns grow past the capacity and drop their oldest entries in
+one step when they reach twice it, so an append costs O(1) on
+average; every read sees only the newest ``capacity`` entries. The
+newest entry doubles as the mote's same-epoch sample cache
+(:class:`~repro.network.node.SensorNode`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
+from array import array
 from typing import Iterator, NamedTuple
 
 from ..errors import ConfigurationError, StorageError
 
 
 class WindowEntry(NamedTuple):
-    """One buffered reading.
-
-    A NamedTuple rather than a frozen dataclass: the acquisition loop
-    allocates one per node per epoch, and tuple construction is ~5x
-    cheaper than a frozen dataclass ``__init__`` (which pays two
-    ``object.__setattr__`` calls). Field access, equality and repr are
-    unchanged.
-    """
+    """One buffered reading, as :meth:`SlidingWindow.latest`,
+    :meth:`SlidingWindow.last` and iteration return it. The window
+    itself stores columns and builds an entry only when one of those
+    reads asks for it."""
 
     epoch: int
     value: float
 
 
 class SlidingWindow:
-    """Bounded FIFO buffer of readings, newest last."""
+    """Bounded FIFO buffer of readings, newest last.
+
+    ``epochs`` and ``values`` are the raw columns, aligned by position
+    and possibly longer than the capacity: only their newest
+    ``capacity`` entries are the window. The acquisition loop
+    (:meth:`~repro.network.simulator.Network.read_many`) appends to
+    them directly; everything else appends through :meth:`append` and
+    reads through the methods below.
+    """
+
+    __slots__ = ("_capacity", "limit", "epochs", "values")
 
     def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ConfigurationError("window capacity must be >= 1")
         self._capacity = capacity
-        self._entries: deque[WindowEntry] = deque(maxlen=capacity)
+        #: The column length at which :meth:`compact` runs.
+        self.limit = 2 * capacity
+        self.epochs = array("q")
+        self.values: list[float] = []
 
     @property
     def capacity(self) -> int:
@@ -44,69 +61,74 @@ class SlidingWindow:
         return self._capacity
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return min(len(self.epochs), self._capacity)
 
     def __iter__(self) -> Iterator[WindowEntry]:
-        return iter(self._entries)
+        return map(WindowEntry, *self.tail(self._capacity))
 
+    # repro: hot
     def append(self, epoch: int, value: float) -> None:
         """Buffer a reading; evicts the oldest when full.
 
         Epochs must be appended in non-decreasing order (the
-        acquisition loop is the only writer).
+        acquisition loop is the only writer); an out-of-order append
+        raises and leaves both columns as they were.
         """
-        if self._entries and epoch < self._entries[-1].epoch:
+        epochs = self.epochs
+        if epochs and epoch < epochs[-1]:
             raise StorageError(
-                f"out-of-order append: epoch {epoch} after "
-                f"{self._entries[-1].epoch}"
-            )
-        self._entries.append(WindowEntry(epoch, value))
+                f"out-of-order append: epoch {epoch} after {epochs[-1]}")
+        epochs.append(epoch)
+        self.values.append(value)
+        if len(epochs) >= self.limit:
+            self.compact()
+
+    def compact(self) -> None:
+        """Drop every entry older than the newest ``capacity``."""
+        del self.epochs[:-self._capacity]
+        del self.values[:-self._capacity]
 
     def latest(self) -> WindowEntry:
         """The most recent reading."""
-        if not self._entries:
+        if not self.epochs:
             raise StorageError("window is empty")
-        return self._entries[-1]
+        return WindowEntry(self.epochs[-1], self.values[-1])
+
+    def tail(self, n: int) -> tuple[array, list[float]]:
+        """The most recent ``n`` readings (fewer if not yet buffered)
+        as an epochs slice and a values slice, oldest first."""
+        if n < 0:
+            raise StorageError("n must be non-negative")
+        keep = min(n, self._capacity)
+        if not keep:
+            return self.epochs[:0], []
+        return self.epochs[-keep:], self.values[-keep:]
 
     def last(self, n: int) -> list[WindowEntry]:
         """The most recent ``n`` readings (fewer if not yet buffered)."""
-        if n < 0:
-            raise StorageError("n must be non-negative")
-        if n >= len(self._entries):
-            return list(self._entries)
-        # Walk n entries in from the newest end: O(n), not O(capacity).
-        newest_first = list(islice(reversed(self._entries), n))
-        newest_first.reverse()
-        return newest_first
-
-    def since(self, epoch: int) -> list[WindowEntry]:
-        """Readings with ``entry.epoch >= epoch``."""
-        return [e for e in self._entries if e.epoch >= epoch]
-
-    def values_in_range(self, lo: float, hi: float) -> list[WindowEntry]:
-        """Readings whose value lies in ``[lo, hi]`` (a filter scan)."""
-        return [e for e in self._entries if lo <= e.value <= hi]
+        return list(map(WindowEntry, *self.tail(n)))
 
     def top_k(self, k: int) -> list[WindowEntry]:
-        """The ``k`` highest-valued readings, best first.
+        """The mote's local top-k: the ``k`` highest-valued readings in
+        the window, best first.
 
-        Ties break toward the earlier epoch — the same deterministic
-        order MicroHash and the ranking helpers use.
+        Ties break toward the earlier epoch.
         """
         if k < 0:
             raise StorageError("k must be non-negative")
-        ranked = sorted(self._entries, key=lambda e: (-e.value, e.epoch))
-        return ranked[:k]
+        epochs, values = self.tail(self._capacity)
+        ranked = sorted(range(len(values)),
+                        key=lambda i: (-values[i], epochs[i]))
+        return [WindowEntry(epochs[i], values[i]) for i in ranked[:k]]
 
     def aggregate(self, op: str, last_n: int | None = None) -> float:
         """A windowed aggregate over the last ``n`` readings (or all).
 
         Supported ops: avg, sum, min, max, count.
         """
-        entries = self.last(last_n) if last_n is not None else list(self._entries)
-        if not entries and op != "count":
+        values = self.tail(self._capacity if last_n is None else last_n)[1]
+        if not values and op != "count":
             raise StorageError("cannot aggregate an empty window")
-        values = [e.value for e in entries]
         if op == "avg":
             return sum(values) / len(values)
         if op == "sum":

@@ -127,10 +127,7 @@ class TestDeployment:
         assert "1024 readings" in str(raised.value)
         assert deployment.sessions() == ()
 
-    def test_history_within_the_window_or_on_flash_is_accepted(self):
-        from repro.storage.flash import FlashModel
-        from repro.storage.microhash import MicroHashIndex
-
+    def test_history_within_the_window_is_accepted(self):
         vertical = ("SELECT TOP 2 epoch, AVG(sound) FROM sensors "
                     "GROUP BY epoch WITH HISTORY {} s EPOCH DURATION 1 s")
         windowed = ("SELECT TOP 1 roomid, AVG(sound) FROM sensors "
@@ -139,16 +136,7 @@ class TestDeployment:
         deployment = Deployment.from_scenario(scenario)
         deployment.submit(vertical.format(1024))
         deployment.submit(windowed.format(1024))
-        # A historic-vertical plan reads flash where a mote has an
-        # index; the windowed aggregates never do.
-        for node_id in scenario.group_of:
-            scenario.network.node(node_id).attach_flash(MicroHashIndex(
-                FlashModel(page_bytes=64, pages=512), 0.0, 100.0,
-                buckets=8))
-        deployment.submit(vertical.format(1500))
-        with pytest.raises(PlanError, match="1024 readings"):
-            deployment.submit(windowed.format(2000))
-        assert len(deployment.sessions()) == 3
+        assert len(deployment.sessions()) == 2
 
     @pytest.mark.parametrize("limit", [0, -1, 2.5, True])
     def test_bad_admission_limit_rejected(self, limit):

@@ -37,6 +37,7 @@ from repro.errors import (
     KSpotError,
     ProtocolError,
     RoutingError,
+    StorageError,
     TopologyError,
     ValidationError,
 )
@@ -73,11 +74,27 @@ def stats_signature(stats):
 
 def ledger_signature(network):
     return {
-        node_id: (ledger.tx, ledger.rx, ledger.sensing, ledger.idle,
-                  ledger.storage)
+        node_id: (ledger.tx, ledger.rx, ledger.sensing, ledger.idle)
         for node_id, ledger in sorted(
             (i, network.ledger(i))
             for i in (network.sink_id, *network.tree.sensor_ids))
+    }
+
+
+def windows_signature(network):
+    """Every mote's booked history: its sample count and, per
+    attribute, its window's raw columns, each value by ``repr`` so an
+    int booked as a float (or a float as a numpy scalar) differs. An
+    empty window holds no booking: a hot sampling plan sets up each
+    mote's window before its batch books, so one that stopped at a
+    refused mote leaves empty windows behind it."""
+    return {
+        node_id: (node.samples_taken, {
+            attribute: (window.epochs.tolist(),
+                        list(map(repr, window.values)))
+            for attribute, window in node._windows.items()
+            if window.epochs})
+        for node_id, node in sorted(network.nodes.items())
     }
 
 
@@ -178,6 +195,7 @@ def observe(handles, network):
         "stats": stats_signature(network.stats),
         "taps": [stats_signature(h.stats) for h in handles],
         "ledgers": ledger_signature(network),
+        "windows": windows_signature(network),
         "epoch": network.epoch,
         "states": [h.state.value for h in handles],
     }
@@ -803,6 +821,88 @@ class TestReadManyErrorPath:
         assert set(hot[2].values()) == {1}
 
 
+class TestWindowBooking:
+    """The epoch's first batch books into the windows' columns inline;
+    a mote whose window already holds this epoch or a later one is
+    booked through ``SensorNode.book_sample``, on both paths."""
+
+    STRAGGLERS = (2, 7, 11)
+
+    @classmethod
+    def _read_with_stragglers(cls):
+        network = grid_rooms_scenario(side=4, rooms_per_axis=2,
+                                      seed=5).network
+        alive = network.alive_sensor_ids()
+        scalar = {}
+        for epoch in range(3):
+            for node_id in cls.STRAGGLERS:
+                scalar[epoch, node_id] = network.node(node_id).read(
+                    "sound", epoch)
+            row = network.read_many(alive, "sound")
+            for node_id in cls.STRAGGLERS:
+                assert row[node_id] == scalar[epoch, node_id]
+            network.advance_epoch()
+        cost = network.node(1).board.modality("sound").sample_cost_joules
+        return (windows_signature(network),
+                {i: network.ledger(i).sensing for i in alive}, cost)
+
+    def test_a_straggler_is_booked_and_charged_once(self):
+        """A mote a scalar ``read`` sampled before the epoch's first
+        batch keeps that one sample: one window entry and one sensing
+        charge per epoch, as every other mote."""
+        hot, reference = on_both_paths(self._read_with_stragglers)
+        assert hot == reference
+        windows, sensing, cost = hot
+        for node_id, charged in sensing.items():
+            samples, columns = windows[node_id]
+            assert samples == 3
+            assert columns["sound"][0] == [0, 1, 2]
+            assert charged == cost + cost + cost
+
+    @staticmethod
+    def _read_past_a_compaction(epochs):
+        network = grid_rooms_scenario(side=3, rooms_per_axis=1,
+                                      seed=5).network
+        alive = network.alive_sensor_ids()
+        for _ in range(epochs):
+            network.read_many(alive, "sound")
+            network.advance_epoch()
+        return windows_signature(network)
+
+    def test_the_columns_compact_alike(self):
+        """A 1,024-reading window's columns drop their oldest 1,024
+        entries at the 2,048th append, whether the batch appends
+        inline or ``SlidingWindow.append`` does."""
+        hot, reference = on_both_paths(self._read_past_a_compaction, 2100)
+        assert hot == reference
+        samples, columns = hot[1]
+        assert samples == 2100
+        assert columns["sound"][0] == list(range(1024, 2100))
+
+    @staticmethod
+    def _read_behind_a_window():
+        network = grid_rooms_scenario(side=4, rooms_per_axis=2,
+                                      seed=5).network
+        alive = network.alive_sensor_ids()
+        network.node(alive[5]).window_for("sound").append(4, 50.0)
+        with pytest.raises(StorageError, match="out-of-order"):
+            network.read_many(alive, "sound")
+        return (windows_signature(network),
+                {i: network.ledger(i).sensing for i in alive})
+
+    def test_an_older_epoch_is_refused_at_that_mote(self):
+        """A window holding a later epoch refuses the epoch's sample:
+        the motes ahead of it are booked, it and the motes behind it
+        are not, and nothing is charged for the refused sample."""
+        hot, reference = on_both_paths(self._read_behind_a_window)
+        assert hot == reference
+        windows, sensing = hot
+        booked = [node_id for node_id, charged in sensing.items() if charged]
+        assert booked == list(range(1, 6))
+        assert windows[6] == (0, {"sound": ([4], ["50.0"])})
+        assert windows[7] == (0, {})
+
+
 class PerHopNetwork(Network):
     """The relay loop the batch relay kernel replaces: node by node,
     one one-edge :meth:`Network.ship_edges` call per hop."""
@@ -1246,7 +1346,7 @@ def derived_sampling_plan(network, ids, attribute):
         group = groups.setdefault((id(field), id(modality), quantize),
                                   (field, modality, quantize, [], []))
         group[3].append(node_id)
-        group[4].append((row, node))
+        group[4].append((row, node, node.window_for(attribute)))
     return tuple(groups.values())
 
 
@@ -2119,7 +2219,8 @@ class TestTjaRowsFromWindows:
         network = scenario.network
         series = make_series(list(scenario.group_of), epochs=12, seed=6)
         labels, rows = aligned_rows(
-            (node, sorted(column.items())) for node, column in series.items())
+            (node, *zip(*sorted(column.items())))
+            for node, column in series.items())
         result = Tja.over_rows(network, make_aggregate("AVG", 0.0, 100.0), 3,
                                labels, rows).execute()
         return labels, tja_signature(result), stats_signature(network.stats)

@@ -116,8 +116,7 @@ class TestEnergyLedger:
         ledger.charge_rx(2.0)
         ledger.charge_sensing(3.0)
         ledger.charge_idle(4.0)
-        ledger.charge_storage(5.0)
-        assert ledger.total == 15.0
+        assert ledger.total == 10.0
 
     def test_copy_is_independent(self):
         ledger = EnergyLedger(tx=1.0)

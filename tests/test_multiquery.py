@@ -205,7 +205,7 @@ class TestSessionLifecycle:
 
 
 class TestMultiAttributeBoards:
-    def _two_channel_deployment(self, seed=21):
+    def _two_channel_deployment(self):
         """A deployment whose boards carry two channels."""
         from repro.network.simulator import Network
         from repro.network.topology import Topology
@@ -218,8 +218,8 @@ class TestMultiAttributeBoards:
                             radio_range=8.0)
         boards = {
             node_id: SensorBoard({
-                "sound": UniformRandomField(0, 100, seed=seed),
-                "temperature": UniformRandomField(-10, 60, seed=seed + 1),
+                "sound": UniformRandomField(0, 100, seed=21),
+                "temperature": UniformRandomField(-10, 60, seed=22),
             })
             for node_id in positions if node_id != 0
         }
@@ -257,33 +257,6 @@ class TestMultiAttributeBoards:
             "GROUP BY epoch WITH HISTORY 5 s EPOCH DURATION 1 s")
         EpochDriver(alone_dep).run()
         assert alone.historic_result.items == shared.items
-
-    def test_flash_history_not_used_for_interleaved_attributes(self):
-        """With flash attached, attribute-specific history must come
-        from the per-attribute SRAM window once a second channel has
-        been buffered (the flash index interleaves streams)."""
-        from repro.storage.flash import FlashModel
-        from repro.storage.microhash import MicroHashIndex
-
-        network, deployment = self._two_channel_deployment(seed=33)
-        driver = EpochDriver(deployment)
-        for node_id in network.tree.sensor_ids:
-            network.node(node_id).attach_flash(
-                MicroHashIndex(FlashModel(page_bytes=64, pages=256),
-                               -10.0, 1000.0))
-        deployment.submit(
-            "SELECT TOP 1 roomid, AVG(sound) FROM sensors "
-            "GROUP BY roomid EPOCH DURATION 1 min")
-        hist = deployment.submit(
-            "SELECT TOP 2 epoch, AVG(temperature) FROM sensors "
-            "GROUP BY epoch WITH HISTORY 5 s EPOCH DURATION 1 s")
-        driver.run(5)
-        node = network.node(1)
-        entries = node.history(5, attribute="temperature")
-        assert [e.value for e in entries] == \
-            [e.value for e in node.window_for("temperature").last(5)]
-        answer = hist.historic_result
-        assert all(-10 <= item.score <= 60 for item in answer.items)
 
 
 class TestPerSessionAccounting:

@@ -17,6 +17,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Deployment, SessionState
@@ -162,37 +163,68 @@ class TestOracleProperties:
             assert a >= b
 
 
+#: One step against a window: ``("append", epoch step, value)``, whose
+#: step may go back in time, or ``("read", n)``.
+window_steps = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(-2, 3),
+              st.one_of(values, st.integers(0, 100))),
+    st.tuples(st.just("read"), st.integers(0, 12))), max_size=80)
+
+
 class TestStorageAgreement:
-    @given(st.lists(values, min_size=1, max_size=120), st.integers(1, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_microhash_top_k_equals_brute_force(self, readings, k):
-        from repro.storage.flash import FlashModel
-        from repro.storage.microhash import MicroHashIndex
+    @given(st.sampled_from([1, 2, 3, 5, 8]), window_steps)
+    @settings(max_examples=80, deadline=None)
+    def test_window_equals_a_deque_model(self, capacity, steps):
+        """Random appends and reads against ``deque(maxlen=capacity)``
+        of ``(epoch, value)`` pairs, through every compaction of the
+        columns: each read agrees after every step, the two columns
+        stay aligned and under twice the capacity, and an out-of-order
+        append raises and leaves both columns as they were."""
+        from collections import deque
 
-        index = MicroHashIndex(FlashModel(page_bytes=64, pages=64),
-                               0.0, 100.0, buckets=8)
-        for t, v in enumerate(readings):
-            index.insert(t, v)
-        expected = sorted(enumerate(readings),
-                          key=lambda kv: (-kv[1], kv[0]))[:k]
-        got = [(e.epoch, e.value) for e in index.top_k(k)]
-        assert got == expected
+        from repro.errors import StorageError
+        from repro.storage.window import SlidingWindow
 
-    @given(st.lists(values, min_size=1, max_size=120),
-           st.tuples(values, values))
-    @settings(max_examples=40, deadline=None)
-    def test_microhash_range_equals_brute_force(self, readings, window):
-        from repro.storage.flash import FlashModel
-        from repro.storage.microhash import MicroHashIndex
-
-        lo, hi = min(window), max(window)
-        index = MicroHashIndex(FlashModel(page_bytes=64, pages=64),
-                               0.0, 100.0, buckets=8)
-        for t, v in enumerate(readings):
-            index.insert(t, v)
-        expected = [(t, v) for t, v in enumerate(readings) if lo <= v <= hi]
-        got = [(e.epoch, e.value) for e in index.value_range(lo, hi)]
-        assert got == expected
+        window = SlidingWindow(capacity=capacity)
+        model: deque = deque(maxlen=capacity)
+        epoch, n = 0, capacity
+        for step in steps:
+            if step[0] == "read":
+                n = step[1]
+            elif model and epoch + step[1] < epoch:
+                before = (window.epochs.tolist(), list(window.values))
+                with pytest.raises(StorageError):
+                    window.append(epoch + step[1], step[2])
+                assert (window.epochs.tolist(), window.values) == before
+            else:
+                epoch += step[1]
+                window.append(epoch, step[2])
+                model.append((epoch, step[2]))
+            entries = list(model)
+            newest = entries[-n:] if n else []
+            assert len(window) == len(entries)
+            assert len(window.values) == len(window.epochs) < 2 * capacity
+            assert [(e.epoch, e.value) for e in window] == entries
+            assert [tuple(e) for e in window.last(n)] == newest
+            assert [tuple(e) for e in window.top_k(n)] == sorted(
+                entries, key=lambda ev: (-ev[1], ev[0]))[:n]
+            epochs, booked = window.tail(n)
+            assert list(zip(epochs, booked)) == newest
+            assert [type(v) for v in booked] == [type(v) for _, v in newest]
+            if entries:
+                assert tuple(window.latest()) == entries[-1]
+            else:
+                with pytest.raises(StorageError):
+                    window.latest()
+            tail = [v for _, v in newest]
+            assert window.aggregate("count", last_n=n) == len(tail)
+            if tail:
+                assert window.aggregate("sum", last_n=n) == sum(tail)
+                assert window.aggregate("avg", last_n=n) == \
+                    sum(tail) / len(tail)
+                assert window.aggregate("min", last_n=n) == min(tail)
+                assert window.aggregate("max", last_n=n) == max(tail)
+                assert window.aggregate("max") == max(v for _, v in entries)
 
     @given(st.lists(values, min_size=1, max_size=60), st.integers(1, 60))
     @settings(max_examples=40, deadline=None)

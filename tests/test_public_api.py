@@ -40,15 +40,15 @@ class TestTopLevelExports:
         from repro.errors import (
             KSpotError, LexError, ParseError, PlanError, ProtocolError,
             RoutingError, ScenarioError, SessionError, StorageError,
-            StorageFullError, SubmissionError, TopologyError,
-            UnknownSessionError, ValidationError,
+            SubmissionError, TopologyError, UnknownSessionError,
+            ValidationError,
         )
 
         for exc in (LexError("x", 0, 1, 1), ParseError("x"),
                     ValidationError("x"), PlanError("x"),
                     TopologyError("x"), RoutingError("x"),
-                    StorageError("x"), StorageFullError("x"),
-                    ProtocolError("x"), ScenarioError("x"),
+                    StorageError("x"), ProtocolError("x"),
+                    ScenarioError("x"),
                     SessionError("x"), UnknownSessionError("x"),
                     SubmissionError("x")):
             assert isinstance(exc, KSpotError)

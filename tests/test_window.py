@@ -58,7 +58,7 @@ class TestAccess:
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17])
     def test_last_at_and_past_capacity(self, appended, n):
         """``last(n)`` reads from the newest end; on a full window and
-        on one whose deque has wrapped it equals the tail of
+        on one whose columns have compacted it equals the tail of
         ``list(window)``."""
         w = SlidingWindow(capacity=16)
         for t in range(appended):
@@ -66,12 +66,18 @@ class TestAccess:
         entries = list(w)
         assert w.last(n) == (entries[-n:] if n else [])
 
-    def test_since(self, window):
-        assert [e.epoch for e in window.since(3)] == [3, 4]
+    def test_tail_is_a_copy(self, window):
+        epochs, values = window.tail(5)
+        epochs[0] = 99
+        values[0] = 99.0
+        assert window.latest() == WindowEntry(4, 3.0)
+        assert list(window)[0] == WindowEntry(0, 5.0)
 
-    def test_values_in_range(self, window):
-        hits = window.values_in_range(4.0, 9.0)
-        assert [e.value for e in hits] == [5.0, 9.0, 9.0]
+    def test_negative_n_rejected(self, window):
+        with pytest.raises(StorageError):
+            window.tail(-1)
+        with pytest.raises(StorageError):
+            window.last(-1)
 
 
 class TestLocalTopK:
