@@ -24,7 +24,7 @@ from .certify import CertificationOutcome, certify_top_k
 from .delta import BoundsDelta, DeltaEntry, TopKView
 from .engine import KSpotEngine
 from .results import (EpochResult, RankedItem, is_valid_top_k, oracle_scores,
-                      oracle_top_k, same_answer_set)
+                      oracle_top_k)
 from .mint import Mint, MintConfig
 from .tja import Tja, TjaResult
 from .tag import Tag
@@ -47,7 +47,6 @@ __all__ = [
     "oracle_top_k",
     "oracle_scores",
     "is_valid_top_k",
-    "same_answer_set",
     "Mint",
     "MintConfig",
     "Tja",

@@ -29,6 +29,7 @@ from ..query.ast_nodes import Predicate
 from ..query.eval import evaluate, references
 from ..query.plan import Algorithm, LogicalPlan, QueryClass
 from ..sensing.modalities import get_modality
+from ..storage.window import DEFAULT_CAPACITY
 from .aggregates import Aggregate, make_aggregate
 from .centralized import Centralized
 from .fila import Fila
@@ -192,19 +193,15 @@ class KSpotEngine:
         left of it.
         """
         window = self.plan.window_epochs
-        if window is None:
+        if window is None or window <= DEFAULT_CAPACITY:
             return
         nodes = self.network.nodes
         for node_id in self.participants:
-            node = nodes.get(node_id)
-            if node is None:
-                continue
-            capacity = node.window.capacity
-            if window > capacity:
+            if node_id in nodes:
                 raise PlanError(
                     f"the history window spans {window} epochs, but "
-                    f"sensor {node_id} buffers only {capacity} readings "
-                    f"in SRAM")
+                    f"sensor {node_id} buffers only {DEFAULT_CAPACITY} "
+                    f"readings in SRAM")
 
     # ------------------------------------------------------------------
     # Snapshot / horizontal execution
@@ -348,15 +345,6 @@ class KSpotEngine:
         the sampling plan and readings row of concurrent sessions."""
         self._live_participants.readings(self.participants,
                                          self.plan.attribute)
-
-    def fill_windows(self, epochs: int | None = None) -> None:
-        """Acquisition stage: sample & buffer locally, radio silent."""
-        total = epochs if epochs is not None else self.plan.window_epochs
-        if total is None:
-            raise PlanError("no window length to fill")
-        for _ in range(total):
-            self.sample_participants()
-            self.network.advance_epoch()
 
     def _series(self) -> dict[int, dict[int, float]]:
         """Each alive participant's last ``WITH HISTORY`` readings as a

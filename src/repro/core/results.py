@@ -149,13 +149,3 @@ def is_valid_top_k(items: Iterable[RankedItem],
     best = sorted(true_scores.values(), reverse=True)[:expected_len]
     return all(abs(c - t) <= tolerance
                for c, t in zip(sorted(claimed, reverse=True), best))
-
-
-def same_answer_set(a: Iterable[RankedItem], b: Iterable[RankedItem],
-                    tolerance: float = 1e-9) -> bool:
-    """Strict agreement: identical key sets with matching scores."""
-    map_a = {item.key: item.score for item in a}
-    map_b = {item.key: item.score for item in b}
-    if set(map_a) != set(map_b):
-        return False
-    return all(abs(map_a[key] - map_b[key]) <= tolerance for key in map_a)

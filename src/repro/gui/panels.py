@@ -1,97 +1,18 @@
-"""Panel models of the KSpot GUI (§II, Figure 3).
+"""The Display Panel model of the KSpot GUI (§II, Figure 3).
 
-Each class holds exactly the state the corresponding Swing panel
-displays. They are plain models: the ASCII renderer (or any other
+The classes hold exactly the state the Swing Display Panel shows: the
+map, the sensor positions, the cluster links and the ranked KSpot
+bullets. They are plain models: the ASCII renderer (or any other
 front-end) consumes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable
 
-from ..errors import ConfigurationError, ValidationError
-from ..query.ast_nodes import Query
-from ..query.parser import parse
+from ..errors import ValidationError
 from ..core.results import EpochResult
-
-
-@dataclass
-class ConfigurationPanel:
-    """Cluster configuration: which nodes belong to which region.
-
-    "Through this panel the user can specify which nodes belong to (are
-    clustered in) the same physical region (e.g., Auditorium,
-    Conference Rooms, Coffee Stations, etc.)"
-    """
-
-    cluster_of: dict[int, Hashable] = field(default_factory=dict)
-
-    def assign(self, node_id: int, cluster: Hashable) -> None:
-        """Put a node into a cluster (drag it onto a region)."""
-        self.cluster_of[node_id] = cluster
-
-    def remove(self, node_id: int) -> None:
-        """Remove a node from its cluster."""
-        self.cluster_of.pop(node_id, None)
-
-    def clusters(self) -> dict[Hashable, tuple[int, ...]]:
-        """Cluster → sorted member node ids."""
-        members: dict[Hashable, list[int]] = {}
-        for node_id, cluster in self.cluster_of.items():
-            members.setdefault(cluster, []).append(node_id)
-        return {cluster: tuple(sorted(nodes))
-                for cluster, nodes in sorted(members.items(), key=lambda i: str(i[0]))}
-
-    def validate_against(self, node_ids: Iterable[int]) -> None:
-        """Every configured node must exist in the deployment."""
-        known = set(node_ids)
-        unknown = sorted(set(self.cluster_of) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"configuration references unknown sensors: {unknown}"
-            )
-
-
-@dataclass
-class QueryPanel:
-    """Query construction: builds or accepts SQL-like query text.
-
-    The panel supports both paths of the paper — graphical construction
-    (:meth:`build`) and manual entry (:meth:`set_text`) — and echoes
-    the canonical query back.
-    """
-
-    text: str = ""
-    query: Query | None = None
-
-    def set_text(self, text: str) -> Query:
-        """Manual entry: parse and echo."""
-        self.query = parse(text)
-        self.text = self.query.unparse()
-        return self.query
-
-    def build(self, k: int | None, aggregate: str, attribute: str,
-              group_by: str | None = "roomid",
-              epoch_duration: str | None = None,
-              history: str | None = None) -> Query:
-        """Graphical construction: assemble the query from widget state."""
-        parts = ["SELECT"]
-        if k is not None:
-            parts.append(f"TOP {k}")
-        select = []
-        if group_by:
-            select.append(group_by)
-        select.append(f"{aggregate.upper()}({attribute})")
-        parts.append(", ".join(select))
-        parts.append("FROM sensors")
-        if group_by:
-            parts.append(f"GROUP BY {group_by}")
-        if epoch_duration:
-            parts.append(f"EPOCH DURATION {epoch_duration}")
-        if history:
-            parts.append(f"WITH HISTORY {history}")
-        return self.set_text(" ".join(parts))
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,12 @@ def render_savings(samples: Sequence[SavingsSample], width: int = 60,
             f"(avg {average:.1f}%, last {recent[-1]:.1f}%)\n{chart}")
 
 
-def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
-                 float_format: str = "{:.2f}") -> str:
-    """A plain fixed-width table (benchmark output uses this)."""
+def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]]
+                 ) -> str:
+    """A plain fixed-width table (benchmark output uses this); floats
+    print with two decimals."""
     rendered_rows = [
-        [float_format.format(cell) if isinstance(cell, float) else str(cell)
+        [f"{cell:.2f}" if isinstance(cell, float) else str(cell)
          for cell in row]
         for row in rows
     ]

@@ -1,10 +1,12 @@
-"""Scenario configuration files (Configuration Panel load/store).
+"""Scenario configuration files, the Configuration Panel's load/store.
 
 "The Configuration Panel … enables the user to load a new scenario
 from a configuration file or to create a new scenario that can be
 stored in a configuration file." The format here is JSON: sensor
 positions, cluster membership, map dimensions, the sensed attribute
-and the radio range — everything needed to re-deploy the network.
+and the radio range — everything needed to re-deploy the network. The
+file is the whole panel model: ``repro scenario-init`` writes one, and
+``repro run`` and ``repro workload --scenario`` deploy it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from ..network.simulator import Network
 from ..network.topology import Topology
 from ..sensing.board import SensorBoard
 from ..sensing.generators import FieldGenerator
-from .panels import ConfigurationPanel, DisplayPanel
 
 FORMAT_VERSION = 1
 
@@ -68,29 +69,14 @@ class ScenarioConfig:
         positions.update(self.positions)
         return Topology(positions=positions, radio_range=self.radio_range)
 
-    def deploy(self, field_generator: FieldGenerator,
-               quantize: bool = True) -> Network:
+    def deploy(self, field_generator: FieldGenerator) -> Network:
         """Instantiate the network with boards sensing the given field."""
         boards = {
-            node_id: SensorBoard({self.attribute: field_generator},
-                                 quantize=quantize)
+            node_id: SensorBoard({self.attribute: field_generator})
             for node_id in self.positions
         }
         return Network(self.to_topology(), boards=boards,
                        group_of=dict(self.cluster_of))
-
-    def panels(self) -> tuple[ConfigurationPanel, DisplayPanel]:
-        """The GUI panels pre-populated from this scenario."""
-        configuration = ConfigurationPanel(
-            cluster_of=dict(self.cluster_of))
-        display = DisplayPanel(
-            width=self.map_width,
-            height=self.map_height,
-            positions={0: self.sink_position, **self.positions},
-            cluster_of=dict(self.cluster_of),
-            floor_plan_caption=self.floor_plan_caption,
-        )
-        return configuration, display
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:

@@ -9,9 +9,11 @@ whole-column operations per board channel:
   samples a whole id tuple through one
   :meth:`~repro.sensing.generators.FieldGenerator.batch_values` call
   per board channel (grouped by a sampling plan cached per id tuple
-  until the topology changes), vectorizing the clamp + ADC
-  quantization — and the per-cell uniform draws themselves via
-  :func:`hash01_column` — over the column.
+  until the topology changes), vectorizing the ADC quantization — and
+  the per-cell uniform draws themselves via :func:`hash01_column` —
+  over the column. A clamp-only board (``quantize=False``) clamps
+  value by value, as the reference path does, so an int reading stays
+  an int.
 
 **Switch-and-prove discipline.** The kernel has no switch of its own:
 it runs on every deployment whose ``Network.hot`` is set (see
@@ -146,15 +148,12 @@ def quantize_column(values: Sequence[float], modality: "Modality"
 
 def clamp_column(values: Sequence[float], modality: "Modality"
                  ) -> list[float]:
-    """Vectorized :meth:`~repro.sensing.modalities.Modality.clamp`
-    (the ``quantize=False`` board configuration)."""
-    np = numpy_module()
-    if np is None:
-        clamp = modality.clamp
-        return [clamp(value) for value in values]
-    column = np.asarray(values, dtype=np.float64)
-    return np.minimum(modality.hi,
-                      np.maximum(modality.lo, column)).tolist()
+    """:meth:`~repro.sensing.modalities.Modality.clamp` per value (the
+    ``quantize=False`` board configuration), on either backend, as the
+    reference path clamps: a float64 column would book an int reading
+    that lies inside the range as a float."""
+    clamp = modality.clamp
+    return [clamp(value) for value in values]
 
 
 def clamp_values(values: Sequence[float], lo: float, hi: float

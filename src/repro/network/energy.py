@@ -82,17 +82,6 @@ class EnergyLedger:
     def charge_rx(self, joules: float) -> None:
         self.rx += joules
 
-    def charge_sensing(self, joules: float) -> None:
-        self.sensing += joules
-
-    def charge_idle(self, joules: float) -> None:
-        self.idle += joules
-
-    def copy(self) -> "EnergyLedger":
-        """A snapshot for before/after phase accounting."""
-        return EnergyLedger(tx=self.tx, rx=self.rx, sensing=self.sensing,
-                            idle=self.idle)
-
 
 def lifetime_epochs(model: EnergyModel, per_epoch_joules: float) -> float:
     """Epochs until a node at the given burn rate exhausts its battery.

@@ -42,10 +42,6 @@ class RadioModel:
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
 
-    def airtime_seconds(self, air_bytes: int) -> float:
-        """Time on the air for ``air_bytes`` (one attempt)."""
-        return air_bytes * 8.0 / self.bitrate_bps
-
     def attempts_needed(self, rng: random.Random) -> int:
         """Transmissions until success, honouring the retry budget.
 

@@ -29,18 +29,14 @@ class SensorNode:
     """One mote: identity, sensing hardware, local storage, liveness."""
 
     def __init__(self, node_id: int, board: SensorBoard | None = None,
-                 group: Hashable = None, window_capacity: int = 1024):
+                 group: Hashable = None):
         if node_id < 0:
             raise ConfigurationError("node ids must be non-negative")
         self.node_id = node_id
         self.board = board
         self.group = group
         self.ledger = EnergyLedger()
-        #: The primary history window — adopted by the first attribute
-        #: this node samples (the only one, on the single-channel
-        #: boards every shipped scenario deploys).
-        self.window: SlidingWindow = SlidingWindow(capacity=window_capacity)
-        self._window_capacity = window_capacity
+        #: Attribute → its history window, made on first use.
         self._windows: dict[str, SlidingWindow] = {}
         self.alive = True
         #: Death observer installed by the owning network so liveness
@@ -52,17 +48,14 @@ class SensorNode:
     def window_for(self, attribute: str) -> SlidingWindow:
         """The history window buffering ``attribute``'s readings.
 
-        Each attribute gets its own window so concurrent sessions over
-        different channels of one board cannot interleave their
-        streams. The first attribute adopts the legacy
-        :attr:`window`, keeping single-channel deployments (every
-        shipped scenario) byte-identical to the historical behaviour.
+        Each attribute gets its own window, made on first use at
+        :data:`~repro.storage.window.DEFAULT_CAPACITY` readings, so
+        concurrent sessions over different channels of one board
+        cannot interleave their streams.
         """
         window = self._windows.get(attribute)
         if window is None:
-            window = (self.window if not self._windows
-                      else SlidingWindow(capacity=self._window_capacity))
-            self._windows[attribute] = window
+            window = self._windows[attribute] = SlidingWindow()
         return window
 
     def read(self, attribute: str, epoch: int) -> float:

@@ -253,15 +253,6 @@ class Network:
             return self.sink_ledger
         return self.node(node_id).ledger
 
-    def groups(self) -> dict[Hashable, int]:
-        """Cluster → number of live member sensors."""
-        counts: dict[Hashable, int] = {}
-        for node_id in self.alive_sensor_ids():
-            group = self.nodes[node_id].group
-            if group is not None:
-                counts[group] = counts.get(group, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------
     # Transport primitives
     # ------------------------------------------------------------------
@@ -801,11 +792,12 @@ class Network:
         hot path, nodes still needing a physical sample are grouped by
         board channel and acquired through one
         :meth:`~repro.sensing.generators.FieldGenerator.batch_values`
-        call plus a vectorized clamp/quantize per channel, then booked
-        exactly as a scalar read books them: the epoch's first batch
-        appends each value to its window's columns, charges the
-        sensing and counts the sample inline, and a later batch books
-        through :meth:`~repro.network.node.SensorNode.book_sample`.
+        call plus a vectorized quantize (or a per-value clamp) per
+        channel, then booked exactly as a scalar read books them: the
+        epoch's first batch appends each value to its window's
+        columns, charges the sensing and counts the sample inline, and
+        a later batch books through
+        :meth:`~repro.network.node.SensorNode.book_sample`.
         The row is cached per (attribute, epoch, id tuple) until the
         topology changes, so N concurrent sessions reading equal
         tuples over the same deployment pay for one batch.
@@ -1000,11 +992,6 @@ class Network:
         """
         if callback not in self._subscribers:
             self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[TopologyEvent], None]) -> None:
-        """Remove a lifecycle listener (missing callbacks are ignored)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     def _emit(self, event: TopologyEvent) -> None:
         for callback in tuple(self._subscribers):

@@ -191,11 +191,6 @@ class NetworkStats:
         """Message count per message kind (a fresh dict)."""
         return {kind: row[0] for kind, row in self._kinds.items()}
 
-    @property
-    def bytes_by_kind(self) -> dict[str, int]:
-        """Payload bytes per message kind (a fresh dict)."""
-        return {kind: row[2] for kind, row in self._kinds.items()}
-
     def snapshot(self) -> PhaseSnapshot:
         """Immutable copy of the headline totals."""
         totals = [sum(column) for column in zip(*self._kinds.values())]

@@ -236,10 +236,6 @@ class RoutingTree:
             stack.extend(self._children[current])
         return tuple(sorted(nodes))
 
-    def subtree_size(self, node_id: int) -> int:
-        """Number of nodes in the subtree rooted at ``node_id``."""
-        return len(self.subtree(node_id))
-
     def path_to_root(self, node_id: int) -> tuple[int, ...]:
         """Nodes from ``node_id`` up to and including the root.
 

@@ -1,8 +1,7 @@
 """Abstract syntax tree of the query dialect.
 
 Nodes are frozen dataclasses; :meth:`Query.unparse` round-trips back to
-canonical query text (used by tests and by the Query Panel to echo the
-constructed query).
+canonical query text.
 """
 
 from __future__ import annotations
@@ -104,15 +103,6 @@ class SelectItem:
         if self.alias:
             text += f" AS {self.alias}"
         return text
-
-    @property
-    def output_name(self) -> str:
-        """Column name in the result (alias wins)."""
-        if self.alias:
-            return self.alias
-        if isinstance(self.expr, AggregateCall):
-            return f"{self.expr.func.lower()}_{self.expr.argument}"
-        return self.expr.name
 
 
 @dataclass(frozen=True)

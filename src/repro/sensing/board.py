@@ -57,8 +57,9 @@ class SensorBoard:
 
         The columnar kernel groups nodes by this triple so one
         :meth:`FieldGenerator.batch_values` call plus one vectorized
-        quantize/clamp serves every node sharing the same physical
-        channel (:meth:`repro.network.simulator.Network.read_many`).
+        quantize (or one clamp per value) serves every node sharing the
+        same physical channel
+        (:meth:`repro.network.simulator.Network.read_many`).
         """
         modality = self.modality(attribute)
         return self._fields[attribute], modality, self._quantize

@@ -323,10 +323,6 @@ class ZipfEventField(ClusterField):
     def _known_clusters(self):
         return self._level
 
-    def group_level(self, group: int) -> float:
-        """The expected magnitude of a group (before jitter)."""
-        return self._level[group]
-
     def value(self, node_id: int, epoch: int) -> float:
         group = self._cluster_of.get(node_id)
         if group is None:

@@ -237,9 +237,9 @@ class QuerySession:
         """One acquisition epoch; once the window is full, the one-shot
         distributed execution, which finishes the session.
 
-        Sampling goes through the node-level per-epoch cache, so when
-        monitoring sessions share the deployment the acquisition is
-        free — the board already fired this epoch.
+        A mote's window holds the epoch's sample as its newest entry,
+        so when monitoring sessions share the deployment the
+        acquisition is free: the board already fired this epoch.
         """
         window = self.plan.window_epochs
         if window is None:

@@ -8,9 +8,8 @@ values column; no reproduced figure keeps its history on flash, so
 this package models none.
 """
 
-from .window import SlidingWindow, WindowEntry
+from .window import SlidingWindow
 
 __all__ = [
     "SlidingWindow",
-    "WindowEntry",
 ]

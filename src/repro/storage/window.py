@@ -4,9 +4,9 @@ The main-memory history buffer of §III-B: bounded capacity, oldest
 entries evicted first. A window keeps its readings as a structure of
 arrays: an ``array('q')`` of epochs and a ``list`` of values, so
 booking a reading allocates no per-entry tuple and a reader takes the
-newest entries as two slices (:meth:`SlidingWindow.tail`). The values
-column is a list, so the window keeps the exact object it booked: an
-int reading stays an int.
+newest entries as two slices (:meth:`SlidingWindow.tail`) or reads the
+columns' last positions. The values column is a list, so the window
+keeps the exact object it booked: an int reading stays an int.
 
 The columns grow past the capacity and drop their oldest entries in
 one step when they reach twice it, so an append costs O(1) on
@@ -18,19 +18,12 @@ newest entry doubles as the mote's same-epoch sample cache
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, NamedTuple
 
 from ..errors import ConfigurationError, StorageError
 
-
-class WindowEntry(NamedTuple):
-    """One buffered reading, as :meth:`SlidingWindow.latest`,
-    :meth:`SlidingWindow.last` and iteration return it. The window
-    itself stores columns and builds an entry only when one of those
-    reads asks for it."""
-
-    epoch: int
-    value: float
+#: Readings a mote's window buffers: every window a
+#: :class:`~repro.network.node.SensorNode` makes holds this many.
+DEFAULT_CAPACITY = 1024
 
 
 class SlidingWindow:
@@ -46,7 +39,7 @@ class SlidingWindow:
 
     __slots__ = ("_capacity", "limit", "epochs", "values")
 
-    def __init__(self, capacity: int = 1024):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ConfigurationError("window capacity must be >= 1")
         self._capacity = capacity
@@ -62,9 +55,6 @@ class SlidingWindow:
 
     def __len__(self) -> int:
         return min(len(self.epochs), self._capacity)
-
-    def __iter__(self) -> Iterator[WindowEntry]:
-        return map(WindowEntry, *self.tail(self._capacity))
 
     # repro: hot
     def append(self, epoch: int, value: float) -> None:
@@ -88,12 +78,6 @@ class SlidingWindow:
         del self.epochs[:-self._capacity]
         del self.values[:-self._capacity]
 
-    def latest(self) -> WindowEntry:
-        """The most recent reading."""
-        if not self.epochs:
-            raise StorageError("window is empty")
-        return WindowEntry(self.epochs[-1], self.values[-1])
-
     def tail(self, n: int) -> tuple[array, list[float]]:
         """The most recent ``n`` readings (fewer if not yet buffered)
         as an epochs slice and a values slice, oldest first."""
@@ -103,23 +87,6 @@ class SlidingWindow:
         if not keep:
             return self.epochs[:0], []
         return self.epochs[-keep:], self.values[-keep:]
-
-    def last(self, n: int) -> list[WindowEntry]:
-        """The most recent ``n`` readings (fewer if not yet buffered)."""
-        return list(map(WindowEntry, *self.tail(n)))
-
-    def top_k(self, k: int) -> list[WindowEntry]:
-        """The mote's local top-k: the ``k`` highest-valued readings in
-        the window, best first.
-
-        Ties break toward the earlier epoch.
-        """
-        if k < 0:
-            raise StorageError("k must be non-negative")
-        epochs, values = self.tail(self._capacity)
-        ranked = sorted(range(len(values)),
-                        key=lambda i: (-values[i], epochs[i]))
-        return [WindowEntry(epochs[i], values[i]) for i in ranked[:k]]
 
     def aggregate(self, op: str, last_n: int | None = None) -> float:
         """A windowed aggregate over the last ``n`` readings (or all).

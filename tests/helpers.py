@@ -53,6 +53,15 @@ def vertical_oracle(series, aggregate, k):
     return scores, ranked[:k]
 
 
+def fill_windows(engine):
+    """Fill a historic plan's windows the way its session's acquiring
+    steps do: ``WITH HISTORY`` epochs, each one radio-silent
+    acquisition and one tick of the clock."""
+    for _ in range(engine.plan.window_epochs):
+        engine.sample_participants()
+        engine.network.advance_epoch()
+
+
 @contextlib.contextmanager
 def built_networks():
     """Record every :class:`Network` built inside the block."""

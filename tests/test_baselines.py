@@ -83,8 +83,8 @@ class TestCentralized:
         algo.run_epoch()
         # Total forwarded readings = sum of subtree sizes = 9 + 3·(own+desc).
         tree = scenario.network.tree
-        expected = sum(tree.subtree_size(n) for n in tree.sensor_ids)
-        raw_bytes = scenario.network.stats.bytes_by_kind["raw_readings"]
+        expected = sum(len(tree.subtree(n)) for n in tree.sensor_ids)
+        raw_bytes = scenario.network.stats._counters()[0]["raw_readings"][2]
         per_reading = 6
         per_message = 4  # epoch header
         n_messages = len(tree.sensor_ids)

@@ -14,7 +14,6 @@ from repro.core.results import (
     oracle_scores,
     oracle_top_k,
     rank_key,
-    same_answer_set,
 )
 from repro.errors import ValidationError
 
@@ -302,25 +301,3 @@ class TestValidityCheck:
     def test_k_exceeding_groups(self):
         small = {"A": 1.0}
         assert is_valid_top_k(self.items(("A", 1.0)), small, k=5)
-
-
-class TestSameAnswerSet:
-    def test_equal(self):
-        a = [RankedItem("A", 1.0, 1.0, 1.0)]
-        b = [RankedItem("A", 1.0, 1.0, 1.0)]
-        assert same_answer_set(a, b)
-
-    def test_different_keys(self):
-        a = [RankedItem("A", 1.0, 1.0, 1.0)]
-        b = [RankedItem("B", 1.0, 1.0, 1.0)]
-        assert not same_answer_set(a, b)
-
-    def test_score_tolerance(self):
-        a = [RankedItem("A", 1.0, 1.0, 1.0)]
-        b = [RankedItem("A", 1.0 + 1e-12, 1.0, 1.0)]
-        assert same_answer_set(a, b)
-
-    def test_order_irrelevant(self):
-        a = [RankedItem("A", 2.0, 2.0, 2.0), RankedItem("B", 1.0, 1.0, 1.0)]
-        b = list(reversed(a))
-        assert same_answer_set(a, b)

@@ -114,14 +114,6 @@ class TestLifecycleHooks:
                 parent = net.tree.parent(node_id)
                 assert parent == net.sink_id or parent in event.dirty
 
-    def test_unsubscribe_stops_delivery(self):
-        net = Network(grid_topology(3))
-        seen: list[TopologyEvent] = []
-        net.subscribe(seen.append)
-        net.unsubscribe(seen.append)
-        net.kill_node(1)
-        assert seen == []
-
     def test_partitioned_survivors_are_detached(self):
         from repro.network.topology import linear_topology
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import fill_windows
 from repro.api import Deployment
 from repro.core import KSpotEngine, is_valid_top_k, oracle_scores
 from repro.core.aggregates import make_aggregate
@@ -166,7 +167,7 @@ class TestHistoric:
                             "SELECT TOP 4 epoch, AVG(sound) FROM sensors "
                             "GROUP BY epoch WITH HISTORY 20 s "
                             "EPOCH DURATION 1 s", schema)
-        engine.fill_windows()
+        fill_windows(engine)
         result = engine.execute_historic()
         assert len(result.items) == 4
         # Validate against a recomputation from the boards.
@@ -187,7 +188,7 @@ class TestHistoric:
                             "GROUP BY epoch WITH HISTORY 10 s "
                             "EPOCH DURATION 1 s", schema,
                             algorithm=Algorithm.TPUT)
-        engine.fill_windows()
+        fill_windows(engine)
         result = engine.execute_historic()
         assert len(result.items) == 2
 
@@ -199,8 +200,8 @@ class TestHistoric:
         tja_engine = engine_for(a, text, schema)
         cent_engine = engine_for(b, text, schema,
                                  algorithm=Algorithm.CENTRALIZED)
-        tja_engine.fill_windows()
-        cent_engine.fill_windows()
+        fill_windows(tja_engine)
+        fill_windows(cent_engine)
         tja_result = tja_engine.execute_historic()
         cent_result = cent_engine.execute_historic()
         assert [i.key for i in tja_result.items] == \
@@ -212,7 +213,7 @@ class TestHistoric:
         engine = engine_for(scenario,
                             "SELECT TOP 2 epoch, AVG(sound) FROM sensors "
                             "GROUP BY epoch WITH HISTORY 10 s", schema)
-        engine.fill_windows()
+        fill_windows(engine)
         assert scenario.network.stats.messages == 0
 
     def test_epoch_mode_rejected_for_vertical(self, schema):

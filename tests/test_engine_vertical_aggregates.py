@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import fill_windows
 from repro.core import KSpotEngine
 from repro.query.plan import compile_query
 from repro.query.validator import Schema
@@ -40,7 +41,7 @@ def test_tja_through_engine(schema, func):
             f"GROUP BY epoch WITH HISTORY 18 s EPOCH DURATION 1 s")
     _, plan = compile_query(text, schema)
     engine = KSpotEngine(scenario.network, plan, group_of=scenario.group_of)
-    engine.fill_windows()
+    fill_windows(engine)
     result = engine.execute_historic()
     expected = truth_ranking(scenario, 18, COMBINERS[func], 3)
     assert [i.key for i in result.items] == [t for t, _ in expected]

@@ -25,6 +25,14 @@ from repro.sensing.generators import (
 from repro.sensing.modalities import get_modality
 
 
+def zipf_levels(groups, **kwargs):
+    """Group → level of a ``ZipfEventField`` over ``[0, 100]``: a
+    jitter-free field reads each group's level exactly, since the
+    level lies inside the clamp."""
+    field = ZipfEventField(groups, 0, 100, jitter=0.0, **kwargs)
+    return {group: field.value(node, 0) for node, group in groups.items()}
+
+
 class TestConstantField:
     def test_returns_pinned_values(self):
         field = ConstantField({1: 40.0, 2: 74.0})
@@ -142,21 +150,20 @@ class TestZipfEventField:
     GROUPS = {i: i % 4 for i in range(1, 13)}
 
     def test_zero_skew_levels_are_equal(self):
-        field = ZipfEventField(self.GROUPS, 0, 100, skew=0.0, seed=1)
-        levels = {field.group_level(g) for g in range(4)}
-        assert len(levels) == 1
+        levels = zipf_levels(self.GROUPS, skew=0.0, seed=1)
+        assert len(set(levels.values())) == 1
 
     def test_high_skew_spreads_levels(self):
-        field = ZipfEventField(self.GROUPS, 0, 100, skew=1.5, seed=1)
-        levels = sorted(field.group_level(g) for g in range(4))
+        levels = sorted(zipf_levels(self.GROUPS, skew=1.5, seed=1).values())
         assert levels[0] < levels[-1] / 2
 
     def test_values_track_group_level(self):
         field = ZipfEventField(self.GROUPS, 0, 100, skew=1.0,
                                jitter=2.0, seed=1)
+        levels = zipf_levels(self.GROUPS, skew=1.0, seed=1)
         for node, group in self.GROUPS.items():
             value = field.value(node, 0)
-            assert abs(value - field.group_level(group)) <= 2.0 + 1e-9
+            assert abs(value - levels[group]) <= 2.0 + 1e-9
 
     def test_unknown_node_reads_floor(self):
         field = ZipfEventField(self.GROUPS, 5, 100, skew=1.0, seed=1)
@@ -328,9 +335,8 @@ class TestZipfMargin:
     GROUPS = {i: i % 4 for i in range(1, 13)}
 
     def test_levels_inset_by_margin(self):
-        field = ZipfEventField(self.GROUPS, 0, 100, skew=2.0, seed=1,
-                               margin=8.0)
-        levels = [field.group_level(g) for g in range(4)]
+        levels = zipf_levels(self.GROUPS, skew=2.0, seed=1,
+                             margin=8.0).values()
         assert max(levels) == 100.0 - 8.0
         assert all(8.0 <= level <= 92.0 for level in levels)
 
@@ -342,8 +348,8 @@ class TestZipfMargin:
         assert all(0.0 < v < 100.0 for v in values)
 
     def test_default_margin_preserves_saturating_levels(self):
-        field = ZipfEventField(self.GROUPS, 0, 100, skew=2.0, seed=1)
-        assert max(field.group_level(g) for g in range(4)) == 100.0
+        levels = zipf_levels(self.GROUPS, skew=2.0, seed=1)
+        assert max(levels.values()) == 100.0
 
     @pytest.mark.parametrize("margin", [-1.0, 60.0])
     def test_invalid_margin_rejected(self, margin):
@@ -364,7 +370,8 @@ class TestClusterEnrollment:
                                seed=5)
         field.enroll(99, 1)
         value = field.value(99, 0)
-        assert abs(value - field.group_level(1)) <= 2.0 + 1e-9
+        level = zipf_levels(groups, skew=1.0, seed=5)[1]
+        assert abs(value - level) <= 2.0 + 1e-9
         born_with = ZipfEventField({**groups, 99: 1}, 0, 100,
                                    skew=1.0, jitter=2.0, seed=5)
         assert value == born_with.value(99, 0)

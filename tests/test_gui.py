@@ -1,14 +1,12 @@
-"""GUI substitution: panels, rendering, system panel, scenario files."""
+"""GUI substitution: display panel, rendering, system panel, scenario files."""
 
 import pytest
 
 from repro.core.results import EpochResult, RankedItem
-from repro.errors import ConfigurationError, ScenarioError, ValidationError
+from repro.errors import ScenarioError, ValidationError
 from repro.gui import (
-    ConfigurationPanel,
     DisplayPanel,
     KSpotBullet,
-    QueryPanel,
     ScenarioConfig,
     SystemPanel,
     load_scenario,
@@ -23,48 +21,6 @@ from repro.network.stats import NetworkStats
 def result_with(*pairs):
     items = tuple(RankedItem(key=k, score=s, lb=s, ub=s) for k, s in pairs)
     return EpochResult(epoch=0, items=items, exact=True, algorithm="mint")
-
-
-class TestConfigurationPanel:
-    def test_assign_and_clusters(self):
-        panel = ConfigurationPanel()
-        panel.assign(1, "Auditorium")
-        panel.assign(2, "Auditorium")
-        panel.assign(3, "Lobby")
-        assert panel.clusters() == {"Auditorium": (1, 2), "Lobby": (3,)}
-
-    def test_remove(self):
-        panel = ConfigurationPanel({1: "A"})
-        panel.remove(1)
-        assert panel.clusters() == {}
-
-    def test_validate_against_deployment(self):
-        panel = ConfigurationPanel({1: "A", 99: "B"})
-        with pytest.raises(ConfigurationError, match="99"):
-            panel.validate_against([1, 2, 3])
-
-
-class TestQueryPanel:
-    def test_manual_entry_echoes_canonical_text(self):
-        panel = QueryPanel()
-        panel.set_text("select top 1 roomid, average(sound) from sensors "
-                       "group by roomid")
-        assert panel.text == ("SELECT TOP 1 roomid, AVG(sound) FROM sensors "
-                              "GROUP BY roomid")
-
-    def test_graphical_construction(self):
-        panel = QueryPanel()
-        query = panel.build(k=3, aggregate="avg", attribute="sound",
-                            group_by="roomid", epoch_duration="1 min")
-        assert query.top_k == 3
-        assert query.epoch.seconds == 60.0
-
-    def test_build_without_group(self):
-        panel = QueryPanel()
-        query = panel.build(k=None, aggregate="max", attribute="light",
-                            group_by=None)
-        assert not query.is_top_k
-        assert query.group_by is None
 
 
 class TestDisplayPanel:
@@ -302,8 +258,3 @@ class TestScenarioFiles:
         assert set(network.tree.sensor_ids) == {1, 2, 3}
         assert network.node(1).group == "Auditorium"
         assert network.node(3).read("sound", 0) == pytest.approx(30.0, abs=0.1)
-
-    def test_panels_prepopulated(self):
-        configuration, display = self.make_config().panels()
-        assert configuration.clusters()["Auditorium"] == (1, 2)
-        assert 0 in display.positions

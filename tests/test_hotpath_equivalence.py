@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_series, on_both_paths
+from helpers import fill_windows, make_series, on_both_paths
 from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.core.aggregates import AvgAggregate, Partial, make_aggregate
 from repro.core.mint import QUIET_EPOCHS, Mint, MintConfig
@@ -59,17 +59,20 @@ from repro.network.tree import RoutingTree
 from repro.query.plan import Algorithm
 from repro.scenarios import grid_rooms_scenario
 from repro.sensing.board import SensorBoard
-from repro.sensing.generators import ConstantField, ZipfEventField
+from repro.sensing.generators import ConstantField, TableField, ZipfEventField
 
 
 def stats_signature(stats):
-    """Every observable of a NetworkStats ledger, as comparable data."""
-    return (
-        stats.summary(),
-        dict(stats.by_kind),
-        dict(stats.bytes_by_kind),
-        dict(stats.by_phase),
-    )
+    """Every observable of a NetworkStats ledger, as comparable data:
+    its totals, every counter (``NetworkStats._counters``: per kind the
+    messages, packets, payload and air bytes, then the joules,
+    retransmissions and drops) and its phases."""
+    return stats.summary(), stats._counters(), dict(stats.by_phase)
+
+
+def sent(signature, kind):
+    """Messages of ``kind`` in a :func:`stats_signature`."""
+    return signature[1][0].get(kind, (0,))[0]
 
 
 def ledger_signature(network):
@@ -151,19 +154,41 @@ QUERY_BY_ENGINE = {
 }
 
 
-def build_workload(*, seed, k, agg, engines, churn_seed, loss=0.0):
+def int_board(node_ids, seed):
+    """One clamp-only board (``quantize=False``) replaying seeded
+    integer sound readings, some outside the channel's 0-100 range, so
+    a path that books an in-range int as a float shows in
+    :func:`windows_signature`."""
+    draw = random.Random(seed)
+    table = [{node_id: draw.randint(-10, 110) for node_id in node_ids}
+             for _ in range(8)]
+    return SensorBoard({"sound": TableField(table, cycle=True)},
+                       quantize=False)
+
+
+def build_workload(*, seed, k, agg, engines, churn_seed, loss=0.0,
+                   ints=False):
     """One deterministic deployment with its sessions submitted; returns
     ``(driver, handles, network)``. A non-zero ``loss`` deploys it over
-    a lossy radio whose retry budget no packet exhausts."""
+    a lossy radio whose retry budget no packet exhausts; ``ints`` swaps
+    every board, a churn newborn's too, for :func:`int_board`."""
     scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=seed)
-    if loss:
+    board_for = scenario.board_for
+    if loss or ints:
         wired = scenario.network
+        boards = {i: node.board for i, node in wired.nodes.items()}
+        if ints:
+            board = int_board((*boards, 99), seed)
+            boards = dict.fromkeys(boards, board)
+
+            def board_for(node_id):
+                return board
         scenario = dataclasses.replace(scenario, network=Network(
             wired.topology,
             radio=RadioModel(range_m=wired.topology.radio_range,
-                             loss_probability=loss, max_retries=20),
-            boards={i: node.board for i, node in wired.nodes.items()},
-            group_of=scenario.group_of, seed=seed))
+                             loss_probability=loss, max_retries=20)
+            if loss else None,
+            boards=boards, group_of=scenario.group_of, seed=seed))
     deployment = Deployment.from_scenario(scenario)
     interventions = []
     if churn_seed is not None:
@@ -176,7 +201,7 @@ def build_workload(*, seed, k, agg, engines, churn_seed, loss=0.0):
                        group=scenario.group_of.get(victim)),
         ])
         interventions.append(
-            ChurnIntervention(schedule, board_for=scenario.board_for))
+            ChurnIntervention(schedule, board_for=board_for))
     driver = EpochDriver(deployment, interventions=interventions)
     handles = []
     for engine in engines:
@@ -225,18 +250,21 @@ LEGS = (("reference", True, False), ("numpy", False, False),
     epochs=st.integers(3, 7),
     churn_seed=st.one_of(st.none(), st.integers(0, 7)),
     loss=st.sampled_from([0.0, 0.1]),
+    ints=st.booleans(),
 )
 def test_hot_path_equals_reference_path(seed, k, agg, engines, epochs,
-                                        churn_seed, loss):
+                                        churn_seed, loss, ints):
     """The mode matrix: one deployment built on the reference path, one
     hot on numpy and one hot on the pure-python backend, stepped
     interleaved, epoch by epoch, in one process. After every epoch the
-    answers, stats by kind and phase, session taps and energy ledgers
-    are identical — bit-for-bit — across random scenarios, ranks,
-    aggregates, engine mixes, churn schedules and radios. A lossy
-    radio runs the reference path on every leg."""
+    answers, every stats counter and phase, session taps, energy
+    ledgers and booked windows (each value by ``repr``) are identical —
+    bit-for-bit — across random scenarios, ranks, aggregates, engine
+    mixes, churn schedules, radios and board kinds (the scenario's
+    field, or clamp-only boards of integer readings). A lossy radio
+    runs the reference path on every leg."""
     workload = dict(seed=seed, k=k, agg=agg, engines=engines,
-                    churn_seed=churn_seed, loss=loss)
+                    churn_seed=churn_seed, loss=loss, ints=ints)
     legs = {}
     for name, reference, python in LEGS:
         with contextlib.ExitStack() as modes:
@@ -662,7 +690,7 @@ class TestFilaAtFleetScale:
         tree = network.tree
         # A relay whose subtree must re-home when it dies.
         victim = next(n for n in tree.sensor_ids
-                      if tree.depth(n) == 3 and tree.subtree_size(n) > 10)
+                      if tree.depth(n) == 3 and len(tree.subtree(n)) > 10)
         x, y = network.topology.positions[victim]
         group = scenario.group_of[victim]
         scenario.field.enroll(401, group)
@@ -708,9 +736,9 @@ class TestFilaAtFleetScale:
                 assert hot_value == reference_value, \
                     f"epoch {epoch}: {field}"
         final_stats = hot[-1][2]
-        by_kind = final_stats[1]
-        assert min(by_kind["filter_report"], by_kind["filter_update"],
-                   by_kind["probe_request"]) > 1000, by_kind
+        assert min(sent(final_stats, "filter_report"),
+                   sent(final_stats, "filter_update"),
+                   sent(final_stats, "probe_request")) > 1000, final_stats
         assert 401 in hot[-1][4], "the newborn must report"
 
 
@@ -733,7 +761,7 @@ class TestFilaAcrossFlips:
         network.subscribe(session.handle_topology_event)
         tree = network.tree
         victim = next(n for n in tree.sensor_ids
-                      if tree.depth(n) == 2 and tree.subtree_size(n) > 3)
+                      if tree.depth(n) == 2 and len(tree.subtree(n)) > 3)
         epochs = []
         for epoch in range(self.EPOCHS):
             with (columnar.force_python_backend() if flip(epoch)
@@ -901,6 +929,40 @@ class TestWindowBooking:
         assert booked == list(range(1, 6))
         assert windows[6] == (0, {"sound": ([4], ["50.0"])})
         assert windows[7] == (0, {})
+
+
+class TestClampOnlyBoard:
+    """A clamp-only board (``quantize=False``) books its readings as
+    the board gives them on every path and backend: the reference path
+    clamps each value with ``Modality.clamp``, and so does the
+    columnar kernel, so an int reading inside the range stays an
+    int."""
+
+    @staticmethod
+    def _read_ints():
+        rows = [{node_id: 40 + node_id + epoch for node_id in range(1, 10)}
+                for epoch in range(3)]
+        rows[2][9] = 130
+        board = SensorBoard({"sound": TableField(rows)}, quantize=False)
+        network = Network(grid_topology(3),
+                          boards={node_id: board for node_id in range(1, 10)})
+        alive = network.alive_sensor_ids()
+        readings = []
+        for _ in range(3):
+            row = network.read_many(alive, "sound")
+            readings.append([repr(row[node_id]) for node_id in alive])
+            network.advance_epoch()
+        return readings, windows_signature(network)
+
+    def test_int_readings_are_booked_as_ints(self):
+        hot, reference = on_both_paths(self._read_ints)
+        with columnar.force_python_backend():
+            python = self._read_ints()
+        assert hot == reference == python
+        readings, windows = hot
+        assert readings[0][0] == "41"
+        assert readings[2][-1] == "100.0"
+        assert windows[1] == (3, {"sound": ([0, 1, 2], ["41", "42", "43"])})
 
 
 class PerHopNetwork(Network):
@@ -1194,7 +1256,7 @@ class TestBatchRelayKernel:
             loop = self._relay_with_a_stranger()
         assert scatter == loop
         assert "999" in scatter[0]
-        assert scatter[1][1]["filter_report"] > 0
+        assert sent(scatter[1], "filter_report") > 0
 
 
 class PerForwarderNetwork(Network):
@@ -1716,7 +1778,7 @@ class TestMintStateAtFleetScale:
         tree = network.tree
         # A relay whose subtree must re-home when it dies.
         victim = next(n for n in tree.sensor_ids
-                      if tree.depth(n) == 3 and tree.subtree_size(n) > 10)
+                      if tree.depth(n) == 3 and len(tree.subtree(n)) > 10)
         x, y = network.topology.positions[victim]
         group = scenario.group_of[victim]
         scenario.field.enroll(401, group)
@@ -1776,9 +1838,9 @@ class TestUnannouncedMintJoin:
             result = mint.run_epoch()
             readings = {}
             for node_id in scenario.group_of:
-                latest = network.node(node_id).window_for("sound").latest()
-                assert latest.epoch == result.epoch
-                readings[node_id] = latest.value
+                window = network.node(node_id).window_for("sound")
+                assert window.epochs[-1] == result.epoch
+                readings[node_id] = window.values[-1]
             truth = oracle_scores(readings, scenario.group_of, aggregate)
             assert is_valid_top_k(result.items, truth, 1, tolerance=1e-9)
             return (result.epoch, result.probed,
@@ -1797,7 +1859,7 @@ class TestUnannouncedMintJoin:
         hot, reference = on_both_paths(self.run)
         assert hot == reference
         assert len(hot[0]) == 5
-        assert hot[1][3]["update"].messages > 0
+        assert hot[1][2]["update"].messages > 0
 
 
 class TestMintSinkProtocolErrors:
@@ -2037,7 +2099,7 @@ class TestTjaAtFleetScale:
         network = scenario.network
         tree = network.tree
         victim = next(n for n in tree.sensor_ids
-                      if tree.depth(n) == 3 and tree.subtree_size(n) > 10)
+                      if tree.depth(n) == 3 and len(tree.subtree(n)) > 10)
         x, y = network.topology.positions[victim]
         group = scenario.group_of[victim]
         scenario.field.enroll(401, group)
@@ -2073,8 +2135,7 @@ class TestTjaAtFleetScale:
         for field, hot_value, reference_value in zip(self.FIELDS, hot,
                                                      reference):
             assert hot_value == reference_value, field
-        by_kind = hot[1][1]
-        assert by_kind["lb_reply"] == by_kind["join_reply"] == 400
+        assert sent(hot[1], "lb_reply") == sent(hot[1], "join_reply") == 400
         assert hot[0][1] >= 3
 
 
@@ -2137,8 +2198,8 @@ class TestTjaCleanUp:
         hot, reference = on_both_paths(self.run, agg)
         assert hot == reference
         assert hot[0][2] == 1, "the data must need the clean-up round"
-        by_kind = hot[1][1]
-        assert by_kind["lb_reply"] == by_kind["join_reply"] == 2 * self.MOTES
+        assert (sent(hot[1], "lb_reply") == sent(hot[1], "join_reply")
+                == 2 * self.MOTES)
 
 
 class ShiftedAvg(AvgAggregate):
@@ -2181,8 +2242,7 @@ class TestTjaLiftedJoin:
         hot, reference = on_both_paths(self.run, ShiftedAvg(0.0, 100.0))
         assert hot == reference
         assert hot[0][2] == 1, "the data must need the clean-up round"
-        by_kind = hot[1][1]
-        assert by_kind["join_reply"] == 2 * self.MOTES
+        assert sent(hot[1], "join_reply") == 2 * self.MOTES
 
 
 class TestTjaRowsFromWindows:
@@ -2203,7 +2263,7 @@ class TestTjaRowsFromWindows:
         deployment = Deployment.from_scenario(scenario)
         handle = deployment.submit(self.QUERY)
         engine = handle._session.engine
-        engine.fill_windows()
+        fill_windows(engine)
         network.node(5).window_for("sound").append(network.epoch, 50.0)
         with pytest.raises(ValidationError, match="aligned") as refusal:
             engine.execute_historic()

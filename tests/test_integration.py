@@ -6,6 +6,8 @@ the cost ordering matches the paper's story, and the system keeps
 answering correctly through node failures and lossy links.
 """
 
+import pytest
+
 from repro.core import (
     Centralized,
     Mint,
@@ -13,7 +15,6 @@ from repro.core import (
     Tag,
     is_valid_top_k,
     oracle_scores,
-    same_answer_set,
 )
 from repro.core.aggregates import make_aggregate
 from repro.network.churn import ChurnSchedule
@@ -44,9 +45,12 @@ class TestAlgorithmAgreement:
                         deployments[2].group_of),
         ]
         for _ in range(10):
-            results = [algo.run_epoch() for algo in algos]
-            assert same_answer_set(results[0].items, results[1].items)
-            assert same_answer_set(results[1].items, results[2].items)
+            mint, tag, centralized = (
+                {item.key: item.score for item in algo.run_epoch().items}
+                for algo in algos)
+            # The three fold each room's AVG sum in a different order.
+            assert mint == pytest.approx(tag, rel=0, abs=1e-9)
+            assert tag == pytest.approx(centralized, rel=0, abs=1e-9)
 
     def test_cost_ordering_small_k(self):
         deployments = [grid_rooms_scenario(side=8, rooms_per_axis=4, seed=42)

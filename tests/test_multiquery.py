@@ -97,7 +97,7 @@ class TestExactlyOnceSampling:
         deployment.submit(EPOCH_QUERIES[1])
         driver.run(5)
         node = scenario.network.node(1)
-        epochs_seen = [entry.epoch for entry in node.window.last(10)]
+        epochs_seen = list(node.window_for("sound").tail(10)[0])
         assert epochs_seen == sorted(set(epochs_seen)) == [0, 1, 2, 3, 4]
 
     def test_clock_ticks_once_per_step(self):
@@ -171,8 +171,8 @@ class TestSessionLifecycle:
 
     def test_run_historic_zero_acquisition_executes_in_place(self):
         """The step that fills the window executes over it in place,
-        without further sampling or epoch advance (fill_windows(0)
-        semantics): the shared clock ticks once per step."""
+        without further sampling or epoch advance: the shared clock
+        ticks once per step."""
         scenario, deployment, driver = fresh(seed=2)
         deployment.submit(EPOCH_QUERIES[0])
         hist = deployment.submit(HISTORIC_QUERY)
@@ -245,8 +245,8 @@ class TestMultiAttributeBoards:
         assert shared is not None
 
         node = network.node(1)
-        sound = [e.value for e in node.window_for("sound").last(5)]
-        temp = [e.value for e in node.window_for("temperature").last(5)]
+        sound = node.window_for("sound").tail(5)[1]
+        temp = node.window_for("temperature").tail(5)[1]
         assert len(sound) == len(temp) == 5
         assert sound != temp
         assert all(-10 <= v <= 60 for v in temp)

@@ -59,11 +59,6 @@ class TestSelectList:
     def test_alias(self):
         q = parse("SELECT AVG(sound) AS loudness FROM sensors")
         assert q.select[0].alias == "loudness"
-        assert q.select[0].output_name == "loudness"
-
-    def test_default_output_name(self):
-        q = parse("SELECT AVG(sound) FROM sensors")
-        assert q.select[0].output_name == "avg_sound"
 
     def test_multiple_items(self):
         q = parse("SELECT nodeid, sound, temperature FROM sensors")

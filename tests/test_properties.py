@@ -177,9 +177,11 @@ class TestStorageAgreement:
     def test_window_equals_a_deque_model(self, capacity, steps):
         """Random appends and reads against ``deque(maxlen=capacity)``
         of ``(epoch, value)`` pairs, through every compaction of the
-        columns: each read agrees after every step, the two columns
-        stay aligned and under twice the capacity, and an out-of-order
-        append raises and leaves both columns as they were."""
+        columns: each read agrees after every step, the columns' last
+        positions hold the newest entry (the mote's sample cache), the
+        two columns stay aligned and under twice the capacity, and an
+        out-of-order append raises and leaves both columns as they
+        were."""
         from collections import deque
 
         from repro.errors import StorageError
@@ -204,18 +206,12 @@ class TestStorageAgreement:
             newest = entries[-n:] if n else []
             assert len(window) == len(entries)
             assert len(window.values) == len(window.epochs) < 2 * capacity
-            assert [(e.epoch, e.value) for e in window] == entries
-            assert [tuple(e) for e in window.last(n)] == newest
-            assert [tuple(e) for e in window.top_k(n)] == sorted(
-                entries, key=lambda ev: (-ev[1], ev[0]))[:n]
+            assert list(zip(*window.tail(capacity))) == entries
             epochs, booked = window.tail(n)
             assert list(zip(epochs, booked)) == newest
             assert [type(v) for v in booked] == [type(v) for _, v in newest]
             if entries:
-                assert tuple(window.latest()) == entries[-1]
-            else:
-                with pytest.raises(StorageError):
-                    window.latest()
+                assert (window.epochs[-1], window.values[-1]) == entries[-1]
             tail = [v for _, v in newest]
             assert window.aggregate("count", last_n=n) == len(tail)
             if tail:

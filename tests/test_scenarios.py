@@ -90,8 +90,7 @@ class TestGridRooms:
 
     def test_skewed_field(self):
         scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, skew=1.5)
-        levels = {scenario.field.group_level(g)
-                  for g in set(scenario.group_of.values())}
+        levels = scenario.field._level.values()
         assert max(levels) > 2 * min(levels)
 
     @pytest.mark.parametrize("rooms", [0, -1])

@@ -114,10 +114,6 @@ class TestEpochMachinery:
         assert readings[7] == 78.0
         assert list(readings) == list(network.alive_sensor_ids())
 
-    def test_groups_counts_live_members(self):
-        scenario = figure1_scenario()
-        assert scenario.network.groups() == {"A": 2, "B": 2, "C": 2, "D": 3}
-
 
 class TestFailureInjection:
     def test_kill_repairs_tree(self):

@@ -90,7 +90,7 @@ class TestStructure:
 
     def test_subtree(self, fig1_tree):
         assert fig1_tree.subtree(4) == (4, 9)
-        assert fig1_tree.subtree_size(6) == 4
+        assert len(fig1_tree.subtree(6)) == 4
 
     def test_subtree_of_root_is_everything(self, fig1_tree):
         assert fig1_tree.subtree(0) == tuple(sorted(fig1_tree.node_ids))

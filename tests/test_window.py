@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, StorageError
-from repro.storage.window import SlidingWindow, WindowEntry
+from repro.storage.window import SlidingWindow
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ class TestAppendEvict:
         w = SlidingWindow(capacity=3)
         for t in range(5):
             w.append(t, float(t))
-        assert [e.epoch for e in w] == [2, 3, 4]
+        assert list(w.tail(5)[0]) == [2, 3, 4]
 
     def test_out_of_order_rejected(self, window):
         with pytest.raises(StorageError):
@@ -40,61 +40,40 @@ class TestAppendEvict:
 
 
 class TestAccess:
-    def test_latest(self, window):
-        assert window.latest() == WindowEntry(4, 3.0)
-
-    def test_latest_on_empty_raises(self):
-        with pytest.raises(StorageError):
-            SlidingWindow().latest()
-
     def test_last_n(self, window):
-        assert [e.value for e in window.last(2)] == [9.0, 3.0]
+        epochs, values = window.tail(2)
+        assert list(epochs) == [3, 4]
+        assert values == [9.0, 3.0]
 
     def test_last_more_than_buffered(self, window):
-        assert len(window.last(99)) == 5
+        epochs, values = window.tail(99)
+        assert len(epochs) == len(values) == 5
 
     @pytest.mark.parametrize("appended", [16, 16 * 3 + 5],
                              ids=["full", "wrapped"])
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17])
     def test_last_at_and_past_capacity(self, appended, n):
-        """``last(n)`` reads from the newest end; on a full window and
-        on one whose columns have compacted it equals the tail of
-        ``list(window)``."""
+        """``tail(n)`` reads from the newest end: on a full window and
+        on one whose columns have compacted it is the newest
+        ``min(n, capacity)`` readings, oldest first."""
         w = SlidingWindow(capacity=16)
         for t in range(appended):
             w.append(t, float(t % 7))
-        entries = list(w)
-        assert w.last(n) == (entries[-n:] if n else [])
+        newest = range(appended - min(n, 16), appended)
+        epochs, values = w.tail(n)
+        assert list(epochs) == list(newest)
+        assert values == [float(t % 7) for t in newest]
 
     def test_tail_is_a_copy(self, window):
         epochs, values = window.tail(5)
         epochs[0] = 99
         values[0] = 99.0
-        assert window.latest() == WindowEntry(4, 3.0)
-        assert list(window)[0] == WindowEntry(0, 5.0)
+        assert list(window.tail(5)[0]) == [0, 1, 2, 3, 4]
+        assert window.tail(5)[1] == [5.0, 9.0, 1.0, 9.0, 3.0]
 
     def test_negative_n_rejected(self, window):
         with pytest.raises(StorageError):
             window.tail(-1)
-        with pytest.raises(StorageError):
-            window.last(-1)
-
-
-class TestLocalTopK:
-    def test_ranked_best_first(self, window):
-        top = window.top_k(3)
-        assert [e.value for e in top] == [9.0, 9.0, 5.0]
-
-    def test_tie_breaks_toward_earlier_epoch(self, window):
-        top = window.top_k(2)
-        assert [e.epoch for e in top] == [1, 3]
-
-    def test_k_zero(self, window):
-        assert window.top_k(0) == []
-
-    def test_negative_k_rejected(self, window):
-        with pytest.raises(StorageError):
-            window.top_k(-1)
 
 
 class TestAggregates:
