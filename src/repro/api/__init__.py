@@ -36,7 +36,8 @@ The ninety-second tour (doctest-checked by ``tests/test_doctests.py``
     2 [('ConferenceRoomA', 54.3)] True
 
 (Determinism is the simulator's contract: the scenario seed pins every
-reading and loss draw, on either the hot or reference path — see
+reading, and the lossless radio draws nothing, so a run is the same on
+either the hot or reference path — see
 ``tests/test_hotpath_equivalence.py``.)
 
 Errors raised by this layer live in :mod:`repro.errors` and are

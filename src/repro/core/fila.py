@@ -24,10 +24,10 @@ filter-install pass are plain loops over the readings that ship a
 whole pass through one ``Network.relay_many`` call and feed the
 persistent ``TopKView`` each node's interval as an ``(lb, ub)`` pair in
 one ``ensure_many`` batch; the repartition reads those pairs back. A
-deployment built inside the oracle ``hotpath.reference_path()`` (or
-over a lossy radio) runs the first-principles branches, which build
-and ship every message node by node, hold a ``Bounds`` per node and
-certify with the cold ``certify_top_k`` oracle.
+deployment built inside the oracle ``hotpath.reference_path()`` runs
+the first-principles branches, which build and ship every message
+node by node, hold a ``Bounds`` per node and certify with the cold
+``certify_top_k`` oracle.
 ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove the two paths
 byte-identical.
@@ -135,9 +135,8 @@ class Fila:
         Walks every node the sink has heard from, so a mote that joined
         after setup gets its first filter here. The reinstalls ship in
         ascending id order: in one :meth:`Network.relay_many` call on
-        the hot path, one built message per mote on the reference path,
-        where a drop leaves only the motes relayed before it
-        installed."""
+        the hot path, one built message per mote on the reference
+        path."""
         nodes = self.network.nodes
         filters = self.filters
         agg_lo, agg_hi = self.aggregate.lo, self.aggregate.hi
@@ -182,8 +181,7 @@ class Fila:
         """Every mote reports its reading, in the readings' order, and
         the first filters go out around the initial top-k. On the hot
         path the reports ship in one :meth:`Network.relay_many` call;
-        on the reference path one built message per mote, where a drop
-        leaves only the motes relayed before it known."""
+        on the reference path one built message per mote."""
         known = self.known
         with self.network.stats.phase("setup"):
             self.network.flood_down(QueryMessage(query_id=4))

@@ -29,9 +29,9 @@ probe traffic (ablated in experiment E10).
 
 Switch-and-prove: the fused single-pass creation, update and probe
 passes run only on a deployment whose ``Network.hot`` is set; on one
-built inside the oracle ``hotpath.reference_path()`` (or over a lossy
-radio) the first-principles branches run instead. Both sample the
-same way, as every epoch engine does: one
+built inside the oracle ``hotpath.reference_path()`` the
+first-principles branches run instead. Both sample the same way, as
+every epoch engine does: one
 :meth:`~repro.core.participants.Participants.partials` call over
 ``Network.read_many`` per epoch. The sink certifies the same way on
 both too: it derives every group's interval from its
@@ -39,7 +39,7 @@ child caches (:meth:`Mint._sink_bounds`) and hands them to the cold
 ``certify_top_k`` oracle, as nearly every group's interval moves each
 epoch anyway. ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py`` prove both paths byte-identical
-(answers, certifications, stats, ledgers, RNG draws).
+(answers, certifications, stats, ledgers).
 """
 
 from __future__ import annotations

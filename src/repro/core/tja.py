@@ -40,10 +40,9 @@ subtree, because aligned windows give every partial of a subtree one
 count; a child's row folds in with one ``map`` of
 ``Aggregate.combine``.
 A deployment built inside the oracle ``hotpath.reference_path()``
-(or over a lossy radio) runs the first-principles phases over the
-dict columns, which build every message and ship it through
-``Network.send_up``; ``tests/test_hotpath_equivalence.py`` proves the
-two byte-identical.
+runs the first-principles phases over the dict columns, which build
+every message and ship it through ``Network.send_up``;
+``tests/test_hotpath_equivalence.py`` proves the two byte-identical.
 """
 
 from __future__ import annotations

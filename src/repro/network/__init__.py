@@ -1,4 +1,4 @@
-"""WSN substrate: topology, routing tree, radio, energy, epoch simulator.
+"""WSN substrate: topology, routing tree, energy, epoch simulator.
 
 This package is the software stand-in for the paper's hardware testbed
 (MICA2 motes, CC1000 radio, MIB520 sink). Algorithms in
@@ -6,13 +6,14 @@ This package is the software stand-in for the paper's hardware testbed
 :class:`repro.network.simulator.Network` primitives (``send_up``,
 ``broadcast_down``) and the simulator charges messages, packets, bytes
 and joules to the statistics ledgers that the demo's System Panel
-displays.
+displays. The radio is lossless: every packet takes one transmission,
+priced by :class:`~repro.network.energy.EnergyModel` at its one air
+rate, and a topology's ``radio_range`` decides who hears whom.
 """
 
 from .churn import ChurnEvent, ChurnKind, ChurnSchedule
 from .energy import EnergyLedger, EnergyModel
 from .events import TopologyEvent, TopologyEventKind
-from .link import RadioModel
 from .node import SensorNode
 from .simulator import Network
 from .stats import NetworkStats, PhaseSnapshot
@@ -39,7 +40,6 @@ __all__ = [
     "ChurnSchedule",
     "TopologyEvent",
     "TopologyEventKind",
-    "RadioModel",
     "EnergyModel",
     "EnergyLedger",
     "SensorNode",

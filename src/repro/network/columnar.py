@@ -50,9 +50,10 @@ What deliberately stays scalar, and why:
 * float accumulations (windowed AVG/SUM) — ``sum()`` is a left fold,
   numpy reductions are pairwise; not byte-identical, so not batched;
 * message construction — every shipped message keeps its exact
-  order, so FILA's passes visit violator rows in ascending id order.
-  (A lossy radio, whose loss process draws from a shared stream, runs
-  the reference path and ships hop by hop.)
+  order, because each one adds its joules to float sums (the sender's,
+  the receivers' and the deployment ledger's), whose rounding depends
+  on the order of the adds; so FILA's passes visit violator rows in
+  ascending id order.
 
 Large relay batches are the exception:
 :meth:`~repro.network.simulator.Network.relay_many` charges a batch of

@@ -26,7 +26,9 @@ class EnergyModel:
         voltage: Supply voltage (2×AA ≈ 3 V).
         tx_current_a: Radio transmit current draw.
         rx_current_a: Radio receive current draw.
-        bitrate_bps: Radio data rate used to convert current into J/byte.
+        bitrate_bps: Radio air rate (38.4 kbit/s on MICA2, §IV-A); it
+            converts current into J/byte, and it is the deployment's
+            only air rate.
         idle_joules_per_epoch: Duty-cycled baseline per node per epoch
             (MCU sleep + periodic listen); identical across algorithms
             so it never changes a comparison, but it keeps lifetime
@@ -75,12 +77,6 @@ class EnergyLedger:
     def total(self) -> float:
         """All joules drawn so far."""
         return self.tx + self.rx + self.sensing + self.idle
-
-    def charge_tx(self, joules: float) -> None:
-        self.tx += joules
-
-    def charge_rx(self, joules: float) -> None:
-        self.rx += joules
 
 
 def lifetime_epochs(model: EnergyModel, per_epoch_joules: float) -> float:

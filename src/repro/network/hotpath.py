@@ -37,8 +37,10 @@ An epoch runs exactly one of two ways:
 The path is a property of the deployment, fixed when it is built:
 :class:`~repro.network.simulator.Network` reads this module's default
 once, in its constructor, into ``Network.hot``, and every branch asks
-that attribute. A lossy radio always gets the reference path, so the
-hot kernels are lossless by construction. Deployments built at
+that attribute. The default is that attribute's only input, so a
+network built inside :func:`reference_path` and one built outside it
+always run different paths, and a comparison between them always pits
+the two against each other. Deployments built at
 different moments may therefore run side by side on different paths,
 and nothing can flip a running deployment's path between two epochs.
 

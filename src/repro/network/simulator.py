@@ -37,26 +37,19 @@ earlier one grouped without asking their boards again.
 :meth:`Network.broadcast_down` and the churn handshakes ship through
 the one reference :meth:`Network._ship` on either path.
 A network decides its path once, when it is built, into
-:attr:`Network.hot`: the hot path needs a lossless radio, and a lossy
-one runs the reference path, which draws the loss process hop by hop.
-All of it is observationally identical to the reference path — same
-counters, same per-phase snapshots, same RNG draws — which stays
-available as the oracle: a network built inside
+:attr:`Network.hot`. The radio is lossless: every packet takes one
+transmission, priced at the :class:`~repro.network.energy.EnergyModel`
+air rate, and the transport draws no randomness. All of it is
+observationally identical to the reference path — same counters, same
+per-phase snapshots, same joules added to each ledger in the same
+order — which stays available as the oracle: a network built inside
 :func:`repro.network.hotpath.reference_path` runs it;
 ``tests/test_hotpath_equivalence.py`` proves the equivalence
 byte-for-byte.
-
-Randomness is split into *per-purpose streams*: the packet-loss process
-draws from one seeded RNG, while churn-recovery handshakes (attach /
-join control traffic) draw from a second stream derived from the same
-seed. Topology events therefore never perturb the loss outcomes of
-session traffic — a run with a churn schedule whose victims carry no
-query traffic sees byte-for-byte the same losses as a run without it.
 """
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from itertools import islice, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -71,17 +64,12 @@ from ..sensing.board import SensorBoard
 from . import columnar, hotpath
 from .energy import EnergyLedger, EnergyModel
 from .events import TopologyEvent, TopologyEventKind
-from .link import RadioModel
 from .messages import ControlMessage, WireMessage
 from .node import SensorNode
 from .packets import fragment
 from .stats import NetworkStats
 from .topology import Topology
 from .tree import RoutingTree
-
-#: Offset deriving the recovery-handshake RNG stream from the loss seed
-#: (an arbitrary odd 64-bit constant; any fixed value works).
-_RECOVERY_STREAM = 0x9E3779B97F4A7C15
 
 #: :meth:`Network.relay_many` batches of at least this many
 #: motes charge their hops in one numpy scatter
@@ -90,7 +78,7 @@ _RECOVERY_STREAM = 0x9E3779B97F4A7C15
 #: (the measured crossover is in ``docs/PERF.md``).
 _SCATTER_MIN_MOTES = 24
 
-#: Payload sizes the lossless cost memo holds before it starts over. A
+#: Payload sizes the cost memo holds before it starts over. A
 #: query mix ships a few dozen sizes, so this only caps a pathological
 #: one.
 _COST_MEMO_SIZES = 4096
@@ -100,43 +88,33 @@ class Network:
     """A deployed sensor network: topology + tree + cost models + nodes."""
 
     def __init__(self, topology: Topology,
-                 radio: RadioModel | None = None,
                  energy: EnergyModel | None = None,
                  tree: RoutingTree | None = None,
                  boards: Mapping[int, SensorBoard] | None = None,
-                 group_of: Mapping[int, Hashable] | None = None,
-                 seed: int = 0):
+                 group_of: Mapping[int, Hashable] | None = None):
         """Deploy a network.
 
         Args:
             topology: Physical placement and connectivity.
-            radio: Link model (defaults to the MICA2 CC1000).
-            energy: Energy model (defaults to MICA2 calibration).
+            energy: Energy model (defaults to MICA2 calibration); its
+                ``bitrate_bps`` is the radio's air rate.
             tree: Routing tree; built by BFS from the topology when
                 omitted. An explicit tree lets tests pin the exact
                 hierarchy of the paper's Figure 1.
             boards: Per-node sensor boards; one shared board instance
                 may be passed for all nodes via a dict with every id.
             group_of: Node id → cluster (room) membership.
-            seed: Seed for the loss process.
         """
         self.topology = topology
-        self.radio = radio or RadioModel(range_m=topology.radio_range)
         #: The execution path, fixed for the network's life: hot unless
-        #: built inside ``hotpath.reference_path()`` or over a lossy
-        #: radio, whose retry draws only the reference path makes.
-        self.hot = hotpath._enabled and self.radio.loss_probability == 0.0
+        #: built inside ``hotpath.reference_path()``.
+        self.hot = hotpath._enabled
         self.energy = energy or EnergyModel()
         self.tree = tree or RoutingTree.from_topology(topology)
         missing = set(self.tree.node_ids) - set(topology.node_ids)
         if missing:
             raise TopologyError(f"tree references unknown nodes: {sorted(missing)}")
         self.stats = NetworkStats()
-        #: Loss-process stream: consumed only by session traffic.
-        self._rng = random.Random(seed)
-        #: Recovery stream: consumed only by churn handshakes, so
-        #: topology events never shift the loss process.
-        self._recovery_rng = random.Random(seed ^ _RECOVERY_STREAM)
         group_of = group_of or {}
         self.nodes: dict[int, SensorNode] = {}
         for node_id in self.tree.sensor_ids:
@@ -163,8 +141,8 @@ class Network:
             self._sink_id: self.sink_ledger,
             **{i: n.ledger for i, n in self.nodes.items()},
         }
-        #: payload bytes → (packets, air bytes, tx J, rx J) for
-        #: lossless hops (unicast fast path).
+        #: payload bytes → (packets, air bytes, tx J, rx J) of one
+        #: hop, read by the kernels.
         self._cost_memo: dict[int, tuple] = {}
         #: Topology caches, invalidated by bumping the version (node
         #: deaths report in via the per-node kill hook).
@@ -258,41 +236,23 @@ class Network:
     # ------------------------------------------------------------------
 
     def _ship(self, sender: int, receivers: Iterable[int],
-              message: WireMessage,
-              rng: random.Random | None = None) -> None:
-        """Fragment, apply the loss process, charge energy, record.
-
-        ``rng`` selects the randomness stream paying for this message's
-        loss draws (default: the loss-process stream; churn recovery
-        passes its own stream so repairs never perturb session losses).
-        A lossless radio takes one attempt per packet and draws nothing.
-        """
+              message: WireMessage) -> None:
+        """Fragment, charge energy, record: one transmission from
+        ``sender`` heard by every receiver, each packet sent once."""
         receivers = tuple(receivers)
         cost = fragment(message.payload_bytes)
-        if rng is None:
-            rng = self._rng
-        attempts = 0
-        try:
-            for _ in range(cost.packets):
-                attempts += self.radio.attempts_needed(rng)
-        except RoutingError:
-            self.stats.record_drop()
-            raise
-        air_bytes = cost.air_bytes + (attempts - cost.packets) * (
-            cost.air_bytes // cost.packets)
-        tx_joules = air_bytes * self.energy.tx_joules_per_byte
-        rx_joules_each = air_bytes * self.energy.rx_joules_per_byte
-        self.ledger(sender).charge_tx(tx_joules)
+        tx_joules = cost.air_bytes * self._tx_rate
+        rx_joules_each = cost.air_bytes * self._rx_rate
+        self.ledger(sender).tx += tx_joules
         for receiver in receivers:
-            self.ledger(receiver).charge_rx(rx_joules_each)
+            self.ledger(receiver).rx += rx_joules_each
         self.stats.record(
             kind=message.kind,
             packets=cost.packets,
             payload_bytes=cost.payload_bytes,
-            air_bytes=air_bytes,
+            air_bytes=cost.air_bytes,
             tx_joules=tx_joules,
             rx_joules=rx_joules_each * len(receivers),
-            retransmissions=attempts - cost.packets,
         )
 
     # repro: hot
@@ -301,25 +261,16 @@ class Network:
         """Ship one converge-cast pass: a message of ``kind`` over each
         ``(sender, receiver, payload bytes)`` edge, in order.
 
-        Equal to one lossless :meth:`_ship` per edge in order: each
+        Equal to one :meth:`_ship` per edge in order: each
         edge adds its memoized ``tx`` joules to the sender's ledger and
         its ``rx`` joules to the receiver's, and both to the deployment
         ledger's running sums, edge by edge (a left fold, so every bit
         of the totals matches), while the kind's integer counters grow
         once per call. An empty pass records nothing, not even a row
         for its kind.
-
-        Every edge takes one attempt, so a lossy radio, whose edges
-        draw the loss process, raises
-        :class:`~repro.errors.ConfigurationError`, as
-        :meth:`relay_many` does.
         """
         if not edges:
             return
-        if self.radio.loss_probability != 0.0:
-            raise ConfigurationError(
-                "ship_edges charges lossless edges; a lossy radio ships "
-                "edge by edge on the reference path")
         memo = self._cost_memo
         ledgers = self._ledger_of
         stats = self.stats
@@ -360,16 +311,7 @@ class Network:
         mote outside the tree run the per-hop loop below, which raises
         :class:`~repro.errors.TopologyError` at that mote after
         relaying the ones before it.
-
-        Every hop takes one attempt, so a lossy radio, whose hops draw
-        the loss process, raises
-        :class:`~repro.errors.ConfigurationError`: its deployments run
-        the reference path, which relays hop by hop.
         """
-        if self.radio.loss_probability != 0.0:
-            raise ConfigurationError(
-                "relay_many charges lossless hops; a lossy radio relays "
-                "hop by hop on the reference path")
         if len(nodes) >= _SCATTER_MIN_MOTES:
             np = columnar.numpy_module()
             if np is not None:
@@ -428,7 +370,7 @@ class Network:
     def _relay_scatter(self, np, nodes: Sequence[int],
                        down: tuple[str, int] | None,
                        up: tuple[str, int] | None) -> int | None:
-        """:meth:`relay_many`'s lossless loop as one scatter; returns the
+        """:meth:`relay_many`'s per-hop loop as one scatter; returns the
         hops charged, or None (charging nothing) when a mote is not in
         the tree.
 
@@ -554,7 +496,7 @@ class Network:
 
     def _add_sends(self, kind: str, sends: int, payload_bytes: int,
                    cost: tuple) -> None:
-        """Count ``sends`` lossless sends of one memoized cost in the
+        """Count ``sends`` sends of one memoized cost in the
         deployment ledger (the joules are the caller's)."""
         self.stats.add_sends(kind, sends, sends * cost[0],
                              sends * payload_bytes, sends * cost[1])
@@ -565,7 +507,7 @@ class Network:
         its live children in one call.
 
         The flood twin of :meth:`relay_many`, equal to one
-        lossless :meth:`_ship` per forwarder in pre-order: the cost memo
+        :meth:`_ship` per forwarder in pre-order: the cost memo
         is read once and the kind's integer counters grow by ``sends`` ×
         the per-send counts, while every float joule add still happens
         once per forwarder — one ``tx`` per forwarder ledger, one ``rx``
@@ -598,7 +540,7 @@ class Network:
         return sends
 
     def _memo_cost(self, payload_bytes: int) -> tuple:
-        """Fill the lossless cost memo for one payload size: one memo
+        """Fill the cost memo for one payload size: one memo
         entry yields packets, air bytes and both joule figures (energy
         rates are fixed per deployment). Cold path only."""
         memo = self._cost_memo
@@ -1036,8 +978,7 @@ class Network:
             with self.stats.phase("recovery"):
                 for child, parent in reattached:
                     self._ship(child, (parent,),
-                               ControlMessage(label="attach"),
-                               rng=self._recovery_rng)
+                               ControlMessage(label="attach"))
             for child, parent in reattached:
                 dirty.add(child)
                 dirty.update(self.tree.path_to_root(parent))
@@ -1100,8 +1041,7 @@ class Network:
         self._ledger_of[node_id] = newborn.ledger
         self._topo_version += 1
         with self.stats.phase("recovery"):
-            self._ship(node_id, (parent,), ControlMessage(label="join"),
-                       rng=self._recovery_rng)
+            self._ship(node_id, (parent,), ControlMessage(label="join"))
         dirty = {node_id, *self.tree.path_to_root(parent)}
         dirty.discard(self.sink_id)
         self._emit(TopologyEvent(

@@ -77,8 +77,6 @@ class NetworkStats:
         self._kinds: dict[str, list[int]] = {}
         self._tx_joules = 0.0
         self._rx_joules = 0.0
-        self._retransmissions = 0
-        self._drops = 0
         self.by_phase: dict[str, PhaseSnapshot] = {}
         #: (name, start snapshot, traffic claimed by closed inner phases)
         self._phase_stack: list[list] = []
@@ -88,18 +86,16 @@ class NetworkStats:
     # ------------------------------------------------------------------
 
     def record(self, kind: str, packets: int, payload_bytes: int,
-               air_bytes: int, tx_joules: float, rx_joules: float,
-               retransmissions: int = 0) -> None:
+               air_bytes: int, tx_joules: float, rx_joules: float) -> None:
         """Charge one shipped logical message."""
         self.add_sends(kind, 1, packets, payload_bytes, air_bytes)
         self._tx_joules += tx_joules
         self._rx_joules += rx_joules
-        self._retransmissions += retransmissions
 
     def add_sends(self, kind: str, messages: int, packets: int,
                   payload_bytes: int, air_bytes: int) -> None:
-        """Add ``messages`` sends of one kind, none retransmitted, whose
-        integer counters sum to the given totals.
+        """Add ``messages`` sends of one kind whose integer counters sum
+        to the given totals.
 
         The joules are the caller's: the sending kernels add each
         message's joules as they ship it, so the floating-point
@@ -114,16 +110,11 @@ class NetworkStats:
         row[2] += payload_bytes
         row[3] += air_bytes
 
-    def record_drop(self) -> None:
-        """Count a packet lost beyond the retry budget."""
-        self._drops += 1
-
     def _counters(self) -> tuple:
-        """Every counter as plain values, ``(rows, tx J, rx J,
-        retransmissions, drops)`` with ``rows`` a copy of the table."""
+        """Every counter as plain values, ``(rows, tx J, rx J)`` with
+        ``rows`` a copy of the table."""
         return ({kind: tuple(row) for kind, row in self._kinds.items()},
-                self._tx_joules, self._rx_joules, self._retransmissions,
-                self._drops)
+                self._tx_joules, self._rx_joules)
 
     def _add_change(self, now: tuple, then: tuple) -> None:
         """Add another ledger's change from its :meth:`_counters`
@@ -136,8 +127,6 @@ class NetworkStats:
                                        for count, earlier in zip(row, old)))
         self._tx_joules += now[1] - then[1]
         self._rx_joules += now[2] - then[2]
-        self._retransmissions += now[3] - then[3]
-        self._drops += now[4] - then[4]
 
     # ------------------------------------------------------------------
     # Reading
@@ -153,7 +142,7 @@ class NetworkStats:
 
     @property
     def packets(self) -> int:
-        """TOS_Msg frames transmitted (excluding retransmissions)."""
+        """TOS_Msg frames transmitted."""
         return self._column(1)
 
     @property
@@ -163,7 +152,7 @@ class NetworkStats:
 
     @property
     def air_bytes(self) -> int:
-        """Total bytes on the air (payload + headers + retries)."""
+        """Total bytes on the air (payload + headers)."""
         return self._column(3)
 
     @property
@@ -178,13 +167,15 @@ class NetworkStats:
 
     @property
     def retransmissions(self) -> int:
-        """Extra attempts the loss process cost."""
-        return self._retransmissions
+        """Packets sent again: always 0, since the radio is lossless.
+        Kept, with :attr:`drops`, because ``summary()`` and the
+        benchmark's counters report both."""
+        return 0
 
     @property
     def drops(self) -> int:
-        """Packets lost beyond the retry budget."""
-        return self._drops
+        """Packets lost: always 0, since the radio is lossless."""
+        return 0
 
     @property
     def by_kind(self) -> dict[str, int]:
@@ -240,8 +231,8 @@ class NetworkStats:
             "tx_joules": self._tx_joules,
             "rx_joules": self._rx_joules,
             "radio_joules": self._tx_joules + self._rx_joules,
-            "retransmissions": self._retransmissions,
-            "drops": self._drops,
+            "retransmissions": 0,
+            "drops": 0,
         }
 
     def __repr__(self) -> str:
@@ -249,5 +240,4 @@ class NetworkStats:
         return (f"NetworkStats(messages={totals.messages}, "
                 f"packets={totals.packets}, "
                 f"payload_bytes={totals.payload_bytes}, "
-                f"air_bytes={totals.air_bytes}, "
-                f"drops={self._drops})")
+                f"air_bytes={totals.air_bytes})")

@@ -48,11 +48,6 @@ class SlidingWindow:
         self.epochs = array("q")
         self.values: list[float] = []
 
-    @property
-    def capacity(self) -> int:
-        """Maximum number of buffered readings."""
-        return self._capacity
-
     def __len__(self) -> int:
         return min(len(self.epochs), self._capacity)
 

@@ -5,5 +5,5 @@ proof suite nor the unoptimized twin."""
 from repro.network import hotpath
 
 
-def build(radio_lossless: bool) -> bool:
-    return hotpath._enabled and radio_lossless
+def build() -> bool:
+    return hotpath._enabled

@@ -84,17 +84,15 @@ def on_both_paths(run, *args, **kwargs):
     default and once inside ``hotpath.reference_path()``.
 
     Every network the reference leg builds must run the reference path,
-    and every one the hot leg builds the hot path unless its radio is
-    lossy, so a comparison can never pit one path against itself.
+    and every one the hot leg builds the hot path, so a comparison can
+    never pit one path against itself.
     """
     with built_networks() as networks, hotpath.reference_path():
         reference = run(*args, **kwargs)
     assert networks and not any(network.hot for network in networks)
     with built_networks() as networks:
         hot = run(*args, **kwargs)
-    assert networks
-    for network in networks:
-        assert network.hot is (network.radio.loss_probability == 0.0)
+    assert networks and all(network.hot for network in networks)
     return hot, reference
 
 

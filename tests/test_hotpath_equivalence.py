@@ -5,9 +5,9 @@ The epoch loop's performance work (memoized fragment costs, cached
 payload sizes, per-epoch traffic batching, topology caches, the fused
 MINT update pass — see ``repro.network.hotpath``) must be *invisible*:
 same answers, same :class:`~repro.network.stats.NetworkStats` counters
-bit-for-bit, same per-phase snapshots, same energy ledgers, same RNG
-consumption. These property tests drive random scenarios, ranks,
-engines and churn schedules through both paths and compare everything.
+bit-for-bit, same per-phase snapshots, same energy ledgers. These
+property tests drive random scenarios, ranks, engines and churn
+schedules through both paths and compare everything.
 A deployment's path is fixed when its network is built, so every
 comparison builds its reference side inside
 ``hotpath.reference_path()`` and checks, through
@@ -36,14 +36,12 @@ from repro.errors import (
     ConfigurationError,
     KSpotError,
     ProtocolError,
-    RoutingError,
     StorageError,
     TopologyError,
     ValidationError,
 )
 from repro.network import columnar, hotpath, simulator
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
-from repro.network.link import RadioModel
 from repro.network.messages import (
     ControlMessage,
     FilterReportMessage,
@@ -65,8 +63,8 @@ from repro.sensing.generators import ConstantField, TableField, ZipfEventField
 def stats_signature(stats):
     """Every observable of a NetworkStats ledger, as comparable data:
     its totals, every counter (``NetworkStats._counters``: per kind the
-    messages, packets, payload and air bytes, then the joules,
-    retransmissions and drops) and its phases."""
+    messages, packets, payload and air bytes, then the joules) and its
+    phases."""
     return stats.summary(), stats._counters(), dict(stats.by_phase)
 
 
@@ -166,29 +164,22 @@ def int_board(node_ids, seed):
                        quantize=False)
 
 
-def build_workload(*, seed, k, agg, engines, churn_seed, loss=0.0,
-                   ints=False):
+def build_workload(*, seed, k, agg, engines, churn_seed, ints=False):
     """One deterministic deployment with its sessions submitted; returns
-    ``(driver, handles, network)``. A non-zero ``loss`` deploys it over
-    a lossy radio whose retry budget no packet exhausts; ``ints`` swaps
-    every board, a churn newborn's too, for :func:`int_board`."""
+    ``(driver, handles, network)``. ``ints`` swaps every board, a churn
+    newborn's too, for :func:`int_board`."""
     scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=seed)
     board_for = scenario.board_for
-    if loss or ints:
+    if ints:
         wired = scenario.network
-        boards = {i: node.board for i, node in wired.nodes.items()}
-        if ints:
-            board = int_board((*boards, 99), seed)
-            boards = dict.fromkeys(boards, board)
+        board = int_board((*wired.nodes, 99), seed)
 
-            def board_for(node_id):
-                return board
+        def board_for(node_id):
+            return board
+
         scenario = dataclasses.replace(scenario, network=Network(
-            wired.topology,
-            radio=RadioModel(range_m=wired.topology.radio_range,
-                             loss_probability=loss, max_retries=20)
-            if loss else None,
-            boards=boards, group_of=scenario.group_of, seed=seed))
+            wired.topology, boards=dict.fromkeys(wired.nodes, board),
+            group_of=scenario.group_of))
     deployment = Deployment.from_scenario(scenario)
     interventions = []
     if churn_seed is not None:
@@ -249,22 +240,20 @@ LEGS = (("reference", True, False), ("numpy", False, False),
         min_size=1, max_size=3, unique=True),
     epochs=st.integers(3, 7),
     churn_seed=st.one_of(st.none(), st.integers(0, 7)),
-    loss=st.sampled_from([0.0, 0.1]),
     ints=st.booleans(),
 )
 def test_hot_path_equals_reference_path(seed, k, agg, engines, epochs,
-                                        churn_seed, loss, ints):
+                                        churn_seed, ints):
     """The mode matrix: one deployment built on the reference path, one
     hot on numpy and one hot on the pure-python backend, stepped
     interleaved, epoch by epoch, in one process. After every epoch the
     answers, every stats counter and phase, session taps, energy
     ledgers and booked windows (each value by ``repr``) are identical —
     bit-for-bit — across random scenarios, ranks, aggregates, engine
-    mixes, churn schedules, radios and board kinds (the scenario's
-    field, or clamp-only boards of integer readings). A lossy radio
-    runs the reference path on every leg."""
+    mixes, churn schedules and board kinds (the scenario's field, or
+    clamp-only boards of integer readings)."""
     workload = dict(seed=seed, k=k, agg=agg, engines=engines,
-                    churn_seed=churn_seed, loss=loss, ints=ints)
+                    churn_seed=churn_seed, ints=ints)
     legs = {}
     for name, reference, python in LEGS:
         with contextlib.ExitStack() as modes:
@@ -273,7 +262,7 @@ def test_hot_path_equals_reference_path(seed, k, agg, engines, epochs,
             if python:
                 modes.enter_context(columnar.force_python_backend())
             legs[name] = build_workload(**workload)
-        assert legs[name][2].hot is (not reference and not loss), name
+        assert legs[name][2].hot is not reference, name
     for epoch in range(epochs):
         if not legs["reference"][0].deployment.active_sessions():
             break
@@ -312,42 +301,8 @@ def test_all_engines_concurrently_hot_equals_reference():
     assert hot == reference
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    loss=st.floats(0.05, 0.4),
-    payloads=st.lists(st.integers(0, 120), min_size=1, max_size=30),
-)
-def test_lossy_transport_equivalence(seed, loss, payloads):
-    """A lossy radio runs the reference path whatever the default, so a
-    network built under the hot default draws the same retransmissions
-    from the same RNG stream, and records the same counters and drops,
-    as one built inside ``reference_path()``."""
-
-    def ship_all():
-        network = Network(grid_topology(3),
-                          radio=RadioModel(range_m=20.0,
-                                           loss_probability=loss),
-                          seed=seed)
-        drops = 0
-        for index, payload in enumerate(payloads):
-            child = network.tree.sensor_ids[
-                index % len(network.tree.sensor_ids)]
-            try:
-                network.send_up(child, ControlMessage(label="x",
-                                                      size=payload))
-            except Exception:
-                drops += 1
-        network.advance_epoch()
-        return (stats_signature(network.stats), ledger_signature(network),
-                drops, network._rng.random())
-
-    hot, reference = on_both_paths(ship_all)
-    assert hot == reference
-
-
 class TestFragmentMemo:
-    """Boundary behaviour of the per-network lossless cost memo
+    """Boundary behaviour of the per-network cost memo
     (``Network._cost_memo``) that the hot kernels read in place of
     :func:`~repro.network.packets.fragment`."""
 
@@ -411,20 +366,6 @@ class TestShipEdges:
         assert (stats_signature(network.stats)
                 == stats_signature(Network(grid_topology(3)).stats))
 
-    def test_lossy_radio_is_refused(self):
-        """Every edge takes one attempt, so ``ship_edges`` refuses a
-        lossy radio, charging nothing."""
-        network = Network(grid_topology(3),
-                          radio=RadioModel(range_m=15.0,
-                                           loss_probability=0.1))
-        child = network.tree.sensor_ids[0]
-        with pytest.raises(ConfigurationError):
-            network.ship_edges("control",
-                               [(child, network.tree.parent(child), 8)])
-        assert network.stats.messages == 0
-        assert network.ledger(child).tx == 0
-
-
 def built_hot():
     """Whether a network built here runs the hot path."""
     return Network(grid_topology(2)).hot
@@ -451,7 +392,7 @@ class TestReferencePathToggle:
         """A deployment built outside ``reference_path()`` stays hot when
         stepped inside it, one built inside stays on the reference path
         after it, and only the hot one enters the flood kernel. Both
-        answer alike. A lossy radio is never hot."""
+        answer alike."""
         flooded = []
         kernel = Network._flood_lossless
 
@@ -472,49 +413,6 @@ class TestReferencePathToggle:
         assert hot_run[2].hot and not reference_run[2].hot
         assert flooded and set(map(id, flooded)) == {id(hot_run[2])}
         assert observe(*hot_run[1:]) == observe(*reference_run[1:])
-        lossy = RadioModel(range_m=20.0, loss_probability=0.1)
-        assert not Network(grid_topology(2), radio=lossy).hot
-
-
-class TestPerPurposeRngStreams:
-    """Churn recovery must not perturb the loss process (the old
-    single-stream design made runs with a topologically-irrelevant
-    join diverge from runs without it)."""
-
-    def _monitor_traffic(self, with_join: bool):
-        network = Network(grid_topology(3),
-                          radio=RadioModel(range_m=20.0,
-                                           loss_probability=0.2),
-                          seed=7)
-        sent = []
-        sensor_ids = network.tree.sensor_ids
-        for step in range(40):
-            if with_join and step == 20:
-                # A mote joins in radio range but never transmits any
-                # session traffic: the loss outcomes of everything else
-                # must be unaffected.
-                network.join_node(99, (5.0, 5.0))
-            child = sensor_ids[step % len(sensor_ids)]
-            before = network.stats.retransmissions
-            try:
-                network.send_up(child, ControlMessage(label="m"))
-                sent.append(network.stats.retransmissions - before)
-            except Exception:
-                sent.append(-1)
-        return sent
-
-    def test_join_does_not_shift_loss_stream(self):
-        assert self._monitor_traffic(False) == self._monitor_traffic(True)
-
-    def test_recovery_stream_is_deterministic_and_distinct(self):
-        drawn = []
-        for _ in range(2):
-            network = Network(grid_topology(3), seed=3)
-            drawn.append(network._recovery_rng.random())
-        assert drawn[0] == drawn[1]
-        # The recovery stream is derived from — not equal to — the
-        # loss seed; sharing the sequence would re-couple the streams.
-        assert random.Random(3).random() != drawn[0]
 
 
 class TestColumnarEquivalence:
@@ -523,7 +421,7 @@ class TestColumnarEquivalence:
     cover it; this class pins one more all-engine churn case and adds
     the backend split: the pure-python fallback (list sensing, the
     per-hop relay loop) must give the numpy kernel's answers,
-    counters, ledgers and RNG draws."""
+    counters and ledgers."""
 
     def test_columnar_equals_reference_path(self):
         """The columnar kernel and the unoptimized reference path
@@ -550,7 +448,7 @@ needs_numpy = pytest.mark.skipif(columnar.numpy_module() is None,
                                  reason="the relay scatter runs on numpy")
 
 
-def zipf_fila_fleet(side=8, seed=5, radio=None, loss_seed=0, k=25):
+def zipf_fila_fleet(side=8, seed=5, k=25):
     """A ``side``² grid in 16 block rooms over one shared
     :class:`~repro.sensing.generators.ZipfEventField`, monitored by a
     FILA MAX top-``k`` session; returns ``(session, network)``.
@@ -559,8 +457,7 @@ def zipf_fila_fleet(side=8, seed=5, radio=None, loss_seed=0, k=25):
     ``batch_values`` call (and one ``hash01_column`` jitter draw)
     covers the fleet. ``margin=8.0 >= jitter`` keeps the room levels
     off the ``[lo, hi]`` rails, so readings stay distinct and FILA's
-    filters go quiet. ``radio`` and ``loss_seed`` set the network's
-    link model and loss stream.
+    filters go quiet.
     """
     from repro.core.aggregates import make_aggregate
     from repro.core.fila import Fila
@@ -576,8 +473,7 @@ def zipf_fila_fleet(side=8, seed=5, radio=None, loss_seed=0, k=25):
     zipf = ZipfEventField(room_of, lo=0.0, hi=100.0, skew=2.0,
                           jitter=6.0, seed=seed, margin=8.0)
     boards = {i: SensorBoard({"sound": zipf}) for i in room_of}
-    network = Network(topology, radio=radio, boards=boards,
-                      group_of=room_of, seed=loss_seed)
+    network = Network(topology, boards=boards, group_of=room_of)
     session = Fila(network, make_aggregate("MAX", 0.0, 100.0), k,
                    attribute="sound")
     return session, network
@@ -609,45 +505,6 @@ class TestZipfColumnarKernel:
             fallback = self._stream()
         assert default == reference
         assert default == fallback
-
-
-class TestLossyFilaStepsOnAfterADrop:
-    """A drop mid-pass aborts FILA's epoch; the session then steps on.
-    A lossy radio runs the reference path whatever the default, so a
-    deployment built under the hot default must equal one built inside
-    ``reference_path()``: answers, stats and per-node ledgers after 25
-    steps with drops, and FILA's ``known`` and ``filters`` after every
-    step."""
-
-    STEPS = 25
-
-    def run(self, seed):
-        session, network = zipf_fila_fleet(
-            radio=RadioModel(range_m=15.0, loss_probability=0.06,
-                             max_retries=2),
-            loss_seed=seed)
-        results, states, drops = [], [], 0
-        for _ in range(self.STEPS):
-            try:
-                result = session.run_epoch()
-            except RoutingError:
-                drops += 1
-            else:
-                results.append((result.epoch, result.exact, result.probed,
-                                tuple(result.items)))
-            states.append((dict(session.known), dict(session.filters)))
-        return (results, drops, stats_signature(network.stats),
-                ledger_signature(network), states)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_hot_equals_reference(self, seed):
-        hot, reference = on_both_paths(self.run, seed)
-        assert hot[1] >= 1, "the radio must drop somewhere"
-        for field, h, r in zip(("results", "drops", "stats", "ledgers"),
-                               hot, reference):
-            assert h == r, field
-        for step, (h, r) in enumerate(zip(hot[4], reference[4])):
-            assert h == r, f"known and filters after step {step}"
 
 
 def fila_workload_scenario(side=20, seed=11):
@@ -993,36 +850,30 @@ _RELAYS = st.lists(
     min_size=1, max_size=25)
 
 
-def relay_all(relays, *, network_class=Network, loss=0.0, seed=0):
+def relay_all(relays, *, network_class=Network):
     """Relay every message to / from the sink on a 5×5 grid inside an
     open session tap, alternating two stats phases; returns every
-    observable plus the hop counts and drops."""
-    network = network_class(
-        grid_topology(5),
-        radio=RadioModel(range_m=15.0, loss_probability=loss), seed=seed)
+    observable plus the hop counts."""
+    network = network_class(grid_topology(5))
     targets = (network.sink_id, *network.tree.sensor_ids)
     tap = NetworkStats()
-    hops, drops = [], 0
+    hops = []
     with network.tap_stats(tap):
         for index, (upward, target, payload) in enumerate(relays):
             node_id = targets[target % len(targets)]
             message = ControlMessage(label="relay", size=payload)
             with network.stats.phase("update" if index % 2 else "probe"):
-                try:
-                    if upward:
-                        hops.append(network.unicast_to_sink(node_id, message))
-                    else:
-                        hops.append(network.unicast_from_sink(node_id,
-                                                              message))
-                except RoutingError:
-                    drops += 1
+                if upward:
+                    hops.append(network.unicast_to_sink(node_id, message))
+                else:
+                    hops.append(network.unicast_from_sink(node_id, message))
     network.advance_epoch()
     return (stats_signature(network.stats), stats_signature(tap),
-            ledger_signature(network), hops, drops, network._rng.random())
+            ledger_signature(network), hops)
 
 
 class TestPathRelayKernel:
-    """``unicast_to_sink`` / ``unicast_from_sink`` ship a lossless relay
+    """``unicast_to_sink`` / ``unicast_from_sink`` ship a relay
     over its whole tree path in one ``relay_many`` call. Per-node
     ledgers, by_kind,
     by_phase, totals and an open tap must equal both the per-hop
@@ -1044,19 +895,6 @@ class TestPathRelayKernel:
         assert network.unicast_from_sink(network.sink_id, message) == 0
         assert (stats_signature(network.stats)
                 == stats_signature(Network(grid_topology(3)).stats))
-
-    @settings(max_examples=20, deadline=None)
-    @given(relays=_RELAYS, seed=st.integers(0, 10_000),
-           loss=st.floats(0.05, 0.4))
-    def test_lossy_radio_falls_back_per_hop(self, relays, seed, loss):
-        """A lossy radio runs the reference path's per-hop loop whatever
-        the default (the relay kernel refuses it): a network built under
-        the hot default draws the same retransmissions from the same
-        loss stream as one built inside ``reference_path()``."""
-        hot, reference = on_both_paths(relay_all, relays, loss=loss,
-                                       seed=seed)
-        assert hot == reference
-
 
 #: One batch relay: (shape, picks into sink + sensors, probe request
 #: groups, report entries). Picks repeat, and pick 0 is the sink itself.
@@ -1150,7 +988,7 @@ def batch_relay_all(batches, dead=(), *, side=5, rejoin=False,
                 hops.append(count)
     network.advance_epoch()
     return (stats_signature(network.stats), stats_signature(tap),
-            ledger_signature(network), hops, network._rng.random())
+            ledger_signature(network), hops)
 
 
 class TestBatchRelayKernel:
@@ -1178,19 +1016,6 @@ class TestBatchRelayKernel:
         assert network.relay_many([network.sink_id] * 3, down, up) == 0
         assert (stats_signature(network.stats)
                 == stats_signature(Network(grid_topology(3)).stats))
-
-    def test_lossy_radio_is_refused(self):
-        """Every relayed hop takes one attempt, so the kernel refuses a
-        lossy radio, charging nothing: its deployments run the
-        reference path, which relays hop by hop."""
-        network = Network(grid_topology(3),
-                          radio=RadioModel(range_m=15.0,
-                                           loss_probability=0.1))
-        with pytest.raises(ConfigurationError):
-            network.relay_many([5, 9], down=("probe_request", 6),
-                               up=("filter_report", 12))
-        assert network.stats.messages == 0
-        assert network.ledger(9).tx == 0
 
     @needs_numpy
     @settings(max_examples=30, deadline=None)
@@ -1270,13 +1095,6 @@ class PerForwarderNetwork(Network):
         return len(plan)
 
 
-class NoFloodKernelNetwork(Network):
-    """Fails if a flood reaches the hot path's flood kernel."""
-
-    def _flood_lossless(self, message):
-        raise AssertionError("a lossy flood reached the lossless kernel")
-
-
 #: Payload bytes of each flood.
 _FLOODS = st.lists(st.integers(0, 120), min_size=1, max_size=12)
 #: Sensors of the 5×5 grid killed, tree left unrepaired, before the
@@ -1284,29 +1102,23 @@ _FLOODS = st.lists(st.integers(0, 120), min_size=1, max_size=12)
 _DEAD = st.sets(st.integers(1, 25), max_size=12)
 
 
-def flood_all(floods, dead=(), *, network_class=Network, loss=0.0, seed=0):
+def flood_all(floods, dead=(), *, network_class=Network):
     """Flood every message down a 5×5 grid whose ``dead`` sensors were
     killed without repair, inside an open session tap, alternating two
-    stats phases; returns every observable plus the send counts and
-    drops."""
-    network = network_class(
-        grid_topology(5),
-        radio=RadioModel(range_m=15.0, loss_probability=loss), seed=seed)
+    stats phases; returns every observable plus the send counts."""
+    network = network_class(grid_topology(5))
     for node_id in sorted(dead):
         network.kill_node(node_id, repair=False)
     tap = NetworkStats()
-    sends, drops = [], 0
+    sends = []
     with network.tap_stats(tap):
         for index, payload in enumerate(floods):
             message = ControlMessage(label="flood", size=payload)
             with network.stats.phase("probe" if index % 2 else "creation"):
-                try:
-                    sends.append(network.flood_down(message))
-                except RoutingError:
-                    drops += 1
+                sends.append(network.flood_down(message))
     network.advance_epoch()
     return (stats_signature(network.stats), stats_signature(tap),
-            ledger_signature(network), sends, drops, network._rng.random())
+            ledger_signature(network), sends)
 
 
 class TestFloodKernel:
@@ -1343,22 +1155,6 @@ class TestFloodKernel:
         assert sends == len(senders) == network.stats.messages
         assert network.ledger(forwarder).tx == 0
         assert all(network.ledger(n).tx > 0 for n in senders)
-
-    @settings(max_examples=20, deadline=None)
-    @given(floods=_FLOODS, dead=_DEAD, seed=st.integers(0, 10_000),
-           loss=st.floats(0.05, 0.4))
-    def test_lossy_radio_falls_back_per_forwarder(self, floods, dead, seed,
-                                                  loss):
-        """A lossy radio runs the reference path's broadcast per
-        forwarder whatever the default: a network built under the hot
-        default never enters the lossless kernel and draws the same
-        retransmissions from the same loss stream as one built inside
-        ``reference_path()``."""
-        hot, reference = on_both_paths(
-            flood_all, floods, dead, network_class=NoFloodKernelNetwork,
-            loss=loss, seed=seed)
-        assert hot == reference
-
 
 def rebuilt_tree(network):
     """The network's tree built from scratch from its parent map."""
@@ -1970,106 +1766,6 @@ class TestParticipantsLift:
                 for lifted in reference] == [9, 9, 9]
 
 
-class TestLossyMintCreation:
-    """MINT's creation pass over a lossy radio (64 motes, 6% loss
-    with one retry): each edge ships through ``send_up``, which draws
-    the loss stream per packet. A drop inside the pass aborts the
-    epoch with the motes before it committed; the next epoch re-runs
-    creation. A lossy radio runs the reference path whatever the
-    default, so after every step the per-node ``(reported,
-    gamma_reported, withheld)``, and at the end the answers, stats,
-    ledgers and loss-stream state of a deployment built under the hot
-    default must equal one built inside ``reference_path()``."""
-
-    STEPS = 6
-    SEEDS = range(10)
-
-    def run(self, seed):
-        from repro.sensing.board import SensorBoard
-
-        scenario = grid_rooms_scenario(side=8, rooms_per_axis=2, seed=1)
-        boards = {node_id: SensorBoard({"sound": scenario.field})
-                  for node_id in scenario.group_of}
-        network = Network(
-            scenario.network.topology,
-            radio=RadioModel(range_m=15.0, loss_probability=0.06,
-                             max_retries=1),
-            boards=boards, group_of=scenario.group_of, seed=seed)
-        mint = Mint(network, make_aggregate("SUM", 0.0, 100.0), 2,
-                    scenario.group_of, config=MintConfig(slack=0))
-        steps, inside = [], 0
-        for _ in range(self.STEPS):
-            try:
-                result = mint.run_epoch()
-            except RoutingError:
-                outcome = "dropped"
-                inside += (not mint.created and any(
-                    state.reported for state in mint.states.values()))
-            else:
-                outcome = (result.epoch, result.probed, tuple(result.items))
-            steps.append((outcome, {
-                node_id: (dict(state.reported), state.gamma_reported,
-                          dict(state.withheld))
-                for node_id, state in mint.states.items()}))
-        return (steps, stats_signature(network.stats),
-                ledger_signature(network), network._rng.getstate(), inside)
-
-    def test_hot_equals_reference(self):
-        inside = 0
-        for seed in self.SEEDS:
-            hot, reference = on_both_paths(self.run, seed)
-            for step, (h, r) in enumerate(zip(hot[0], reference[0])):
-                assert h == r, f"seed {seed}, step {step}"
-            assert hot[1:] == reference[1:], f"seed {seed}"
-            inside += hot[4]
-        assert inside >= 1, "the radio must drop inside a creation pass"
-
-
-class TestLossyFilaSetUp:
-    """FILA's set-up over a lossy radio (64 motes, 3% loss, one retry):
-    each report relays hop by hop, and a drop inside the set-up leaves
-    ``known`` holding the motes relayed before it and no filter
-    installed; the next epoch re-runs the set-up. A lossy radio runs
-    the reference path whatever the default, so after every step
-    ``known`` and ``filters``, and at the end the answers, stats,
-    ledgers and loss-stream state of a deployment built under the hot
-    default must equal one built inside ``reference_path()``."""
-
-    STEPS = 4
-    SEEDS = range(10)
-
-    def run(self, seed):
-        session, network = zipf_fila_fleet(
-            radio=RadioModel(range_m=15.0, loss_probability=0.03,
-                             max_retries=1),
-            loss_seed=seed)
-        steps, mid_set_up = [], 0
-        for _ in range(self.STEPS):
-            try:
-                result = session.run_epoch()
-            except RoutingError:
-                outcome = "dropped"
-                mid_set_up += (not session._setup_done
-                               and 0 < len(session.known) < 64)
-            else:
-                outcome = (result.epoch, result.probed, tuple(result.items))
-            steps.append((outcome, dict(session.known),
-                          dict(session.filters)))
-        return (steps, stats_signature(network.stats),
-                ledger_signature(network), network._rng.getstate(),
-                mid_set_up)
-
-    def test_hot_equals_reference(self):
-        mid_set_up = 0
-        for seed in self.SEEDS:
-            hot, reference = on_both_paths(self.run, seed)
-            for step, (h, r) in enumerate(zip(hot[0], reference[0])):
-                assert h == r, f"seed {seed}, step {step}"
-            assert hot[1:] == reference[1:], f"seed {seed}"
-            mid_set_up += hot[4]
-        assert mid_set_up >= 1, "the radio must drop mid-set-up"
-
-
 def tja_signature(result):
     """Every observable of a TjaResult, as comparable data."""
     return (tuple((i.key, i.score, i.lb, i.ub) for i in result.items),
@@ -2289,41 +1985,3 @@ class TestTjaRowsFromWindows:
         hot, reference = on_both_paths(self.over_rows)
         assert hot == reference
         assert hot[0] == (0, 1, 10, 11, *range(2, 10))
-
-
-class TestLossyTja:
-    """TJA over a lossy radio (64 motes, 4% loss, one retry): every
-    reply ships through ``send_up``, which draws the loss stream per
-    packet, and a drop in any phase raises
-    :class:`~repro.errors.RoutingError`. A lossy radio runs the
-    reference path whatever the default, so a deployment built under
-    the hot default must raise the same drop, leave equal stats,
-    ledgers and loss-stream state, and give the same result when the
-    execution completes, as one built inside ``reference_path()``."""
-
-    SEEDS = range(12)
-
-    def run(self, seed, agg):
-        network = Network(
-            grid_topology(8, spacing=10.0, radio_range=15.0),
-            radio=RadioModel(range_m=15.0, loss_probability=0.04,
-                             max_retries=1),
-            seed=seed)
-        series = make_series(list(network.tree.sensor_ids), epochs=8,
-                             seed=seed)
-        tja = Tja(network, make_aggregate(agg, 0.0, 100.0), 3, series)
-        try:
-            outcome = tja_signature(tja.execute())
-        except RoutingError as drop:
-            outcome = ("dropped", str(drop))
-        return (outcome, stats_signature(network.stats),
-                ledger_signature(network), network._rng.getstate())
-
-    @pytest.mark.parametrize("agg", ["AVG", "SUM", "MAX", "MIN"])
-    def test_hot_equals_reference(self, agg):
-        drops = 0
-        for seed in self.SEEDS:
-            hot, reference = on_both_paths(self.run, seed, agg)
-            assert hot == reference, f"seed {seed}"
-            drops += hot[0][0] == "dropped"
-        assert 0 < drops < len(self.SEEDS), drops

@@ -1,9 +1,9 @@
-"""Cross-algorithm integration: shared traces, failures, loss, savings.
+"""Cross-algorithm integration: shared traces, failures, savings.
 
 These tests run several algorithms over *identical* readings and check
 the system-level claims: every exact algorithm agrees with every other,
 the cost ordering matches the paper's story, and the system keeps
-answering correctly through node failures and lossy links.
+answering correctly through node failures.
 """
 
 import pytest
@@ -18,8 +18,6 @@ from repro.core import (
 )
 from repro.core.aggregates import make_aggregate
 from repro.network.churn import ChurnSchedule
-from repro.network.link import RadioModel
-from repro.network.simulator import Network
 from repro.scenarios import grid_rooms_scenario
 from repro.sensing.modalities import get_modality
 
@@ -121,29 +119,6 @@ class TestFailureResilience:
                      if scenario.network.nodes[n].alive}
         truth = oracle_scores(quantized(scenario, 1), survivors, aggregate)
         assert is_valid_top_k(result.items, truth, 2, tolerance=1e-6)
-
-
-class TestLossyLinks:
-    def test_mint_exact_under_arq(self):
-        """With retransmissions the link layer is reliable; answers stay
-        exact and the retry cost shows up in the energy ledger."""
-        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=46)
-        lossy = Network(scenario.network.topology,
-                        radio=RadioModel(loss_probability=0.2,
-                                         max_retries=100),
-                        boards={n: scenario.network.node(n).board
-                                for n in scenario.group_of},
-                        group_of=scenario.group_of,
-                        seed=3)
-        aggregate = make_aggregate("AVG", 0, 100)
-        mint = Mint(lossy, aggregate, 2, scenario.group_of)
-        for epoch in range(6):
-            result = mint.run_epoch()
-            readings = {n: get_modality("sound").quantize(
-                scenario.field.value(n, epoch)) for n in scenario.group_of}
-            truth = oracle_scores(readings, scenario.group_of, aggregate)
-            assert is_valid_top_k(result.items, truth, 2, tolerance=1e-6)
-        assert lossy.stats.retransmissions > 0
 
 
 class TestSavingsGrowWithScale:

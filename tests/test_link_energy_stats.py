@@ -1,77 +1,16 @@
-"""Radio link model, energy model, statistics ledger."""
+"""Energy model, energy ledgers, statistics ledger."""
 
 import gc
-import random
 import weakref
 
 import pytest
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError
 from repro.network.energy import EnergyLedger, EnergyModel, lifetime_epochs
-from repro.network.link import RadioModel
 from repro.network.messages import ControlMessage
 from repro.network.simulator import Network
 from repro.network.stats import NetworkStats
 from repro.network.topology import grid_topology
-
-
-class TestRadioModel:
-    def test_mica2_defaults(self):
-        radio = RadioModel()
-        assert radio.bitrate_bps == 38_400.0
-        assert radio.range_m == 150.0
-
-    def test_lossless_is_one_attempt(self):
-        assert RadioModel().attempts_needed(random.Random(0)) == 1
-
-    def test_lossy_retries_eventually_succeed(self):
-        radio = RadioModel(loss_probability=0.5, max_retries=50)
-        rng = random.Random(1)
-        attempts = [radio.attempts_needed(rng) for _ in range(200)]
-        assert min(attempts) == 1
-        assert max(attempts) > 1
-
-    def test_exhausted_retries_raise(self):
-        radio = RadioModel(loss_probability=0.999, max_retries=1)
-        rng = random.Random(2)
-        with pytest.raises(RoutingError):
-            for _ in range(100):
-                radio.attempts_needed(rng)
-
-    def test_bad_loss_probability_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RadioModel(loss_probability=1.0)
-
-    def test_bad_bitrate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RadioModel(bitrate_bps=0)
-
-    def test_exhaustion_draws_exactly_the_retry_budget(self):
-        """A drop consumes max_retries + 1 RNG draws — no more, no
-        fewer — so the loss stream stays aligned across paths."""
-
-        class AlwaysLost:
-            draws = 0
-
-            def random(self):
-                self.draws += 1
-                return 0.0  # always below loss_probability: lost
-
-        radio = RadioModel(loss_probability=0.9, max_retries=3)
-        rng = AlwaysLost()
-        with pytest.raises(RoutingError, match="after 4 attempts"):
-            radio.attempts_needed(rng)
-        assert rng.draws == 4
-
-    def test_success_stops_drawing(self):
-        class SucceedSecond:
-            sequence = [0.0, 0.99]
-
-            def random(self):
-                return self.sequence.pop(0)
-
-        radio = RadioModel(loss_probability=0.5, max_retries=5)
-        assert radio.attempts_needed(SucceedSecond()) == 2
 
 
 class TestEnergyModel:
@@ -87,6 +26,20 @@ class TestEnergyModel:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             EnergyModel(voltage=0)
+        with pytest.raises(ConfigurationError):
+            EnergyModel(bitrate_bps=0)
+
+    def test_bitrate_is_the_deployments_air_rate(self):
+        """A deployment charges its radio at the energy model's bitrate:
+        at a quarter of the MICA2 rate, one 40-byte ``send_up`` costs
+        exactly four times the radio joules."""
+        joules = []
+        for energy in (None, EnergyModel(bitrate_bps=9_600)):
+            network = Network(grid_topology(3), energy=energy)
+            network.send_up(5, ControlMessage(label="x", size=40))
+            joules.append(network.stats.radio_joules)
+        assert joules[0] == pytest.approx(0.00124875)
+        assert joules[1] == 4 * joules[0]
 
     def test_lifetime_bottleneck(self):
         model = EnergyModel(battery_joules=100.0)
@@ -99,8 +52,8 @@ class TestEnergyModel:
 class TestEnergyLedger:
     def test_total_sums_all_activities(self):
         ledger = EnergyLedger()
-        ledger.charge_tx(1.0)
-        ledger.charge_rx(2.0)
+        ledger.tx += 1.0
+        ledger.rx += 2.0
         ledger.sensing += 3.0
         ledger.idle += 4.0
         assert ledger.total == 10.0
@@ -196,12 +149,6 @@ class TestNetworkStats:
         assert stats.by_phase["a"].payload_bytes == 8
         total = sum(snap.payload_bytes for snap in stats.by_phase.values())
         assert total == stats.payload_bytes == 1 + 2 + 4 + 8
-
-    def test_drop_counter(self):
-        stats = NetworkStats()
-        stats.record_drop()
-        assert stats.drops == 1
-        assert stats.summary()["drops"] == 1
 
     def test_ledger_outlives_its_network_and_taps_nest(self):
         """A deployment ledger refers to no network: kept past its

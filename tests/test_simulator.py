@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError, RoutingError
-from repro.network.link import RadioModel
 from repro.network.messages import ControlMessage, QueryMessage
 from repro.network.simulator import Network
 from repro.network.topology import grid_topology, linear_topology
@@ -134,18 +133,3 @@ class TestFailureInjection:
         node_id, joules = net.bottleneck_energy()
         assert node_id == child
         assert joules > 0
-
-
-class TestLossAccounting:
-    def test_retransmissions_cost_energy(self):
-        lossless = Network(grid_topology(2))
-        lossy = Network(grid_topology(2),
-                        radio=RadioModel(loss_probability=0.4,
-                                         max_retries=100),
-                        seed=5)
-        for _ in range(30):
-            child = lossless.tree.sensor_ids[0]
-            lossless.send_up(child, ControlMessage(label="x"))
-            lossy.send_up(child, ControlMessage(label="x"))
-        assert lossy.stats.retransmissions > 0
-        assert lossy.stats.tx_joules > lossless.stats.tx_joules
